@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import KrError, ParseError
+from .errors import KrError, ParseError, PostconditionError
 from .groebner import GREVLEX, LEX, buchberger, member
 from .morphism import compose as compose_maps
 from .morphism import jacobian
@@ -196,6 +196,9 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except PostconditionError as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except (KrError, OSError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

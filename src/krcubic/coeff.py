@@ -1,19 +1,21 @@
 """Exact arithmetic in the Eisenstein rationals Q(w), w a primitive cube root of unity.
 
-Elements are stored as a + b*w with rational a, b and the defining relation
-w^2 = -1 - w.  Every constant needed by the geometry lives here: rationals,
--1, w itself, and the primitive sixth root 1 + w = -w^2.  Representations are
-unique, so structural equality is mathematical equality and there is no
-normalization step beyond what Fraction already does.
+An element is stored as three Python ints (a, b, d), meaning (a + b*w)/d,
+with gcd(a, b, d) = 1 and d > 0; products use the defining relation
+w^2 = -1 - w.  That form is unique, so structural equality is mathematical
+equality.  Every result is built by one private constructor, _make, which
+divides out the common factor; Fraction appears only at the edges: __init__
+accepts ints and Fractions, and the parts are read back as the Fraction
+properties re and om.  Every constant needed by the geometry lives here:
+rationals, -1, w itself, and the primitive sixth root 1 + w = -w^2.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import UnsupportedOrderError
-
-RatLike = "int | Fraction"
 
 
 def _frac(x) -> Fraction:
@@ -25,16 +27,29 @@ def _frac(x) -> Fraction:
 
 
 class Eisenstein:
-    """An element a + b*w of Q(w), exact and immutable."""
+    """An element (a + b*w)/d of Q(w), exact and immutable.
 
-    __slots__ = ("re", "om")
+    The value lives in the private slots; re and om are read-only.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, om=0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "om", _frac(om))
+        re, om = _frac(re), _frac(om)
+        # Over the lcm of two reduced denominators no prime divides a, b and
+        # d at once, so the triple is already canonical.
+        d = re.denominator * om.denominator // gcd(re.denominator, om.denominator)
+        self._a = re.numerator * (d // re.denominator)
+        self._b = om.numerator * (d // om.denominator)
+        self._d = d
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Eisenstein values are immutable")
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def om(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @staticmethod
     def of(value) -> "Eisenstein":
@@ -46,62 +61,65 @@ class Eisenstein:
     # -- predicates ---------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.om)
+        return bool(self._a or self._b)
 
     def is_rational(self) -> bool:
-        return self.om == 0
+        return self._b == 0
 
     # -- ring operations ----------------------------------------------------
 
-    @staticmethod
-    def _try(value):
-        if isinstance(value, Eisenstein):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return Eisenstein(value)
-        return None
-
     def __add__(self, other):
-        other = Eisenstein._try(other)
-        if other is None:
-            return NotImplemented
-        return Eisenstein(self.re + other.re, self.om + other.om)
+        if type(other) is not Eisenstein:
+            other = _try(other)
+            if other is None:
+                return NotImplemented
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _make(self._a + other._a, self._b + other._b, d1)
+        return _make(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = Eisenstein._try(other)
-        if other is None:
-            return NotImplemented
-        return Eisenstein(self.re - other.re, self.om - other.om)
+        if type(other) is not Eisenstein:
+            other = _try(other)
+            if other is None:
+                return NotImplemented
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _make(self._a - other._a, self._b - other._b, d1)
+        return _make(self._a * d2 - other._a * d1, self._b * d2 - other._b * d1, d1 * d2)
 
     def __rsub__(self, other):
-        other = Eisenstein._try(other)
+        other = _try(other)
         if other is None:
             return NotImplemented
         return other - self
 
     def __neg__(self):
-        return Eisenstein(-self.re, -self.om)
+        return _make(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        # (a + b*w)(c + d*w) = ac + (ad + bc)w + bd*w^2,  w^2 = -1 - w
-        other = Eisenstein._try(other)
-        if other is None:
-            return NotImplemented
-        a, b, c, d = self.re, self.om, other.re, other.om
-        bd = b * d
-        return Eisenstein(a * c - bd, a * d + b * c - bd)
+        # (a + b*w)(c + e*w) = ac + (ae + bc)w + be*w^2,  w^2 = -1 - w
+        if type(other) is not Eisenstein:
+            other = _try(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, e = self._a, self._b, other._a, other._b
+        if not (b or e):
+            return _make(a * c, 0, self._d * other._d)
+        be = b * e
+        return _make(a * c - be, a * e + b * c - be, self._d * other._d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Eisenstein":
         """Multiplicative inverse via the conjugate a - b - b*w and norm a^2 - ab + b^2."""
-        a, b = self.re, self.om
-        norm = a * a - a * b + b * b
+        a, b, d = self._a, self._b, self._d
+        norm = a * a - a * b + b * b  # positive definite, so 0 only at a = b = 0
         if norm == 0:
             raise ZeroDivisionError("inverse of zero in Q(w)")
-        return Eisenstein((a - b) / norm, -b / norm)
+        return _make(d * (a - b), -d * b, norm)
 
     def __truediv__(self, other):
         return self * Eisenstein.of(other).inverse()
@@ -126,14 +144,16 @@ class Eisenstein:
     # -- equality and display -----------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Eisenstein.of(other)
-        if not isinstance(other, Eisenstein):
-            return NotImplemented
-        return self.re == other.re and self.om == other.om
+        if type(other) is not Eisenstein:
+            other = _try(other)
+            if other is None:
+                return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
-        if self.om == 0:
+        # The hash of the Fraction pair: a rational hashes like its Fraction,
+        # and sets and dicts of coefficients keep their iteration order.
+        if self._b == 0:
             return hash(self.re)
         return hash((self.re, self.om))
 
@@ -142,6 +162,34 @@ class Eisenstein:
 
     def __str__(self):
         return render_coeff(self)
+
+
+_new = object.__new__
+
+
+def _make(a: int, b: int, d: int) -> Eisenstein:
+    """The element (a + b*w)/d for ints with d > 0, in canonical form."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    e = _new(Eisenstein)
+    e._a = a
+    e._b = b
+    e._d = d
+    return e
+
+
+def _try(value) -> Eisenstein | None:
+    if isinstance(value, Eisenstein):
+        return value
+    if isinstance(value, int):
+        return _make(int(value), 0, 1)
+    if isinstance(value, Fraction):
+        return _make(value.numerator, 0, value.denominator)
+    return None
 
 
 ZERO = Eisenstein(0)

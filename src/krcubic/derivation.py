@@ -15,7 +15,7 @@ from typing import Mapping
 
 from fractions import Fraction
 
-from .errors import DerivationError, KrError, UnverifiedPairError
+from .errors import DerivationError, KrError, PostconditionError, UnverifiedPairError
 from .groebner import member, reduce
 from .morphism import (QuotientRelation, RingMap, compose, exact_divide,
                        normal_form, verify_inverse_pair)
@@ -231,7 +231,8 @@ def extend_lnd_from_base(d0: Derivation, table4: VarTable) -> Derivation:
         "y": -d0.apply(cusp).transport(table4),
     }
     lifted = Derivation(table4, images, QuotientRelation(relation))
-    assert lifted._derive_raw(relation).is_zero(), "lift must kill the relation"
+    if not lifted._derive_raw(relation).is_zero():
+        raise PostconditionError("lift must kill the relation")
     return lifted
 
 

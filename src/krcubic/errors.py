@@ -45,6 +45,10 @@ class UnverifiedPairError(KrError):
     """An operation required a verified inverse pair and the check failed."""
 
 
+class PostconditionError(KrError):
+    """A computed result failed its own exact check: a defect in the kernel."""
+
+
 class ParseError(KrError):
     """Positioned syntax or binding error in a source unit."""
 

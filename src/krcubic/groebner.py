@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import add, sub
 
-from .errors import GroebnerBudgetError, KrError, LaurentInputError
-from .poly import Polynomial, VarTable, grevlex_key, lex_key
+from .errors import (GroebnerBudgetError, KrError, LaurentInputError,
+                     PostconditionError)
+from .poly import Polynomial, VarTable, _polynomial, grevlex_key, lex_key
 
 
 @dataclass(frozen=True)
@@ -27,6 +29,7 @@ class MonomialOrder:
     perm: tuple[int, ...] | None = None
 
     def key(self, exps: tuple[int, ...]):
+        """A flat tuple of ints; a larger key is a larger monomial."""
         if self.perm is not None:
             exps = tuple(exps[i] for i in self.perm)
         if self.kind == "grevlex":
@@ -60,63 +63,72 @@ def reduce(f: Polynomial, gens: list[Polynomial],
     """Division with remainder: f = sum(cofactor_i * gens_i) + remainder.
 
     No remainder monomial is divisible by any generator's leading monomial.
-    The representation identity is asserted on every call.
+    The representation identity is checked on every call; PostconditionError
+    reports a violation.
     """
     _require_polynomial(f, "dividend")
     table = f.table
     lead = []
+    tails = []
     for g in gens:
         if g.table != table:
             raise KrError("divisor over a different table")
         if g.is_zero():
             raise ZeroDivisionError("zero divisor in reduce()")
         _require_polynomial(g, "divisor")
-        lead.append(g.leading_term(order.key))
+        gm, gc = g.leading_term(order.key)
+        lead.append((gm, gc))
+        tails.append([(e, c) for e, c in g.terms.items() if e != gm])
 
-    keyfn = order.key
-    key_cache: dict[tuple[int, ...], tuple] = {}
+    # Max-heap of the working dividend's monomials, as a min-heap on the
+    # negated order key.  A monomial that cancels keeps its entry (lazy
+    # deletion), so a popped monomial missing from work is skipped.  Each
+    # step takes the largest monomial of work and only adds smaller ones, so
+    # no monomial comes back once it has been taken.
+    key = order.key
 
-    def key(exps):
-        k = key_cache.get(exps)
-        if k is None:
-            k = keyfn(exps)
-            key_cache[exps] = k
-        return k
+    def entry(exps):
+        return [-k for k in key(exps)], exps
 
     work = dict(f.terms)
+    heap = [entry(e) for e in work]
+    heapq.heapify(heap)
     cof_terms: list[dict] = [{} for _ in gens]
     rem_terms: dict = {}
-    while work:
-        lt_exps = max(work, key=key)
-        lt_c = work[lt_exps]
+    while heap:
+        lt_exps = heapq.heappop(heap)[1]
+        lt_c = work.pop(lt_exps, None)
+        if lt_c is None:
+            continue
         for i, (gm, gc) in enumerate(lead):
             if _divides(gm, lt_exps):
-                q_exps = tuple(a - b for a, b in zip(lt_exps, gm))
+                q_exps = tuple(map(sub, lt_exps, gm))
                 q_c = lt_c / gc
-                prev = cof_terms[i].get(q_exps)
-                prev = q_c if prev is None else prev + q_c
-                if prev:
-                    cof_terms[i][q_exps] = prev
-                else:
-                    cof_terms[i].pop(q_exps, None)
-                for ge, gcoef in gens[i].terms.items():
-                    e = tuple(a + b for a, b in zip(q_exps, ge))
+                cof_terms[i][q_exps] = q_c
+                neg_q = -q_c
+                for ge, gcoef in tails[i]:
+                    e = tuple(map(add, q_exps, ge))
+                    c = neg_q * gcoef
                     got = work.get(e)
-                    got = -q_c * gcoef if got is None else got - q_c * gcoef
-                    if got:
-                        work[e] = got
+                    if got is None:
+                        work[e] = c
+                        heapq.heappush(heap, entry(e))
                     else:
-                        work.pop(e, None)
+                        got = got + c
+                        if got:
+                            work[e] = got
+                        else:
+                            del work[e]
                 break
         else:
             rem_terms[lt_exps] = lt_c
-            del work[lt_exps]
-    rem = Polynomial(table, rem_terms)
-    cofs = [Polynomial(table, t) for t in cof_terms]
+    rem = _polynomial(table, rem_terms)
+    cofs = [_polynomial(table, t) for t in cof_terms]
     recombined = rem
     for c, g in zip(cofs, gens):
         recombined = recombined + c * g
-    assert recombined == f, "division identity violated"
+    if recombined != f:
+        raise PostconditionError("division identity violated")
     return rem, cofs
 
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from .coeff import Eisenstein
-from .errors import ExtensionError, KrError, UnverifiedPairError
-from .groebner import GREVLEX, member, reduce
-from .poly import Polynomial, VarTable, grevlex_key
+from .errors import ExtensionError, KrError, PostconditionError
+from .groebner import member, reduce
+from .poly import Polynomial, VarTable
 
 
 class RingMap:
@@ -149,7 +149,9 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial | None:
 
     Laurent monomial content is stripped from both sides first (monomials in
     Laurent variables are units), so the result may legitimately carry
-    negative exponents.
+    negative exponents.  The stripped dividend is then divided by the
+    stripped divisor with reduce(); division by a single polynomial has a
+    unique remainder, and g divides f exactly when it is zero.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -171,41 +173,15 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial | None:
 
     fs, fshift = strip(f)
     gs, gshift = strip(g)
-    gm, gc = gs.leading_term(grevlex_key)
-
-    key_cache: dict[tuple[int, ...], tuple] = {}
-
-    def key(exps):
-        k = key_cache.get(exps)
-        if k is None:
-            k = grevlex_key(exps)
-            key_cache[exps] = k
-        return k
-
-    quot_terms: dict = {}
-    work = dict(fs.terms)
-    while work:
-        wm = max(work, key=key)
-        wc = work[wm]
-        if not all(a <= b for a, b in zip(gm, wm)):
-            return None
-        q_exps = tuple(b - a for a, b in zip(gm, wm))
-        q_c = wc / gc
-        quot_terms[q_exps] = q_c
-        for ge, gcoef in gs.terms.items():
-            e = tuple(a + b for a, b in zip(q_exps, ge))
-            got = work.get(e)
-            got = -q_c * gcoef if got is None else got - q_c * gcoef
-            if got:
-                work[e] = got
-            else:
-                work.pop(e, None)
-    quot = Polynomial(table, quot_terms)
+    rem, (quot,) = reduce(fs, [gs])
+    if rem:
+        return None
     # reassemble: f = (quot * t^{fshift - gshift}) * g
     delta = tuple(a - b for a, b in zip(fshift, gshift))
     if any(delta):
         quot = quot * Polynomial(table, {delta: Eisenstein(1)})
-    assert quot * g == f
+    if quot * g != f:
+        raise PostconditionError("exact quotient times divisor differs from dividend")
     return quot
 
 
@@ -388,7 +364,8 @@ def extend_to_quotient_automorphism(phi: RingMap, rel: QuotientRelation,
     f0 = Polynomial(table, low)
     if high:
         u = exact_divide(Polynomial(table, high), x ** 2)
-        assert u is not None
+        if u is None:
+            raise PostconditionError("x^2-divisible part of the factor is not divisible by x^2")
         cof_g = cof_g + tail * u
     lam_inv2 = lam.unit_inverse() ** 2
     images = dict(phi_images)

@@ -14,6 +14,7 @@ reverse lexicographic over the table order.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 from .coeff import Eisenstein, render_coeff
@@ -27,8 +28,8 @@ from .errors import (
 
 
 def grevlex_key(exps: tuple[int, ...]):
-    """Sort key: max() under this key is the grevlex-largest monomial."""
-    return (sum(exps), tuple(-e for e in reversed(exps)))
+    """Sort key, a flat tuple of ints: max() under it is the grevlex-largest monomial."""
+    return (sum(exps), *[-e for e in reversed(exps)])
 
 
 def lex_key(exps: tuple[int, ...]):
@@ -174,12 +175,6 @@ class Polynomial:
         """The coefficient of the empty monomial (the whole value if constant)."""
         return self.terms.get((0,) * self.table.arity, Eisenstein(0))
 
-    def coefficient_of(self, exps: Mapping[str, int]) -> Eisenstein:
-        e = [0] * self.table.arity
-        for v, k in exps.items():
-            e[self.table.index(v)] = k
-        return self.terms.get(tuple(e), Eisenstein(0))
-
     def total_degree(self) -> int:
         """Max plain exponent sum; -1 for the zero polynomial."""
         if not self.terms:
@@ -232,12 +227,15 @@ class Polynomial:
         acc = dict(self.terms)
         for exps, c in other.terms.items():
             s = acc.get(exps)
-            s = c if s is None else s + c
-            if s:
-                acc[exps] = s
+            if s is None:
+                acc[exps] = c
             else:
-                acc.pop(exps, None)
-        return Polynomial(self.table, acc)
+                s = s + c
+                if s:
+                    acc[exps] = s
+                else:
+                    del acc[exps]
+        return _polynomial(self.table, acc)
 
     __radd__ = __add__
 
@@ -248,22 +246,25 @@ class Polynomial:
         return self._coerce(other) - self
 
     def __neg__(self):
-        return Polynomial(self.table, {e: -c for e, c in self.terms.items()})
+        return _polynomial(self.table, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         other = self._coerce(other)
         acc: dict[tuple[int, ...], Eisenstein] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 c = c1 * c2
                 s = acc.get(e)
-                s = c if s is None else s + c
-                if s:
-                    acc[e] = s
+                if s is None:
+                    acc[e] = c
                 else:
-                    acc.pop(e, None)
-        return Polynomial(self.table, acc)
+                    s = s + c
+                    if s:
+                        acc[e] = s
+                    else:
+                        del acc[e]
+        return _polynomial(self.table, acc)
 
     __rmul__ = __mul__
 
@@ -480,6 +481,17 @@ class Polynomial:
 
     def __str__(self):
         return render(self)
+
+
+def _polynomial(table: VarTable, terms: dict) -> Polynomial:
+    """Wrap a term dict that is already valid: nonzero coefficients and
+    exponent tuples of the table's arity that the table allows.  The dict is
+    taken over, not copied."""
+    p = object.__new__(Polynomial)
+    object.__setattr__(p, "table", table)
+    object.__setattr__(p, "terms", terms)
+    object.__setattr__(p, "_hash", None)
+    return p
 
 
 def _render_monomial(table: VarTable, exps: tuple[int, ...]) -> str:

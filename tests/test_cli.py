@@ -7,6 +7,7 @@ import pytest
 
 from krcubic.claims import manifest_path
 from krcubic.cli import main
+from krcubic.errors import PostconditionError
 
 
 def run_cli(args, capsys):
@@ -164,13 +165,14 @@ def test_console_script_entry_point():
 def test_internal_errors_exit_three(monkeypatch, capsys):
     from krcubic import cli as cli_mod
 
-    def explode(*args, **kwargs):
-        raise RuntimeError("sabotaged")
+    for exc in (RuntimeError("sabotaged"), PostconditionError("division identity violated")):
+        def explode(*args, **kwargs):
+            raise exc
 
-    monkeypatch.setattr(cli_mod.claims_mod, "run_file", explode)
-    code, _, err = run_cli(["check", "whatever.krv"], capsys)
-    assert code == 3
-    assert "internal error" in err
+        monkeypatch.setattr(cli_mod.claims_mod, "run_file", explode)
+        code, _, err = run_cli(["check", "whatever.krv"], capsys)
+        assert code == 3
+        assert "internal error" in err
 
 
 def test_manifest_syntax_error_positions(tmp_path, capsys):

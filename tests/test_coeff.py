@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -130,3 +131,57 @@ def test_hash_matches_rational_embedding():
     assert hash(Eisenstein(Fraction(2, 3))) == hash(Fraction(2, 3))
     assert Eisenstein(3) == 3
     assert Eisenstein(3) != OMEGA
+
+
+# -- the integer form against the Fraction-pair formulas it replaced ----------------
+
+def _ref_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _ref_sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def _ref_mul(x, y):
+    (a, b), (c, d) = x, y
+    bd = b * d
+    return (a * c - bd, a * d + b * c - bd)
+
+
+def _ref_inverse(x):
+    a, b = x
+    norm = a * a - a * b + b * b
+    return ((a - b) / norm, -b / norm)
+
+
+def _ref_hash(x):
+    return hash(x[0]) if x[1] == 0 else hash(x)
+
+
+def _parts(e):
+    assert type(e.re) is Fraction and type(e.om) is Fraction
+    assert e._d > 0 and gcd(e._a, e._b, e._d) == 1
+    return (e.re, e.om)
+
+
+# a small value set, so that equal pairs are drawn often
+tiny_fracs = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+pairs = st.tuples(st.one_of(small_fracs, tiny_fracs), st.one_of(small_fracs, tiny_fracs))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(pairs, pairs)
+def test_matches_fraction_pair_reference(x, y):
+    ex, ey = Eisenstein(*x), Eisenstein(*y)
+    assert _parts(ex) == x
+    assert _parts(ex + ey) == _ref_add(x, y)
+    assert _parts(ex - ey) == _ref_sub(x, y)
+    assert _parts(ex * ey) == _ref_mul(x, y)
+    if any(x):
+        assert _parts(ex.inverse()) == _ref_inverse(x)
+    assert (ex == ey) == (x == y)
+    assert hash(ex) == _ref_hash(x)
+    # the same value reached by another route has the same triple
+    back = (ex + ey) - ey
+    assert (back._a, back._b, back._d) == (ex._a, ex._b, ex._d)

@@ -7,13 +7,17 @@ from fractions import Fraction
 import pytest
 
 from krcubic.errors import GroebnerBudgetError, KrError, LaurentInputError
-from krcubic.groebner import (GREVLEX, LEX, buchberger, clear_laurent, member,
-                              reduce, singular_at, singular_locus_check,
-                              smooth_everywhere)
+from krcubic.groebner import (GREVLEX, LEX, MonomialOrder, buchberger,
+                              clear_laurent, member, reduce, singular_at,
+                              singular_locus_check, smooth_everywhere)
+from krcubic.morphism import exact_divide
 from krcubic.poly import VarTable
 
 from conftest import (cubic_poly, companion_poly, member_oracle,
                       random_nonzero_poly, random_poly)
+
+# grevlex with the variables ranked t > x > z
+PERMUTED = MonomialOrder("grevlex", perm=(2, 0, 1))
 
 
 def test_division_extracts_the_cofactor():
@@ -189,11 +193,84 @@ def test_membership_agrees_with_oracle_3vars():
 def test_division_contract_on_random_inputs():
     rng = random.Random(44)
     T = VarTable(["x", "z", "t"])
-    for _ in range(40):
+    for i in range(120):
+        order = (GREVLEX, LEX, PERMUTED)[i % 3]
         f = random_poly(rng, T, max_terms=5, max_deg=3)
         gens = [random_nonzero_poly(rng, T, max_terms=3, max_deg=2)
                 for _ in range(rng.randint(1, 3))]
-        rem, cofs = reduce(f, gens)  # the identity is asserted inside
-        lead_monos = [g.leading_term(GREVLEX.key)[0] for g in gens]
+        rem, cofs = reduce(f, gens, order)
+        recombined = rem
+        for c, g in zip(cofs, gens):
+            recombined = recombined + c * g
+        assert recombined == f
+        lead_monos = [g.leading_term(order.key)[0] for g in gens]
         for exps in rem.terms:
             assert not any(all(a <= b for a, b in zip(m, exps)) for m in lead_monos)
+
+
+# -- differential check against sympy over Q(sqrt(-3)) = Q(w) ----------------------
+
+
+def _sympy_converter(sympy, names):
+    """Map a Polynomial to a sympy Poly over QQ<sqrt(-3)> in the generators
+    named, in that order; w is (-1 + sqrt(-3))/2."""
+    K = sympy.QQ.algebraic_field(sympy.sqrt(-3))
+    gens = sympy.symbols(names)
+    w = K.from_sympy((-1 + sympy.sqrt(-3)) / 2)
+
+    def conv(p):
+        pos = [p.table.index(n) for n in names]
+        terms = {tuple(exps[i] for i in pos):
+                 K.convert(c.re) + K.convert(c.om) * w for exps, c in p.terms.items()}
+        return sympy.Poly.from_dict(terms, *gens, domain=K)
+
+    return K, gens, conv
+
+
+def _several_terms(rng, table):
+    while True:
+        p = random_nonzero_poly(rng, table, max_terms=3, max_deg=2)
+        if len(p.terms) >= 2 and not p.is_constant():
+            return p
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, PERMUTED], ids=["grevlex", "lex", "perm"])
+def test_normal_forms_agree_with_sympy(order):
+    sympy = pytest.importorskip("sympy")
+    T = VarTable(["x", "z", "t"])
+    # sympy orders its generators as listed: list them in the permuted order
+    names = T.names if order.perm is None else tuple(T.names[i] for i in order.perm)
+    K, gens, conv = _sympy_converter(sympy, names)
+
+    rng = random.Random(45)
+    nonzero = 0
+    for _ in range(8):
+        ideal = [_several_terms(rng, T) for _ in range(2)]
+        basis = buchberger(ideal, order)
+        G = sympy.groebner([conv(g) for g in ideal], *gens, order=order.kind, domain=K)
+        ours = [conv(g) for g in basis.generators]
+        assert len(ours) == len(G.polys) and all(g in G.polys for g in ours)
+        for _ in range(4):
+            f = random_nonzero_poly(rng, T, max_terms=6, max_deg=3)
+            rem, _ = reduce(f, list(basis.generators), order)
+            _, want = G.reduce(conv(f))
+            assert conv(rem) == sympy.Poly(want, *gens, domain=K)
+            nonzero += not rem.is_zero()
+    assert nonzero >= 16  # most normal forms are not trivially zero
+
+
+def test_exact_quotients_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    T = VarTable(["x", "z", "t"])
+    _, _, conv = _sympy_converter(sympy, T.names)
+
+    rng = random.Random(46)
+    for i in range(30):
+        a = random_nonzero_poly(rng, T, max_terms=4, max_deg=2)
+        b = _several_terms(rng, T)
+        f = a * b if i % 2 == 0 else a * b + random_nonzero_poly(rng, T, max_terms=2, max_deg=2)
+        q = exact_divide(f, b)
+        want_q, want_r = sympy.div(conv(f), conv(b))
+        assert (q is not None) == want_r.is_zero
+        if q is not None:
+            assert conv(q) == want_q

@@ -149,6 +149,11 @@ def test_exact_divide_examples(ring4):
     assert exact_divide(fwd(Q), P) == 1 + x
     assert exact_divide(P, x) is None
     assert exact_divide(ring4.zero(), P) == ring4.zero()
+    y, z, t = (ring4.var(n) for n in "yzt")
+    # only the last term in the order fails
+    assert exact_divide((x + z) * (y * t + 1) + 1, x + z) is None
+    # the leading monomial divides but a middle term does not
+    assert exact_divide(x ** 3 * y + z ** 2 + x, x) is None
     with pytest.raises(ZeroDivisionError):
         exact_divide(P, ring4.zero())
 
@@ -161,6 +166,9 @@ def test_exact_divide_with_laurent_units():
     assert q == x + t ** 3
     assert exact_divide(t ** -1, t) == t ** -2
     assert exact_divide(x * t + 1, x) is None
+    # a shift on both operands
+    assert exact_divide(t ** -3 * (x + t) * (x - t ** 2), t ** -1 * (x + t)) == \
+        t ** -2 * (x - t ** 2)
 
 
 def test_congruence_helpers():
