@@ -10,8 +10,7 @@ inequivalent embeddings and its cylinder.
 from .coeff import Eisenstein, OMEGA, ZETA6, root_of_unity
 from .poly import Polynomial, VarTable, render
 from .groebner import (GREVLEX, LEX, GroebnerBasis, MonomialOrder, buchberger,
-                       member, reduce, singular_locus_check, smooth_everywhere,
-                       singular_at)
+                       member, reduce, smooth_everywhere, singular_at)
 from .morphism import (Extension, QuotientRelation, RingMap, compose,
                        exact_divide, extend_to_quotient_automorphism, jacobian,
                        normal_form, verify_inverse_pair)
@@ -19,8 +18,7 @@ from .geometry import (ConeClass, DOUBLE_HYPERPLANE, OTHER,
                        TWO_DISTINCT_HYPERPLANES, classify_quadric,
                        graph_variable_check, tangent_cone)
 from .derivation import (Derivation, NilpotencyCertificate, conjugate,
-                         exponential, extend_lnd_from_base,
-                         nilpotency_certificate, poisson, substitute_parameter,
+                         nilpotency_certificate, substitute_parameter,
                          theta_extract)
 from .parser import (SourceUnit, format_unit, parse_polynomial,
                      parse_ring_spec, parse_unit)
@@ -32,15 +30,14 @@ __all__ = [
     "Eisenstein", "OMEGA", "ZETA6", "root_of_unity",
     "Polynomial", "VarTable", "render",
     "GREVLEX", "LEX", "GroebnerBasis", "MonomialOrder", "buchberger", "member",
-    "reduce", "singular_locus_check", "smooth_everywhere", "singular_at",
+    "reduce", "smooth_everywhere", "singular_at",
     "Extension", "QuotientRelation", "RingMap", "compose", "exact_divide",
     "extend_to_quotient_automorphism", "jacobian", "normal_form",
     "verify_inverse_pair",
     "ConeClass", "DOUBLE_HYPERPLANE", "OTHER", "TWO_DISTINCT_HYPERPLANES",
     "classify_quadric", "graph_variable_check", "tangent_cone",
-    "Derivation", "NilpotencyCertificate", "conjugate", "exponential",
-    "extend_lnd_from_base", "nilpotency_certificate", "poisson",
-    "substitute_parameter", "theta_extract",
+    "Derivation", "NilpotencyCertificate", "conjugate",
+    "nilpotency_certificate", "substitute_parameter", "theta_extract",
     "SourceUnit", "format_unit", "parse_polynomial", "parse_ring_spec",
     "parse_unit",
     "Report", "run_file", "run_shipped", "run_text", "run_unit",

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -156,14 +155,10 @@ def _run_one(unit: SourceUnit, claim: ClaimDecl) -> ClaimResult:
     return ClaimResult(claim.label, claim.kind, status, claim.anchor, millis, detail)
 
 
-def run_unit(unit: SourceUnit, source: str = "<unit>", parallel: bool = False) -> Report:
-    """Evaluate every claim (optionally on a thread pool), then the narratives."""
+def run_unit(unit: SourceUnit, source: str = "<unit>") -> Report:
+    """Evaluate every claim, then the narratives."""
     report = Report(source)
-    if parallel and len(unit.claims) > 1:
-        with ThreadPoolExecutor() as pool:
-            results = list(pool.map(lambda c: _run_one(unit, c), unit.claims))
-    else:
-        results = [_run_one(unit, c) for c in unit.claims]
+    results = [_run_one(unit, c) for c in unit.claims]
     report.results.extend(results)
     by_label = {r.label: r for r in results}
     for narr in unit.narratives:
@@ -176,14 +171,14 @@ def run_unit(unit: SourceUnit, source: str = "<unit>", parallel: bool = False) -
     return report
 
 
-def run_text(text: str, source: str = "<input>", parallel: bool = False) -> Report:
-    return run_unit(parse_unit(text), source, parallel)
+def run_text(text: str, source: str = "<input>") -> Report:
+    return run_unit(parse_unit(text), source)
 
 
-def run_file(path, parallel: bool = False) -> Report:
+def run_file(path) -> Report:
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
-    return run_text(text, str(path), parallel)
+    return run_text(text, str(path))
 
 
 SHIPPED_MANIFESTS = (
@@ -204,6 +199,6 @@ def manifest_path(name: str):
     return path
 
 
-def run_shipped(name: str, parallel: bool = False) -> Report:
+def run_shipped(name: str) -> Report:
     path = manifest_path(name)
-    return run_text(path.read_text(encoding="utf-8"), name, parallel)
+    return run_text(path.read_text(encoding="utf-8"), name)

@@ -32,8 +32,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run claim manifests and report pass/fail")
     p.add_argument("files", nargs="+", help=".krv manifest paths, or shipped manifest names")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--parallel", action="store_true",
-                   help="evaluate claims concurrently (identical results)")
 
     p = sub.add_parser("eval", help="evaluate a polynomial expression")
     p.add_argument("expr")
@@ -115,9 +113,9 @@ def main(argv: list[str] | None = None) -> int:
             all_pass = True
             for name in args.files:
                 try:
-                    report = claims_mod.run_file(name, parallel=args.parallel)
+                    report = claims_mod.run_file(name)
                 except FileNotFoundError:
-                    report = claims_mod.run_shipped(name, parallel=args.parallel)
+                    report = claims_mod.run_shipped(name)
                 print(report.to_json() if args.format == "json" else report.to_text())
                 all_pass = all_pass and report.all_pass
             return 0 if all_pass else 1

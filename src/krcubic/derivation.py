@@ -1,4 +1,4 @@
-"""Derivations by generator images: nilpotency, exponentials, brackets, descent.
+"""Derivations by generator images: nilpotency, conjugation, descent.
 
 A Derivation maps each variable to its image polynomial (unlisted variables
 and all parameters go to zero) and extends by the Leibniz rule.  An optional
@@ -10,15 +10,12 @@ vanishing of the normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 from typing import Mapping
-
-from fractions import Fraction
 
 from .errors import DerivationError, KrError, PostconditionError, UnverifiedPairError
 from .groebner import member, reduce
-from .morphism import (QuotientRelation, RingMap, compose, exact_divide,
-                       normal_form, verify_inverse_pair)
+from .morphism import (QuotientRelation, RingMap, exact_divide, normal_form,
+                       verify_inverse_pair)
 from .poly import Polynomial, VarTable
 
 
@@ -84,10 +81,6 @@ class Derivation:
     def modulo(self, relation: QuotientRelation) -> "Derivation":
         return Derivation(self.table, self.images, relation)
 
-    def __neg__(self):
-        return Derivation(self.table, {v: -im for v, im in self.images.items()},
-                          self.relation)
-
     def is_zero(self) -> bool:
         return not self.images
 
@@ -142,58 +135,6 @@ def nilpotency_certificate(d: Derivation, bound: int = 64) -> NilpotencyCertific
     return NilpotencyCertificate(orders, bound, True)
 
 
-def exponential(d: Derivation, s: str, bound: int = 64) -> RingMap:
-    """The flow map exp(s*d): v -> sum s^k/k! d^k(v), a finite sum.
-
-    s must be a parameter of the table that the derivation does not touch.
-    The result is checked to invert exponential of -d exactly.
-    """
-    table = d.table
-    if not table.is_param(s):
-        raise DerivationError(f"flow parameter {s!r} must be a weight-0 variable")
-    if d.relation is not None:
-        raise DerivationError("exponential is implemented for relation-free derivations")
-    for im in d.images.values():
-        if im.degree_in(s) > 0:
-            raise DerivationError("images must not involve the flow parameter")
-    cert = nilpotency_certificate(d, bound)
-    if not cert.complete:
-        raise DerivationError(
-            f"derivation is not nilpotent within bound {bound} "
-            f"(generator {cert.failed_generator})")
-    sv = table.var(s)
-
-    def flow(v: str) -> Polynomial:
-        acc = table.var(v)
-        g = table.var(v)
-        k = 0
-        while True:
-            g = d.apply(g)
-            if g.is_zero():
-                return acc
-            k += 1
-            acc = acc + g * sv ** k * Fraction(1, factorial(k))
-
-    fwd = RingMap(table, {v: flow(v) for v in table.non_params()})
-    return fwd
-
-
-def verify_flow_pair(d: Derivation, s: str, bound: int = 64) -> bool:
-    """exp(s*d) followed by exp(-s*d) must fix every variable exactly."""
-    fwd = exponential(d, s, bound)
-    bwd = exponential(-d, s, bound)
-    return compose(fwd, bwd).is_identity() and compose(bwd, fwd).is_identity()
-
-
-def poisson(h: Polynomial, f: Polynomial) -> Polynomial:
-    """The plane Poisson bracket h_z*f_t - h_t*f_z."""
-    if f.table != h.table:
-        raise KrError("bracket operands over different tables")
-    for v in ("z", "t"):
-        h.table.index(v)
-    return h.diff("z") * f.diff("t") - h.diff("t") * f.diff("z")
-
-
 def conjugate(d: Derivation, fwd: RingMap, bwd: RingMap,
               mod_first=(), mod_second=()) -> Derivation:
     """Transport a derivation along a verified inverse pair: v -> fwd(d(bwd(v))).
@@ -208,32 +149,6 @@ def conjugate(d: Derivation, fwd: RingMap, bwd: RingMap,
     for v in table.non_params():
         images[v] = fwd.apply(d.apply(bwd.image_of(v)))
     return Derivation(table, images)
-
-
-def extend_lnd_from_base(d0: Derivation, table4: VarTable) -> Derivation:
-    """Lift a derivation of the (x, z, t)-ring killing x to the cubic quotient.
-
-    The image of y is forced by d(relation) = 0: with d(z) = x^2 d0(z) and
-    d(t) = x^2 d0(t) one needs d(y) = -d0(z^2 + t^3).  The result descends to
-    the quotient by x^2*y + z^2 + x + t^3 and in fact kills the relation.
-    """
-    if not d0.image_of("x").is_zero():
-        raise DerivationError("base derivation must kill x")
-    x = table4.var("x")
-    z = table4.var("z")
-    t = table4.var("t")
-    y = table4.var("y")
-    relation = x ** 2 * y + z ** 2 + x + t ** 3
-    cusp = d0.table.var("z") ** 2 + d0.table.var("t") ** 3
-    images = {
-        "z": x ** 2 * d0.image_of("z").transport(table4),
-        "t": x ** 2 * d0.image_of("t").transport(table4),
-        "y": -d0.apply(cusp).transport(table4),
-    }
-    lifted = Derivation(table4, images, QuotientRelation(relation))
-    if not lifted._derive_raw(relation).is_zero():
-        raise PostconditionError("lift must kill the relation")
-    return lifted
 
 
 def theta_extract(phi: RingMap, r: Polynomial) -> Polynomial:
@@ -286,7 +201,7 @@ def theta_extract(phi: RingMap, r: Polynomial) -> Polynomial:
     for v, sign in (("z", 1), ("t", -1)):
         target = table.var(v) + sign * x * lead.diff("t" if v == "z" else "z")
         if exact_divide(phi.image_of(v) - target, x2) is None:
-            raise AssertionError("postcondition congruence mod x^2 violated")
+            raise PostconditionError("postcondition congruence mod x^2 violated")
     return alpha
 
 
@@ -314,7 +229,6 @@ def substitute_parameter(obj, param: str, value: Polynomial, check_ideal=None):
     if check_ideal is not None:
         gens = [g if isinstance(g, Polynomial) else table.constant(g) for g in check_ideal]
         for gpoly in gens:
-            if not member(out.apply(gpoly) if isinstance(out, RingMap) else out.apply(gpoly),
-                          gens):
+            if not member(out.apply(gpoly), gens):
                 raise KrError("substituted object does not preserve the ideal")
     return out

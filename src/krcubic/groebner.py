@@ -295,15 +295,3 @@ def singular_at(f: Polynomial, point: dict[str, Polynomial]) -> bool:
         if not g.substitute(point).is_zero():
             return False
     return True
-
-
-def singular_locus_check(f: Polynomial, mode: str,
-                         point: dict[str, Polynomial] | None = None) -> bool:
-    """Dispatch for the three singularity queries used by the claim suite."""
-    if mode == "smooth_everywhere":
-        return smooth_everywhere(f)
-    if mode in ("singular_at_point", "singular_along_param_point"):
-        if point is None:
-            raise KrError("point mode requires a point")
-        return singular_at(f, point)
-    raise KrError(f"unknown singularity mode {mode!r}")

@@ -185,42 +185,6 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial | None:
     return quot
 
 
-def divisible(f: Polynomial, g: Polynomial) -> bool:
-    return exact_divide(f, g) is not None
-
-
-def congruent_mod_x_power(m: RingMap, k: int, x_name: str = "x") -> bool:
-    """True iff every image differs from its variable by a multiple of x^k."""
-    xk = m.table.var(x_name) ** k
-    for v in m.table.non_params():
-        diff = m.images[v] - m.table.var(v)
-        if diff.is_zero():
-            continue
-        if exact_divide(diff, xk) is None:
-            return False
-    return True
-
-
-def fixes_ideal(m: RingMap, gens: Sequence[Polynomial]) -> bool:
-    """True iff the image of every generator lies back in the ideal."""
-    return all(member(m.apply(g), list(gens)) for g in gens)
-
-
-def in_structure_group(m: RingMap) -> bool:
-    """Membership in the group preserving (x) and (x^2, z^2 + t^3 + x).
-
-    Requires a claimed inverse; both directions must preserve both ideals.
-    """
-    inv = m.claimed_inverse
-    if inv is None:
-        raise KrError("structure-group check requires a claimed inverse")
-    t = m.table
-    ix = [t.var("x")]
-    big = [t.var("x") ** 2, t.var("z") ** 2 + t.var("t") ** 3 + t.var("x")]
-    return (fixes_ideal(m, ix) and fixes_ideal(m, big)
-            and fixes_ideal(inv, ix) and fixes_ideal(inv, big))
-
-
 class QuotientRelation:
     """A relation of the shape x^2*y + r(z, t) + x*F(x, z, t), rewrite monomial x^2*y.
 
@@ -231,9 +195,9 @@ class QuotientRelation:
 
     __slots__ = ("table", "relation", "body", "_ix", "_iy")
 
-    def __init__(self, relation: Polynomial, x_name: str = "x", y_name: str = "y"):
+    def __init__(self, relation: Polynomial):
         table = relation.table
-        ix, iy = table.index(x_name), table.index(y_name)
+        ix, iy = table.index("x"), table.index("y")
         head = [0] * table.arity
         head[ix], head[iy] = 2, 1
         head = tuple(head)
@@ -335,19 +299,19 @@ def extend_to_quotient_automorphism(phi: RingMap, rel: QuotientRelation,
         lam = lam.transport(table)
     if not lam.is_unit_monomial():
         raise ExtensionError("x-scaling factor must be a nonzero unit")
-    x = table.var(table.names[rel._ix])
-    y = table.var(table.names[rel._iy])
+    x = table.var("x")
+    y = table.var("y")
     phi_images = {}
     for v, im in phi.images.items():
         phi_images[v] = im.transport(table) if im.table != table else im
-    if table.names[rel._iy] in phi_images:
-        img_y = phi_images.pop(table.names[rel._iy])
+    if "y" in phi_images:
+        img_y = phi_images.pop("y")
         if img_y != y:
             raise ExtensionError("base map must not move y")
     for im in phi_images.values():
-        if im.degree_in(table.names[rel._iy]) > 0:
+        if im.degree_in("y") > 0:
             raise ExtensionError("base map images must not involve y")
-    if phi_images.get(table.names[rel._ix], x) != lam * x:
+    if phi_images.get("x", x) != lam * x:
         raise ExtensionError("base map must scale x by the given unit")
 
     tail = rel.tail
@@ -369,8 +333,8 @@ def extend_to_quotient_automorphism(phi: RingMap, rel: QuotientRelation,
         cof_g = cof_g + tail * u
     lam_inv2 = lam.unit_inverse() ** 2
     images = dict(phi_images)
-    images[table.names[rel._iy]] = (y * f0 - cof_g) * lam_inv2
+    images["y"] = (y * f0 - cof_g) * lam_inv2
     extended = RingMap(table, images)
     if extended.apply(rel.relation) != f0 * rel.relation:
-        raise AssertionError("extension postcondition violated")
+        raise PostconditionError("extension postcondition violated")
     return Extension(extended, f0, cof_g)

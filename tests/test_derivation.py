@@ -1,5 +1,5 @@
-"""Derivations: Leibniz, nilpotency, exponentials, brackets, conjugation,
-quotient descent, the base-lift constructor and the generator invariant."""
+"""Derivations: Leibniz, nilpotency, conjugation, quotient descent and the
+generator invariant."""
 
 import random
 from fractions import Fraction
@@ -9,10 +9,8 @@ import pytest
 from krcubic.errors import DerivationError, UnverifiedPairError
 from krcubic.groebner import member
 from krcubic.morphism import (QuotientRelation, RingMap, compose, exact_divide)
-from krcubic.derivation import (Derivation, conjugate, exponential,
-                                extend_lnd_from_base, nilpotency_certificate,
-                                poisson, substitute_parameter, theta_extract,
-                                verify_flow_pair)
+from krcubic.derivation import (Derivation, conjugate, nilpotency_certificate,
+                                substitute_parameter, theta_extract)
 from krcubic.poly import VarTable, render
 
 from conftest import cubic_poly, random_poly
@@ -105,91 +103,6 @@ def test_bound_exceeded_is_an_outcome_not_an_exception():
         nilpotency_certificate(grow, 0)
 
 
-# -- exponentials -----------------------------------------------------------------
-
-def flow_ring():
-    return VarTable(["x", "y", "z", "t", "s"], params=["s"])
-
-
-def test_exponential_of_the_plane_slide():
-    T = flow_ring()
-    x, y, z, s = T.var("x"), T.var("y"), T.var("z"), T.var("s")
-    d1 = Derivation(T, {"y": 2 * z, "z": -x ** 2})
-    E = exponential(d1, "s")
-    assert E.images["y"] == y + 2 * s * z - s ** 2 * x ** 2
-    assert E.images["z"] == z - s * x ** 2
-    assert E(cubic_poly(T)) == cubic_poly(T)  # the flow preserves the cubic
-
-
-def test_exponential_of_zero_is_identity():
-    T = flow_ring()
-    assert exponential(Derivation(T, {}), "s").is_identity()
-
-
-def test_exponential_group_law():
-    T = flow_ring()
-    x, z = T.var("x"), T.var("z")
-    d1 = Derivation(T, {"y": 2 * z, "z": -x ** 2})
-    assert verify_flow_pair(d1, "s")
-
-
-def test_exponential_group_law_for_the_cylinder_flow():
-    T = VarTable(["x", "y", "z", "t", "v", "s"], laurent=["t"], params=["s"])
-    y, z, t = T.var("y"), T.var("z"), T.var("t")
-    flow = Derivation(T, {"x": -2 * t ** 6 * z, "z": t ** 6 * (y + 1)})
-    assert verify_flow_pair(flow, "s", bound=8)
-    E = exponential(flow, "s")
-    S = T.var("x") * y + z ** 2 + T.var("x") + t ** 3
-    assert E(S) == S  # the flow fixes the cousin, so its exponential does too
-
-
-def test_exponential_is_a_homomorphism_on_samples():
-    T = flow_ring()
-    rng = random.Random(77)
-    d1 = Derivation(T, {"y": 2 * T.var("z"), "z": -T.var("x") ** 2})
-    E = exponential(d1, "s")
-    for _ in range(20):
-        f = random_poly(rng, T, max_terms=3, max_deg=2)
-        g = random_poly(rng, T, max_terms=3, max_deg=2)
-        assert E(f * g) == E(f) * E(g)
-
-
-def test_exponential_requires_parameter():
-    T = VarTable(["x", "z"])
-    d = Derivation(T, {"z": T.var("x")})
-    with pytest.raises(DerivationError):
-        exponential(d, "x")
-
-
-# -- Poisson bracket ---------------------------------------------------------------
-
-def test_bracket_of_coordinates():
-    T = VarTable(["z", "t"])
-    assert poisson(T.var("z"), T.var("t")) == T.one()
-
-
-def test_bracket_with_hamiltonian_multiple_stays_in_ideal():
-    T = VarTable(["z", "t"])
-    z, t = T.var("z"), T.var("t")
-    r = z ** 2 + t ** 3
-    alpha = (t ** 3 - z ** 2) * Fraction(1, 2)
-    assert member(poisson(r, r * alpha), [r])
-
-
-def test_bracket_is_alternating_and_satisfies_jacobi():
-    T = VarTable(["z", "t"])
-    rng = random.Random(78)
-    for _ in range(30):
-        f = random_poly(rng, T, max_terms=3, max_deg=3)
-        g = random_poly(rng, T, max_terms=3, max_deg=3)
-        h = random_poly(rng, T, max_terms=3, max_deg=3)
-        assert poisson(f, f).is_zero()
-        assert poisson(f, g) == -poisson(g, f)
-        jac = (poisson(f, poisson(g, h)) + poisson(g, poisson(h, f))
-               + poisson(h, poisson(f, g)))
-        assert jac.is_zero()
-
-
 # -- conjugation along the cylinder isomorphism -------------------------------------
 
 def test_conjugated_derivation_moves_x(cylinder_ring):
@@ -242,47 +155,6 @@ def test_descent_condition_enforced(cylinder_ring):
         # z -> 1 does not preserve (P): d(P) = 2z is no multiple of P
         Derivation(cylinder_ring, {"z": cylinder_ring.one()},
                    QuotientRelation(P))
-
-
-# -- lifting derivations of the base to the quotient ---------------------------------
-
-def test_lift_of_the_z_slide(ring4):
-    T3 = VarTable(["x", "z", "t"])
-    lift = extend_lnd_from_base(Derivation(T3, {"z": T3.one()}), ring4)
-    x, z = ring4.var("x"), ring4.var("z")
-    assert lift.image_of("z") == x ** 2
-    assert lift.image_of("y") == -2 * z
-    assert lift.image_of("t").is_zero()
-    assert lift.image_of("x").is_zero()
-
-
-def test_lift_of_the_t_slide(ring4):
-    T3 = VarTable(["x", "z", "t"])
-    lift = extend_lnd_from_base(Derivation(T3, {"t": T3.one()}), ring4)
-    x, t = ring4.var("x"), ring4.var("t")
-    assert lift.image_of("t") == x ** 2
-    assert lift.image_of("y") == -3 * t ** 2
-
-
-def test_lift_of_zero(ring4):
-    T3 = VarTable(["x", "z", "t"])
-    assert extend_lnd_from_base(Derivation(T3, {}), ring4).is_zero()
-
-
-def test_lift_rejects_derivations_moving_x(ring4):
-    T3 = VarTable(["x", "z", "t"])
-    with pytest.raises(DerivationError):
-        extend_lnd_from_base(Derivation(T3, {"x": T3.one()}), ring4)
-
-
-def test_lift_kills_the_relation(ring4):
-    T3 = VarTable(["x", "z", "t"])
-    rng = random.Random(79)
-    for _ in range(10):
-        d0 = Derivation(T3, {"z": random_poly(rng, T3, max_terms=2, max_deg=2),
-                             "t": random_poly(rng, T3, max_terms=2, max_deg=2)})
-        lift = extend_lnd_from_base(d0, ring4)
-        assert lift._derive_raw(cubic_poly(ring4)).is_zero()
 
 
 # -- generator invariant --------------------------------------------------------------

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from krcubic.errors import GroebnerBudgetError, KrError, LaurentInputError
+from krcubic.errors import GroebnerBudgetError, LaurentInputError
 from krcubic.groebner import (GREVLEX, LEX, MonomialOrder, buchberger,
                               clear_laurent, member, reduce, singular_at,
-                              singular_locus_check, smooth_everywhere)
+                              smooth_everywhere)
 from krcubic.morphism import exact_divide
 from krcubic.poly import VarTable
 
@@ -143,16 +143,6 @@ def test_scale_dichotomy():
     assert singular_at(P - x, origin)
     lam = T.var("lam")
     assert singular_at(lam * P - lam * x, origin)
-
-
-def test_singular_locus_check_dispatch():
-    T = param_ring()
-    P, x = cubic_poly(T), T.var("x")
-    assert singular_locus_check(P, "smooth_everywhere")
-    pt = {"x": T.zero(), "y": T.var("y0"), "z": T.zero(), "t": T.zero()}
-    assert singular_locus_check(P - x, "singular_along_param_point", pt)
-    with pytest.raises(KrError):
-        singular_locus_check(P, "bogus")
 
 
 # -- agreement with the linear-algebra oracle ------------------------------------
