@@ -126,7 +126,7 @@ def _eval_claim(unit: SourceUnit, claim: ClaimDecl) -> tuple[bool, str]:
     if claim.kind == "inverse_pair":
         _, m1 = env[p["m1"]]
         _, m2 = env[p["m2"]]
-        return verify_inverse_pair(m1.with_inverse(m2), p["mod1"], p["mod2"]), ""
+        return verify_inverse_pair(m1, m2, p["mod1"], p["mod2"]), ""
     if claim.kind == "quasi_homogeneous":
         f = ev(p["f"])
         return f.is_weighted_homogeneous(p["weights"], p["degree"]), ""

@@ -17,7 +17,7 @@ from .morphism import jacobian
 from .derivation import nilpotency_certificate
 from .geometry import tangent_cone
 from .parser import format_unit, parse_polynomial, parse_ring_spec, parse_unit
-from .poly import render
+from .poly import VarTable, render
 from . import claims as claims_mod
 
 DEFAULT_RING = "vars(x, y, z, t)"
@@ -80,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _ring(spec: str, extra_params=()):
     table = parse_ring_spec(spec)
     if extra_params:
-        from .poly import VarTable
         names = list(table.names) + [p for p in extra_params if p not in table.names]
         laurent = [v for v, f in zip(table.names, table.laurent) if f]
         params = [v for v, w in zip(table.names, table.weights) if w == 0]

@@ -33,8 +33,7 @@ class Derivation:
             table.index(v)
             if not isinstance(im, Polynomial):
                 im = table.constant(im)
-            if im.table != table:
-                im = im.transport(table)
+            im = im.transport(table)
             if relation is not None:
                 im = normal_form(im, relation)
             if im:
@@ -67,8 +66,7 @@ class Derivation:
         return acc
 
     def apply(self, f: Polynomial) -> Polynomial:
-        if f.table != self.table:
-            f = f.transport(self.table)
+        f = f.transport(self.table)
         if self.relation is not None:
             f = normal_form(f, self.relation)
         out = self._derive_raw(f)
@@ -142,7 +140,7 @@ def conjugate(d: Derivation, fwd: RingMap, bwd: RingMap,
     fwd and bwd must compose to the identity modulo the declared ideals (see
     verify_inverse_pair); the result is a derivation of the target ring.
     """
-    if not verify_inverse_pair(fwd.with_inverse(bwd), mod_first, mod_second):
+    if not verify_inverse_pair(fwd, bwd, mod_first, mod_second):
         raise UnverifiedPairError("maps are not a verified inverse pair")
     table = fwd.table
     images = {}
@@ -164,8 +162,7 @@ def theta_extract(phi: RingMap, r: Polynomial) -> Polynomial:
     """
     table = phi.table
     x = table.var("x")
-    if r.table != table:
-        r = r.transport(table)
+    r = r.transport(table)
     if phi.image_of("x") != x:
         raise DerivationError("map must fix x")
 
@@ -215,8 +212,7 @@ def substitute_parameter(obj, param: str, value: Polynomial, check_ideal=None):
     table = obj.table
     if not table.is_param(param):
         raise KrError(f"{param!r} is not a parameter")
-    if value.table != table:
-        value = value.transport(table)
+    value = value.transport(table)
     if value.degree_in(param) > 0:
         raise KrError("substitution value involves the parameter itself")
     images = {v: im.substitute({param: value}) for v, im in obj.images.items()}

@@ -44,8 +44,7 @@ def tangent_cone(f: Polynomial, point: Mapping[str, "Polynomial | int"]) -> Poly
             raise KrError(f"point does not assign variable {v!r}")
     for v, c in point.items():
         cv = c if isinstance(c, Polynomial) else table.constant(c)
-        if cv.table != table:
-            cv = cv.transport(table)
+        cv = cv.transport(table)
         for name in cv.variables_used():
             if not table.is_param(name):
                 raise KrError(f"point coordinate for {v!r} must be constant or parametric")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from operator import add, sub
+from typing import Callable
 
 from .errors import (GroebnerBudgetError, KrError, LaurentInputError,
                      PostconditionError)
@@ -23,24 +24,15 @@ from .poly import Polynomial, VarTable, _polynomial, grevlex_key, lex_key
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A monomial order: grevlex or lex, optionally with a variable permutation."""
+    """A named monomial order.  key maps an exponent tuple to a flat tuple of
+    ints; a larger key is a larger monomial."""
 
-    kind: str = "grevlex"
-    perm: tuple[int, ...] | None = None
-
-    def key(self, exps: tuple[int, ...]):
-        """A flat tuple of ints; a larger key is a larger monomial."""
-        if self.perm is not None:
-            exps = tuple(exps[i] for i in self.perm)
-        if self.kind == "grevlex":
-            return grevlex_key(exps)
-        if self.kind == "lex":
-            return lex_key(exps)
-        raise KrError(f"unknown order kind {self.kind!r}")
+    kind: str
+    key: Callable[[tuple[int, ...]], tuple[int, ...]]
 
 
-GREVLEX = MonomialOrder("grevlex")
-LEX = MonomialOrder("lex")
+GREVLEX = MonomialOrder("grevlex", grevlex_key)
+LEX = MonomialOrder("lex", lex_key)
 
 
 def _require_polynomial(f: Polynomial, what: str):
@@ -258,8 +250,7 @@ def clear_laurent(f: Polynomial) -> Polynomial:
     return f * mono
 
 
-def member(f: Polynomial, gens: list[Polynomial],
-           order: MonomialOrder = GREVLEX) -> bool:
+def member(f: Polynomial, gens: list[Polynomial]) -> bool:
     """Ideal membership via a Groebner basis.
 
     Laurent inputs are cleared by unit monomial multiplication, which is the
@@ -270,14 +261,14 @@ def member(f: Polynomial, gens: list[Polynomial],
     cleared = [clear_laurent(g) for g in gens if not g.is_zero()]
     if not cleared:
         return f.is_zero()
-    basis = buchberger(cleared, order)
+    basis = buchberger(cleared)
     return basis.contains(clear_laurent(f))
 
 
-def smooth_everywhere(f: Polynomial, order: MonomialOrder = GREVLEX) -> bool:
+def smooth_everywhere(f: Polynomial) -> bool:
     """Jacobian criterion: V(f) is smooth iff 1 lies in (f, all partials)."""
     gens = [f] + [f.diff(v) for v in f.table.non_params()]
-    basis = buchberger([g for g in gens if not g.is_zero()], order)
+    basis = buchberger([g for g in gens if not g.is_zero()])
     return basis.is_unit_ideal()
 
 

@@ -19,10 +19,9 @@ from .poly import Polynomial, VarTable
 class RingMap:
     """Endomorphism of a polynomial ring given by per-variable images."""
 
-    __slots__ = ("table", "images", "claimed_inverse")
+    __slots__ = ("table", "images")
 
-    def __init__(self, table: VarTable, images: Mapping[str, Polynomial],
-                 claimed_inverse: "RingMap | None" = None):
+    def __init__(self, table: VarTable, images: Mapping[str, Polynomial]):
         imgs: dict[str, Polynomial] = {}
         for v in table.non_params():
             im = images.get(v)
@@ -30,8 +29,7 @@ class RingMap:
                 im = table.var(v)
             elif not isinstance(im, Polynomial):
                 im = table.constant(im)
-            if im.table != table:
-                im = im.transport(table)
+            im = im.transport(table)
             if table.is_laurent(v) and not im.is_unit_monomial():
                 # a Laurent variable must stay invertible under the map
                 raise KrError(f"image of Laurent variable {v!r} must be a unit monomial")
@@ -42,7 +40,6 @@ class RingMap:
             table.index(v)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "images", imgs)
-        object.__setattr__(self, "claimed_inverse", claimed_inverse)
 
     def __setattr__(self, name, value):
         raise AttributeError("RingMap is immutable")
@@ -51,12 +48,8 @@ class RingMap:
     def identity(table: VarTable) -> "RingMap":
         return RingMap(table, {})
 
-    def with_inverse(self, inv: "RingMap") -> "RingMap":
-        return RingMap(self.table, self.images, claimed_inverse=inv)
-
     def apply(self, f: Polynomial) -> Polynomial:
-        if f.table != self.table:
-            f = f.transport(self.table)
+        f = f.transport(self.table)
         return f.substitute(self.images)
 
     __call__ = apply
@@ -103,16 +96,13 @@ def _fixes_mod(m: RingMap, ideal: Sequence[Polynomial]) -> bool:
     return True
 
 
-def verify_inverse_pair(m: RingMap, mod_first: Sequence[Polynomial] = (),
+def verify_inverse_pair(m: RingMap, inv: RingMap, mod_first: Sequence[Polynomial] = (),
                         mod_second: Sequence[Polynomial] = ()) -> bool:
-    """Check that m and its claimed inverse compose to the identity.
+    """True iff m and inv are inverse to each other modulo the given ideals.
 
-    compose(m, inverse) must fix every variable modulo mod_first, and
-    compose(inverse, m) modulo mod_second; empty ideals demand exact identity.
+    compose(m, inv) must fix every variable modulo mod_first, and
+    compose(inv, m) modulo mod_second; empty ideals demand exact identity.
     """
-    inv = m.claimed_inverse
-    if inv is None:
-        raise KrError("map has no claimed inverse")
     return (_fixes_mod(compose(m, inv), mod_first)
             and _fixes_mod(compose(inv, m), mod_second))
 
@@ -241,8 +231,7 @@ def normal_form(f: Polynomial, rel: QuotientRelation) -> Polynomial:
     Rewrites every monomial divisible by x^2*y via x^2*y -> -(r + x*F) until
     none remains; terminates because each rewrite lowers y-degree by one.
     """
-    if f.table != rel.table:
-        f = f.transport(rel.table)
+    f = f.transport(rel.table)
     ix, iy = rel._ix, rel._iy
     table = rel.table
     work = f
@@ -295,15 +284,12 @@ def extend_to_quotient_automorphism(phi: RingMap, rel: QuotientRelation,
     the relation).  The returned map satisfies map(relation) == f*relation.
     """
     table = rel.table
-    if lam.table != table:
-        lam = lam.transport(table)
+    lam = lam.transport(table)
     if not lam.is_unit_monomial():
         raise ExtensionError("x-scaling factor must be a nonzero unit")
     x = table.var("x")
     y = table.var("y")
-    phi_images = {}
-    for v, im in phi.images.items():
-        phi_images[v] = im.transport(table) if im.table != table else im
+    phi_images = {v: im.transport(table) for v, im in phi.images.items()}
     if "y" in phi_images:
         img_y = phi_images.pop("y")
         if img_y != y:

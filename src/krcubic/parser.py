@@ -63,8 +63,6 @@ CLAIM_KINDS = (
     "laurent_free",
 )
 
-_PUNCT = ("->", "(", ")", "{", "}", ",", ";", ":", "^", "*", "+", "-", "/", "=")
-
 
 @dataclass(frozen=True)
 class Token:
@@ -199,6 +197,14 @@ class Negate:
 Node = "Lit | Apply | Builtin | BinOp | Negate"
 
 
+def _combine(op: str, a: Polynomial, b: Polynomial) -> Polynomial:
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    return a * b
+
+
 def eval_node(node, env: dict, table: VarTable) -> Polynomial:
     """Evaluate a claim-argument expression against the unit environment."""
     if isinstance(node, Lit):
@@ -208,7 +214,7 @@ def eval_node(node, env: dict, table: VarTable) -> Polynomial:
     if isinstance(node, BinOp):
         a = eval_node(node.left, env, table)
         b = eval_node(node.right, env, table)
-        return {"+": a + b, "-": a - b, "*": a * b}[node.op]
+        return _combine(node.op, a, b)
     if isinstance(node, Apply):
         kind, obj = env[node.name]
         arg = eval_node(node.arg, env, table)
@@ -246,8 +252,7 @@ def _fold(node):
     if isinstance(node, Negate) and isinstance(node.arg, Lit):
         return Lit(-node.arg.value)
     if isinstance(node, BinOp) and isinstance(node.left, Lit) and isinstance(node.right, Lit):
-        a, b = node.left.value, node.right.value
-        return Lit({"+": a + b, "-": a - b, "*": a * b}[node.op])
+        return Lit(_combine(node.op, node.left.value, node.right.value))
     return node
 
 
@@ -337,6 +342,13 @@ class Parser:
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.col, tok.pos, expected)
 
+    def kernel(self, tok: Token | None, fn, *args, **kwargs):
+        """Call a kernel function; its KrError becomes a ParseError at tok."""
+        try:
+            return fn(*args, **kwargs)
+        except KrError as exc:
+            self.error(str(exc), tok)
+
     def expect(self, text: str) -> Token:
         tok = self.peek()
         if tok.kind == "punct" and tok.text == text:
@@ -400,6 +412,20 @@ class Parser:
             self.error(f"use of undeclared name {tok.text!r}", tok)
         return entry
 
+    def named(self, kind: str, fn: str) -> tuple[Token, object]:
+        """Read the name of a declared map or derivation that fn() needs."""
+        tok = self.ident(f"{kind} name")
+        got, obj = self.lookup(tok)
+        if got != kind:
+            self.error(f"{fn}() needs a {kind}, {tok.text!r} is a {got}", tok)
+        return tok, obj
+
+    def variable(self, what: str = "variable name") -> str:
+        tok = self.ident(what)
+        if tok.text not in self.table()._index:
+            self.error(f"unknown variable {tok.text!r}", tok)
+        return tok.text
+
     # -- expressions ----------------------------------------------------------
 
     def parse_expr(self):
@@ -418,11 +444,7 @@ class Parser:
     def parse_term(self):
         node = self.parse_factor()
         while self.accept("*"):
-            rhs = self.parse_factor()
-            try:
-                node = _fold(BinOp("*", node, rhs))
-            except KrError as exc:
-                self.error(str(exc))
+            node = _fold(BinOp("*", node, self.parse_factor()))
         return node
 
     def parse_factor(self):
@@ -431,10 +453,7 @@ class Parser:
         if self.accept("^"):
             k = self.integer()
             if isinstance(node, Lit):
-                try:
-                    return Lit(node.value ** k)
-                except KrError as exc:
-                    self.error(str(exc), tok)
+                return Lit(self.kernel(tok, pow, node.value, k))
             self.error("can only raise plain polynomials to powers", tok)
         return node
 
@@ -473,13 +492,8 @@ class Parser:
             return Lit(table.var(name))
         kind, obj = self.lookup(tok)
         if kind == "poly":
-            value, ring = obj
-            if ring != self.current_ring:
-                try:
-                    value = value.transport(table)
-                except KrError as exc:
-                    self.error(str(exc), tok)
-            return Lit(value)
+            value, _ = obj
+            return Lit(self.kernel(tok, value.transport, table))
         if kind in ("map", "derivation"):
             if not self.accept("("):
                 self.error(f"{name!r} is a {kind}; apply it as {name}(...)", tok)
@@ -496,49 +510,30 @@ class Parser:
             b = self.parse_expr()
             self.expect(")")
             if fn == "nf" and isinstance(b, Lit):
-                try:
-                    QuotientRelation(b.value)
-                except KrError as exc:
-                    self.error(str(exc), tok)
+                self.kernel(tok, QuotientRelation, b.value)
             return Builtin(fn, (a, b))
         if fn == "theta":
-            mtok = self.ident("map name")
-            kind, _ = self.lookup(mtok)
-            if kind != "map":
-                self.error(f"theta() needs a map, {mtok.text!r} is a {kind}", mtok)
+            mtok, _ = self.named("map", "theta")
             self.expect(",")
             r = self.parse_expr()
             self.expect(")")
             return Builtin("theta", (r,), (mtok.text,))
         if fn == "jacdet":
-            mtok = self.ident("map name")
-            kind, _ = self.lookup(mtok)
-            if kind != "map":
-                self.error(f"jacdet() needs a map, {mtok.text!r} is a {kind}", mtok)
+            mtok, _ = self.named("map", "jacdet")
             names = [mtok.text]
-            table = self.table()
             while self.accept(","):
-                vtok = self.ident("variable")
-                if vtok.text not in table._index:
-                    self.error(f"unknown variable {vtok.text!r}", vtok)
-                names.append(vtok.text)
+                names.append(self.variable("variable"))
             self.expect(")")
             if len(names) < 2:
                 self.error("jacdet() needs at least one variable", tok)
             return Builtin("jacdet", (), tuple(names))
         raise AssertionError(fn)
 
-    def eval_expr(self, node, tok: Token | None = None) -> Polynomial:
-        try:
-            return eval_node(node, self.unit.env, self.table())
-        except KrError as exc:
-            self.error(str(exc), tok)
-
     def parse_poly(self, tok: Token | None = None) -> Polynomial:
         """Parse an expression and evaluate it immediately."""
         start = self.peek()
         node = self.parse_expr()
-        return self.eval_expr(node, tok or start)
+        return self.kernel(tok or start, eval_node, node, self.unit.env, self.table())
 
     # -- declarations ----------------------------------------------------------
 
@@ -649,10 +644,7 @@ class Parser:
         self._ring_annotation()
         images = self._parse_image_block()
         self.accept(";")
-        try:
-            value = RingMap(self.table(), images)
-        except KrError as exc:
-            self.error(str(exc), tok)
+        value = self.kernel(tok, RingMap, self.table(), images)
         self.declare(name, "map", value)
         self.unit.items.append(MapDecl(name.text, self.current_ring, value))
 
@@ -664,24 +656,24 @@ class Parser:
         self.expect("}")
         return out
 
+    def _ideal_pair(self) -> tuple[list[Polynomial], list[Polynomial]]:
+        first = self._polyset()
+        self.expect(",")
+        return first, self._polyset()
+
     def parse_map_ctor(self, name: Token):
         fn = self.ident("constructor")
         if fn.text == "extend":
             self.expect("(")
-            base = self.ident("map name")
-            kind, phi = self.lookup(base)
-            if kind != "map":
-                self.error(f"extend() needs a map, {base.text!r} is a {kind}", base)
+            base, phi = self.named("map", "extend")
             self.expect(",")
             rel_poly = self.parse_poly()
             self.expect(",")
             lam = self.parse_poly()
             self.expect(")")
             self.expect(";")
-            try:
-                ext = extend_to_quotient_automorphism(phi, QuotientRelation(rel_poly), lam)
-            except KrError as exc:
-                self.error(str(exc), fn)
+            rel = self.kernel(fn, QuotientRelation, rel_poly)
+            ext = self.kernel(fn, extend_to_quotient_automorphism, phi, rel, lam)
             self.declare(name, "map", ext.map)
             self.unit.items.append(MapDecl(name.text, self.current_ring, ext.map,
                                            ctor=("extend", base.text, rel_poly, lam)))
@@ -697,20 +689,14 @@ class Parser:
             ki, mi = self.lookup(inner)
             if ko != "map" or ki != "map":
                 self.error("compose() needs two maps", fn)
-            try:
-                value = compose(mo, mi)
-            except KrError as exc:
-                self.error(str(exc), fn)
+            value = self.kernel(fn, compose, mo, mi)
             self.declare(name, "map", value)
             self.unit.items.append(MapDecl(name.text, self.current_ring, value,
                                            ctor=("compose", outer.text, inner.text)))
             return
         if fn.text == "subst_param":
             self.expect("(")
-            mtok = self.ident("map name")
-            kind, mp = self.lookup(mtok)
-            if kind != "map":
-                self.error(f"subst_param() needs a map, {mtok.text!r} is a {kind}", mtok)
+            mtok, mp = self.named("map", "subst_param")
             self.expect(",")
             ptok = self.ident("parameter name")
             self.expect(",")
@@ -720,10 +706,8 @@ class Parser:
             if self.accept("preserving"):
                 preserving = self._polyset()
             self.expect(";")
-            try:
-                out = substitute_parameter(mp, ptok.text, value, check_ideal=preserving)
-            except KrError as exc:
-                self.error(str(exc), fn)
+            out = self.kernel(fn, substitute_parameter, mp, ptok.text, value,
+                              check_ideal=preserving)
             self.declare(name, "map", out)
             self.unit.items.append(MapDecl(
                 name.text, self.current_ring, out,
@@ -743,10 +727,7 @@ class Parser:
                 self.error(f"unknown derivation constructor {fn.text!r}", fn,
                            expected=("conjugate",))
             self.expect("(")
-            dtok = self.ident("derivation name")
-            kd, d = self.lookup(dtok)
-            if kd != "derivation":
-                self.error(f"conjugate() needs a derivation, {dtok.text!r} is a {kd}", dtok)
+            dtok, d = self.named("derivation", "conjugate")
             self.expect(",")
             ftok = self.ident("map name")
             kf, fwd = self.lookup(ftok)
@@ -756,15 +737,10 @@ class Parser:
             if kf != "map" or kb != "map":
                 self.error("conjugate() needs two maps", fn)
             self.expect(",")
-            mod1 = self._polyset()
-            self.expect(",")
-            mod2 = self._polyset()
+            mod1, mod2 = self._ideal_pair()
             self.expect(")")
             self.expect(";")
-            try:
-                value = conjugate(d, fwd, bwd, mod1, mod2)
-            except KrError as exc:
-                self.error(str(exc), fn)
+            value = self.kernel(fn, conjugate, d, fwd, bwd, mod1, mod2)
             self.declare(name, "derivation", value)
             self.unit.items.append(DerivDecl(
                 name.text, self.current_ring, value,
@@ -777,24 +753,18 @@ class Parser:
             self.expect("{")
             rel_poly = self.parse_poly()
             self.expect("}")
-            try:
-                relation = QuotientRelation(rel_poly)
-            except KrError as exc:
-                self.error(str(exc), tok)
+            relation = self.kernel(tok, QuotientRelation, rel_poly)
         self.accept(";")
-        try:
-            value = Derivation(self.table(), images, relation)
-        except KrError as exc:
-            self.error(str(exc), tok)
+        value = self.kernel(tok, Derivation, self.table(), images, relation)
         self.declare(name, "derivation", value)
         self.unit.items.append(DerivDecl(name.text, self.current_ring, value))
 
     def parse_inverse(self):
-        """inverse(A, B) mod {gens}, {gens}; records a verified inverse pair.
+        """inverse(A, B) mod {gens}, {gens}; checks an inverse pair while parsing.
 
         compose(A, B) must fix every variable modulo the first ideal and
-        compose(B, A) modulo the second; on success both map bindings carry
-        each other as claimed inverses.
+        compose(B, A) modulo the second; a pair that fails stops the unit with
+        a ParseError at the declaration.
         """
         self.expect("inverse")
         start = self.peek()
@@ -807,22 +777,11 @@ class Parser:
         kb, mb = self.lookup(btok)
         if ka != "map" or kb != "map":
             self.error("inverse() needs two maps", start)
-        mod1: list[Polynomial] = []
-        mod2: list[Polynomial] = []
-        if self.accept("mod"):
-            mod1 = self._polyset()
-            self.expect(",")
-            mod2 = self._polyset()
+        mod1, mod2 = self._ideal_pair() if self.accept("mod") else ([], [])
         self.expect(";")
-        try:
-            ok = verify_inverse_pair(ma.with_inverse(mb), mod1, mod2)
-        except KrError as exc:
-            self.error(str(exc), start)
-        if not ok:
+        if not self.kernel(start, verify_inverse_pair, ma, mb, mod1, mod2):
             self.error(f"{atok.text!r} and {btok.text!r} are not inverse "
                        f"modulo the declared ideals", start)
-        self.unit.env[atok.text] = ("map", ma.with_inverse(mb))
-        self.unit.env[btok.text] = ("map", mb.with_inverse(ma))
         self.unit.items.append(InverseDecl(atok.text, btok.text, mod1, mod2))
 
     # -- claims ----------------------------------------------------------------
@@ -885,10 +844,7 @@ class Parser:
             self.expect(")")
             return {"f": f, "gens": gens}
         if kind == "nilpotent":
-            dtok = self.ident("derivation name")
-            kd, d = self.lookup(dtok)
-            if kd != "derivation":
-                self.error(f"nilpotent() needs a derivation, {dtok.text!r} is a {kd}", dtok)
+            dtok, _ = self.named("derivation", "nilpotent")
             self.expect(",")
             bound_tok = self.peek()
             bound = self.integer()
@@ -896,11 +852,7 @@ class Parser:
                 self.error("bound must be positive", bound_tok)
             relation = None
             if self.accept(","):
-                rel_poly = self.parse_poly()
-                try:
-                    relation = QuotientRelation(rel_poly)
-                except KrError as exc:
-                    self.error(str(exc), dtok)
+                relation = self.kernel(dtok, QuotientRelation, self.parse_poly())
             self.expect(")")
             return {"derivation": dtok.text, "bound": bound, "relation": relation}
         if kind == "cone_class":
@@ -943,12 +895,7 @@ class Parser:
                 kmap, _ = self.lookup(mtok)
                 if kmap != "map":
                     self.error(f"inverse_pair() needs maps, {mtok.text!r} is a {kmap}", mtok)
-            mod1: list[Polynomial] = []
-            mod2: list[Polynomial] = []
-            if self.accept(","):
-                mod1 = self._polyset()
-                self.expect(",")
-                mod2 = self._polyset()
+            mod1, mod2 = self._ideal_pair() if self.accept(",") else ([], [])
             self.expect(")")
             return {"m1": m1.text, "m2": m2.text, "mod1": mod1, "mod2": mod2}
         if kind == "quasi_homogeneous":
@@ -957,13 +904,10 @@ class Parser:
             self.expect("weights")
             self.expect("(")
             weights = {}
-            table = self.table()
             while True:
-                vtok = self.ident("variable name")
-                if vtok.text not in table._index:
-                    self.error(f"unknown variable {vtok.text!r}", vtok)
+                v = self.variable()
                 self.expect("->")
-                weights[vtok.text] = self.integer()
+                weights[v] = self.integer()
                 if not self.accept(","):
                     break
             self.expect(")")
@@ -974,22 +918,18 @@ class Parser:
         if kind == "graph_variable":
             f = self.parse_expr()
             self.expect(",")
-            vtok = self.ident("variable name")
-            if vtok.text not in self.table()._index:
-                self.error(f"unknown variable {vtok.text!r}", vtok)
+            v = self.variable()
             self.expect(")")
-            return {"f": f, "var": vtok.text}
+            return {"f": f, "var": v}
         if kind == "laurent_free":
             dtok = self.ident("derivation or map name")
             kd, _ = self.lookup(dtok)
             if kd not in ("derivation", "map"):
                 self.error(f"laurent_free() needs a derivation or map", dtok)
             self.expect(",")
-            vtok = self.ident("variable name")
-            if vtok.text not in self.table()._index:
-                self.error(f"unknown variable {vtok.text!r}", vtok)
+            v = self.variable()
             self.expect(")")
-            return {"name": dtok.text, "var": vtok.text}
+            return {"name": dtok.text, "var": v}
         raise AssertionError(kind)
 
     def parse_narrative(self):

@@ -42,7 +42,7 @@ class VarTable:
     __slots__ = ("names", "laurent", "weights", "_index")
 
     def __init__(self, names: Iterable[str], laurent: Iterable[str] = (),
-                 params: Iterable[str] = (), weights: Mapping[str, int] | None = None):
+                 params: Iterable[str] = ()):
         names = tuple(names)
         if len(set(names)) != len(names):
             raise KrError(f"duplicate variable names in {names}")
@@ -53,11 +53,7 @@ class VarTable:
                 raise KrError(f"flagged variable {v!r} is not declared")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "laurent", tuple(v in laurent for v in names))
-        if weights is None:
-            wt = tuple(0 if v in params else 1 for v in names)
-        else:
-            wt = tuple(weights.get(v, 0 if v in params else 1) for v in names)
-        object.__setattr__(self, "weights", wt)
+        object.__setattr__(self, "weights", tuple(0 if v in params else 1 for v in names))
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(names)})
 
     def __setattr__(self, name, value):
@@ -117,10 +113,10 @@ class VarTable:
         c = Eisenstein.of(c)
         return Polynomial(self, {(0,) * self.arity: c} if c else {})
 
-    def var(self, name: str, power: int = 1) -> "Polynomial":
+    def var(self, name: str) -> "Polynomial":
         i = self.index(name)
         e = [0] * self.arity
-        e[i] = power
+        e[i] = 1
         return Polynomial(self, {tuple(e): Eisenstein.of(1)})
 
     def monomial(self, coeff, exps: Mapping[str, int]) -> "Polynomial":
@@ -200,9 +196,6 @@ class Polynomial:
                 if e:
                     used.add(i)
         return tuple(self.table.names[i] for i in sorted(used))
-
-    def sorted_terms(self, key=grevlex_key, reverse=True):
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=reverse)
 
     def leading_term(self, key=grevlex_key) -> tuple[tuple[int, ...], Eisenstein]:
         if not self.terms:
@@ -339,15 +332,14 @@ class Polynomial:
 
     # -- substitution and transport -----------------------------------------
 
-    def substitute(self, images: Mapping[str, "Polynomial | int | Fraction | Eisenstein"],
-                   table: VarTable | None = None) -> "Polynomial":
+    def substitute(self, images: Mapping[str, "Polynomial | int | Fraction | Eisenstein"]) -> "Polynomial":
         """Simultaneous substitution; unassigned variables map to themselves.
 
         The image of a variable occurring with a negative exponent must be a
         unit monomial.  This is a ring homomorphism: substitution of a product
         is the product of the substitutions.
         """
-        target = table
+        target = None
         imgs: dict[str, Polynomial] = {}
         for v, im in images.items():
             self.table.index(v)
@@ -422,9 +414,7 @@ class Polynomial:
         images = {}
         for v, c in center.items():
             cv = c if isinstance(c, Polynomial) else self.table.constant(c)
-            if cv.table != self.table:
-                cv = cv.transport(self.table)
-            images[v] = self.table.var(v) + cv
+            images[v] = self.table.var(v) + cv.transport(self.table)
         return self.substitute(images)
 
     # -- grading -------------------------------------------------------------
@@ -511,7 +501,7 @@ def render(p: Polynomial) -> str:
     if p.is_zero():
         return "0"
     pieces: list[tuple[bool, str]] = []  # (negative?, magnitude text)
-    for exps, c in p.sorted_terms():
+    for exps, c in sorted(p.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True):
         mono = _render_monomial(p.table, exps)
         if not mono:
             # split the constant into rational and w parts so no parens are needed

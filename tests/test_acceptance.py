@@ -11,16 +11,16 @@ from fractions import Fraction
 
 from krcubic.claims import FAIL, PASS, SHIPPED_MANIFESTS, run_shipped
 from krcubic.cli import main
-from krcubic.coeff import Eisenstein, ONE
+from krcubic.coeff import ONE
 from krcubic.derivation import (Derivation, conjugate, nilpotency_certificate,
                                 theta_extract)
 from krcubic.geometry import (DOUBLE_HYPERPLANE, TWO_DISTINCT_HYPERPLANES,
                               classify_quadric, tangent_cone)
-from krcubic.groebner import buchberger, member, reduce, singular_at, smooth_everywhere
+from krcubic.groebner import buchberger, member, singular_at, smooth_everywhere
 from krcubic.morphism import (QuotientRelation, RingMap, exact_divide,
                               normal_form)
 from krcubic.parser import parse_polynomial
-from krcubic.poly import Polynomial, VarTable, render
+from krcubic.poly import VarTable, render
 
 from conftest import (cubic_poly, companion_poly, member_oracle, nonzero_coeff,
                       random_coeff, random_nonzero_poly, random_poly,

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from krcubic.claims import (ERROR, FAIL, PASS, SHIPPED_MANIFESTS, manifest_path,
-                            run_shipped, run_text, run_unit)
+                            run_shipped, run_text)
 from krcubic.errors import KrError
 from krcubic.parser import parse_unit
 

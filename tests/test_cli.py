@@ -5,8 +5,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import krcubic
 from krcubic.claims import manifest_path
 from krcubic.cli import main

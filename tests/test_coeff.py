@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from krcubic.coeff import Eisenstein, OMEGA, ONE, ZERO, ZETA6, root_of_unity
 from krcubic.errors import UnsupportedOrderError
 
-from conftest import nonzero_coeff, random_coeff
+from conftest import random_coeff
 
 
 def test_omega_squares_to_defining_relation():

@@ -1,11 +1,9 @@
 """Tangent cones, quadric classification, graph-variable detection."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
-from krcubic.coeff import Eisenstein
 from krcubic.errors import KrError
 from krcubic.geometry import (DOUBLE_HYPERPLANE, OTHER,
                               TWO_DISTINCT_HYPERPLANES, classify_quadric,

@@ -1,15 +1,16 @@
 """Grammar, diagnostics, canonical rendering and round-trips."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from krcubic.coeff import Eisenstein, OMEGA
+from krcubic.coeff import OMEGA
 from krcubic.errors import KrError, ParseError
-from krcubic.parser import (format_unit, parse_polynomial, parse_ring_spec,
-                            parse_unit)
-from krcubic.poly import VarTable, render
+from krcubic.parser import (BinOp, InverseDecl, Lit, eval_node, format_unit,
+                            parse_polynomial, parse_ring_spec, parse_unit)
+from krcubic.poly import Polynomial, VarTable, render
 
 from conftest import random_poly, random_table
 
@@ -73,7 +74,6 @@ def test_diagnostics_carry_positions():
 def test_rational_literals():
     T = VarTable(["t"])
     p = parse_polynomial("1/2*t + 3", T)
-    from fractions import Fraction
     assert p == T.var("t") * Fraction(1, 2) + 3
 
 
@@ -177,10 +177,8 @@ map fwd : R { y -> (1 + x)*y; }
 map bwd : R { y -> (1 - x)*y - x - z^2 - t^3; }
 inverse(fwd, bwd) mod {P}, {Q};
 """)
-    fwd = unit.env["fwd"][1]
-    bwd = unit.env["bwd"][1]
-    assert fwd.claimed_inverse == bwd
-    assert bwd.claimed_inverse == fwd
+    P, Q = unit.env["P"][1][0], unit.env["Q"][1][0]
+    assert unit.items[-1] == InverseDecl("fwd", "bwd", [P], [Q])
 
 
 def test_inverse_declaration_rejects_non_inverses():
@@ -201,7 +199,6 @@ map a : R { y -> y + x; }
 map b : R { y -> y - x; }
 inverse(a, b);
 """)
-    assert unit.env["a"][1].claimed_inverse == unit.env["b"][1]
     once = format_unit(unit)
     assert "inverse(a, b);" in once
     assert format_unit(parse_unit(once)) == once
@@ -235,3 +232,65 @@ def test_point_arity_checked():
         parse_unit('ring R = vars(x, y);\n'
                     'claim "c" singular_at(x, point(0)) expect true;')
     assert "coordinates" in str(info.value)
+
+
+def test_sum_and_difference_build_no_product(monkeypatch):
+    def no_product(self, other):
+        raise RuntimeError("a product was computed for a sum or difference")
+
+    monkeypatch.setattr(Polynomial, "__mul__", no_product)
+    parse_unit("ring R = vars(x);\nlet a = x + 1;")
+    T = VarTable(["x"])
+    x, one = T.var("x"), T.one()
+    assert eval_node(BinOp("+", Lit(x), Lit(one)), {}, T) == x + one
+    assert eval_node(BinOp("-", Lit(x), Lit(one)), {}, T) == x - one
+
+
+R4 = "ring R = vars(x, y, z, t);\n"
+
+# One unit per kernel call the parser makes: the kernel's KrError must come
+# out as a ParseError with the kernel's message, at the declaration's token.
+KERNEL_ERROR_SITES = {
+    "power": ("ring R = vars(x, t);\nlet bad = t^-1;",
+              "negative exponent on non-Laurent variable 't'", 2, 11),
+    "let transport": ("ring R = vars(x, y);\nlet a = y;\nring S = vars(x, z);\nlet b = a + 1;",
+                      "variable 'y' does not exist in target table", 4, 9),
+    "nf relation": (R4 + "let a = nf(x, z);",
+                    "relation must have x^2*y with coefficient 1", 2, 9),
+    "image evaluation": (R4 + "map M : R { x -> x; z -> quot(z, z + 1); }",
+                         "quot(): not exactly divisible", 2, 21),
+    "map block": ("ring R = vars(x, t ; laurent t);\nmap M : R { t -> t + 1; }",
+                  "image of Laurent variable 't' must be a unit monomial", 2, 7),
+    "extend": (R4 + "map M : R { y -> y + 1; }\n"
+               "map E = extend(M, x^2*y + z^2 + x + t^3, 1);",
+               "base map must not move y", 3, 9),
+    "compose": ("ring R = vars(x);\nmap A : R { x -> x + 1; }\n"
+                "ring S = vars(x, y);\nmap B : S { x -> x; }\nmap C = compose(A, B);",
+                "cannot compose maps over different tables", 5, 9),
+    "subst_param": ("ring R = vars(x, c ; param c);\nmap M : R { x -> x + c; }\n"
+                    "map N = subst_param(M, x, 1);",
+                    "'x' is not a parameter", 3, 9),
+    "conjugate": ("ring R = vars(x, y);\nderivation D : R { y -> 1; }\n"
+                  "map A : R { y -> y + x; }\n"
+                  "derivation E = conjugate(D, A, A, {y}, {y});",
+                  "maps are not a verified inverse pair", 4, 16),
+    "derivation relation": (R4 + "derivation D : R { z -> 1; } mod {z}",
+                            "relation must have x^2*y with coefficient 1", 2, 14),
+    "derivation descent": (R4 + "derivation D : R { z -> 1; } mod {x^2*y + z^2 + x + t^3}",
+                           "derivation does not descend: image of the relation "
+                           "is not a multiple", 2, 14),
+    "inverse": ("ring R = vars(x);\nmap A : R { x -> x; }\n"
+                "ring S = vars(x, y);\nmap B : S { x -> x; }\ninverse(A, B);",
+                "cannot compose maps over different tables", 5, 8),
+    "nilpotent relation": (R4 + "derivation D : R { z -> 1; }\n"
+                           'claim "c" nilpotent(D, 4, z) expect true;',
+                           "relation must have x^2*y with coefficient 1", 3, 21),
+}
+
+
+@pytest.mark.parametrize("site", sorted(KERNEL_ERROR_SITES))
+def test_kernel_errors_are_positioned(site):
+    text, message, line, col = KERNEL_ERROR_SITES[site]
+    with pytest.raises(ParseError) as info:
+        parse_unit(text)
+    assert (info.value.message, info.value.line, info.value.col) == (message, line, col)

@@ -5,10 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from krcubic.coeff import Eisenstein
 from krcubic.errors import (EmptyConeError, KrError, NegativeExponentError,
                             NonUnitError, TableMismatchError)
-from krcubic.poly import Polynomial, VarTable
+from krcubic.poly import VarTable
 
 from conftest import (cubic_poly, companion_poly, random_nonzero_poly,
                       random_poly, random_table)
