@@ -179,7 +179,7 @@ class BinOp:
 
     def render(self, prec: int = 0) -> str:
         own = 1 if self.op in "+-" else 2
-        lhs = self.left.render(own if self.op != "-" else own)
+        lhs = self.left.render(own)
         rhs = self.right.render(own + (1 if self.op == "-" else 0))
         text = f"{lhs} {self.op} {rhs}" if self.op in "+-" else f"{lhs}{self.op}{rhs}"
         return f"({text})" if prec > own else text
@@ -986,7 +986,6 @@ def _fmt_polyset(gens) -> str:
 
 def format_unit(unit: SourceUnit) -> str:
     out = []
-    ring_of = {}
     for item in unit.items:
         if isinstance(item, RingDecl):
             t = item.table
@@ -998,7 +997,6 @@ def format_unit(unit: SourceUnit) -> str:
             if par:
                 sections.append("param " + ", ".join(par))
             out.append(f"ring {item.name} = vars({' ; '.join(sections)});")
-            ring_of[item.name] = t
         elif isinstance(item, LetDecl):
             out.append(f"let {item.name} = {render(item.value)};")
         elif isinstance(item, MapDecl):
@@ -1014,8 +1012,7 @@ def format_unit(unit: SourceUnit) -> str:
                     f"derivation {item.name} = conjugate({c[1]}, {c[2]}, {c[3]}, "
                     f"{_fmt_polyset(c[4])}, {_fmt_polyset(c[5])});")
                 continue
-            images = {v: im for v, im in item.value.images.items()}
-            body = _fmt_images(item.value.table, images, identity_is_zero=True)
+            body = _fmt_images(item.value.table, item.value.images, identity_is_zero=True)
             tail = f" mod {{{render(item.value.relation.relation)}}}" if item.value.relation else ""
             out.append(f"derivation {item.name} : {item.ring} {body}{tail}")
         elif isinstance(item, InverseDecl):

@@ -14,10 +14,11 @@ reverse lexicographic over the table order.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import add
 from typing import Iterable, Mapping
 
-from .coeff import Eisenstein, render_coeff
+from .coeff import Eisenstein, _make, render_coeff
 from .errors import (
     EmptyConeError,
     KrError,
@@ -119,13 +120,6 @@ class VarTable:
         e[i] = 1
         return Polynomial(self, {tuple(e): Eisenstein.of(1)})
 
-    def monomial(self, coeff, exps: Mapping[str, int]) -> "Polynomial":
-        e = [0] * self.arity
-        for v, k in exps.items():
-            e[self.index(v)] = k
-        c = Eisenstein.of(coeff)
-        return Polynomial(self, {tuple(e): c} if c else {})
-
 
 def _check_exponents(table: VarTable, exps: tuple[int, ...]):
     for e, lau, name in zip(exps, table.laurent, table.names):
@@ -171,12 +165,6 @@ class Polynomial:
         """The coefficient of the empty monomial (the whole value if constant)."""
         return self.terms.get((0,) * self.table.arity, Eisenstein(0))
 
-    def total_degree(self) -> int:
-        """Max plain exponent sum; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def degree_in(self, name: str) -> int:
         if not self.terms:
             return -1
@@ -218,16 +206,7 @@ class Polynomial:
     def __add__(self, other):
         other = self._coerce(other)
         acc = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = acc.get(exps)
-            if s is None:
-                acc[exps] = c
-            else:
-                s = s + c
-                if s:
-                    acc[exps] = s
-                else:
-                    del acc[exps]
+        _add_into(acc, other.terms)
         return _polynomial(self.table, acc)
 
     __radd__ = __add__
@@ -243,21 +222,7 @@ class Polynomial:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        acc: dict[tuple[int, ...], Eisenstein] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                c = c1 * c2
-                s = acc.get(e)
-                if s is None:
-                    acc[e] = c
-                else:
-                    s = s + c
-                    if s:
-                        acc[e] = s
-                    else:
-                        del acc[e]
-        return _polynomial(self.table, acc)
+        return _polynomial(self.table, _product(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -266,15 +231,17 @@ class Polynomial:
             raise TypeError("polynomial exponent must be an integer")
         if k < 0:
             return self.unit_inverse() ** (-k)
-        acc = self.table.one()
+        if k == 0:
+            return self.table.one()
+        acc = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                acc = acc * base
+                acc = base if acc is None else acc * base
             k >>= 1
-            if k:
-                base = base * base
-        return acc
+            if not k:
+                return acc
+            base = base * base
 
     def is_unit_monomial(self) -> bool:
         """One term whose variables are all Laurent (so the monomial is invertible)."""
@@ -337,7 +304,9 @@ class Polynomial:
 
         The image of a variable occurring with a negative exponent must be a
         unit monomial.  This is a ring homomorphism: substitution of a product
-        is the product of the substitutions.
+        is the product of the substitutions.  Each term's image, its
+        coefficient times powers of the images (each power is computed once
+        per call), is added in place into one term dict.
         """
         target = None
         imgs: dict[str, Polynomial] = {}
@@ -377,14 +346,15 @@ class Polynomial:
                 pow_cache[(i, e)] = got
             return got
 
-        acc = target.zero()
+        one = (0,) * target.arity
+        acc: dict[tuple[int, ...], Eisenstein] = {}
         for exps, c in self.terms.items():
-            prod = target.constant(c)
+            prod = {one: c}
             for i, e in enumerate(exps):
                 if e:
-                    prod = prod * power(i, e)
-            acc = acc + prod
-        return acc
+                    prod = _product(prod, power(i, e).terms)
+            _add_into(acc, prod)
+        return _polynomial(target, acc)
 
     def transport(self, table: VarTable) -> "Polynomial":
         """Reinterpret over another table, matching variables by name."""
@@ -482,6 +452,60 @@ def _polynomial(table: VarTable, terms: dict) -> Polynomial:
     object.__setattr__(p, "terms", terms)
     object.__setattr__(p, "_hash", None)
     return p
+
+
+def _add_into(acc: dict, terms: dict) -> None:
+    """Add a term dict into acc in place; a sum that cancels is dropped."""
+    for exps, c in terms.items():
+        s = acc.get(exps)
+        if s is None:
+            acc[exps] = c
+        else:
+            s = s + c
+            if s:
+                acc[exps] = s
+            else:
+                del acc[exps]
+
+
+def _product(t1: dict, t2: dict) -> dict:
+    """The term dict of the product of two term dicts.
+
+    A one-term factor shifts and scales the other, and no two results share a
+    monomial.  Otherwise each factor is put over one common denominator and
+    the term products are summed as plain ints, (a1 + b1*w)(a2 + b2*w) =
+    a1*a2 - b1*b2 + (a1*b2 + b1*a2 - b1*b2)*w; each nonzero sum becomes one
+    canonical coefficient.
+    """
+    if not (t1 and t2):
+        return {}
+    if len(t1) == 1:
+        t1, t2 = t2, t1
+    if len(t2) == 1:
+        (e, c), = t2.items()
+        return {tuple(map(add, e1, e)): c1 * c for e1, c1 in t1.items()}
+    d1 = lcm(*[c._d for c in t1.values()])
+    d2 = lcm(*[c._d for c in t2.values()])
+    s1 = [(e, c._a * (d1 // c._d), c._b * (d1 // c._d)) for e, c in t1.items()]
+    s2 = [(e, c._a * (d2 // c._d), c._b * (d2 // c._d)) for e, c in t2.items()]
+    d = d1 * d2
+    re: dict[tuple[int, ...], int] = {}
+    get = re.get
+    if not any(c._b for c in t1.values()) and not any(c._b for c in t2.values()):
+        for e1, a1, _ in s1:
+            for e2, a2, _ in s2:
+                e = tuple(map(add, e1, e2))
+                re[e] = get(e, 0) + a1 * a2
+        return {e: _make(a, 0, d) for e, a in re.items() if a}
+    om: dict[tuple[int, ...], int] = {}
+    oget = om.get
+    for e1, a1, b1 in s1:
+        for e2, a2, b2 in s2:
+            e = tuple(map(add, e1, e2))
+            bb = b1 * b2
+            re[e] = get(e, 0) + a1 * a2 - bb
+            om[e] = oget(e, 0) + a1 * b2 + b1 * a2 - bb
+    return {e: _make(a, om[e], d) for e, a in re.items() if a or om[e]}
 
 
 def _render_monomial(table: VarTable, exps: tuple[int, ...]) -> str:

@@ -95,6 +95,13 @@ def _monomials_up_to(arity: int, degree: int):
             yield (head,) + rest
 
 
+def _total_degree(p: Polynomial) -> int:
+    """Max plain exponent sum; -1 for the zero polynomial."""
+    if not p.terms:
+        return -1
+    return max(sum(e) for e in p.terms)
+
+
 def member_oracle(f: Polynomial, gens: list[Polynomial]) -> bool:
     """Decide membership by solving for cofactors of bounded degree.
 
@@ -105,10 +112,10 @@ def member_oracle(f: Polynomial, gens: list[Polynomial]) -> bool:
     if f.is_zero():
         return True
     table = f.table
-    bound = f.total_degree() + max(g.total_degree() for g in gens) + 2
+    bound = _total_degree(f) + max(_total_degree(g) for g in gens) + 2
     columns = []
     for g in gens:
-        room = bound - g.total_degree()
+        room = bound - _total_degree(g)
         if room < 0:
             continue
         for mono in _monomials_up_to(table.arity, room):

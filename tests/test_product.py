@@ -1,0 +1,156 @@
+"""The polynomial product kernel: pinned to the term-by-term double loop, and
+multiply and substitute cross-checked against sympy over Q(sqrt(-3)) = Q(w)."""
+
+import random
+from fractions import Fraction
+from math import gcd
+from operator import add
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from krcubic.coeff import OMEGA, Eisenstein
+from krcubic.poly import Polynomial, VarTable, _product
+
+from test_groebner import _sympy_converter
+
+
+def _double_loop(t1, t2):
+    """The product as Polynomial.__mul__ computed it term by term before
+    _product: one Eisenstein product and one sum per pair of terms."""
+    acc = {}
+    for e1, c1 in t1.items():
+        for e2, c2 in t2.items():
+            e = tuple(map(add, e1, e2))
+            s = acc.get(e, 0) + c1 * c2
+            if s:
+                acc[e] = s
+            else:
+                acc.pop(e, None)
+    return acc
+
+
+# Few monomials and small values, so that sums often cancel; the second
+# exponent may be negative, as on a Laurent variable.
+exps = st.tuples(st.integers(0, 2), st.integers(-2, 2))
+fracs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+rational = st.builds(Eisenstein, fracs).filter(bool)
+eisenstein = st.builds(Eisenstein, fracs, fracs).filter(bool)
+term_dicts = st.one_of(st.dictionaries(exps, rational, max_size=6),
+                       st.dictionaries(exps, eisenstein, max_size=6),
+                       st.dictionaries(exps, st.one_of(rational, eisenstein), max_size=6))
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(term_dicts, term_dicts)
+def test_product_matches_the_double_loop(t1, t2):
+    got = _product(t1, t2)
+    # Eisenstein equality compares the stored triples, so this is term for term
+    assert got == _double_loop(t1, t2)
+    for c in got.values():
+        assert type(c) is Eisenstein and c
+        assert c._d > 0 and gcd(c._a, c._b, c._d) == 1
+
+
+def test_product_edge_operands():
+    x = {(1, 0): Eisenstein(1)}
+    f = {(1, 0): Eisenstein(Fraction(1, 2)), (0, -1): OMEGA}
+    assert _product({}, f) == _product(f, {}) == {}
+    assert _product(x, f) == _product(f, x) == _double_loop(x, f)
+    # the conjugate pair (x - w)(x - w^2) = x^2 + x + 1 cancels its w terms
+    g = {(1, 0): Eisenstein(1), (0, 0): -OMEGA}
+    h = {(1, 0): Eisenstein(1), (0, 0): OMEGA + 1}
+    assert _product(g, h) == {(2, 0): Eisenstein(1), (1, 0): Eisenstein(1),
+                              (0, 0): Eisenstein(1)}
+
+
+# -- differential check against sympy ------------------------------------------------
+
+T = VarTable(["x", "z", "t"])
+# a target ring with a parameter c0 (weight 0), as after subst_param
+TP = VarTable(["x", "z", "t", "c0"], params=["c0"])
+
+
+def _coeff(rng, omega: bool, dens: tuple[int, ...]) -> Eisenstein:
+    while True:
+        re = Fraction(rng.randint(-5, 5), rng.choice(dens))
+        om = Fraction(rng.randint(-5, 5), rng.choice(dens)) if omega else 0
+        if re or om:
+            return Eisenstein(re, om)
+
+
+def _poly(rng, table, terms: int, omega: bool = True,
+          dens: tuple[int, ...] = (1, 2, 3), deg: int = 2) -> Polynomial:
+    out = {}
+    for _ in range(terms):
+        e = tuple(rng.randint(0, deg) for _ in table.names)
+        out[e] = _coeff(rng, omega, dens)
+    return Polynomial(table, out)
+
+
+def _factors(case, rng):
+    if case == "rational":
+        return _poly(rng, T, 5, omega=False), _poly(rng, T, 4, omega=False)
+    if case == "eisenstein":
+        return _poly(rng, T, 5), _poly(rng, T, 4)
+    if case == "mixed_denominators":
+        return (_poly(rng, T, 5, dens=(4, 6, 9, 35)),
+                _poly(rng, T, 4, omega=False, dens=(5, 7, 8)))
+    if case == "one_term":
+        return _poly(rng, T, 1), _poly(rng, T, 5)
+    if case == "cancelling":
+        # (a + b)(a - b): the cross terms cancel
+        a, b = _poly(rng, T, 3), _poly(rng, T, 3)
+        return a + b, a - b
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize("case", ["rational", "eisenstein", "mixed_denominators",
+                                  "one_term", "cancelling"])
+def test_products_agree_with_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    _, _, conv = _sympy_converter(sympy, T.names)
+    rng = random.Random(f"product-{case}")
+    for _ in range(20):
+        f, g = _factors(case, rng)
+        assert conv(f * g) == conv(f) * conv(g)
+        assert conv(g * f) == conv(f) * conv(g)
+
+
+def _sympy_substitute(conv, f: Polynomial, images: dict, target: VarTable):
+    """The substitution computed with sympy's products and powers."""
+    total = conv(target.zero())
+    for exps, c in f.terms.items():
+        term = conv(target.constant(c))
+        for name, e in zip(f.table.names, exps):
+            image = images[name] if name in images else target.var(name)
+            term = term * conv(image) ** e
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("target", [T, TP], ids=["same_ring", "with_parameter"])
+def test_substitutions_agree_with_sympy(target):
+    sympy = pytest.importorskip("sympy")
+    _, _, conv = _sympy_converter(sympy, target.names)
+    rng = random.Random(510 + len(target.names))
+    for i in range(15):
+        f = _poly(rng, T, 4, omega=i % 2 == 0, deg=3)
+        images = {"x": _poly(rng, target, 3, omega=i % 3 == 0),
+                  "z": _poly(rng, target, 1, dens=(2, 5)) + target.var("z")}
+        if i % 4 == 0:
+            images["t"] = _poly(rng, target, 2, omega=False)
+        assert conv(f.substitute(images)) == _sympy_substitute(conv, f, images, target)
+
+
+def test_substitutions_that_cancel_to_zero_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    _, _, conv = _sympy_converter(sympy, TP.names)
+    rng = random.Random(520)
+    x = TP.var("x")
+    for _ in range(10):
+        # (x - g) * h vanishes under x -> g, for g free of x
+        g = _poly(rng, TP, 3, deg=1).substitute({"x": 0})
+        f = (x - g) * _poly(rng, TP, 3)
+        assert f.substitute({"x": g}).is_zero()
+        assert _sympy_substitute(conv, f, {"x": g}, TP).is_zero
