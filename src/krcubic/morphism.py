@@ -258,7 +258,7 @@ class Extension:
 
     map     -- the extended endomorphism (y gets (y*factor - defect)/lam^2)
     factor  -- the unit-like multiplier with map(relation) == factor*relation
-    defect  -- the x^2 cofactor of the decomposition
+    defect  -- g in phi(tail) == tail*factor + x^2*g, the factor being of x-degree <= 1
     """
 
     __slots__ = ("map", "factor", "defect")
@@ -272,16 +272,26 @@ class Extension:
         raise AttributeError("Extension is immutable")
 
 
+def _x_coefficients(p: Polynomial, ix: int) -> tuple[Polynomial, Polynomial]:
+    """The coefficients of x^0 and x^1 in p, as polynomials free of x."""
+    parts: tuple[dict, dict] = ({}, {})
+    for exps, c in p.terms.items():
+        if exps[ix] in (0, 1):
+            parts[exps[ix]][exps[:ix] + (0,) + exps[ix + 1:]] = c
+    return Polynomial(p.table, parts[0]), Polynomial(p.table, parts[1])
+
+
 def extend_to_quotient_automorphism(phi: RingMap, rel: QuotientRelation,
                                     lam: Polynomial) -> Extension:
     """Extend an automorphism of the base ring to the quotient by the relation.
 
     phi must not touch y, must scale x by the unit lam, and must carry the
     tail r + x*F into the ideal (r + x*F, x^2).  The decomposition
-    phi(tail) = tail*f + x^2*g is computed by sequential division and then
-    canonicalized so that f contains no monomial divisible by x^2 (the factor
-    is unique modulo x^2; the extension itself changes only by a multiple of
-    the relation).  The returned map satisfies map(relation) == f*relation.
+    phi(tail) = tail*f + x^2*g is computed in the base ring modulo x^2, where
+    f is unique once r is nonzero: with tail = r + x*F0 and
+    phi(tail) = A + x*B modulo x^2, f = a + x*b for the exact quotients
+    a = A/r and b = (B - F0*a)/r, and g = (phi(tail) - tail*f)/x^2.  The
+    returned map satisfies map(relation) == f*relation.
     """
     table = rel.table
     lam = lam.transport(table)
@@ -301,26 +311,27 @@ def extend_to_quotient_automorphism(phi: RingMap, rel: QuotientRelation,
         raise ExtensionError("base map must scale x by the given unit")
 
     tail = rel.tail
-    moved = tail.substitute(phi_images)
-    rem, (cof_f, cof_g) = reduce(moved, [tail, x ** 2])
-    if not rem.is_zero():
+    r, F0 = _x_coefficients(tail, rel._ix)
+    if r.is_zero():
         raise ExtensionError(
-            "map does not preserve the ideal (tail, x^2); not in the structure group")
-    # canonicalize: strip x^2-divisible part of f into g
-    low = {}
-    high = {}
-    for exps, c in cof_f.terms.items():
-        (low if exps[rel._ix] < 2 else high)[exps] = c
-    f0 = Polynomial(table, low)
-    if high:
-        u = exact_divide(Polynomial(table, high), x ** 2)
-        if u is None:
-            raise PostconditionError("x^2-divisible part of the factor is not divisible by x^2")
-        cof_g = cof_g + tail * u
+            "relation tail has no x-free part r; the factor is not unique modulo x^2")
+    moved = tail.substitute(phi_images)
+    A, B = _x_coefficients(moved, rel._ix)
+
+    def divide(f: Polynomial, g: Polynomial) -> Polynomial:
+        q = exact_divide(f, g)
+        if q is None:
+            raise ExtensionError(
+                "map does not preserve the ideal (tail, x^2); not in the structure group")
+        return q
+
+    a = divide(A, r)
+    f0 = a + x * divide(B - F0 * a, r)
+    defect = divide(moved - tail * f0, x ** 2)
     lam_inv2 = lam.unit_inverse() ** 2
     images = dict(phi_images)
-    images["y"] = (y * f0 - cof_g) * lam_inv2
+    images["y"] = (y * f0 - defect) * lam_inv2
     extended = RingMap(table, images)
     if extended.apply(rel.relation) != f0 * rel.relation:
         raise PostconditionError("extension postcondition violated")
-    return Extension(extended, f0, cof_g)
+    return Extension(extended, f0, defect)

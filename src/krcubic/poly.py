@@ -18,7 +18,7 @@ from math import lcm
 from operator import add
 from typing import Iterable, Mapping
 
-from .coeff import Eisenstein, _make, render_coeff
+from .coeff import ONE, Eisenstein, _make, render_coeff
 from .errors import (
     EmptyConeError,
     KrError,
@@ -306,7 +306,8 @@ class Polynomial:
         unit monomial.  This is a ring homomorphism: substitution of a product
         is the product of the substitutions.  Each term's image, its
         coefficient times powers of the images (each power is computed once
-        per call), is added in place into one term dict.
+        per call; a coefficient of one is not multiplied in), is added in
+        place into one term dict, which only reads the powers.
         """
         target = None
         imgs: dict[str, Polynomial] = {}
@@ -349,11 +350,12 @@ class Polynomial:
         one = (0,) * target.arity
         acc: dict[tuple[int, ...], Eisenstein] = {}
         for exps, c in self.terms.items():
-            prod = {one: c}
+            prod = None if c == ONE else {one: c}
             for i, e in enumerate(exps):
                 if e:
-                    prod = _product(prod, power(i, e).terms)
-            _add_into(acc, prod)
+                    terms = power(i, e).terms
+                    prod = terms if prod is None else _product(prod, terms)
+            _add_into(acc, {one: c} if prod is None else prod)
         return _polynomial(target, acc)
 
     def transport(self, table: VarTable) -> "Polynomial":

@@ -6,13 +6,16 @@ from fractions import Fraction
 
 import pytest
 
+from krcubic.coeff import OMEGA
 from krcubic.errors import ExtensionError, KrError
+from krcubic.groebner import reduce
 from krcubic.morphism import (QuotientRelation, RingMap, compose, determinant,
                               exact_divide, extend_to_quotient_automorphism,
                               jacobian, normal_form, verify_inverse_pair)
-from krcubic.poly import VarTable, render
+from krcubic.poly import Polynomial, VarTable, render
 
 from conftest import cubic_poly, companion_poly, random_poly
+from test_groebner import _sympy_converter
 
 # The x^2-normalized defect of the lifted triangular twist, frozen as a
 # regression value (the lift is unique modulo the relation; with the factor
@@ -273,6 +276,106 @@ def test_extension_requires_declared_scaling(ring4):
         extend_to_quotient_automorphism(
             RingMap.identity(T3), QuotientRelation(cubic_poly(ring4)),
             ring4.constant(2))  # claims phi(x) = 2x but phi fixes x
+
+
+def test_extension_needs_an_x_free_tail(ring4):
+    # The tail of x^2*y + x has no x-free part r, so no factor is unique
+    # modulo x^2.
+    x, y = ring4.var("x"), ring4.var("y")
+    with pytest.raises(ExtensionError, match="no x-free part"):
+        extend_to_quotient_automorphism(
+            RingMap.identity(ring4), QuotientRelation(x ** 2 * y + x), ring4.one())
+
+
+def laurent_ring():
+    T = VarTable(["x", "y", "z", "t", "lam"], laurent=["lam"], params=["lam"])
+    return T, tuple(T.var(n) for n in T.names)
+
+
+def test_extension_of_inverse_weighted_scaling():
+    # phi(tail) = lam^-6 * tail carries Laurent content, which the exact
+    # divisions strip.
+    T, (x, y, z, t, lam) = laurent_ring()
+    P = cubic_poly(T)
+    sigma = RingMap(T, {"x": lam ** -6 * x, "z": lam ** -3 * z, "t": lam ** -2 * t})
+    ext = extend_to_quotient_automorphism(sigma, QuotientRelation(P), lam ** -6)
+    assert ext.factor == lam ** -6
+    assert ext.defect.is_zero()
+    assert ext.map.images["y"] == lam ** 6 * y
+    assert ext.map(P) == lam ** -6 * P
+
+
+def test_extension_rejects_laurent_maps_outside_the_group():
+    T, (x, y, z, t, lam) = laurent_ring()
+    sigma = RingMap(T, {"x": lam ** -6 * x, "z": lam ** -3 * z + lam * x,
+                        "t": lam ** -2 * t})
+    with pytest.raises(ExtensionError, match="not in the structure group"):
+        extend_to_quotient_automorphism(sigma, QuotientRelation(cubic_poly(T)), lam ** -6)
+
+
+def reduced_decomposition(phi, rel):
+    """Reference for phi(tail) = tail*f + x^2*g: a reduce by [tail, x^2], then
+    the x^2-divisible part of f moved into g, which leaves the f of x-degree
+    <= 1 that is unique modulo x^2."""
+    tail, x, ix = rel.tail, rel.table.var("x"), rel.table.index("x")
+    rem, (f, g) = reduce(phi(tail), [tail, x ** 2])
+    assert rem.is_zero()
+    high = Polynomial(rel.table, {e: c for e, c in f.terms.items() if e[ix] >= 2})
+    return f - high, g + tail * exact_divide(high, x ** 2)
+
+
+def structure_group_maps(seed, count):
+    """Seeded maps preserving (x^2, z^2 + t^3 + x), each with its x-scaling.
+
+    x -> x, z -> z + x*(r*h)_t + x^2*p, t -> t - x*(r*h)_z + x^2*q carries
+    r = z^2 + t^3 to r*(1 + x*(r_z*h_t - r_t*h_z)) modulo x^2; each is
+    composed with one of the six symmetries z -> +-z, t -> w^k*t of the cusp,
+    and every other one with the weighted scaling by lam^6, lam^3, lam^2.
+    """
+    T, (x, y, z, t, lam) = laurent_ring()
+    base, zt = VarTable(["x", "z", "t"]), VarTable(["z", "t"])
+    rng = random.Random(seed)
+    r = z ** 2 + t ** 3
+    scaling = RingMap(T, {"x": lam ** 6 * x, "z": lam ** 3 * z, "t": lam ** 2 * t})
+    for i in range(count):
+        h = zt.zero()
+        while h.is_constant():  # a constant h gives r_z*h_t - r_t*h_z = 0
+            h = random_poly(rng, zt, max_terms=2, max_deg=2)
+        p, q = (random_poly(rng, base, max_terms=2, max_deg=1).transport(T)
+                for _ in range(2))
+        rh = r * h.transport(T)
+        shear = RingMap(T, {"z": z + x * rh.diff("t") + x ** 2 * p,
+                            "t": t - x * rh.diff("z") + x ** 2 * q})
+        symmetry = RingMap(T, {"z": (-1) ** (i // 2) * z, "t": OMEGA ** (i % 3) * t})
+        phi = compose(symmetry, shear)
+        if i % 2:
+            yield compose(phi, scaling), lam ** 6
+        else:
+            yield phi, T.one()
+
+
+def test_extension_agrees_with_the_reduced_decomposition():
+    T, (x, y, z, t, lam) = laurent_ring()
+    rel = QuotientRelation(cubic_poly(T))
+    for phi, unit in structure_group_maps(61, 12):
+        ext = extend_to_quotient_automorphism(phi, rel, unit)
+        assert (ext.factor, ext.defect) == reduced_decomposition(phi, rel)
+        assert ext.factor.degree_in("x") == 1  # r_z*h_t - r_t*h_z is not 0
+        bad = RingMap(T, {**phi.images, "z": phi.images["z"] + 1})
+        with pytest.raises(ExtensionError, match="not in the structure group"):
+            extend_to_quotient_automorphism(bad, rel, unit)
+
+
+def test_extension_defect_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    T, (x, y, z, t, lam) = laurent_ring()
+    _, _, conv = _sympy_converter(sympy, T.names)
+    rel = QuotientRelation(cubic_poly(T))
+    for phi, unit in structure_group_maps(62, 6):
+        ext = extend_to_quotient_automorphism(phi, rel, unit)
+        rest = conv(phi(rel.tail)) - conv(rel.tail) * conv(ext.factor)
+        quot, rem = sympy.div(rest, conv(x ** 2))
+        assert rem.is_zero and quot == conv(ext.defect)
 
 
 def test_determinant_cofactor_expansion(ring3):

@@ -264,6 +264,10 @@ KERNEL_ERROR_SITES = {
     "extend": (R4 + "map M : R { y -> y + 1; }\n"
                "map E = extend(M, x^2*y + z^2 + x + t^3, 1);",
                "base map must not move y", 3, 9),
+    "extend outside the group": (R4 + "map M : R { z -> z + 1; }\n"
+                                 "map E = extend(M, x^2*y + z^2 + x + t^3, 1);",
+                                 "map does not preserve the ideal (tail, x^2); "
+                                 "not in the structure group", 3, 9),
     "compose": ("ring R = vars(x);\nmap A : R { x -> x + 1; }\n"
                 "ring S = vars(x, y);\nmap B : S { x -> x; }\nmap C = compose(A, B);",
                 "cannot compose maps over different tables", 5, 9),

@@ -72,6 +72,21 @@ def test_substitution_needs_unit_image_for_negative_exponent(cylinder_ring):
         f.substitute({"t": t + z})
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_substitution_mutates_neither_images_nor_powers(ring3, k):
+    # x^k*(1 + z + t) + 1 with x -> p: the first term is p^k itself (a
+    # coefficient of one is not multiplied in), the next two reuse the cached
+    # power after it was added into the result.
+    x, z, t = vars_of(ring3, "x", "z", "t")
+    p = z + 2 * t + 1
+    before = dict(p.terms)
+    got = (x ** k + x ** k * z + x ** k * t + 1).substitute({"x": p})
+    assert p.terms == before and p == z + 2 * t + 1
+    power = p if k == 1 else (z + 2 * t + 1) * (z + 2 * t + 1)
+    assert got == power + power * z + power * t + 1
+    assert ring3.constant(3).substitute({"x": p}) == ring3.constant(3)
+
+
 def test_partial_derivatives(ring4):
     x, y, z, t = vars_of(ring4, "x", "y", "z", "t")
     P = cubic_poly(ring4)
