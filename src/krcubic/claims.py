@@ -84,61 +84,66 @@ class Report:
 
 
 def _eval_claim(unit: SourceUnit, claim: ClaimDecl) -> tuple[bool, str]:
-    """Return (holds, detail); detail shows both sides for failed equalities."""
+    """Return (holds, detail); detail shows both sides for failed equalities.
+
+    claim.args holds one value per shape in parser.CLAIMS[claim.kind].
+    """
     table = unit.rings[claim.ring]
     env = unit.env
-    p = claim.payload
+    args = claim.args
 
     def ev(node):
         return eval_node(node, env, table)
 
     if claim.kind == "eq":
-        lhs, rhs = ev(p["lhs"]), ev(p["rhs"])
+        lhs, rhs = map(ev, args)
         ok = lhs == rhs
         detail = "" if ok else f"lhs = {render(lhs)}\nrhs = {render(rhs)}"
         return ok, detail
     if claim.kind == "divides":
-        f, g = ev(p["f"]), ev(p["g"])
+        f, g = map(ev, args)
         q = exact_divide(f, g)
         return q is not None, ("" if q is not None else
                                f"dividend = {render(f)}\ndivisor = {render(g)}")
     if claim.kind == "member":
-        f = ev(p["f"])
-        return member(f, list(p["gens"])), f"f = {render(f)}"
+        f, gens = args
+        f = ev(f)
+        return member(f, list(gens)), f"f = {render(f)}"
     if claim.kind == "nilpotent":
-        _, d = env[p["derivation"]]
-        if p["relation"] is not None:
-            d = d.modulo(p["relation"])
-        cert = nilpotency_certificate(d, p["bound"])
+        name, bound, relation = args
+        d = env[name][1]
+        if relation is not None:
+            d = d.modulo(relation)
+        cert = nilpotency_certificate(d, bound)
         orders = ", ".join(f"{v}:{k}" for v, k in cert.orders.items())
         if cert.complete:
             return True, f"orders {orders}"
         return False, f"bound exceeded at generator {cert.failed_generator!r}"
     if claim.kind == "cone_class":
-        cone = tangent_cone(ev(p["f"]), p["point"])
-        got = classify_quadric(cone, p["spec"])
-        ok = got.tag == p["tag"]
-        return ok, f"cone = {render(cone)}; classified {got.tag}, expected {p['tag']}"
+        f, point, tag, spec = args
+        cone = tangent_cone(ev(f), point)
+        got = classify_quadric(cone, spec)
+        return got.tag == tag, f"cone = {render(cone)}; classified {got.tag}, expected {tag}"
     if claim.kind == "smooth_at_all":
-        return smooth_everywhere(ev(p["f"])), ""
+        return smooth_everywhere(ev(args[0])), ""
     if claim.kind == "singular_at":
-        return singular_at(ev(p["f"]), p["point"]), ""
+        f, point = args
+        return singular_at(ev(f), point), ""
     if claim.kind == "inverse_pair":
-        _, m1 = env[p["m1"]]
-        _, m2 = env[p["m2"]]
-        return verify_inverse_pair(m1, m2, p["mod1"], p["mod2"]), ""
+        m1, m2, ideals = args
+        return verify_inverse_pair(env[m1][1], env[m2][1], *(ideals or ([], []))), ""
     if claim.kind == "quasi_homogeneous":
-        f = ev(p["f"])
-        return f.is_weighted_homogeneous(p["weights"], p["degree"]), ""
+        f, weights, degree = args
+        return ev(f).is_weighted_homogeneous(weights, degree), ""
     if claim.kind == "graph_variable":
-        return graph_variable_check(ev(p["f"]), p["var"]), ""
+        f, var = args
+        return graph_variable_check(ev(f), var), ""
     if claim.kind == "laurent_free":
-        _, obj = env[p["name"]]
-        images = obj.images
-        bad = [v for v in sorted(images)
-               if images[v].min_exponent(p["var"]) < 0]
+        name, var = args
+        images = env[name][1].images
+        bad = [v for v in sorted(images) if images[v].min_exponent(var) < 0]
         return not bad, ("" if not bad else
-                         f"negative {p['var']}-exponents in images of {', '.join(bad)}")
+                         f"negative {var}-exponents in images of {', '.join(bad)}")
     raise KrError(f"unknown claim kind {claim.kind!r}")
 
 

@@ -82,7 +82,7 @@ def _ring(spec: str, extra_params=()):
     if extra_params:
         names = list(table.names) + [p for p in extra_params if p not in table.names]
         laurent = [v for v, f in zip(table.names, table.laurent) if f]
-        params = [v for v, w in zip(table.names, table.weights) if w == 0]
+        params = list(table.params())
         params += [p for p in extra_params if p not in params]
         table = VarTable(names, laurent=laurent, params=params)
     return table

@@ -103,9 +103,6 @@ class NilpotencyCertificate:
     complete: bool
     failed_generator: str | None = None
 
-    def max_order(self) -> int:
-        return max(self.orders.values(), default=0)
-
 
 def nilpotency_certificate(d: Derivation, bound: int = 64) -> NilpotencyCertificate:
     """Iterate the derivation on every variable until zero or the bound.

@@ -59,9 +59,6 @@ class RingMap:
             return self.table.var(name)
         return self.images[name]
 
-    def is_identity(self) -> bool:
-        return all(self.images[v] == self.table.var(v) for v in self.table.non_params())
-
     def __eq__(self, other):
         if not isinstance(other, RingMap):
             return NotImplemented

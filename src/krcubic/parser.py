@@ -28,7 +28,9 @@ Declarations:
     claim "label" KIND(...) [anchor "text"] expect true|false;
     narrative "label" requires("label1", ...);
 
-The first error aborts the unit with a 1-based line/column diagnostic.
+The argument shapes of each claim kind and constructor live once, as data, in
+CLAIMS and CONSTRUCTORS; Parser.arguments reads them and _fmt_arguments prints
+them.  The first error aborts the unit with a 1-based line/column diagnostic.
 """
 
 from __future__ import annotations
@@ -46,22 +48,41 @@ from .derivation import (Derivation, conjugate, substitute_parameter,
                          theta_extract)
 from .geometry import CONE_TAGS
 
+# Argument shapes, in order.  A trailing '?' marks an optional group that
+# follows a comma (absent: None); a trailing '*' a group that repeats, whose
+# (key, value) items collect into a dict.  'map', 'derivation' and
+# 'derivation|map' read the name of a declared object of that kind.
+CLAIMS = {
+    "eq": ("expr", "expr"),
+    "divides": ("expr", "expr"),
+    "member": ("expr", "polys"),
+    "nilpotent": ("derivation", "bound", "relation?"),
+    "cone_class": ("expr", "point", "tag", "spec*"),
+    "smooth_at_all": ("expr",),
+    "singular_at": ("expr", "point"),
+    "inverse_pair": ("map", "map", "ideals?"),
+    "quasi_homogeneous": ("expr", "weights", "integer"),
+    "graph_variable": ("expr", "var"),
+    "laurent_free": ("derivation|map", "var"),
+}
+
+# A constructor's value has the kind of its first argument.
+CONSTRUCTORS = {
+    "extend": ("map", "poly", "poly"),
+    "compose": ("map", "map"),
+    "subst_param": ("map", "param", "poly"),
+    "conjugate": ("derivation", "map", "map", "polys", "polys"),
+}
+
+# inverse(A, B) mod {...}, {...}; the ideals follow the parenthesis.
+INVERSE = ("map", "map")
+
 KEYWORDS = {
     "ring", "vars", "laurent", "param", "let", "map", "derivation", "claim",
     "narrative", "requires", "anchor", "expect", "true", "false", "mod",
     "inverse", "point", "weights", "preserving", "w",
-    "eq", "divides", "member", "nilpotent", "cone_class", "smooth_at_all",
-    "singular_at", "inverse_pair", "quasi_homogeneous", "graph_variable",
-    "laurent_free",
-    "nf", "quot", "theta", "jacdet", "extend", "compose", "subst_param",
-    "conjugate",
-}
-
-CLAIM_KINDS = (
-    "eq", "divides", "member", "nilpotent", "cone_class", "smooth_at_all",
-    "singular_at", "inverse_pair", "quasi_homogeneous", "graph_variable",
-    "laurent_free",
-)
+    "nf", "quot", "theta", "jacdet",
+} | CLAIMS.keys() | CONSTRUCTORS.keys()
 
 
 @dataclass(frozen=True)
@@ -216,11 +237,7 @@ def eval_node(node, env: dict, table: VarTable) -> Polynomial:
         b = eval_node(node.right, env, table)
         return _combine(node.op, a, b)
     if isinstance(node, Apply):
-        kind, obj = env[node.name]
-        arg = eval_node(node.arg, env, table)
-        if kind in ("map", "derivation"):
-            return obj.apply(arg)
-        raise KrError(f"{node.name!r} is a {kind}, not applicable")
+        return env[node.name][1].apply(eval_node(node.arg, env, table))
     if isinstance(node, Builtin):
         if node.fn == "quot":
             num = eval_node(node.args[0], env, table)
@@ -234,15 +251,9 @@ def eval_node(node, env: dict, table: VarTable) -> Polynomial:
             rel = QuotientRelation(eval_node(node.args[1], env, table))
             return normal_form(f, rel)
         if node.fn == "theta":
-            kind, obj = env[node.names[0]]
-            if kind != "map":
-                raise KrError(f"theta() needs a map, got {kind}")
-            return theta_extract(obj, eval_node(node.args[0], env, table))
+            return theta_extract(env[node.names[0]][1], eval_node(node.args[0], env, table))
         if node.fn == "jacdet":
-            kind, obj = env[node.names[0]]
-            if kind != "map":
-                raise KrError(f"jacdet() needs a map, got {kind}")
-            _, det = jacobian(obj, node.names[1:])
+            _, det = jacobian(env[node.names[0]][1], node.names[1:])
             return det
     raise KrError(f"cannot evaluate node {node!r}")
 
@@ -254,6 +265,22 @@ def _fold(node):
     if isinstance(node, BinOp) and isinstance(node.left, Lit) and isinstance(node.right, Lit):
         return Lit(_combine(node.op, node.left.value, node.right.value))
     return node
+
+
+def _construct(fn: str, args: tuple, preserving, env: dict):
+    """Elaborate a constructor call (see CONSTRUCTORS); names are looked up in env."""
+    if fn == "extend":
+        base, relation, unit = args
+        return extend_to_quotient_automorphism(env[base][1], QuotientRelation(relation),
+                                               unit).map
+    if fn == "compose":
+        outer, inner = args
+        return compose(env[outer][1], env[inner][1])
+    if fn == "subst_param":
+        base, param, value = args
+        return substitute_parameter(env[base][1], param, value, check_ideal=preserving)
+    d, fwd, bwd, mod1, mod2 = args
+    return conjugate(env[d][1], env[fwd][1], env[bwd][1], mod1, mod2)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +304,7 @@ class MapDecl:
     name: str
     ring: str
     value: RingMap
-    ctor: tuple | None = None  # for fmt: ('extend', base, rel, lam) etc.
+    ctor: tuple | None = None  # (fn, args, preserving) for fmt
 
 
 @dataclass
@@ -301,7 +328,7 @@ class ClaimDecl:
     label: str
     kind: str
     ring: str
-    payload: dict
+    args: tuple  # one value per shape in CLAIMS[kind]
     expect: bool
     anchor: str | None
 
@@ -412,13 +439,14 @@ class Parser:
             self.error(f"use of undeclared name {tok.text!r}", tok)
         return entry
 
-    def named(self, kind: str, fn: str) -> tuple[Token, object]:
-        """Read the name of a declared map or derivation that fn() needs."""
-        tok = self.ident(f"{kind} name")
-        got, obj = self.lookup(tok)
-        if got != kind:
-            self.error(f"{fn}() needs a {kind}, {tok.text!r} is a {got}", tok)
-        return tok, obj
+    def named(self, kind: str, fn: str) -> Token:
+        """Read the name of a declared object of the kind ('a|b': either) fn() needs."""
+        what = kind.replace("|", " or ")
+        tok = self.ident(f"{what} name")
+        got, _ = self.lookup(tok)
+        if got not in kind.split("|"):
+            self.error(f"{fn}() needs a {what}, {tok.text!r} is a {got}", tok)
+        return tok
 
     def variable(self, what: str = "variable name") -> str:
         tok = self.ident(what)
@@ -513,13 +541,13 @@ class Parser:
                 self.kernel(tok, QuotientRelation, b.value)
             return Builtin(fn, (a, b))
         if fn == "theta":
-            mtok, _ = self.named("map", "theta")
+            mtok = self.named("map", "theta")
             self.expect(",")
             r = self.parse_expr()
             self.expect(")")
             return Builtin("theta", (r,), (mtok.text,))
         if fn == "jacdet":
-            mtok, _ = self.named("map", "jacdet")
+            mtok = self.named("map", "jacdet")
             names = [mtok.text]
             while self.accept(","):
                 names.append(self.variable("variable"))
@@ -637,9 +665,8 @@ class Parser:
         self.expect("map")
         name = self.ident("map name")
         tok = self.peek()
-        if tok.kind == "punct" and tok.text == "=":
-            self.next()
-            self.parse_map_ctor(name)
+        if self.accept("="):
+            self.parse_constructor(name, "map")
             return
         self._ring_annotation()
         images = self._parse_image_block()
@@ -661,90 +688,30 @@ class Parser:
         self.expect(",")
         return first, self._polyset()
 
-    def parse_map_ctor(self, name: Token):
+    def parse_constructor(self, name: Token, kind: str):
+        """NAME = FN(...); elaborated here, so a kernel error stops the unit."""
         fn = self.ident("constructor")
-        if fn.text == "extend":
-            self.expect("(")
-            base, phi = self.named("map", "extend")
-            self.expect(",")
-            rel_poly = self.parse_poly()
-            self.expect(",")
-            lam = self.parse_poly()
-            self.expect(")")
-            self.expect(";")
-            rel = self.kernel(fn, QuotientRelation, rel_poly)
-            ext = self.kernel(fn, extend_to_quotient_automorphism, phi, rel, lam)
-            self.declare(name, "map", ext.map)
-            self.unit.items.append(MapDecl(name.text, self.current_ring, ext.map,
-                                           ctor=("extend", base.text, rel_poly, lam)))
-            return
-        if fn.text == "compose":
-            self.expect("(")
-            outer = self.ident("map name")
-            self.expect(",")
-            inner = self.ident("map name")
-            self.expect(")")
-            self.expect(";")
-            ko, mo = self.lookup(outer)
-            ki, mi = self.lookup(inner)
-            if ko != "map" or ki != "map":
-                self.error("compose() needs two maps", fn)
-            value = self.kernel(fn, compose, mo, mi)
-            self.declare(name, "map", value)
-            self.unit.items.append(MapDecl(name.text, self.current_ring, value,
-                                           ctor=("compose", outer.text, inner.text)))
-            return
-        if fn.text == "subst_param":
-            self.expect("(")
-            mtok, mp = self.named("map", "subst_param")
-            self.expect(",")
-            ptok = self.ident("parameter name")
-            self.expect(",")
-            value = self.parse_poly()
-            self.expect(")")
-            preserving = None
-            if self.accept("preserving"):
-                preserving = self._polyset()
-            self.expect(";")
-            out = self.kernel(fn, substitute_parameter, mp, ptok.text, value,
-                              check_ideal=preserving)
-            self.declare(name, "map", out)
-            self.unit.items.append(MapDecl(
-                name.text, self.current_ring, out,
-                ctor=("subst_param", mtok.text, ptok.text, value, preserving)))
-            return
-        self.error(f"unknown map constructor {fn.text!r}", fn,
-                   expected=("extend", "compose", "subst_param"))
+        shapes = CONSTRUCTORS.get(fn.text, (None,))
+        if shapes[0] != kind:
+            self.error(f"unknown {kind} constructor {fn.text!r}", fn,
+                       expected=[c for c, s in CONSTRUCTORS.items() if s[0] == kind])
+        args = self.arguments(fn.text, shapes)
+        preserving = None
+        if fn.text == "subst_param" and self.accept("preserving"):
+            preserving = self._polyset()
+        self.expect(";")
+        value = self.kernel(fn, _construct, fn.text, args, preserving, self.unit.env)
+        self.declare(name, kind, value)
+        decl = MapDecl if kind == "map" else DerivDecl
+        self.unit.items.append(decl(name.text, self.current_ring, value,
+                                    ctor=(fn.text, args, preserving)))
 
     def parse_derivation(self):
         self.expect("derivation")
         name = self.ident("derivation name")
         tok = self.peek()
-        if tok.kind == "punct" and tok.text == "=":
-            self.next()
-            fn = self.ident("constructor")
-            if fn.text != "conjugate":
-                self.error(f"unknown derivation constructor {fn.text!r}", fn,
-                           expected=("conjugate",))
-            self.expect("(")
-            dtok, d = self.named("derivation", "conjugate")
-            self.expect(",")
-            ftok = self.ident("map name")
-            kf, fwd = self.lookup(ftok)
-            self.expect(",")
-            btok = self.ident("map name")
-            kb, bwd = self.lookup(btok)
-            if kf != "map" or kb != "map":
-                self.error("conjugate() needs two maps", fn)
-            self.expect(",")
-            mod1, mod2 = self._ideal_pair()
-            self.expect(")")
-            self.expect(";")
-            value = self.kernel(fn, conjugate, d, fwd, bwd, mod1, mod2)
-            self.declare(name, "derivation", value)
-            self.unit.items.append(DerivDecl(
-                name.text, self.current_ring, value,
-                ctor=("conjugate", dtok.text, ftok.text, btok.text, mod1, mod2)))
+        if self.accept("="):
+            self.parse_constructor(name, "derivation")
             return
         self._ring_annotation()
         images = self._parse_image_block()
@@ -768,139 +735,90 @@ class Parser:
         """
         self.expect("inverse")
         start = self.peek()
-        self.expect("(")
-        atok = self.ident("map name")
-        self.expect(",")
-        btok = self.ident("map name")
-        self.expect(")")
-        ka, ma = self.lookup(atok)
-        kb, mb = self.lookup(btok)
-        if ka != "map" or kb != "map":
-            self.error("inverse() needs two maps", start)
+        first, second = self.arguments("inverse", INVERSE)
         mod1, mod2 = self._ideal_pair() if self.accept("mod") else ([], [])
         self.expect(";")
-        if not self.kernel(start, verify_inverse_pair, ma, mb, mod1, mod2):
-            self.error(f"{atok.text!r} and {btok.text!r} are not inverse "
+        env = self.unit.env
+        if not self.kernel(start, verify_inverse_pair, env[first][1], env[second][1],
+                           mod1, mod2):
+            self.error(f"{first!r} and {second!r} are not inverse "
                        f"modulo the declared ideals", start)
-        self.unit.items.append(InverseDecl(atok.text, btok.text, mod1, mod2))
+        self.unit.items.append(InverseDecl(first, second, mod1, mod2))
 
-    # -- claims ----------------------------------------------------------------
+    # -- call arguments ----------------------------------------------------------
 
-    def _point(self) -> dict[str, Polynomial]:
-        self.expect("point")
+    def arguments(self, fn: str, shapes: tuple) -> tuple:
+        """Read fn's parenthesized arguments, one value per shape."""
         self.expect("(")
-        coords = [self.parse_poly()]
-        while self.accept(","):
-            coords.append(self.parse_poly())
+        start = self.peek()
+        args = []
+        for i, shape in enumerate(shapes):
+            if shape.endswith("*"):
+                items = {}
+                while self.accept(","):
+                    key, value = self.argument(fn, shape[:-1], start)
+                    items[key] = value
+                args.append(items)
+            elif shape.endswith("?"):
+                args.append(self.argument(fn, shape[:-1], start)
+                            if self.accept(",") else None)
+            else:
+                if i:
+                    self.expect(",")
+                args.append(self.argument(fn, shape, start))
         self.expect(")")
-        table = self.table()
-        targets = table.non_params()
-        if len(coords) != len(targets):
-            self.error(f"point needs {len(targets)} coordinates, got {len(coords)}")
-        return dict(zip(targets, coords))
+        return tuple(args)
 
-    def parse_claim(self):
-        self.expect("claim")
-        label = self.string()
-        if any(c.label == label for c in self.unit.claims):
-            self.error(f"duplicate claim label {label!r}")
-        kind_tok = self.ident("claim kind")
-        kind = kind_tok.text
-        if kind not in CLAIM_KINDS:
-            self.error(f"unknown claim kind {kind!r}", kind_tok, expected=CLAIM_KINDS)
-        payload = self.parse_claim_payload(kind, kind_tok)
-        anchor = None
-        if self.accept("anchor"):
-            anchor = self.string()
-        self.expect("expect")
-        exp_tok = self.ident("'true' or 'false'")
-        if exp_tok.text not in ("true", "false"):
-            self.error("expectation must be true or false", exp_tok,
-                       expected=("true", "false"))
-        self.expect(";")
-        decl = ClaimDecl(label, kind, self.current_ring, payload,
-                         exp_tok.text == "true", anchor)
-        self.unit.claims.append(decl)
-        self.unit.items.append(decl)
-
-    def parse_claim_payload(self, kind: str, tok: Token) -> dict:
-        self.expect("(")
-        if kind == "eq":
-            lhs = self.parse_expr()
-            self.expect(",")
-            rhs = self.parse_expr()
+    def argument(self, fn: str, shape: str, start: Token):
+        """Read one argument; a kernel error in a relation is reported at start."""
+        if shape == "expr":
+            return self.parse_expr()
+        if shape == "poly":
+            return self.parse_poly()
+        if shape == "polys":
+            return self._polyset()
+        if shape == "ideals":
+            return self._ideal_pair()
+        if shape == "relation":
+            return self.kernel(start, QuotientRelation, self.parse_poly())
+        if shape == "point":
+            self.expect("point")
+            self.expect("(")
+            coords = [self.parse_poly()]
+            while self.accept(","):
+                coords.append(self.parse_poly())
             self.expect(")")
-            return {"lhs": lhs, "rhs": rhs}
-        if kind == "divides":
-            f = self.parse_expr()
-            self.expect(",")
-            g = self.parse_expr()
-            self.expect(")")
-            return {"f": f, "g": g}
-        if kind == "member":
-            f = self.parse_expr()
-            self.expect(",")
-            gens = self._polyset()
-            self.expect(")")
-            return {"f": f, "gens": gens}
-        if kind == "nilpotent":
-            dtok, _ = self.named("derivation", "nilpotent")
-            self.expect(",")
-            bound_tok = self.peek()
+            targets = self.table().non_params()
+            if len(coords) != len(targets):
+                self.error(f"point needs {len(targets)} coordinates, got {len(coords)}")
+            return dict(zip(targets, coords))
+        if shape == "var":
+            return self.variable()
+        if shape == "param":
+            return self.ident("parameter name").text
+        if shape == "integer":
+            return self.integer()
+        if shape == "bound":
+            tok = self.peek()
             bound = self.integer()
             if bound < 1:
-                self.error("bound must be positive", bound_tok)
-            relation = None
-            if self.accept(","):
-                relation = self.kernel(dtok, QuotientRelation, self.parse_poly())
-            self.expect(")")
-            return {"derivation": dtok.text, "bound": bound, "relation": relation}
-        if kind == "cone_class":
-            f = self.parse_expr()
-            self.expect(",")
-            point = self._point()
-            self.expect(",")
-            tag_tok = self.ident("cone tag")
-            if tag_tok.text not in CONE_TAGS:
-                self.error(f"unknown cone tag {tag_tok.text!r}", tag_tok,
-                           expected=CONE_TAGS)
-            spec = {}
-            table = self.table()
-            while self.accept(","):
-                ptok = self.ident("parameter name")
-                if ptok.text not in table._index or not table.is_param(ptok.text):
-                    self.error(f"{ptok.text!r} is not a parameter", ptok)
-                self.expect("->")
-                val = self.parse_poly(ptok)
-                if not val.is_constant():
-                    self.error("specialization values must be constants", ptok)
-                spec[ptok.text] = val.constant_value()
-            self.expect(")")
-            return {"f": f, "point": point, "tag": tag_tok.text, "spec": spec}
-        if kind == "smooth_at_all":
-            f = self.parse_expr()
-            self.expect(")")
-            return {"f": f}
-        if kind == "singular_at":
-            f = self.parse_expr()
-            self.expect(",")
-            point = self._point()
-            self.expect(")")
-            return {"f": f, "point": point}
-        if kind == "inverse_pair":
-            m1 = self.ident("map name")
-            self.expect(",")
-            m2 = self.ident("map name")
-            for mtok in (m1, m2):
-                kmap, _ = self.lookup(mtok)
-                if kmap != "map":
-                    self.error(f"inverse_pair() needs maps, {mtok.text!r} is a {kmap}", mtok)
-            mod1, mod2 = self._ideal_pair() if self.accept(",") else ([], [])
-            self.expect(")")
-            return {"m1": m1.text, "m2": m2.text, "mod1": mod1, "mod2": mod2}
-        if kind == "quasi_homogeneous":
-            f = self.parse_expr()
-            self.expect(",")
+                self.error("bound must be positive", tok)
+            return bound
+        if shape == "tag":
+            tok = self.ident("cone tag")
+            if tok.text not in CONE_TAGS:
+                self.error(f"unknown cone tag {tok.text!r}", tok, expected=CONE_TAGS)
+            return tok.text
+        if shape == "spec":
+            tok = self.ident("parameter name")
+            if tok.text not in self.table().params():
+                self.error(f"{tok.text!r} is not a parameter", tok)
+            self.expect("->")
+            value = self.parse_poly(tok)
+            if not value.is_constant():
+                self.error("specialization values must be constants", tok)
+            return tok.text, value.constant_value()
+        if shape == "weights":
             self.expect("weights")
             self.expect("(")
             weights = {}
@@ -911,26 +829,34 @@ class Parser:
                 if not self.accept(","):
                     break
             self.expect(")")
-            self.expect(",")
-            degree = self.integer()
-            self.expect(")")
-            return {"f": f, "weights": weights, "degree": degree}
-        if kind == "graph_variable":
-            f = self.parse_expr()
-            self.expect(",")
-            v = self.variable()
-            self.expect(")")
-            return {"f": f, "var": v}
-        if kind == "laurent_free":
-            dtok = self.ident("derivation or map name")
-            kd, _ = self.lookup(dtok)
-            if kd not in ("derivation", "map"):
-                self.error(f"laurent_free() needs a derivation or map", dtok)
-            self.expect(",")
-            v = self.variable()
-            self.expect(")")
-            return {"name": dtok.text, "var": v}
-        raise AssertionError(kind)
+            return weights
+        return self.named(shape, fn).text
+
+    # -- claims ----------------------------------------------------------------
+
+    def parse_claim(self):
+        self.expect("claim")
+        label = self.string()
+        if any(c.label == label for c in self.unit.claims):
+            self.error(f"duplicate claim label {label!r}")
+        kind_tok = self.ident("claim kind")
+        kind = kind_tok.text
+        if kind not in CLAIMS:
+            self.error(f"unknown claim kind {kind!r}", kind_tok, expected=CLAIMS)
+        args = self.arguments(kind, CLAIMS[kind])
+        anchor = None
+        if self.accept("anchor"):
+            anchor = self.string()
+        self.expect("expect")
+        exp_tok = self.ident("'true' or 'false'")
+        if exp_tok.text not in ("true", "false"):
+            self.error("expectation must be true or false", exp_tok,
+                       expected=("true", "false"))
+        self.expect(";")
+        decl = ClaimDecl(label, kind, self.current_ring, args,
+                         exp_tok.text == "true", anchor)
+        self.unit.claims.append(decl)
+        self.unit.items.append(decl)
 
     def parse_narrative(self):
         self.expect("narrative")
@@ -984,6 +910,37 @@ def _fmt_polyset(gens) -> str:
     return "{" + ", ".join(render(g) for g in gens) + "}"
 
 
+def _fmt_argument(shape: str, arg) -> str:
+    if shape == "expr":
+        return arg.render()
+    if shape == "poly":
+        return render(arg)
+    if shape == "polys":
+        return _fmt_polyset(arg)
+    if shape == "ideals":
+        return ", ".join(_fmt_polyset(gens) for gens in arg)
+    if shape == "relation":
+        return render(arg.relation)
+    if shape == "point":
+        return "point(" + ", ".join(render(v) for v in arg.values()) + ")"
+    if shape == "spec":
+        return f"{arg[0]} -> {arg[1]}"
+    if shape == "weights":
+        return "weights(" + ", ".join(f"{v} -> {k}" for v, k in arg.items()) + ")"
+    return str(arg)
+
+
+def _fmt_arguments(shapes: tuple, args: tuple) -> str:
+    """The inverse of Parser.arguments: an absent optional group prints nothing."""
+    parts = []
+    for shape, arg in zip(shapes, args):
+        if shape.endswith("*"):
+            parts.extend(_fmt_argument(shape[:-1], item) for item in arg.items())
+        elif arg is not None:
+            parts.append(_fmt_argument(shape.rstrip("?"), arg))
+    return "(" + ", ".join(parts) + ")"
+
+
 def format_unit(unit: SourceUnit) -> str:
     out = []
     for item in unit.items:
@@ -991,27 +948,22 @@ def format_unit(unit: SourceUnit) -> str:
             t = item.table
             sections = [", ".join(t.names)]
             lau = [v for v, f in zip(t.names, t.laurent) if f]
-            par = [v for v, wgt in zip(t.names, t.weights) if wgt == 0]
             if lau:
                 sections.append("laurent " + ", ".join(lau))
-            if par:
-                sections.append("param " + ", ".join(par))
+            if t.params():
+                sections.append("param " + ", ".join(t.params()))
             out.append(f"ring {item.name} = vars({' ; '.join(sections)});")
         elif isinstance(item, LetDecl):
             out.append(f"let {item.name} = {render(item.value)};")
+        elif isinstance(item, (MapDecl, DerivDecl)) and item.ctor is not None:
+            fn, args, preserving = item.ctor
+            shapes = CONSTRUCTORS[fn]
+            tail = f" preserving {_fmt_polyset(preserving)}" if preserving is not None else ""
+            out.append(f"{shapes[0]} {item.name} = {fn}{_fmt_arguments(shapes, args)}{tail};")
         elif isinstance(item, MapDecl):
-            if item.ctor is not None:
-                out.append(_fmt_map_ctor(item))
-                continue
             body = _fmt_images(item.value.table, item.value.images)
             out.append(f"map {item.name} : {item.ring} {body}")
         elif isinstance(item, DerivDecl):
-            if item.ctor is not None:
-                c = item.ctor
-                out.append(
-                    f"derivation {item.name} = conjugate({c[1]}, {c[2]}, {c[3]}, "
-                    f"{_fmt_polyset(c[4])}, {_fmt_polyset(c[5])});")
-                continue
             body = _fmt_images(item.value.table, item.value.images, identity_is_zero=True)
             tail = f" mod {{{render(item.value.relation.relation)}}}" if item.value.relation else ""
             out.append(f"derivation {item.name} : {item.ring} {body}{tail}")
@@ -1019,9 +971,13 @@ def format_unit(unit: SourceUnit) -> str:
             tail = ""
             if item.mod_first or item.mod_second:
                 tail = f" mod {_fmt_polyset(item.mod_first)}, {_fmt_polyset(item.mod_second)}"
-            out.append(f"inverse({item.first}, {item.second}){tail};")
+            args = _fmt_arguments(INVERSE, (item.first, item.second))
+            out.append(f"inverse{args}{tail};")
         elif isinstance(item, ClaimDecl):
-            out.append(_fmt_claim(item))
+            anchor = f'\n  anchor "{item.anchor}"' if item.anchor else ""
+            out.append(f'claim "{item.label}"\n'
+                       f'  {item.kind}{_fmt_arguments(CLAIMS[item.kind], item.args)}{anchor}\n'
+                       f'  expect {"true" if item.expect else "false"};')
         elif isinstance(item, NarrativeDecl):
             reqs = ", ".join(f'"{r}"' for r in item.requires)
             out.append(f'narrative "{item.label}" requires({reqs});')
@@ -1040,57 +996,3 @@ def _fmt_images(table: VarTable, images: dict, identity_is_zero=False) -> str:
     if not lines:
         return "{ }"
     return "{\n" + "\n".join(lines) + "\n}"
-
-
-def _fmt_map_ctor(item: MapDecl) -> str:
-    c = item.ctor
-    if c[0] == "extend":
-        return (f"map {item.name} = extend({c[1]}, {render(c[2])}, {render(c[3])});")
-    if c[0] == "compose":
-        return f"map {item.name} = compose({c[1]}, {c[2]});"
-    if c[0] == "subst_param":
-        tail = f" preserving {_fmt_polyset(c[4])}" if c[4] is not None else ""
-        return (f"map {item.name} = subst_param({c[1]}, {c[2]}, {render(c[3])}){tail};")
-    raise AssertionError(c)
-
-
-def _fmt_point(point: dict) -> str:
-    return "point(" + ", ".join(render(v) for v in point.values()) + ")"
-
-
-def _fmt_claim(c: ClaimDecl) -> str:
-    p = c.payload
-    if c.kind == "eq":
-        body = f"eq({p['lhs'].render()}, {p['rhs'].render()})"
-    elif c.kind == "divides":
-        body = f"divides({p['f'].render()}, {p['g'].render()})"
-    elif c.kind == "member":
-        body = f"member({p['f'].render()}, {_fmt_polyset(p['gens'])})"
-    elif c.kind == "nilpotent":
-        tail = f", {render(p['relation'].relation)}" if p["relation"] else ""
-        body = f"nilpotent({p['derivation']}, {p['bound']}{tail})"
-    elif c.kind == "cone_class":
-        spec = "".join(f", {k} -> {v}" for k, v in p["spec"].items())
-        body = (f"cone_class({p['f'].render()}, {_fmt_point(p['point'])}, "
-                f"{p['tag']}{spec})")
-    elif c.kind == "smooth_at_all":
-        body = f"smooth_at_all({p['f'].render()})"
-    elif c.kind == "singular_at":
-        body = f"singular_at({p['f'].render()}, {_fmt_point(p['point'])})"
-    elif c.kind == "inverse_pair":
-        tail = ""
-        if p["mod1"] or p["mod2"]:
-            tail = f", {_fmt_polyset(p['mod1'])}, {_fmt_polyset(p['mod2'])}"
-        body = f"inverse_pair({p['m1']}, {p['m2']}{tail})"
-    elif c.kind == "quasi_homogeneous":
-        ws = ", ".join(f"{v} -> {k}" for v, k in p["weights"].items())
-        body = f"quasi_homogeneous({p['f'].render()}, weights({ws}), {p['degree']})"
-    elif c.kind == "graph_variable":
-        body = f"graph_variable({p['f'].render()}, {p['var']})"
-    elif c.kind == "laurent_free":
-        body = f"laurent_free({p['name']}, {p['var']})"
-    else:
-        raise AssertionError(c.kind)
-    anchor = f'\n  anchor "{c.anchor}"' if c.anchor else ""
-    return (f'claim "{c.label}"\n  {body}{anchor}\n'
-            f'  expect {"true" if c.expect else "false"};')

@@ -94,11 +94,10 @@ class VarTable:
     def __repr__(self):
         flags = []
         lau = [v for v, f in zip(self.names, self.laurent) if f]
-        par = [v for v, w in zip(self.names, self.weights) if w == 0]
         if lau:
             flags.append("laurent " + ",".join(lau))
-        if par:
-            flags.append("param " + ",".join(par))
+        if self.params():
+            flags.append("param " + ",".join(self.params()))
         inner = ",".join(self.names) + ("; " + "; ".join(flags) if flags else "")
         return f"VarTable({inner})"
 

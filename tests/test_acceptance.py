@@ -126,15 +126,15 @@ def test_criterion_5_lnd_certification():
     S = x * y + z ** 2 + x + t ** 3
     flow = Derivation(L, {"x": -2 * t ** 6 * z, "z": t ** 6 * (y + 1)})
     cert = nilpotency_certificate(flow, 8)
-    _check(failures, cert.complete and cert.max_order() == 3,
+    _check(failures, cert.complete and max(cert.orders.values()) == 3,
            f"flow orders {cert.orders}")
     d1 = Derivation(L, {"y": 2 * z, "z": -x ** 2})
     d2 = Derivation(L, {"y": 3 * t ** 2, "t": -x ** 2})
     c1 = nilpotency_certificate(d1, 8)
     c2 = nilpotency_certificate(d2, 8)
-    _check(failures, c1.complete and c1.max_order() == 3, f"slide1 orders {c1.orders}")
+    _check(failures, c1.complete and max(c1.orders.values()) == 3, f"slide1 orders {c1.orders}")
     # measured order of y under slide2 is 4 (t^2 needs three Leibniz steps)
-    _check(failures, c2.complete and c2.max_order() == 4, f"slide2 orders {c2.orders}")
+    _check(failures, c2.complete and max(c2.orders.values()) == 4, f"slide2 orders {c2.orders}")
     fwd = RingMap(L, {"y": x * y - x * v ** 2 - 2 * z * v, "z": z + x * v,
                       "v": 2 * v + y * z + 3 * x * y * v - 3 * z * v ** 2 - x * v ** 3})
     bwd = RingMap(L, {

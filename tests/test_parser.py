@@ -1,15 +1,19 @@
 """Grammar, diagnostics, canonical rendering and round-trips."""
 
+import pathlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from krcubic.claims import run_text
 from krcubic.coeff import OMEGA
 from krcubic.errors import KrError, ParseError
-from krcubic.parser import (BinOp, InverseDecl, Lit, eval_node, format_unit,
-                            parse_polynomial, parse_ring_spec, parse_unit)
+from krcubic.parser import (CLAIMS, CONSTRUCTORS, BinOp, InverseDecl, Lit,
+                            eval_node, format_unit, parse_polynomial,
+                            parse_ring_spec, parse_unit)
 from krcubic.poly import Polynomial, VarTable, render
 
 from conftest import random_poly, random_table
@@ -295,6 +299,146 @@ KERNEL_ERROR_SITES = {
 @pytest.mark.parametrize("site", sorted(KERNEL_ERROR_SITES))
 def test_kernel_errors_are_positioned(site):
     text, message, line, col = KERNEL_ERROR_SITES[site]
+    with pytest.raises(ParseError) as info:
+        parse_unit(text)
+    assert (info.value.message, info.value.line, info.value.col) == (message, line, col)
+
+
+R2 = "ring R = vars(x, y);\n"
+AB = "map A : R { y -> y + x; }\nmap B : R { y -> y - x; }\n"
+AB_FMT = "map A : R {\n  y -> x + y;\n}\nmap B : R {\n  y -> -x + y;\n}\n"
+S = "map S : R { y -> y + x; }\n"
+S_FMT = "map S : R {\n  y -> x + y;\n}\n"
+P4 = "ring R = vars(x, y, z, t);\nlet P = x^2*y + z^2 + x + t^3;\n"
+P4_FMT = "ring R = vars(x, y, z, t);\nlet P = x^2*y + t^3 + z^2 + x;\n"
+CP = "ring R = vars(x, y, c ; param c);\nmap M : R { y -> y + c*x; }\n"
+CP_FMT = "ring R = vars(x, y, c ; param c);\nmap M : R {\n  y -> x*c + y;\n}\n"
+LT = "ring R = vars(x, t ; laurent t);\n"
+
+
+def _claim(body: str, expect: str = "true") -> str:
+    return f'claim "c"\n  {body}\n  expect {expect};\n'
+
+
+# Case id (its first word names the form) -> (unit, exact `fmt` output).  Every
+# claim kind, constructor and inverse declaration, each optional group both
+# absent and present; every unit's claims pass.
+FMT_CASES = {
+    "eq": (R2 + 'claim "c" eq((1 + x)^2, 1 + 2*x + x^2) expect true;',
+           R2 + _claim("eq(x^2 + 2*x + 1, x^2 + 2*x + 1)")),
+    "divides": (R2 + 'claim "c" divides(x^2 - 1, x + 1) expect true;',
+                R2 + _claim("divides(x^2 - 1, x + 1)")),
+    "member": (R2 + 'claim "c" member(x*y, {x}) anchor "x*y is in (x)" expect true;',
+               R2 + 'claim "c"\n  member(x*y, {x})\n  anchor "x*y is in (x)"\n  expect true;\n'),
+    "nilpotent": (R2 + 'derivation D : R { y -> x; }\nclaim "c" nilpotent(D, 3) expect true;',
+                  R2 + "derivation D : R {\n  y -> x;\n}\n" + _claim("nilpotent(D, 3)")),
+    "nilpotent relation": (
+        P4 + 'derivation D : R { y -> 2*z; z -> -x^2; }\n'
+        'claim "c" nilpotent(D, 8, P) expect true;',
+        P4_FMT + "derivation D : R {\n  y -> 2*z;\n  z -> -x^2;\n}\n"
+        + _claim("nilpotent(D, 8, x^2*y + t^3 + z^2 + x)")),
+    "cone_class": (
+        R2 + 'claim "c" cone_class(x^2 + y^3, point(0, 0), double_hyperplane) expect true;',
+        R2 + _claim("cone_class(y^3 + x^2, point(0, 0), double_hyperplane)")),
+    "cone_class two specs": (
+        "ring R = vars(x, y, a, b ; param a, b);\n"
+        'claim "c" cone_class(a*x^2 + b*y^2, point(0, 0), two_distinct_hyperplanes, '
+        "a -> 1, b -> -1) expect true;",
+        "ring R = vars(x, y, a, b ; param a, b);\n"
+        + _claim("cone_class(x^2*a + y^2*b, point(0, 0), two_distinct_hyperplanes, "
+                 "a -> 1, b -> -1)")),
+    "smooth_at_all": (R2 + 'claim "c" smooth_at_all(x + y^2) expect true;',
+                      R2 + _claim("smooth_at_all(y^2 + x)")),
+    "singular_at": (R2 + 'claim "c" singular_at(x^2 + y^3, point(0, 0)) expect true;',
+                    R2 + _claim("singular_at(y^3 + x^2, point(0, 0))")),
+    "inverse_pair": (R2 + AB + 'claim "c" inverse_pair(A, B) expect true;',
+                     R2 + AB_FMT + _claim("inverse_pair(A, B)")),
+    "inverse_pair ideals": (R2 + S + 'claim "c" inverse_pair(S, S, {x}, {x}) expect true;',
+                            R2 + S_FMT + _claim("inverse_pair(S, S, {x}, {x})")),
+    "quasi_homogeneous": (
+        R2 + 'claim "c" quasi_homogeneous(x^2 + y^3, weights(x -> 3, y -> 2), 6) expect true;',
+        R2 + _claim("quasi_homogeneous(y^3 + x^2, weights(x -> 3, y -> 2), 6)")),
+    "graph_variable": (R2 + 'claim "c" graph_variable(2*y + x^2, y) expect true;',
+                       R2 + _claim("graph_variable(x^2 + 2*y, y)")),
+    "laurent_free map": (LT + 'map M : R { x -> x*t; }\nclaim "c" laurent_free(M, t) expect true;',
+                         LT + "map M : R {\n  x -> x*t;\n}\n" + _claim("laurent_free(M, t)")),
+    "laurent_free derivation": (
+        LT + 'derivation D : R { x -> t^-1; }\nclaim "c" laurent_free(D, t) expect false;',
+        LT + "derivation D : R {\n  x -> t^-1;\n}\n" + _claim("laurent_free(D, t)", "false")),
+    "extend": (P4 + 'map M : R { z -> -z; }\nmap E = extend(M, P, 1);\n'
+               'claim "c" eq(E(y), y) expect true;',
+               P4_FMT + "map M : R {\n  z -> -z;\n}\n"
+               "map E = extend(M, x^2*y + t^3 + z^2 + x, 1);\n" + _claim("eq(E(y), y)")),
+    "compose": (R2 + AB + 'map C = compose(A, A);\nclaim "c" eq(C(y), y + 2*x) expect true;',
+                R2 + AB_FMT + "map C = compose(A, A);\n" + _claim("eq(C(y), 2*x + y)")),
+    "subst_param": (CP + 'map N = subst_param(M, c, 2);\nclaim "c" eq(N(y), y + 2*x) expect true;',
+                    CP_FMT + "map N = subst_param(M, c, 2);\n" + _claim("eq(N(y), 2*x + y)")),
+    "subst_param preserving": (
+        CP + 'map N = subst_param(M, c, 2) preserving {x};\n'
+        'claim "c" eq(N(y), y + 2*x) expect true;',
+        CP_FMT + "map N = subst_param(M, c, 2) preserving {x};\n"
+        + _claim("eq(N(y), 2*x + y)")),
+    "conjugate": (R2 + AB + 'derivation D : R { x -> 1; }\n'
+                  'derivation E = conjugate(D, A, B, {x}, {x});\n'
+                  'claim "c" eq(E(y), -1) expect true;',
+                  R2 + AB_FMT + "derivation D : R {\n  x -> 1;\n}\n"
+                  "derivation E = conjugate(D, A, B, {x}, {x});\n" + _claim("eq(E(y), -1)")),
+    "inverse": (R2 + AB + 'inverse(A, B);\nclaim "c" eq(A(B(y)), y) expect true;',
+                R2 + AB_FMT + "inverse(A, B);\n" + _claim("eq(A(B(y)), y)")),
+    "inverse mod": (R2 + S + 'inverse(S, S) mod {x}, {x};\n'
+                    'claim "c" member(S(S(y)) - y, {x}) expect true;',
+                    R2 + S_FMT + "inverse(S, S) mod {x}, {x};\n"
+                    + _claim("member(S(S(y)) - y, {x})")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FMT_CASES))
+def test_fmt_prints_each_form_exactly(case):
+    text, expected = FMT_CASES[case]
+    assert format_unit(parse_unit(text)) == expected
+    assert format_unit(parse_unit(expected)) == expected
+    report = run_text(text)
+    assert report.results and report.all_pass, report.to_text()
+
+
+def test_fmt_cases_cover_every_form():
+    forms = {case.split()[0] for case in FMT_CASES}
+    assert forms - set(CONSTRUCTORS) - {"inverse"} == set(CLAIMS)
+    assert set(CONSTRUCTORS) <= forms and "inverse" in forms
+
+
+def test_readme_lists_exactly_the_claim_kinds():
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("Claim kinds:")[1].split("\n\n")[1]
+    assert set(re.findall(r"`(\w+)\(", section)) == set(CLAIMS)
+
+
+# A name argument is looked up and kind-checked as soon as it is read, and the
+# error points at the name.
+NAME_DIAGNOSTICS = {
+    "compose": (R2 + "let P = x;\nmap M : R { y -> y; }\nmap C = compose(P, M);",
+                "compose() needs a map, 'P' is a poly", 4, 17),
+    "conjugate": (R2 + AB + "let P = x;\nderivation D : R { x -> 1; }\n"
+                  "derivation E = conjugate(D, P, B, {x}, {x});",
+                  "conjugate() needs a map, 'P' is a poly", 6, 29),
+    "conjugate derivation": (R2 + AB + "derivation D : R { x -> 1; }\n"
+                             "derivation E = conjugate(A, A, B, {x}, {x});",
+                             "conjugate() needs a derivation, 'A' is a map", 5, 26),
+    "inverse": (R2 + AB + "let P = x;\ninverse(A, P);",
+                "inverse() needs a map, 'P' is a poly", 5, 12),
+    "inverse_pair": (R2 + AB + "derivation D : R { x -> 1; }\n"
+                     'claim "c" inverse_pair(A, D) expect true;',
+                     "inverse_pair() needs a map, 'D' is a derivation", 5, 27),
+    "laurent_free": (R2 + 'let P = x;\nclaim "c" laurent_free(P, x) expect true;',
+                     "laurent_free() needs a derivation or map, 'P' is a poly", 3, 24),
+    "undeclared before a later syntax error": (
+        R2 + AB + "map C = compose(A, q, B);", "use of undeclared name 'q'", 4, 20),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAME_DIAGNOSTICS))
+def test_name_arguments_are_checked_where_read(case):
+    text, message, line, col = NAME_DIAGNOSTICS[case]
     with pytest.raises(ParseError) as info:
         parse_unit(text)
     assert (info.value.message, info.value.line, info.value.col) == (message, line, col)
