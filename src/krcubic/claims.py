@@ -111,7 +111,7 @@ def _eval_claim(unit: SourceUnit, claim: ClaimDecl) -> tuple[bool, str]:
         return member(f, list(gens)), f"f = {render(f)}"
     if claim.kind == "nilpotent":
         name, bound, relation = args
-        d = env[name][1]
+        d = env[name].value
         if relation is not None:
             d = d.modulo(relation)
         cert = nilpotency_certificate(d, bound)
@@ -131,7 +131,7 @@ def _eval_claim(unit: SourceUnit, claim: ClaimDecl) -> tuple[bool, str]:
         return singular_at(ev(f), point), ""
     if claim.kind == "inverse_pair":
         m1, m2, ideals = args
-        return verify_inverse_pair(env[m1][1], env[m2][1], *(ideals or ([], []))), ""
+        return verify_inverse_pair(env[m1].value, env[m2].value, *(ideals or ([], []))), ""
     if claim.kind == "quasi_homogeneous":
         f, weights, degree = args
         return ev(f).is_weighted_homogeneous(weights, degree), ""
@@ -140,7 +140,7 @@ def _eval_claim(unit: SourceUnit, claim: ClaimDecl) -> tuple[bool, str]:
         return graph_variable_check(ev(f), var), ""
     if claim.kind == "laurent_free":
         name, var = args
-        images = env[name][1].images
+        images = env[name].value.images
         bad = [v for v in sorted(images) if images[v].min_exponent(var) < 0]
         return not bad, ("" if not bad else
                          f"negative {var}-exponents in images of {', '.join(bad)}")

@@ -94,10 +94,10 @@ def _load_unit(path: str):
 
 
 def _named(unit, name: str, kind: str):
-    entry = unit.env.get(name)
-    if entry is None or entry[0] != kind:
+    decl = unit.env.get(name)
+    if decl is None or decl.kind != kind:
         raise KrError(f"file does not declare a {kind} named {name!r}")
-    return entry[1]
+    return decl.value
 
 
 def main(argv: list[str] | None = None) -> int:

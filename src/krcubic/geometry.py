@@ -54,11 +54,6 @@ def tangent_cone(f: Polynomial, point: Mapping[str, "Polynomial | int"]) -> Poly
     return f.lowest_homogeneous_part(center)
 
 
-def _nonparam_degree(form: Polynomial, exps: tuple[int, ...]) -> int:
-    return sum(e * (1 if w != 0 else 0)
-               for e, w in zip(exps, form.table.weights))
-
-
 def _gram_rank(form: Polynomial) -> tuple[int, int]:
     """(rank, number of occurring non-parameter variables) of a quadratic form."""
     table = form.table
@@ -120,7 +115,7 @@ def classify_quadric(form: Polynomial,
     if form.is_zero():
         raise KrError("cannot classify the zero form")
     for exps in form.terms:
-        if _nonparam_degree(form, exps) != 2:
+        if form.weighted_degree_of_term(exps) != 2:
             raise KrError("form is not homogeneous of degree 2 in its variables")
     for v in form.variables_used():
         if table.is_param(v):

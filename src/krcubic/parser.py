@@ -28,15 +28,20 @@ Declarations:
     claim "label" KIND(...) [anchor "text"] expect true|false;
     narrative "label" requires("label1", ...);
 
-The argument shapes of each claim kind and constructor live once, as data, in
-CLAIMS and CONSTRUCTORS; Parser.arguments reads them and _fmt_arguments prints
-them.  The first error aborts the unit with a 1-based line/column diagnostic.
+The argument shapes of each claim kind, constructor and built-in live once, as
+data, in CLAIMS, CONSTRUCTORS and BUILTINS; Parser.arguments reads them and
+_fmt_arguments prints them.  Each declared name has one Decl record, and
+SourceUnit.env maps a name to its Decl (rings: SourceUnit.rings maps a name to
+its VarTable).  The first error aborts the unit with a 1-based line/column
+diagnostic.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .coeff import OMEGA
 from .errors import KrError, ParseError
@@ -74,6 +79,14 @@ CONSTRUCTORS = {
     "conjugate": ("derivation", "map", "map", "polys", "polys"),
 }
 
+# Functions an expression may call; 'vars' reads one or more variable names.
+BUILTINS = {
+    "quot": ("expr", "expr"),
+    "nf": ("expr", "expr"),
+    "theta": ("map", "expr"),
+    "jacdet": ("map", "vars"),
+}
+
 # inverse(A, B) mod {...}, {...}; the ideals follow the parenthesis.
 INVERSE = ("map", "map")
 
@@ -81,12 +94,18 @@ KEYWORDS = {
     "ring", "vars", "laurent", "param", "let", "map", "derivation", "claim",
     "narrative", "requires", "anchor", "expect", "true", "false", "mod",
     "inverse", "point", "weights", "preserving", "w",
-    "nf", "quot", "theta", "jacdet",
-} | CLAIMS.keys() | CONSTRUCTORS.keys()
+} | CLAIMS.keys() | CONSTRUCTORS.keys() | BUILTINS.keys()
 
 
-@dataclass(frozen=True)
-class Token:
+# One alternative per token kind, tried in order.  An identifier must start
+# with a character for which str.isalpha() holds, or '_'; no regex class says
+# that (\w and [^\W\d] also match '²'), so tokenize checks the first one.
+_TOKEN = re.compile(r'(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<comment>#[^\n]*)'
+                    r'|"(?P<string>[^"\n]*)"|(?P<unterminated>")|(?P<int>[0-9]+)'
+                    r'|(?P<ident>\w+)|(?P<punct>->|[(){},;:^*+\-/=])|(?P<bad>.)')
+
+
+class Token(NamedTuple):
     kind: str  # ident, int, string, punct, eof
     text: str
     line: int
@@ -96,62 +115,19 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     tokens = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col, start = line, col, i
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] not in '"\n':
-                j += 1
-            if j >= n or text[j] != '"':
-                raise ParseError("unterminated string", start_line, start_col, start)
-            tokens.append(Token("string", text[i + 1:j], start_line, start_col, start))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", text[i:j], start_line, start_col, start))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], start_line, start_col, start))
-            col += j - i
-            i = j
-            continue
-        if text.startswith("->", i):
-            tokens.append(Token("punct", "->", start_line, start_col, start))
-            i += 2
-            col += 2
-            continue
-        if ch in "(){},;:^*+-/=":
-            tokens.append(Token("punct", ch, start_line, start_col, start))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col, i)
-    tokens.append(Token("eof", "", line, col, n))
+    line, line_start, end = 1, 0, 0
+    for m in _TOKEN.finditer(text):
+        kind, pos = m.lastgroup, m.start()
+        end = pos if kind == "comment" else m.end()  # eof sits before a final comment
+        if kind == "newline":
+            line, line_start = line + 1, end
+        elif kind == "unterminated":
+            raise ParseError("unterminated string", line, pos - line_start + 1, pos)
+        elif kind == "bad" or kind == "ident" and not (text[pos].isalpha() or text[pos] == "_"):
+            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1, pos)
+        elif kind not in ("space", "comment"):
+            tokens.append(Token(kind, m[kind], line, pos - line_start + 1, pos))
+    tokens.append(Token("eof", "", line, end - line_start + 1, len(text)))
     return tokens
 
 
@@ -184,12 +160,10 @@ class Apply:
 @dataclass(frozen=True)
 class Builtin:
     fn: str
-    args: tuple
-    names: tuple[str, ...] = ()
+    args: tuple  # one value per shape in BUILTINS[fn]
 
     def render(self, prec: int = 0) -> str:
-        parts = list(self.names) + [a.render(0) for a in self.args]
-        return f"{self.fn}({', '.join(parts)})"
+        return self.fn + _fmt_arguments(BUILTINS[self.fn], self.args)
 
 
 @dataclass(frozen=True)
@@ -237,24 +211,21 @@ def eval_node(node, env: dict, table: VarTable) -> Polynomial:
         b = eval_node(node.right, env, table)
         return _combine(node.op, a, b)
     if isinstance(node, Apply):
-        return env[node.name][1].apply(eval_node(node.arg, env, table))
+        return env[node.name].value.apply(eval_node(node.arg, env, table))
     if isinstance(node, Builtin):
-        if node.fn == "quot":
-            num = eval_node(node.args[0], env, table)
-            den = eval_node(node.args[1], env, table)
-            q = exact_divide(num, den)
-            if q is None:
-                raise KrError("quot(): not exactly divisible")
-            return q
-        if node.fn == "nf":
-            f = eval_node(node.args[0], env, table)
-            rel = QuotientRelation(eval_node(node.args[1], env, table))
-            return normal_form(f, rel)
         if node.fn == "theta":
-            return theta_extract(env[node.names[0]][1], eval_node(node.args[0], env, table))
+            name, r = node.args
+            return theta_extract(env[name].value, eval_node(r, env, table))
         if node.fn == "jacdet":
-            _, det = jacobian(env[node.names[0]][1], node.names[1:])
-            return det
+            name, names = node.args
+            return jacobian(env[name].value, names)[1]
+        a, b = (eval_node(arg, env, table) for arg in node.args)
+        if node.fn == "nf":
+            return normal_form(a, QuotientRelation(b))
+        q = exact_divide(a, b)
+        if q is None:
+            raise KrError("quot(): not exactly divisible")
+        return q
     raise KrError(f"cannot evaluate node {node!r}")
 
 
@@ -271,48 +242,31 @@ def _construct(fn: str, args: tuple, preserving, env: dict):
     """Elaborate a constructor call (see CONSTRUCTORS); names are looked up in env."""
     if fn == "extend":
         base, relation, unit = args
-        return extend_to_quotient_automorphism(env[base][1], QuotientRelation(relation),
+        return extend_to_quotient_automorphism(env[base].value, QuotientRelation(relation),
                                                unit).map
     if fn == "compose":
         outer, inner = args
-        return compose(env[outer][1], env[inner][1])
+        return compose(env[outer].value, env[inner].value)
     if fn == "subst_param":
         base, param, value = args
-        return substitute_parameter(env[base][1], param, value, check_ideal=preserving)
+        return substitute_parameter(env[base].value, param, value, check_ideal=preserving)
     d, fwd, bwd, mod1, mod2 = args
-    return conjugate(env[d][1], env[fwd][1], env[bwd][1], mod1, mod2)
+    return conjugate(env[d].value, env[fwd].value, env[bwd].value, mod1, mod2)
 
 
 # ---------------------------------------------------------------------------
 # declarations
 
 @dataclass
-class RingDecl:
+class Decl:
+    """A declared name.  kind 'ring' holds a VarTable (ring: None), 'poly' a
+    Polynomial, 'map' a RingMap and 'derivation' a Derivation, each over the
+    ring current at the declaration."""
+    kind: str
     name: str
-    table: VarTable
-
-
-@dataclass
-class LetDecl:
-    name: str
-    ring: str
-    value: Polynomial
-
-
-@dataclass
-class MapDecl:
-    name: str
-    ring: str
-    value: RingMap
-    ctor: tuple | None = None  # (fn, args, preserving) for fmt
-
-
-@dataclass
-class DerivDecl:
-    name: str
-    ring: str
-    value: Derivation
-    ctor: tuple | None = None
+    ring: str | None
+    value: object
+    ctor: tuple | None = None  # (fn, args, preserving) of a constructor, for fmt
 
 
 @dataclass
@@ -342,7 +296,7 @@ class NarrativeDecl:
 @dataclass
 class SourceUnit:
     items: list = field(default_factory=list)
-    env: dict = field(default_factory=dict)   # name -> (kind, object)
+    env: dict = field(default_factory=dict)    # name -> Decl, for all but rings
     rings: dict = field(default_factory=dict)
     claims: list = field(default_factory=list)
     narratives: list = field(default_factory=list)
@@ -398,11 +352,11 @@ class Parser:
             self.error(f"expected {what}", tok, expected=(what,))
         return self.next()
 
-    def string(self) -> str:
+    def string(self) -> Token:
         tok = self.peek()
         if tok.kind != "string":
             self.error("expected a string literal", tok, expected=("string",))
-        return self.next().text
+        return self.next()
 
     def integer(self) -> int:
         neg = self.accept("-")
@@ -415,7 +369,8 @@ class Parser:
 
     # -- name table ----------------------------------------------------------
 
-    def declare(self, name_tok: Token, kind: str, obj):
+    def declare(self, name_tok: Token, kind: str, value, ctor=None):
+        """Check the name, then record its Decl in env (a ring: in rings) and items."""
         name = name_tok.text
         if name in KEYWORDS:
             self.error(f"{name!r} is a reserved word", name_tok)
@@ -424,32 +379,34 @@ class Parser:
         if self.current_ring is not None and name in self.table()._index:
             self.error(f"{name!r} collides with a ring variable", name_tok)
         if kind == "ring":
-            self.unit.rings[name] = obj
+            decl = Decl(kind, name, None, value)
+            self.unit.rings[name] = value
         else:
-            self.unit.env[name] = (kind, obj)
+            decl = self.unit.env[name] = Decl(kind, name, self.current_ring, value, ctor)
+        self.unit.items.append(decl)
 
     def table(self) -> VarTable:
         if self.current_ring is None:
             self.error("no ring declared yet")
         return self.unit.rings[self.current_ring]
 
-    def lookup(self, tok: Token) -> tuple[str, object]:
-        entry = self.unit.env.get(tok.text)
-        if entry is None:
+    def lookup(self, tok: Token) -> Decl:
+        decl = self.unit.env.get(tok.text)
+        if decl is None:
             self.error(f"use of undeclared name {tok.text!r}", tok)
-        return entry
+        return decl
 
     def named(self, kind: str, fn: str) -> Token:
         """Read the name of a declared object of the kind ('a|b': either) fn() needs."""
         what = kind.replace("|", " or ")
         tok = self.ident(f"{what} name")
-        got, _ = self.lookup(tok)
+        got = self.lookup(tok).kind
         if got not in kind.split("|"):
             self.error(f"{fn}() needs a {what}, {tok.text!r} is a {got}", tok)
         return tok
 
-    def variable(self, what: str = "variable name") -> str:
-        tok = self.ident(what)
+    def variable(self) -> str:
+        tok = self.ident("variable name")
         if tok.text not in self.table()._index:
             self.error(f"unknown variable {tok.text!r}", tok)
         return tok.text
@@ -508,54 +465,25 @@ class Parser:
             self.error("expected a polynomial", tok,
                        expected=("number", "identifier", "("))
         name = tok.text
-        if name == "w":
-            self.next()
-            return Lit(self.table().constant(OMEGA))
-        if name in ("quot", "nf", "theta", "jacdet"):
-            self.next()
-            return self.parse_builtin(name, tok)
         self.next()
+        if name == "w":
+            return Lit(self.table().constant(OMEGA))
+        if name in BUILTINS:
+            args = self.arguments(name, BUILTINS[name])
+            if name == "nf" and isinstance(args[1], Lit):
+                self.kernel(tok, QuotientRelation, args[1].value)
+            return Builtin(name, args)
         table = self.table()
         if name in table._index:
             return Lit(table.var(name))
-        kind, obj = self.lookup(tok)
-        if kind == "poly":
-            value, _ = obj
-            return Lit(self.kernel(tok, value.transport, table))
-        if kind in ("map", "derivation"):
-            if not self.accept("("):
-                self.error(f"{name!r} is a {kind}; apply it as {name}(...)", tok)
-            arg = self.parse_expr()
-            self.expect(")")
-            return Apply(name, arg)
-        self.error(f"{name!r} cannot appear in an expression", tok)
-
-    def parse_builtin(self, fn: str, tok: Token):
-        self.expect("(")
-        if fn in ("quot", "nf"):
-            a = self.parse_expr()
-            self.expect(",")
-            b = self.parse_expr()
-            self.expect(")")
-            if fn == "nf" and isinstance(b, Lit):
-                self.kernel(tok, QuotientRelation, b.value)
-            return Builtin(fn, (a, b))
-        if fn == "theta":
-            mtok = self.named("map", "theta")
-            self.expect(",")
-            r = self.parse_expr()
-            self.expect(")")
-            return Builtin("theta", (r,), (mtok.text,))
-        if fn == "jacdet":
-            mtok = self.named("map", "jacdet")
-            names = [mtok.text]
-            while self.accept(","):
-                names.append(self.variable("variable"))
-            self.expect(")")
-            if len(names) < 2:
-                self.error("jacdet() needs at least one variable", tok)
-            return Builtin("jacdet", (), tuple(names))
-        raise AssertionError(fn)
+        decl = self.lookup(tok)
+        if decl.kind == "poly":
+            return Lit(self.kernel(tok, decl.value.transport, table))
+        if not self.accept("("):
+            self.error(f"{name!r} is a {decl.kind}; apply it as {name}(...)", tok)
+        arg = self.parse_expr()
+        self.expect(")")
+        return Apply(name, arg)
 
     def parse_poly(self, tok: Token | None = None) -> Polynomial:
         """Parse an expression and evaluate it immediately."""
@@ -574,8 +502,8 @@ class Parser:
             handler = {
                 "ring": self.parse_ring,
                 "let": self.parse_let,
-                "map": self.parse_map,
-                "derivation": self.parse_derivation,
+                "map": self._parse_map_or_derivation,
+                "derivation": self._parse_map_or_derivation,
                 "inverse": self.parse_inverse,
                 "claim": self.parse_claim,
                 "narrative": self.parse_narrative,
@@ -599,14 +527,14 @@ class Parser:
         self.expect("vars")
         self.expect("(")
         var_toks = self._idlist()
-        laurent: list[str] = []
-        params: list[str] = []
+        laurent: list[Token] = []
+        params: list[Token] = []
         while self.accept(";"):
             section = self.ident("'laurent' or 'param'")
             if section.text == "laurent":
-                laurent.extend(t.text for t in self._idlist())
+                laurent.extend(self._idlist())
             elif section.text == "param":
-                params.extend(t.text for t in self._idlist())
+                params.extend(self._idlist())
             else:
                 self.error("expected 'laurent' or 'param'", section,
                            expected=("laurent", "param"))
@@ -620,11 +548,11 @@ class Parser:
                 self.error(f"duplicate variable {tok.text!r}", tok)
             names.append(tok.text)
         for flagged in laurent + params:
-            if flagged not in names:
-                self.error(f"flagged variable {flagged!r} is not in vars(...)")
-        table = VarTable(names, laurent=laurent, params=params)
+            if flagged.text not in names:
+                self.error(f"flagged variable {flagged.text!r} is not in vars(...)", flagged)
+        table = VarTable(names, laurent=[t.text for t in laurent],
+                         params=[t.text for t in params])
         self.declare(name, "ring", table)
-        self.unit.items.append(RingDecl(name.text, table))
         self.current_ring = name.text
 
     def parse_let(self):
@@ -633,8 +561,7 @@ class Parser:
         self.expect("=")
         value = self.parse_poly()
         self.expect(";")
-        self.declare(name, "poly", (value, self.current_ring))
-        self.unit.items.append(LetDecl(name.text, self.current_ring, value))
+        self.declare(name, "poly", value)
 
     def _parse_image_block(self) -> dict[str, Polynomial]:
         self.expect("{")
@@ -661,19 +588,27 @@ class Parser:
                 self.error(f"unknown ring {rtok.text!r}", rtok)
             self.current_ring = rtok.text
 
-    def parse_map(self):
-        self.expect("map")
-        name = self.ident("map name")
+    def _parse_map_or_derivation(self):
+        """KIND NAME = CTOR(...); or KIND NAME [: RING] { images } [mod {rel}] [;]
+        for KIND map or derivation; only a derivation takes 'mod'."""
+        kind = self.next().text
+        name = self.ident(f"{kind} name")
         tok = self.peek()
         if self.accept("="):
-            self.parse_constructor(name, "map")
+            self.parse_constructor(name, kind)
             return
         self._ring_annotation()
         images = self._parse_image_block()
+        relation = None
+        if kind == "derivation" and self.accept("mod"):
+            self.expect("{")
+            rel_poly = self.parse_poly()
+            self.expect("}")
+            relation = self.kernel(tok, QuotientRelation, rel_poly)
         self.accept(";")
-        value = self.kernel(tok, RingMap, self.table(), images)
-        self.declare(name, "map", value)
-        self.unit.items.append(MapDecl(name.text, self.current_ring, value))
+        value = (self.kernel(tok, RingMap, self.table(), images) if kind == "map"
+                 else self.kernel(tok, Derivation, self.table(), images, relation))
+        self.declare(name, kind, value)
 
     def _polyset(self) -> list[Polynomial]:
         self.expect("{")
@@ -701,30 +636,7 @@ class Parser:
             preserving = self._polyset()
         self.expect(";")
         value = self.kernel(fn, _construct, fn.text, args, preserving, self.unit.env)
-        self.declare(name, kind, value)
-        decl = MapDecl if kind == "map" else DerivDecl
-        self.unit.items.append(decl(name.text, self.current_ring, value,
-                                    ctor=(fn.text, args, preserving)))
-
-    def parse_derivation(self):
-        self.expect("derivation")
-        name = self.ident("derivation name")
-        tok = self.peek()
-        if self.accept("="):
-            self.parse_constructor(name, "derivation")
-            return
-        self._ring_annotation()
-        images = self._parse_image_block()
-        relation = None
-        if self.accept("mod"):
-            self.expect("{")
-            rel_poly = self.parse_poly()
-            self.expect("}")
-            relation = self.kernel(tok, QuotientRelation, rel_poly)
-        self.accept(";")
-        value = self.kernel(tok, Derivation, self.table(), images, relation)
-        self.declare(name, "derivation", value)
-        self.unit.items.append(DerivDecl(name.text, self.current_ring, value))
+        self.declare(name, kind, value, ctor=(fn.text, args, preserving))
 
     def parse_inverse(self):
         """inverse(A, B) mod {gens}, {gens}; checks an inverse pair while parsing.
@@ -739,7 +651,7 @@ class Parser:
         mod1, mod2 = self._ideal_pair() if self.accept("mod") else ([], [])
         self.expect(";")
         env = self.unit.env
-        if not self.kernel(start, verify_inverse_pair, env[first][1], env[second][1],
+        if not self.kernel(start, verify_inverse_pair, env[first].value, env[second].value,
                            mod1, mod2):
             self.error(f"{first!r} and {second!r} are not inverse "
                        f"modulo the declared ideals", start)
@@ -782,7 +694,7 @@ class Parser:
         if shape == "relation":
             return self.kernel(start, QuotientRelation, self.parse_poly())
         if shape == "point":
-            self.expect("point")
+            tok = self.expect("point")
             self.expect("(")
             coords = [self.parse_poly()]
             while self.accept(","):
@@ -790,10 +702,15 @@ class Parser:
             self.expect(")")
             targets = self.table().non_params()
             if len(coords) != len(targets):
-                self.error(f"point needs {len(targets)} coordinates, got {len(coords)}")
+                self.error(f"point needs {len(targets)} coordinates, got {len(coords)}", tok)
             return dict(zip(targets, coords))
         if shape == "var":
             return self.variable()
+        if shape == "vars":
+            names = [self.variable()]
+            while self.accept(","):
+                names.append(self.variable())
+            return tuple(names)
         if shape == "param":
             return self.ident("parameter name").text
         if shape == "integer":
@@ -836,9 +753,10 @@ class Parser:
 
     def parse_claim(self):
         self.expect("claim")
-        label = self.string()
+        label_tok = self.string()
+        label = label_tok.text
         if any(c.label == label for c in self.unit.claims):
-            self.error(f"duplicate claim label {label!r}")
+            self.error(f"duplicate claim label {label!r}", label_tok)
         kind_tok = self.ident("claim kind")
         kind = kind_tok.text
         if kind not in CLAIMS:
@@ -846,7 +764,7 @@ class Parser:
         args = self.arguments(kind, CLAIMS[kind])
         anchor = None
         if self.accept("anchor"):
-            anchor = self.string()
+            anchor = self.string().text
         self.expect("expect")
         exp_tok = self.ident("'true' or 'false'")
         if exp_tok.text not in ("true", "false"):
@@ -860,7 +778,7 @@ class Parser:
 
     def parse_narrative(self):
         self.expect("narrative")
-        label = self.string()
+        label = self.string().text
         self.expect("requires")
         self.expect("(")
         requires = [self.string()]
@@ -871,9 +789,9 @@ class Parser:
         known = {c.label for c in self.unit.claims}
         known.update(n.label for n in self.unit.narratives)
         for req in requires:
-            if req not in known:
-                self.error(f"narrative references unknown claim {req!r}")
-        decl = NarrativeDecl(label, tuple(requires))
+            if req.text not in known:
+                self.error(f"narrative references unknown claim {req.text!r}", req)
+        decl = NarrativeDecl(label, tuple(req.text for req in requires))
         self.unit.narratives.append(decl)
         self.unit.items.append(decl)
 
@@ -927,6 +845,8 @@ def _fmt_argument(shape: str, arg) -> str:
         return f"{arg[0]} -> {arg[1]}"
     if shape == "weights":
         return "weights(" + ", ".join(f"{v} -> {k}" for v, k in arg.items()) + ")"
+    if shape == "vars":
+        return ", ".join(arg)
     return str(arg)
 
 
@@ -944,30 +864,7 @@ def _fmt_arguments(shapes: tuple, args: tuple) -> str:
 def format_unit(unit: SourceUnit) -> str:
     out = []
     for item in unit.items:
-        if isinstance(item, RingDecl):
-            t = item.table
-            sections = [", ".join(t.names)]
-            lau = [v for v, f in zip(t.names, t.laurent) if f]
-            if lau:
-                sections.append("laurent " + ", ".join(lau))
-            if t.params():
-                sections.append("param " + ", ".join(t.params()))
-            out.append(f"ring {item.name} = vars({' ; '.join(sections)});")
-        elif isinstance(item, LetDecl):
-            out.append(f"let {item.name} = {render(item.value)};")
-        elif isinstance(item, (MapDecl, DerivDecl)) and item.ctor is not None:
-            fn, args, preserving = item.ctor
-            shapes = CONSTRUCTORS[fn]
-            tail = f" preserving {_fmt_polyset(preserving)}" if preserving is not None else ""
-            out.append(f"{shapes[0]} {item.name} = {fn}{_fmt_arguments(shapes, args)}{tail};")
-        elif isinstance(item, MapDecl):
-            body = _fmt_images(item.value.table, item.value.images)
-            out.append(f"map {item.name} : {item.ring} {body}")
-        elif isinstance(item, DerivDecl):
-            body = _fmt_images(item.value.table, item.value.images, identity_is_zero=True)
-            tail = f" mod {{{render(item.value.relation.relation)}}}" if item.value.relation else ""
-            out.append(f"derivation {item.name} : {item.ring} {body}{tail}")
-        elif isinstance(item, InverseDecl):
+        if isinstance(item, InverseDecl):
             tail = ""
             if item.mod_first or item.mod_second:
                 tail = f" mod {_fmt_polyset(item.mod_first)}, {_fmt_polyset(item.mod_second)}"
@@ -981,6 +878,28 @@ def format_unit(unit: SourceUnit) -> str:
         elif isinstance(item, NarrativeDecl):
             reqs = ", ".join(f'"{r}"' for r in item.requires)
             out.append(f'narrative "{item.label}" requires({reqs});')
+        elif item.kind == "ring":
+            t = item.value
+            sections = [", ".join(t.names)]
+            lau = [v for v, f in zip(t.names, t.laurent) if f]
+            if lau:
+                sections.append("laurent " + ", ".join(lau))
+            if t.params():
+                sections.append("param " + ", ".join(t.params()))
+            out.append(f"ring {item.name} = vars({' ; '.join(sections)});")
+        elif item.kind == "poly":
+            out.append(f"let {item.name} = {render(item.value)};")
+        elif item.ctor is not None:
+            fn, args, preserving = item.ctor
+            tail = f" preserving {_fmt_polyset(preserving)}" if preserving is not None else ""
+            out.append(f"{item.kind} {item.name} = {fn}"
+                       f"{_fmt_arguments(CONSTRUCTORS[fn], args)}{tail};")
+        else:
+            derivation = item.kind == "derivation"
+            body = _fmt_images(item.value.table, item.value.images, identity_is_zero=derivation)
+            relation = item.value.relation if derivation else None
+            tail = f" mod {{{render(relation.relation)}}}" if relation else ""
+            out.append(f"{item.kind} {item.name} : {item.ring} {body}{tail}")
     return "\n".join(out) + "\n"
 
 

@@ -192,3 +192,11 @@ def test_manifest_syntax_error_positions(tmp_path, capsys):
     code, _, err = run_cli(["check", str(target)], capsys)
     assert code == 2
     assert "2:" in err
+
+
+def test_non_decimal_digit_is_a_positioned_error(tmp_path, capsys):
+    target = tmp_path / "digit.krv"
+    target.write_text("ring R = vars(x);\nlet P = x^²;\n", encoding="utf-8")
+    code, _, err = run_cli(["check", str(target)], capsys)
+    assert code == 2
+    assert "2:11: unexpected character '²'" in err

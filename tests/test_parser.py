@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 from krcubic.claims import run_text
 from krcubic.coeff import OMEGA
 from krcubic.errors import KrError, ParseError
-from krcubic.parser import (CLAIMS, CONSTRUCTORS, BinOp, InverseDecl, Lit,
-                            eval_node, format_unit, parse_polynomial,
-                            parse_ring_spec, parse_unit)
+from krcubic.parser import (BUILTINS, CLAIMS, CONSTRUCTORS, KEYWORDS, BinOp,
+                            InverseDecl, Lit, eval_node, format_unit,
+                            parse_polynomial, parse_ring_spec, parse_unit,
+                            tokenize)
 from krcubic.poly import Polynomial, VarTable, render
 
 from conftest import random_poly, random_table
@@ -22,17 +23,17 @@ from conftest import random_poly, random_table
 def test_ring_and_binding():
     unit = parse_unit("ring R = vars(x, y, z, t);\n"
                       "let P = x^2*y + z^2 + x + t^3;")
-    kind, (value, ring) = unit.env["P"]
-    assert kind == "poly" and ring == "R"
+    decl = unit.env["P"]
+    assert decl.kind == "poly" and decl.ring == "R"
     T = unit.rings["R"]
     x, y, z, t = (T.var(n) for n in "xyzt")
-    assert value == x ** 2 * y + z ** 2 + x + t ** 3
+    assert decl.value == x ** 2 * y + z ** 2 + x + t ** 3
 
 
 def test_expansion_has_six_terms():
     unit = parse_unit("ring R = vars(x, y, z, t);\n"
                       "let u = (1 + x)*(z^2 + x + t^3);")
-    value = unit.env["u"][1][0]
+    value = unit.env["u"].value
     assert len(value.terms) == 6
 
 
@@ -64,7 +65,7 @@ def test_w_is_reserved():
     with pytest.raises(ParseError):
         parse_unit("ring R = vars(w);")
     unit = parse_unit("ring R = vars(t);\nlet a = (1 + w)*t;")
-    value = unit.env["a"][1][0]
+    value = unit.env["a"].value
     assert value == (1 + OMEGA) * unit.rings["R"].var("t")
 
 
@@ -156,6 +157,67 @@ def test_unit_parser_is_total_on_arbitrary_text(text):
         pass
 
 
+def test_unit_parser_is_total_on_corrupted_manifests():
+    # Corruptions that reach expressions, which arbitrary text rarely does: a
+    # deleted or inserted character (the alphabet holds a non-decimal digit
+    # and a non-ASCII letter), two adjacent words swapped, or a keyword put in.
+    from krcubic.claims import SHIPPED_MANIFESTS, manifest_path
+    texts = [manifest_path(name).read_text(encoding="utf-8") for name in SHIPPED_MANIFESTS]
+    keywords = sorted(KEYWORDS)
+    rng = random.Random(8)
+    for _ in range(300):
+        text = rng.choice(texts)
+        i = rng.randrange(len(text))
+        op = rng.randrange(4)
+        if op == 0:
+            text = text[:i] + text[i + 1:]
+        elif op == 1:
+            text = text[:i] + rng.choice("xz19(){},;:^*+-/=\"#\n _²é") + text[i:]
+        elif op == 2:
+            words = list(re.finditer(r"\S+", text))
+            k = rng.randrange(len(words) - 1)
+            a, b = words[k], words[k + 1]
+            text = text[:a.start()] + b[0] + text[a.end():b.start()] + a[0] + text[b.end():]
+        else:
+            text = text[:i] + f" {rng.choice(keywords)} " + text[i:]
+        try:
+            parse_unit(text)
+        except KrError:
+            pass
+
+
+def test_tokenize_pins_kinds_and_positions():
+    # (kind, text, line, col, pos); a tab and a '\r' take one column each, and
+    # eof after a final comment sits at the '#'
+    text = 'map m_2 :\tR { # note\r\n  y -> "s t" 12;\n} # end'
+    assert [tuple(tok) for tok in tokenize(text)] == [
+        ("ident", "map", 1, 1, 0),
+        ("ident", "m_2", 1, 5, 4),
+        ("punct", ":", 1, 9, 8),
+        ("ident", "R", 1, 11, 10),
+        ("punct", "{", 1, 13, 12),
+        ("ident", "y", 2, 3, 24),
+        ("punct", "->", 2, 5, 26),
+        ("string", "s t", 2, 8, 29),
+        ("int", "12", 2, 14, 35),
+        ("punct", ";", 2, 16, 37),
+        ("punct", "}", 3, 1, 39),
+        ("eof", "", 3, 3, 46),
+    ]
+
+
+@pytest.mark.parametrize("text, message, col", [
+    ('let a = "open;\n', "unterminated string", 9),
+    ("let a = x @ 1;", "unexpected character '@'", 11),
+    ("let a = x^²;", "unexpected character '²'", 11),  # int tokens are [0-9]+
+])
+def test_tokenize_lexical_errors_are_positioned(text, message, col):
+    with pytest.raises(ParseError) as info:
+        tokenize("# line 1\n" + text)
+    assert (info.value.message, info.value.line, info.value.col) == (message, 2, col)
+    assert info.value.offset == 9 + col - 1
+
+
 def test_trailing_input_rejected():
     T = VarTable(["x"])
     with pytest.raises(ParseError):
@@ -181,7 +243,7 @@ map fwd : R { y -> (1 + x)*y; }
 map bwd : R { y -> (1 - x)*y - x - z^2 - t^3; }
 inverse(fwd, bwd) mod {P}, {Q};
 """)
-    P, Q = unit.env["P"][1][0], unit.env["Q"][1][0]
+    P, Q = unit.env["P"].value, unit.env["Q"].value
     assert unit.items[-1] == InverseDecl("fwd", "bwd", [P], [Q])
 
 
@@ -215,9 +277,9 @@ let P = x^2*y + z^2 + x + t^3;
 derivation d : R { y -> 2*z; z -> -x^2; } mod {P}
 claim "nilpotent on the quotient" nilpotent(d, 8) expect true;
 """)
-    d = unit.env["d"][1]
+    d = unit.env["d"].value
     assert d.relation is not None
-    assert d.relation.relation == unit.env["P"][1][0]
+    assert d.relation.relation == unit.env["P"].value
     once = format_unit(unit)
     assert "mod {" in once
     assert format_unit(parse_unit(once)) == once
@@ -321,8 +383,8 @@ def _claim(body: str, expect: str = "true") -> str:
 
 
 # Case id (its first word names the form) -> (unit, exact `fmt` output).  Every
-# claim kind, constructor and inverse declaration, each optional group both
-# absent and present; every unit's claims pass.
+# claim kind, constructor, built-in and inverse declaration, each optional group
+# both absent and present; every unit's claims pass.
 FMT_CASES = {
     "eq": (R2 + 'claim "c" eq((1 + x)^2, 1 + 2*x + x^2) expect true;',
            R2 + _claim("eq(x^2 + 2*x + 1, x^2 + 2*x + 1)")),
@@ -389,6 +451,16 @@ FMT_CASES = {
                     'claim "c" member(S(S(y)) - y, {x}) expect true;',
                     R2 + S_FMT + "inverse(S, S) mod {x}, {x};\n"
                     + _claim("member(S(S(y)) - y, {x})")),
+    "quot": (R2 + 'claim "c" eq(quot(x^2 - y^2, x + y), x - y) expect true;',
+             R2 + _claim("eq(quot(x^2 - y^2, x + y), x - y)")),
+    "nf": (P4 + 'claim "c" eq(nf(x^2*y, P), -z^2 - x - t^3) expect true;',
+           P4_FMT + _claim("eq(nf(x^2*y, x^2*y + t^3 + z^2 + x), -t^3 - z^2 - x)")),
+    "theta": ("ring R = vars(x, z, t);\nmap M : R { t -> t - x; }\n"
+              'claim "c" eq(theta(M, z), 1) expect true;',
+              "ring R = vars(x, z, t);\nmap M : R {\n  t -> -x + t;\n}\n"
+              + _claim("eq(theta(M, z), 1)")),
+    "jacdet": (R2 + AB + 'claim "c" eq(jacdet(A, x, y), 1) expect true;',
+               R2 + AB_FMT + _claim("eq(jacdet(A, x, y), 1)")),
 }
 
 
@@ -403,18 +475,20 @@ def test_fmt_prints_each_form_exactly(case):
 
 def test_fmt_cases_cover_every_form():
     forms = {case.split()[0] for case in FMT_CASES}
-    assert forms - set(CONSTRUCTORS) - {"inverse"} == set(CLAIMS)
-    assert set(CONSTRUCTORS) <= forms and "inverse" in forms
+    assert forms - set(CONSTRUCTORS) - set(BUILTINS) - {"inverse"} == set(CLAIMS)
+    assert set(CONSTRUCTORS) <= forms and set(BUILTINS) <= forms and "inverse" in forms
 
 
 def test_readme_lists_exactly_the_claim_kinds():
     readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("Claim kinds:")[1].split("\n\n")[1]
     assert set(re.findall(r"`(\w+)\(", section)) == set(CLAIMS)
+    section = readme.split("Polynomials use explicit")[1].split("\n\n")[0]
+    assert set(re.findall(r"`(\w+)\(", section.split("built-ins")[1])) == set(BUILTINS)
 
 
 # A name argument is looked up and kind-checked as soon as it is read, and the
-# error points at the name.
+# error points at the name; every error about one token points at that token.
 NAME_DIAGNOSTICS = {
     "compose": (R2 + "let P = x;\nmap M : R { y -> y; }\nmap C = compose(P, M);",
                 "compose() needs a map, 'P' is a poly", 4, 17),
@@ -433,6 +507,16 @@ NAME_DIAGNOSTICS = {
                      "laurent_free() needs a derivation or map, 'P' is a poly", 3, 24),
     "undeclared before a later syntax error": (
         R2 + AB + "map C = compose(A, q, B);", "use of undeclared name 'q'", 4, 20),
+    "jacdet variable": (R2 + AB + "let J = jacdet(A, 1);", "expected variable name", 4, 19),
+    "narrative requirement": (
+        R2 + 'claim "c" eq(x, x) expect true;\nnarrative "n" requires("c", "missing");\n'
+        "let P = x;", "narrative references unknown claim 'missing'", 3, 29),
+    "point arity": (R2 + 'claim "c" singular_at(x, point(0)) expect true;',
+                    "point needs 2 coordinates, got 1", 2, 26),
+    "flagged variable": ("ring R = vars(x ; param c);",
+                         "flagged variable 'c' is not in vars(...)", 1, 25),
+    "duplicate claim label": (R2 + 'claim "c" eq(x, x) expect true;\nclaim "c" eq(y, y) expect true;',
+                              "duplicate claim label 'c'", 3, 7),
 }
 
 
