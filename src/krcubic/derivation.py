@@ -3,8 +3,8 @@
 A Derivation maps each variable to its image polynomial (unlisted variables
 and all parameters go to zero) and extends by the Leibniz rule.  An optional
 quotient relation makes it a derivation of the quotient ring: images and all
-iterates are then kept in rewrite normal form, so nilpotency means literal
-vanishing of the normal form.
+iterates are then kept in normal form (morphism.normal_form), so nilpotency
+means literal vanishing of the normal form.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from typing import Mapping
 
 from .errors import DerivationError, KrError, PostconditionError, UnverifiedPairError
 from .groebner import member, reduce
-from .morphism import (QuotientRelation, RingMap, exact_divide, normal_form,
-                       verify_inverse_pair)
+from .morphism import (QuotientRelation, RingMap, _x_coefficients, exact_divide,
+                       normal_form, verify_inverse_pair)
 from .poly import Polynomial, VarTable
 
 
@@ -66,10 +66,9 @@ class Derivation:
         return acc
 
     def apply(self, f: Polynomial) -> Polynomial:
-        f = f.transport(self.table)
-        if self.relation is not None:
-            f = normal_form(f, self.relation)
-        out = self._derive_raw(f)
+        # f need not be in normal form: the derivation preserves the ideal
+        # (checked at construction), so D(f) and D(nf(f)) share a normal form
+        out = self._derive_raw(f.transport(self.table))
         if self.relation is not None:
             out = normal_form(out, self.relation)
         return out
@@ -158,19 +157,16 @@ def theta_extract(phi: RingMap, r: Polynomial) -> Polynomial:
     are re-checked before returning.
     """
     table = phi.table
-    x = table.var("x")
+    x, ix = table.var("x"), table.index("x")
     r = r.transport(table)
     if phi.image_of("x") != x:
         raise DerivationError("map must fix x")
 
     def slope(v: str) -> Polynomial:
-        diff = phi.image_of(v) - table.var(v)
-        if diff.is_zero():
-            return table.zero()
-        quot = exact_divide(diff, x)
-        if quot is None:
+        const, linear = _x_coefficients(phi.image_of(v) - table.var(v), ix)
+        if const:
             raise DerivationError(f"map is not the identity modulo (x) at {v!r}")
-        return quot.substitute({"x": table.zero()})
+        return linear
 
     f = slope("z")
     g = slope("t")

@@ -1,10 +1,9 @@
 """Multivariate division, Buchberger's algorithm and ideal membership.
 
 Everything runs over Q(w) with exact arithmetic.  Inputs must carry no
-negative exponents: Laurent callers clear denominators first (member() does
-this automatically for the polynomial being tested, and strips negative
-monomial content from generators, which does not change the ideal in the
-Laurent ring).
+negative exponents: Laurent callers divide out Laurent content first with
+clear_laurent() (member() does this for the tested polynomial and for each
+generator, which does not change the ideal in the Laurent ring).
 
 The default order is graded reverse lexicographic; lex is available for
 elimination experiments.
@@ -14,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from operator import add, sub
+from operator import add, le, sub
 from typing import Callable
 
 from .errors import (GroebnerBudgetError, KrError, LaurentInputError,
@@ -36,14 +35,14 @@ LEX = MonomialOrder("lex", lex_key)
 
 
 def _require_polynomial(f: Polynomial, what: str):
-    for exps in f.terms:
-        if any(e < 0 for e in exps):
-            raise LaurentInputError(
-                f"{what} carries negative exponents; clear Laurent denominators first")
+    # only a Laurent variable can carry a negative exponent
+    if any(f.table.laurent) and min(map(min, f.terms), default=0) < 0:
+        raise LaurentInputError(
+            f"{what} carries negative exponents; clear Laurent denominators first")
 
 
 def _divides(m: tuple[int, ...], n: tuple[int, ...]) -> bool:
-    return all(a <= b for a, b in zip(m, n))
+    return all(map(le, m, n))
 
 
 def _mono_quot(table: VarTable, n, m, coeff) -> Polynomial:
@@ -69,7 +68,7 @@ def reduce(f: Polynomial, gens: list[Polynomial],
             raise ZeroDivisionError("zero divisor in reduce()")
         _require_polynomial(g, "divisor")
         gm, gc = g.leading_term(order.key)
-        lead.append((gm, gc))
+        lead.append((gm, gc.inverse()))
         tails.append([(e, c) for e, c in g.terms.items() if e != gm])
 
     # Max-heap of the working dividend's monomials, as a min-heap on the
@@ -92,10 +91,10 @@ def reduce(f: Polynomial, gens: list[Polynomial],
         lt_c = work.pop(lt_exps, None)
         if lt_c is None:
             continue
-        for i, (gm, gc) in enumerate(lead):
+        for i, (gm, gc_inv) in enumerate(lead):
             if _divides(gm, lt_exps):
                 q_exps = tuple(map(sub, lt_exps, gm))
-                q_c = lt_c / gc
+                q_c = lt_c * gc_inv
                 cof_terms[i][q_exps] = q_c
                 neg_q = -q_c
                 for ge, gcoef in tails[i]:
@@ -234,35 +233,37 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder = GREVLEX,
     return GroebnerBasis(tuple(reduced), order)
 
 
-def clear_laurent(f: Polynomial) -> Polynomial:
-    """Multiply by the smallest Laurent monomial making all exponents >= 0."""
-    if f.is_zero():
-        return f
+def clear_laurent(f: Polynomial) -> tuple[Polynomial, tuple[int, ...]]:
+    """Divide f by its Laurent content, the monomial of each Laurent
+    variable's smallest exponent in f.
+
+    Returns the stripped polynomial and the content's exponent tuple (the
+    shift), so f == stripped * monomial(shift).  Laurent monomials are units,
+    so stripping changes neither divisibility nor ideal membership there.
+    """
     table = f.table
-    shift = [0] * table.arity
-    for exps in f.terms:
-        for i, e in enumerate(exps):
-            if e < shift[i]:
-                shift[i] = e
-    if all(s == 0 for s in shift):
-        return f
-    mono = Polynomial(table, {tuple(-s for s in shift): f.table.constant(1).constant_value()})
-    return f * mono
+    shift = tuple(min(e[i] for e in f.terms) if lau and f.terms else 0
+                  for i, lau in enumerate(table.laurent))
+    if not any(shift):
+        return f, shift
+    return _polynomial(table, {tuple(map(sub, e, shift)): c
+                               for e, c in f.terms.items()}), shift
 
 
 def member(f: Polynomial, gens: list[Polynomial]) -> bool:
     """Ideal membership via a Groebner basis.
 
-    Laurent inputs are cleared by unit monomial multiplication, which is the
-    membership notion in the localized ring (adequate for the principal prime
-    ideals this library tests; all shipped claims live in genuine polynomial
-    rings after clearing).
+    The Laurent content of f and of each generator is divided out first (see
+    clear_laurent).  That is exact membership in the Laurent ring for a
+    principal ideal; for several generators it can miss a member that needs
+    a Laurent cofactor.  All shipped claims live in genuine polynomial rings
+    after clearing.
     """
-    cleared = [clear_laurent(g) for g in gens if not g.is_zero()]
+    cleared = [clear_laurent(g)[0] for g in gens if not g.is_zero()]
     if not cleared:
         return f.is_zero()
     basis = buchberger(cleared)
-    return basis.contains(clear_laurent(f))
+    return basis.contains(clear_laurent(f)[0])
 
 
 def smooth_everywhere(f: Polynomial) -> bool:

@@ -4,16 +4,18 @@ A RingMap stores one image polynomial per non-parameter variable (parameters
 are symbolic constants and always map to themselves).  Composition, inverse
 pair verification modulo ideals, Jacobians, exact division, quotient-ring
 normal forms and the automorphism-extension construction all live here.
+Exact division and normal forms are both remainders of groebner.reduce.
 """
 
 from __future__ import annotations
 
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .coeff import Eisenstein
 from .errors import ExtensionError, KrError, PostconditionError
-from .groebner import member, reduce
-from .poly import Polynomial, VarTable
+from .groebner import MonomialOrder, clear_laurent, member, reduce
+from .poly import Polynomial, VarTable, _polynomial
 
 
 class RingMap:
@@ -131,14 +133,21 @@ def determinant(matrix: list[list[Polynomial]], table: VarTable) -> Polynomial:
     return det
 
 
+def _times_unit(p: Polynomial, shift: tuple[int, ...]) -> Polynomial:
+    """p times the Laurent monomial with exponent tuple shift."""
+    if not any(shift):
+        return p
+    return _polynomial(p.table, {tuple(map(add, e, shift)): c for e, c in p.terms.items()})
+
+
 def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial | None:
     """Return q with f == q*g if g divides f exactly, else None.
 
-    Laurent monomial content is stripped from both sides first (monomials in
-    Laurent variables are units), so the result may legitimately carry
-    negative exponents.  The stripped dividend is then divided by the
-    stripped divisor with reduce(); division by a single polynomial has a
-    unique remainder, and g divides f exactly when it is zero.
+    Laurent content is cleared from both sides first (monomials in Laurent
+    variables are units), so the result may legitimately carry negative
+    exponents.  The cleared dividend is then divided by the cleared divisor
+    with reduce(); division by a single polynomial has a unique remainder,
+    and g divides f exactly when it is zero.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -146,45 +155,36 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial | None:
         return f
     if f.table != g.table:
         raise KrError("operands over different tables")
-    table = f.table
-
-    def strip(p: Polynomial) -> tuple[Polynomial, tuple[int, ...]]:
-        shift = [0] * table.arity
-        for i, lau in enumerate(table.laurent):
-            if lau:
-                shift[i] = min(e[i] for e in p.terms)
-        if all(s == 0 for s in shift):
-            return p, tuple(shift)
-        unit = Polynomial(table, {tuple(-s for s in shift): Eisenstein(1)})
-        return p * unit, tuple(shift)
-
-    fs, fshift = strip(f)
-    gs, gshift = strip(g)
+    fs, fshift = clear_laurent(f)
+    gs, gshift = clear_laurent(g)
     rem, (quot,) = reduce(fs, [gs])
     if rem:
         return None
-    # reassemble: f = (quot * t^{fshift - gshift}) * g
-    delta = tuple(a - b for a, b in zip(fshift, gshift))
-    if any(delta):
-        quot = quot * Polynomial(table, {delta: Eisenstein(1)})
+    # reassemble: f = (quot * monomial(fshift - gshift)) * g
+    quot = _times_unit(quot, tuple(a - b for a, b in zip(fshift, gshift)))
     if quot * g != f:
         raise PostconditionError("exact quotient times divisor differs from dividend")
     return quot
 
 
 class QuotientRelation:
-    """A relation of the shape x^2*y + r(z, t) + x*F(x, z, t), rewrite monomial x^2*y.
+    """A relation of the shape x^2*y + r(z, t) + x*F(x, z, t), leading monomial x^2*y.
 
-    The coefficient of x^2*y must be 1 and no other term may involve y; the
-    quotient ring then has unique rewrite normal forms (each rewrite strictly
-    lowers the y-degree).
+    The coefficient of x^2*y must be 1, no other term may involve y, and
+    neither x nor y may be Laurent.  Under the lex order with y first
+    (`order`), x^2*y leads, so the remainder on division by the relation is
+    the unique normal form of the quotient ring.
     """
 
-    __slots__ = ("table", "relation", "body", "_ix", "_iy")
+    __slots__ = ("table", "relation", "tail", "order")
 
     def __init__(self, relation: Polynomial):
         table = relation.table
         ix, iy = table.index("x"), table.index("y")
+        if table.laurent[ix] or table.laurent[iy]:
+            # then distinct remainders can be congruent: under the cubic,
+            # x*y and -x^-1*(z^2 + x + t^3) differ by x^-1 times the relation
+            raise KrError("x and y must not be Laurent in a quotient relation")
         head = [0] * table.arity
         head[ix], head[iy] = 2, 1
         head = tuple(head)
@@ -197,18 +197,13 @@ class QuotientRelation:
                 raise KrError("relation tail must not involve y")
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "relation", relation)
-        # x^2*y rewrites to -(r + x*F)
-        object.__setattr__(self, "body", -Polynomial(table, rest))
-        object.__setattr__(self, "_ix", ix)
-        object.__setattr__(self, "_iy", iy)
+        # r + x*F, i.e. relation - x^2*y
+        object.__setattr__(self, "tail", Polynomial(table, rest))
+        object.__setattr__(self, "order",
+                           MonomialOrder("lex-y", lambda e: (e[iy], *e)))
 
     def __setattr__(self, name, value):
         raise AttributeError("QuotientRelation is immutable")
-
-    @property
-    def tail(self) -> Polynomial:
-        """r + x*F, i.e. relation - x^2*y."""
-        return -self.body
 
     def __eq__(self, other):
         if not isinstance(other, QuotientRelation):
@@ -223,31 +218,16 @@ class QuotientRelation:
 
 
 def normal_form(f: Polynomial, rel: QuotientRelation) -> Polynomial:
-    """Unique rewrite-irreducible representative of f modulo the relation.
+    """Unique representative of f modulo the relation: no term divisible by x^2*y.
 
-    Rewrites every monomial divisible by x^2*y via x^2*y -> -(r + x*F) until
-    none remains; terminates because each rewrite lowers y-degree by one.
+    It is the remainder of reduce() by the relation under rel.order, where
+    x^2*y leads.  Laurent content (never in x or y) is cleared before the
+    division and restored after it: a unit monomial free of x and y commutes
+    with every division step.
     """
-    f = f.transport(rel.table)
-    ix, iy = rel._ix, rel._iy
-    table = rel.table
-    work = f
-    while True:
-        keep = {}
-        fire: list[tuple[tuple[int, ...], Eisenstein]] = []
-        for exps, c in work.terms.items():
-            if exps[ix] >= 2 and exps[iy] >= 1:
-                fire.append((exps, c))
-            else:
-                keep[exps] = c
-        if not fire:
-            return work
-        work = Polynomial(table, keep)
-        for exps, c in fire:
-            stub = list(exps)
-            stub[ix] -= 2
-            stub[iy] -= 1
-            work = work + Polynomial(table, {tuple(stub): c}) * rel.body
+    f, shift = clear_laurent(f.transport(rel.table))
+    rem, _ = reduce(f, [rel.relation], rel.order)
+    return _times_unit(rem, shift)
 
 
 class Extension:
@@ -308,12 +288,13 @@ def extend_to_quotient_automorphism(phi: RingMap, rel: QuotientRelation,
         raise ExtensionError("base map must scale x by the given unit")
 
     tail = rel.tail
-    r, F0 = _x_coefficients(tail, rel._ix)
+    ix = table.index("x")
+    r, F0 = _x_coefficients(tail, ix)
     if r.is_zero():
         raise ExtensionError(
             "relation tail has no x-free part r; the factor is not unique modulo x^2")
     moved = tail.substitute(phi_images)
-    A, B = _x_coefficients(moved, rel._ix)
+    A, B = _x_coefficients(moved, ix)
 
     def divide(f: Polynomial, g: Polynomial) -> Polynomial:
         q = exact_divide(f, g)

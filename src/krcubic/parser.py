@@ -349,7 +349,7 @@ class Parser:
     def ident(self, what="identifier") -> Token:
         tok = self.peek()
         if tok.kind != "ident":
-            self.error(f"expected {what}", tok, expected=(what,))
+            self.error(f"expected {what}", tok)
         return self.next()
 
     def string(self) -> Token:
@@ -524,6 +524,13 @@ class Parser:
         self.expect("ring")
         name = self.ident("ring name")
         self.expect("=")
+        table = self.ring_spec()
+        self.expect(";")
+        self.declare(name, "ring", table)
+        self.current_ring = name.text
+
+    def ring_spec(self) -> VarTable:
+        """Read 'vars(x, y ; laurent y ; param c)' into a table."""
         self.expect("vars")
         self.expect("(")
         var_toks = self._idlist()
@@ -536,10 +543,8 @@ class Parser:
             elif section.text == "param":
                 params.extend(self._idlist())
             else:
-                self.error("expected 'laurent' or 'param'", section,
-                           expected=("laurent", "param"))
+                self.error("expected 'laurent' or 'param'", section)
         self.expect(")")
-        self.expect(";")
         names = []
         for tok in var_toks:
             if tok.text == "w" or tok.text in KEYWORDS:
@@ -550,10 +555,8 @@ class Parser:
         for flagged in laurent + params:
             if flagged.text not in names:
                 self.error(f"flagged variable {flagged.text!r} is not in vars(...)", flagged)
-        table = VarTable(names, laurent=[t.text for t in laurent],
-                         params=[t.text for t in params])
-        self.declare(name, "ring", table)
-        self.current_ring = name.text
+        return VarTable(names, laurent=[t.text for t in laurent],
+                        params=[t.text for t in params])
 
     def parse_let(self):
         self.expect("let")
@@ -814,11 +817,11 @@ def parse_polynomial(text: str, table: VarTable) -> Polynomial:
 
 def parse_ring_spec(text: str) -> VarTable:
     """Parse 'vars(x, y ; laurent y ; param c)' used by the CLI."""
-    parser = Parser("ring _R = " + text + ";")
-    parser.parse_ring()
+    parser = Parser(text)
+    table = parser.ring_spec()
     if parser.peek().kind != "eof":
         parser.error("trailing input after ring spec")
-    return parser.unit.rings["_R"]
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -252,11 +252,7 @@ class Polynomial:
     def unit_inverse(self) -> "Polynomial":
         if not self.is_unit_monomial():
             if len(self.terms) == 1:
-                exps = next(iter(self.terms))
-                for e, lau, name in zip(exps, self.table.laurent, self.table.names):
-                    if e and not lau:
-                        raise NegativeExponentError(
-                            f"negative exponent on non-Laurent variable {name!r}")
+                _check_exponents(self.table, tuple(-e for e in next(iter(self.terms))))
             raise NonUnitError(f"not a unit monomial: {self}")
         exps, c = next(iter(self.terms.items()))
         return Polynomial(self.table, {tuple(-e for e in exps): c.inverse()})

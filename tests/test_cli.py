@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import krcubic
 from krcubic.claims import manifest_path
 from krcubic.cli import main
@@ -200,3 +202,13 @@ def test_non_decimal_digit_is_a_positioned_error(tmp_path, capsys):
     code, _, err = run_cli(["check", str(target)], capsys)
     assert code == 2
     assert "2:11: unexpected character '²'" in err
+
+
+@pytest.mark.parametrize("spec, diagnostic", [
+    ("vars(x, )", "1:9: expected variable name\n"),
+    ("vars(x ; param c)", "1:16: flagged variable 'c' is not in vars(...)"),
+])
+def test_ring_spec_errors_are_positioned_in_the_spec(spec, diagnostic, capsys):
+    code, _, err = run_cli(["eval", "x", "--ring", spec], capsys)
+    assert code == 2
+    assert diagnostic in err

@@ -51,7 +51,8 @@ def test_laurent_inputs_rejected_without_clearing():
     T = VarTable(["t"], laurent=["t"])
     with pytest.raises(LaurentInputError):
         reduce(T.var("t") ** -1, [T.var("t")])
-    assert clear_laurent(T.var("t") ** -2 + T.var("t")) == 1 + T.var("t") ** 3
+    assert clear_laurent(T.var("t") ** -2 + T.var("t")) == (1 + T.var("t") ** 3, (-2,))
+    assert clear_laurent(T.var("t") ** 2 + T.var("t") ** 3) == (1 + T.var("t"), (2,))
 
 
 def test_basis_of_single_monomial(ring4):
@@ -90,6 +91,30 @@ def test_membership_in_laurent_ring():
     y, t = T.var("y"), T.var("t")
     assert member(y * t ** -3 * P, [P])
     assert not member(y * t ** -3, [P])
+
+
+def test_laurent_content_is_cleared_from_generators():
+    # monomials in a Laurent variable are units: t*x generates (x), t the ring
+    T = VarTable(["x", "t"], laurent=["t"])
+    x, t = T.var("x"), T.var("t")
+    assert member(x, [t * x])
+    assert member(T.one(), [t])
+    assert not member(T.one(), [x * t ** -1])
+
+
+def test_principal_laurent_membership_agrees_with_exact_division():
+    T = VarTable(["x", "t"], laurent=["t"])
+    rng = random.Random(47)
+    outcomes = set()
+    for i in range(40):
+        g = random_nonzero_poly(rng, T, max_terms=3, max_deg=2)
+        f = random_nonzero_poly(rng, T, max_terms=3, max_deg=2)
+        if i % 2 == 0:
+            f = f * g
+        divides = exact_divide(f, g) is not None
+        assert member(f, [g]) == divides
+        outcomes.add(divides)
+    assert outcomes == {True, False}
 
 
 def test_basis_independent_of_generator_order(ring3):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from krcubic.coeff import OMEGA
-from krcubic.errors import ExtensionError, KrError
+from krcubic.errors import ExtensionError, KrError, LaurentInputError
 from krcubic.groebner import reduce
 from krcubic.morphism import (QuotientRelation, RingMap, compose, determinant,
                               exact_divide, extend_to_quotient_automorphism,
@@ -206,6 +206,93 @@ def test_normal_form_properties(ring4):
         assert normal_form(nf, rel) == nf
         assert normal_form(f * P + g, rel) == normal_form(g, rel)
         assert exact_divide(f - nf, P) is not None or (f - nf).is_zero()
+
+
+def rewrite_normal_form(f, rel):
+    """Reference: rewrite x^2*y -> -(r + x*F) until no monomial is divisible
+    by x^2*y; each rewrite lowers the y-degree, so this terminates."""
+    table = rel.table
+    ix, iy = table.index("x"), table.index("y")
+    body = -rel.tail
+    work = f.transport(table)
+    while True:
+        keep = {}
+        fire = []
+        for exps, c in work.terms.items():
+            if exps[ix] >= 2 and exps[iy] >= 1:
+                fire.append((exps, c))
+            else:
+                keep[exps] = c
+        if not fire:
+            return work
+        work = Polynomial(table, keep)
+        for exps, c in fire:
+            stub = list(exps)
+            stub[ix] -= 2
+            stub[iy] -= 1
+            work = work + Polynomial(table, {tuple(stub): c}) * body
+
+
+def normal_form_cases(seed, count):
+    """Seeded (f, relation) pairs over the cubic and its companion, over
+    cubic + c with a parameter c, and over the cylinder ring, whose t is
+    Laurent."""
+    rings = [VarTable(["x", "y", "z", "t"]),
+             VarTable(["x", "y", "z", "t", "c"], params=["c"]),
+             VarTable(["x", "y", "z", "t", "v"], laurent=["t"])]
+    rng = random.Random(seed)
+    for i in range(count):
+        T = rings[i % 3]
+        P = (cubic_poly if i % 2 == 0 else companion_poly)(T)
+        if T.params():
+            P = P + T.var("c")
+        yield random_poly(rng, T, max_terms=5, max_deg=4), QuotientRelation(P)
+
+
+def test_normal_form_agrees_with_the_rewrite():
+    rewritten = 0
+    for f, rel in normal_form_cases(31, 120):
+        want = rewrite_normal_form(f, rel)
+        assert normal_form(f, rel) == want
+        rewritten += want != f
+    assert rewritten >= 40  # most inputs need at least one rewrite
+
+
+def test_normal_form_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    for f, rel in normal_form_cases(32, 40):
+        if any(rel.table.laurent):
+            continue  # sympy's reduced() takes polynomials only
+        names = ("y", "x", "z", "t") + rel.table.params()
+        _, gens, conv = _sympy_converter(sympy, names)
+        _, want = sympy.reduced(conv(f), [conv(rel.relation)], *gens, order="lex")
+        assert conv(normal_form(f, rel)) == sympy.Poly(want, *gens, domain=conv(f).domain)
+
+
+def test_normal_form_keeps_laurent_content(cylinder_ring):
+    x, y, z, t = (cylinder_ring.var(n) for n in "xyzt")
+    rel = QuotientRelation(cubic_poly(cylinder_ring))
+    assert (normal_form(t ** -1 * x ** 2 * y + t ** -2 * z, rel)
+            == -t ** 2 - z ** 2 * t ** -1 - x * t ** -1 + z * t ** -2)
+
+
+def test_relation_with_laurent_x_or_y_is_rejected():
+    T = VarTable(["x", "y", "z", "t"], laurent=["x"])
+    x, y, z, t = (T.var(n) for n in "xyzt")
+    P = cubic_poly(T)
+    # neither side has a monomial divisible by x^2*y, yet they are congruent
+    assert x * y - (-x ** -1 * (z ** 2 + x + t ** 3)) == x ** -1 * P
+    for laurent in ("x", "y"):
+        T = VarTable(["x", "y", "z", "t"], laurent=[laurent])
+        with pytest.raises(KrError, match="must not be Laurent"):
+            QuotientRelation(cubic_poly(T))
+
+
+def test_relation_with_negative_exponents_is_not_a_divisor(cylinder_ring):
+    x, y, z, t = (cylinder_ring.var(n) for n in "xyzt")
+    rel = QuotientRelation(x ** 2 * y + z ** 2 + x + t ** -3)
+    with pytest.raises(LaurentInputError):
+        normal_form(x, rel)
 
 
 def test_relation_shape_is_validated(ring4):

@@ -218,6 +218,12 @@ def test_tokenize_lexical_errors_are_positioned(text, message, col):
     assert info.value.offset == 9 + col - 1
 
 
+def test_expected_name_is_printed_once():
+    with pytest.raises(ParseError) as info:
+        parse_unit("ring R = vars(x);\nlet = x;")
+    assert str(info.value) == "2:5: expected name"
+
+
 def test_trailing_input_rejected():
     T = VarTable(["x"])
     with pytest.raises(ParseError):
