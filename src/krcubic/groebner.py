@@ -3,7 +3,8 @@
 Everything runs over Q(w) with exact arithmetic.  Inputs must carry no
 negative exponents: Laurent callers divide out Laurent content first with
 clear_laurent() (member() does this for the tested polynomial and for each
-generator, which does not change the ideal in the Laurent ring).
+generator, which does not change the ideal in the Laurent ring, and
+saturates an ideal of several generators by the Laurent variables).
 
 The default order is graded reverse lexicographic; lex is available for
 elimination experiments.
@@ -251,19 +252,31 @@ def clear_laurent(f: Polynomial) -> tuple[Polynomial, tuple[int, ...]]:
 
 
 def member(f: Polynomial, gens: list[Polynomial]) -> bool:
-    """Ideal membership via a Groebner basis.
+    """Ideal membership via a Groebner basis, exact in the Laurent ring.
 
     The Laurent content of f and of each generator is divided out first (see
-    clear_laurent).  That is exact membership in the Laurent ring for a
-    principal ideal; for several generators it can miss a member that needs
-    a Laurent cofactor.  All shipped claims live in genuine polynomial rings
-    after clearing.
+    clear_laurent), which settles a principal ideal.  With several
+    generators a member may still need a cofactor with a negative power, as
+    t = (t + x) - x does in (t + x, x); the ideal is then saturated by the
+    Laurent variables: each Laurent variable t gets a new variable s, named
+    "<t>^-1" (no token can spell it), and the generator t*s - 1, in a
+    polynomial ring where the parameters stay parameters.
     """
     cleared = [clear_laurent(g)[0] for g in gens if not g.is_zero()]
     if not cleared:
         return f.is_zero()
-    basis = buchberger(cleared)
-    return basis.contains(clear_laurent(f)[0])
+    f = clear_laurent(f)[0]
+    table = f.table
+    if len(cleared) > 1 and any(table.laurent):
+        if any(g.table != table for g in cleared):
+            raise KrError("generator over a different table")
+        laurent = [v for v, lau in zip(table.names, table.laurent) if lau]
+        wide = VarTable(table.names + tuple(f"<{v}>^-1" for v in laurent),
+                        params=table.params())
+        cleared = [g.transport(wide) for g in cleared]
+        cleared += [wide.var(v) * wide.var(f"<{v}>^-1") - 1 for v in laurent]
+        f = f.transport(wide)
+    return buchberger(cleared).contains(f)
 
 
 def smooth_everywhere(f: Polynomial) -> bool:

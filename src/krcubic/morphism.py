@@ -21,7 +21,7 @@ from .poly import Polynomial, VarTable, _polynomial
 class RingMap:
     """Endomorphism of a polynomial ring given by per-variable images."""
 
-    __slots__ = ("table", "images")
+    __slots__ = ("table", "images", "_applied")
 
     def __init__(self, table: VarTable, images: Mapping[str, Polynomial]):
         imgs: dict[str, Polynomial] = {}
@@ -42,6 +42,7 @@ class RingMap:
             table.index(v)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "images", imgs)
+        object.__setattr__(self, "_applied", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("RingMap is immutable")
@@ -51,8 +52,17 @@ class RingMap:
         return RingMap(table, {})
 
     def apply(self, f: Polynomial) -> Polynomial:
+        """The image of f under the map.
+
+        Each image is computed once: the map remembers it, keyed by f over
+        the map's table, for as long as the map lives.  Polynomials are
+        immutable, so a remembered image cannot be told from a fresh one.
+        """
         f = f.transport(self.table)
-        return f.substitute(self.images)
+        image = self._applied.get(f)
+        if image is None:
+            image = self._applied[f] = f.substitute(self.images)
+        return image
 
     __call__ = apply
 

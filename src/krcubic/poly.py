@@ -427,9 +427,12 @@ class Polynomial:
         return self.table == other.table and self.terms == other.terms
 
     def __hash__(self):
+        """Hash of the table and the exponent set only: equal polynomials
+        have equal term dicts, and no coefficient is hashed (hashing an
+        Eisenstein builds Fractions)."""
         h = self._hash
         if h is None:
-            h = hash((self.table, frozenset(self.terms.items())))
+            h = hash((self.table, frozenset(self.terms)))
             object.__setattr__(self, "_hash", h)
         return h
 

@@ -1,13 +1,17 @@
 """Manifest execution: shipped suites, negative controls, report contracts."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
 from krcubic.claims import (ERROR, FAIL, PASS, SHIPPED_MANIFESTS, manifest_path,
                             run_shipped, run_text)
 from krcubic.errors import KrError
+from krcubic.morphism import RingMap
 from krcubic.parser import parse_unit
+from krcubic.poly import Polynomial
 
 
 def test_every_shipped_manifest_passes():
@@ -118,3 +122,75 @@ def test_every_shipped_claim_carries_explicit_expectation():
         unit = parse_unit(text)
         for claim in unit.claims:
             assert claim.expect in (True, False)
+
+
+# -- a map applies itself to each argument once -----------------------------------
+
+def _tame_qw_text(seed):
+    """The seeded tame-qw manifest of the benchmark's workload generator."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.tame_qw(seed)[0]
+
+
+@pytest.fixture
+def substitutions(monkeypatch):
+    """Record every Polynomial.substitute call: its argument, and the map
+    whose RingMap.apply made it (None for any other caller)."""
+    calls, applying = [], [None]
+    substitute, apply = Polynomial.substitute, RingMap.apply
+
+    def counted_substitute(self, images):
+        m = applying[-1]
+        calls.append((m if m is not None and images is m.images else None, self))
+        return substitute(self, images)
+
+    def counted_apply(m, f):
+        applying.append(m)
+        try:
+            return apply(m, f)
+        finally:
+            applying.pop()
+
+    monkeypatch.setattr(Polynomial, "substitute", counted_substitute)
+    monkeypatch.setattr(RingMap, "apply", counted_apply)
+    monkeypatch.setattr(RingMap, "__call__", counted_apply)
+    return calls
+
+
+def test_no_map_substitutes_an_argument_twice(substitutions):
+    texts = [manifest_path(name).read_text(encoding="utf-8") for name in SHIPPED_MANIFESTS]
+    for text in texts + [_tame_qw_text(7)]:
+        substitutions.clear()
+        run_text(text)
+        # the calls list holds every map, so no id is reused while it is read
+        pairs = [(id(m), f) for m, f in substitutions if m is not None]
+        assert pairs and len(pairs) == len(set(pairs))
+
+
+def test_autgroup_substitutes_thirty_times(substitutions):
+    # 35 before maps remembered their images: glued(cubic_c) was computed by
+    # the preserving check and by two claims, twist_lift(cubic) and
+    # family_lift(cubic_c + c) by extend's postcondition and by a claim, and
+    # twist_c(z^2 + t^3 + c) by theta and by a claim
+    assert run_shipped("autgroup.krv").all_pass
+    assert len(substitutions) == 30
+
+
+@pytest.mark.parametrize("before, after, flipped", [
+    ("eq(glued(cubic_c), cubic_c)", "eq(glued(cubic_c), cubic_c + 1)",
+     {"gluing fixes the cubic exactly"}),
+    ("member(glued(cubic_c), {cubic_c})", "member(glued(cubic_c), {cubic_c + 1})",
+     {"gluing at c = -cubic preserves the cubic ideal",
+      "every fiberwise automorphism of the cubic extends to ambient space"}),
+], ids=["eq-rhs", "member-ideal"])
+def test_claims_on_a_remembered_image_still_fail_alone(before, after, flipped):
+    text = manifest_path("autgroup.krv").read_text(encoding="utf-8")
+    assert text.count(before) == 1
+    good = {r.label: r.status for r in run_text(text).results}
+    bad = {r.label: r.status for r in run_text(text.replace(before, after)).results}
+    assert good.keys() == bad.keys() and set(good.values()) == {PASS}
+    assert {label for label in good if bad[label] != PASS} == flipped
+    assert {bad[label] for label in flipped} == {FAIL}

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from krcubic.errors import GroebnerBudgetError, LaurentInputError
+from krcubic.errors import GroebnerBudgetError, KrError, LaurentInputError
 from krcubic.groebner import (GREVLEX, LEX, MonomialOrder, buchberger,
                               clear_laurent, member, reduce, singular_at,
                               smooth_everywhere)
@@ -14,7 +14,7 @@ from krcubic.morphism import exact_divide
 from krcubic.poly import VarTable, grevlex_key
 
 from conftest import (cubic_poly, companion_poly, member_oracle,
-                      random_nonzero_poly, random_poly)
+                      nonzero_coeff, random_nonzero_poly, random_poly)
 
 # grevlex with the variables ranked t > x > z
 PERM = (2, 0, 1)
@@ -100,6 +100,67 @@ def test_laurent_content_is_cleared_from_generators():
     assert member(x, [t * x])
     assert member(T.one(), [t])
     assert not member(T.one(), [x * t ** -1])
+
+
+def test_several_laurent_generators_are_saturated():
+    # t = (t + x) - x is a unit, so (t + x, x) is the whole Laurent ring
+    T = VarTable(["x", "t"], laurent=["t"])
+    x, t = T.var("x"), T.var("t")
+    assert member(T.one(), [t + x, x])
+    assert member(x ** 2, [t * x + x ** 2, x ** 3])  # x^2 = t^-1*x*(t*x + x^2) - t^-1*x^3
+    assert member(t ** -2 * x, [t + x, x])
+    assert not member(T.one(), [x, x + x ** 2])
+    assert not member(x, [x ** 2, t * x ** 2 + x ** 3])
+    plain = VarTable(["x", "t"])
+    with pytest.raises(KrError, match="different table"):
+        member(x, [plain.var("t") + plain.var("x"), plain.var("x")])
+
+
+def test_saturation_keeps_parameters():
+    T = VarTable(["x", "t", "c"], laurent=["t"], params=["c"])
+    x, t, c = T.var("x"), T.var("t"), T.var("c")
+    assert member(c, [t * c + x, x])  # c = t^-1*((t*c + x) - x)
+    assert not member(T.one(), [c * x, t * x])
+
+
+def test_laurent_membership_agrees_with_sympy_saturation():
+    """Saturate in sympy by lex elimination of s from (I, t*s - 1).  The
+    generators c*x^k + t*m (k = 1 or 2, m a monomial) all vanish at the
+    origin and are not multiples of t, so saturation by t often enlarges the
+    ideal; a combination of them with Laurent cofactors is always a member."""
+    sympy = pytest.importorskip("sympy")
+    T = VarTable(["x", "t"], laurent=["t"])
+    K, (x_, t_), conv = _sympy_converter(sympy, T.names)
+    s_ = sympy.Symbol("s")
+    x, t = T.var("x"), T.var("t")
+
+    def expr(p):
+        return conv(clear_laurent(p)[0]).as_expr()
+
+    def generator(rng):
+        m = random_nonzero_poly(rng, T, max_terms=1, max_deg=1, allow_negative=False)
+        return x * nonzero_coeff(rng) * x ** rng.randint(0, 1) + t * m
+
+    rng = random.Random(48)
+    outcomes, saturated_only = set(), 0
+    for _ in range(12):
+        gens = [generator(rng), generator(rng)]
+        eliminated = sympy.groebner([expr(g) for g in gens] + [t_ * s_ - 1],
+                                    s_, x_, t_, order="lex", domain=K)
+        saturated = sympy.groebner([p for p in eliminated.exprs if not p.has(s_)],
+                                   x_, t_, domain=K)
+        plain = sympy.groebner([expr(g) for g in gens], x_, t_, domain=K)
+        combination = sum((random_nonzero_poly(rng, T, max_terms=2, max_deg=1) * g
+                           for g in gens), T.zero())
+        for f in (combination, random_nonzero_poly(rng, T, max_terms=3, max_deg=2),
+                  T.one(), x):
+            want = f.is_zero() or saturated.contains(expr(f))
+            assert member(f, gens) == want
+            outcomes.add(want)
+            saturated_only += want and not (f.is_zero() or plain.contains(expr(f)))
+        assert member(combination, gens)
+    assert outcomes == {True, False}
+    assert saturated_only >= 3
 
 
 def test_principal_laurent_membership_agrees_with_exact_division():

@@ -66,6 +66,88 @@ def test_composition_is_functorial(ring4):
         assert compose(a, b)(f) == a(b(f))
 
 
+# -- the per-map image memo of RingMap.apply -----------------------------------
+
+@pytest.fixture
+def substitutions(monkeypatch):
+    """Every Polynomial.substitute call, as (argument, images) pairs."""
+    calls = []
+    original = Polynomial.substitute
+
+    def counted(self, images):
+        calls.append((self, images))
+        return original(self, images)
+
+    monkeypatch.setattr(Polynomial, "substitute", counted)
+    return calls
+
+
+def test_second_application_runs_no_substitution(ring4, substitutions):
+    fwd, _ = fiber_maps(ring4)
+    Q = companion_poly(ring4)
+    first = fwd(Q)
+    assert len(substitutions) == 1
+    assert fwd(Q) is first and fwd.apply(Q) is first
+    assert len(substitutions) == 1
+
+
+def test_equal_but_distinct_argument_hits_the_memo(ring4, substitutions):
+    fwd, _ = fiber_maps(ring4)
+    x, y, z, t = (ring4.var(n) for n in "xyzt")
+    a = companion_poly(ring4)
+    b = x ** 2 * y + (z ** 2 + x + t ** 3) + x * (z ** 2 + x + t ** 3)
+    assert a == b and a is not b
+    assert fwd(a) is fwd(b)
+    assert len(substitutions) == 1
+
+
+def test_same_support_different_coefficients_get_their_own_images(ring4, substitutions):
+    x, z = ring4.var("x"), ring4.var("z")
+    m = RingMap(ring4, {"x": x + z})
+    assert hash(x + 1) == hash(x + 2)  # the hash reads only the exponents
+    assert m(x + 1) == x + z + 1
+    assert m(x + 2) == x + z + 2
+    assert m(x * OMEGA) == (x + z) * OMEGA
+    assert len(substitutions) == 3
+
+
+def test_argument_over_another_table_is_keyed_after_transport(ring3, ring4, substitutions):
+    x, y, z, t = (ring4.var(n) for n in "xyzt")
+    m = RingMap(ring4, {"x": x + y, "t": t ** 2})
+    low = ring3.var("x") * ring3.var("t") + ring3.var("z")
+    image = m(low)
+    assert image.table == ring4 and image == (x + y) * t ** 2 + z
+    assert m(x * t + z) is image
+    assert len(substitutions) == 1
+    assert substitutions[0][0].table == ring4
+
+
+def test_memo_mutates_neither_images_nor_arguments(ring4):
+    fwd, bwd = fiber_maps(ring4)
+    P, Q = cubic_poly(ring4), companion_poly(ring4)
+    images = {v: dict(im.terms) for v, im in fwd.images.items()}
+    arguments = dict(Q.terms), dict(P.terms)
+    for _ in range(2):
+        assert fwd(Q) == (1 + ring4.var("x")) * P
+        compose(fwd, bwd)
+        assert fwd(P) == P.substitute(fiber_maps(ring4)[0].images)
+    assert {v: im.terms for v, im in fwd.images.items()} == images
+    assert (Q.terms, P.terms) == arguments
+    assert fwd == fiber_maps(ring4)[0] and hash(fwd) == hash(fiber_maps(ring4)[0])
+
+
+def test_memoized_application_agrees_with_fresh_substitution():
+    rng = random.Random(71)
+    T = VarTable(["x", "z", "t", "c0"], params=["c0"])
+    for _ in range(40):
+        m = RingMap(T, {v: random_poly(rng, T, max_terms=3, max_deg=2)
+                        for v in ("x", "z", "t") if rng.random() < 0.7})
+        args = [random_poly(rng, T, max_terms=4, max_deg=3) for _ in range(3)]
+        args.append(args[0] * 1)  # equal to an earlier argument, not the same object
+        for f in args + args:
+            assert m(f) == f.substitute(m.images)
+
+
 def test_inverse_pair_modulo_hypersurfaces(ring4):
     P, Q = cubic_poly(ring4), companion_poly(ring4)
     fwd, bwd = fiber_maps(ring4)

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from krcubic.coeff import OMEGA, Eisenstein
 from krcubic.errors import (EmptyConeError, KrError, NegativeExponentError,
                             NonUnitError, TableMismatchError)
-from krcubic.poly import VarTable
+from krcubic.parser import parse_polynomial
+from krcubic.poly import Polynomial, VarTable
 
 from conftest import (cubic_poly, companion_poly, random_nonzero_poly,
                       random_poly, random_table)
@@ -151,6 +153,47 @@ def test_transport_by_name(ring3, ring4):
     assert g == ring4.var("z") ** 2 + ring4.var("t") ** 3 + ring4.var("x")
     with pytest.raises(KrError):
         cubic_poly(ring4).transport(ring3)  # y does not exist downstairs
+
+
+# -- hashing --------------------------------------------------------------------
+
+def test_equal_polynomials_hash_equal(ring3, ring4):
+    x, z, t = vars_of(ring3, "x", "z", "t")
+    built = [
+        ((x + OMEGA * z) ** 2,
+         x ** 2 + 2 * OMEGA * x * z + OMEGA ** 2 * z ** 2,
+         parse_polynomial("x^2 + 2*w*x*z + w^2*z^2", ring3),
+         Polynomial(ring3, {(2, 0, 0): Eisenstein(1), (1, 1, 0): 2 * OMEGA,
+                            (0, 2, 0): OMEGA ** 2, (0, 0, 5): Eisenstein(0)})),
+        ((t + 1) * (t - 1) + 1, t ** 2, (t ** 2).transport(ring4).transport(ring3)),
+        (ring3.zero(), x - x, ring3.constant(0)),
+    ]
+    for group in built:
+        assert all(p == group[0] for p in group)
+        assert len({hash(p) for p in group}) == 1
+
+
+def test_hash_builds_no_coefficient_hash(ring3, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a coefficient was hashed")
+
+    monkeypatch.setattr(Eisenstein, "__hash__", refuse)
+    x, z, t = vars_of(ring3, "x", "z", "t")
+    p = OMEGA * x ** 2 * z + Fraction(2, 3) * t - OMEGA ** 2
+    q = parse_polynomial("w*x^2*z + 2/3*t - w^2", ring3)
+    assert hash(p) == hash(q)
+    assert {p: 1}[q] == 1
+
+
+def test_polynomials_sharing_a_support_stay_apart(ring3):
+    x, z = vars_of(ring3, "x", "z")
+    same_support = [x + 1, x + 2, x - 1, OMEGA * x + 1, x + OMEGA, 2 * x + 1]
+    assert len(set(same_support)) == len(same_support)
+    table = {p: i for i, p in enumerate(same_support)}
+    for i, p in enumerate(same_support):
+        assert table[p * 1] == i
+    assert x + 3 not in table and z + 1 not in table
+    assert (x + 1) * 2 not in set(same_support) and x * 2 + 1 in set(same_support)
 
 
 # -- structural properties on random data -------------------------------------
