@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
-from importlib import resources
 
 from .errors import KrError
 from .geometry import classify_quadric, graph_variable_check, tangent_cone
@@ -27,20 +25,32 @@ from .poly import render
 PASS, FAIL, ERROR = "pass", "fail", "error"
 
 
-@dataclass(frozen=True)
 class ClaimResult:
-    label: str
-    kind: str
-    status: str
-    anchor: str | None
-    millis: int
-    detail: str = ""
+    """The outcome of one claim or narrative."""
+
+    __slots__ = ("label", "kind", "status", "anchor", "millis", "detail")
+
+    def __init__(self, label: str, kind: str, status: str, anchor: str | None,
+                 millis: int, detail: str = ""):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "millis", millis)
+        object.__setattr__(self, "detail", detail)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ClaimResult is immutable")
 
 
-@dataclass
 class Report:
-    source: str
-    results: list[ClaimResult] = field(default_factory=list)
+    """The results of one unit, claims first and narratives after them."""
+
+    __slots__ = ("source", "results")
+
+    def __init__(self, source: str):
+        self.source = source
+        self.results: list[ClaimResult] = []
 
     @property
     def counts(self) -> dict[str, int]:
@@ -197,6 +207,7 @@ SHIPPED_MANIFESTS = (
 
 def manifest_path(name: str):
     """Filesystem path of a manifest shipped inside the package."""
+    from importlib import resources  # only here: it costs start-up time
     root = resources.files("krcubic").joinpath("manifests")
     path = root.joinpath(name)
     if not path.is_file():

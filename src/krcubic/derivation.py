@@ -9,8 +9,7 @@ means literal vanishing of the normal form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from collections.abc import Mapping
 
 from .errors import DerivationError, KrError, PostconditionError, UnverifiedPairError
 from .groebner import member, reduce
@@ -93,14 +92,20 @@ class Derivation:
         return f"Derivation({body}{tail})"
 
 
-@dataclass(frozen=True)
 class NilpotencyCertificate:
     """Per-generator order: smallest k with the k-th iterate vanishing."""
 
-    orders: dict[str, int]
-    bound_used: int
-    complete: bool
-    failed_generator: str | None = None
+    __slots__ = ("orders", "bound_used", "complete", "failed_generator")
+
+    def __init__(self, orders: dict[str, int], bound_used: int, complete: bool,
+                 failed_generator: str | None = None):
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "bound_used", bound_used)
+        object.__setattr__(self, "complete", complete)
+        object.__setattr__(self, "failed_generator", failed_generator)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("NilpotencyCertificate is immutable")
 
 
 def nilpotency_certificate(d: Derivation, bound: int = 64) -> NilpotencyCertificate:

@@ -10,8 +10,7 @@ square roots outside Q(w).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from collections.abc import Mapping
 
 from .coeff import Eisenstein
 from .errors import KrError
@@ -24,10 +23,17 @@ OTHER = "other"
 CONE_TAGS = (DOUBLE_HYPERPLANE, TWO_DISTINCT_HYPERPLANES, OTHER)
 
 
-@dataclass(frozen=True)
 class ConeClass:
-    tag: str
-    form: Polynomial
+    """A quadratic tangent cone's tag (one of CONE_TAGS) and its form."""
+
+    __slots__ = ("tag", "form")
+
+    def __init__(self, tag: str, form: Polynomial):
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "form", form)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ConeClass is immutable")
 
 
 def tangent_cone(f: Polynomial, point: Mapping[str, "Polynomial | int"]) -> Polynomial:

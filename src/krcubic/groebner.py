@@ -13,22 +13,26 @@ elimination experiments.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections.abc import Callable
 from operator import add, le, sub
-from typing import Callable
 
 from .errors import (GroebnerBudgetError, KrError, LaurentInputError,
                      PostconditionError)
 from .poly import Polynomial, VarTable, _polynomial, grevlex_key, lex_key
 
 
-@dataclass(frozen=True)
 class MonomialOrder:
     """A named monomial order.  key maps an exponent tuple to a flat tuple of
     ints; a larger key is a larger monomial."""
 
-    kind: str
-    key: Callable[[tuple[int, ...]], tuple[int, ...]]
+    __slots__ = ("kind", "key")
+
+    def __init__(self, kind: str, key: Callable[[tuple[int, ...]], tuple[int, ...]]):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "key", key)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MonomialOrder is immutable")
 
 
 GREVLEX = MonomialOrder("grevlex", grevlex_key)
@@ -124,12 +128,17 @@ def reduce(f: Polynomial, gens: list[Polynomial],
     return rem, cofs
 
 
-@dataclass(frozen=True)
 class GroebnerBasis:
     """Reduced monic Groebner basis; membership = zero remainder on reduce."""
 
-    generators: tuple[Polynomial, ...]
-    order: MonomialOrder
+    __slots__ = ("generators", "order")
+
+    def __init__(self, generators: tuple[Polynomial, ...], order: MonomialOrder):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "order", order)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GroebnerBasis is immutable")
 
     def contains(self, f: Polynomial) -> bool:
         if f.is_zero():

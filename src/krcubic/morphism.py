@@ -9,8 +9,8 @@ Exact division and normal forms are both remainders of groebner.reduce.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from operator import add
-from typing import Iterable, Mapping, Sequence
 
 from .coeff import Eisenstein
 from .errors import ExtensionError, KrError, PostconditionError

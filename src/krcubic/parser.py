@@ -39,9 +39,7 @@ diagnostic.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
 
 from .coeff import OMEGA
 from .errors import KrError, ParseError
@@ -105,12 +103,17 @@ _TOKEN = re.compile(r'(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<comment>#[^\n]*)'
                     r'|(?P<ident>\w+)|(?P<punct>->|[(){},;:^*+\-/=])|(?P<bad>.)')
 
 
-class Token(NamedTuple):
-    kind: str  # ident, int, string, punct, eof
-    text: str
-    line: int
-    col: int
-    pos: int
+class Token:
+    """kind is ident, int, string, punct or eof; col counts from 1, pos from 0."""
+
+    __slots__ = ("kind", "text", "line", "col", "pos")
+
+    def __init__(self, kind: str, text: str, line: int, col: int, pos: int):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
+        self.pos = pos
 
 
 def tokenize(text: str) -> list[Token]:
@@ -134,9 +137,14 @@ def tokenize(text: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 # expression AST (claim arguments stay lazy; everything else folds eagerly)
 
-@dataclass(frozen=True)
 class Lit:
-    value: Polynomial
+    __slots__ = ("value",)
+
+    def __init__(self, value: Polynomial):
+        object.__setattr__(self, "value", value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Lit is immutable")
 
     def render(self, prec: int = 0) -> str:
         text = render(self.value)
@@ -148,29 +156,44 @@ class Lit:
         return f"({text})" if needs else text
 
 
-@dataclass(frozen=True)
 class Apply:
-    name: str
-    arg: "Node"
+    __slots__ = ("name", "arg")
+
+    def __init__(self, name: str, arg: Node):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "arg", arg)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Apply is immutable")
 
     def render(self, prec: int = 0) -> str:
         return f"{self.name}({self.arg.render(0)})"
 
 
-@dataclass(frozen=True)
 class Builtin:
-    fn: str
-    args: tuple  # one value per shape in BUILTINS[fn]
+    __slots__ = ("fn", "args")
+
+    def __init__(self, fn: str, args: tuple):
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "args", args)  # one value per shape in BUILTINS[fn]
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Builtin is immutable")
 
     def render(self, prec: int = 0) -> str:
         return self.fn + _fmt_arguments(BUILTINS[self.fn], self.args)
 
 
-@dataclass(frozen=True)
 class BinOp:
-    op: str
-    left: "Node"
-    right: "Node"
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Node, right: Node):
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BinOp is immutable")
 
     def render(self, prec: int = 0) -> str:
         own = 1 if self.op in "+-" else 2
@@ -180,9 +203,14 @@ class BinOp:
         return f"({text})" if prec > own else text
 
 
-@dataclass(frozen=True)
 class Negate:
-    arg: "Node"
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Node):
+        object.__setattr__(self, "arg", arg)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Negate is immutable")
 
     def render(self, prec: int = 0) -> str:
         text = f"-{self.arg.render(2)}"
@@ -257,49 +285,62 @@ def _construct(fn: str, args: tuple, preserving, env: dict):
 # ---------------------------------------------------------------------------
 # declarations
 
-@dataclass
 class Decl:
     """A declared name.  kind 'ring' holds a VarTable (ring: None), 'poly' a
     Polynomial, 'map' a RingMap and 'derivation' a Derivation, each over the
     ring current at the declaration."""
-    kind: str
-    name: str
-    ring: str | None
-    value: object
-    ctor: tuple | None = None  # (fn, args, preserving) of a constructor, for fmt
+
+    __slots__ = ("kind", "name", "ring", "value", "ctor")
+
+    def __init__(self, kind: str, name: str, ring: str | None, value: object,
+                 ctor: tuple | None = None):
+        self.kind = kind
+        self.name = name
+        self.ring = ring
+        self.value = value
+        self.ctor = ctor  # (fn, args, preserving) of a constructor, for fmt
 
 
-@dataclass
 class InverseDecl:
-    first: str
-    second: str
-    mod_first: list
-    mod_second: list
+    __slots__ = ("first", "second", "mod_first", "mod_second")
+
+    def __init__(self, first: str, second: str, mod_first: list, mod_second: list):
+        self.first = first
+        self.second = second
+        self.mod_first = mod_first
+        self.mod_second = mod_second
 
 
-@dataclass
 class ClaimDecl:
-    label: str
-    kind: str
-    ring: str
-    args: tuple  # one value per shape in CLAIMS[kind]
-    expect: bool
-    anchor: str | None
+    __slots__ = ("label", "kind", "ring", "args", "expect", "anchor")
+
+    def __init__(self, label: str, kind: str, ring: str, args: tuple, expect: bool,
+                 anchor: str | None):
+        self.label = label
+        self.kind = kind
+        self.ring = ring
+        self.args = args  # one value per shape in CLAIMS[kind]
+        self.expect = expect
+        self.anchor = anchor
 
 
-@dataclass
 class NarrativeDecl:
-    label: str
-    requires: tuple[str, ...]
+    __slots__ = ("label", "requires")
+
+    def __init__(self, label: str, requires: tuple[str, ...]):
+        self.label = label
+        self.requires = requires
 
 
-@dataclass
 class SourceUnit:
-    items: list = field(default_factory=list)
-    env: dict = field(default_factory=dict)    # name -> Decl, for all but rings
-    rings: dict = field(default_factory=dict)
-    claims: list = field(default_factory=list)
-    narratives: list = field(default_factory=list)
+    __slots__ = ("items", "env", "rings", "claims", "narratives")
+
+    def __init__(self):
+        self.items = []
+        self.env = {}  # name -> Decl, for all but rings
+        self.rings = {}
+        self.claims = []
+        self.narratives = []
 
 
 class Parser:

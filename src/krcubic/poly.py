@@ -13,10 +13,10 @@ reverse lexicographic over the table order.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Iterable, Mapping
 
 from .coeff import ONE, Eisenstein, _make, render_coeff
 from .errors import (
@@ -427,12 +427,20 @@ class Polynomial:
         return self.table == other.table and self.terms == other.terms
 
     def __hash__(self):
-        """Hash of the table and the exponent set only: equal polynomials
+        """A constant hashes as its coefficient and zero as 0, since __eq__
+        equates them with ints, Fractions and Eisensteins.  Any other
+        polynomial hashes its table and exponent set only: equal polynomials
         have equal term dicts, and no coefficient is hashed (hashing an
         Eisenstein builds Fractions)."""
         h = self._hash
         if h is None:
-            h = hash((self.table, frozenset(self.terms)))
+            terms = self.terms
+            if not terms:
+                h = 0
+            elif len(terms) == 1 and not any(next(iter(terms))):
+                h = hash(next(iter(terms.values())))
+            else:
+                h = hash((self.table, frozenset(terms)))
             object.__setattr__(self, "_hash", h)
         return h
 

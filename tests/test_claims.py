@@ -8,10 +8,13 @@ import pytest
 
 from krcubic.claims import (ERROR, FAIL, PASS, SHIPPED_MANIFESTS, manifest_path,
                             run_shipped, run_text)
+from krcubic.derivation import Derivation, nilpotency_certificate
 from krcubic.errors import KrError
+from krcubic.geometry import classify_quadric
+from krcubic.groebner import LEX, buchberger
 from krcubic.morphism import RingMap
-from krcubic.parser import parse_unit
-from krcubic.poly import Polynomial
+from krcubic.parser import Lit, parse_unit
+from krcubic.poly import Polynomial, VarTable
 
 
 def test_every_shipped_manifest_passes():
@@ -31,6 +34,31 @@ def test_every_negative_control_fails_exactly_once():
         assert len(claim_fails) == 1, negative
         assert not errors, negative
         assert not report.all_pass
+
+
+def test_value_records_are_read_only():
+    table = VarTable(["x", "z"])
+    x, z = table.var("x"), table.var("z")
+    records = [
+        run_shipped("stable.krv").results[0],
+        nilpotency_certificate(Derivation(table, {"x": z, "z": table.zero()})),
+        classify_quadric(x ** 2),
+        LEX,
+        buchberger([x, z], LEX),
+        Lit(x),
+    ]
+    # BinOp(Negate(Apply), Builtin)
+    sum_node = parse_unit("ring R = vars(x);\nmap m : R { x -> x; }\n"
+                          'claim "c" eq(-m(x) + quot(x^2, x), 0) expect true;').claims[0].args[0]
+    records += [sum_node, sum_node.left, sum_node.left.arg, sum_node.right]
+    assert {type(r).__name__ for r in records} == {
+        "ClaimResult", "NilpotencyCertificate", "ConeClass", "MonomialOrder",
+        "GroebnerBasis", "Lit", "BinOp", "Negate", "Apply", "Builtin"}
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record).__name__
+        name = type(record).__slots__[0]
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
 
 
 def test_failing_equality_renders_both_sides():

@@ -1,6 +1,11 @@
-"""Every import in the package and the tests is used in its module."""
+"""Every import in the package and the tests is used in its module, and
+importing the package loads no module that only slows start-up."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import krcubic
@@ -48,3 +53,34 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line}: {name}"
                    for name, line in _imported(tree).items() if name not in used]
     assert not unused, unused
+
+
+# dataclasses pulls in inspect, ast, dis and tokenize; typing and
+# importlib.resources are costly too, and the package needs none of them
+# to start
+SLOW_TO_IMPORT = ("dataclasses", "inspect", "typing", "importlib.resources")
+
+PROBE = """
+import json, sys
+before = set(sys.modules)
+import krcubic
+added = set(sys.modules) - before
+print(json.dumps({"file": krcubic.__file__,
+                  "before": sorted(before.intersection(SLOW)),
+                  "added": sorted(added.intersection(SLOW))}))
+"""
+
+
+def test_import_loads_no_slow_modules():
+    # -S skips site, whose .pth files may load typing or importlib.resources
+    # themselves and so hide them from the comparison
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", f"SLOW = {SLOW_TO_IMPORT!r}" + PROBE],
+        capture_output=True, text=True, env=env, check=True)
+    seen = json.loads(proc.stdout)
+    assert Path(seen["file"]).resolve().parent == PACKAGE
+    assert seen["before"] == []  # else the check below could not see them
+    assert seen["added"] == []

@@ -190,7 +190,7 @@ def test_tokenize_pins_kinds_and_positions():
     # (kind, text, line, col, pos); a tab and a '\r' take one column each, and
     # eof after a final comment sits at the '#'
     text = 'map m_2 :\tR { # note\r\n  y -> "s t" 12;\n} # end'
-    assert [tuple(tok) for tok in tokenize(text)] == [
+    assert [(tok.kind, tok.text, tok.line, tok.col, tok.pos) for tok in tokenize(text)] == [
         ("ident", "map", 1, 1, 0),
         ("ident", "m_2", 1, 5, 4),
         ("punct", ":", 1, 9, 8),
@@ -250,7 +250,9 @@ map bwd : R { y -> (1 - x)*y - x - z^2 - t^3; }
 inverse(fwd, bwd) mod {P}, {Q};
 """)
     P, Q = unit.env["P"].value, unit.env["Q"].value
-    assert unit.items[-1] == InverseDecl("fwd", "bwd", [P], [Q])
+    pair = unit.items[-1]
+    assert isinstance(pair, InverseDecl)
+    assert (pair.first, pair.second, pair.mod_first, pair.mod_second) == ("fwd", "bwd", [P], [Q])
 
 
 def test_inverse_declaration_rejects_non_inverses():

@@ -196,6 +196,31 @@ def test_polynomials_sharing_a_support_stay_apart(ring3):
     assert (x + 1) * 2 not in set(same_support) and x * 2 + 1 in set(same_support)
 
 
+def test_constants_hash_like_the_numbers_they_equal(ring3, ring4):
+    x = ring3.var("x")
+    numbers = [0, 3, -1, Fraction(-2, 3), Eisenstein(5), OMEGA, 1 + 2 * OMEGA]
+    for n in numbers:
+        for const in (ring3.constant(n), (x + n) - x, ring4.constant(n)):
+            assert const == n and n == const
+            assert hash(const) == hash(n)
+            assert n in {const} and const in {n}
+    # equal values collapse to one set member, whatever their type
+    mixed = {3, Fraction(3), Eisenstein(3), ring3.constant(3), ring3.zero(), 0,
+             OMEGA, ring3.constant(OMEGA), x, x + 3, Fraction(1, 2),
+             ring3.constant(Fraction(1, 2)), Eisenstein(Fraction(1, 2))}
+    assert len(mixed) == 6
+    by_number = {3: "three", Fraction(1, 2): "half", OMEGA: "w", 0: "zero", x: "x"}
+    assert by_number[ring3.constant(3)] == "three"
+    assert by_number[(x + Fraction(1, 2)) - x] == "half"
+    assert by_number[ring3.constant(OMEGA)] == "w"
+    assert by_number[x - x] == "zero"
+    assert by_number[x * 1] == "x"
+    by_constant = {ring3.constant(3): "three", ring3.constant(OMEGA): "w", ring3.zero(): "zero"}
+    assert by_constant[3] == by_constant[Eisenstein(3)] == by_constant[Fraction(3)] == "three"
+    assert by_constant[OMEGA] == "w" and by_constant[0] == "zero"
+    assert Fraction(1, 2) not in by_constant and x + 3 not in by_constant
+
+
 # -- structural properties on random data -------------------------------------
 
 def test_substitution_is_a_ring_homomorphism():
