@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import time
 
-from .errors import KrError
+from .errors import KrError, Record
 from .geometry import classify_quadric, graph_variable_check, tangent_cone
 from .groebner import member, singular_at, smooth_everywhere
 from .morphism import exact_divide, verify_inverse_pair
@@ -25,22 +25,10 @@ from .poly import render
 PASS, FAIL, ERROR = "pass", "fail", "error"
 
 
-class ClaimResult:
-    """The outcome of one claim or narrative."""
+class ClaimResult(Record):
+    """The outcome of one claim or narrative; anchor may be None, detail ""."""
 
     __slots__ = ("label", "kind", "status", "anchor", "millis", "detail")
-
-    def __init__(self, label: str, kind: str, status: str, anchor: str | None,
-                 millis: int, detail: str = ""):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "millis", millis)
-        object.__setattr__(self, "detail", detail)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ClaimResult is immutable")
 
 
 class Report:
@@ -164,7 +152,7 @@ def _run_one(unit: SourceUnit, claim: ClaimDecl) -> ClaimResult:
         status = PASS if holds == claim.expect else FAIL
         if status == FAIL and not detail:
             detail = f"evaluated {str(holds).lower()}, expected {str(claim.expect).lower()}"
-    except (KrError, ZeroDivisionError, AssertionError) as exc:
+    except (KrError, ZeroDivisionError) as exc:
         status, detail = ERROR, f"{type(exc).__name__}: {exc}"
     millis = int((time.perf_counter() - started) * 1000)
     return ClaimResult(claim.label, claim.kind, status, claim.anchor, millis, detail)

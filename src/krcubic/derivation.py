@@ -11,14 +11,15 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from .errors import DerivationError, KrError, PostconditionError, UnverifiedPairError
+from .errors import (DerivationError, KrError, PostconditionError, Record,
+                     UnverifiedPairError)
 from .groebner import member, reduce
 from .morphism import (QuotientRelation, RingMap, _x_coefficients, exact_divide,
                        normal_form, verify_inverse_pair)
 from .poly import Polynomial, VarTable
 
 
-class Derivation:
+class Derivation(Record):
     """Derivation of a polynomial ring, optionally modulo a quotient relation."""
 
     __slots__ = ("table", "images", "relation")
@@ -48,9 +49,6 @@ class Derivation:
             if not raw.is_zero() and exact_divide(raw, relation.relation) is None:
                 raise DerivationError(
                     "derivation does not descend: image of the relation is not a multiple")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Derivation is immutable")
 
     def image_of(self, name: str) -> Polynomial:
         self.table.index(name)
@@ -92,20 +90,13 @@ class Derivation:
         return f"Derivation({body}{tail})"
 
 
-class NilpotencyCertificate:
-    """Per-generator order: smallest k with the k-th iterate vanishing."""
+class NilpotencyCertificate(Record):
+    """Per-generator order: smallest k with the k-th iterate vanishing.
+
+    failed_generator names the generator that exceeded the bound, or is None
+    when the certificate is complete."""
 
     __slots__ = ("orders", "bound_used", "complete", "failed_generator")
-
-    def __init__(self, orders: dict[str, int], bound_used: int, complete: bool,
-                 failed_generator: str | None = None):
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "bound_used", bound_used)
-        object.__setattr__(self, "complete", complete)
-        object.__setattr__(self, "failed_generator", failed_generator)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NilpotencyCertificate is immutable")
 
 
 def nilpotency_certificate(d: Derivation, bound: int = 64) -> NilpotencyCertificate:
@@ -130,8 +121,8 @@ def nilpotency_certificate(d: Derivation, bound: int = 64) -> NilpotencyCertific
                 orders[v] = k
                 break
         else:
-            return NilpotencyCertificate(orders, bound, False, failed_generator=v)
-    return NilpotencyCertificate(orders, bound, True)
+            return NilpotencyCertificate(orders, bound, False, v)
+    return NilpotencyCertificate(orders, bound, True, None)
 
 
 def conjugate(d: Derivation, fwd: RingMap, bwd: RingMap,

@@ -1,4 +1,36 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and Record, the base of its
+read-only value records.
+
+This is the leaf module every other module imports, so the base lives here.
+"""
+
+
+class Record:
+    """A read-only record over the subclass's __slots__.
+
+    Record(*values) fills the slots in order; assignment afterwards raises.
+    A subclass that validates its input keeps its own __init__ and writes
+    through object.__setattr__.  Equality, hashing and repr stay those of
+    object: records compare and hash by identity.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # each slot's own setter, in slot order: calling it directly skips
+        # the name lookup that object.__setattr__ makes for every value
+        cls._setters = tuple(vars(cls)[name].__set__ for name in cls.__slots__)
+
+    def __init__(self, *values):
+        setters = self._setters
+        if len(values) != len(setters):
+            raise TypeError(f"{type(self).__name__} takes {len(setters)} values, "
+                            f"got {len(values)}")
+        for setter, value in zip(setters, values):
+            setter(self, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 class KrError(Exception):

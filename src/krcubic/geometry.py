@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from .coeff import Eisenstein
-from .errors import KrError
+from .errors import KrError, Record
 from .poly import Polynomial
 
 DOUBLE_HYPERPLANE = "double_hyperplane"
@@ -23,17 +23,10 @@ OTHER = "other"
 CONE_TAGS = (DOUBLE_HYPERPLANE, TWO_DISTINCT_HYPERPLANES, OTHER)
 
 
-class ConeClass:
+class ConeClass(Record):
     """A quadratic tangent cone's tag (one of CONE_TAGS) and its form."""
 
     __slots__ = ("tag", "form")
-
-    def __init__(self, tag: str, form: Polynomial):
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "form", form)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConeClass is immutable")
 
 
 def tangent_cone(f: Polynomial, point: Mapping[str, "Polynomial | int"]) -> Polynomial:

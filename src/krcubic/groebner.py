@@ -13,26 +13,18 @@ elimination experiments.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable
 from operator import add, le, sub
 
 from .errors import (GroebnerBudgetError, KrError, LaurentInputError,
-                     PostconditionError)
+                     PostconditionError, Record)
 from .poly import Polynomial, VarTable, _polynomial, grevlex_key, lex_key
 
 
-class MonomialOrder:
+class MonomialOrder(Record):
     """A named monomial order.  key maps an exponent tuple to a flat tuple of
     ints; a larger key is a larger monomial."""
 
     __slots__ = ("kind", "key")
-
-    def __init__(self, kind: str, key: Callable[[tuple[int, ...]], tuple[int, ...]]):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "key", key)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MonomialOrder is immutable")
 
 
 GREVLEX = MonomialOrder("grevlex", grevlex_key)
@@ -128,17 +120,10 @@ def reduce(f: Polynomial, gens: list[Polynomial],
     return rem, cofs
 
 
-class GroebnerBasis:
+class GroebnerBasis(Record):
     """Reduced monic Groebner basis; membership = zero remainder on reduce."""
 
-    __slots__ = ("generators", "order")
-
-    def __init__(self, generators: tuple[Polynomial, ...], order: MonomialOrder):
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "order", order)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroebnerBasis is immutable")
+    __slots__ = ("generators", "order")  # generators: a tuple of Polynomial
 
     def contains(self, f: Polynomial) -> bool:
         if f.is_zero():
@@ -160,13 +145,15 @@ def _spoly(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
     return uf * f - ug * g
 
 
-def buchberger(gens: list[Polynomial], order: MonomialOrder = GREVLEX,
-               max_pairs: int = 50_000) -> GroebnerBasis:
+MAX_PAIRS = 50_000  # Buchberger's pair budget
+
+
+def buchberger(gens: list[Polynomial], order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens.
 
     Uses the coprime-leading-monomial criterion; the instances this library
     meets are tiny, so nothing fancier is warranted.  Raises
-    GroebnerBudgetError if the pair budget is exhausted.
+    GroebnerBudgetError once more than MAX_PAIRS pairs have been taken.
     """
     basis = []
     table = None
@@ -202,8 +189,8 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder = GREVLEX,
     while heap:
         _, _, i, j = heapq.heappop(heap)
         processed += 1
-        if processed > max_pairs:
-            raise GroebnerBudgetError(f"pair budget {max_pairs} exhausted")
+        if processed > MAX_PAIRS:
+            raise GroebnerBudgetError(f"pair budget {MAX_PAIRS} exhausted")
         mi, mj = lm(i), lm(j)
         if all(a == 0 or b == 0 for a, b in zip(mi, mj)):
             continue  # coprime leading monomials: S-polynomial reduces to zero

@@ -13,12 +13,12 @@ from collections.abc import Iterable, Mapping, Sequence
 from operator import add
 
 from .coeff import Eisenstein
-from .errors import ExtensionError, KrError, PostconditionError
+from .errors import ExtensionError, KrError, PostconditionError, Record
 from .groebner import MonomialOrder, clear_laurent, member, reduce
 from .poly import Polynomial, VarTable, _polynomial
 
 
-class RingMap:
+class RingMap(Record):
     """Endomorphism of a polynomial ring given by per-variable images."""
 
     __slots__ = ("table", "images", "_applied")
@@ -43,9 +43,6 @@ class RingMap:
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "images", imgs)
         object.__setattr__(self, "_applied", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RingMap is immutable")
 
     @staticmethod
     def identity(table: VarTable) -> "RingMap":
@@ -177,7 +174,7 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial | None:
     return quot
 
 
-class QuotientRelation:
+class QuotientRelation(Record):
     """A relation of the shape x^2*y + r(z, t) + x*F(x, z, t), leading monomial x^2*y.
 
     The coefficient of x^2*y must be 1, no other term may involve y, and
@@ -212,9 +209,6 @@ class QuotientRelation:
         object.__setattr__(self, "order",
                            MonomialOrder("lex-y", lambda e: (e[iy], *e)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QuotientRelation is immutable")
-
     def __eq__(self, other):
         if not isinstance(other, QuotientRelation):
             return NotImplemented
@@ -240,7 +234,7 @@ def normal_form(f: Polynomial, rel: QuotientRelation) -> Polynomial:
     return _times_unit(rem, shift)
 
 
-class Extension:
+class Extension(Record):
     """Result of extending a base automorphism to the quotient ring.
 
     map     -- the extended endomorphism (y gets (y*factor - defect)/lam^2)
@@ -249,14 +243,6 @@ class Extension:
     """
 
     __slots__ = ("map", "factor", "defect")
-
-    def __init__(self, mp: RingMap, factor: Polynomial, defect: Polynomial):
-        object.__setattr__(self, "map", mp)
-        object.__setattr__(self, "factor", factor)
-        object.__setattr__(self, "defect", defect)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Extension is immutable")
 
 
 def _x_coefficients(p: Polynomial, ix: int) -> tuple[Polynomial, Polynomial]:

@@ -42,7 +42,7 @@ import re
 from fractions import Fraction
 
 from .coeff import OMEGA
-from .errors import KrError, ParseError
+from .errors import KrError, ParseError, Record
 from .poly import Polynomial, VarTable, render
 from .morphism import (QuotientRelation, RingMap, compose, exact_divide,
                        extend_to_quotient_automorphism, jacobian, normal_form,
@@ -137,14 +137,8 @@ def tokenize(text: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 # expression AST (claim arguments stay lazy; everything else folds eagerly)
 
-class Lit:
+class Lit(Record):
     __slots__ = ("value",)
-
-    def __init__(self, value: Polynomial):
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Lit is immutable")
 
     def render(self, prec: int = 0) -> str:
         text = render(self.value)
@@ -156,44 +150,22 @@ class Lit:
         return f"({text})" if needs else text
 
 
-class Apply:
+class Apply(Record):
     __slots__ = ("name", "arg")
-
-    def __init__(self, name: str, arg: Node):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "arg", arg)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Apply is immutable")
 
     def render(self, prec: int = 0) -> str:
         return f"{self.name}({self.arg.render(0)})"
 
 
-class Builtin:
-    __slots__ = ("fn", "args")
-
-    def __init__(self, fn: str, args: tuple):
-        object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "args", args)  # one value per shape in BUILTINS[fn]
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Builtin is immutable")
+class Builtin(Record):
+    __slots__ = ("fn", "args")  # args: one value per shape in BUILTINS[fn]
 
     def render(self, prec: int = 0) -> str:
         return self.fn + _fmt_arguments(BUILTINS[self.fn], self.args)
 
 
-class BinOp:
+class BinOp(Record):
     __slots__ = ("op", "left", "right")
-
-    def __init__(self, op: str, left: Node, right: Node):
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BinOp is immutable")
 
     def render(self, prec: int = 0) -> str:
         own = 1 if self.op in "+-" else 2
@@ -203,21 +175,12 @@ class BinOp:
         return f"({text})" if prec > own else text
 
 
-class Negate:
+class Negate(Record):
     __slots__ = ("arg",)
-
-    def __init__(self, arg: Node):
-        object.__setattr__(self, "arg", arg)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Negate is immutable")
 
     def render(self, prec: int = 0) -> str:
         text = f"-{self.arg.render(2)}"
         return f"({text})" if prec >= 1 else text
-
-
-Node = "Lit | Apply | Builtin | BinOp | Negate"
 
 
 def _combine(op: str, a: Polynomial, b: Polynomial) -> Polynomial:
@@ -285,51 +248,26 @@ def _construct(fn: str, args: tuple, preserving, env: dict):
 # ---------------------------------------------------------------------------
 # declarations
 
-class Decl:
+class Decl(Record):
     """A declared name.  kind 'ring' holds a VarTable (ring: None), 'poly' a
     Polynomial, 'map' a RingMap and 'derivation' a Derivation, each over the
-    ring current at the declaration."""
+    ring current at the declaration.  ctor is the (fn, args, preserving) of
+    a constructor, kept for fmt, or None."""
 
     __slots__ = ("kind", "name", "ring", "value", "ctor")
 
-    def __init__(self, kind: str, name: str, ring: str | None, value: object,
-                 ctor: tuple | None = None):
-        self.kind = kind
-        self.name = name
-        self.ring = ring
-        self.value = value
-        self.ctor = ctor  # (fn, args, preserving) of a constructor, for fmt
 
-
-class InverseDecl:
+class InverseDecl(Record):
     __slots__ = ("first", "second", "mod_first", "mod_second")
 
-    def __init__(self, first: str, second: str, mod_first: list, mod_second: list):
-        self.first = first
-        self.second = second
-        self.mod_first = mod_first
-        self.mod_second = mod_second
 
-
-class ClaimDecl:
+class ClaimDecl(Record):
+    # args: one value per shape in CLAIMS[kind]; anchor: None if absent
     __slots__ = ("label", "kind", "ring", "args", "expect", "anchor")
 
-    def __init__(self, label: str, kind: str, ring: str, args: tuple, expect: bool,
-                 anchor: str | None):
-        self.label = label
-        self.kind = kind
-        self.ring = ring
-        self.args = args  # one value per shape in CLAIMS[kind]
-        self.expect = expect
-        self.anchor = anchor
 
-
-class NarrativeDecl:
-    __slots__ = ("label", "requires")
-
-    def __init__(self, label: str, requires: tuple[str, ...]):
-        self.label = label
-        self.requires = requires
+class NarrativeDecl(Record):
+    __slots__ = ("label", "requires")  # requires: a tuple of claim labels
 
 
 class SourceUnit:
@@ -365,10 +303,11 @@ class Parser:
         raise ParseError(message, tok.line, tok.col, tok.pos, expected)
 
     def kernel(self, tok: Token | None, fn, *args, **kwargs):
-        """Call a kernel function; its KrError becomes a ParseError at tok."""
+        """Call a kernel function; its KrError or ZeroDivisionError becomes a
+        ParseError at tok."""
         try:
             return fn(*args, **kwargs)
-        except KrError as exc:
+        except (KrError, ZeroDivisionError) as exc:
             self.error(str(exc), tok)
 
     def expect(self, text: str) -> Token:
@@ -420,7 +359,7 @@ class Parser:
         if self.current_ring is not None and name in self.table()._index:
             self.error(f"{name!r} collides with a ring variable", name_tok)
         if kind == "ring":
-            decl = Decl(kind, name, None, value)
+            decl = Decl(kind, name, None, value, None)
             self.unit.rings[name] = value
         else:
             decl = self.unit.env[name] = Decl(kind, name, self.current_ring, value, ctor)

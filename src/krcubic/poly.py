@@ -24,6 +24,7 @@ from .errors import (
     KrError,
     NegativeExponentError,
     NonUnitError,
+    Record,
     TableMismatchError,
 )
 
@@ -37,7 +38,7 @@ def lex_key(exps: tuple[int, ...]):
     return exps
 
 
-class VarTable:
+class VarTable(Record):
     """Ordered variable universe for one polynomial ring."""
 
     __slots__ = ("names", "laurent", "weights", "_index")
@@ -56,9 +57,6 @@ class VarTable:
         object.__setattr__(self, "laurent", tuple(v in laurent for v in names))
         object.__setattr__(self, "weights", tuple(0 if v in params else 1 for v in names))
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(names)})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VarTable is immutable")
 
     @property
     def arity(self) -> int:
@@ -127,7 +125,7 @@ def _check_exponents(table: VarTable, exps: tuple[int, ...]):
                 f"negative exponent on non-Laurent variable {name!r}")
 
 
-class Polynomial:
+class Polynomial(Record):
     """Sparse polynomial: exponent tuple -> nonzero coefficient."""
 
     __slots__ = ("table", "terms", "_hash")
@@ -145,9 +143,6 @@ class Polynomial:
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
     # -- basic queries -------------------------------------------------------
 

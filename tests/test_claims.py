@@ -2,17 +2,19 @@
 
 import importlib.util
 import json
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import krcubic
 from krcubic.claims import (ERROR, FAIL, PASS, SHIPPED_MANIFESTS, manifest_path,
                             run_shipped, run_text)
 from krcubic.derivation import Derivation, nilpotency_certificate
-from krcubic.errors import KrError
+from krcubic.errors import KrError, Record
 from krcubic.geometry import classify_quadric
 from krcubic.groebner import LEX, buchberger
-from krcubic.morphism import RingMap
+from krcubic.morphism import QuotientRelation, RingMap, extend_to_quotient_automorphism
 from krcubic.parser import Lit, parse_unit
 from krcubic.poly import Polynomial, VarTable
 
@@ -47,18 +49,55 @@ def test_value_records_are_read_only():
         buchberger([x, z], LEX),
         Lit(x),
     ]
-    # BinOp(Negate(Apply), Builtin)
-    sum_node = parse_unit("ring R = vars(x);\nmap m : R { x -> x; }\n"
-                          'claim "c" eq(-m(x) + quot(x^2, x), 0) expect true;').claims[0].args[0]
-    records += [sum_node, sum_node.left, sum_node.left.arg, sum_node.right]
+    # items: Decl (ring), Decl (map), InverseDecl, ClaimDecl, NarrativeDecl
+    unit = parse_unit("ring R = vars(x);\nmap m : R { x -> x; }\ninverse(m, m);\n"
+                      'claim "c" eq(-m(x) + quot(x^2, x), 0) expect true;\n'
+                      'narrative "n" requires("c");')
+    sum_node = unit.claims[0].args[0]  # BinOp(Negate(Apply), Builtin)
+    records += [sum_node, sum_node.left, sum_node.left.arg, sum_node.right, *unit.items]
+    T4 = VarTable(["x", "y", "z", "t"])
+    cubic = T4.var("x") ** 2 * T4.var("y") + T4.var("z") ** 2 + T4.var("x") + T4.var("t") ** 3
+    records.append(extend_to_quotient_automorphism(
+        RingMap.identity(T4), QuotientRelation(cubic), T4.one()))
     assert {type(r).__name__ for r in records} == {
         "ClaimResult", "NilpotencyCertificate", "ConeClass", "MonomialOrder",
-        "GroebnerBasis", "Lit", "BinOp", "Negate", "Apply", "Builtin"}
+        "GroebnerBasis", "Lit", "BinOp", "Negate", "Apply", "Builtin", "Decl",
+        "InverseDecl", "ClaimDecl", "NarrativeDecl", "Extension"}
     for record in records:
         assert not hasattr(record, "__dict__"), type(record).__name__
         name = type(record).__slots__[0]
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match=f"{type(record).__name__} is immutable"):
             setattr(record, name, None)
+
+
+# Classes with __slots__ that assign their own slots instead of being a Record.
+NOT_RECORDS = {
+    "Token": "built once per token, so the plain class, the fastest form, is kept",
+    "Report": "run_unit fills its results list after construction",
+    "SourceUnit": "the parser fills its lists and dicts while it reads",
+    "Eisenstein": "_make, the hottest constructor, assigns its private slots directly",
+}
+
+
+def test_every_slotted_class_is_a_record():
+    slotted = {}
+    for info in pkgutil.iter_modules(krcubic.__path__):
+        module = importlib.import_module(f"krcubic.{info.name}")
+        for cls in vars(module).values():
+            if (isinstance(cls, type) and cls.__module__ == module.__name__
+                    and "__slots__" in vars(cls) and cls is not Record):
+                slotted[cls.__name__] = cls
+    assert set(NOT_RECORDS) <= set(slotted)
+    for name, cls in slotted.items():
+        assert issubclass(cls, Record) == (name not in NOT_RECORDS), name
+    plain = [cls for cls in slotted.values()
+             if issubclass(cls, Record) and cls.__init__ is Record.__init__]
+    assert len(plain) == 15
+    for cls in plain:
+        width = len(cls.__slots__)
+        for count in (width - 1, width + 1):
+            with pytest.raises(TypeError, match=f"{cls.__name__} takes {width} values"):
+                cls(*range(count))
 
 
 def test_failing_equality_renders_both_sides():

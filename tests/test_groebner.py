@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from krcubic import groebner
 from krcubic.errors import GroebnerBudgetError, KrError, LaurentInputError
 from krcubic.groebner import (GREVLEX, LEX, MonomialOrder, buchberger,
                               clear_laurent, member, reduce, singular_at,
@@ -193,12 +194,13 @@ def test_lex_order_also_works(ring3):
     assert not basis.contains(x)
 
 
-def test_budget_is_reported():
+def test_budget_is_reported(monkeypatch):
     T = VarTable(["x", "z", "t"])
     x, z, t = (T.var(n) for n in ["x", "z", "t"])
     gens = [x ** 3 - 2 * x * z, x ** 2 * z - 2 * z ** 2 + x, t * x - z ** 2]
-    with pytest.raises(GroebnerBudgetError):
-        buchberger(gens, max_pairs=1)
+    monkeypatch.setattr(groebner, "MAX_PAIRS", 1)
+    with pytest.raises(GroebnerBudgetError, match="pair budget 1 exhausted"):
+        buchberger(gens)
 
 
 # -- singularity certificates ---------------------------------------------------

@@ -322,8 +322,9 @@ def test_sum_and_difference_build_no_product(monkeypatch):
 
 R4 = "ring R = vars(x, y, z, t);\n"
 
-# One unit per kernel call the parser makes: the kernel's KrError must come
-# out as a ParseError with the kernel's message, at the declaration's token.
+# One unit per kernel call the parser makes: the kernel's KrError, or the
+# ZeroDivisionError of a division by the zero polynomial, must come out as a
+# ParseError with the kernel's message, at the declaration's token.
 KERNEL_ERROR_SITES = {
     "power": ("ring R = vars(x, t);\nlet bad = t^-1;",
               "negative exponent on non-Laurent variable 't'", 2, 11),
@@ -333,6 +334,10 @@ KERNEL_ERROR_SITES = {
                     "relation must have x^2*y with coefficient 1", 2, 9),
     "image evaluation": (R4 + "map M : R { x -> x; z -> quot(z, z + 1); }",
                          "quot(): not exactly divisible", 2, 21),
+    "let zero divisor": ("ring R = vars(x);\nlet a = quot(x, 0);",
+                         "division by the zero polynomial", 2, 9),
+    "image zero divisor": ("ring R = vars(x);\nmap M : R { x -> quot(x, 0); }",
+                           "division by the zero polynomial", 2, 13),
     "map block": ("ring R = vars(x, t ; laurent t);\nmap M : R { t -> t + 1; }",
                   "image of Laurent variable 't' must be a unit monomial", 2, 7),
     "extend": (R4 + "map M : R { y -> y + 1; }\n"
