@@ -7,7 +7,7 @@ and a batch CLI that replays the algebraic identities behind the cubic's
 inequivalent embeddings and its cylinder.
 """
 
-from .coeff import Eisenstein, OMEGA, ZETA6, root_of_unity
+from .coeff import Eisenstein, OMEGA
 from .poly import Polynomial, VarTable, render
 from .groebner import (GREVLEX, LEX, GroebnerBasis, MonomialOrder, buchberger,
                        member, reduce, smooth_everywhere, singular_at)
@@ -27,7 +27,7 @@ from .claims import Report, run_file, run_shipped, run_text, run_unit
 __version__ = "0.1.0"
 
 __all__ = [
-    "Eisenstein", "OMEGA", "ZETA6", "root_of_unity",
+    "Eisenstein", "OMEGA",
     "Polynomial", "VarTable", "render",
     "GREVLEX", "LEX", "GroebnerBasis", "MonomialOrder", "buchberger", "member",
     "reduce", "smooth_everywhere", "singular_at",

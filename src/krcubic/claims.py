@@ -126,7 +126,8 @@ def _eval_claim(unit: SourceUnit, claim: ClaimDecl) -> tuple[bool, str]:
         return smooth_everywhere(ev(args[0])), ""
     if claim.kind == "singular_at":
         f, point = args
-        return singular_at(ev(f), point), ""
+        # the point is over the claim's ring, and a map's image over the map's
+        return singular_at(ev(f).transport(table), point), ""
     if claim.kind == "inverse_pair":
         m1, m2, ideals = args
         return verify_inverse_pair(env[m1].value, env[m2].value, *(ideals or ([], []))), ""

@@ -17,7 +17,7 @@ from .morphism import jacobian
 from .derivation import nilpotency_certificate
 from .geometry import tangent_cone
 from .parser import format_unit, parse_polynomial, parse_ring_spec, parse_unit
-from .poly import VarTable, render
+from .poly import render
 from . import claims as claims_mod
 
 DEFAULT_RING = "vars(x, y, z, t)"
@@ -45,9 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", required=True)
     p.add_argument("--point", required=True,
                    help="comma-separated coordinates for the non-parameter variables")
-    p.add_argument("--param", action="append", default=[],
-                   help="declare an extra parameter variable (repeatable)")
-    p.add_argument("--ring", default=DEFAULT_RING)
+    p.add_argument("--ring", default=DEFAULT_RING,
+                   help="ring spec; declare parameters in it, as 'vars(x, y0 ; param y0)'")
 
     p = sub.add_parser("groebner", help="reduced Groebner basis of an ideal")
     p.add_argument("gens", nargs="+")
@@ -75,17 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("derivation")
     p.add_argument("--bound", type=int, default=64)
     return ap
-
-
-def _ring(spec: str, extra_params=()):
-    table = parse_ring_spec(spec)
-    if extra_params:
-        names = list(table.names) + [p for p in extra_params if p not in table.names]
-        laurent = [v for v, f in zip(table.names, table.laurent) if f]
-        params = list(table.params())
-        params += [p for p in extra_params if p not in params]
-        table = VarTable(names, laurent=laurent, params=params)
-    return table
 
 
 def _load_unit(path: str):
@@ -120,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0 if all_pass else 1
 
         if args.command == "eval":
-            table = _ring(args.ring)
+            table = parse_ring_spec(args.ring)
             print(render(parse_polynomial(args.expr, table)))
             return 0
 
@@ -129,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "tcone":
-            table = _ring(args.ring, extra_params=args.param)
+            table = parse_ring_spec(args.ring)
             f = parse_polynomial(args.poly, table)
             coords = [c.strip() for c in args.point.split(",")]
             targets = table.non_params()
@@ -141,7 +129,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "groebner":
-            table = _ring(args.ring)
+            table = parse_ring_spec(args.ring)
             order = GREVLEX if args.order == "grevlex" else LEX
             basis = buchberger([parse_polynomial(g, table) for g in args.gens], order)
             for g in basis.generators:
@@ -149,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "member":
-            table = _ring(args.ring)
+            table = parse_ring_spec(args.ring)
             f = parse_polynomial(args.poly, table)
             gens = [parse_polynomial(g, table) for g in args.gens]
             inside = member(f, gens)
@@ -183,9 +171,9 @@ def main(argv: list[str] | None = None) -> int:
             for v, k in cert.orders.items():
                 print(f"{v}: {k}")
             if cert.complete:
-                print(f"locally nilpotent within bound {cert.bound_used}")
+                print(f"locally nilpotent within bound {args.bound}")
                 return 0
-            print(f"bound {cert.bound_used} exceeded at generator {cert.failed_generator}",
+            print(f"bound {args.bound} exceeded at generator {cert.failed_generator}",
                   file=sys.stderr)
             return 1
 

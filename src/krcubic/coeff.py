@@ -6,16 +6,14 @@ w^2 = -1 - w.  That form is unique, so structural equality is mathematical
 equality.  Every result is built by one private constructor, _make, which
 divides out the common factor; Fraction appears only at the edges: __init__
 accepts ints and Fractions, and the parts are read back as the Fraction
-properties re and om.  Every constant needed by the geometry lives here:
-rationals, -1, w itself, and the primitive sixth root 1 + w = -w^2.
+properties re and om.  Every constant the geometry needs is one of these:
+rationals, -1 and w itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-
-from .errors import UnsupportedOrderError
 
 
 def _frac(x) -> Fraction:
@@ -127,20 +125,6 @@ class Eisenstein:
     def __rtruediv__(self, other):
         return Eisenstein.of(other) * self.inverse()
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            raise TypeError("exponent must be an integer")
-        base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        acc = ONE
-        while k:
-            if k & 1:
-                acc = acc * base
-            k >>= 1
-            if k:
-                base = base * base
-        return acc
-
     # -- equality and display -----------------------------------------------
 
     def __eq__(self, other):
@@ -195,16 +179,6 @@ def _try(value) -> Eisenstein | None:
 ZERO = Eisenstein(0)
 ONE = Eisenstein(1)
 OMEGA = Eisenstein(0, 1)
-# -w^2 = 1 + w is a primitive sixth root of unity.
-ZETA6 = Eisenstein(1, 1)
-
-
-def root_of_unity(k: int, n: int) -> Eisenstein:
-    """Return zeta_n^k expressed in Q(w); n must be one of 1, 2, 3, 6."""
-    bases = {1: ONE, 2: Eisenstein(-1), 3: OMEGA, 6: ZETA6}
-    if n not in bases:
-        raise UnsupportedOrderError(f"order {n} does not divide 6")
-    return bases[n] ** (k % n)
 
 
 def _render_frac(q: Fraction) -> str:

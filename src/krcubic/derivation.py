@@ -31,8 +31,6 @@ class Derivation(Record):
             if table.is_param(v):
                 raise DerivationError("a derivation kills parameters; no image allowed")
             table.index(v)
-            if not isinstance(im, Polynomial):
-                im = table.constant(im)
             im = im.transport(table)
             if relation is not None:
                 im = normal_form(im, relation)
@@ -75,9 +73,6 @@ class Derivation(Record):
     def modulo(self, relation: QuotientRelation) -> "Derivation":
         return Derivation(self.table, self.images, relation)
 
-    def is_zero(self) -> bool:
-        return not self.images
-
     def __eq__(self, other):
         if not isinstance(other, Derivation):
             return NotImplemented
@@ -96,7 +91,7 @@ class NilpotencyCertificate(Record):
     failed_generator names the generator that exceeded the bound, or is None
     when the certificate is complete."""
 
-    __slots__ = ("orders", "bound_used", "complete", "failed_generator")
+    __slots__ = ("orders", "complete", "failed_generator")
 
 
 def nilpotency_certificate(d: Derivation, bound: int = 64) -> NilpotencyCertificate:
@@ -121,8 +116,8 @@ def nilpotency_certificate(d: Derivation, bound: int = 64) -> NilpotencyCertific
                 orders[v] = k
                 break
         else:
-            return NilpotencyCertificate(orders, bound, False, v)
-    return NilpotencyCertificate(orders, bound, True, None)
+            return NilpotencyCertificate(orders, False, v)
+    return NilpotencyCertificate(orders, True, None)
 
 
 def conjugate(d: Derivation, fwd: RingMap, bwd: RingMap,
@@ -194,9 +189,9 @@ def theta_extract(phi: RingMap, r: Polynomial) -> Polynomial:
 def substitute_parameter(obj, param: str, value: Polynomial, check_ideal=None):
     """Replace a parameter by a polynomial in every image of a map or derivation.
 
-    The value must not involve the parameter itself.  When check_ideal is
-    given, the substituted map must carry each generator back into the ideal
-    (the fiberwise-automorphism gluing pattern).
+    The value must not involve the parameter itself.  When check_ideal, a
+    list of polynomials, is given, the substituted map must carry each
+    generator back into the ideal (the fiberwise-automorphism gluing pattern).
     """
     table = obj.table
     if not table.is_param(param):
@@ -212,8 +207,7 @@ def substitute_parameter(obj, param: str, value: Polynomial, check_ideal=None):
     else:
         raise KrError("can only substitute parameters in maps and derivations")
     if check_ideal is not None:
-        gens = [g if isinstance(g, Polynomial) else table.constant(g) for g in check_ideal]
-        for gpoly in gens:
-            if not member(out.apply(gpoly), gens):
+        for g in check_ideal:
+            if not member(out.apply(g), check_ideal):
                 raise KrError("substituted object does not preserve the ideal")
     return out

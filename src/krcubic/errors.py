@@ -49,10 +49,6 @@ class NonUnitError(KrError):
     """Inversion requested for something that is not a unit monomial."""
 
 
-class UnsupportedOrderError(KrError):
-    """Root of unity of an order not dividing 6."""
-
-
 class EmptyConeError(KrError):
     """Polynomial vanishes identically after translation to the center."""
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from .coeff import Eisenstein
-from .errors import KrError, Record
+from .errors import EmptyConeError, KrError, NonUnitError, Record
 from .poly import Polynomial
 
 DOUBLE_HYPERPLANE = "double_hyperplane"
@@ -33,8 +33,13 @@ def tangent_cone(f: Polynomial, point: Mapping[str, "Polynomial | int"]) -> Poly
     """Lowest homogeneous part of f after translating the point to the origin.
 
     Every non-parameter variable needs a coordinate (a constant or an
-    expression in parameters only).  f must vanish at the point; for a
-    parametric point that means vanishing identically in the parameters.
+    expression in parameters only); parameters take none.  f must vanish at
+    the point; for a parametric point that means vanishing identically in the
+    parameters.  One substitution, v -> v + c, moves the point to the origin:
+    f vanishes there iff no term of the result has degree 0 (parameters weigh
+    0), and the terms of least degree are the cone.  A negative power of a
+    point variable raises NonUnitError, since v + c is a unit monomial only at
+    c = 0, where f has no value; at unit coordinates f must still vanish first.
     """
     table = f.table
     center: dict[str, Polynomial] = {}
@@ -42,15 +47,32 @@ def tangent_cone(f: Polynomial, point: Mapping[str, "Polynomial | int"]) -> Poly
         if v not in point:
             raise KrError(f"point does not assign variable {v!r}")
     for v, c in point.items():
+        if table.is_param(v):
+            raise KrError(f"point assigns parameter {v!r}, which stays symbolic")
         cv = c if isinstance(c, Polynomial) else table.constant(c)
         cv = cv.transport(table)
         for name in cv.variables_used():
             if not table.is_param(name):
                 raise KrError(f"point coordinate for {v!r} must be constant or parametric")
         center[v] = cv
-    if not f.substitute(center).is_zero():
+    negative = [v for exps in f.terms for v, e in zip(table.names, exps)
+                if e < 0 and v in center]
+    if negative:
+        # f has a value at the point only if each such coordinate is a unit;
+        # then v + c is not one, so the translation fails
+        stuck = [v for v in negative if not center[v].is_unit_monomial()]
+        if not stuck and f.substitute(center):
+            raise KrError("polynomial does not vanish at the given point")
+        raise NonUnitError(f"image of {(stuck or negative)[0]!r} must be a unit "
+                           f"monomial to carry negative exponents")
+    g = f.substitute({v: table.var(v) + c for v, c in center.items()})
+    degree = {exps: g.weighted_degree_of_term(exps) for exps in g.terms}
+    low = min(degree.values(), default=None)
+    if low == 0:
         raise KrError("polynomial does not vanish at the given point")
-    return f.lowest_homogeneous_part(center)
+    if low is None:
+        raise EmptyConeError("polynomial vanishes identically after translation")
+    return Polynomial(table, {e: c for e, c in g.terms.items() if degree[e] == low})
 
 
 def _gram_rank(form: Polynomial) -> tuple[int, int]:

@@ -26,12 +26,7 @@ class RingMap(Record):
     def __init__(self, table: VarTable, images: Mapping[str, Polynomial]):
         imgs: dict[str, Polynomial] = {}
         for v in table.non_params():
-            im = images.get(v)
-            if im is None:
-                im = table.var(v)
-            elif not isinstance(im, Polynomial):
-                im = table.constant(im)
-            im = im.transport(table)
+            im = images[v].transport(table) if v in images else table.var(v)
             if table.is_laurent(v) and not im.is_unit_monomial():
                 # a Laurent variable must stay invertible under the map
                 raise KrError(f"image of Laurent variable {v!r} must be a unit monomial")
@@ -43,10 +38,6 @@ class RingMap(Record):
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "images", imgs)
         object.__setattr__(self, "_applied", {})
-
-    @staticmethod
-    def identity(table: VarTable) -> "RingMap":
-        return RingMap(table, {})
 
     def apply(self, f: Polynomial) -> Polynomial:
         """The image of f under the map.

@@ -338,6 +338,13 @@ class Parser:
             self.error("expected a string literal", tok, expected=("string",))
         return self.next()
 
+    def listed(self, read) -> list:
+        """One or more values read by read(), separated by commas."""
+        out = [read()]
+        while self.accept(","):
+            out.append(read())
+        return out
+
     def integer(self) -> int:
         neg = self.accept("-")
         tok = self.peek()
@@ -495,10 +502,7 @@ class Parser:
         return self.unit
 
     def _idlist(self) -> list[Token]:
-        out = [self.ident("variable name")]
-        while self.accept(","):
-            out.append(self.ident("variable name"))
-        return out
+        return self.listed(lambda: self.ident("variable name"))
 
     def parse_ring(self):
         self.expect("ring")
@@ -595,9 +599,7 @@ class Parser:
 
     def _polyset(self) -> list[Polynomial]:
         self.expect("{")
-        out = [self.parse_poly()]
-        while self.accept(","):
-            out.append(self.parse_poly())
+        out = self.listed(self.parse_poly)
         self.expect("}")
         return out
 
@@ -679,9 +681,7 @@ class Parser:
         if shape == "point":
             tok = self.expect("point")
             self.expect("(")
-            coords = [self.parse_poly()]
-            while self.accept(","):
-                coords.append(self.parse_poly())
+            coords = self.listed(self.parse_poly)
             self.expect(")")
             targets = self.table().non_params()
             if len(coords) != len(targets):
@@ -690,10 +690,7 @@ class Parser:
         if shape == "var":
             return self.variable()
         if shape == "vars":
-            names = [self.variable()]
-            while self.accept(","):
-                names.append(self.variable())
-            return tuple(names)
+            return tuple(self.listed(self.variable))
         if shape == "param":
             return self.ident("parameter name").text
         if shape == "integer":
@@ -721,13 +718,13 @@ class Parser:
         if shape == "weights":
             self.expect("weights")
             self.expect("(")
-            weights = {}
-            while True:
+
+            def weight():
                 v = self.variable()
                 self.expect("->")
-                weights[v] = self.integer()
-                if not self.accept(","):
-                    break
+                return v, self.integer()
+
+            weights = dict(self.listed(weight))
             self.expect(")")
             return weights
         return self.named(shape, fn).text
@@ -764,9 +761,7 @@ class Parser:
         label = self.string().text
         self.expect("requires")
         self.expect("(")
-        requires = [self.string()]
-        while self.accept(","):
-            requires.append(self.string())
+        requires = self.listed(self.string)
         self.expect(")")
         self.expect(";")
         known = {c.label for c in self.unit.claims}

@@ -2,10 +2,11 @@
 
 A VarTable fixes an ordered set of variable names together with per-variable
 Laurent flags (negative exponents allowed) and weights.  Weight 0 marks a
-parameter: a symbolic constant that counts for degree 0 when homogeneous
-parts are extracted.  Polynomials are immutable dictionaries from exponent
-tuples to nonzero Eisenstein coefficients; equality of the term maps is
-equality of polynomials.
+parameter: a symbolic constant that counts for degree 0 in the weighted
+degree, by which geometry.tangent_cone takes the lowest homogeneous part.
+Polynomials are immutable dictionaries from exponent tuples to nonzero
+Eisenstein coefficients; equality of the term maps is equality of
+polynomials.
 
 The canonical term order used for printing and leading terms is graded
 reverse lexicographic over the table order.
@@ -20,7 +21,6 @@ from operator import add
 
 from .coeff import ONE, Eisenstein, _make, render_coeff
 from .errors import (
-    EmptyConeError,
     KrError,
     NegativeExponentError,
     NonUnitError,
@@ -292,37 +292,21 @@ class Polynomial(Record):
     def substitute(self, images: Mapping[str, "Polynomial | int | Fraction | Eisenstein"]) -> "Polynomial":
         """Simultaneous substitution; unassigned variables map to themselves.
 
-        The image of a variable occurring with a negative exponent must be a
-        unit monomial.  This is a ring homomorphism: substitution of a product
-        is the product of the substitutions.  Each term's image, its
-        coefficient times powers of the images (each power is computed once
-        per call; a coefficient of one is not multiplied in), is added in
-        place into one term dict, which only reads the powers.
+        Images are taken over this polynomial's table, as the operands of + and
+        * are: a scalar becomes a constant, and an image over another table
+        raises TableMismatchError (transport it first).  The image of a
+        variable occurring with a negative exponent must be a unit monomial.
+        This is a ring homomorphism: substitution of a product is the product
+        of the substitutions.  Each term's image, its coefficient times powers
+        of the images (each power is computed once per call; a coefficient of
+        one is not multiplied in), is added in place into one term dict, which
+        only reads the powers.
         """
-        target = None
-        imgs: dict[str, Polynomial] = {}
-        for v, im in images.items():
-            self.table.index(v)
-            if isinstance(im, Polynomial):
-                imgs[v] = im
-                if target is None:
-                    target = im.table
-            else:
-                imgs[v] = im  # coerced once the target table is known
-        if target is None:
-            target = self.table
-        for v, im in list(imgs.items()):
-            if not isinstance(im, Polynomial):
-                imgs[v] = target.constant(im)
-            elif im.table != target:
-                raise TableMismatchError("substitution images over different tables")
-
-        base: list[Polynomial] = []
-        for name in self.table.names:
-            if name in imgs:
-                base.append(imgs[name])
-            else:
-                base.append(target.var(name))
+        table = self.table
+        for v in images:
+            table.index(v)
+        base = [self._coerce(images[name]) if name in images else table.var(name)
+                for name in table.names]
 
         pow_cache: dict[tuple[int, int], Polynomial] = {}
 
@@ -331,13 +315,13 @@ class Polynomial(Record):
             if got is None:
                 if e < 0 and not base[i].is_unit_monomial():
                     raise NonUnitError(
-                        f"image of {self.table.names[i]!r} must be a unit monomial "
+                        f"image of {table.names[i]!r} must be a unit monomial "
                         f"to carry negative exponents")
                 got = base[i] ** e
                 pow_cache[(i, e)] = got
             return got
 
-        one = (0,) * target.arity
+        one = (0,) * table.arity
         acc: dict[tuple[int, ...], Eisenstein] = {}
         for exps, c in self.terms.items():
             prod = None if c == ONE else {one: c}
@@ -346,7 +330,7 @@ class Polynomial(Record):
                     terms = power(i, e).terms
                     prod = terms if prod is None else _product(prod, terms)
             _add_into(acc, {one: c} if prod is None else prod)
-        return _polynomial(target, acc)
+        return _polynomial(table, acc)
 
     def transport(self, table: VarTable) -> "Polynomial":
         """Reinterpret over another table, matching variables by name."""
@@ -371,41 +355,12 @@ class Polynomial(Record):
             acc[tuple(ne)] = c
         return Polynomial(table, acc)
 
-    def translate(self, center: Mapping[str, "Polynomial | int | Fraction | Eisenstein"]) -> "Polynomial":
-        """Shift variables: v -> v + center[v] for each listed variable."""
-        images = {}
-        for v, c in center.items():
-            cv = c if isinstance(c, Polynomial) else self.table.constant(c)
-            images[v] = self.table.var(v) + cv.transport(self.table)
-        return self.substitute(images)
-
     # -- grading -------------------------------------------------------------
 
     def weighted_degree_of_term(self, exps: tuple[int, ...],
                                 weights: tuple[int, ...] | None = None) -> int:
         w = self.table.weights if weights is None else weights
         return sum(e * wi for e, wi in zip(exps, w))
-
-    def homogeneous_components(self) -> dict[int, "Polynomial"]:
-        """Split by table-weighted degree (parameters count 0)."""
-        buckets: dict[int, dict] = {}
-        for exps, c in self.terms.items():
-            d = self.weighted_degree_of_term(exps)
-            buckets.setdefault(d, {})[exps] = c
-        return {d: Polynomial(self.table, t) for d, t in sorted(buckets.items())}
-
-    def lowest_homogeneous_part(self, center: Mapping[str, "Polynomial | int | Fraction | Eisenstein"] | None = None) -> "Polynomial":
-        """Translate by a center, then keep the minimal-degree homogeneous part.
-
-        Parameters weigh 0, so a parametric center contributes parametric
-        coefficients rather than raising degrees.  Raises EmptyConeError when
-        the translated polynomial is identically zero.
-        """
-        g = self.translate(center) if center else self
-        if g.is_zero():
-            raise EmptyConeError("polynomial vanishes identically after translation")
-        comps = g.homogeneous_components()
-        return comps[min(comps)]
 
     def is_weighted_homogeneous(self, weights: Mapping[str, int], degree: int) -> bool:
         """True iff every term has the given weighted degree (unlisted vars weigh 0)."""

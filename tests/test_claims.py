@@ -58,7 +58,7 @@ def test_value_records_are_read_only():
     T4 = VarTable(["x", "y", "z", "t"])
     cubic = T4.var("x") ** 2 * T4.var("y") + T4.var("z") ** 2 + T4.var("x") + T4.var("t") ** 3
     records.append(extend_to_quotient_automorphism(
-        RingMap.identity(T4), QuotientRelation(cubic), T4.one()))
+        RingMap(T4, {}), QuotientRelation(cubic), T4.one()))
     assert {type(r).__name__ for r in records} == {
         "ClaimResult", "NilpotencyCertificate", "ConeClass", "MonomialOrder",
         "GroebnerBasis", "Lit", "BinOp", "Negate", "Apply", "Builtin", "Decl",
@@ -129,6 +129,19 @@ claim "still runs" eq(x, x) expect true;
 """)
     statuses = [r.status for r in report.results]
     assert statuses == [ERROR, PASS]
+
+
+def test_singular_at_takes_an_image_from_another_ring():
+    # the point is read over R, the image of m is over S
+    report = run_text("""
+ring S = vars(x, y, z, t);
+map m : S { z -> z + x; }
+ring R = vars(x, y, z, t, c ; param c);
+claim "along a line" singular_at(m(z^2 + t^3 - 2*x*z - x^2), point(0, c, 0, 0)) expect true;
+claim "at the origin" singular_at(m(z^2 + t^3), point(0, 0, 0, 0)) expect true;
+claim "not at a smooth point" singular_at(m(z^2 + t^3), point(0, 0, 1, 0)) expect false;
+""")
+    assert [r.status for r in report.results] == [PASS, PASS, PASS]
 
 
 def test_narrative_aggregates_its_claims():

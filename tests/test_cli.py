@@ -79,9 +79,14 @@ def test_eval_custom_ring(capsys):
 def test_tcone_subcommand(capsys):
     code, out, _ = run_cli(
         ["tcone", "--poly", "x^2*y+z^2+t^3", "--point", "0,y0,0,0",
-         "--param", "y0"], capsys)
+         "--ring", "vars(x, y, z, t, y0 ; param y0)"], capsys)
     assert code == 0
     assert out.strip() == "x^2*y0 + z^2"
+    # the ring spec declares parameters; there is no --param option
+    code, _, _ = run_cli(
+        ["tcone", "--poly", "x^2*y+z^2+t^3", "--point", "0,y0,0,0",
+         "--param", "y0"], capsys)
+    assert code == 2
 
 
 def test_groebner_subcommand(capsys):

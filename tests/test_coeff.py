@@ -7,8 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from krcubic.coeff import Eisenstein, OMEGA, ONE, ZERO, ZETA6, root_of_unity
-from krcubic.errors import UnsupportedOrderError
+from krcubic.coeff import Eisenstein, OMEGA, ONE, ZERO
 
 from conftest import random_coeff
 
@@ -48,37 +47,18 @@ def test_inverse_of_zero_raises():
         ZERO.inverse()
 
 
-def test_sixth_root():
-    assert root_of_unity(1, 6) == ZETA6
-    assert root_of_unity(1, 3) == OMEGA
-    assert root_of_unity(1, 2) == Eisenstein(-1)
-
-
 def test_sixth_root_by_repeated_multiplication():
+    zeta6 = Eisenstein(1, 1)  # 1 + w = -w^2, a primitive sixth root of unity
     acc = ONE
     seen = []
     for _ in range(6):
-        acc = acc * ZETA6
+        acc = acc * zeta6
         seen.append(acc)
     assert seen[2] == Eisenstein(-1)   # zeta6^3 = -1
     assert seen[1] == OMEGA            # zeta6^2 = w
     assert seen[5] == ONE              # zeta6^6 = 1
     assert len(set(seen)) == 6         # full period
-
-
-def test_root_of_unity_identity_exponent():
-    for n in (1, 2, 3, 6):
-        assert root_of_unity(0, n) == ONE
-
-
-def test_root_of_unity_rejects_other_orders():
-    for n in (4, 5, 7, 12):
-        with pytest.raises(UnsupportedOrderError):
-            root_of_unity(1, n)
-
-
-def test_power_cycle_of_zeta6():
-    assert all(ZETA6 ** (k + 6) == ZETA6 ** k for k in range(-3, 7))
+    assert zeta6.inverse() == seen[4]  # zeta6^-1 = zeta6^5
 
 
 small_fracs = st.fractions(min_value=-10, max_value=10, max_denominator=12)
@@ -106,15 +86,14 @@ def test_addition_is_exactly_invertible(a, b):
 def test_nonzero_elements_invert(a):
     if a:
         assert a * a.inverse() == ONE
-        assert (a ** -3) * (a ** 3) == ONE
 
 
-def test_division_and_pow():
+def test_division():
     a = Eisenstein(Fraction(3, 2), Fraction(-1, 3))
     assert a / a == ONE
-    assert a ** 0 == ONE
-    assert a ** 2 == a * a
-    assert a ** -2 == (a * a).inverse()
+    assert (a * a) / a == a
+    assert 1 / a == a.inverse()
+    assert a / 2 == a * Eisenstein(Fraction(1, 2))
 
 
 def test_rendering_styles():

@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from krcubic.errors import KrError
+from krcubic.errors import EmptyConeError, KrError, NonUnitError
 from krcubic.geometry import (DOUBLE_HYPERPLANE, OTHER,
                               TWO_DISTINCT_HYPERPLANES, classify_quadric,
                               graph_variable_check, tangent_cone)
-from krcubic.poly import VarTable
+from krcubic.poly import Polynomial, VarTable
 
-from conftest import cubic_poly, companion_poly, nonzero_coeff, random_coeff
+from conftest import (cubic_poly, companion_poly, nonzero_coeff, random_coeff,
+                      random_poly)
 
 
 def cone_ring():
@@ -55,6 +56,133 @@ def test_cone_point_coordinates_must_be_parametric():
     bad["z"] = T.var("t")  # a live variable is not a valid coordinate
     with pytest.raises(KrError):
         tangent_cone(cubic_poly(T) - T.var("x"), bad)
+
+
+def test_cone_of_cubic_fiber_in_one_parameter():
+    T = VarTable(["x", "y", "z", "t", "y0"], params=["y0"])
+    x, y, z, t, y0 = (T.var(n) for n in ["x", "y", "z", "t", "y0"])
+    W = x ** 2 * y + z ** 2 + t ** 3  # cubic minus x
+    assert tangent_cone(W, line_point(T)) == z ** 2 + y0 * x ** 2
+
+
+def test_cone_of_companion_fiber_in_one_parameter():
+    T = VarTable(["x", "y", "z", "t", "y0"], params=["y0"])
+    x, z, y0 = T.var("x"), T.var("z"), T.var("y0")
+    W = companion_poly(T) - x
+    assert tangent_cone(W, line_point(T)) == z ** 2 + (y0 + 1) * x ** 2
+
+
+def test_cone_of_homogeneous_input_at_origin(ring4):
+    f = ring4.var("x") ** 2 * ring4.var("y")
+    assert tangent_cone(f, {v: 0 for v in ring4.names}) == f
+
+
+def test_empty_cone_reported(ring4):
+    with pytest.raises(EmptyConeError):
+        tangent_cone(ring4.zero(), {"x": 1, "y": 0, "z": 0, "t": 0})
+
+
+def test_cone_needs_every_coordinate_and_no_parameter():
+    T = cone_ring()
+    P = cubic_poly(T) - T.var("x")
+    partial = dict(line_point(T))
+    del partial["t"]
+    with pytest.raises(KrError, match="does not assign variable 't'"):
+        tangent_cone(P, partial)
+    with pytest.raises(KrError, match="point assigns parameter 'c'"):
+        tangent_cone(P, {**line_point(T), "c": 0})
+
+
+def test_cone_rejects_negative_powers_of_point_variables(cylinder_ring):
+    x, t = cylinder_ring.var("x"), cylinder_ring.var("t")
+    message = "image of 't' must be a unit monomial to carry negative exponents"
+    for t0 in (0, 1, -2):
+        point = {"x": 0, "y": 0, "z": 0, "t": t0, "v": 0}
+        with pytest.raises(NonUnitError, match=message):
+            tangent_cone(x * t ** -1, point)
+    # a nonzero coordinate is a unit, so f has a value there, and it is not 0
+    with pytest.raises(KrError, match="does not vanish"):
+        tangent_cone(x + t ** -1, {"x": 0, "y": 0, "z": 0, "t": 1, "v": 0})
+
+
+def test_cone_substitutes_once(monkeypatch):
+    calls = []
+    substitute = Polynomial.substitute
+
+    def counted(self, images):
+        calls.append(images)
+        return substitute(self, images)
+
+    monkeypatch.setattr(Polynomial, "substitute", counted)
+    T = cone_ring()
+    assert tangent_cone(cubic_poly(T) - T.var("x"), line_point(T)) == (
+        T.var("z") ** 2 + T.var("y0") * T.var("x") ** 2)
+    assert len(calls) == 1
+
+
+# -- the one translation against the evaluate-then-translate reference ---------
+
+def _two_substitution_cone(f, point):
+    """tangent_cone as computed before one translation replaced two
+    substitutions: evaluate f at the point, then translate the point to the
+    origin and keep the terms of least weighted degree."""
+    table = f.table
+    center = {}
+    for v in table.non_params():
+        if v not in point:
+            raise KrError(f"point does not assign variable {v!r}")
+    for v, c in point.items():
+        cv = (c if isinstance(c, Polynomial) else table.constant(c)).transport(table)
+        for name in cv.variables_used():
+            if not table.is_param(name):
+                raise KrError(f"point coordinate for {v!r} must be constant or parametric")
+        center[v] = cv
+    if not f.substitute(center).is_zero():
+        raise KrError("polynomial does not vanish at the given point")
+    g = f.substitute({v: table.var(v) + cv for v, cv in center.items()})
+    if g.is_zero():
+        raise EmptyConeError("polynomial vanishes identically after translation")
+    by_degree = {}
+    for exps, c in g.terms.items():
+        by_degree.setdefault(g.weighted_degree_of_term(exps), {})[exps] = c
+    return Polynomial(table, by_degree[min(by_degree)])
+
+
+def _outcome(cone, f, point):
+    try:
+        return cone(f, point)
+    except KrError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_cone_matches_the_two_substitution_reference():
+    rng = random.Random(57)
+    # t is Laurent; the parameters c0 and the Laurent u stay symbolic
+    T = VarTable(["x", "z", "t", "c0", "u"], laurent=["t", "u"], params=["c0", "u"])
+    x, c0, u = T.var("x"), T.var("c0"), T.var("u")
+    coordinates = [T.zero(), T.constant(2), T.constant(-1), c0, c0 + 1, u,
+                   2 * u, u + c0, c0 ** 2 - 3]
+    seen = set()
+    for i in range(300):
+        point = {v: rng.choice(coordinates) for v in T.non_params()}
+        # f vanishes at the point: a combination of the v - c_v
+        f = T.zero()
+        for v, c in point.items():
+            f = f + (T.var(v) - c) * random_poly(rng, T, max_terms=3, max_deg=2,
+                                                  allow_negative=rng.random() < 0.3)
+        case = i % 6
+        if case == 1:
+            f = f + nonzero_coeff(rng)  # no longer vanishes
+        elif case == 2:
+            f = T.zero()
+        elif case == 3:
+            del point[rng.choice(T.non_params())]
+        elif case == 4:
+            point["z"] = x + c0  # not parametric
+        want = _outcome(_two_substitution_cone, f, point)
+        assert _outcome(tangent_cone, f, point) == want, (f, point)
+        seen.add(want[0] if isinstance(want, tuple) else "cone")
+    assert seen == {"cone", "KrError", "EmptyConeError", "NonUnitError"}
 
 
 def test_dichotomy_for_the_cubic_cone():

@@ -1,5 +1,6 @@
-"""Every import in the package and the tests is used in its module, and
-importing the package loads no module that only slows start-up."""
+"""Every import in the package and the tests is used in its module, every
+export is used inside the package, and importing the package loads no module
+that only slows start-up."""
 
 import ast
 import json
@@ -52,6 +53,29 @@ def test_no_unused_imports():
         used = _referenced(tree)
         unused += [f"{path.name}:{line}: {name}"
                    for name, line in _imported(tree).items() if name not in used]
+    assert not unused, unused
+
+
+def _defined(node) -> set[str]:
+    """Names a top-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    targets = getattr(node, "targets", [getattr(node, "target", None)])
+    return {n.id for t in filter(None, targets) for n in ast.walk(t)
+            if isinstance(n, ast.Name)}
+
+
+def test_every_export_is_used_in_the_package():
+    # a public name only the tests reach is dead weight in the kernel
+    used = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path == PACKAGE / "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            refs = _referenced(node) | set(_imported(node))
+            refs |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            used |= refs - _defined(node)
+    unused = sorted(set(krcubic.__all__) - used)
     assert not unused, unused
 
 

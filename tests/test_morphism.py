@@ -45,7 +45,7 @@ def test_pullback_identities(ring4):
 
 
 def test_identity_map_application(ring4):
-    assert RingMap.identity(ring4)(cubic_poly(ring4)) == cubic_poly(ring4)
+    assert RingMap(ring4, {})(cubic_poly(ring4)) == cubic_poly(ring4)
 
 
 def test_composition_moves_y_by_the_two_cubics(ring4):
@@ -153,7 +153,7 @@ def test_inverse_pair_modulo_hypersurfaces(ring4):
     fwd, bwd = fiber_maps(ring4)
     assert verify_inverse_pair(fwd, bwd, [P], [Q])
     assert not verify_inverse_pair(fwd, bwd, [], [])
-    ident = RingMap.identity(ring4)
+    ident = RingMap(ring4, {})
     assert verify_inverse_pair(ident, ident)
 
 
@@ -165,8 +165,8 @@ def test_exact_inverse_of_the_triangular_twist():
     # inverse of the two triangular factors, composed the other way round
     inv_t = t - 2 * x * z ** 3
     psi = RingMap(T, {"t": inv_t, "z": z - 3 * x * inv_t ** 5})
-    assert compose(phi, psi) == RingMap.identity(phi.table)
-    assert compose(psi, phi) == RingMap.identity(phi.table)
+    assert compose(phi, psi) == RingMap(phi.table, {})
+    assert compose(psi, phi) == RingMap(phi.table, {})
     assert verify_inverse_pair(phi, psi)
 
 
@@ -195,7 +195,7 @@ def test_jacobian_of_triangular_map():
 
 
 def test_jacobian_of_identity(ring4):
-    matrix, det = jacobian(RingMap.identity(ring4), ["x", "y", "z", "t"])
+    matrix, det = jacobian(RingMap(ring4, {}), ["x", "y", "z", "t"])
     assert det == ring4.one()
     for i, row in enumerate(matrix):
         for j, entry in enumerate(row):
@@ -413,10 +413,10 @@ def test_extension_of_the_twist(ring4):
 def test_extension_of_identity(ring4):
     T3 = VarTable(["x", "z", "t"])
     ext = extend_to_quotient_automorphism(
-        RingMap.identity(T3), QuotientRelation(cubic_poly(ring4)), ring4.one())
+        RingMap(T3, {}), QuotientRelation(cubic_poly(ring4)), ring4.one())
     assert ext.factor == ring4.one()
     assert ext.defect.is_zero()
-    assert ext.map == RingMap.identity(ext.map.table)
+    assert ext.map == RingMap(ext.map.table, {})
 
 
 def test_extension_of_weighted_scaling():
@@ -443,7 +443,7 @@ def test_extension_requires_declared_scaling(ring4):
     T3 = VarTable(["x", "z", "t"])
     with pytest.raises(ExtensionError):
         extend_to_quotient_automorphism(
-            RingMap.identity(T3), QuotientRelation(cubic_poly(ring4)),
+            RingMap(T3, {}), QuotientRelation(cubic_poly(ring4)),
             ring4.constant(2))  # claims phi(x) = 2x but phi fixes x
 
 
@@ -453,7 +453,7 @@ def test_extension_needs_an_x_free_tail(ring4):
     x, y = ring4.var("x"), ring4.var("y")
     with pytest.raises(ExtensionError, match="no x-free part"):
         extend_to_quotient_automorphism(
-            RingMap.identity(ring4), QuotientRelation(x ** 2 * y + x), ring4.one())
+            RingMap(ring4, {}), QuotientRelation(x ** 2 * y + x), ring4.one())
 
 
 def laurent_ring():
@@ -515,7 +515,7 @@ def structure_group_maps(seed, count):
         rh = r * h.transport(T)
         shear = RingMap(T, {"z": z + x * rh.diff("t") + x ** 2 * p,
                             "t": t - x * rh.diff("z") + x ** 2 * q})
-        symmetry = RingMap(T, {"z": (-1) ** (i // 2) * z, "t": OMEGA ** (i % 3) * t})
+        symmetry = RingMap(T, {"z": (-1) ** (i // 2) * z, "t": (1, OMEGA, OMEGA * OMEGA)[i % 3] * t})
         phi = compose(symmetry, shear)
         if i % 2:
             yield compose(phi, scaling), lam ** 6

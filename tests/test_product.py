@@ -135,7 +135,8 @@ def test_substitutions_agree_with_sympy(target):
     _, _, conv = _sympy_converter(sympy, target.names)
     rng = random.Random(510 + len(target.names))
     for i in range(15):
-        f = _poly(rng, T, 4, omega=i % 2 == 0, deg=3)
+        # substitute takes images over f's own table, so f moves to it first
+        f = _poly(rng, T, 4, omega=i % 2 == 0, deg=3).transport(target)
         images = {"x": _poly(rng, target, 3, omega=i % 3 == 0),
                   "z": _poly(rng, target, 1, dens=(2, 5)) + target.var("z")}
         if i % 4 == 0:
