@@ -84,14 +84,16 @@ class Report:
 def _eval_claim(unit: SourceUnit, claim: ClaimDecl) -> tuple[bool, str]:
     """Return (holds, detail); detail shows both sides for failed equalities.
 
-    claim.args holds one value per shape in parser.CLAIMS[claim.kind].
+    claim.args holds one value per shape in parser.CLAIMS[claim.kind].  Every
+    expression must be over the claim's ring, or TableMismatchError is raised;
+    a named map or derivation is read over its own ring.
     """
     table = unit.rings[claim.ring]
     env = unit.env
     args = claim.args
 
     def ev(node):
-        return eval_node(node, env, table)
+        return table.coerce(eval_node(node, env, table))
 
     if claim.kind == "eq":
         lhs, rhs = map(ev, args)
@@ -126,8 +128,7 @@ def _eval_claim(unit: SourceUnit, claim: ClaimDecl) -> tuple[bool, str]:
         return smooth_everywhere(ev(args[0])), ""
     if claim.kind == "singular_at":
         f, point = args
-        # the point is over the claim's ring, and a map's image over the map's
-        return singular_at(ev(f).transport(table), point), ""
+        return singular_at(ev(f), point), ""
     if claim.kind == "inverse_pair":
         m1, m2, ideals = args
         return verify_inverse_pair(env[m1].value, env[m2].value, *(ideals or ([], []))), ""

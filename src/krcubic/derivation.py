@@ -31,19 +31,17 @@ class Derivation(Record):
             if table.is_param(v):
                 raise DerivationError("a derivation kills parameters; no image allowed")
             table.index(v)
-            im = im.transport(table)
+            im = table.coerce(im)
             if relation is not None:
                 im = normal_form(im, relation)
             if im:
                 imgs[v] = im
-        if relation is not None and relation.table != table:
-            raise KrError("relation over a different table")
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "images", imgs)
         object.__setattr__(self, "relation", relation)
         if relation is not None:
             # descent condition: the derivation must preserve the ideal
-            raw = self._derive_raw(relation.relation)
+            raw = self._derive_raw(table.coerce(relation.relation))
             if not raw.is_zero() and exact_divide(raw, relation.relation) is None:
                 raise DerivationError(
                     "derivation does not descend: image of the relation is not a multiple")
@@ -63,7 +61,7 @@ class Derivation(Record):
     def apply(self, f: Polynomial) -> Polynomial:
         # f need not be in normal form: the derivation preserves the ideal
         # (checked at construction), so D(f) and D(nf(f)) share a normal form
-        out = self._derive_raw(f.transport(self.table))
+        out = self._derive_raw(self.table.coerce(f))
         if self.relation is not None:
             out = normal_form(out, self.relation)
         return out
@@ -72,12 +70,6 @@ class Derivation(Record):
 
     def modulo(self, relation: QuotientRelation) -> "Derivation":
         return Derivation(self.table, self.images, relation)
-
-    def __eq__(self, other):
-        if not isinstance(other, Derivation):
-            return NotImplemented
-        return (self.table == other.table and self.images == other.images
-                and self.relation == other.relation)
 
     def __repr__(self):
         body = ", ".join(f"{v} -> {im}" for v, im in sorted(self.images.items()))
@@ -149,7 +141,6 @@ def theta_extract(phi: RingMap, r: Polynomial) -> Polynomial:
     """
     table = phi.table
     x, ix = table.var("x"), table.index("x")
-    r = r.transport(table)
     if phi.image_of("x") != x:
         raise DerivationError("map must fix x")
 
@@ -186,28 +177,23 @@ def theta_extract(phi: RingMap, r: Polynomial) -> Polynomial:
     return alpha
 
 
-def substitute_parameter(obj, param: str, value: Polynomial, check_ideal=None):
-    """Replace a parameter by a polynomial in every image of a map or derivation.
+def substitute_parameter(m: RingMap, param: str, value: Polynomial, check_ideal=None):
+    """Replace a parameter by a polynomial in every image of a map.
 
     The value must not involve the parameter itself.  When check_ideal, a
     list of polynomials, is given, the substituted map must carry each
     generator back into the ideal (the fiberwise-automorphism gluing pattern).
     """
-    table = obj.table
+    table = m.table
     if not table.is_param(param):
         raise KrError(f"{param!r} is not a parameter")
-    value = value.transport(table)
+    value = table.coerce(value)
     if value.degree_in(param) > 0:
         raise KrError("substitution value involves the parameter itself")
-    images = {v: im.substitute({param: value}) for v, im in obj.images.items()}
-    if isinstance(obj, RingMap):
-        out = RingMap(table, images)
-    elif isinstance(obj, Derivation):
-        out = Derivation(table, images, obj.relation)
-    else:
-        raise KrError("can only substitute parameters in maps and derivations")
+    images = {v: im.substitute({param: value}) for v, im in m.images.items()}
+    out = RingMap(table, images)
     if check_ideal is not None:
         for g in check_ideal:
             if not member(out.apply(g), check_ideal):
-                raise KrError("substituted object does not preserve the ideal")
+                raise KrError("substituted map does not preserve the ideal")
     return out

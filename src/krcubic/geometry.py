@@ -14,7 +14,7 @@ from collections.abc import Mapping
 
 from .coeff import Eisenstein
 from .errors import EmptyConeError, KrError, NonUnitError, Record
-from .poly import Polynomial
+from .poly import Polynomial, VarTable
 
 DOUBLE_HYPERPLANE = "double_hyperplane"
 TWO_DISTINCT_HYPERPLANES = "two_distinct_hyperplanes"
@@ -29,32 +29,36 @@ class ConeClass(Record):
     __slots__ = ("tag", "form")
 
 
+def _center(table: VarTable, point: Mapping[str, "Polynomial | int"]) -> dict[str, Polynomial]:
+    """The point's coordinates over table.  Every non-parameter variable
+    needs one, a constant or an expression in parameters only; parameters
+    take none, since they stay symbolic."""
+    for v in table.non_params():
+        if v not in point:
+            raise KrError(f"point does not assign variable {v!r}")
+    center = {}
+    for v, c in point.items():
+        if table.is_param(v):
+            raise KrError(f"point assigns parameter {v!r}, which stays symbolic")
+        center[v] = table.coerce(c)
+        if not all(map(table.is_param, center[v].variables_used())):
+            raise KrError(f"point coordinate for {v!r} must be constant or parametric")
+    return center
+
+
 def tangent_cone(f: Polynomial, point: Mapping[str, "Polynomial | int"]) -> Polynomial:
     """Lowest homogeneous part of f after translating the point to the origin.
 
-    Every non-parameter variable needs a coordinate (a constant or an
-    expression in parameters only); parameters take none.  f must vanish at
-    the point; for a parametric point that means vanishing identically in the
-    parameters.  One substitution, v -> v + c, moves the point to the origin:
+    The point is checked by _center.  f must vanish at the point; for a
+    parametric point that means vanishing identically in the parameters.
+    One substitution, v -> v + c, moves the point to the origin:
     f vanishes there iff no term of the result has degree 0 (parameters weigh
     0), and the terms of least degree are the cone.  A negative power of a
     point variable raises NonUnitError, since v + c is a unit monomial only at
     c = 0, where f has no value; at unit coordinates f must still vanish first.
     """
     table = f.table
-    center: dict[str, Polynomial] = {}
-    for v in table.non_params():
-        if v not in point:
-            raise KrError(f"point does not assign variable {v!r}")
-    for v, c in point.items():
-        if table.is_param(v):
-            raise KrError(f"point assigns parameter {v!r}, which stays symbolic")
-        cv = c if isinstance(c, Polynomial) else table.constant(c)
-        cv = cv.transport(table)
-        for name in cv.variables_used():
-            if not table.is_param(name):
-                raise KrError(f"point coordinate for {v!r} must be constant or parametric")
-        center[v] = cv
+    center = _center(table, point)
     negative = [v for exps in f.terms for v, e in zip(table.names, exps)
                 if e < 0 and v in center]
     if negative:

@@ -1,7 +1,8 @@
 """Multivariate division, Buchberger's algorithm and ideal membership.
 
-Everything runs over Q(w) with exact arithmetic.  Inputs must carry no
-negative exponents: Laurent callers divide out Laurent content first with
+Everything runs over Q(w) with exact arithmetic, over one table per call
+(VarTable.coerce checks each generator).  Inputs must carry no negative
+exponents: Laurent callers divide out Laurent content first with
 clear_laurent() (member() does this for the tested polynomial and for each
 generator, which does not change the ideal in the Laurent ring, and
 saturates an ideal of several generators by the Laurent variables).
@@ -17,6 +18,7 @@ from operator import add, le, sub
 
 from .errors import (GroebnerBudgetError, KrError, LaurentInputError,
                      PostconditionError, Record)
+from .geometry import _center
 from .poly import Polynomial, VarTable, _polynomial, grevlex_key, lex_key
 
 
@@ -58,9 +60,7 @@ def reduce(f: Polynomial, gens: list[Polynomial],
     table = f.table
     lead = []
     tails = []
-    for g in gens:
-        if g.table != table:
-            raise KrError("divisor over a different table")
+    for g in map(table.coerce, gens):
         if g.is_zero():
             raise ZeroDivisionError("zero divisor in reduce()")
         _require_polynomial(g, "divisor")
@@ -155,19 +155,13 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder = GREVLEX) -> Groebn
     meets are tiny, so nothing fancier is warranted.  Raises
     GroebnerBudgetError once more than MAX_PAIRS pairs have been taken.
     """
-    basis = []
-    table = None
-    for g in gens:
-        if g.is_zero():
-            continue
-        _require_polynomial(g, "generator")
-        if table is None:
-            table = g.table
-        elif g.table != table:
-            raise KrError("generators over different tables")
-        basis.append(g.monic(order.key))
-    if not basis:
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
         raise KrError("cannot take a Groebner basis of the zero ideal")
+    basis = []
+    for g in map(gens[0].table.coerce, gens):
+        _require_polynomial(g, "generator")
+        basis.append(g.monic(order.key))
 
     def lm(i):
         return basis[i].leading_term(order.key)[0]
@@ -256,16 +250,15 @@ def member(f: Polynomial, gens: list[Polynomial]) -> bool:
     t = (t + x) - x does in (t + x, x); the ideal is then saturated by the
     Laurent variables: each Laurent variable t gets a new variable s, named
     "<t>^-1" (no token can spell it), and the generator t*s - 1, in a
-    polynomial ring where the parameters stay parameters.
+    polynomial ring where the parameters stay parameters; f and the
+    generators are transported there on purpose.
     """
-    cleared = [clear_laurent(g)[0] for g in gens if not g.is_zero()]
+    table = f.table
+    cleared = [clear_laurent(g)[0] for g in map(table.coerce, gens) if not g.is_zero()]
     if not cleared:
         return f.is_zero()
     f = clear_laurent(f)[0]
-    table = f.table
     if len(cleared) > 1 and any(table.laurent):
-        if any(g.table != table for g in cleared):
-            raise KrError("generator over a different table")
         laurent = [v for v, lau in zip(table.names, table.laurent) if lau]
         wide = VarTable(table.names + tuple(f"<{v}>^-1" for v in laurent),
                         params=table.params())
@@ -285,14 +278,12 @@ def smooth_everywhere(f: Polynomial) -> bool:
 def singular_at(f: Polynomial, point: dict[str, Polynomial]) -> bool:
     """True iff f and all its partials vanish at the point.
 
-    Point coordinates may be constants or parameter expressions; vanishing
-    means vanishing identically as polynomials in the parameters, so a
-    parametric point encodes singularity along a whole family.
+    Point coordinates are checked as for tangent_cone (geometry._center);
+    vanishing means vanishing identically as polynomials in the parameters,
+    so a parametric point encodes singularity along a whole family.
     """
-    for v in f.table.non_params():
-        if v not in point:
-            raise KrError(f"point does not assign variable {v!r}")
+    center = _center(f.table, point)
     for g in [f] + [f.diff(v) for v in f.table.non_params()]:
-        if not g.substitute(point).is_zero():
+        if not g.substitute(center).is_zero():
             return False
     return True

@@ -26,7 +26,7 @@ class RingMap(Record):
     def __init__(self, table: VarTable, images: Mapping[str, Polynomial]):
         imgs: dict[str, Polynomial] = {}
         for v in table.non_params():
-            im = images[v].transport(table) if v in images else table.var(v)
+            im = table.coerce(images[v]) if v in images else table.var(v)
             if table.is_laurent(v) and not im.is_unit_monomial():
                 # a Laurent variable must stay invertible under the map
                 raise KrError(f"image of Laurent variable {v!r} must be a unit monomial")
@@ -40,13 +40,14 @@ class RingMap(Record):
         object.__setattr__(self, "_applied", {})
 
     def apply(self, f: Polynomial) -> Polynomial:
-        """The image of f under the map.
+        """The image of f, which goes through the map's VarTable.coerce: a
+        polynomial over another table raises TableMismatchError.
 
-        Each image is computed once: the map remembers it, keyed by f over
-        the map's table, for as long as the map lives.  Polynomials are
-        immutable, so a remembered image cannot be told from a fresh one.
+        Each image is computed once: the map remembers it, keyed by f, for as
+        long as the map lives.  Polynomials are immutable, so a remembered
+        image cannot be told from a fresh one.
         """
-        f = f.transport(self.table)
+        f = self.table.coerce(f)
         image = self._applied.get(f)
         if image is None:
             image = self._applied[f] = f.substitute(self.images)
@@ -59,14 +60,6 @@ class RingMap(Record):
             return self.table.var(name)
         return self.images[name]
 
-    def __eq__(self, other):
-        if not isinstance(other, RingMap):
-            return NotImplemented
-        return self.table == other.table and self.images == other.images
-
-    def __hash__(self):
-        return hash((self.table, frozenset(self.images.items())))
-
     def __repr__(self):
         moved = {v: str(im) for v, im in self.images.items()
                  if im != self.table.var(v)}
@@ -75,8 +68,6 @@ class RingMap(Record):
 
 def compose(outer: RingMap, inner: RingMap) -> RingMap:
     """The map f -> outer(inner(f)); apply(compose(a, b), f) == a(b(f))."""
-    if outer.table != inner.table:
-        raise KrError("cannot compose maps over different tables")
     images = {v: outer.apply(inner.images[v]) for v in inner.table.non_params()}
     return RingMap(outer.table, images)
 
@@ -151,8 +142,6 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial | None:
         raise ZeroDivisionError("division by the zero polynomial")
     if f.is_zero():
         return f
-    if f.table != g.table:
-        raise KrError("operands over different tables")
     fs, fshift = clear_laurent(f)
     gs, gshift = clear_laurent(g)
     rem, (quot,) = reduce(fs, [gs])
@@ -200,14 +189,6 @@ class QuotientRelation(Record):
         object.__setattr__(self, "order",
                            MonomialOrder("lex-y", lambda e: (e[iy], *e)))
 
-    def __eq__(self, other):
-        if not isinstance(other, QuotientRelation):
-            return NotImplemented
-        return self.relation == other.relation
-
-    def __hash__(self):
-        return hash(self.relation)
-
     def __repr__(self):
         return f"QuotientRelation({self.relation})"
 
@@ -220,7 +201,7 @@ def normal_form(f: Polynomial, rel: QuotientRelation) -> Polynomial:
     division and restored after it: a unit monomial free of x and y commutes
     with every division step.
     """
-    f, shift = clear_laurent(f.transport(rel.table))
+    f, shift = clear_laurent(f)
     rem, _ = reduce(f, [rel.relation], rel.order)
     return _times_unit(rem, shift)
 
@@ -256,6 +237,9 @@ def extend_to_quotient_automorphism(phi: RingMap, rel: QuotientRelation,
     phi(tail) = A + x*B modulo x^2, f = a + x*b for the exact quotients
     a = A/r and b = (B - F0*a)/r, and g = (phi(tail) - tail*f)/x^2.  The
     returned map satisfies map(relation) == f*relation.
+
+    phi and lam may be over the base ring, such as vars(x, z, t): this lift
+    transports them to the relation's table by variable name, on purpose.
     """
     table = rel.table
     lam = lam.transport(table)

@@ -34,6 +34,9 @@ _fmt_arguments prints them.  Each declared name has one Decl record, and
 SourceUnit.env maps a name to its Decl (rings: SourceUnit.rings maps a name to
 its VarTable).  The first error aborts the unit with a 1-based line/column
 diagnostic.
+
+A let is read into the current ring by variable name, the parser's one
+crossing of tables; any other value over another ring is an error.
 """
 
 from __future__ import annotations
@@ -464,7 +467,7 @@ class Parser:
         if name in table._index:
             return Lit(table.var(name))
         decl = self.lookup(tok)
-        if decl.kind == "poly":
+        if decl.kind == "poly":  # read into the current ring by variable name
             return Lit(self.kernel(tok, decl.value.transport, table))
         if not self.accept("("):
             self.error(f"{name!r} is a {decl.kind}; apply it as {name}(...)", tok)

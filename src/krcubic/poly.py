@@ -117,6 +117,18 @@ class VarTable(Record):
         e[i] = 1
         return Polynomial(self, {tuple(e): Eisenstein.of(1)})
 
+    def coerce(self, value) -> "Polynomial":
+        """value as a polynomial over this table: a scalar becomes a constant,
+        and a polynomial over another table raises TableMismatchError.  This
+        is the one table check; crossing tables takes an explicit transport."""
+        if isinstance(value, Polynomial):
+            if value.table != self:
+                raise TableMismatchError(f"tables differ: {self!r} vs {value.table!r}")
+            return value
+        if isinstance(value, (int, Fraction, Eisenstein)):
+            return self.constant(value)
+        raise TypeError(f"cannot combine polynomial with {value!r}")
+
 
 def _check_exponents(table: VarTable, exps: tuple[int, ...]):
     for e, lau, name in zip(exps, table.laurent, table.names):
@@ -187,18 +199,8 @@ class Polynomial(Record):
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _coerce(self, other) -> "Polynomial":
-        if isinstance(other, Polynomial):
-            if other.table != self.table:
-                raise TableMismatchError(
-                    f"tables differ: {self.table!r} vs {other.table!r}")
-            return other
-        if isinstance(other, (int, Fraction, Eisenstein)):
-            return self.table.constant(other)
-        raise TypeError(f"cannot combine polynomial with {other!r}")
-
     def __add__(self, other):
-        other = self._coerce(other)
+        other = self.table.coerce(other)
         acc = dict(self.terms)
         _add_into(acc, other.terms)
         return _polynomial(self.table, acc)
@@ -206,16 +208,16 @@ class Polynomial(Record):
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + (-self.table.coerce(other))
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return self.table.coerce(other) - self
 
     def __neg__(self):
         return _polynomial(self.table, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        other = self.table.coerce(other)
         return _polynomial(self.table, _product(self.terms, other.terms))
 
     __rmul__ = __mul__
@@ -292,9 +294,9 @@ class Polynomial(Record):
     def substitute(self, images: Mapping[str, "Polynomial | int | Fraction | Eisenstein"]) -> "Polynomial":
         """Simultaneous substitution; unassigned variables map to themselves.
 
-        Images are taken over this polynomial's table, as the operands of + and
-        * are: a scalar becomes a constant, and an image over another table
-        raises TableMismatchError (transport it first).  The image of a
+        Each image goes through this polynomial's VarTable.coerce, as the
+        operands of + and * do: a scalar becomes a constant, and an image over
+        another table raises TableMismatchError.  The image of a
         variable occurring with a negative exponent must be a unit monomial.
         This is a ring homomorphism: substitution of a product is the product
         of the substitutions.  Each term's image, its coefficient times powers
@@ -305,7 +307,7 @@ class Polynomial(Record):
         table = self.table
         for v in images:
             table.index(v)
-        base = [self._coerce(images[name]) if name in images else table.var(name)
+        base = [table.coerce(images[name]) if name in images else table.var(name)
                 for name in table.names]
 
         pow_cache: dict[tuple[int, int], Polynomial] = {}

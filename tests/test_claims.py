@@ -131,17 +131,61 @@ claim "still runs" eq(x, x) expect true;
     assert statuses == [ERROR, PASS]
 
 
-def test_singular_at_takes_an_image_from_another_ring():
-    # the point is read over R, the image of m is over S
+def test_singular_at_rejects_an_image_from_another_ring():
+    # the point is read over R and the image of m is over S; a let reads the
+    # image into R by variable name
     report = run_text("""
 ring S = vars(x, y, z, t);
 map m : S { z -> z + x; }
+let line = m(z^2 + t^3 - 2*x*z - x^2);
+let cusp = m(z^2 + t^3);
 ring R = vars(x, y, z, t, c ; param c);
-claim "along a line" singular_at(m(z^2 + t^3 - 2*x*z - x^2), point(0, c, 0, 0)) expect true;
-claim "at the origin" singular_at(m(z^2 + t^3), point(0, 0, 0, 0)) expect true;
-claim "not at a smooth point" singular_at(m(z^2 + t^3), point(0, 0, 1, 0)) expect false;
+claim "image" singular_at(m(z^2 + t^3), point(0, 0, 0, 0)) expect true;
+claim "along a line" singular_at(line, point(0, c, 0, 0)) expect true;
+claim "at the origin" singular_at(cusp, point(0, 0, 0, 0)) expect true;
+claim "not at a smooth point" singular_at(cusp, point(0, 0, 1, 0)) expect false;
+""")
+    assert [r.status for r in report.results] == [ERROR, PASS, PASS, PASS]
+    assert report.results[0].detail.startswith("TableMismatchError: tables differ")
+
+
+CROSS_RING = """
+ring R = vars(x, y);
+map M : R { y -> y + x; }
+derivation D : R { y -> x; }
+ring S = vars(x, y, c ; param c);
+"""
+
+
+@pytest.mark.parametrize("expect", ["true", "false"])
+@pytest.mark.parametrize("claim", ["eq(M(y), y + x)", "eq(jacdet(M, x, y), 1)"])
+def test_a_value_over_another_ring_is_an_error_either_way(claim, expect):
+    # M(y) and jacdet(M, x, y) are over R, the claim over S: the verdict must
+    # not depend on which ring the equal-looking sides were read in
+    (result,) = run_text(CROSS_RING + f'claim "c" {claim} expect {expect};').results
+    assert result.status == ERROR
+    assert result.detail.startswith("TableMismatchError: tables differ")
+
+
+def test_claims_about_a_named_object_read_it_over_its_own_ring():
+    report = run_text(CROSS_RING + """
+claim "nilpotent" nilpotent(D, 3) expect true;
+claim "not an involution" inverse_pair(M, M) expect false;
+claim "polynomial images" laurent_free(M, x) expect true;
 """)
     assert [r.status for r in report.results] == [PASS, PASS, PASS]
+
+
+def test_singular_at_checks_the_point_as_cone_class_does():
+    # a live variable is not a coordinate: neither claim may hold at point(x, y, 0, 0)
+    report = run_text("""
+ring R = vars(x, y, z, t);
+claim "singular" singular_at(z^2 + t^3, point(x, y, 0, 0)) expect true;
+claim "cone" cone_class(z^2 + t^3, point(x, y, 0, 0), double_hyperplane) expect true;
+""")
+    for r in report.results:
+        assert (r.status, r.detail) == (
+            ERROR, "KrError: point coordinate for 'x' must be constant or parametric")
 
 
 def test_narrative_aggregates_its_claims():

@@ -79,6 +79,31 @@ def test_every_export_is_used_in_the_package():
     assert not unused, unused
 
 
+def _transport_sites(node, scope=()):
+    """The enclosing def/class path of each reference to 'transport' under
+    node; the method's own definition is marked as such."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = scope + (child.name,)
+            if child.name == "transport":
+                yield ".".join(inner) + " (definition)"
+        elif getattr(child, "attr", getattr(child, "id", None)) == "transport":
+            yield ".".join(scope)
+        yield from _transport_sites(child, inner)
+
+
+def test_tables_are_crossed_only_on_purpose():
+    # every other kernel entry point raises TableMismatchError on an operand
+    # over another table (VarTable.coerce); these cross tables by name
+    sites = {f"{path.stem}:{site}" for path in PACKAGE.glob("*.py")
+             for site in _transport_sites(ast.parse(path.read_text(encoding="utf-8")))}
+    assert sites == {"poly:Polynomial.transport (definition)",
+                     "parser:Parser.parse_base",  # a let, read into the current ring
+                     "groebner:member",  # saturation, in a wider table
+                     "morphism:extend_to_quotient_automorphism"}  # a base-ring map
+
+
 # dataclasses pulls in inspect, ast, dis and tokenize; typing and
 # importlib.resources are costly too, and the package needs none of them
 # to start

@@ -349,7 +349,7 @@ KERNEL_ERROR_SITES = {
                                  "not in the structure group", 3, 9),
     "compose": ("ring R = vars(x);\nmap A : R { x -> x + 1; }\n"
                 "ring S = vars(x, y);\nmap B : S { x -> x; }\nmap C = compose(A, B);",
-                "cannot compose maps over different tables", 5, 9),
+                "tables differ: VarTable(x) vs VarTable(x,y)", 5, 9),
     "subst_param": ("ring R = vars(x, c ; param c);\nmap M : R { x -> x + c; }\n"
                     "map N = subst_param(M, x, 1);",
                     "'x' is not a parameter", 3, 9),
@@ -364,7 +364,7 @@ KERNEL_ERROR_SITES = {
                            "is not a multiple", 2, 14),
     "inverse": ("ring R = vars(x);\nmap A : R { x -> x; }\n"
                 "ring S = vars(x, y);\nmap B : S { x -> x; }\ninverse(A, B);",
-                "cannot compose maps over different tables", 5, 8),
+                "tables differ: VarTable(x) vs VarTable(x,y)", 5, 8),
     "nilpotent relation": (R4 + "derivation D : R { z -> 1; }\n"
                            'claim "c" nilpotent(D, 4, z) expect true;',
                            "relation must have x^2*y with coefficient 1", 3, 21),

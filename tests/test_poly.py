@@ -6,8 +6,13 @@ from fractions import Fraction
 import pytest
 
 from krcubic.coeff import OMEGA, Eisenstein
+from krcubic.derivation import Derivation, substitute_parameter, theta_extract
 from krcubic.errors import (KrError, NegativeExponentError, NonUnitError,
                             TableMismatchError)
+from krcubic.geometry import tangent_cone
+from krcubic.groebner import buchberger, member, reduce, singular_at
+from krcubic.morphism import (QuotientRelation, RingMap, compose, exact_divide,
+                              normal_form)
 from krcubic.parser import parse_polynomial
 from krcubic.poly import Polynomial, VarTable
 
@@ -42,6 +47,48 @@ def test_binomial_square(cylinder_ring):
 def test_table_mismatch_rejected(ring4, ring3):
     with pytest.raises(TableMismatchError):
         cubic_poly(ring4) + ring3.var("x")
+
+
+# Each kernel entry point, given one operand over another table.  FOREIGN has
+# OWN's names, so a transport by name would succeed, but c is no parameter
+# there.  Some cases need more than the check the operation reaches anyway: a
+# zero derivative, a generator that minimalization drops, a table without c,
+# and one too short for the lex-y order key of the relation.
+OWN = VarTable(["x", "y", "z", "t", "c"], params=["c"])
+FOREIGN = VarTable(["x", "y", "z", "t", "c"])
+LAURENT = VarTable(["x", "t"], laurent=["t"])
+LINE = VarTable(["y"])
+
+
+FOREIGN_OPERAND = {
+    "compose": lambda: compose(RingMap(OWN, {}), RingMap(FOREIGN, {})),
+    "exact_divide": lambda: exact_divide(OWN.var("x") * OWN.var("z"), FOREIGN.var("x")),
+    "reduce": lambda: reduce(OWN.var("x"), [FOREIGN.var("x")]),
+    "buchberger": lambda: buchberger([OWN.one(), FOREIGN.var("x")]),
+    "member": lambda: member(OWN.var("x"), [FOREIGN.var("x")]),
+    "member saturated": lambda: member(LAURENT.one(), [LAURENT.var("t") + LAURENT.var("x"),
+                                                       OWN.var("x")]),
+    "RingMap": lambda: RingMap(OWN, {"z": FOREIGN.var("z")}),
+    "RingMap.apply": lambda: RingMap(OWN, {})(FOREIGN.var("x")),
+    "Derivation": lambda: Derivation(OWN, {"z": FOREIGN.var("x")}),
+    "Derivation relation": lambda: Derivation(OWN, {}, QuotientRelation(cubic_poly(FOREIGN))),
+    "Derivation.apply": lambda: Derivation(OWN, {"z": OWN.var("x")})(FOREIGN.var("x")),
+    "normal_form": lambda: normal_form(LINE.var("y"), QuotientRelation(cubic_poly(OWN))),
+    "theta_extract": lambda: theta_extract(RingMap(OWN, {}),
+                                           FOREIGN.var("z") ** 2 + FOREIGN.var("t") ** 3),
+    "substitute_parameter": lambda: substitute_parameter(RingMap(OWN, {}), "c",
+                                                         LINE.var("y")),
+    "tangent_cone": lambda: tangent_cone(OWN.var("z") ** 2,
+                                         {"x": 0, "y": 0, "z": 0, "t": FOREIGN.zero()}),
+    "singular_at": lambda: singular_at(OWN.var("z") ** 2,
+                                       {"x": 0, "y": 0, "z": 0, "t": FOREIGN.zero()}),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FOREIGN_OPERAND))
+def test_every_kernel_entry_point_rejects_a_foreign_table(entry):
+    with pytest.raises(TableMismatchError):
+        FOREIGN_OPERAND[entry]()
 
 
 def test_negative_power_of_non_unit_rejected(ring4):
