@@ -1,10 +1,11 @@
 """Execute claim manifests into structured pass/fail reports.
 
-Every claim is evaluated through the corresponding library operation; an
-evaluation error is recorded per-claim (status 'error') and never aborts the
-run.  Narrative entries aggregate the statuses of the claims they cite: they
-mark conclusions that follow from the listed computations plus imported
-theory, and carry no computation of their own.
+Every claim is evaluated through the corresponding library operation, its
+arguments too, which the parser keeps as syntax; an evaluation error is
+recorded per-claim (status 'error') and never aborts the run.  Narrative
+entries aggregate the statuses of the claims they cite: they mark
+conclusions that follow from the listed computations plus imported theory,
+and carry no computation of their own.
 
 Reports are deterministic across runs except for the timing fields.
 """
@@ -17,7 +18,7 @@ import time
 from .errors import KrError, Record
 from .geometry import classify_quadric, graph_variable_check, tangent_cone
 from .groebner import member, singular_at, smooth_everywhere
-from .morphism import exact_divide, verify_inverse_pair
+from .morphism import QuotientRelation, exact_divide, verify_inverse_pair
 from .derivation import nilpotency_certificate
 from .parser import ClaimDecl, SourceUnit, eval_node, parse_unit
 from .poly import render
@@ -84,9 +85,9 @@ class Report:
 def _eval_claim(unit: SourceUnit, claim: ClaimDecl) -> tuple[bool, str]:
     """Return (holds, detail); detail shows both sides for failed equalities.
 
-    claim.args holds one value per shape in parser.CLAIMS[claim.kind].  Every
-    expression must be over the claim's ring, or TableMismatchError is raised;
-    a named map or derivation is read over its own ring.
+    claim.args holds syntax, one piece per shape in parser.CLAIMS[claim.kind];
+    ev evaluates each expression once, over the claim's ring, or raises
+    TableMismatchError; a named map or derivation is read over its own ring.
     """
     table = unit.rings[claim.ring]
     env = unit.env
@@ -108,12 +109,12 @@ def _eval_claim(unit: SourceUnit, claim: ClaimDecl) -> tuple[bool, str]:
     if claim.kind == "member":
         f, gens = args
         f = ev(f)
-        return member(f, list(gens)), f"f = {render(f)}"
+        return member(f, [ev(g) for g in gens]), f"f = {render(f)}"
     if claim.kind == "nilpotent":
         name, bound, relation = args
         d = env[name].value
         if relation is not None:
-            d = d.modulo(relation)
+            d = d.modulo(QuotientRelation(ev(relation)))
         cert = nilpotency_certificate(d, bound)
         orders = ", ".join(f"{v}:{k}" for v, k in cert.orders.items())
         if cert.complete:
@@ -121,17 +122,18 @@ def _eval_claim(unit: SourceUnit, claim: ClaimDecl) -> tuple[bool, str]:
         return False, f"bound exceeded at generator {cert.failed_generator!r}"
     if claim.kind == "cone_class":
         f, point, tag, spec = args
-        cone = tangent_cone(ev(f), point)
-        got = classify_quadric(cone, spec)
+        cone = tangent_cone(ev(f), {v: ev(c) for v, c in point.items()})
+        got = classify_quadric(cone, {p: ev(value) for p, value in spec.items()})
         return got.tag == tag, f"cone = {render(cone)}; classified {got.tag}, expected {tag}"
     if claim.kind == "smooth_at_all":
         return smooth_everywhere(ev(args[0])), ""
     if claim.kind == "singular_at":
         f, point = args
-        return singular_at(ev(f), point), ""
+        return singular_at(ev(f), {v: ev(c) for v, c in point.items()}), ""
     if claim.kind == "inverse_pair":
         m1, m2, ideals = args
-        return verify_inverse_pair(env[m1].value, env[m2].value, *(ideals or ([], []))), ""
+        return verify_inverse_pair(env[m1].value, env[m2].value,
+                                   *([ev(g) for g in gens] for gens in ideals or ())), ""
     if claim.kind == "quasi_homogeneous":
         f, weights, degree = args
         return ev(f).is_weighted_homogeneous(weights, degree), ""

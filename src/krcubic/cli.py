@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import KrError, ParseError, PostconditionError
+from .errors import KrError, PostconditionError
 from .groebner import GREVLEX, LEX, buchberger, member
 from .morphism import compose as compose_maps
 from .morphism import jacobian
 from .derivation import nilpotency_certificate
 from .geometry import tangent_cone
-from .parser import format_unit, parse_polynomial, parse_ring_spec, parse_unit
+from .parser import (format_unit, parse_over, parse_polynomial, parse_ring_spec,
+                     parse_unit)
 from .poly import render
 from . import claims as claims_mod
 
@@ -119,12 +120,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "tcone":
             table = parse_ring_spec(args.ring)
             f = parse_polynomial(args.poly, table)
-            coords = [c.strip() for c in args.point.split(",")]
-            targets = table.non_params()
-            if len(coords) != len(targets):
-                raise KrError(
-                    f"point needs {len(targets)} coordinates, got {len(coords)}")
-            point = {v: parse_polynomial(c, table) for v, c in zip(targets, coords)}
+            point = parse_over(args.point, table,
+                               lambda p: p.coordinates(p.peek(), p.parse_poly))
             print(render(tangent_cone(f, point)))
             return 0
 
@@ -156,8 +153,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "jacobian":
             unit = _load_unit(args.file)
             mp = _named(unit, args.map, "map")
-            names = (args.vars.split(",") if args.vars
-                     else list(mp.table.non_params()))
+            names = (parse_over(args.vars, mp.table, lambda p: p.listed(p.variable))
+                     if args.vars else list(mp.table.non_params()))
             matrix, det = jacobian(mp, names)
             for row in matrix:
                 print("[ " + " | ".join(render(e) for e in row) + " ]")
@@ -178,9 +175,6 @@ def main(argv: list[str] | None = None) -> int:
             return 1
 
         raise AssertionError(args.command)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except PostconditionError as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

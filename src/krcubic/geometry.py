@@ -122,12 +122,14 @@ def _gram_rank(form: Polynomial) -> tuple[int, int]:
 
 
 def classify_quadric(form: Polynomial,
-                     specialization: Mapping[str, "Eisenstein | int"] | None = None) -> ConeClass:
+                     specialization: Mapping[str, "Polynomial | int"] | None = None) -> ConeClass:
     """Classify a quadratic form, optionally after substituting parameter values.
 
     double_hyperplane: a nonzero scalar times the square of a linear form
     (Gram rank 1).  two_distinct_hyperplanes: a rank-2 form in exactly two
-    variables.  Anything else is 'other'.
+    variables.  Anything else is 'other'.  Each specialization value is read
+    over the form's table and must be a constant, or KrError is raised: a
+    claim's values arrive here unevaluated and unchecked.
     """
     table = form.table
     if specialization:
@@ -135,7 +137,9 @@ def classify_quadric(form: Polynomial,
         for v, val in specialization.items():
             if not table.is_param(v):
                 raise KrError(f"can only specialize parameters, not {v!r}")
-            images[v] = table.constant(val)
+            images[v] = table.coerce(val)
+            if not images[v].is_constant():
+                raise KrError("specialization values must be constants")
         form = form.substitute(images)
     if form.is_zero():
         raise KrError("cannot classify the zero form")

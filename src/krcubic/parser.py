@@ -32,8 +32,9 @@ The argument shapes of each claim kind, constructor and built-in live once, as
 data, in CLAIMS, CONSTRUCTORS and BUILTINS; Parser.arguments reads them and
 _fmt_arguments prints them.  Each declared name has one Decl record, and
 SourceUnit.env maps a name to its Decl (rings: SourceUnit.rings maps a name to
-its VarTable).  The first error aborts the unit with a 1-based line/column
-diagnostic.
+its VarTable).  Declarations elaborate as they are read, and the first error
+aborts the unit with a 1-based line/column diagnostic.  Claim arguments stay
+syntax until the claim runs (claims._eval_claim): their errors are the claim's.
 
 A let is read into the current ring by variable name, the parser's one
 crossing of tables; any other value over another ring is an error.
@@ -56,14 +57,14 @@ from .geometry import CONE_TAGS
 
 # Argument shapes, in order.  A trailing '?' marks an optional group that
 # follows a comma (absent: None); a trailing '*' a group that repeats, whose
-# (key, value) items collect into a dict.  'map', 'derivation' and
-# 'derivation|map' read the name of a declared object of that kind.
+# (key, value) items collect into a dict, each key once.  'map', 'derivation'
+# and 'derivation|map' read the name of a declared object of that kind.
 CLAIMS = {
     "eq": ("expr", "expr"),
     "divides": ("expr", "expr"),
-    "member": ("expr", "polys"),
-    "nilpotent": ("derivation", "bound", "relation?"),
-    "cone_class": ("expr", "point", "tag", "spec*"),
+    "member": ("expr", "exprs"),
+    "nilpotent": ("derivation", "bound", "expr?"),
+    "cone_class": ("expr", "point", "tag", "specialization*"),
     "smooth_at_all": ("expr",),
     "singular_at": ("expr", "point"),
     "inverse_pair": ("map", "map", "ideals?"),
@@ -74,10 +75,10 @@ CLAIMS = {
 
 # A constructor's value has the kind of its first argument.
 CONSTRUCTORS = {
-    "extend": ("map", "poly", "poly"),
+    "extend": ("map", "expr", "expr"),
     "compose": ("map", "map"),
-    "subst_param": ("map", "param", "poly"),
-    "conjugate": ("derivation", "map", "map", "polys", "polys"),
+    "subst_param": ("map", "param", "expr"),
+    "conjugate": ("derivation", "map", "map", "exprs", "exprs"),
 }
 
 # Functions an expression may call; 'vars' reads one or more variable names.
@@ -138,7 +139,7 @@ def tokenize(text: str) -> list[Token]:
 
 
 # ---------------------------------------------------------------------------
-# expression AST (claim arguments stay lazy; everything else folds eagerly)
+# expression AST (constants fold as they are read; eval_node does the rest)
 
 class Lit(Record):
     __slots__ = ("value",)
@@ -195,7 +196,7 @@ def _combine(op: str, a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 def eval_node(node, env: dict, table: VarTable) -> Polynomial:
-    """Evaluate a claim-argument expression against the unit environment."""
+    """Evaluate an expression node against the unit environment."""
     if isinstance(node, Lit):
         return node.value
     if isinstance(node, Negate):
@@ -232,20 +233,27 @@ def _fold(node):
     return node
 
 
-def _construct(fn: str, args: tuple, preserving, env: dict):
-    """Elaborate a constructor call (see CONSTRUCTORS); names are looked up in env."""
+def _values(nodes, env: dict, table: VarTable) -> list[Polynomial]:
+    return [eval_node(node, env, table) for node in nodes]
+
+
+def _construct(fn: str, args: tuple, preserving, env: dict, table: VarTable):
+    """Elaborate a constructor call (see CONSTRUCTORS); names are looked up in
+    env and expressions evaluated over table."""
     if fn == "extend":
-        base, relation, unit = args
-        return extend_to_quotient_automorphism(env[base].value, QuotientRelation(relation),
-                                               unit).map
+        relation, unit = _values(args[1:], env, table)
+        return extend_to_quotient_automorphism(env[args[0]].value,
+                                               QuotientRelation(relation), unit).map
     if fn == "compose":
         outer, inner = args
         return compose(env[outer].value, env[inner].value)
     if fn == "subst_param":
         base, param, value = args
-        return substitute_parameter(env[base].value, param, value, check_ideal=preserving)
+        return substitute_parameter(env[base].value, param, eval_node(value, env, table),
+                                    check_ideal=preserving and _values(preserving, env, table))
     d, fwd, bwd, mod1, mod2 = args
-    return conjugate(env[d].value, env[fwd].value, env[bwd].value, mod1, mod2)
+    return conjugate(env[d].value, env[fwd].value, env[bwd].value,
+                     _values(mod1, env, table), _values(mod2, env, table))
 
 
 # ---------------------------------------------------------------------------
@@ -255,22 +263,22 @@ class Decl(Record):
     """A declared name.  kind 'ring' holds a VarTable (ring: None), 'poly' a
     Polynomial, 'map' a RingMap and 'derivation' a Derivation, each over the
     ring current at the declaration.  ctor is the (fn, args, preserving) of
-    a constructor, kept for fmt, or None."""
+    a constructor, as syntax, kept for fmt, or None."""
 
     __slots__ = ("kind", "name", "ring", "value", "ctor")
 
 
 class InverseDecl(Record):
-    __slots__ = ("first", "second", "mod_first", "mod_second")
+    __slots__ = ("first", "second", "ideals")  # ideals: None or two lists of nodes
 
 
 class ClaimDecl(Record):
-    # args: one value per shape in CLAIMS[kind]; anchor: None if absent
+    # args: one piece of syntax per shape in CLAIMS[kind]; anchor: None if absent
     __slots__ = ("label", "kind", "ring", "args", "expect", "anchor")
 
 
 class NarrativeDecl(Record):
-    __slots__ = ("label", "requires")  # requires: a tuple of claim labels
+    __slots__ = ("label", "requires")  # requires: a tuple of earlier labels
 
 
 class SourceUnit:
@@ -315,9 +323,7 @@ class Parser:
 
     def expect(self, text: str) -> Token:
         tok = self.peek()
-        if tok.kind == "punct" and tok.text == text:
-            return self.next()
-        if tok.kind == "ident" and tok.text == text:
+        if tok.kind in ("punct", "ident") and tok.text == text:
             return self.next()
         self.error(f"found {tok.text!r}" if tok.kind != "eof" else "unexpected end of input",
                    tok, expected=(text,))
@@ -459,10 +465,7 @@ class Parser:
         if name == "w":
             return Lit(self.table().constant(OMEGA))
         if name in BUILTINS:
-            args = self.arguments(name, BUILTINS[name])
-            if name == "nf" and isinstance(args[1], Lit):
-                self.kernel(tok, QuotientRelation, args[1].value)
-            return Builtin(name, args)
+            return Builtin(name, self.arguments(name, BUILTINS[name]))
         table = self.table()
         if name in table._index:
             return Lit(table.var(name))
@@ -476,7 +479,7 @@ class Parser:
         return Apply(name, arg)
 
     def parse_poly(self, tok: Token | None = None) -> Polynomial:
-        """Parse an expression and evaluate it immediately."""
+        """Parse an expression and evaluate it at once, as a declaration does."""
         start = self.peek()
         node = self.parse_expr()
         return self.kernel(tok or start, eval_node, node, self.unit.env, self.table())
@@ -558,9 +561,8 @@ class Parser:
         images: dict[str, Polynomial] = {}
         table = self.table()
         while not self.accept("}"):
-            vtok = self.ident("variable name")
-            if vtok.text not in table._index:
-                self.error(f"unknown variable {vtok.text!r}", vtok)
+            vtok = self.peek()
+            self.variable()
             if vtok.text in images:
                 self.error(f"duplicate image for {vtok.text!r}", vtok)
             if table.is_param(vtok.text):
@@ -600,17 +602,6 @@ class Parser:
                  else self.kernel(tok, Derivation, self.table(), images, relation))
         self.declare(name, kind, value)
 
-    def _polyset(self) -> list[Polynomial]:
-        self.expect("{")
-        out = self.listed(self.parse_poly)
-        self.expect("}")
-        return out
-
-    def _ideal_pair(self) -> tuple[list[Polynomial], list[Polynomial]]:
-        first = self._polyset()
-        self.expect(",")
-        return first, self._polyset()
-
     def parse_constructor(self, name: Token, kind: str):
         """NAME = FN(...); elaborated here, so a kernel error stops the unit."""
         fn = self.ident("constructor")
@@ -621,9 +612,10 @@ class Parser:
         args = self.arguments(fn.text, shapes)
         preserving = None
         if fn.text == "subst_param" and self.accept("preserving"):
-            preserving = self._polyset()
+            preserving = self.argument(fn.text, "exprs")
         self.expect(";")
-        value = self.kernel(fn, _construct, fn.text, args, preserving, self.unit.env)
+        value = self.kernel(fn, _construct, fn.text, args, preserving, self.unit.env,
+                            self.table())
         self.declare(name, kind, value, ctor=(fn.text, args, preserving))
 
     def parse_inverse(self):
@@ -636,60 +628,68 @@ class Parser:
         self.expect("inverse")
         start = self.peek()
         first, second = self.arguments("inverse", INVERSE)
-        mod1, mod2 = self._ideal_pair() if self.accept("mod") else ([], [])
+        ideals = self.argument("inverse", "ideals") if self.accept("mod") else None
         self.expect(";")
-        env = self.unit.env
-        if not self.kernel(start, verify_inverse_pair, env[first].value, env[second].value,
-                           mod1, mod2):
+        env, table = self.unit.env, self.table()
+        if not self.kernel(start, lambda: verify_inverse_pair(
+                env[first].value, env[second].value,
+                *(_values(gens, env, table) for gens in ideals or ()))):
             self.error(f"{first!r} and {second!r} are not inverse "
                        f"modulo the declared ideals", start)
-        self.unit.items.append(InverseDecl(first, second, mod1, mod2))
+        self.unit.items.append(InverseDecl(first, second, ideals))
 
     # -- call arguments ----------------------------------------------------------
 
     def arguments(self, fn: str, shapes: tuple) -> tuple:
-        """Read fn's parenthesized arguments, one value per shape."""
+        """Read fn's parenthesized arguments, one piece of syntax per shape."""
         self.expect("(")
-        start = self.peek()
         args = []
         for i, shape in enumerate(shapes):
             if shape.endswith("*"):
                 items = {}
                 while self.accept(","):
-                    key, value = self.argument(fn, shape[:-1], start)
+                    tok = self.peek()
+                    key, value = self.argument(fn, shape[:-1])
+                    if key in items:
+                        self.error(f"duplicate {shape[:-1]} for {key!r}", tok)
                     items[key] = value
                 args.append(items)
             elif shape.endswith("?"):
-                args.append(self.argument(fn, shape[:-1], start)
-                            if self.accept(",") else None)
+                args.append(self.argument(fn, shape[:-1]) if self.accept(",") else None)
             else:
                 if i:
                     self.expect(",")
-                args.append(self.argument(fn, shape, start))
+                args.append(self.argument(fn, shape))
         self.expect(")")
         return tuple(args)
 
-    def argument(self, fn: str, shape: str, start: Token):
-        """Read one argument; a kernel error in a relation is reported at start."""
+    def coordinates(self, tok: Token, read) -> dict:
+        """A point's coordinates, one per non-parameter variable, each read by read()."""
+        coords = self.listed(read)
+        targets = self.table().non_params()
+        if len(coords) != len(targets):
+            self.error(f"point needs {len(targets)} coordinates, got {len(coords)}", tok)
+        return dict(zip(targets, coords))
+
+    def argument(self, fn: str, shape: str):
+        """Read one argument as syntax: a node, a name, an integer or a tag."""
         if shape == "expr":
             return self.parse_expr()
-        if shape == "poly":
-            return self.parse_poly()
-        if shape == "polys":
-            return self._polyset()
+        if shape == "exprs":
+            self.expect("{")
+            exprs = self.listed(self.parse_expr)
+            self.expect("}")
+            return exprs
         if shape == "ideals":
-            return self._ideal_pair()
-        if shape == "relation":
-            return self.kernel(start, QuotientRelation, self.parse_poly())
+            first = self.argument(fn, "exprs")
+            self.expect(",")
+            return first, self.argument(fn, "exprs")
         if shape == "point":
             tok = self.expect("point")
             self.expect("(")
-            coords = self.listed(self.parse_poly)
+            point = self.coordinates(tok, self.parse_expr)
             self.expect(")")
-            targets = self.table().non_params()
-            if len(coords) != len(targets):
-                self.error(f"point needs {len(targets)} coordinates, got {len(coords)}", tok)
-            return dict(zip(targets, coords))
+            return point
         if shape == "var":
             return self.variable()
         if shape == "vars":
@@ -709,37 +709,45 @@ class Parser:
             if tok.text not in CONE_TAGS:
                 self.error(f"unknown cone tag {tok.text!r}", tok, expected=CONE_TAGS)
             return tok.text
-        if shape == "spec":
+        if shape == "specialization":
             tok = self.ident("parameter name")
             if tok.text not in self.table().params():
                 self.error(f"{tok.text!r} is not a parameter", tok)
             self.expect("->")
-            value = self.parse_poly(tok)
-            if not value.is_constant():
-                self.error("specialization values must be constants", tok)
-            return tok.text, value.constant_value()
+            return tok.text, self.parse_expr()
         if shape == "weights":
             self.expect("weights")
             self.expect("(")
+            weights = {}
 
             def weight():
+                tok = self.peek()
                 v = self.variable()
+                if v in weights:
+                    self.error(f"duplicate weight for {v!r}", tok)
                 self.expect("->")
-                return v, self.integer()
+                weights[v] = self.integer()
 
-            weights = dict(self.listed(weight))
+            self.listed(weight)
             self.expect(")")
             return weights
         return self.named(shape, fn).text
 
     # -- claims ----------------------------------------------------------------
 
+    def labels(self) -> set[str]:
+        return {item.label for item in self.unit.claims + self.unit.narratives}
+
+    def label(self) -> str:
+        """Read the label of a new claim or narrative; the two share one namespace."""
+        tok = self.string()
+        if tok.text in self.labels():
+            self.error(f"duplicate label {tok.text!r}", tok)
+        return tok.text
+
     def parse_claim(self):
         self.expect("claim")
-        label_tok = self.string()
-        label = label_tok.text
-        if any(c.label == label for c in self.unit.claims):
-            self.error(f"duplicate claim label {label!r}", label_tok)
+        label = self.label()
         kind_tok = self.ident("claim kind")
         kind = kind_tok.text
         if kind not in CLAIMS:
@@ -761,16 +769,14 @@ class Parser:
 
     def parse_narrative(self):
         self.expect("narrative")
-        label = self.string().text
+        label = self.label()
         self.expect("requires")
         self.expect("(")
         requires = self.listed(self.string)
         self.expect(")")
         self.expect(";")
-        known = {c.label for c in self.unit.claims}
-        known.update(n.label for n in self.unit.narratives)
         for req in requires:
-            if req.text not in known:
+            if req.text not in self.labels():
                 self.error(f"narrative references unknown claim {req.text!r}", req)
         decl = NarrativeDecl(label, tuple(req.text for req in requires))
         self.unit.narratives.append(decl)
@@ -781,49 +787,41 @@ def parse_unit(text: str) -> SourceUnit:
     return Parser(text).parse_unit()
 
 
-def parse_polynomial(text: str, table: VarTable) -> Polynomial:
-    """Parse a single polynomial expression over an existing table."""
+def parse_over(text: str, table: VarTable | None, read):
+    """Read all of text with read(parser), over table if one is given."""
     parser = Parser(text)
     parser.unit.rings["_R"] = table
     parser.current_ring = "_R"
-    value = parser.parse_poly()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        parser.error("trailing input after polynomial", tok)
+    value = read(parser)
+    if parser.peek().kind != "eof":
+        parser.error("trailing input")
     return value
+
+
+def parse_polynomial(text: str, table: VarTable) -> Polynomial:
+    """Parse a single polynomial expression over an existing table."""
+    return parse_over(text, table, Parser.parse_poly)
 
 
 def parse_ring_spec(text: str) -> VarTable:
     """Parse 'vars(x, y ; laurent y ; param c)' used by the CLI."""
-    parser = Parser(text)
-    table = parser.ring_spec()
-    if parser.peek().kind != "eof":
-        parser.error("trailing input after ring spec")
-    return table
+    return parse_over(text, None, Parser.ring_spec)
 
 
 # ---------------------------------------------------------------------------
 # canonical formatting (the `fmt` subcommand); idempotent by construction
 
-def _fmt_polyset(gens) -> str:
-    return "{" + ", ".join(render(g) for g in gens) + "}"
-
-
 def _fmt_argument(shape: str, arg) -> str:
     if shape == "expr":
         return arg.render()
-    if shape == "poly":
-        return render(arg)
-    if shape == "polys":
-        return _fmt_polyset(arg)
+    if shape == "exprs":
+        return "{" + ", ".join(node.render() for node in arg) + "}"
     if shape == "ideals":
-        return ", ".join(_fmt_polyset(gens) for gens in arg)
-    if shape == "relation":
-        return render(arg.relation)
+        return ", ".join(_fmt_argument("exprs", nodes) for nodes in arg)
     if shape == "point":
-        return "point(" + ", ".join(render(v) for v in arg.values()) + ")"
-    if shape == "spec":
-        return f"{arg[0]} -> {arg[1]}"
+        return "point(" + ", ".join(node.render() for node in arg.values()) + ")"
+    if shape == "specialization":
+        return f"{arg[0]} -> {arg[1].render()}"
     if shape == "weights":
         return "weights(" + ", ".join(f"{v} -> {k}" for v, k in arg.items()) + ")"
     if shape == "vars":
@@ -846,11 +844,8 @@ def format_unit(unit: SourceUnit) -> str:
     out = []
     for item in unit.items:
         if isinstance(item, InverseDecl):
-            tail = ""
-            if item.mod_first or item.mod_second:
-                tail = f" mod {_fmt_polyset(item.mod_first)}, {_fmt_polyset(item.mod_second)}"
-            args = _fmt_arguments(INVERSE, (item.first, item.second))
-            out.append(f"inverse{args}{tail};")
+            tail = f" mod {_fmt_argument('ideals', item.ideals)}" if item.ideals else ""
+            out.append(f"inverse{_fmt_arguments(INVERSE, (item.first, item.second))}{tail};")
         elif isinstance(item, ClaimDecl):
             anchor = f'\n  anchor "{item.anchor}"' if item.anchor else ""
             out.append(f'claim "{item.label}"\n'
@@ -872,7 +867,7 @@ def format_unit(unit: SourceUnit) -> str:
             out.append(f"let {item.name} = {render(item.value)};")
         elif item.ctor is not None:
             fn, args, preserving = item.ctor
-            tail = f" preserving {_fmt_polyset(preserving)}" if preserving is not None else ""
+            tail = f" preserving {_fmt_argument('exprs', preserving)}" if preserving else ""
             out.append(f"{item.kind} {item.name} = {fn}"
                        f"{_fmt_arguments(CONSTRUCTORS[fn], args)}{tail};")
         else:

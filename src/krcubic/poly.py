@@ -167,10 +167,6 @@ class Polynomial(Record):
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in exps) for exps in self.terms)
 
-    def constant_value(self) -> Eisenstein:
-        """The coefficient of the empty monomial (the whole value if constant)."""
-        return self.terms.get((0,) * self.table.arity, Eisenstein(0))
-
     def degree_in(self, name: str) -> int:
         if not self.terms:
             return -1

@@ -15,7 +15,8 @@ from krcubic.errors import KrError, Record
 from krcubic.geometry import classify_quadric
 from krcubic.groebner import LEX, buchberger
 from krcubic.morphism import QuotientRelation, RingMap, extend_to_quotient_automorphism
-from krcubic.parser import Lit, parse_unit
+from krcubic.cli import main
+from krcubic.parser import Apply, BinOp, Builtin, Lit, Negate, parse_unit
 from krcubic.poly import Polynomial, VarTable
 
 
@@ -129,6 +130,75 @@ claim "still runs" eq(x, x) expect true;
 """)
     statuses = [r.status for r in report.results]
     assert statuses == [ERROR, PASS]
+
+
+BAD_ARGUMENT_HEAD = """ring R = vars(x, y, z, t, a ; param a);
+derivation D : R { z -> 1; }
+map A : R { y -> y + x; }
+map B : R { y -> y - x; }
+claim "before" eq((x + 1)^2, x^2 + 2*x + 1) expect true;
+"""
+
+# One failing expression in each polynomial-valued claim position -> the
+# claim's detail, the kernel's own exception and message.
+BAD_CLAIM_ARGUMENTS = {
+    "member generator": ("member(x, {quot(x, x + 1)})",
+                         "KrError: quot(): not exactly divisible"),
+    "nilpotent relation": ("nilpotent(D, 4, z)",
+                           "KrError: relation must have x^2*y with coefficient 1"),
+    "point coordinate": ("cone_class(z^2 + t^3, point(quot(1, 0), 0, 0, 0), double_hyperplane)",
+                         "ZeroDivisionError: division by the zero polynomial"),
+    "cone_class specialization": (
+        "cone_class(a*x^2 + z^2, point(0, 0, 0, 0), two_distinct_hyperplanes, a -> x)",
+        "KrError: specialization values must be constants"),
+    "inverse_pair ideals": ("inverse_pair(A, B, {x}, {quot(x, x + 1)})",
+                            "KrError: quot(): not exactly divisible"),
+    "nf relation": ("eq(nf(x, z), x)", "KrError: relation must have x^2*y with coefficient 1"),
+}
+
+
+@pytest.mark.parametrize("position", sorted(BAD_CLAIM_ARGUMENTS))
+def test_a_failing_claim_argument_is_that_claims_error(position, tmp_path, capsys):
+    claim, detail = BAD_CLAIM_ARGUMENTS[position]
+    text = (BAD_ARGUMENT_HEAD + f'claim "bad" {claim} expect true;\n'
+            'claim "after" member(x^2*y, {x^2}) expect true;\n')
+    report = run_text(text)
+    assert [(r.label, r.status) for r in report.results] == [
+        ("before", PASS), ("bad", ERROR), ("after", PASS)]
+    assert report.results[1].detail == detail
+    path = tmp_path / "unit.krv"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == ""
+
+
+SYNTAX = (str, int, type(None), Lit, Apply, Builtin, BinOp, Negate)
+
+
+def _held(arg):
+    """The leaves of a claim argument: containers are walked, syntax nodes not."""
+    if isinstance(arg, (list, tuple)):
+        for item in arg:
+            yield from _held(item)
+    elif isinstance(arg, dict):
+        for item in arg.values():
+            yield from _held(item)
+    else:
+        yield arg
+
+
+def test_shipped_claims_hold_only_syntax():
+    # eager evaluation would put a Polynomial or QuotientRelation here
+    kinds = set()
+    for name in SHIPPED_MANIFESTS:
+        for manifest in (name, name.replace(".krv", "_negative.krv")):
+            unit = parse_unit(manifest_path(manifest).read_text(encoding="utf-8"))
+            for claim in unit.claims:
+                for leaf in _held(claim.args):
+                    assert isinstance(leaf, SYNTAX), (manifest, claim.label, leaf)
+                    assert not isinstance(leaf, (Polynomial, QuotientRelation))
+                    kinds.add(type(leaf))
+    assert {Lit, Apply, Builtin, BinOp} <= kinds
 
 
 def test_singular_at_rejects_an_image_from_another_ring():

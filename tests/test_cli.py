@@ -127,6 +127,20 @@ map m : R { z -> z + 3*x*t^5; t -> t + 2*x*(z + 3*x*t^5)^3; }
     assert out.strip().endswith("det = 1")
 
 
+def test_cli_lists_are_read_by_the_parser(tmp_path, capsys):
+    # spaces after the commas, and a comma inside a coordinate
+    target = tmp_path / "maps.krv"
+    target.write_text("ring R = vars(x, z, t);\nmap m : R { z -> z + x; t -> t + x*z; }\n")
+    code, out, _ = run_cli(["jacobian", str(target), "m", "--vars", "z, t"], capsys)
+    assert code == 0 and out.strip().endswith("det = 1")
+    tcone = ["tcone", "--poly", "x^2*y+z^2+t^3",
+             "--ring", "vars(x, y, z, t, y0 ; param y0)", "--point"]
+    code, out, _ = run_cli(tcone + ["0,quot(y0, 1),0,0"], capsys)
+    assert (code, out.strip()) == (0, "x^2*y0 + z^2")
+    code, _, err = run_cli(tcone + ["0, y0, 0"], capsys)
+    assert (code, err.strip()) == (2, "error: 1:1: point needs 4 coordinates, got 3")
+
+
 def test_lnd_subcommand(tmp_path, capsys):
     target = tmp_path / "deriv.krv"
     target.write_text("""ring L = vars(x, y, z, t, v ; laurent t);
