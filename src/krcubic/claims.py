@@ -1,11 +1,11 @@
 """Execute claim manifests into structured pass/fail reports.
 
-Every claim is evaluated through the corresponding library operation, its
-arguments too, which the parser keeps as syntax; an evaluation error is
-recorded per-claim (status 'error') and never aborts the run.  Narrative
-entries aggregate the statuses of the claims they cite: they mark
-conclusions that follow from the listed computations plus imported theory,
-and carry no computation of their own.
+parser.operands evaluates a claim's arguments, kept as syntax, by their shapes
+in parser.CLAIMS; its kind's entry in VERDICTS decides it from those values
+through the library.  An evaluation error is recorded per-claim (status
+'error') and never aborts the run.  Narrative entries aggregate the statuses
+of the claims they cite: they mark conclusions that follow from the listed
+computations plus imported theory, and carry no computation of their own.
 
 Reports are deterministic across runs except for the timing fields.
 """
@@ -20,7 +20,7 @@ from .geometry import classify_quadric, graph_variable_check, tangent_cone
 from .groebner import member, singular_at, smooth_everywhere
 from .morphism import QuotientRelation, exact_divide, verify_inverse_pair
 from .derivation import nilpotency_certificate
-from .parser import ClaimDecl, SourceUnit, eval_node, parse_unit
+from .parser import CLAIMS, ClaimDecl, SourceUnit, operands, parse_unit
 from .poly import render
 
 PASS, FAIL, ERROR = "pass", "fail", "error"
@@ -82,71 +82,62 @@ class Report:
         return json.dumps(payload, indent=2, sort_keys=False)
 
 
-def _eval_claim(unit: SourceUnit, claim: ClaimDecl) -> tuple[bool, str]:
-    """Return (holds, detail); detail shows both sides for failed equalities.
+def _eq(lhs, rhs) -> tuple[bool, str]:
+    ok = lhs == rhs
+    return ok, "" if ok else f"lhs = {render(lhs)}\nrhs = {render(rhs)}"
 
-    claim.args holds syntax, one piece per shape in parser.CLAIMS[claim.kind];
-    ev evaluates each expression once, over the claim's ring, or raises
-    TableMismatchError; a named map or derivation is read over its own ring.
-    """
-    table = unit.rings[claim.ring]
-    env = unit.env
-    args = claim.args
 
-    def ev(node):
-        return table.coerce(eval_node(node, env, table))
+def _divides(f, g) -> tuple[bool, str]:
+    q = exact_divide(f, g)
+    return q is not None, ("" if q is not None else
+                           f"dividend = {render(f)}\ndivisor = {render(g)}")
 
-    if claim.kind == "eq":
-        lhs, rhs = map(ev, args)
-        ok = lhs == rhs
-        detail = "" if ok else f"lhs = {render(lhs)}\nrhs = {render(rhs)}"
-        return ok, detail
-    if claim.kind == "divides":
-        f, g = map(ev, args)
-        q = exact_divide(f, g)
-        return q is not None, ("" if q is not None else
-                               f"dividend = {render(f)}\ndivisor = {render(g)}")
-    if claim.kind == "member":
-        f, gens = args
-        f = ev(f)
-        return member(f, [ev(g) for g in gens]), f"f = {render(f)}"
-    if claim.kind == "nilpotent":
-        name, bound, relation = args
-        d = env[name].value
-        if relation is not None:
-            d = d.modulo(QuotientRelation(ev(relation)))
-        cert = nilpotency_certificate(d, bound)
-        orders = ", ".join(f"{v}:{k}" for v, k in cert.orders.items())
-        if cert.complete:
-            return True, f"orders {orders}"
+
+def _nilpotent(d, bound, relation) -> tuple[bool, str]:
+    if relation is not None:
+        d = d.modulo(QuotientRelation(relation))
+    cert = nilpotency_certificate(d, bound)
+    if not cert.complete:
         return False, f"bound exceeded at generator {cert.failed_generator!r}"
-    if claim.kind == "cone_class":
-        f, point, tag, spec = args
-        cone = tangent_cone(ev(f), {v: ev(c) for v, c in point.items()})
-        got = classify_quadric(cone, {p: ev(value) for p, value in spec.items()})
-        return got.tag == tag, f"cone = {render(cone)}; classified {got.tag}, expected {tag}"
-    if claim.kind == "smooth_at_all":
-        return smooth_everywhere(ev(args[0])), ""
-    if claim.kind == "singular_at":
-        f, point = args
-        return singular_at(ev(f), {v: ev(c) for v, c in point.items()}), ""
-    if claim.kind == "inverse_pair":
-        m1, m2, ideals = args
-        return verify_inverse_pair(env[m1].value, env[m2].value,
-                                   *([ev(g) for g in gens] for gens in ideals or ())), ""
-    if claim.kind == "quasi_homogeneous":
-        f, weights, degree = args
-        return ev(f).is_weighted_homogeneous(weights, degree), ""
-    if claim.kind == "graph_variable":
-        f, var = args
-        return graph_variable_check(ev(f), var), ""
-    if claim.kind == "laurent_free":
-        name, var = args
-        images = env[name].value.images
-        bad = [v for v in sorted(images) if images[v].min_exponent(var) < 0]
-        return not bad, ("" if not bad else
-                         f"negative {var}-exponents in images of {', '.join(bad)}")
-    raise KrError(f"unknown claim kind {claim.kind!r}")
+    return True, "orders " + ", ".join(f"{v}:{k}" for v, k in cert.orders.items())
+
+
+def _cone_class(f, point, tag, spec) -> tuple[bool, str]:
+    cone = tangent_cone(f, point)
+    got = classify_quadric(cone, spec)
+    return got.tag == tag, f"cone = {render(cone)}; classified {got.tag}, expected {tag}"
+
+
+def _laurent_free(value, var) -> tuple[bool, str]:
+    images = value.images
+    bad = [v for v in sorted(images) if images[v].min_exponent(var) < 0]
+    return not bad, ("" if not bad else
+                     f"negative {var}-exponents in images of {', '.join(bad)}")
+
+
+# Each kind's verdict: a function of its operand values, one per shape in
+# parser.CLAIMS[kind], returning (holds, detail).  Every entry calls the
+# kernel through this module's globals instead of holding a kernel function,
+# so that a wrapper installed on those globals (bench/tracer.py) sees the call.
+VERDICTS = {
+    "eq": _eq,
+    "divides": _divides,
+    "member": lambda f, gens: (member(f, gens), f"f = {render(f)}"),
+    "nilpotent": _nilpotent,
+    "cone_class": _cone_class,
+    "smooth_at_all": lambda f: (smooth_everywhere(f), ""),
+    "singular_at": lambda f, point: (singular_at(f, point), ""),
+    "inverse_pair": lambda m1, m2, ideals: (verify_inverse_pair(m1, m2, *(ideals or ())), ""),
+    "quasi_homogeneous": lambda f, weights, k: (f.is_weighted_homogeneous(weights, k), ""),
+    "graph_variable": lambda f, var: (graph_variable_check(f, var), ""),
+    "laurent_free": _laurent_free,
+}
+
+
+def _eval_claim(unit: SourceUnit, claim: ClaimDecl) -> tuple[bool, str]:
+    """The kind's verdict on the claim's operands, evaluated once each."""
+    values = operands(CLAIMS[claim.kind], claim.args, unit.env, unit.rings[claim.ring])
+    return VERDICTS[claim.kind](*values)
 
 
 def _run_one(unit: SourceUnit, claim: ClaimDecl) -> ClaimResult:

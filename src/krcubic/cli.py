@@ -153,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "jacobian":
             unit = _load_unit(args.file)
             mp = _named(unit, args.map, "map")
-            names = (parse_over(args.vars, mp.table, lambda p: p.listed(p.variable))
+            names = (parse_over(args.vars, mp.table, lambda p: p.argument("jacobian", "vars"))
                      if args.vars else list(mp.table.non_params()))
             matrix, det = jacobian(mp, names)
             for row in matrix:

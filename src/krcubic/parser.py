@@ -29,12 +29,13 @@ Declarations:
     narrative "label" requires("label1", ...);
 
 The argument shapes of each claim kind, constructor and built-in live once, as
-data, in CLAIMS, CONSTRUCTORS and BUILTINS; Parser.arguments reads them and
-_fmt_arguments prints them.  Each declared name has one Decl record, and
-SourceUnit.env maps a name to its Decl (rings: SourceUnit.rings maps a name to
-its VarTable).  Declarations elaborate as they are read, and the first error
-aborts the unit with a 1-based line/column diagnostic.  Claim arguments stay
-syntax until the claim runs (claims._eval_claim): their errors are the claim's.
+data, in CLAIMS, CONSTRUCTORS and BUILTINS; Parser.arguments reads them,
+_fmt_arguments prints them and operands evaluates them.  Each declared name
+has one Decl record, and SourceUnit.env maps a name to its Decl (rings:
+SourceUnit.rings maps a name to its VarTable).  Declarations elaborate as they
+are read, and the first error aborts the unit with a 1-based line/column
+diagnostic.  Claim arguments stay syntax until the claim runs, when operands
+evaluates them for its verdict in claims.VERDICTS: their errors are the claim's.
 
 A let is read into the current ring by variable name, the parser's one
 crossing of tables; any other value over another ring is an error.
@@ -162,7 +163,7 @@ class Apply(Record):
 
 
 class Builtin(Record):
-    __slots__ = ("fn", "args")  # args: one value per shape in BUILTINS[fn]
+    __slots__ = ("fn", "args")  # args: one piece of syntax per shape in BUILTINS[fn]
 
     def render(self, prec: int = 0) -> str:
         return self.fn + _fmt_arguments(BUILTINS[self.fn], self.args)
@@ -208,13 +209,11 @@ def eval_node(node, env: dict, table: VarTable) -> Polynomial:
     if isinstance(node, Apply):
         return env[node.name].value.apply(eval_node(node.arg, env, table))
     if isinstance(node, Builtin):
+        a, b = operands(BUILTINS[node.fn], node.args, env, table)
         if node.fn == "theta":
-            name, r = node.args
-            return theta_extract(env[name].value, eval_node(r, env, table))
+            return theta_extract(a, b)
         if node.fn == "jacdet":
-            name, names = node.args
-            return jacobian(env[name].value, names)[1]
-        a, b = (eval_node(arg, env, table) for arg in node.args)
+            return jacobian(a, b)[1]
         if node.fn == "nf":
             return normal_form(a, QuotientRelation(b))
         q = exact_divide(a, b)
@@ -233,27 +232,40 @@ def _fold(node):
     return node
 
 
-def _values(nodes, env: dict, table: VarTable) -> list[Polynomial]:
-    return [eval_node(node, env, table) for node in nodes]
+def operand(shape: str, arg, env: dict, table: VarTable):
+    """The value of an argument Parser.argument read for shape: expressions
+    are evaluated over table (another ring's value raises TableMismatchError),
+    a map or derivation name gives its value, and the rest is its own value."""
+    if arg is None:
+        return None
+    shape = shape.rstrip("?")
+    if shape == "expr":
+        return table.coerce(eval_node(arg, env, table))
+    if shape == "exprs":
+        return [operand("expr", node, env, table) for node in arg]
+    if shape == "ideals":
+        return [operand("exprs", nodes, env, table) for nodes in arg]
+    if shape in ("point", "specialization*"):
+        return {key: operand("expr", node, env, table) for key, node in arg.items()}
+    if shape in ("map", "derivation", "derivation|map"):
+        return env[arg].value
+    return arg
+
+
+def operands(shapes: tuple, args: tuple, env: dict, table: VarTable) -> list:
+    """The value of each argument of a call, one per shape, in order."""
+    return [operand(shape, arg, env, table) for shape, arg in zip(shapes, args)]
 
 
 def _construct(fn: str, args: tuple, preserving, env: dict, table: VarTable):
-    """Elaborate a constructor call (see CONSTRUCTORS); names are looked up in
-    env and expressions evaluated over table."""
+    """Elaborate a constructor call (see CONSTRUCTORS) over table."""
+    values = operands(CONSTRUCTORS[fn], args, env, table)
     if fn == "extend":
-        relation, unit = _values(args[1:], env, table)
-        return extend_to_quotient_automorphism(env[args[0]].value,
-                                               QuotientRelation(relation), unit).map
-    if fn == "compose":
-        outer, inner = args
-        return compose(env[outer].value, env[inner].value)
+        base, relation, unit = values
+        return extend_to_quotient_automorphism(base, QuotientRelation(relation), unit).map
     if fn == "subst_param":
-        base, param, value = args
-        return substitute_parameter(env[base].value, param, eval_node(value, env, table),
-                                    check_ideal=preserving and _values(preserving, env, table))
-    d, fwd, bwd, mod1, mod2 = args
-    return conjugate(env[d].value, env[fwd].value, env[bwd].value,
-                     _values(mod1, env, table), _values(mod2, env, table))
+        return substitute_parameter(*values, check_ideal=operand("exprs", preserving, env, table))
+    return compose(*values) if fn == "compose" else conjugate(*values)
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +418,14 @@ class Parser:
         if tok.text not in self.table()._index:
             self.error(f"unknown variable {tok.text!r}", tok)
         return tok.text
+
+    def fresh(self, seen, what: str) -> str:
+        """Read a variable name not in seen; a repeat is an error at its token."""
+        tok = self.peek()
+        v = self.variable()
+        if v in seen:
+            self.error(f"duplicate {what} {v!r}", tok)
+        return v
 
     # -- expressions ----------------------------------------------------------
 
@@ -562,9 +582,7 @@ class Parser:
         table = self.table()
         while not self.accept("}"):
             vtok = self.peek()
-            self.variable()
-            if vtok.text in images:
-                self.error(f"duplicate image for {vtok.text!r}", vtok)
+            self.fresh(images, "image for")
             if table.is_param(vtok.text):
                 self.error(f"{vtok.text!r} is a parameter and cannot be remapped", vtok)
             self.expect("->")
@@ -632,8 +650,8 @@ class Parser:
         self.expect(";")
         env, table = self.unit.env, self.table()
         if not self.kernel(start, lambda: verify_inverse_pair(
-                env[first].value, env[second].value,
-                *(_values(gens, env, table) for gens in ideals or ()))):
+                *operands(INVERSE, (first, second), env, table),
+                *(operand("ideals", ideals, env, table) or ()))):
             self.error(f"{first!r} and {second!r} are not inverse "
                        f"modulo the declared ideals", start)
         self.unit.items.append(InverseDecl(first, second, ideals))
@@ -693,7 +711,9 @@ class Parser:
         if shape == "var":
             return self.variable()
         if shape == "vars":
-            return tuple(self.listed(self.variable))
+            names = []
+            self.listed(lambda: names.append(self.fresh(names, "variable")))
+            return tuple(names)
         if shape == "param":
             return self.ident("parameter name").text
         if shape == "integer":
@@ -721,10 +741,7 @@ class Parser:
             weights = {}
 
             def weight():
-                tok = self.peek()
-                v = self.variable()
-                if v in weights:
-                    self.error(f"duplicate weight for {v!r}", tok)
+                v = self.fresh(weights, "weight for")
                 self.expect("->")
                 weights[v] = self.integer()
 

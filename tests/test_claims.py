@@ -154,6 +154,17 @@ BAD_CLAIM_ARGUMENTS = {
     "inverse_pair ideals": ("inverse_pair(A, B, {x}, {quot(x, x + 1)})",
                             "KrError: quot(): not exactly divisible"),
     "nf relation": ("eq(nf(x, z), x)", "KrError: relation must have x^2*y with coefficient 1"),
+    "divides dividend": ("divides(quot(x, x + 1), x)", "KrError: quot(): not exactly divisible"),
+    "smooth_at_all polynomial": ("smooth_at_all(quot(x, x + 1))",
+                                 "KrError: quot(): not exactly divisible"),
+    "singular_at polynomial": ("singular_at(quot(x, x + 1), point(0, 0, 0, 0))",
+                               "KrError: quot(): not exactly divisible"),
+    "cone_class polynomial": ("cone_class(quot(x, x + 1), point(0, 0, 0, 0), double_hyperplane)",
+                              "KrError: quot(): not exactly divisible"),
+    "quasi_homogeneous polynomial": ("quasi_homogeneous(quot(x, x + 1), weights(x -> 1), 1)",
+                                     "KrError: quot(): not exactly divisible"),
+    "graph_variable polynomial": ("graph_variable(quot(x, x + 1), x)",
+                                  "KrError: quot(): not exactly divisible"),
 }
 
 

@@ -139,6 +139,8 @@ def test_cli_lists_are_read_by_the_parser(tmp_path, capsys):
     assert (code, out.strip()) == (0, "x^2*y0 + z^2")
     code, _, err = run_cli(tcone + ["0, y0, 0"], capsys)
     assert (code, err.strip()) == (2, "error: 1:1: point needs 4 coordinates, got 3")
+    code, _, err = run_cli(["jacobian", str(target), "m", "--vars", "z, z"], capsys)
+    assert (code, err.strip()) == (2, "error: 1:4: duplicate variable 'z'")
 
 
 def test_lnd_subcommand(tmp_path, capsys):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from krcubic.claims import run_text
+from krcubic.claims import VERDICTS, run_text
 from krcubic.coeff import OMEGA
 from krcubic.errors import KrError, ParseError
 from krcubic.parser import (BUILTINS, CLAIMS, CONSTRUCTORS, KEYWORDS, BinOp,
@@ -367,6 +367,24 @@ KERNEL_ERROR_SITES = {
     "inverse": ("ring R = vars(x);\nmap A : R { x -> x; }\n"
                 "ring S = vars(x, y);\nmap B : S { x -> x; }\ninverse(A, B);",
                 "tables differ: VarTable(x) vs VarTable(x,y)", 5, 8),
+    "extend operand over another ring": (
+        "ring S = vars(x, y, z, t, u);\nmap N : S { y -> y; }\n" + R4 +
+        "map M : R { z -> z; }\nmap E = extend(M, jacdet(N, x, y)*(x^2*y + z^2 + x + t^3), 1);",
+        "tables differ: VarTable(x,y,z,t,u) vs VarTable(x,y,z,t)", 5, 9),
+    "extend relation over another ring": (
+        "ring S = vars(x, y, z, t, u);\nmap N : S { y -> 1/2*x^2*y^2 + (z^2 + x + t^3)*y; }\n"
+        + R4 + "map M : R { z -> z; }\nmap E = extend(M, jacdet(N, y), 1);",
+        "tables differ: VarTable(x,y,z,t) vs VarTable(x,y,z,t,u)", 5, 9),
+    "conjugate ideal over another ring": (
+        "ring S = vars(x, y, u);\nmap N : S { y -> y; }\nring R = vars(x, y);\n"
+        "derivation D : R { y -> 1; }\nmap A : R { y -> y + x; }\nmap B : R { y -> y - x; }\n"
+        "derivation E = conjugate(D, A, B, {jacdet(N, x, y)}, {x});",
+        "tables differ: VarTable(x,y) vs VarTable(x,y,u)", 7, 16),
+    "inverse ideal over another ring": (
+        "ring S = vars(x, y, u);\nmap N : S { y -> y; }\nring R = vars(x, y);\n"
+        "map A : R { y -> y + x^2; }\nmap B : R { y -> y; }\n"
+        "inverse(A, B) mod {x, jacdet(N, x, y)}, {x};",
+        "tables differ: VarTable(x,y) vs VarTable(x,y,u)", 6, 8),
 }
 
 
@@ -489,6 +507,9 @@ def test_fmt_cases_cover_every_form():
     forms = {case.split()[0] for case in FMT_CASES}
     assert forms - set(CONSTRUCTORS) - set(BUILTINS) - {"inverse"} == set(CLAIMS)
     assert set(CONSTRUCTORS) <= forms and set(BUILTINS) <= forms and "inverse" in forms
+    assert set(VERDICTS) == set(CLAIMS)
+    # a stored kernel function would escape the tracer, which wraps module globals
+    assert {verdict.__module__ for verdict in VERDICTS.values()} == {"krcubic.claims"}
 
 
 def test_readme_lists_exactly_the_claim_kinds():
@@ -520,6 +541,8 @@ NAME_DIAGNOSTICS = {
     "undeclared before a later syntax error": (
         R2 + AB + "map C = compose(A, q, B);", "use of undeclared name 'q'", 4, 20),
     "jacdet variable": (R2 + AB + "let J = jacdet(A, 1);", "expected variable name", 4, 19),
+    "jacdet repeated variable": (R2 + AB + 'claim "c" eq(jacdet(A, x, x), 0) expect true;',
+                                 "duplicate variable 'x'", 4, 27),
     "narrative requirement": (
         R2 + 'claim "c" eq(x, x) expect true;\nnarrative "n" requires("c", "missing");\n'
         "let P = x;", "narrative references unknown claim 'missing'", 3, 29),
