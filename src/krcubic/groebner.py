@@ -9,6 +9,12 @@ saturates an ideal of several generators by the Laurent variables).
 
 The default order is graded reverse lexicographic; lex is available for
 elimination experiments.
+
+Buchberger's algorithm skips the pairs that two criteria prove useless: the
+coprime-leading-monomial criterion and the chain criterion (Buchberger 1979;
+Gebauer & Moeller 1988).  member() and smooth_everywhere() compute each
+grevlex basis once per ideal: the memo is the caller's VarTable (its _bases
+dict), so it lives as long as the unit whose ring declared the table.
 """
 
 from __future__ import annotations
@@ -151,9 +157,12 @@ MAX_PAIRS = 50_000  # Buchberger's pair budget
 def buchberger(gens: list[Polynomial], order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens.
 
-    Uses the coprime-leading-monomial criterion; the instances this library
-    meets are tiny, so nothing fancier is warranted.  Raises
-    GroebnerBudgetError once more than MAX_PAIRS pairs have been taken.
+    A pair is skipped when its leading monomials are coprime, or by the chain
+    criterion: some third generator's leading monomial divides the pair's lcm
+    and both of its pairs with the two have been taken already (Cox, Little
+    & O'Shea, Ideals, Varieties, and Algorithms, ch. 2).  Raises
+    GroebnerBudgetError once more than MAX_PAIRS pairs have been taken,
+    skipped ones included.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -162,9 +171,7 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder = GREVLEX) -> Groebn
     for g in map(gens[0].table.coerce, gens):
         _require_polynomial(g, "generator")
         basis.append(g.monic(order.key))
-
-    def lm(i):
-        return basis[i].leading_term(order.key)[0]
+    lms = [g.leading_term(order.key)[0] for g in basis]
 
     heap: list = []
     counter = 0
@@ -172,28 +179,34 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder = GREVLEX) -> Groebn
     def push_pairs(j):
         nonlocal counter
         for i in range(j):
-            lcm = tuple(max(a, b) for a, b in zip(lm(i), lm(j)))
-            heapq.heappush(heap, (order.key(lcm), counter, i, j))
+            lcm = tuple(map(max, lms[i], lms[j]))
+            heapq.heappush(heap, (order.key(lcm), counter, i, j, lcm))
             counter += 1
 
     for j in range(len(basis)):
         push_pairs(j)
 
+    done = set()  # pairs already taken, in both orders
     processed = 0
     while heap:
-        _, _, i, j = heapq.heappop(heap)
+        _, _, i, j, lcm = heapq.heappop(heap)
         processed += 1
         if processed > MAX_PAIRS:
             raise GroebnerBudgetError(f"pair budget {MAX_PAIRS} exhausted")
-        mi, mj = lm(i), lm(j)
-        if all(a == 0 or b == 0 for a, b in zip(mi, mj)):
+        done |= {(i, j), (j, i)}
+        if all(a == 0 or b == 0 for a, b in zip(lms[i], lms[j])):
             continue  # coprime leading monomials: S-polynomial reduces to zero
+        # done holds no (k, k), so k is neither i nor j
+        if any((i, k) in done and (j, k) in done and _divides(mk, lcm)
+               for k, mk in enumerate(lms)):
+            continue  # chain criterion: S(i, j) has a representation via k
         s = _spoly(basis[i], basis[j], order)
         if s.is_zero():
             continue
         rem, _ = reduce(s, basis, order)
         if not rem.is_zero():
             basis.append(rem.monic(order.key))
+            lms.append(basis[-1].leading_term(order.key)[0])
             push_pairs(len(basis) - 1)
 
     # minimalize: drop generators whose leading monomial another one divides
@@ -241,6 +254,16 @@ def clear_laurent(f: Polynomial) -> tuple[Polynomial, tuple[int, ...]]:
                                for e, c in f.terms.items()}), shift
 
 
+def _basis(table: VarTable, gens: list[Polynomial]) -> GroebnerBasis:
+    """buchberger(gens), memoised in table's _bases under the generators as
+    given; an error is raised again on every call."""
+    key = tuple(gens)
+    basis = table._bases.get(key)
+    if basis is None:
+        basis = table._bases[key] = buchberger(gens)
+    return basis
+
+
 def member(f: Polynomial, gens: list[Polynomial]) -> bool:
     """Ideal membership via a Groebner basis, exact in the Laurent ring.
 
@@ -265,14 +288,15 @@ def member(f: Polynomial, gens: list[Polynomial]) -> bool:
         cleared = [g.transport(wide) for g in cleared]
         cleared += [wide.var(v) * wide.var(f"<{v}>^-1") - 1 for v in laurent]
         f = f.transport(wide)
-    return buchberger(cleared).contains(f)
+    # a basis over wide is kept in table too: the next wide table is equal to
+    # this one, so the same ideal finds it
+    return _basis(table, cleared).contains(f)
 
 
 def smooth_everywhere(f: Polynomial) -> bool:
     """Jacobian criterion: V(f) is smooth iff 1 lies in (f, all partials)."""
     gens = [f] + [f.diff(v) for v in f.table.non_params()]
-    basis = buchberger([g for g in gens if not g.is_zero()])
-    return basis.is_unit_ideal()
+    return _basis(f.table, [g for g in gens if not g.is_zero()]).is_unit_ideal()
 
 
 def singular_at(f: Polynomial, point: dict[str, Polynomial]) -> bool:

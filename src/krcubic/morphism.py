@@ -72,14 +72,10 @@ def compose(outer: RingMap, inner: RingMap) -> RingMap:
     return RingMap(outer.table, images)
 
 
-def _fixes_mod(m: RingMap, ideal: Sequence[Polynomial]) -> bool:
+def _fixes_mod(m: RingMap, ideal: list[Polynomial]) -> bool:
     for v in m.table.non_params():
         diff = m.images[v] - m.table.var(v)
-        if diff.is_zero():
-            continue
-        if not ideal:
-            return False
-        if not member(diff, list(ideal)):
+        if not diff.is_zero() and not member(diff, ideal):
             return False
     return True
 
@@ -90,7 +86,11 @@ def verify_inverse_pair(m: RingMap, inv: RingMap, mod_first: Sequence[Polynomial
 
     compose(m, inv) must fix every variable modulo mod_first, and
     compose(inv, m) modulo mod_second; empty ideals demand exact identity.
+    A generator over another table raises TableMismatchError, whether or not
+    the pair needs it.
     """
+    mod_first = [m.table.coerce(g) for g in mod_first]
+    mod_second = [m.table.coerce(g) for g in mod_second]
     return (_fixes_mod(compose(m, inv), mod_first)
             and _fixes_mod(compose(inv, m), mod_second))
 

@@ -39,9 +39,13 @@ def lex_key(exps: tuple[int, ...]):
 
 
 class VarTable(Record):
-    """Ordered variable universe for one polynomial ring."""
+    """Ordered variable universe for one polynomial ring.
 
-    __slots__ = ("names", "laurent", "weights", "_index")
+    _bases memoises Groebner bases of ideals over this table (see
+    groebner._basis); like RingMap's image memo it is not part of the value.
+    """
+
+    __slots__ = ("names", "laurent", "weights", "_index", "_bases")
 
     def __init__(self, names: Iterable[str], laurent: Iterable[str] = (),
                  params: Iterable[str] = ()):
@@ -57,6 +61,7 @@ class VarTable(Record):
         object.__setattr__(self, "laurent", tuple(v in laurent for v in names))
         object.__setattr__(self, "weights", tuple(0 if v in params else 1 for v in names))
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(names)})
+        object.__setattr__(self, "_bases", {})
 
     @property
     def arity(self) -> int:

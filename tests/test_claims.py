@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import krcubic
+from krcubic import groebner
 from krcubic.claims import (ERROR, FAIL, PASS, SHIPPED_MANIFESTS, manifest_path,
                             run_shipped, run_text)
 from krcubic.derivation import Derivation, nilpotency_certificate
@@ -257,6 +258,23 @@ claim "polynomial images" laurent_free(M, x) expect true;
     assert [r.status for r in report.results] == [PASS, PASS, PASS]
 
 
+def test_inverse_pair_ideals_over_another_ring_are_an_error_either_way():
+    # A, B are exact inverses over S and C needs the ideal (x); an ideal read
+    # over R is an error whether or not the pair needs it
+    report = run_text("""
+ring S = vars(x, y, z, t, u);
+map A : S { z -> z + x; }
+map B : S { z -> z - x; }
+map C : S { z -> z + x; }
+ring R = vars(x, y, z, t);
+claim "exact" inverse_pair(A, B, {x}, {x}) expect true;
+claim "needs the ideal" inverse_pair(C, A, {x}, {x}) expect true;
+""")
+    for r in report.results:
+        assert r.status == ERROR
+        assert r.detail.startswith("TableMismatchError: tables differ")
+
+
 def test_singular_at_checks_the_point_as_cone_class_does():
     # a live variable is not a coordinate: neither claim may hold at point(x, y, 0, 0)
     report = run_text("""
@@ -399,3 +417,51 @@ def test_claims_on_a_remembered_image_still_fail_alone(before, after, flipped):
     assert good.keys() == bad.keys() and set(good.values()) == {PASS}
     assert {label for label in good if bad[label] != PASS} == flipped
     assert {bad[label] for label in flipped} == {FAIL}
+
+
+# -- one Groebner basis per ideal within a unit -------------------------------
+
+MEMO_UNIT = """
+ring R = vars(x, y, z, t);
+let A = z + x*t;
+let B = t + x*z^2;
+claim "member" member(A*z + B*t, {A, B}) expect true;
+claim "not member" member(A*B + 1, {A, B}) expect false;
+claim "other ideal" member(x, {A}) expect false;
+claim "smooth" smooth_at_all(x^2*y + z^2 + x + t^3) expect true;
+claim "smooth again" smooth_at_all(x^2*y + z^2 + x + t^3) expect true;
+"""
+
+
+def _count_buchberger(monkeypatch):
+    calls = []
+    real = groebner.buchberger
+    monkeypatch.setattr(groebner, "buchberger",
+                        lambda gens, *order: calls.append(gens) or real(gens, *order))
+    return calls
+
+
+def test_a_unit_takes_each_basis_once(monkeypatch):
+    # member saturates {t + x, x} over a wider ring, afresh on each call
+    text = MEMO_UNIT + """
+ring L = vars(x, t ; laurent t);
+claim "unit" member(1, {t + x, x}) expect true;
+claim "unit again" member(t^-1, {t + x, x}) expect true;
+"""
+    calls = _count_buchberger(monkeypatch)
+    assert run_text(text).all_pass
+    assert len(calls) == 4  # {A, B}, {A}, the Jacobian ideal and {t + x, x}
+    # nothing carries from one unit to the next
+    assert run_text(text).all_pass
+    assert len(calls) == 8
+
+
+def test_a_failed_basis_is_not_remembered(monkeypatch):
+    # each claim on an ideal with a pair runs out of budget on its own
+    calls = _count_buchberger(monkeypatch)
+    monkeypatch.setattr(groebner, "MAX_PAIRS", 0)
+    report = run_text(MEMO_UNIT)
+    assert [r.status for r in report.results] == [ERROR, ERROR, PASS, ERROR, ERROR]
+    assert {r.detail for r in report.results if r.status == ERROR} == {
+        "GroebnerBudgetError: pair budget 0 exhausted"}
+    assert len(calls) == 5

@@ -194,6 +194,21 @@ def test_lex_order_also_works(ring3):
     assert not basis.contains(x)
 
 
+def test_chain_criterion_skips_a_pair(monkeypatch):
+    # the three pairs of x*z, x*t, z*t share the lcm x*z*t; once (xz, xt) and
+    # (xz, zt) are taken, x*z divides the lcm of (xt, zt), so that pair is
+    # skipped and the already reduced basis comes back unchanged
+    T = VarTable(["x", "z", "t"])
+    x, z, t = (T.var(n) for n in ["x", "z", "t"])
+    spolys = []
+    real = groebner._spoly
+    monkeypatch.setattr(groebner, "_spoly", lambda f, g, order: spolys.append((f, g))
+                        or real(f, g, order))
+    basis = buchberger([x * z, x * t, z * t])
+    assert len(spolys) == 2
+    assert set(basis.generators) == {x * z, x * t, z * t}
+
+
 def test_budget_is_reported(monkeypatch):
     T = VarTable(["x", "z", "t"])
     x, z, t = (T.var(n) for n in ["x", "z", "t"])
@@ -323,8 +338,9 @@ def test_normal_forms_agree_with_sympy(order):
 
     rng = random.Random(45)
     nonzero = 0
-    for _ in range(8):
-        ideal = [_several_terms(rng, T) for _ in range(2)]
+    # two generators never meet the chain criterion, which needs a third
+    for size in (2,) * 8 + (3,) * 6:
+        ideal = [_several_terms(rng, T) for _ in range(size)]
         basis = buchberger(ideal, order)
         G = sympy.groebner([conv(g) for g in ideal], *gens, order=order.kind, domain=K)
         ours = [conv(g) for g in basis.generators]

@@ -385,6 +385,10 @@ KERNEL_ERROR_SITES = {
         "map A : R { y -> y + x^2; }\nmap B : R { y -> y; }\n"
         "inverse(A, B) mod {x, jacdet(N, x, y)}, {x};",
         "tables differ: VarTable(x,y) vs VarTable(x,y,u)", 6, 8),
+    "inverse ideals after a ring switch": (
+        "ring S = vars(x, y, z, t, u);\nmap A : S { z -> z + x; }\nmap B : S { z -> z - x; }\n"
+        + R4 + "inverse(A, B) mod {x}, {x};",
+        "tables differ: VarTable(x,y,z,t,u) vs VarTable(x,y,z,t)", 5, 8),
 }
 
 
