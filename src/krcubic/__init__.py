@@ -9,8 +9,8 @@ inequivalent embeddings and its cylinder.
 
 from .coeff import Eisenstein, OMEGA
 from .poly import Polynomial, VarTable, render
-from .groebner import (GREVLEX, LEX, GroebnerBasis, MonomialOrder, buchberger,
-                       member, reduce, smooth_everywhere, singular_at)
+from .groebner import (GREVLEX, GroebnerBasis, MonomialOrder, buchberger, member,
+                       reduce, smooth_everywhere, singular_at)
 from .morphism import (Extension, QuotientRelation, RingMap, compose,
                        exact_divide, extend_to_quotient_automorphism, jacobian,
                        normal_form, verify_inverse_pair)
@@ -20,8 +20,7 @@ from .geometry import (ConeClass, DOUBLE_HYPERPLANE, OTHER,
 from .derivation import (Derivation, NilpotencyCertificate, conjugate,
                          nilpotency_certificate, substitute_parameter,
                          theta_extract)
-from .parser import (SourceUnit, format_unit, parse_polynomial,
-                     parse_ring_spec, parse_unit)
+from .parser import SourceUnit, format_unit, parse_unit
 from .claims import Report, run_file, run_shipped, run_text, run_unit
 
 __version__ = "0.1.0"
@@ -29,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Eisenstein", "OMEGA",
     "Polynomial", "VarTable", "render",
-    "GREVLEX", "LEX", "GroebnerBasis", "MonomialOrder", "buchberger", "member",
+    "GREVLEX", "GroebnerBasis", "MonomialOrder", "buchberger", "member",
     "reduce", "smooth_everywhere", "singular_at",
     "Extension", "QuotientRelation", "RingMap", "compose", "exact_divide",
     "extend_to_quotient_automorphism", "jacobian", "normal_form",
@@ -38,7 +37,6 @@ __all__ = [
     "classify_quadric", "graph_variable_check", "tangent_cone",
     "Derivation", "NilpotencyCertificate", "conjugate",
     "nilpotency_certificate", "substitute_parameter", "theta_extract",
-    "SourceUnit", "format_unit", "parse_polynomial", "parse_ring_spec",
-    "parse_unit",
+    "SourceUnit", "format_unit", "parse_unit",
     "Report", "run_file", "run_shipped", "run_text", "run_unit",
 ]

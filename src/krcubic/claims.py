@@ -179,22 +179,13 @@ def run_file(path) -> Report:
     return run_text(text, str(path))
 
 
-SHIPPED_MANIFESTS = (
-    "embeddings.krv",
-    "autgroup.krv",
-    "fibers.krv",
-    "stable.krv",
-    "cylinder.krv",
-)
-
-
 def manifest_path(name: str):
     """Filesystem path of a manifest shipped inside the package."""
     from importlib import resources  # only here: it costs start-up time
     root = resources.files("krcubic").joinpath("manifests")
     path = root.joinpath(name)
     if not path.is_file():
-        raise KrError(f"no shipped manifest named {name!r}")
+        raise KrError(f"no such file or shipped manifest: {name!r}")
     return path
 
 

@@ -176,7 +176,6 @@ def _try(value) -> Eisenstein | None:
     return None
 
 
-ZERO = Eisenstein(0)
 ONE = Eisenstein(1)
 OMEGA = Eisenstein(0, 1)
 

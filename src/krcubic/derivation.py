@@ -46,10 +46,6 @@ class Derivation(Record):
                 raise DerivationError(
                     "derivation does not descend: image of the relation is not a multiple")
 
-    def image_of(self, name: str) -> Polynomial:
-        self.table.index(name)
-        return self.images.get(name, self.table.zero())
-
     def _derive_raw(self, f: Polynomial) -> Polynomial:
         acc = self.table.zero()
         for v, im in self.images.items():

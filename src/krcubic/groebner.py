@@ -7,8 +7,8 @@ clear_laurent() (member() does this for the tested polynomial and for each
 generator, which does not change the ideal in the Laurent ring, and
 saturates an ideal of several generators by the Laurent variables).
 
-The default order is graded reverse lexicographic; lex is available for
-elimination experiments.
+The default order is graded reverse lexicographic; a caller may pass any
+MonomialOrder (QuotientRelation.order, a lex order with y first, is one).
 
 Buchberger's algorithm skips the pairs that two criteria prove useless: the
 coprime-leading-monomial criterion and the chain criterion (Buchberger 1979;
@@ -25,7 +25,7 @@ from operator import add, le, sub
 from .errors import (GroebnerBudgetError, KrError, LaurentInputError,
                      PostconditionError, Record)
 from .geometry import _center
-from .poly import Polynomial, VarTable, _polynomial, grevlex_key, lex_key
+from .poly import Polynomial, VarTable, _polynomial, grevlex_key
 
 
 class MonomialOrder(Record):
@@ -36,7 +36,6 @@ class MonomialOrder(Record):
 
 
 GREVLEX = MonomialOrder("grevlex", grevlex_key)
-LEX = MonomialOrder("lex", lex_key)
 
 
 def _require_polynomial(f: Polynomial, what: str):

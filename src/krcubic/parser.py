@@ -8,12 +8,13 @@ File extension .krv, UTF-8, '#' line comments.  The polynomial grammar is
     base   := rational | 'w' | ident | ident '(' args ')' | '(' poly ')'
     rational := int ('/' int)?
 
-with explicit '*' everywhere.  'w' is the reserved literal for the primitive
-cube root of unity, so rings may not declare a variable named w (spell the
-extra cylinder variable v instead).  Applying a bound map or derivation is
-written NAME(poly); the built-in functions are quot(f, g) for exact division,
-nf(f, rel) for the quotient normal form, theta(MAP, r) for the generator
-invariant, and jacdet(MAP, v1, ...) for Jacobian determinants.
+with explicit '*' everywhere; any factor may be raised to a power.  'w' is
+the reserved literal for the primitive cube root of unity, so rings may not
+declare a variable named w (spell the extra cylinder variable v instead).
+Applying a bound map or derivation is written NAME(poly); the built-in
+functions are quot(f, g) for exact division, nf(f, rel) for the quotient
+normal form, theta(MAP, r) for the generator invariant, and
+jacdet(MAP, v1, ...) for Jacobian determinants.
 
 Declarations:
 
@@ -36,6 +37,8 @@ SourceUnit.rings maps a name to its VarTable).  Declarations elaborate as they
 are read, and the first error aborts the unit with a 1-based line/column
 diagnostic.  Claim arguments stay syntax until the claim runs, when operands
 evaluates them for its verdict in claims.VERDICTS: their errors are the claim's.
+Constant subtrees fold into literals as they are read, except a power that
+raises, which stays a Pow node, so its error is the claim's too.
 
 A let is read into the current ring by variable name, the parser's one
 crossing of tables; any other value over another ring is an error.
@@ -188,6 +191,14 @@ class Negate(Record):
         return f"({text})" if prec >= 1 else text
 
 
+class Pow(Record):
+    __slots__ = ("base", "k")
+
+    def render(self, prec: int = 0) -> str:
+        text = f"{self.base.render(3)}^{self.k}"
+        return f"({text})" if prec >= 3 else text
+
+
 def _combine(op: str, a: Polynomial, b: Polynomial) -> Polynomial:
     if op == "+":
         return a + b
@@ -206,6 +217,8 @@ def eval_node(node, env: dict, table: VarTable) -> Polynomial:
         a = eval_node(node.left, env, table)
         b = eval_node(node.right, env, table)
         return _combine(node.op, a, b)
+    if isinstance(node, Pow):
+        return eval_node(node.base, env, table) ** node.k
     if isinstance(node, Apply):
         return env[node.name].value.apply(eval_node(node.arg, env, table))
     if isinstance(node, Builtin):
@@ -224,11 +237,17 @@ def eval_node(node, env: dict, table: VarTable) -> Polynomial:
 
 
 def _fold(node):
-    """Collapse constant subtrees into Lit; leaves lazy nodes intact."""
+    """Collapse constant subtrees into Lit; leaves lazy nodes intact.  A power
+    that raises stays a node, so its error is raised where it is evaluated."""
     if isinstance(node, Negate) and isinstance(node.arg, Lit):
         return Lit(-node.arg.value)
     if isinstance(node, BinOp) and isinstance(node.left, Lit) and isinstance(node.right, Lit):
         return Lit(_combine(node.op, node.left.value, node.right.value))
+    if isinstance(node, Pow) and isinstance(node.base, Lit):
+        try:
+            return Lit(node.base.value ** node.k)
+        except KrError:
+            return node
     return node
 
 
@@ -449,13 +468,9 @@ class Parser:
         return node
 
     def parse_factor(self):
-        tok = self.peek()
         node = self.parse_base()
         if self.accept("^"):
-            k = self.integer()
-            if isinstance(node, Lit):
-                return Lit(self.kernel(tok, pow, node.value, k))
-            self.error("can only raise plain polynomials to powers", tok)
+            return _fold(Pow(node, self.integer()))
         return node
 
     def parse_base(self):
@@ -681,14 +696,6 @@ class Parser:
         self.expect(")")
         return tuple(args)
 
-    def coordinates(self, tok: Token, read) -> dict:
-        """A point's coordinates, one per non-parameter variable, each read by read()."""
-        coords = self.listed(read)
-        targets = self.table().non_params()
-        if len(coords) != len(targets):
-            self.error(f"point needs {len(targets)} coordinates, got {len(coords)}", tok)
-        return dict(zip(targets, coords))
-
     def argument(self, fn: str, shape: str):
         """Read one argument as syntax: a node, a name, an integer or a tag."""
         if shape == "expr":
@@ -705,9 +712,12 @@ class Parser:
         if shape == "point":
             tok = self.expect("point")
             self.expect("(")
-            point = self.coordinates(tok, self.parse_expr)
+            coords = self.listed(self.parse_expr)  # one per non-parameter variable
+            targets = self.table().non_params()
+            if len(coords) != len(targets):
+                self.error(f"point needs {len(targets)} coordinates, got {len(coords)}", tok)
             self.expect(")")
-            return point
+            return dict(zip(targets, coords))
         if shape == "var":
             return self.variable()
         if shape == "vars":
@@ -802,27 +812,6 @@ class Parser:
 
 def parse_unit(text: str) -> SourceUnit:
     return Parser(text).parse_unit()
-
-
-def parse_over(text: str, table: VarTable | None, read):
-    """Read all of text with read(parser), over table if one is given."""
-    parser = Parser(text)
-    parser.unit.rings["_R"] = table
-    parser.current_ring = "_R"
-    value = read(parser)
-    if parser.peek().kind != "eof":
-        parser.error("trailing input")
-    return value
-
-
-def parse_polynomial(text: str, table: VarTable) -> Polynomial:
-    """Parse a single polynomial expression over an existing table."""
-    return parse_over(text, table, Parser.parse_poly)
-
-
-def parse_ring_spec(text: str) -> VarTable:
-    """Parse 'vars(x, y ; laurent y ; param c)' used by the CLI."""
-    return parse_over(text, None, Parser.ring_spec)
 
 
 # ---------------------------------------------------------------------------

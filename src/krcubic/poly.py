@@ -34,10 +34,6 @@ def grevlex_key(exps: tuple[int, ...]):
     return (sum(exps), *[-e for e in reversed(exps)])
 
 
-def lex_key(exps: tuple[int, ...]):
-    return exps
-
-
 class VarTable(Record):
     """Ordered variable universe for one polynomial ring.
 
@@ -481,7 +477,7 @@ def _render_monomial(table: VarTable, exps: tuple[int, ...]) -> str:
 def render(p: Polynomial) -> str:
     """Canonical text: grevlex-descending terms, explicit '*', 'w' for the cube root.
 
-    parse_polynomial(render(p)) recovers p exactly.
+    Read back as a .krv expression over an equal table, it gives p exactly.
     """
     if p.is_zero():
         return "0"

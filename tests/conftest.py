@@ -8,7 +8,18 @@ from fractions import Fraction
 import pytest
 
 from krcubic.coeff import Eisenstein
+from krcubic.parser import parse_unit
 from krcubic.poly import Polynomial, VarTable
+
+# The claim manifests that ship inside the package; each has a
+# *_negative.krv sibling with one corrupted claim.
+SHIPPED_MANIFESTS = (
+    "embeddings.krv",
+    "autgroup.krv",
+    "fibers.krv",
+    "stable.krv",
+    "cylinder.krv",
+)
 
 
 @pytest.fixture
@@ -37,6 +48,18 @@ def cubic_poly(table: VarTable) -> Polynomial:
 def companion_poly(table: VarTable) -> Polynomial:
     x, y, z, t = (table.var(n) for n in ("x", "y", "z", "t"))
     return x ** 2 * y + (1 + x) * (z ** 2 + x + t ** 3)
+
+
+def parse_value(text: str, table: VarTable) -> Polynomial:
+    """The value of text read as the one let of a unit whose ring equals table."""
+    sections = [", ".join(table.names)]
+    laurent = [v for v, flag in zip(table.names, table.laurent) if flag]
+    if laurent:
+        sections.append("laurent " + ", ".join(laurent))
+    if table.params():
+        sections.append("param " + ", ".join(table.params()))
+    unit = parse_unit(f"ring R = vars({' ; '.join(sections)});\nlet value_ = {text};")
+    return unit.env["value_"].value
 
 
 def random_rational(rng: random.Random, span: int = 4) -> Fraction:

@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from krcubic.claims import FAIL, PASS, SHIPPED_MANIFESTS, run_shipped
+from krcubic.claims import FAIL, PASS, run_shipped
 from krcubic.cli import main
 from krcubic.coeff import ONE
 from krcubic.derivation import (Derivation, conjugate, nilpotency_certificate,
@@ -19,12 +19,11 @@ from krcubic.geometry import (DOUBLE_HYPERPLANE, TWO_DISTINCT_HYPERPLANES,
 from krcubic.groebner import buchberger, member, singular_at, smooth_everywhere
 from krcubic.morphism import (QuotientRelation, RingMap, exact_divide,
                               normal_form)
-from krcubic.parser import parse_polynomial
 from krcubic.poly import VarTable, render
 
-from conftest import (cubic_poly, companion_poly, member_oracle, nonzero_coeff,
-                      random_coeff, random_nonzero_poly, random_poly,
-                      random_table)
+from conftest import (SHIPPED_MANIFESTS, companion_poly, cubic_poly, member_oracle,
+                      nonzero_coeff, parse_value, random_coeff, random_nonzero_poly,
+                      random_poly, random_table)
 
 
 def _report(number: int, description: str, failures: list):
@@ -149,7 +148,7 @@ def test_criterion_5_lnd_certification():
     if cof is not None:
         _check(failures, pulled(P) == cof * P, "recorded cofactor inconsistent")
     for name in L.names:
-        _check(failures, pulled.image_of(name).min_exponent("t") >= 0,
+        _check(failures, pulled(L.var(name)).min_exponent("t") >= 0,
                f"image of {name} has negative t-exponents")
     _report(5, "locally nilpotent derivation certificates", failures)
 
@@ -196,7 +195,7 @@ def _parser_round_trip_cases(count: int) -> int:
     for _ in range(count):
         T = random_table(rng)
         p = random_poly(rng, T, max_terms=5, max_deg=4)
-        assert parse_polynomial(render(p), T) == p
+        assert parse_value(render(p), T) == p
         done += 1
     return done
 

@@ -9,16 +9,17 @@ import pytest
 
 import krcubic
 from krcubic import groebner
-from krcubic.claims import (ERROR, FAIL, PASS, SHIPPED_MANIFESTS, manifest_path,
-                            run_shipped, run_text)
+from krcubic.claims import ERROR, FAIL, PASS, manifest_path, run_shipped, run_text
 from krcubic.derivation import Derivation, nilpotency_certificate
 from krcubic.errors import KrError, Record
 from krcubic.geometry import classify_quadric
-from krcubic.groebner import LEX, buchberger
+from krcubic.groebner import GREVLEX, buchberger
 from krcubic.morphism import QuotientRelation, RingMap, extend_to_quotient_automorphism
 from krcubic.cli import main
-from krcubic.parser import Apply, BinOp, Builtin, Lit, Negate, parse_unit
+from krcubic.parser import Apply, BinOp, Builtin, Lit, Negate, Pow, parse_unit
 from krcubic.poly import Polynomial, VarTable
+
+from conftest import SHIPPED_MANIFESTS
 
 
 def test_every_shipped_manifest_passes():
@@ -47,23 +48,24 @@ def test_value_records_are_read_only():
         run_shipped("stable.krv").results[0],
         nilpotency_certificate(Derivation(table, {"x": z, "z": table.zero()})),
         classify_quadric(x ** 2),
-        LEX,
-        buchberger([x, z], LEX),
+        GREVLEX,
+        buchberger([x, z]),
         Lit(x),
     ]
     # items: Decl (ring), Decl (map), InverseDecl, ClaimDecl, NarrativeDecl
     unit = parse_unit("ring R = vars(x);\nmap m : R { x -> x; }\ninverse(m, m);\n"
-                      'claim "c" eq(-m(x) + quot(x^2, x), 0) expect true;\n'
+                      'claim "c" eq(-m(x) + quot(x^2, x), m(x)^2) expect true;\n'
                       'narrative "n" requires("c");')
-    sum_node = unit.claims[0].args[0]  # BinOp(Negate(Apply), Builtin)
-    records += [sum_node, sum_node.left, sum_node.left.arg, sum_node.right, *unit.items]
+    sum_node, power = unit.claims[0].args  # BinOp(Negate(Apply), Builtin), Pow(Apply)
+    records += [sum_node, sum_node.left, sum_node.left.arg, sum_node.right, power,
+                *unit.items]
     T4 = VarTable(["x", "y", "z", "t"])
     cubic = T4.var("x") ** 2 * T4.var("y") + T4.var("z") ** 2 + T4.var("x") + T4.var("t") ** 3
     records.append(extend_to_quotient_automorphism(
         RingMap(T4, {}), QuotientRelation(cubic), T4.one()))
     assert {type(r).__name__ for r in records} == {
         "ClaimResult", "NilpotencyCertificate", "ConeClass", "MonomialOrder",
-        "GroebnerBasis", "Lit", "BinOp", "Negate", "Apply", "Builtin", "Decl",
+        "GroebnerBasis", "Lit", "BinOp", "Negate", "Apply", "Builtin", "Pow", "Decl",
         "InverseDecl", "ClaimDecl", "NarrativeDecl", "Extension"}
     for record in records:
         assert not hasattr(record, "__dict__"), type(record).__name__
@@ -94,7 +96,7 @@ def test_every_slotted_class_is_a_record():
         assert issubclass(cls, Record) == (name not in NOT_RECORDS), name
     plain = [cls for cls in slotted.values()
              if issubclass(cls, Record) and cls.__init__ is Record.__init__]
-    assert len(plain) == 15
+    assert len(plain) == 16
     for cls in plain:
         width = len(cls.__slots__)
         for count in (width - 1, width + 1):
@@ -166,6 +168,10 @@ BAD_CLAIM_ARGUMENTS = {
                                      "KrError: quot(): not exactly divisible"),
     "graph_variable polynomial": ("graph_variable(quot(x, x + 1), x)",
                                   "KrError: quot(): not exactly divisible"),
+    "power of a variable": ("eq(t^-1, t)",
+                            "NegativeExponentError: negative exponent on non-Laurent variable 't'"),
+    "power of a sum": ("eq((x + t)^-1, t)", "NonUnitError: not a unit monomial: x + t"),
+    "power of an image": ("eq(A(y)^-1, y)", "NonUnitError: not a unit monomial: x + y"),
 }
 
 
@@ -184,7 +190,7 @@ def test_a_failing_claim_argument_is_that_claims_error(position, tmp_path, capsy
     assert capsys.readouterr().err == ""
 
 
-SYNTAX = (str, int, type(None), Lit, Apply, Builtin, BinOp, Negate)
+SYNTAX = (str, int, type(None), Lit, Apply, Builtin, BinOp, Negate, Pow)
 
 
 def _held(arg):

@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from krcubic.coeff import Eisenstein, OMEGA, ONE, ZERO
+from krcubic.coeff import Eisenstein, OMEGA, ONE
 
 from conftest import random_coeff
 
@@ -44,7 +44,7 @@ def test_inverse_of_one_plus_omega():
 
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        ZERO.inverse()
+        Eisenstein(0).inverse()
 
 
 def test_sixth_root_by_repeated_multiplication():

@@ -1,6 +1,6 @@
 """Every import in the package and the tests is used in its module, every
-export is used inside the package, and importing the package loads no module
-that only slows start-up."""
+export and public top-level name is used inside the package, and importing the
+package loads no module that only slows start-up."""
 
 import ast
 import json
@@ -66,8 +66,9 @@ def _defined(node) -> set[str]:
 
 
 def test_every_export_is_used_in_the_package():
-    # a public name only the tests reach is dead weight in the kernel
-    used = set()
+    # a public name only the tests reach is dead weight in the kernel: every
+    # export, and every public top-level name of a module, is used in the package
+    used, public = set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         if path == PACKAGE / "__init__.py":
             continue
@@ -75,7 +76,9 @@ def test_every_export_is_used_in_the_package():
             refs = _referenced(node) | set(_imported(node))
             refs |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
             used |= refs - _defined(node)
+            public |= {(path.stem, name) for name in _defined(node) if not name.startswith("_")}
     unused = sorted(set(krcubic.__all__) - used)
+    unused += sorted(f"{module}.{name}" for module, name in public if name not in used)
     assert not unused, unused
 
 

@@ -8,7 +8,8 @@ import sys
 from pathlib import Path
 
 import krcubic
-from krcubic.claims import SHIPPED_MANIFESTS
+
+from conftest import SHIPPED_MANIFESTS
 
 PACKAGE = Path(krcubic.__file__).resolve().parent
 

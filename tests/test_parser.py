@@ -8,16 +8,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from krcubic.claims import VERDICTS, run_text
+from krcubic.claims import VERDICTS, manifest_path, run_text
 from krcubic.coeff import OMEGA
 from krcubic.errors import KrError, ParseError
 from krcubic.parser import (BUILTINS, CLAIMS, CONSTRUCTORS, KEYWORDS, BinOp,
-                            InverseDecl, Lit, eval_node, format_unit,
-                            parse_polynomial, parse_ring_spec, parse_unit,
+                            InverseDecl, Lit, eval_node, format_unit, parse_unit,
                             tokenize)
 from krcubic.poly import Polynomial, VarTable, render
 
-from conftest import random_poly, random_table
+from conftest import SHIPPED_MANIFESTS, parse_value, random_poly, random_table
 
 
 def test_ring_and_binding():
@@ -78,7 +77,7 @@ def test_diagnostics_carry_positions():
 
 def test_rational_literals():
     T = VarTable(["t"])
-    p = parse_polynomial("1/2*t + 3", T)
+    p = parse_value("1/2*t + 3", T)
     assert p == T.var("t") * Fraction(1, 2) + 3
 
 
@@ -111,7 +110,6 @@ narrative "agg" requires("sample");
 
 
 def test_fmt_idempotent_on_shipped_manifests():
-    from krcubic.claims import SHIPPED_MANIFESTS, manifest_path
     for name in SHIPPED_MANIFESTS:
         text = manifest_path(name).read_text(encoding="utf-8")
         once = format_unit(parse_unit(text))
@@ -120,14 +118,14 @@ def test_fmt_idempotent_on_shipped_manifests():
 
 
 def test_ring_spec_parser():
-    T = parse_ring_spec("vars(x, y, z, t, c0 ; laurent t ; param c0)")
+    T = parse_unit("ring R = vars(x, y, z, t, c0 ; laurent t ; param c0);").rings["R"]
     assert T.names == ("x", "y", "z", "t", "c0")
     assert T.is_laurent("t") and T.is_param("c0")
     with pytest.raises(ParseError):
-        parse_ring_spec("vars(x, x)")
+        parse_unit("ring R = vars(x, x);")
     with pytest.raises(ParseError):
         # flagged variables must be declared in the vars(...) list
-        parse_ring_spec("vars(x ; param c0)")
+        parse_unit("ring R = vars(x ; param c0);")
 
 
 def test_round_trip_random_polynomials():
@@ -135,7 +133,7 @@ def test_round_trip_random_polynomials():
     for _ in range(300):
         T = random_table(rng)
         p = random_poly(rng, T, max_terms=5, max_deg=4)
-        assert parse_polynomial(render(p), T) == p
+        assert parse_value(render(p), T) == p
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
@@ -143,7 +141,7 @@ def test_round_trip_random_polynomials():
 def test_parser_is_total_on_junk(text):
     T = VarTable(["x", "y", "z", "t"])
     try:
-        parse_polynomial(text, T)
+        parse_value(text, T)
     except (ParseError, KrError):
         pass  # positioned failure is the contract; no other exception may escape
 
@@ -161,7 +159,6 @@ def test_unit_parser_is_total_on_corrupted_manifests():
     # Corruptions that reach expressions, which arbitrary text rarely does: a
     # deleted or inserted character (the alphabet holds a non-decimal digit
     # and a non-ASCII letter), two adjacent words swapped, or a keyword put in.
-    from krcubic.claims import SHIPPED_MANIFESTS, manifest_path
     texts = [manifest_path(name).read_text(encoding="utf-8") for name in SHIPPED_MANIFESTS]
     keywords = sorted(KEYWORDS)
     rng = random.Random(8)
@@ -222,12 +219,6 @@ def test_expected_name_is_printed_once():
     with pytest.raises(ParseError) as info:
         parse_unit("ring R = vars(x);\nlet = x;")
     assert str(info.value) == "2:5: expected name"
-
-
-def test_trailing_input_rejected():
-    T = VarTable(["x"])
-    with pytest.raises(ParseError):
-        parse_polynomial("x + 1; junk", T)
 
 
 def test_comment_and_whitespace_handling():
@@ -422,6 +413,8 @@ def _claim(body: str, expect: str = "true") -> str:
 FMT_CASES = {
     "eq": (R2 + 'claim "c" eq((1 + x)^2, 1 + 2*x + x^2) expect true;',
            R2 + _claim("eq(x^2 + 2*x + 1, x^2 + 2*x + 1)")),
+    "eq power": (R2 + AB + 'claim "c" eq(A(x)^2 + (A(y) - x)^2, x^2 + y^2) expect true;',
+                 R2 + AB_FMT + _claim("eq(A(x)^2 + (A(y) - x)^2, x^2 + y^2)")),
     "divides": (R2 + 'claim "c" divides(x^2 - 1, x + 1) expect true;',
                 R2 + _claim("divides(x^2 - 1, x + 1)")),
     "member": (R2 + 'claim "c" member(x*y, {x}) anchor "x*y is in (x)" expect true;',
@@ -443,6 +436,13 @@ FMT_CASES = {
         "ring R = vars(x, y, a, b ; param a, b);\n"
         + _claim("cone_class(x^2*a + y^2*b, point(0, 0), two_distinct_hyperplanes, "
                  "a -> 1, b -> -1)")),
+    "cone_class comma in a coordinate": (
+        "ring R = vars(x, y, z, t, y0 ; param y0);\n"
+        'claim "c" cone_class(x^2*y + z^2 + t^3, point(0, quot(y0, 1), 0, 0), '
+        "two_distinct_hyperplanes, y0 -> -1) expect true;",
+        "ring R = vars(x, y, z, t, y0 ; param y0);\n"
+        + _claim("cone_class(x^2*y + t^3 + z^2, point(0, quot(y0, 1), 0, 0), "
+                 "two_distinct_hyperplanes, y0 -> -1)")),
     "smooth_at_all": (R2 + 'claim "c" smooth_at_all(x + y^2) expect true;',
                       R2 + _claim("smooth_at_all(y^2 + x)")),
     "singular_at": (R2 + 'claim "c" singular_at(x^2 + y^3, point(0, 0)) expect true;',
@@ -554,6 +554,7 @@ NAME_DIAGNOSTICS = {
                     "point needs 2 coordinates, got 1", 2, 26),
     "flagged variable": ("ring R = vars(x ; param c);",
                          "flagged variable 'c' is not in vars(...)", 1, 25),
+    "ring variable": ("ring R = vars(x, );", "expected variable name", 1, 18),
     "duplicate claim label": (R2 + 'claim "c" eq(x, x) expect true;\nclaim "c" eq(y, y) expect true;',
                               "duplicate label 'c'", 3, 7),
     "narrative label after a claim label": (

@@ -13,10 +13,9 @@ from krcubic.geometry import tangent_cone
 from krcubic.groebner import buchberger, member, reduce, singular_at
 from krcubic.morphism import (QuotientRelation, RingMap, compose, exact_divide,
                               normal_form)
-from krcubic.parser import parse_polynomial
 from krcubic.poly import Polynomial, VarTable
 
-from conftest import cubic_poly, companion_poly, random_poly, random_table
+from conftest import cubic_poly, companion_poly, parse_value, random_poly, random_table
 
 
 def vars_of(table, *names):
@@ -192,7 +191,7 @@ def test_equal_polynomials_hash_equal(ring3, ring4):
     built = [
         ((x + OMEGA * z) ** 2,
          x ** 2 + 2 * OMEGA * x * z + OMEGA * OMEGA * z ** 2,
-         parse_polynomial("x^2 + 2*w*x*z + w^2*z^2", ring3),
+         parse_value("x^2 + 2*w*x*z + w^2*z^2", ring3),
          Polynomial(ring3, {(2, 0, 0): Eisenstein(1), (1, 1, 0): 2 * OMEGA,
                             (0, 2, 0): OMEGA * OMEGA, (0, 0, 5): Eisenstein(0)})),
         ((t + 1) * (t - 1) + 1, t ** 2, (t ** 2).transport(ring4).transport(ring3)),
@@ -210,7 +209,7 @@ def test_hash_builds_no_coefficient_hash(ring3, monkeypatch):
     monkeypatch.setattr(Eisenstein, "__hash__", refuse)
     x, z, t = vars_of(ring3, "x", "z", "t")
     p = OMEGA * x ** 2 * z + Fraction(2, 3) * t - OMEGA * OMEGA
-    q = parse_polynomial("w*x^2*z + 2/3*t - w^2", ring3)
+    q = parse_value("w*x^2*z + 2/3*t - w^2", ring3)
     assert hash(p) == hash(q)
     assert {p: 1}[q] == 1
 
