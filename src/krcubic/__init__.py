@@ -21,7 +21,7 @@ from .derivation import (Derivation, NilpotencyCertificate, conjugate,
                          nilpotency_certificate, substitute_parameter,
                          theta_extract)
 from .parser import SourceUnit, format_unit, parse_unit
-from .claims import Report, run_file, run_shipped, run_text, run_unit
+from .claims import Report, run_file, run_text, run_unit
 
 __version__ = "0.1.0"
 
@@ -38,5 +38,5 @@ __all__ = [
     "Derivation", "NilpotencyCertificate", "conjugate",
     "nilpotency_certificate", "substitute_parameter", "theta_extract",
     "SourceUnit", "format_unit", "parse_unit",
-    "Report", "run_file", "run_shipped", "run_text", "run_unit",
+    "Report", "run_file", "run_text", "run_unit",
 ]

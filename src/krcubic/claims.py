@@ -1,11 +1,11 @@
-"""Execute claim manifests into structured pass/fail reports.
+"""Evaluate parsed units, in order, into structured pass/fail reports.
 
-parser.operands evaluates a claim's arguments, kept as syntax, by their shapes
-in parser.CLAIMS; its kind's entry in VERDICTS decides it from those values
-through the library.  An evaluation error is recorded per-claim (status
-'error') and never aborts the run.  Narrative entries aggregate the statuses
-of the claims they cite: they mark conclusions that follow from the listed
-computations plus imported theory, and carry no computation of their own.
+elaborate evaluates the declarations, then each claim's kind's entry in
+VERDICTS decides it; both evaluate syntax through eval_node and operands.  A
+failing declaration stops the unit with a positioned ParseError; a failing
+claim is recorded as that claim's 'error' and the run goes on.  Narrative
+entries aggregate the statuses of the claims they cite: they mark conclusions
+that follow from the listed computations plus imported theory.
 
 Reports are deterministic across runs except for the timing fields.
 """
@@ -15,13 +15,16 @@ from __future__ import annotations
 import json
 import time
 
-from .errors import KrError, Record
+from .errors import KrError, ParseError, Record
 from .geometry import classify_quadric, graph_variable_check, tangent_cone
 from .groebner import member, singular_at, smooth_everywhere
-from .morphism import QuotientRelation, exact_divide, verify_inverse_pair
-from .derivation import nilpotency_certificate
-from .parser import CLAIMS, ClaimDecl, SourceUnit, operands, parse_unit
-from .poly import render
+from .morphism import (QuotientRelation, RingMap, compose, exact_divide,
+                       extend_to_quotient_automorphism, jacobian, normal_form, verify_inverse_pair)
+from .derivation import (Derivation, conjugate, nilpotency_certificate, substitute_parameter,
+                         theta_extract)
+from .parser import (BUILTINS, CLAIMS, CONSTRUCTORS, INVERSE, Apply, BinOp, Builtin, ClaimDecl,
+                     Decl, InverseDecl, Lit, Negate, Pow, Ref, SourceUnit, combine, parse_unit)
+from .poly import Polynomial, VarTable, render
 
 PASS, FAIL, ERROR = "pass", "fail", "error"
 
@@ -82,6 +85,114 @@ class Report:
         return json.dumps(payload, indent=2, sort_keys=False)
 
 
+def eval_node(node, env: dict, table: VarTable) -> Polynomial:
+    """Evaluate an expression node over table; env maps each name to its value."""
+    if isinstance(node, Lit):
+        return node.value
+    if isinstance(node, Ref):  # a let, read into table by variable name
+        return env[node.name].transport(table)
+    if isinstance(node, Negate):
+        return -eval_node(node.arg, env, table)
+    if isinstance(node, BinOp):
+        return combine(node.op, eval_node(node.left, env, table), eval_node(node.right, env, table))
+    if isinstance(node, Pow):
+        return eval_node(node.base, env, table) ** node.k
+    if isinstance(node, Apply):
+        return env[node.name].apply(eval_node(node.arg, env, table))
+    if isinstance(node, Builtin):
+        a, b = operands(BUILTINS[node.fn], node.args, env, table)
+        if node.fn == "theta":
+            return theta_extract(a, b)
+        if node.fn == "jacdet":
+            return jacobian(a, b)[1]
+        if node.fn == "nf":
+            return normal_form(a, QuotientRelation(b))
+        q = exact_divide(a, b)
+        if q is None:
+            raise KrError("quot(): not exactly divisible")
+        return q
+    raise KrError(f"cannot evaluate node {node!r}")
+
+
+def operand(shape: str, arg, env: dict, table: VarTable):
+    """The value of an argument Parser.argument read for shape: expressions
+    are evaluated over table (another ring's value raises TableMismatchError),
+    a map or derivation name gives its value, and the rest is its own value."""
+    if arg is None:
+        return None
+    shape = shape.rstrip("?")
+    if shape == "expr":
+        return table.coerce(eval_node(arg, env, table))
+    if shape == "exprs":
+        return [operand("expr", node, env, table) for node in arg]
+    if shape == "ideals":
+        return [operand("exprs", nodes, env, table) for nodes in arg]
+    if shape in ("point", "specialization*"):
+        return {key: operand("expr", node, env, table) for key, node in arg.items()}
+    if shape in ("map", "derivation", "derivation|map"):
+        return env[arg]
+    return arg
+
+
+def operands(shapes: tuple, args: tuple, env: dict, table: VarTable) -> list:
+    """The value of each argument of a call, one per shape, in order."""
+    return [operand(shape, arg, env, table) for shape, arg in zip(shapes, args)]
+
+
+def _construct(fn: str, args: tuple, preserving, env: dict, table: VarTable):
+    """Evaluate a constructor call (see CONSTRUCTORS) over table."""
+    values = operands(CONSTRUCTORS[fn], args, env, table)
+    if fn == "extend":
+        base, relation, unit = values
+        return extend_to_quotient_automorphism(base, QuotientRelation(relation), unit).map
+    if fn == "subst_param":
+        return substitute_parameter(*values, check_ideal=operand("exprs", preserving, env, table))
+    return compose(*values) if fn == "compose" else conjugate(*values)
+
+
+def _at(tok, fn, *args):
+    """fn(*args), whose kernel error becomes a ParseError at tok."""
+    try:
+        return fn(*args)
+    except (KrError, ZeroDivisionError) as exc:
+        raise ParseError(str(exc), tok.line, tok.col, tok.pos) from exc
+
+
+def _declared(decl: Decl, env: dict, table: VarTable):
+    """The value of a let, map or derivation over table."""
+    if decl.kind == "poly":
+        return _at(decl.tok, eval_node, decl.body, env, table)
+    if decl.ctor is not None:
+        return _at(decl.tok, _construct, *decl.ctor, env, table)
+    block, relation = decl.body
+    images = {tok.text: _at(tok, eval_node, node, env, table) for tok, node in block}
+    if decl.kind == "map":
+        return _at(decl.tok, RingMap, table, images)
+    if relation is not None:
+        tok, node = relation
+        relation = _at(decl.tok, QuotientRelation, _at(tok, eval_node, node, env, table))
+    return _at(decl.tok, Derivation, table, images, relation)
+
+
+def _check_inverse(inv: InverseDecl, env: dict, table: VarTable):
+    maps = operands(INVERSE, (inv.first, inv.second), env, table)
+    if not verify_inverse_pair(*maps, *(operand("ideals", inv.ideals, env, table) or ())):
+        raise KrError(f"{inv.first!r} and {inv.second!r} are not inverse modulo the declared ideals")
+
+
+def elaborate(unit: SourceUnit) -> dict:
+    """Evaluate the declarations in order, each over the ring current at it:
+    the value of each declared name.  A kernel error, or an inverse(...)
+    pair that is not inverse, raises a ParseError at the declaration."""
+    env = {}
+    for item in unit.items:
+        if isinstance(item, InverseDecl):
+            _at(item.tok, _check_inverse, item, env, unit.rings[item.ring])
+        elif isinstance(item, Decl) and item.kind != "ring":
+            env[item.name] = _declared(item, env, unit.rings[item.ring])
+    return env
+
+
 def _eq(lhs, rhs) -> tuple[bool, str]:
     ok = lhs == rhs
     return ok, "" if ok else f"lhs = {render(lhs)}\nrhs = {render(rhs)}"
@@ -134,16 +245,12 @@ VERDICTS = {
 }
 
 
-def _eval_claim(unit: SourceUnit, claim: ClaimDecl) -> tuple[bool, str]:
+def _run_one(claim: ClaimDecl, env: dict, table: VarTable) -> ClaimResult:
     """The kind's verdict on the claim's operands, evaluated once each."""
-    values = operands(CLAIMS[claim.kind], claim.args, unit.env, unit.rings[claim.ring])
-    return VERDICTS[claim.kind](*values)
-
-
-def _run_one(unit: SourceUnit, claim: ClaimDecl) -> ClaimResult:
     started = time.perf_counter()
     try:
-        holds, detail = _eval_claim(unit, claim)
+        holds, detail = VERDICTS[claim.kind](*operands(CLAIMS[claim.kind], claim.args,
+                                                       env, table))
         status = PASS if holds == claim.expect else FAIL
         if status == FAIL and not detail:
             detail = f"evaluated {str(holds).lower()}, expected {str(claim.expect).lower()}"
@@ -154,9 +261,10 @@ def _run_one(unit: SourceUnit, claim: ClaimDecl) -> ClaimResult:
 
 
 def run_unit(unit: SourceUnit, source: str = "<unit>") -> Report:
-    """Evaluate every claim, then the narratives."""
+    """Evaluate the declarations in order, then every claim, then the narratives."""
+    env = elaborate(unit)
     report = Report(source)
-    results = [_run_one(unit, c) for c in unit.claims]
+    results = [_run_one(c, env, unit.rings[c.ring]) for c in unit.claims]
     report.results.extend(results)
     by_label = {r.label: r for r in results}
     for narr in unit.narratives:
@@ -173,22 +281,23 @@ def run_text(text: str, source: str = "<input>") -> Report:
     return run_unit(parse_unit(text), source)
 
 
-def run_file(path) -> Report:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    return run_text(text, str(path))
+def read_manifest(name: str) -> str:
+    """The text of the file at name, else of the manifest shipped under name."""
+    try:
+        with open(name, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except FileNotFoundError:
+        return manifest_path(name).read_text(encoding="utf-8")
+
+
+def run_file(name: str) -> Report:
+    return run_text(read_manifest(name), str(name))
 
 
 def manifest_path(name: str):
     """Filesystem path of a manifest shipped inside the package."""
     from importlib import resources  # only here: it costs start-up time
-    root = resources.files("krcubic").joinpath("manifests")
-    path = root.joinpath(name)
+    path = resources.files("krcubic").joinpath("manifests", name)
     if not path.is_file():
         raise KrError(f"no such file or shipped manifest: {name!r}")
     return path
-
-
-def run_shipped(name: str) -> Report:
-    path = manifest_path(name)
-    return run_text(path.read_text(encoding="utf-8"), name)

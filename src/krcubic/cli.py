@@ -27,7 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("fmt", help="reprint a .krv file canonically")
-    p.add_argument("file")
+    p.add_argument("file", help=".krv manifest path, or shipped manifest name")
     return ap
 
 
@@ -42,16 +42,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "check":
             all_pass = True
             for name in args.files:
-                try:
-                    report = claims_mod.run_file(name)
-                except FileNotFoundError:
-                    report = claims_mod.run_shipped(name)
+                report = claims_mod.run_file(name)
                 print(report.to_json() if args.format == "json" else report.to_text())
                 all_pass = all_pass and report.all_pass
             return 0 if all_pass else 1
 
-        with open(args.file, "r", encoding="utf-8") as handle:
-            print(format_unit(parse_unit(handle.read())), end="")
+        print(format_unit(parse_unit(claims_mod.read_manifest(args.file))), end="")
         return 0
     except PostconditionError as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

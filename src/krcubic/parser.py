@@ -31,17 +31,14 @@ Declarations:
 
 The argument shapes of each claim kind, constructor and built-in live once, as
 data, in CLAIMS, CONSTRUCTORS and BUILTINS; Parser.arguments reads them,
-_fmt_arguments prints them and operands evaluates them.  Each declared name
-has one Decl record, and SourceUnit.env maps a name to its Decl (rings:
-SourceUnit.rings maps a name to its VarTable).  Declarations elaborate as they
-are read, and the first error aborts the unit with a 1-based line/column
-diagnostic.  Claim arguments stay syntax until the claim runs, when operands
-evaluates them for its verdict in claims.VERDICTS: their errors are the claim's.
-Constant subtrees fold into literals as they are read, except a power that
-raises, which stays a Pow node, so its error is the claim's too.
-
-A let is read into the current ring by variable name, the parser's one
-crossing of tables; any other value over another ring is an error.
+_fmt_arguments prints them and claims.operands evaluates them.  Each declared
+name has one Decl record, and SourceUnit.env maps a name to its Decl (rings:
+SourceUnit.rings maps a name to its VarTable).  The parser only parses: it
+checks names where they are read, stops at the first syntax or binding error
+with a 1-based line/column diagnostic, and keeps every declaration and claim
+as syntax, which claims.run_unit evaluates in order.  Constant subtrees fold
+into literals as they are read, except a power that raises (a Pow node); a let
+read is a Ref node, read by variable name into the ring that evaluates it.
 """
 
 from __future__ import annotations
@@ -52,11 +49,6 @@ from fractions import Fraction
 from .coeff import OMEGA
 from .errors import KrError, ParseError, Record
 from .poly import Polynomial, VarTable, render
-from .morphism import (QuotientRelation, RingMap, compose, exact_divide,
-                       extend_to_quotient_automorphism, jacobian, normal_form,
-                       verify_inverse_pair)
-from .derivation import (Derivation, conjugate, substitute_parameter,
-                         theta_extract)
 from .geometry import CONE_TAGS
 
 # Argument shapes, in order.  A trailing '?' marks an optional group that
@@ -143,7 +135,7 @@ def tokenize(text: str) -> list[Token]:
 
 
 # ---------------------------------------------------------------------------
-# expression AST (constants fold as they are read; eval_node does the rest)
+# expression AST (constants fold as they are read; claims.eval_node does the rest)
 
 class Lit(Record):
     __slots__ = ("value",)
@@ -152,10 +144,17 @@ class Lit(Record):
         text = render(self.value)
         needs = (" + " in text or " - " in text or text.startswith("-")) \
             if prec >= 1 else False
-        if prec >= 2 and len(self.value.terms) == 1:
+        if prec >= 3 and len(self.value.terms) == 1:
             # single term that is itself a product still needs parens under ^
             needs = needs or "*" in text or "^" in text
         return f"({text})" if needs else text
+
+
+class Ref(Record):
+    __slots__ = ("name",)  # a let, read into the ring of whatever evaluates it
+
+    def render(self, prec: int = 0) -> str:
+        return self.name
 
 
 class Apply(Record):
@@ -199,41 +198,12 @@ class Pow(Record):
         return f"({text})" if prec >= 3 else text
 
 
-def _combine(op: str, a: Polynomial, b: Polynomial) -> Polynomial:
+def combine(op: str, a: Polynomial, b: Polynomial) -> Polynomial:
     if op == "+":
         return a + b
     if op == "-":
         return a - b
     return a * b
-
-
-def eval_node(node, env: dict, table: VarTable) -> Polynomial:
-    """Evaluate an expression node against the unit environment."""
-    if isinstance(node, Lit):
-        return node.value
-    if isinstance(node, Negate):
-        return -eval_node(node.arg, env, table)
-    if isinstance(node, BinOp):
-        a = eval_node(node.left, env, table)
-        b = eval_node(node.right, env, table)
-        return _combine(node.op, a, b)
-    if isinstance(node, Pow):
-        return eval_node(node.base, env, table) ** node.k
-    if isinstance(node, Apply):
-        return env[node.name].value.apply(eval_node(node.arg, env, table))
-    if isinstance(node, Builtin):
-        a, b = operands(BUILTINS[node.fn], node.args, env, table)
-        if node.fn == "theta":
-            return theta_extract(a, b)
-        if node.fn == "jacdet":
-            return jacobian(a, b)[1]
-        if node.fn == "nf":
-            return normal_form(a, QuotientRelation(b))
-        q = exact_divide(a, b)
-        if q is None:
-            raise KrError("quot(): not exactly divisible")
-        return q
-    raise KrError(f"cannot evaluate node {node!r}")
 
 
 def _fold(node):
@@ -242,7 +212,7 @@ def _fold(node):
     if isinstance(node, Negate) and isinstance(node.arg, Lit):
         return Lit(-node.arg.value)
     if isinstance(node, BinOp) and isinstance(node.left, Lit) and isinstance(node.right, Lit):
-        return Lit(_combine(node.op, node.left.value, node.right.value))
+        return Lit(combine(node.op, node.left.value, node.right.value))
     if isinstance(node, Pow) and isinstance(node.base, Lit):
         try:
             return Lit(node.base.value ** node.k)
@@ -251,56 +221,22 @@ def _fold(node):
     return node
 
 
-def operand(shape: str, arg, env: dict, table: VarTable):
-    """The value of an argument Parser.argument read for shape: expressions
-    are evaluated over table (another ring's value raises TableMismatchError),
-    a map or derivation name gives its value, and the rest is its own value."""
-    if arg is None:
-        return None
-    shape = shape.rstrip("?")
-    if shape == "expr":
-        return table.coerce(eval_node(arg, env, table))
-    if shape == "exprs":
-        return [operand("expr", node, env, table) for node in arg]
-    if shape == "ideals":
-        return [operand("exprs", nodes, env, table) for nodes in arg]
-    if shape in ("point", "specialization*"):
-        return {key: operand("expr", node, env, table) for key, node in arg.items()}
-    if shape in ("map", "derivation", "derivation|map"):
-        return env[arg].value
-    return arg
-
-
-def operands(shapes: tuple, args: tuple, env: dict, table: VarTable) -> list:
-    """The value of each argument of a call, one per shape, in order."""
-    return [operand(shape, arg, env, table) for shape, arg in zip(shapes, args)]
-
-
-def _construct(fn: str, args: tuple, preserving, env: dict, table: VarTable):
-    """Elaborate a constructor call (see CONSTRUCTORS) over table."""
-    values = operands(CONSTRUCTORS[fn], args, env, table)
-    if fn == "extend":
-        base, relation, unit = values
-        return extend_to_quotient_automorphism(base, QuotientRelation(relation), unit).map
-    if fn == "subst_param":
-        return substitute_parameter(*values, check_ideal=operand("exprs", preserving, env, table))
-    return compose(*values) if fn == "compose" else conjugate(*values)
-
-
 # ---------------------------------------------------------------------------
 # declarations
 
 class Decl(Record):
-    """A declared name.  kind 'ring' holds a VarTable (ring: None), 'poly' a
-    Polynomial, 'map' a RingMap and 'derivation' a Derivation, each over the
-    ring current at the declaration.  ctor is the (fn, args, preserving) of
-    a constructor, as syntax, kept for fmt, or None."""
+    """A declared name, as syntax, over the ring current at it.  body is a
+    ring's VarTable (ring: None), a let's node, or a map's or derivation's
+    image block: ((variable token, node), ...) and the relation as (token,
+    node) or None; ctor is a constructor's (fn, args, preserving), else None.
+    A kernel error is reported at tok, or at its image's or relation's token."""
 
-    __slots__ = ("kind", "name", "ring", "value", "ctor")
+    __slots__ = ("kind", "name", "ring", "body", "ctor", "tok")
 
 
 class InverseDecl(Record):
-    __slots__ = ("first", "second", "ideals")  # ideals: None or two lists of nodes
+    # ideals: None or two lists of nodes; a kernel error is reported at tok
+    __slots__ = ("first", "second", "ideals", "ring", "tok")
 
 
 class ClaimDecl(Record):
@@ -343,14 +279,6 @@ class Parser:
     def error(self, message: str, tok: Token | None = None, expected=()):
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.col, tok.pos, expected)
-
-    def kernel(self, tok: Token | None, fn, *args, **kwargs):
-        """Call a kernel function; its KrError or ZeroDivisionError becomes a
-        ParseError at tok."""
-        try:
-            return fn(*args, **kwargs)
-        except (KrError, ZeroDivisionError) as exc:
-            self.error(str(exc), tok)
 
     def expect(self, text: str) -> Token:
         tok = self.peek()
@@ -396,7 +324,7 @@ class Parser:
 
     # -- name table ----------------------------------------------------------
 
-    def declare(self, name_tok: Token, kind: str, value, ctor=None):
+    def declare(self, name_tok: Token, kind: str, body, tok=None, ctor=None):
         """Check the name, then record its Decl in env (a ring: in rings) and items."""
         name = name_tok.text
         if name in KEYWORDS:
@@ -406,10 +334,10 @@ class Parser:
         if self.current_ring is not None and name in self.table()._index:
             self.error(f"{name!r} collides with a ring variable", name_tok)
         if kind == "ring":
-            decl = Decl(kind, name, None, value, None)
-            self.unit.rings[name] = value
+            decl = Decl(kind, name, None, body, None, None)
+            self.unit.rings[name] = body
         else:
-            decl = self.unit.env[name] = Decl(kind, name, self.current_ring, value, ctor)
+            decl = self.unit.env[name] = Decl(kind, name, self.current_ring, body, ctor, tok)
         self.unit.items.append(decl)
 
     def table(self) -> VarTable:
@@ -505,19 +433,13 @@ class Parser:
         if name in table._index:
             return Lit(table.var(name))
         decl = self.lookup(tok)
-        if decl.kind == "poly":  # read into the current ring by variable name
-            return Lit(self.kernel(tok, decl.value.transport, table))
+        if decl.kind == "poly":
+            return Ref(name)
         if not self.accept("("):
             self.error(f"{name!r} is a {decl.kind}; apply it as {name}(...)", tok)
         arg = self.parse_expr()
         self.expect(")")
         return Apply(name, arg)
-
-    def parse_poly(self, tok: Token | None = None) -> Polynomial:
-        """Parse an expression and evaluate it at once, as a declaration does."""
-        start = self.peek()
-        node = self.parse_expr()
-        return self.kernel(tok or start, eval_node, node, self.unit.env, self.table())
 
     # -- declarations ----------------------------------------------------------
 
@@ -587,13 +509,15 @@ class Parser:
         self.expect("let")
         name = self.ident("name")
         self.expect("=")
-        value = self.parse_poly()
+        start = self.peek()
+        node = self.parse_expr()
         self.expect(";")
-        self.declare(name, "poly", value)
+        self.declare(name, "poly", node, start)
 
-    def _parse_image_block(self) -> dict[str, Polynomial]:
+    def _parse_image_block(self) -> tuple:
+        """{ v -> poly; ... } as (variable token, node) pairs, as written."""
         self.expect("{")
-        images: dict[str, Polynomial] = {}
+        images: dict[str, tuple] = {}
         table = self.table()
         while not self.accept("}"):
             vtok = self.peek()
@@ -601,9 +525,9 @@ class Parser:
             if table.is_param(vtok.text):
                 self.error(f"{vtok.text!r} is a parameter and cannot be remapped", vtok)
             self.expect("->")
-            images[vtok.text] = self.parse_poly(vtok)
+            images[vtok.text] = vtok, self.parse_expr()
             self.expect(";")
-        return images
+        return tuple(images.values())
 
     def _ring_annotation(self):
         """Optional ': RINGNAME' switching the current ring."""
@@ -627,16 +551,13 @@ class Parser:
         relation = None
         if kind == "derivation" and self.accept("mod"):
             self.expect("{")
-            rel_poly = self.parse_poly()
+            relation = self.peek(), self.parse_expr()
             self.expect("}")
-            relation = self.kernel(tok, QuotientRelation, rel_poly)
         self.accept(";")
-        value = (self.kernel(tok, RingMap, self.table(), images) if kind == "map"
-                 else self.kernel(tok, Derivation, self.table(), images, relation))
-        self.declare(name, kind, value)
+        self.declare(name, kind, (images, relation), tok)
 
     def parse_constructor(self, name: Token, kind: str):
-        """NAME = FN(...); elaborated here, so a kernel error stops the unit."""
+        """NAME = FN(...); a kernel error is reported at FN."""
         fn = self.ident("constructor")
         shapes = CONSTRUCTORS.get(fn.text, (None,))
         if shapes[0] != kind:
@@ -647,29 +568,17 @@ class Parser:
         if fn.text == "subst_param" and self.accept("preserving"):
             preserving = self.argument(fn.text, "exprs")
         self.expect(";")
-        value = self.kernel(fn, _construct, fn.text, args, preserving, self.unit.env,
-                            self.table())
-        self.declare(name, kind, value, ctor=(fn.text, args, preserving))
+        self.declare(name, kind, None, fn, ctor=(fn.text, args, preserving))
 
     def parse_inverse(self):
-        """inverse(A, B) mod {gens}, {gens}; checks an inverse pair while parsing.
-
-        compose(A, B) must fix every variable modulo the first ideal and
-        compose(B, A) modulo the second; a pair that fails stops the unit with
-        a ParseError at the declaration.
-        """
+        """inverse(A, B) mod {gens}, {gens}: compose(A, B) fixes every variable
+        modulo the first ideal and compose(B, A) modulo the second."""
         self.expect("inverse")
         start = self.peek()
         first, second = self.arguments("inverse", INVERSE)
         ideals = self.argument("inverse", "ideals") if self.accept("mod") else None
         self.expect(";")
-        env, table = self.unit.env, self.table()
-        if not self.kernel(start, lambda: verify_inverse_pair(
-                *operands(INVERSE, (first, second), env, table),
-                *(operand("ideals", ideals, env, table) or ()))):
-            self.error(f"{first!r} and {second!r} are not inverse "
-                       f"modulo the declared ideals", start)
-        self.unit.items.append(InverseDecl(first, second, ideals))
+        self.unit.items.append(InverseDecl(first, second, ideals, self.current_ring, start))
 
     # -- call arguments ----------------------------------------------------------
 
@@ -861,7 +770,7 @@ def format_unit(unit: SourceUnit) -> str:
             reqs = ", ".join(f'"{r}"' for r in item.requires)
             out.append(f'narrative "{item.label}" requires({reqs});')
         elif item.kind == "ring":
-            t = item.value
+            t = item.body
             sections = [", ".join(t.names)]
             lau = [v for v, f in zip(t.names, t.laurent) if f]
             if lau:
@@ -870,30 +779,16 @@ def format_unit(unit: SourceUnit) -> str:
                 sections.append("param " + ", ".join(t.params()))
             out.append(f"ring {item.name} = vars({' ; '.join(sections)});")
         elif item.kind == "poly":
-            out.append(f"let {item.name} = {render(item.value)};")
+            out.append(f"let {item.name} = {item.body.render()};")
         elif item.ctor is not None:
             fn, args, preserving = item.ctor
             tail = f" preserving {_fmt_argument('exprs', preserving)}" if preserving else ""
             out.append(f"{item.kind} {item.name} = {fn}"
                        f"{_fmt_arguments(CONSTRUCTORS[fn], args)}{tail};")
         else:
-            derivation = item.kind == "derivation"
-            body = _fmt_images(item.value.table, item.value.images, identity_is_zero=derivation)
-            relation = item.value.relation if derivation else None
-            tail = f" mod {{{render(relation.relation)}}}" if relation else ""
+            images, relation = item.body
+            lines = [f"  {tok.text} -> {node.render()};" for tok, node in images]
+            body = "{\n" + "\n".join(lines) + "\n}" if lines else "{ }"
+            tail = f" mod {{{relation[1].render()}}}" if relation else ""
             out.append(f"{item.kind} {item.name} : {item.ring} {body}{tail}")
     return "\n".join(out) + "\n"
-
-
-def _fmt_images(table: VarTable, images: dict, identity_is_zero=False) -> str:
-    lines = []
-    for v in table.names:
-        im = images.get(v)
-        if im is None:
-            continue
-        if not identity_is_zero and im == table.var(v):
-            continue
-        lines.append(f"  {v} -> {render(im)};")
-    if not lines:
-        return "{ }"
-    return "{\n" + "\n".join(lines) + "\n}"

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from krcubic.claims import elaborate
 from krcubic.coeff import Eisenstein
 from krcubic.parser import parse_unit
 from krcubic.poly import Polynomial, VarTable
@@ -59,7 +60,7 @@ def parse_value(text: str, table: VarTable) -> Polynomial:
     if table.params():
         sections.append("param " + ", ".join(table.params()))
     unit = parse_unit(f"ring R = vars({' ; '.join(sections)});\nlet value_ = {text};")
-    return unit.env["value_"].value
+    return elaborate(unit)["value_"]
 
 
 def random_rational(rng: random.Random, span: int = 4) -> Fraction:

@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from krcubic.claims import FAIL, PASS, run_shipped
+from krcubic.claims import FAIL, PASS, run_file
 from krcubic.cli import main
 from krcubic.coeff import ONE
 from krcubic.derivation import (Derivation, conjugate, nilpotency_certificate,
@@ -43,7 +43,7 @@ def test_criterion_1_identity_suite():
     failures = []
     started = time.perf_counter()
     for name in SHIPPED_MANIFESTS:
-        report = run_shipped(name)
+        report = run_file(name)
         bad = [r.label for r in report.results if r.status != PASS]
         _check(failures, report.all_pass, f"{name}: {bad}")
     elapsed = time.perf_counter() - started
@@ -270,7 +270,7 @@ def test_criterion_7_negative_controls(capsys):
         code = main(["check", negative])
         capsys.readouterr()  # swallow the report text
         _check(failures, code == 1, f"{negative}: exit code {code}")
-        report = run_shipped(negative)
+        report = run_file(negative)
         claim_fails = [r for r in report.results
                        if r.status == FAIL and r.kind != "narrative"]
         _check(failures, len(claim_fails) == 1,

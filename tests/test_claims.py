@@ -9,14 +9,14 @@ import pytest
 
 import krcubic
 from krcubic import groebner
-from krcubic.claims import ERROR, FAIL, PASS, manifest_path, run_shipped, run_text
+from krcubic.claims import ERROR, FAIL, PASS, manifest_path, run_file, run_text
 from krcubic.derivation import Derivation, nilpotency_certificate
 from krcubic.errors import KrError, Record
 from krcubic.geometry import classify_quadric
 from krcubic.groebner import GREVLEX, buchberger
 from krcubic.morphism import QuotientRelation, RingMap, extend_to_quotient_automorphism
 from krcubic.cli import main
-from krcubic.parser import Apply, BinOp, Builtin, Lit, Negate, Pow, parse_unit
+from krcubic.parser import Apply, BinOp, Builtin, Lit, Negate, Pow, Ref, parse_unit
 from krcubic.poly import Polynomial, VarTable
 
 from conftest import SHIPPED_MANIFESTS
@@ -24,7 +24,7 @@ from conftest import SHIPPED_MANIFESTS
 
 def test_every_shipped_manifest_passes():
     for name in SHIPPED_MANIFESTS:
-        report = run_shipped(name)
+        report = run_file(name)
         bad = [r for r in report.results if r.status != PASS]
         assert report.all_pass, (name, bad)
 
@@ -32,7 +32,7 @@ def test_every_shipped_manifest_passes():
 def test_every_negative_control_fails_exactly_once():
     for name in SHIPPED_MANIFESTS:
         negative = name.replace(".krv", "_negative.krv")
-        report = run_shipped(negative)
+        report = run_file(negative)
         claim_fails = [r for r in report.results
                        if r.status == FAIL and r.kind != "narrative"]
         errors = [r for r in report.results if r.status == ERROR]
@@ -45,7 +45,7 @@ def test_value_records_are_read_only():
     table = VarTable(["x", "z"])
     x, z = table.var("x"), table.var("z")
     records = [
-        run_shipped("stable.krv").results[0],
+        run_file("stable.krv").results[0],
         nilpotency_certificate(Derivation(table, {"x": z, "z": table.zero()})),
         classify_quadric(x ** 2),
         GREVLEX,
@@ -96,7 +96,7 @@ def test_every_slotted_class_is_a_record():
         assert issubclass(cls, Record) == (name not in NOT_RECORDS), name
     plain = [cls for cls in slotted.values()
              if issubclass(cls, Record) and cls.__init__ is Record.__init__]
-    assert len(plain) == 16
+    assert len(plain) == 17
     for cls in plain:
         width = len(cls.__slots__)
         for count in (width - 1, width + 1):
@@ -135,7 +135,9 @@ claim "still runs" eq(x, x) expect true;
     assert statuses == [ERROR, PASS]
 
 
-BAD_ARGUMENT_HEAD = """ring R = vars(x, y, z, t, a ; param a);
+BAD_ARGUMENT_HEAD = """ring S = vars(x, u);
+let b = x + u;
+ring R = vars(x, y, z, t, a ; param a);
 derivation D : R { z -> 1; }
 map A : R { y -> y + x; }
 map B : R { y -> y - x; }
@@ -172,6 +174,7 @@ BAD_CLAIM_ARGUMENTS = {
                             "NegativeExponentError: negative exponent on non-Laurent variable 't'"),
     "power of a sum": ("eq((x + t)^-1, t)", "NonUnitError: not a unit monomial: x + t"),
     "power of an image": ("eq(A(y)^-1, y)", "NonUnitError: not a unit monomial: x + y"),
+    "let from another ring": ("eq(b, x)", "KrError: variable 'u' does not exist in target table"),
 }
 
 
@@ -190,7 +193,7 @@ def test_a_failing_claim_argument_is_that_claims_error(position, tmp_path, capsy
     assert capsys.readouterr().err == ""
 
 
-SYNTAX = (str, int, type(None), Lit, Apply, Builtin, BinOp, Negate, Pow)
+SYNTAX = (str, int, type(None), Lit, Ref, Apply, Builtin, BinOp, Negate, Pow)
 
 
 def _held(arg):
@@ -309,15 +312,15 @@ narrative "sees the failure" requires("good", "bad");
 
 def test_reports_are_deterministic():
     for name in ("embeddings.krv", "stable.krv"):
-        a = run_shipped(name)
-        b = run_shipped(name)
+        a = run_file(name)
+        b = run_file(name)
         strip = lambda rep: [(r.label, r.kind, r.status, r.anchor, r.detail)
                              for r in rep.results]
         assert strip(a) == strip(b)
 
 
 def test_json_report_shape():
-    report = run_shipped("stable.krv")
+    report = run_file("stable.krv")
     payload = json.loads(report.to_json())
     assert payload["summary"]["all_pass"] is True
     assert {c["kind"] for c in payload["claims"]} >= {"eq", "divides"}
@@ -326,7 +329,7 @@ def test_json_report_shape():
 
 
 def test_text_report_has_summary_line():
-    report = run_shipped("stable.krv")
+    report = run_file("stable.krv")
     text = report.to_text()
     assert text.splitlines()[-1].endswith("0 failed, 0 errors")
 
@@ -404,7 +407,7 @@ def test_autgroup_substitutes_thirty_times(substitutions):
     # the preserving check and by two claims, twist_lift(cubic) and
     # family_lift(cubic_c + c) by extend's postcondition and by a claim, and
     # twist_c(z^2 + t^3 + c) by theta and by a claim
-    assert run_shipped("autgroup.krv").all_pass
+    assert run_file("autgroup.krv").all_pass
     assert len(substitutions) == 30
 
 

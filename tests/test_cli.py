@@ -75,6 +75,26 @@ def test_fmt_is_idempotent(tmp_path, capsys):
     assert out1 == out2
 
 
+def test_fmt_takes_a_shipped_name(tmp_path, monkeypatch, capsys):
+    code, by_path, _ = run_cli(["fmt", str(manifest_path("embeddings.krv"))], capsys)
+    assert code == 0
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["fmt", "embeddings.krv"], capsys) == (0, by_path, "")
+
+
+NOT_INVERSE = "ring R = vars(x, y);\nmap A : R { y -> y + x; }\ninverse(A, A);\n"
+
+
+def test_fmt_does_not_evaluate_declarations(tmp_path, capsys):
+    target = tmp_path / "unit.krv"
+    target.write_text(NOT_INVERSE)
+    code, out, _ = run_cli(["fmt", str(target)], capsys)
+    assert code == 0 and out.endswith("inverse(A, A);\n")
+    code, out, err = run_cli(["check", str(target)], capsys)
+    assert (code, out, err) == (
+        2, "", "error: 3:8: 'A' and 'A' are not inverse modulo the declared ideals\n")
+
+
 def test_missing_file_exits_two(capsys):
     code, _, err = run_cli(["fmt", "no_such_file.krv"], capsys)
     assert code == 2

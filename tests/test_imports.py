@@ -102,9 +102,21 @@ def test_tables_are_crossed_only_on_purpose():
     sites = {f"{path.stem}:{site}" for path in PACKAGE.glob("*.py")
              for site in _transport_sites(ast.parse(path.read_text(encoding="utf-8")))}
     assert sites == {"poly:Polynomial.transport (definition)",
-                     "parser:Parser.parse_base",  # a let, read into the current ring
+                     "claims:eval_node",  # a let, read into the ring that evaluates it
                      "groebner:member",  # saturation, in a wider table
                      "morphism:extend_to_quotient_automorphism"}  # a base-ring map
+
+
+def test_the_parser_only_parses():
+    # the parser reaches no kernel module: evaluation lives in claims.py
+    imported = set()
+    for node in ast.walk(ast.parse((PACKAGE / "parser.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + node.module)
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert imported == {"__future__", "re", "fractions",
+                        ".coeff", ".errors", ".poly", ".geometry"}
 
 
 # dataclasses pulls in inspect, ast, dis and tokenize; typing and

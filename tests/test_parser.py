@@ -8,12 +8,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from krcubic.claims import VERDICTS, manifest_path, run_text
+from krcubic import claims, derivation, morphism, parser
+from krcubic.claims import VERDICTS, elaborate, eval_node, manifest_path, run_text
 from krcubic.coeff import OMEGA
+from krcubic.derivation import Derivation
 from krcubic.errors import KrError, ParseError
+from krcubic.morphism import RingMap
 from krcubic.parser import (BUILTINS, CLAIMS, CONSTRUCTORS, KEYWORDS, BinOp,
-                            InverseDecl, Lit, eval_node, format_unit, parse_unit,
-                            tokenize)
+                            InverseDecl, Lit, Ref, format_unit, parse_unit, tokenize)
 from krcubic.poly import Polynomial, VarTable, render
 
 from conftest import SHIPPED_MANIFESTS, parse_value, random_poly, random_table
@@ -26,22 +28,22 @@ def test_ring_and_binding():
     assert decl.kind == "poly" and decl.ring == "R"
     T = unit.rings["R"]
     x, y, z, t = (T.var(n) for n in "xyzt")
-    assert decl.value == x ** 2 * y + z ** 2 + x + t ** 3
+    assert elaborate(unit)["P"] == x ** 2 * y + z ** 2 + x + t ** 3
 
 
 def test_expansion_has_six_terms():
     unit = parse_unit("ring R = vars(x, y, z, t);\n"
                       "let u = (1 + x)*(z^2 + x + t^3);")
-    value = unit.env["u"].value
+    value = elaborate(unit)["u"]
     assert len(value.terms) == 6
 
 
 def test_negative_exponent_needs_laurent_flag():
     with pytest.raises(ParseError) as info:
-        parse_unit("ring R = vars(x, t);\nlet bad = t^-1;")
+        elaborate(parse_unit("ring R = vars(x, t);\nlet bad = t^-1;"))
     assert "t" in str(info.value)
     assert info.value.line == 2
-    parse_unit("ring R = vars(x, t ; laurent t);\nlet ok = t^-1;")
+    elaborate(parse_unit("ring R = vars(x, t ; laurent t);\nlet ok = t^-1;"))
 
 
 def test_use_before_declaration():
@@ -64,7 +66,7 @@ def test_w_is_reserved():
     with pytest.raises(ParseError):
         parse_unit("ring R = vars(w);")
     unit = parse_unit("ring R = vars(t);\nlet a = (1 + w)*t;")
-    value = unit.env["a"].value
+    value = elaborate(unit)["a"]
     assert value == (1 + OMEGA) * unit.rings["R"].var("t")
 
 
@@ -150,7 +152,7 @@ def test_parser_is_total_on_junk(text):
 @given(st.text(max_size=60))
 def test_unit_parser_is_total_on_arbitrary_text(text):
     try:
-        parse_unit(text)
+        elaborate(parse_unit(text))
     except (ParseError, KrError):
         pass
 
@@ -178,7 +180,7 @@ def test_unit_parser_is_total_on_corrupted_manifests():
         else:
             text = text[:i] + f" {rng.choice(keywords)} " + text[i:]
         try:
-            parse_unit(text)
+            elaborate(parse_unit(text))
         except KrError:
             pass
 
@@ -240,17 +242,17 @@ map fwd : R { y -> (1 + x)*y; }
 map bwd : R { y -> (1 - x)*y - x - z^2 - t^3; }
 inverse(fwd, bwd) mod {P}, {Q};
 """)
-    P, Q = unit.env["P"].value, unit.env["Q"].value
     pair = unit.items[-1]
     assert isinstance(pair, InverseDecl)
-    assert (pair.first, pair.second) == ("fwd", "bwd")
-    # the ideals are held as syntax: the let names were folded into literals
-    assert [[(type(n), n.value) for n in gens] for gens in pair.ideals] == [[(Lit, P)], [(Lit, Q)]]
+    assert (pair.first, pair.second, pair.ring) == ("fwd", "bwd", "R")
+    # the ideals are held as syntax: a let name is read as a Ref node
+    assert [[(type(n), n.name) for n in gens] for gens in pair.ideals] == [[(Ref, "P")], [(Ref, "Q")]]
+    assert set(elaborate(unit)) == {"P", "Q", "fwd", "bwd"}
 
 
 def test_inverse_declaration_rejects_non_inverses():
     with pytest.raises(ParseError) as info:
-        parse_unit("""
+        run_text("""
 ring R = vars(x, y);
 map a : R { y -> y + x; }
 map b : R { y -> y + x; }
@@ -278,9 +280,10 @@ let P = x^2*y + z^2 + x + t^3;
 derivation d : R { y -> 2*z; z -> -x^2; } mod {P}
 claim "nilpotent on the quotient" nilpotent(d, 8) expect true;
 """)
-    d = unit.env["d"].value
+    env = elaborate(unit)
+    d = env["d"]
     assert d.relation is not None
-    assert d.relation.relation == unit.env["P"].value
+    assert d.relation.relation == env["P"]
     once = format_unit(unit)
     assert "mod {" in once
     assert format_unit(parse_unit(once)) == once
@@ -288,7 +291,7 @@ claim "nilpotent on the quotient" nilpotent(d, 8) expect true;
 
 def test_derivation_relation_must_descend():
     with pytest.raises(ParseError):
-        parse_unit("""
+        run_text("""
 ring R = vars(x, y, z, t);
 derivation d : R { z -> 1; } mod {x^2*y + z^2 + x + t^3}
 """)
@@ -315,14 +318,18 @@ def test_sum_and_difference_build_no_product(monkeypatch):
 
 R4 = "ring R = vars(x, y, z, t);\n"
 
-# One unit per kernel call the parser makes: the kernel's KrError, or the
-# ZeroDivisionError of a division by the zero polynomial, must come out as a
-# ParseError with the kernel's message, at the declaration's token.
+# One unit per kernel call a declaration makes: the kernel's KrError, or the
+# ZeroDivisionError of a division by the zero polynomial, must come out of
+# run_unit as a ParseError with the kernel's message, at the declaration's
+# token (an image's: its variable; a relation's: its first token).
 KERNEL_ERROR_SITES = {
     "power": ("ring R = vars(x, t);\nlet bad = t^-1;",
               "negative exponent on non-Laurent variable 't'", 2, 11),
     "let transport": ("ring R = vars(x, y);\nlet a = y;\nring S = vars(x, z);\nlet b = a + 1;",
                       "variable 'y' does not exist in target table", 4, 9),
+    "let transport in an image": (
+        "ring R = vars(x, y);\nlet a = x + y;\nring S = vars(x, z);\nmap M : S { z -> a; }",
+        "variable 'y' does not exist in target table", 4, 13),
     "nf relation": (R4 + "let a = nf(x, z);",
                     "relation must have x^2*y with coefficient 1", 2, 9),
     "image evaluation": (R4 + "map M : R { x -> x; z -> quot(z, z + 1); }",
@@ -352,6 +359,8 @@ KERNEL_ERROR_SITES = {
                   "maps are not a verified inverse pair", 4, 16),
     "derivation relation": (R4 + "derivation D : R { z -> 1; } mod {z}",
                             "relation must have x^2*y with coefficient 1", 2, 14),
+    "relation expression": (R4 + "derivation D : R { z -> 1; } mod {quot(x, 0)}",
+                            "division by the zero polynomial", 2, 35),
     "derivation descent": (R4 + "derivation D : R { z -> 1; } mod {x^2*y + z^2 + x + t^3}",
                            "derivation does not descend: image of the relation "
                            "is not a multiple", 2, 14),
@@ -387,7 +396,7 @@ KERNEL_ERROR_SITES = {
 def test_kernel_errors_are_positioned(site):
     text, message, line, col = KERNEL_ERROR_SITES[site]
     with pytest.raises(ParseError) as info:
-        parse_unit(text)
+        run_text(text)
     assert (info.value.message, info.value.line, info.value.col) == (message, line, col)
 
 
@@ -425,7 +434,7 @@ FMT_CASES = {
         P4 + 'derivation D : R { y -> 2*z; z -> -x^2; }\n'
         'claim "c" nilpotent(D, 8, P) expect true;',
         P4_FMT + "derivation D : R {\n  y -> 2*z;\n  z -> -x^2;\n}\n"
-        + _claim("nilpotent(D, 8, x^2*y + t^3 + z^2 + x)")),
+        + _claim("nilpotent(D, 8, P)")),
     "cone_class": (
         R2 + 'claim "c" cone_class(x^2 + y^3, point(0, 0), double_hyperplane) expect true;',
         R2 + _claim("cone_class(y^3 + x^2, point(0, 0), double_hyperplane)")),
@@ -464,7 +473,7 @@ FMT_CASES = {
     "extend": (P4 + 'map M : R { z -> -z; }\nmap E = extend(M, P, 1);\n'
                'claim "c" eq(E(y), y) expect true;',
                P4_FMT + "map M : R {\n  z -> -z;\n}\n"
-               "map E = extend(M, x^2*y + t^3 + z^2 + x, 1);\n" + _claim("eq(E(y), y)")),
+               "map E = extend(M, P, 1);\n" + _claim("eq(E(y), y)")),
     "compose": (R2 + AB + 'map C = compose(A, A);\nclaim "c" eq(C(y), y + 2*x) expect true;',
                 R2 + AB_FMT + "map C = compose(A, A);\n" + _claim("eq(C(y), 2*x + y)")),
     "subst_param": (CP + 'map N = subst_param(M, c, 2);\nclaim "c" eq(N(y), y + 2*x) expect true;',
@@ -488,7 +497,7 @@ FMT_CASES = {
     "quot": (R2 + 'claim "c" eq(quot(x^2 - y^2, x + y), x - y) expect true;',
              R2 + _claim("eq(quot(x^2 - y^2, x + y), x - y)")),
     "nf": (P4 + 'claim "c" eq(nf(x^2*y, P), -z^2 - x - t^3) expect true;',
-           P4_FMT + _claim("eq(nf(x^2*y, x^2*y + t^3 + z^2 + x), -t^3 - z^2 - x)")),
+           P4_FMT + _claim("eq(nf(x^2*y, P), -t^3 - z^2 - x)")),
     "theta": ("ring R = vars(x, z, t);\nmap M : R { t -> t - x; }\n"
               'claim "c" eq(theta(M, z), 1) expect true;',
               "ring R = vars(x, z, t);\nmap M : R {\n  t -> -x + t;\n}\n"
@@ -514,6 +523,38 @@ def test_fmt_cases_cover_every_form():
     assert set(VERDICTS) == set(CLAIMS)
     # a stored kernel function would escape the tracer, which wraps module globals
     assert {verdict.__module__ for verdict in VERDICTS.values()} == {"krcubic.claims"}
+
+
+def test_fmt_prints_declarations_as_written():
+    # a let read stays its name, images keep their order (identity included),
+    # and a derivation's images and relation are printed as written
+    text = (P4 + "let Q = P + 1;\nmap M : R { z -> Q; y -> y; }\n"
+            "derivation D : R { z -> -x^2; y -> 2*z; } mod {P}\n")
+    assert format_unit(parse_unit(text)) == (
+        P4_FMT + "let Q = P + 1;\nmap M : R {\n  z -> Q;\n  y -> y;\n}\n"
+        "derivation D : R {\n  z -> -x^2;\n  y -> 2*z;\n} mod {P}\n")
+
+
+# Every entry point of the kernel's evaluation that a declaration or claim reaches
+KERNEL = ((Polynomial, "substitute"), (RingMap, "__init__"), (Derivation, "__init__"),
+          *((module, name) for module in (morphism, derivation, claims, parser)
+            for name in ("verify_inverse_pair", "exact_divide", "normal_form",
+                         "extend_to_quotient_automorphism", "compose", "conjugate",
+                         "substitute_parameter", "theta_extract", "jacobian")
+            if hasattr(module, name)))
+
+
+def test_fmt_is_kernel_free(monkeypatch):
+    def kernel_call(*args, **kwargs):
+        raise RuntimeError("fmt called the kernel")
+
+    for owner, name in KERNEL:
+        monkeypatch.setattr(owner, name, kernel_call)
+    for name in SHIPPED_MANIFESTS:
+        for manifest in (name, name.replace(".krv", "_negative.krv")):
+            format_unit(parse_unit(manifest_path(manifest).read_text(encoding="utf-8")))
+    with pytest.raises(RuntimeError, match="fmt called the kernel"):
+        run_text(manifest_path("stable.krv").read_text(encoding="utf-8"))
 
 
 def test_readme_lists_exactly_the_claim_kinds():
