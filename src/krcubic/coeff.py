@@ -4,10 +4,10 @@ An element is stored as three Python ints (a, b, d), meaning (a + b*w)/d,
 with gcd(a, b, d) = 1 and d > 0; products use the defining relation
 w^2 = -1 - w.  That form is unique, so structural equality is mathematical
 equality.  Every result is built by one private constructor, _make, which
-divides out the common factor; Fraction appears only at the edges: __init__
-accepts ints and Fractions, and the parts are read back as the Fraction
-properties re and om.  Every constant the geometry needs is one of these:
-rationals, -1 and w itself.
+divides out the common factor; the kernel's hot loops build the triple
+directly, and of(int) and rendering never leave it.  Fraction appears only at
+the edges: Eisenstein(re, om) takes ints and Fractions, the parts read back
+as the Fractions re and om, and the parser builds p/q literals from one.
 """
 
 from __future__ import annotations
@@ -52,9 +52,10 @@ class Eisenstein:
     @staticmethod
     def of(value) -> "Eisenstein":
         """Coerce an int, Fraction or Eisenstein into the field."""
-        if isinstance(value, Eisenstein):
-            return value
-        return Eisenstein(_frac(value))
+        c = _try(value)
+        if c is None:
+            raise TypeError(f"not a rational value: {value!r}")
+        return c
 
     # -- predicates ---------------------------------------------------------
 
@@ -180,22 +181,19 @@ ONE = Eisenstein(1)
 OMEGA = Eisenstein(0, 1)
 
 
-def _render_frac(q: Fraction) -> str:
-    return str(q)  # Fraction prints p or p/q with q > 0
+def _part(n: int, d: int) -> str:
+    """n/d in lowest terms, printed as its Fraction prints: p, or p/q with q > 0."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def render_coeff(c: Eisenstein) -> str:
     """Human form: '5', '-1/2', 'w', '2*w', '(1 + w)' styles (no outer parens here)."""
-    a, b = c.re, c.om
+    a, b, d = c._a, c._b, c._d
     if b == 0:
-        return _render_frac(a)
-    if a == 0:
-        if b == 1:
-            return "w"
-        if b == -1:
-            return "-w"
-        return f"{_render_frac(b)}*w"
-    sign = " - " if b < 0 else " + "
+        return _part(a, d)
     mag = -b if b < 0 else b
-    wpart = "w" if mag == 1 else f"{_render_frac(mag)}*w"
-    return f"{_render_frac(a)}{sign}{wpart}"
+    wpart = "w" if mag == d else f"{_part(mag, d)}*w"
+    if a == 0:
+        return "-" + wpart if b < 0 else wpart
+    return f"{_part(a, d)}{' - ' if b < 0 else ' + '}{wpart}"

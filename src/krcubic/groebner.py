@@ -20,12 +20,13 @@ dict), so it lives as long as the unit whose ring declared the table.
 from __future__ import annotations
 
 import heapq
-from operator import add, le, sub
+from operator import add, itemgetter, le, sub
 
+from .coeff import ONE, _make
 from .errors import (GroebnerBudgetError, KrError, LaurentInputError,
                      PostconditionError, Record)
 from .geometry import _center
-from .poly import Polynomial, VarTable, _polynomial, grevlex_key
+from .poly import Polynomial, VarTable, _add_into, _polynomial, _product, grevlex_key
 
 
 class MonomialOrder(Record):
@@ -49,10 +50,6 @@ def _divides(m: tuple[int, ...], n: tuple[int, ...]) -> bool:
     return all(map(le, m, n))
 
 
-def _mono_quot(table: VarTable, n, m, coeff) -> Polynomial:
-    return Polynomial(table, {tuple(a - b for a, b in zip(n, m)): coeff})
-
-
 def reduce(f: Polynomial, gens: list[Polynomial],
            order: MonomialOrder = GREVLEX) -> tuple[Polynomial, list[Polynomial]]:
     """Division with remainder: f = sum(cofactor_i * gens_i) + remainder.
@@ -63,66 +60,71 @@ def reduce(f: Polynomial, gens: list[Polynomial],
     """
     _require_polynomial(f, "dividend")
     table = f.table
+    gens = [table.coerce(g) for g in gens]
     lead = []
     tails = []
-    for g in map(table.coerce, gens):
+    for g in gens:
         if g.is_zero():
             raise ZeroDivisionError("zero divisor in reduce()")
         _require_polynomial(g, "divisor")
         gm, gc = g.leading_term(order.key)
-        lead.append((gm, gc.inverse()))
-        tails.append([(e, c) for e, c in g.terms.items() if e != gm])
+        lead.append((gm, None if gc == ONE else gc.inverse()))
+        # the tail, negated: each step adds q times it into the dividend
+        tails.append([(e, -c._a, -c._b, c._d) for e, c in g.terms.items() if e != gm])
 
-    # Max-heap of the working dividend's monomials, as a min-heap on the
-    # negated order key.  A monomial that cancels keeps its entry (lazy
-    # deletion), so a popped monomial missing from work is skipped.  Each
-    # step takes the largest monomial of work and only adds smaller ones, so
-    # no monomial comes back once it has been taken.
+    # Max-heap of the working dividend's monomials, as a min-heap of flat
+    # tuples (negated order key, exponents).  A monomial that cancels keeps
+    # its entry (lazy deletion), so a popped monomial missing from work is
+    # skipped.  Each step takes the largest monomial of work and only adds
+    # smaller ones, so no monomial comes back once it has been taken.
     key = order.key
-
-    def entry(exps):
-        return [-k for k in key(exps)], exps
-
+    push = heapq.heappush
     work = dict(f.terms)
-    heap = [entry(e) for e in work]
+    heap = [(*[-k for k in key(e)], e) for e in work]
     heapq.heapify(heap)
     cof_terms: list[dict] = [{} for _ in gens]
     rem_terms: dict = {}
     while heap:
-        lt_exps = heapq.heappop(heap)[1]
+        lt_exps = heapq.heappop(heap)[-1]
         lt_c = work.pop(lt_exps, None)
         if lt_c is None:
             continue
         for i, (gm, gc_inv) in enumerate(lead):
             if _divides(gm, lt_exps):
                 q_exps = tuple(map(sub, lt_exps, gm))
-                q_c = lt_c * gc_inv
+                q_c = lt_c if gc_inv is None else lt_c * gc_inv
                 cof_terms[i][q_exps] = q_c
-                neg_q = -q_c
-                for ge, gcoef in tails[i]:
+                qa, qb, qd = q_c._a, q_c._b, q_c._d
+                # work[e] += q * t in one _make: (qa + qb*w)(ta + tb*w)/(qd*td)
+                for ge, ta, tb, td in tails[i]:
                     e = tuple(map(add, q_exps, ge))
-                    c = neg_q * gcoef
+                    bb = qb * tb
+                    pa = qa * ta - bb
+                    pb = qa * tb + qb * ta - bb
+                    pd = qd * td
                     got = work.get(e)
                     if got is None:
-                        work[e] = c
-                        heapq.heappush(heap, entry(e))
+                        work[e] = _make(pa, pb, pd)
+                        push(heap, (*[-k for k in key(e)], e))
+                        continue
+                    wd = got._d
+                    if wd == pd:
+                        na, nb = got._a + pa, got._b + pb
                     else:
-                        got = got + c
-                        if got:
-                            work[e] = got
-                        else:
-                            del work[e]
+                        na, nb, pd = got._a * pd + pa * wd, got._b * pd + pb * wd, wd * pd
+                    if na or nb:
+                        work[e] = _make(na, nb, pd)
+                    else:
+                        del work[e]
                 break
         else:
             rem_terms[lt_exps] = lt_c
-    rem = _polynomial(table, rem_terms)
-    cofs = [_polynomial(table, t) for t in cof_terms]
-    recombined = rem
-    for c, g in zip(cofs, gens):
-        recombined = recombined + c * g
-    if recombined != f:
+    recombined = dict(rem_terms)
+    for t, g in zip(cof_terms, gens):
+        _add_into(recombined, _product(t, g.terms))
+    if recombined != f.terms:
         raise PostconditionError("division identity violated")
-    return rem, cofs
+    return _polynomial(table, rem_terms), [_polynomial(table, t) for t in cof_terms]
 
 
 class GroebnerBasis(Record):
@@ -142,11 +144,13 @@ class GroebnerBasis(Record):
 
 
 def _spoly(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    fm, fc = f.leading_term(order.key)
-    gm, gc = g.leading_term(order.key)
-    lcm = tuple(max(a, b) for a, b in zip(fm, gm))
-    uf = _mono_quot(f.table, lcm, fm, fc.inverse())
-    ug = _mono_quot(g.table, lcm, gm, gc.inverse())
+    """The S-polynomial of two monic polynomials: no coefficient is inverted,
+    and each multiplier, a monomial with coefficient one, only shifts."""
+    fm = f.leading_term(order.key)[0]
+    gm = g.leading_term(order.key)[0]
+    lcm = tuple(map(max, fm, gm))
+    uf = _polynomial(f.table, {tuple(map(sub, lcm, fm)): ONE})
+    ug = _polynomial(g.table, {tuple(map(sub, lcm, gm)): ONE})
     return uf * f - ug * g
 
 
@@ -209,31 +213,20 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder = GREVLEX) -> Groebn
             push_pairs(len(basis) - 1)
 
     # minimalize: drop generators whose leading monomial another one divides
-    minimal = []
-    for i, g in enumerate(basis):
-        gm = g.leading_term(order.key)[0]
-        keep = True
-        for j, h in enumerate(basis):
-            if i == j:
-                continue
-            hm = h.leading_term(order.key)[0]
-            if _divides(hm, gm) and (hm != gm or j < i):
-                keep = False
-                break
-        if keep:
-            minimal.append(g)
+    minimal = [i for i, gm in enumerate(lms)
+               if not any(j != i and _divides(hm, gm) and (hm != gm or j < i)
+                          for j, hm in enumerate(lms))]
 
-    # fully reduce each survivor against the others
+    # Fully reduce each survivor against the others.  No other leading
+    # monomial divides its own, so that term is kept as it is: the remainder
+    # is monic, nonzero, and has the same leading monomial.
     reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        if others:
-            rem, _ = reduce(g, others, order)
-            g = rem.monic(order.key)
-        if not g.is_zero():
-            reduced.append(g)
-    reduced.sort(key=lambda p: order.key(p.leading_term(order.key)[0]))
-    return GroebnerBasis(tuple(reduced), order)
+    for i in minimal:
+        others = [basis[j] for j in minimal if j != i]
+        g = reduce(basis[i], others, order)[0] if others else basis[i]
+        reduced.append((order.key(lms[i]), g))
+    reduced.sort(key=itemgetter(0))
+    return GroebnerBasis(tuple(g for _, g in reduced), order)
 
 
 def clear_laurent(f: Polynomial) -> tuple[Polynomial, tuple[int, ...]]:

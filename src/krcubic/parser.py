@@ -142,8 +142,9 @@ class Lit(Record):
 
     def render(self, prec: int = 0) -> str:
         text = render(self.value)
-        needs = (" + " in text or " - " in text or text.startswith("-")) \
-            if prec >= 1 else False
+        # a top-level sum or a leading '-'; a one-term Q(w) coefficient has its own
+        needs = prec >= 1 and (len(self.value.terms) > 1 or text.startswith("-") or (
+            self.value.is_constant() and (" + " in text or " - " in text)))
         if prec >= 3 and len(self.value.terms) == 1:
             # single term that is itself a product still needs parens under ^
             needs = needs or "*" in text or "^" in text

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 from operator import add
 
-from .coeff import ONE, Eisenstein, _make, render_coeff
+from .coeff import ONE, Eisenstein, _make, _part, render_coeff
 from .errors import (
     KrError,
     NegativeExponentError,
@@ -31,7 +31,7 @@ from .errors import (
 
 def grevlex_key(exps: tuple[int, ...]):
     """Sort key, a flat tuple of ints: max() under it is the grevlex-largest monomial."""
-    return (sum(exps), *[-e for e in reversed(exps)])
+    return (sum(exps), *[-e for e in exps[::-1]])
 
 
 class VarTable(Record):
@@ -110,13 +110,13 @@ class VarTable(Record):
 
     def constant(self, c) -> "Polynomial":
         c = Eisenstein.of(c)
-        return Polynomial(self, {(0,) * self.arity: c} if c else {})
+        return _polynomial(self, {(0,) * self.arity: c} if c else {})
 
     def var(self, name: str) -> "Polynomial":
         i = self.index(name)
         e = [0] * self.arity
         e[i] = 1
-        return Polynomial(self, {tuple(e): Eisenstein.of(1)})
+        return _polynomial(self, {tuple(e): ONE})
 
     def coerce(self, value) -> "Polynomial":
         """value as a polynomial over this table: a scalar becomes a constant,
@@ -298,8 +298,8 @@ class Polynomial(Record):
         This is a ring homomorphism: substitution of a product is the product
         of the substitutions.  Each term's image, its coefficient times powers
         of the images (each power is computed once per call; a coefficient of
-        one is not multiplied in), is added in place into one term dict, which
-        only reads the powers.
+        one is not multiplied in, and an unassigned variable's powers, of
+        coefficient one, only shift exponents), is added into one term dict.
         """
         table = self.table
         for v in images:
@@ -429,10 +429,11 @@ def _product(t1: dict, t2: dict) -> dict:
     """The term dict of the product of two term dicts.
 
     A one-term factor shifts and scales the other, and no two results share a
-    monomial.  Otherwise each factor is put over one common denominator and
-    the term products are summed as plain ints, (a1 + b1*w)(a2 + b2*w) =
-    a1*a2 - b1*b2 + (a1*b2 + b1*a2 - b1*b2)*w; each nonzero sum becomes one
-    canonical coefficient.
+    monomial; a factor of coefficient one (a variable or its power, an
+    S-polynomial multiplier) only shifts.  Otherwise each factor is put over
+    one common denominator and the term products are summed as plain ints,
+    (a1 + b1*w)(a2 + b2*w) = a1*a2 - b1*b2 + (a1*b2 + b1*a2 - b1*b2)*w; each
+    nonzero sum becomes one canonical coefficient.
     """
     if not (t1 and t2):
         return {}
@@ -440,6 +441,8 @@ def _product(t1: dict, t2: dict) -> dict:
         t1, t2 = t2, t1
     if len(t2) == 1:
         (e, c), = t2.items()
+        if c._a == c._d == 1 and not c._b:
+            return {tuple(map(add, e1, e)): c1 for e1, c1 in t1.items()}
         return {tuple(map(add, e1, e)): c1 * c for e1, c1 in t1.items()}
     d1 = lcm(*[c._d for c in t1.values()])
     d2 = lcm(*[c._d for c in t2.values()])
@@ -484,26 +487,26 @@ def render(p: Polynomial) -> str:
     pieces: list[tuple[bool, str]] = []  # (negative?, magnitude text)
     for exps, c in sorted(p.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True):
         mono = _render_monomial(p.table, exps)
+        a, b, d = c._a, c._b, c._d
         if not mono:
             # split the constant into rational and w parts so no parens are needed
-            if c.re:
-                pieces.append((c.re < 0, str(abs(c.re))))
-            if c.om:
-                mag = abs(c.om)
-                pieces.append((c.om < 0, "w" if mag == 1 else f"{mag}*w"))
+            if a:
+                pieces.append((a < 0, _part(abs(a), d)))
+            if b:
+                mag = abs(b)
+                pieces.append((b < 0, "w" if mag == d else f"{_part(mag, d)}*w"))
             continue
-        if c.is_rational():
-            neg = c.re < 0
-            mag = abs(c.re)
-            text = mono if mag == 1 else f"{mag}*{mono}"
-        elif c.re == 0:
-            neg = c.om < 0
-            mag = abs(c.om)
-            text = f"w*{mono}" if mag == 1 else f"{mag}*w*{mono}"
+        if not b:
+            neg = a < 0
+            mag = abs(a)
+            text = mono if mag == d else f"{_part(mag, d)}*{mono}"
+        elif not a:
+            neg = b < 0
+            mag = abs(b)
+            text = f"w*{mono}" if mag == d else f"{_part(mag, d)}*w*{mono}"
         else:
-            neg = c.re < 0
-            cc = -c if neg else c
-            text = f"({render_coeff(cc)})*{mono}"
+            neg = a < 0
+            text = f"({render_coeff(-c if neg else c)})*{mono}"
         pieces.append((neg, text))
     out = []
     for i, (neg, text) in enumerate(pieces):

@@ -7,7 +7,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from krcubic.coeff import Eisenstein, OMEGA, ONE
+from krcubic.coeff import Eisenstein, OMEGA, ONE, _make, render_coeff
+from krcubic.poly import Polynomial, VarTable, render
 
 from conftest import random_coeff
 
@@ -164,3 +165,89 @@ def test_matches_fraction_pair_reference(x, y):
     # the same value reached by another route has the same triple
     back = (ex + ey) - ey
     assert (back._a, back._b, back._d) == (ex._a, ex._b, ex._d)
+
+
+def test_of_builds_what_the_fraction_constructor_builds():
+    for n in (0, 1, -1, 7, -12, 10**30, True, False, Fraction(-4, 6), Fraction(5)):
+        cheap, full = Eisenstein.of(n), Eisenstein(Fraction(n))
+        assert cheap == full and hash(cheap) == hash(full)
+        assert (cheap._a, cheap._b, cheap._d) == (full._a, full._b, full._d)
+        assert all(type(part) is int for part in (cheap._a, cheap._b, cheap._d))
+    assert str(Eisenstein.of(True)) == "1"  # never "True"
+    assert Eisenstein.of(OMEGA) is OMEGA
+    with pytest.raises(TypeError, match="not a rational value"):
+        Eisenstein.of(0.5)
+
+
+# -- rendering from the triple against the Fraction formatter it replaced ---------
+
+def _ref_render_coeff(c):
+    a, b = c.re, c.om
+    if b == 0:
+        return str(a)
+    if a == 0:
+        if b == 1:
+            return "w"
+        if b == -1:
+            return "-w"
+        return f"{b}*w"
+    sign = " - " if b < 0 else " + "
+    mag = -b if b < 0 else b
+    wpart = "w" if mag == 1 else f"{mag}*w"
+    return f"{a}{sign}{wpart}"
+
+
+def _ref_render(p):
+    if p.is_zero():
+        return "0"
+    pieces = []
+    for exps, c in sorted(p.terms.items(), key=lambda t: (sum(t[0]), *[-e for e in t[0][::-1]]),
+                          reverse=True):
+        mono = "*".join(name if e == 1 else f"{name}^{e}"
+                        for name, e in zip(p.table.names, exps) if e)
+        if not mono:
+            if c.re:
+                pieces.append((c.re < 0, str(abs(c.re))))
+            if c.om:
+                mag = abs(c.om)
+                pieces.append((c.om < 0, "w" if mag == 1 else f"{mag}*w"))
+            continue
+        if c.om == 0:
+            neg, mag = c.re < 0, abs(c.re)
+            text = mono if mag == 1 else f"{mag}*{mono}"
+        elif c.re == 0:
+            neg, mag = c.om < 0, abs(c.om)
+            text = f"w*{mono}" if mag == 1 else f"{mag}*w*{mono}"
+        else:
+            neg = c.re < 0
+            text = f"({_ref_render_coeff(-c if neg else c)})*{mono}"
+        pieces.append((neg, text))
+    return "".join(("-" if neg else "") + text if i == 0 else (" - " if neg else " + ") + text
+                   for i, (neg, text) in enumerate(pieces))
+
+
+@st.composite
+def triples(draw):
+    """(a, b, d) with either part zero, a unit (+-d) or any numerator, which
+    need not be coprime to d; _make divides out the common factor."""
+    d = draw(st.integers(1, 12))
+    part = st.one_of(st.sampled_from([0, d, -d]), st.integers(-40, 40))
+    return draw(part), draw(part), d
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(triples())
+def test_render_coeff_matches_fraction_reference(t):
+    c = _make(*t)
+    assert render_coeff(c) == str(c) == _ref_render_coeff(c)
+
+
+RENDER_TABLE = VarTable(["x", "y"])
+monomials = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.dictionaries(monomials, triples(), max_size=5))
+def test_render_matches_fraction_reference(terms):
+    p = Polynomial(RENDER_TABLE, {e: _make(*t) for e, t in terms.items()})
+    assert render(p) == _ref_render(p)

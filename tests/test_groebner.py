@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from krcubic import groebner
-from krcubic.errors import GroebnerBudgetError, LaurentInputError, TableMismatchError
+from krcubic.errors import (GroebnerBudgetError, LaurentInputError, PostconditionError,
+                            TableMismatchError)
 from krcubic.groebner import (GREVLEX, MonomialOrder, buchberger,
                               clear_laurent, member, reduce, singular_at,
                               smooth_everywhere)
@@ -194,6 +195,26 @@ def test_lex_order_also_works(ring3):
     basis = buchberger([x ** 2, z ** 2 + t ** 3 + x], LEX)
     assert basis.contains(x ** 2)
     assert not basis.contains(x)
+
+
+def test_division_identity_violation_is_reported(ring3, monkeypatch):
+    # double the first coefficient that a division step builds: the loop then
+    # divides another dividend, and the identity check must notice
+    built = []
+    real = groebner._make
+
+    def perturbed(a, b, d):
+        built.append((a, b, d))
+        return real(2 * a, 2 * b, d) if len(built) == 1 else real(a, b, d)
+
+    monkeypatch.setattr(groebner, "_make", perturbed)
+    x, z, t = (ring3.var(v) for v in ("x", "z", "t"))
+    with pytest.raises(PostconditionError, match="^division identity violated$"):
+        reduce(x ** 2 * t + z, [x + z, t - 1])
+    assert built
+    monkeypatch.undo()
+    rem, cofs = reduce(x ** 2 * t + z, [x + z, t - 1])
+    assert rem + cofs[0] * (x + z) + cofs[1] * (t - 1) == x ** 2 * t + z
 
 
 def test_chain_criterion_skips_a_pair(monkeypatch):

@@ -148,3 +148,32 @@ def test_import_loads_no_slow_modules():
     assert Path(seen["file"]).resolve().parent == PACKAGE
     assert seen["before"] == []  # else the check below could not see them
     assert seen["added"] == []
+
+
+TRACE_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import tracer
+from krcubic import claims
+spans = tracer.install()
+report = claims.run_file("autgroup.krv")
+print(json.dumps({"all_pass": report.all_pass, "layers": tracer.layer_metrics(spans)}))
+"""
+
+
+def test_bench_tracer_binds_every_traced_function():
+    # install() raises if a traced kernel function is bound nowhere, or if an
+    # alias of one escapes its wrapper; it rewrites module globals, so it runs
+    # in a process of its own
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACE_PROBE, str(TESTS.parent / "bench")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["all_pass"]
+    for layer in ("coeff.mul", "poly.substitute", "groebner.reduce",
+                  "morphism.exact_divide"):
+        assert seen["layers"][f"{layer}.calls"] > 0, layer

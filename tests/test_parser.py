@@ -422,6 +422,11 @@ def _claim(body: str, expect: str = "true") -> str:
 FMT_CASES = {
     "eq": (R2 + 'claim "c" eq((1 + x)^2, 1 + 2*x + x^2) expect true;',
            R2 + _claim("eq(x^2 + 2*x + 1, x^2 + 2*x + 1)")),
+    "eq Q(w) literal product": (
+        "ring R = vars(x, t);\nlet a = x + t;\nlet b = a + (1 + w)*t;\n"
+        'claim "c" eq(b - a, (1 + w)*t) expect true;',
+        "ring R = vars(x, t);\nlet a = x + t;\nlet b = a + (1 + w)*t;\n"
+        + _claim("eq(b - a, (1 + w)*t)")),
     "eq power": (R2 + AB + 'claim "c" eq(A(x)^2 + (A(y) - x)^2, x^2 + y^2) expect true;',
                  R2 + AB_FMT + _claim("eq(A(x)^2 + (A(y) - x)^2, x^2 + y^2)")),
     "divides": (R2 + 'claim "c" divides(x^2 - 1, x + 1) expect true;',

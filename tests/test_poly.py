@@ -202,6 +202,25 @@ def test_equal_polynomials_hash_equal(ring3, ring4):
         assert len({hash(p) for p in group}) == 1
 
 
+def _triples(p):
+    return {e: (c._a, c._b, c._d) for e, c in p.terms.items()}
+
+
+def test_cheap_constructors_build_the_validated_values(ring3):
+    # var and constant wrap their term dict without a second validation
+    for i, name in enumerate(ring3.names):
+        exps = tuple(int(j == i) for j in range(ring3.arity))
+        cheap, full = ring3.var(name), Polynomial(ring3, {exps: Eisenstein(1)})
+        assert cheap == full and hash(cheap) == hash(full)
+        assert _triples(cheap) == _triples(full)
+    for n in (0, 1, -7, True, Fraction(3, -6), OMEGA, 1 - OMEGA):
+        value = n if isinstance(n, Eisenstein) else Eisenstein(Fraction(n))
+        cheap, full = ring3.constant(n), Polynomial(ring3, {(0, 0, 0): value})
+        assert cheap == full and hash(cheap) == hash(full)
+        assert _triples(cheap) == _triples(full)
+    assert str(ring3.constant(True)) == "1" and ring3.one() == 1
+
+
 def test_hash_builds_no_coefficient_hash(ring3, monkeypatch):
     def refuse(self):
         raise AssertionError("a coefficient was hashed")
