@@ -62,9 +62,6 @@ class Eisenstein:
     def __bool__(self) -> bool:
         return bool(self._a or self._b)
 
-    def is_rational(self) -> bool:
-        return self._b == 0
-
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
@@ -177,6 +174,7 @@ def _try(value) -> Eisenstein | None:
     return None
 
 
+ZERO = Eisenstein(0)
 ONE = Eisenstein(1)
 OMEGA = Eisenstein(0, 1)
 

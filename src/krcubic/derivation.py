@@ -14,8 +14,8 @@ from collections.abc import Mapping
 from .errors import (DerivationError, KrError, PostconditionError, Record,
                      UnverifiedPairError)
 from .groebner import member, reduce
-from .morphism import (QuotientRelation, RingMap, _x_coefficients, exact_divide,
-                       normal_form, verify_inverse_pair)
+from .morphism import (QuotientRelation, RingMap, exact_divide, normal_form,
+                       verify_inverse_pair)
 from .poly import Polynomial, VarTable
 
 
@@ -136,15 +136,15 @@ def theta_extract(phi: RingMap, r: Polynomial) -> Polynomial:
     are re-checked before returning.
     """
     table = phi.table
-    x, ix = table.var("x"), table.index("x")
+    x = table.var("x")
     if phi.image_of("x") != x:
         raise DerivationError("map must fix x")
 
     def slope(v: str) -> Polynomial:
-        const, linear = _x_coefficients(phi.image_of(v) - table.var(v), ix)
-        if const:
+        moved = phi.image_of(v) - table.var(v)
+        if moved.coefficient_in("x", 0):
             raise DerivationError(f"map is not the identity modulo (x) at {v!r}")
-        return linear
+        return moved.coefficient_in("x", 1)
 
     f = slope("z")
     g = slope("t")

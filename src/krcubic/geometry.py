@@ -54,13 +54,13 @@ def tangent_cone(f: Polynomial, point: Mapping[str, "Polynomial | int"]) -> Poly
     One substitution, v -> v + c, moves the point to the origin:
     f vanishes there iff no term of the result has degree 0 (parameters weigh
     0), and the terms of least degree are the cone.  A negative power of a
-    point variable raises NonUnitError, since v + c is a unit monomial only at
-    c = 0, where f has no value; at unit coordinates f must still vanish first.
+    point variable raises NonUnitError, naming the first such variable in
+    table order, since v + c is a unit monomial only at c = 0, where f has no
+    value; at unit coordinates f must still vanish first.
     """
     table = f.table
     center = _center(table, point)
-    negative = [v for exps in f.terms for v, e in zip(table.names, exps)
-                if e < 0 and v in center]
+    negative = [v for v in table.names if v in center and f.min_exponent(v) < 0]
     if negative:
         # f has a value at the point only if each such coordinate is a unit;
         # then v + c is not one, so the translation fails
@@ -70,13 +70,13 @@ def tangent_cone(f: Polynomial, point: Mapping[str, "Polynomial | int"]) -> Poly
         raise NonUnitError(f"image of {(stuck or negative)[0]!r} must be a unit "
                            f"monomial to carry negative exponents")
     g = f.substitute({v: table.var(v) + c for v, c in center.items()})
-    degree = {exps: g.weighted_degree_of_term(exps) for exps in g.terms}
+    degree = {exps: g.weighted_degree_of_term(exps) for exps, _ in g.items()}
     low = min(degree.values(), default=None)
     if low == 0:
         raise KrError("polynomial does not vanish at the given point")
     if low is None:
         raise EmptyConeError("polynomial vanishes identically after translation")
-    return Polynomial(table, {e: c for e, c in g.terms.items() if degree[e] == low})
+    return Polynomial(table, {e: c for e, c in g.items() if degree[e] == low})
 
 
 def _gram_rank(form: Polynomial) -> tuple[int, int]:
@@ -88,7 +88,7 @@ def _gram_rank(form: Polynomial) -> tuple[int, int]:
     pos = {vi: k for k, vi in enumerate(occurring)}
     gram = [[Eisenstein(0)] * n for _ in range(n)]
     half = Eisenstein(1) / 2
-    for exps, c in form.terms.items():
+    for exps, c in form.items():
         support = [(i, e) for i, e in enumerate(exps) if e and not table.is_param(table.names[i])]
         if len(support) == 1 and support[0][1] == 2:
             i = pos[support[0][0]]
@@ -143,9 +143,8 @@ def classify_quadric(form: Polynomial,
         form = form.substitute(images)
     if form.is_zero():
         raise KrError("cannot classify the zero form")
-    for exps in form.terms:
-        if form.weighted_degree_of_term(exps) != 2:
-            raise KrError("form is not homogeneous of degree 2 in its variables")
+    if not form.is_weighted_homogeneous(dict(zip(table.names, table.weights)), 2):
+        raise KrError("form is not homogeneous of degree 2 in its variables")
     for v in form.variables_used():
         if table.is_param(v):
             raise KrError(f"parameter {v!r} left unspecialized")
@@ -163,17 +162,5 @@ def graph_variable_check(f: Polynomial, v: str) -> bool:
     Then V(f) is the graph of a function of the other variables, hence
     isomorphic to an affine space.
     """
-    table = f.table
-    i = table.index(v)
-    if f.degree_in(v) != 1:
-        return False
-    linear = {}
-    for exps, c in f.terms.items():
-        if exps[i] == 1:
-            stub = list(exps)
-            stub[i] = 0
-            linear[tuple(stub)] = c
-        elif exps[i] != 0:
-            return False
-    u = Polynomial(table, linear)
-    return u.is_constant() and not u.is_zero()
+    u = f.coefficient_in(v, 1)
+    return f.degree_in(v) == 1 and f.min_exponent(v) >= 0 and u.is_constant()

@@ -10,12 +10,10 @@ Exact division and normal forms are both remainders of groebner.reduce.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from operator import add
 
-from .coeff import Eisenstein
 from .errors import ExtensionError, KrError, PostconditionError, Record
 from .groebner import MonomialOrder, clear_laurent, member, reduce
-from .poly import Polynomial, VarTable, _polynomial
+from .poly import Polynomial, VarTable
 
 
 class RingMap(Record):
@@ -122,13 +120,6 @@ def determinant(matrix: list[list[Polynomial]], table: VarTable) -> Polynomial:
     return det
 
 
-def _times_unit(p: Polynomial, shift: tuple[int, ...]) -> Polynomial:
-    """p times the Laurent monomial with exponent tuple shift."""
-    if not any(shift):
-        return p
-    return _polynomial(p.table, {tuple(map(add, e, shift)): c for e, c in p.terms.items()})
-
-
 def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial | None:
     """Return q with f == q*g if g divides f exactly, else None.
 
@@ -148,7 +139,9 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial | None:
     if rem:
         return None
     # reassemble: f = (quot * monomial(fshift - gshift)) * g
-    quot = _times_unit(quot, tuple(a - b for a, b in zip(fshift, gshift)))
+    shift = tuple(a - b for a, b in zip(fshift, gshift))
+    if any(shift):
+        quot = quot * f.table.monomial(shift)
     if quot * g != f:
         raise PostconditionError("exact quotient times divisor differs from dividend")
     return quot
@@ -172,20 +165,15 @@ class QuotientRelation(Record):
             # then distinct remainders can be congruent: under the cubic,
             # x*y and -x^-1*(z^2 + x + t^3) differ by x^-1 times the relation
             raise KrError("x and y must not be Laurent in a quotient relation")
-        head = [0] * table.arity
-        head[ix], head[iy] = 2, 1
-        head = tuple(head)
-        if relation.terms.get(head) != Eisenstein(1):
+        head = tuple(2 if v == "x" else 1 if v == "y" else 0 for v in table.names)
+        if relation.coeff(head) != 1:
             raise KrError("relation must have x^2*y with coefficient 1")
-        rest = dict(relation.terms)
-        del rest[head]
-        for exps in rest:
-            if exps[iy] != 0:
-                raise KrError("relation tail must not involve y")
+        tail = relation - table.monomial(head)  # r + x*F
+        if tail.degree_in("y") > 0:
+            raise KrError("relation tail must not involve y")
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "relation", relation)
-        # r + x*F, i.e. relation - x^2*y
-        object.__setattr__(self, "tail", Polynomial(table, rest))
+        object.__setattr__(self, "tail", tail)
         object.__setattr__(self, "order",
                            MonomialOrder("lex-y", lambda e: (e[iy], *e)))
 
@@ -203,7 +191,7 @@ def normal_form(f: Polynomial, rel: QuotientRelation) -> Polynomial:
     """
     f, shift = clear_laurent(f)
     rem, _ = reduce(f, [rel.relation], rel.order)
-    return _times_unit(rem, shift)
+    return rem * f.table.monomial(shift) if any(shift) else rem
 
 
 class Extension(Record):
@@ -215,15 +203,6 @@ class Extension(Record):
     """
 
     __slots__ = ("map", "factor", "defect")
-
-
-def _x_coefficients(p: Polynomial, ix: int) -> tuple[Polynomial, Polynomial]:
-    """The coefficients of x^0 and x^1 in p, as polynomials free of x."""
-    parts: tuple[dict, dict] = ({}, {})
-    for exps, c in p.terms.items():
-        if exps[ix] in (0, 1):
-            parts[exps[ix]][exps[:ix] + (0,) + exps[ix + 1:]] = c
-    return Polynomial(p.table, parts[0]), Polynomial(p.table, parts[1])
 
 
 def extend_to_quotient_automorphism(phi: RingMap, rel: QuotientRelation,
@@ -259,13 +238,12 @@ def extend_to_quotient_automorphism(phi: RingMap, rel: QuotientRelation,
         raise ExtensionError("base map must scale x by the given unit")
 
     tail = rel.tail
-    ix = table.index("x")
-    r, F0 = _x_coefficients(tail, ix)
+    r, F0 = tail.coefficient_in("x", 0), tail.coefficient_in("x", 1)
     if r.is_zero():
         raise ExtensionError(
             "relation tail has no x-free part r; the factor is not unique modulo x^2")
     moved = tail.substitute(phi_images)
-    A, B = _x_coefficients(moved, ix)
+    A, B = moved.coefficient_in("x", 0), moved.coefficient_in("x", 1)
 
     def divide(f: Polynomial, g: Polynomial) -> Polynomial:
         q = exact_divide(f, g)

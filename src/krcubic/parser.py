@@ -143,9 +143,9 @@ class Lit(Record):
     def render(self, prec: int = 0) -> str:
         text = render(self.value)
         # a top-level sum or a leading '-'; a one-term Q(w) coefficient has its own
-        needs = prec >= 1 and (len(self.value.terms) > 1 or text.startswith("-") or (
+        needs = prec >= 1 and (len(self.value) > 1 or text.startswith("-") or (
             self.value.is_constant() and (" + " in text or " - " in text)))
-        if prec >= 3 and len(self.value.terms) == 1:
+        if prec >= 3 and len(self.value) == 1:
             # single term that is itself a product still needs parens under ^
             needs = needs or "*" in text or "^" in text
         return f"({text})" if needs else text
@@ -332,7 +332,7 @@ class Parser:
             self.error(f"{name!r} is a reserved word", name_tok)
         if name in self.unit.env or name in self.unit.rings:
             self.error(f"duplicate name {name!r}", name_tok)
-        if self.current_ring is not None and name in self.table()._index:
+        if self.current_ring is not None and name in self.table().names:
             self.error(f"{name!r} collides with a ring variable", name_tok)
         if kind == "ring":
             decl = Decl(kind, name, None, body, None, None)
@@ -363,7 +363,7 @@ class Parser:
 
     def variable(self) -> str:
         tok = self.ident("variable name")
-        if tok.text not in self.table()._index:
+        if tok.text not in self.table().names:
             self.error(f"unknown variable {tok.text!r}", tok)
         return tok.text
 
@@ -431,7 +431,7 @@ class Parser:
         if name in BUILTINS:
             return Builtin(name, self.arguments(name, BUILTINS[name]))
         table = self.table()
-        if name in table._index:
+        if name in table.names:
             return Lit(table.var(name))
         decl = self.lookup(tok)
         if decl.kind == "poly":
@@ -499,6 +499,8 @@ class Parser:
                 self.error(f"{tok.text!r} is reserved and cannot be a variable", tok)
             if tok.text in names:
                 self.error(f"duplicate variable {tok.text!r}", tok)
+            if tok.text in self.unit.env or tok.text in self.unit.rings:
+                self.error(f"{tok.text!r} collides with a declared name", tok)
             names.append(tok.text)
         for flagged in laurent + params:
             if flagged.text not in names:

@@ -6,7 +6,10 @@ parameter: a symbolic constant that counts for degree 0 in the weighted
 degree, by which geometry.tangent_cone takes the lowest homogeneous part.
 Polynomials are immutable dictionaries from exponent tuples to nonzero
 Eisenstein coefficients; equality of the term maps is equality of
-polynomials.
+polynomials.  That dictionary, `.terms`, belongs to the kernel (this module
+and groebner.py): every other module reads a polynomial only through
+len(p), p.items(), p.coeff(exps), p.coefficient_in(name, k) and the other
+queries, and builds a monomial with VarTable.monomial.
 
 The canonical term order used for printing and leading terms is graded
 reverse lexicographic over the table order.
@@ -19,7 +22,7 @@ from fractions import Fraction
 from math import lcm
 from operator import add
 
-from .coeff import ONE, Eisenstein, _make, _part, render_coeff
+from .coeff import ONE, ZERO, Eisenstein, _make, _part, render_coeff
 from .errors import (
     KrError,
     NegativeExponentError,
@@ -118,6 +121,11 @@ class VarTable(Record):
         e[i] = 1
         return _polynomial(self, {tuple(e): ONE})
 
+    def monomial(self, exps: Iterable[int]) -> "Polynomial":
+        """The monomial of coefficient one with this exponent tuple; the
+        arity and any negative exponent are checked as in Polynomial()."""
+        return Polynomial(self, {tuple(exps): ONE})
+
     def coerce(self, value) -> "Polynomial":
         """value as a polynomial over this table: a scalar becomes a constant,
         and a polynomial over another table raises TableMismatchError.  This
@@ -164,6 +172,25 @@ class Polynomial(Record):
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __len__(self):
+        """The number of terms."""
+        return len(self.terms)
+
+    def items(self):
+        """The (exponent tuple, coefficient) pairs of the terms."""
+        return self.terms.items()
+
+    def coeff(self, exps: tuple[int, ...]) -> Eisenstein:
+        """The coefficient of the monomial with exponent tuple exps; zero if absent."""
+        return self.terms.get(tuple(exps), ZERO)
+
+    def coefficient_in(self, name: str, k: int) -> "Polynomial":
+        """The coefficient of name^k, a polynomial free of name: p is the sum
+        over k of p.coefficient_in(name, k) * name^k."""
+        i = self.table.index(name)
+        return _polynomial(self.table, {exps[:i] + (0,) + exps[i + 1:]: c
+                                        for exps, c in self.terms.items() if exps[i] == k})
 
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in exps) for exps in self.terms)

@@ -105,6 +105,24 @@ def test_cone_rejects_negative_powers_of_point_variables(cylinder_ring):
         tangent_cone(x + t ** -1, {"x": 0, "y": 0, "z": 0, "t": 1, "v": 0})
 
 
+def test_cone_names_the_first_negative_point_variable_in_table_order():
+    T = VarTable(["x", "t", "u"], laurent=["t", "u"])
+    x, t, u = T.var("x"), T.var("t"), T.var("u")
+    # the u term comes first in the term dict, but t comes first in the table
+    f = Polynomial(T, {(1, 0, -1): 1, (1, -1, 0): 1})
+    assert f == x * u ** -1 + x * t ** -1
+    message = "image of 't' must be a unit monomial"
+    with pytest.raises(NonUnitError, match=message):
+        tangent_cone(f, {"x": 0, "t": 0, "u": 0})
+    # with both coordinates units f has a value at the point, here 0, and the
+    # error still names t
+    with pytest.raises(NonUnitError, match=message):
+        tangent_cone(f - x - x, {"x": 1, "t": 1, "u": 1})
+    # only u is stuck, so the error names u
+    with pytest.raises(NonUnitError, match="image of 'u'"):
+        tangent_cone(x * u ** -1 + x * t ** -1, {"x": 0, "t": 1, "u": 0})
+
+
 def test_cone_substitutes_once(monkeypatch):
     calls = []
     substitute = Polynomial.substitute
@@ -271,3 +289,8 @@ def test_graph_variable_needs_unit_coefficient():
     assert not graph_variable_check(4 * y ** 2 + y + z, "y")
     # a parameter times y is not a unit
     assert not graph_variable_check(T.var("c") * y + z, "y")
+    # a negative power of the graph variable is not a graph
+    L = VarTable(["z", "t"], laurent=["t"])
+    t = L.var("t")
+    assert not graph_variable_check(2 * t + t ** -1 + L.var("z"), "t")
+    assert graph_variable_check(2 * t + L.var("z"), "t")

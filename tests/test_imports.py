@@ -67,19 +67,55 @@ def _defined(node) -> set[str]:
 
 def test_every_export_is_used_in_the_package():
     # a public name only the tests reach is dead weight in the kernel: every
-    # export, and every public top-level name of a module, is used in the package
-    used, public = set(), set()
+    # export, every public top-level name of a module and every public method
+    # of a class is used in the package, a method by an attribute read of its name
+    used, public, methods, read = set(), set(), set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         if path == PACKAGE / "__init__.py":
             continue
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            refs = _referenced(node) | set(_imported(node))
-            refs |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
-            used |= refs - _defined(node)
+            attrs = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            read |= {n.attr for n in ast.walk(node)
+                     if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+            used |= (_referenced(node) | set(_imported(node)) | attrs) - _defined(node)
             public |= {(path.stem, name) for name in _defined(node) if not name.startswith("_")}
+            if isinstance(node, ast.ClassDef):
+                methods |= {(path.stem, node.name, item.name) for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_")}
     unused = sorted(set(krcubic.__all__) - used)
     unused += sorted(f"{module}.{name}" for module, name in public if name not in used)
+    unused += sorted(f"{module}.{cls}.{name}" for module, cls, name in methods
+                     if name not in read)
     assert not unused, unused
+
+
+# Only the kernel reads a polynomial's term dict, a coefficient's int triple
+# or a table's name index; every other module goes through the accessors
+KERNEL = {"coeff", "poly", "groebner"}
+REPRESENTATION = {"terms", "_a", "_b", "_d", "_index"}
+# every private name that one package module imports from another
+PRIVATE_IMPORTS = {
+    ("poly", "coeff", "_make"), ("poly", "coeff", "_part"),
+    ("groebner", "coeff", "_make"),
+    ("groebner", "poly", "_add_into"), ("groebner", "poly", "_polynomial"),
+    ("groebner", "poly", "_product"),
+    ("groebner", "geometry", "_center"),  # singular_at stays in groebner
+}
+
+
+def test_only_the_kernel_reads_the_representation():
+    reads, private = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.stem not in KERNEL:
+            reads += [f"{path.name}:{n.lineno}: .{n.attr}" for n in ast.walk(tree)
+                      if isinstance(n, ast.Attribute) and n.attr in REPRESENTATION]
+        private |= {(path.stem, node.module, alias.name) for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level
+                    for alias in node.names if alias.name.startswith("_")}
+    assert not reads, reads
+    assert private == PRIVATE_IMPORTS
 
 
 def _transport_sites(node, scope=()):

@@ -383,8 +383,10 @@ def test_relation_shape_is_validated(ring4):
     x, y, z = (ring4.var(n) for n in "xyz")
     with pytest.raises(KrError):
         QuotientRelation(2 * x ** 2 * y + z ** 2)  # head coefficient not 1
-    with pytest.raises(KrError):
-        QuotientRelation(x ** 2 * y + y * z)  # tail may not involve y
+    with pytest.raises(KrError, match="relation tail must not involve y"):
+        QuotientRelation(x ** 2 * y + y * z)
+    with pytest.raises(KrError, match="relation tail must not involve y"):
+        QuotientRelation(x ** 2 * y + x ** 2 * y * z)
     with pytest.raises(KrError):
         QuotientRelation(z ** 2)  # no head monomial at all
     T3 = VarTable(["x", "z", "t"])

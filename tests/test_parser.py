@@ -62,6 +62,17 @@ def test_variable_shadowing_rejected():
         parse_unit("ring R = vars(x);\nlet x = 1;")
 
 
+def test_ring_variable_may_not_hide_a_declared_name():
+    # else p would read as B's variable from here on, not as the let
+    with pytest.raises(ParseError) as info:
+        parse_unit("ring A = vars(x, z);\nlet p = x + 1;\nring B = vars(p, x);\n"
+                   'claim "c" eq(p, x + 1) expect true;')
+    assert "'p' collides with a declared name" in str(info.value)
+    assert (info.value.line, info.value.col) == (3, 15)
+    with pytest.raises(ParseError, match="'A' collides with a declared name"):
+        parse_unit("ring A = vars(x);\nring B = vars(y, A);")
+
+
 def test_w_is_reserved():
     with pytest.raises(ParseError):
         parse_unit("ring R = vars(w);")

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from krcubic.coeff import OMEGA, Eisenstein
 from krcubic.derivation import Derivation, substitute_parameter, theta_extract
@@ -182,6 +183,45 @@ def test_transport_by_name(ring3, ring4):
     assert g == ring4.var("z") ** 2 + ring4.var("t") ** 3 + ring4.var("x")
     with pytest.raises(KrError):
         cubic_poly(ring4).transport(ring3)  # y does not exist downstairs
+
+
+# -- accessors ------------------------------------------------------------------
+
+LAURENT = VarTable(["x", "t", "c"], laurent=["t"], params=["c"])
+fracs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+laurent_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(-2, 2), st.integers(0, 2)),
+    st.builds(Eisenstein, fracs, fracs), max_size=6,
+).map(lambda terms: Polynomial(LAURENT, terms))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(laurent_polys)
+def test_coefficients_in_a_variable_sum_back_to_the_polynomial(p):
+    for v in LAURENT.names:
+        total = LAURENT.zero()
+        for k in range(p.min_exponent(v), p.degree_in(v) + 1):
+            part = p.coefficient_in(v, k)
+            assert v not in part.variables_used()
+            total = total + part * LAURENT.var(v) ** k
+        assert total == p
+    assert len(p) == len(list(p.items()))
+    assert all(p.coeff(exps) == c for exps, c in p.items())
+
+
+def test_monomial_coeff_and_len(cylinder_ring):
+    x, t = vars_of(cylinder_ring, "x", "t")
+    assert cylinder_ring.monomial((1, 0, 0, -2, 0)) == x * t ** -2
+    assert cylinder_ring.monomial([0] * 5) == cylinder_ring.one()
+    with pytest.raises(KrError, match="arity"):
+        cylinder_ring.monomial((1, 0))
+    with pytest.raises(NegativeExponentError, match="'x'"):
+        cylinder_ring.monomial((-1, 0, 0, 0, 0))
+    f = 3 * x * t ** -2 + OMEGA
+    assert f.coeff((1, 0, 0, -2, 0)) == 3 and f.coeff([0] * 5) == OMEGA
+    assert f.coeff((1, 0, 0, 0, 0)) == 0  # absent
+    assert len(f) == 2 and len(cylinder_ring.zero()) == 0
+    assert f.coefficient_in("t", -2) == 3 * x and f.coefficient_in("t", 1).is_zero()
 
 
 # -- hashing --------------------------------------------------------------------
