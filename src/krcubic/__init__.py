@@ -9,8 +9,8 @@ inequivalent embeddings and its cylinder.
 
 from .coeff import Eisenstein, OMEGA
 from .poly import Polynomial, VarTable, render
-from .groebner import (GREVLEX, GroebnerBasis, MonomialOrder, buchberger, member,
-                       reduce, smooth_everywhere, singular_at)
+from .groebner import (GroebnerBasis, buchberger, member, reduce,
+                       smooth_everywhere, singular_at)
 from .morphism import (Extension, QuotientRelation, RingMap, compose,
                        exact_divide, extend_to_quotient_automorphism, jacobian,
                        normal_form, verify_inverse_pair)
@@ -28,8 +28,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Eisenstein", "OMEGA",
     "Polynomial", "VarTable", "render",
-    "GREVLEX", "GroebnerBasis", "MonomialOrder", "buchberger", "member",
-    "reduce", "smooth_everywhere", "singular_at",
+    "GroebnerBasis", "buchberger", "member", "reduce",
+    "smooth_everywhere", "singular_at",
     "Extension", "QuotientRelation", "RingMap", "compose", "exact_divide",
     "extend_to_quotient_automorphism", "jacobian", "normal_form",
     "verify_inverse_pair",

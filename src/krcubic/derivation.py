@@ -13,10 +13,10 @@ from collections.abc import Mapping
 
 from .errors import (DerivationError, KrError, PostconditionError, Record,
                      UnverifiedPairError)
-from .groebner import member, reduce
+from .groebner import member
 from .morphism import (QuotientRelation, RingMap, exact_divide, normal_form,
                        verify_inverse_pair)
-from .poly import Polynomial, VarTable
+from .poly import Polynomial, VarTable, reduce
 
 
 class Derivation(Record):

@@ -4,7 +4,7 @@ A RingMap stores one image polynomial per non-parameter variable (parameters
 are symbolic constants and always map to themselves).  Composition, inverse
 pair verification modulo ideals, Jacobians, exact division, quotient-ring
 normal forms and the automorphism-extension construction all live here.
-Exact division and normal forms are both remainders of groebner.reduce.
+Exact division and normal forms are both remainders of poly.reduce.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import ExtensionError, KrError, PostconditionError, Record
-from .groebner import MonomialOrder, clear_laurent, member, reduce
-from .poly import Polynomial, VarTable
+from .groebner import member
+from .poly import Polynomial, VarTable, clear_laurent, reduce
 
 
 class RingMap(Record):
@@ -174,8 +174,7 @@ class QuotientRelation(Record):
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "relation", relation)
         object.__setattr__(self, "tail", tail)
-        object.__setattr__(self, "order",
-                           MonomialOrder("lex-y", lambda e: (e[iy], *e)))
+        object.__setattr__(self, "order", lambda e: (e[iy], *e))
 
     def __repr__(self):
         return f"QuotientRelation({self.relation})"

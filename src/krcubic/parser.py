@@ -765,7 +765,7 @@ def format_unit(unit: SourceUnit) -> str:
             tail = f" mod {_fmt_argument('ideals', item.ideals)}" if item.ideals else ""
             out.append(f"inverse{_fmt_arguments(INVERSE, (item.first, item.second))}{tail};")
         elif isinstance(item, ClaimDecl):
-            anchor = f'\n  anchor "{item.anchor}"' if item.anchor else ""
+            anchor = f'\n  anchor "{item.anchor}"' if item.anchor is not None else ""
             out.append(f'claim "{item.label}"\n'
                        f'  {item.kind}{_fmt_arguments(CLAIMS[item.kind], item.args)}{anchor}\n'
                        f'  expect {"true" if item.expect else "false"};')

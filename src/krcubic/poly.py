@@ -7,26 +7,34 @@ degree, by which geometry.tangent_cone takes the lowest homogeneous part.
 Polynomials are immutable dictionaries from exponent tuples to nonzero
 Eisenstein coefficients; equality of the term maps is equality of
 polynomials.  That dictionary, `.terms`, belongs to the kernel (this module
-and groebner.py): every other module reads a polynomial only through
-len(p), p.items(), p.coeff(exps), p.coefficient_in(name, k) and the other
-queries, and builds a monomial with VarTable.monomial.
+and coeff.py): every other module reads a polynomial only through len(p),
+p.items(), p.coeff(exps), p.coefficient_in(name, k) and the other queries,
+and builds a monomial with VarTable.monomial.
 
-The canonical term order used for printing and leading terms is graded
-reverse lexicographic over the table order.
+Multivariate division with remainder (reduce) and the Laurent-content split
+(clear_laurent) live here too, the one division loop of the package.
+
+A monomial order is a key function: it maps an exponent tuple to a flat
+tuple of ints, and a larger key is a larger monomial.  The canonical order,
+used for printing and as the default for leading terms and division, is
+graded reverse lexicographic over the table order (grevlex_key).
 """
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import lcm
-from operator import add
+from operator import add, le, sub
 
 from .coeff import ONE, ZERO, Eisenstein, _make, _part, render_coeff
 from .errors import (
     KrError,
+    LaurentInputError,
     NegativeExponentError,
     NonUnitError,
+    PostconditionError,
     Record,
     TableMismatchError,
 )
@@ -196,16 +204,14 @@ class Polynomial(Record):
         return all(all(e == 0 for e in exps) for exps in self.terms)
 
     def degree_in(self, name: str) -> int:
-        if not self.terms:
-            return -1
+        """The largest exponent of name; -1 for the zero polynomial."""
         i = self.table.index(name)
-        return max(e[i] for e in self.terms)
+        return max((e[i] for e in self.terms), default=-1)
 
     def min_exponent(self, name: str) -> int:
-        if not self.terms:
-            return 0
+        """The smallest exponent of name; 0 for the zero polynomial."""
         i = self.table.index(name)
-        return min(e[i] for e in self.terms)
+        return min((e[i] for e in self.terms), default=0)
 
     def variables_used(self) -> tuple[str, ...]:
         used = set()
@@ -493,6 +499,108 @@ def _product(t1: dict, t2: dict) -> dict:
             re[e] = get(e, 0) + a1 * a2 - bb
             om[e] = oget(e, 0) + a1 * b2 + b1 * a2 - bb
     return {e: _make(a, om[e], d) for e, a in re.items() if a or om[e]}
+
+
+def _require_polynomial(f: Polynomial, what: str):
+    # only a Laurent variable can carry a negative exponent
+    if any(f.table.laurent) and min(map(min, f.terms), default=0) < 0:
+        raise LaurentInputError(
+            f"{what} carries negative exponents; clear Laurent denominators first")
+
+
+def reduce(f: Polynomial, gens: list[Polynomial],
+           order=grevlex_key) -> tuple[Polynomial, list[Polynomial]]:
+    """Division with remainder under the monomial order `order` (a key
+    function): f = sum(cofactor_i * gens_i) + remainder.
+
+    No remainder monomial is divisible by any generator's leading monomial.
+    Inputs must carry no negative exponents (LaurentInputError otherwise;
+    see clear_laurent).  The representation identity is checked on every
+    call; PostconditionError reports a violation.
+    """
+    _require_polynomial(f, "dividend")
+    table = f.table
+    gens = [table.coerce(g) for g in gens]
+    lead = []
+    tails = []
+    for g in gens:
+        if g.is_zero():
+            raise ZeroDivisionError("zero divisor in reduce()")
+        _require_polynomial(g, "divisor")
+        gm, gc = g.leading_term(order)
+        lead.append((gm, None if gc == ONE else gc.inverse()))
+        # the tail, negated: each step adds q times it into the dividend
+        tails.append([(e, -c._a, -c._b, c._d) for e, c in g.terms.items() if e != gm])
+
+    # Max-heap of the working dividend's monomials, as a min-heap of flat
+    # tuples (negated order key, exponents).  A monomial that cancels keeps
+    # its entry (lazy deletion), so a popped monomial missing from work is
+    # skipped.  Each step takes the largest monomial of work and only adds
+    # smaller ones, so no monomial comes back once it has been taken.
+    push = heapq.heappush
+    work = dict(f.terms)
+    heap = [(*[-k for k in order(e)], e) for e in work]
+    heapq.heapify(heap)
+    cof_terms: list[dict] = [{} for _ in gens]
+    rem_terms: dict = {}
+    while heap:
+        lt_exps = heapq.heappop(heap)[-1]
+        lt_c = work.pop(lt_exps, None)
+        if lt_c is None:
+            continue
+        for i, (gm, gc_inv) in enumerate(lead):
+            if all(map(le, gm, lt_exps)):
+                q_exps = tuple(map(sub, lt_exps, gm))
+                q_c = lt_c if gc_inv is None else lt_c * gc_inv
+                cof_terms[i][q_exps] = q_c
+                qa, qb, qd = q_c._a, q_c._b, q_c._d
+                # work[e] += q * t in one _make: (qa + qb*w)(ta + tb*w)/(qd*td)
+                for ge, ta, tb, td in tails[i]:
+                    e = tuple(map(add, q_exps, ge))
+                    bb = qb * tb
+                    pa = qa * ta - bb
+                    pb = qa * tb + qb * ta - bb
+                    pd = qd * td
+                    got = work.get(e)
+                    if got is None:
+                        work[e] = _make(pa, pb, pd)
+                        push(heap, (*[-k for k in order(e)], e))
+                        continue
+                    wd = got._d
+                    if wd == pd:
+                        na, nb = got._a + pa, got._b + pb
+                    else:
+                        na, nb, pd = got._a * pd + pa * wd, got._b * pd + pb * wd, wd * pd
+                    if na or nb:
+                        work[e] = _make(na, nb, pd)
+                    else:
+                        del work[e]
+                break
+        else:
+            rem_terms[lt_exps] = lt_c
+    recombined = dict(rem_terms)
+    for t, g in zip(cof_terms, gens):
+        _add_into(recombined, _product(t, g.terms))
+    if recombined != f.terms:
+        raise PostconditionError("division identity violated")
+    return _polynomial(table, rem_terms), [_polynomial(table, t) for t in cof_terms]
+
+
+def clear_laurent(f: Polynomial) -> tuple[Polynomial, tuple[int, ...]]:
+    """Divide f by its Laurent content, the monomial of each Laurent
+    variable's smallest exponent in f.
+
+    Returns the stripped polynomial and the content's exponent tuple (the
+    shift), so f == stripped * monomial(shift).  Laurent monomials are units,
+    so stripping changes neither divisibility nor ideal membership there.
+    """
+    table = f.table
+    shift = tuple(min(e[i] for e in f.terms) if lau and f.terms else 0
+                  for i, lau in enumerate(table.laurent))
+    if not any(shift):
+        return f, shift
+    return _polynomial(table, {tuple(map(sub, e, shift)): c
+                               for e, c in f.terms.items()}), shift
 
 
 def _render_monomial(table: VarTable, exps: tuple[int, ...]) -> str:

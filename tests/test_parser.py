@@ -130,6 +130,21 @@ def test_fmt_idempotent_on_shipped_manifests():
         assert once == twice, name
 
 
+def test_report_survives_a_round_trip_through_fmt():
+    # an empty anchor is an anchor: the report reads "" for it, not null
+    text = ('ring R = vars(x);\n'
+            'claim "a" eq(x, x) anchor "" expect true;\n'
+            'claim "b" eq(x, x) expect true;\n'
+            'claim "c" eq(x, 2*x) anchor "doubled" expect false;\n')
+    masked = lambda report: re.sub(r'"millis": \d+', '"millis": 0', report.to_json())
+    before = masked(run_text(text))
+    assert '"anchor": ""' in before and '"anchor": null' in before
+    assert masked(run_text(format_unit(parse_unit(text)))) == before
+    for name in SHIPPED_MANIFESTS:
+        text = manifest_path(name).read_text(encoding="utf-8")
+        assert masked(run_text(format_unit(parse_unit(text)))) == masked(run_text(text)), name
+
+
 def test_ring_spec_parser():
     T = parse_unit("ring R = vars(x, y, z, t, c0 ; laurent t ; param c0);").rings["R"]
     assert T.names == ("x", "y", "z", "t", "c0")

@@ -166,6 +166,12 @@ def test_laurent_derivative(cylinder_ring):
 def test_unknown_variable_rejected(ring4):
     with pytest.raises(KrError):
         cubic_poly(ring4).diff("nope")
+    # the name is looked up before the zero polynomial's answer is given
+    for p in (cubic_poly(ring4), ring4.zero()):
+        for query in (p.degree_in, p.min_exponent, p.diff):
+            with pytest.raises(KrError, match="unknown variable 'nope'"):
+                query("nope")
+    assert (ring4.zero().degree_in("x"), ring4.zero().min_exponent("x")) == (-1, 0)
 
 
 def test_weighted_homogeneity(ring4):
