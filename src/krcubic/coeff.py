@@ -4,24 +4,50 @@ An element is stored as three Python ints (a, b, d), meaning (a + b*w)/d,
 with gcd(a, b, d) = 1 and d > 0; products use the defining relation
 w^2 = -1 - w.  That form is unique, so structural equality is mathematical
 equality.  Every result is built by one private constructor, _make, which
-divides out the common factor; the kernel's hot loops build the triple
-directly, and of(int) and rendering never leave it.  Fraction appears only at
-the edges: Eisenstein(re, om) takes ints and Fractions, the parts read back
-as the Fractions re and om, and the parser builds p/q literals from one.
+divides out the common factor.
+
+Eisenstein is the scalar at the kernel's edges: a polynomial (poly.py) keeps
+its coefficients as int pairs over one denominator and builds an Eisenstein
+only when one is read out.  Fraction appears only at the outer edge, and this
+module never imports it at start-up: Eisenstein(re, om) takes ints and
+Fractions, the parts read back as the Fractions re and om (imported when
+first read), and a value hashes as its Fraction or Fraction pair would.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from math import gcd
 
+_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+
+def _ratio(x) -> tuple[int, int] | None:
+    """The numerator and denominator of an int or a Fraction, else None."""
     if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"not a rational value: {x!r}")
+        return int(x), 1
+    # a Fraction exists only once its caller has imported fractions
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(x, fractions.Fraction):
+        return x.numerator, x.denominator
+    return None
+
+
+def _fraction_hash(n: int, d: int) -> int:
+    """hash(Fraction(n, d)) for d > 0, by Fraction.__hash__'s rule: |n| times
+    the inverse of d modulo the hash modulus, or the hash of infinity when d
+    has no inverse, signed as n."""
+    if d == 1:
+        return hash(n)
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    try:
+        h = hash(hash(abs(n)) * pow(d, -1, _MODULUS))
+    except ValueError:
+        h = _HASH_INF
+    h = h if n >= 0 else -h
+    return -2 if h == -1 else h
 
 
 class Eisenstein:
@@ -33,20 +59,25 @@ class Eisenstein:
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, om=0):
-        re, om = _frac(re), _frac(om)
+        r, o = _ratio(re), _ratio(om)
+        if r is None or o is None:
+            raise TypeError(f"not a rational value: {(re if r is None else om)!r}")
+        (ra, rd), (oa, od) = r, o
         # Over the lcm of two reduced denominators no prime divides a, b and
         # d at once, so the triple is already canonical.
-        d = re.denominator * om.denominator // gcd(re.denominator, om.denominator)
-        self._a = re.numerator * (d // re.denominator)
-        self._b = om.numerator * (d // om.denominator)
+        d = rd * od // gcd(rd, od)
+        self._a = ra * (d // rd)
+        self._b = oa * (d // od)
         self._d = d
 
     @property
-    def re(self) -> Fraction:
+    def re(self) -> "Fraction":
+        from fractions import Fraction
         return Fraction(self._a, self._d)
 
     @property
-    def om(self) -> Fraction:
+    def om(self) -> "Fraction":
+        from fractions import Fraction
         return Fraction(self._b, self._d)
 
     @staticmethod
@@ -135,9 +166,10 @@ class Eisenstein:
     def __hash__(self):
         # The hash of the Fraction pair: a rational hashes like its Fraction,
         # and sets and dicts of coefficients keep their iteration order.
+        re = _fraction_hash(self._a, self._d)
         if self._b == 0:
-            return hash(self.re)
-        return hash((self.re, self.om))
+            return re
+        return hash((re, _fraction_hash(self._b, self._d)))
 
     def __repr__(self):
         return f"Eisenstein({self.re!r}, {self.om!r})"
@@ -167,11 +199,8 @@ def _make(a: int, b: int, d: int) -> Eisenstein:
 def _try(value) -> Eisenstein | None:
     if isinstance(value, Eisenstein):
         return value
-    if isinstance(value, int):
-        return _make(int(value), 0, 1)
-    if isinstance(value, Fraction):
-        return _make(value.numerator, 0, value.denominator)
-    return None
+    q = _ratio(value)
+    return None if q is None else _make(q[0], 0, q[1])
 
 
 ZERO = Eisenstein(0)

@@ -44,9 +44,8 @@ read is a Ref node, read by variable name into the ring that evaluates it.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
-from .coeff import OMEGA
+from .coeff import OMEGA, _make
 from .errors import KrError, ParseError, Record
 from .poly import Polynomial, VarTable, render
 from .geometry import CONE_TAGS
@@ -414,7 +413,7 @@ class Parser:
                 self.next()
                 if int(den_tok.text) == 0:
                     self.error("zero denominator", den_tok)
-                return Lit(self.table().constant(Fraction(num, int(den_tok.text))))
+                return Lit(self.table().constant(_make(num, 0, int(den_tok.text))))
             return Lit(self.table().constant(num))
         if tok.kind == "punct" and tok.text == "(":
             self.next()

@@ -4,15 +4,22 @@ A VarTable fixes an ordered set of variable names together with per-variable
 Laurent flags (negative exponents allowed) and weights.  Weight 0 marks a
 parameter: a symbolic constant that counts for degree 0 in the weighted
 degree, by which geometry.tangent_cone takes the lowest homogeneous part.
-Polynomials are immutable dictionaries from exponent tuples to nonzero
-Eisenstein coefficients; equality of the term maps is equality of
-polynomials.  That dictionary, `.terms`, belongs to the kernel (this module
-and coeff.py): every other module reads a polynomial only through len(p),
+A polynomial is immutable.  It stores one positive denominator `den` and a
+dictionary `terms` from exponent tuples to nonzero int pairs (a, b), the
+coefficient of that monomial being (a + b*w)/den.  It is kept in lowest
+terms: gcd(den, every a, every b) = 1, and zero has den 1.  That form is
+unique, so equality of (den, terms) is equality of polynomials.  Arithmetic
+works on the ints, with at most one gcd per result; an Eisenstein (coeff.py)
+is built only at the edges: items(), coeff(), leading_term(), the public
+constructor Polynomial(table, {exps: coefficient}), a constant's hash and
+rendering.  `den` and `terms` belong to the kernel (this module and
+coeff.py): every other module reads a polynomial only through len(p),
 p.items(), p.coeff(exps), p.coefficient_in(name, k) and the other queries,
 and builds a monomial with VarTable.monomial.
 
 Multivariate division with remainder (reduce) and the Laurent-content split
-(clear_laurent) live here too, the one division loop of the package.
+(clear_laurent) live here too, the one division loop of the package; reduce
+keeps a lowest-terms triple (a, b, d) per term while it runs.
 
 A monomial order is a key function: it maps an exponent tuple to a flat
 tuple of ints, and a larger key is a larger monomial.  The canonical order,
@@ -24,11 +31,10 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Iterable, Mapping
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, le, sub
 
-from .coeff import ONE, ZERO, Eisenstein, _make, _part, render_coeff
+from .coeff import ONE, ZERO, Eisenstein, _make, _part, _try, render_coeff
 from .errors import (
     KrError,
     LaurentInputError,
@@ -114,20 +120,22 @@ class VarTable(Record):
     # -- constructors over this table ---------------------------------------
 
     def zero(self) -> "Polynomial":
-        return Polynomial(self, {})
+        return _polynomial(self, 1, {})
 
     def one(self) -> "Polynomial":
         return self.constant(1)
 
     def constant(self, c) -> "Polynomial":
         c = Eisenstein.of(c)
-        return _polynomial(self, {(0,) * self.arity: c} if c else {})
+        if not c:
+            return self.zero()
+        return _polynomial(self, c._d, {(0,) * self.arity: (c._a, c._b)})
 
     def var(self, name: str) -> "Polynomial":
         i = self.index(name)
         e = [0] * self.arity
         e[i] = 1
-        return _polynomial(self, {tuple(e): ONE})
+        return _polynomial(self, 1, {tuple(e): (1, 0)})
 
     def monomial(self, exps: Iterable[int]) -> "Polynomial":
         """The monomial of coefficient one with this exponent tuple; the
@@ -139,12 +147,13 @@ class VarTable(Record):
         and a polynomial over another table raises TableMismatchError.  This
         is the one table check; crossing tables takes an explicit transport."""
         if isinstance(value, Polynomial):
-            if value.table != self:
+            if value.table is not self and value.table != self:
                 raise TableMismatchError(f"tables differ: {self!r} vs {value.table!r}")
             return value
-        if isinstance(value, (int, Fraction, Eisenstein)):
-            return self.constant(value)
-        raise TypeError(f"cannot combine polynomial with {value!r}")
+        c = _try(value)
+        if c is None:
+            raise TypeError(f"cannot combine polynomial with {value!r}")
+        return self.constant(c)
 
 
 def _check_exponents(table: VarTable, exps: tuple[int, ...]):
@@ -155,13 +164,18 @@ def _check_exponents(table: VarTable, exps: tuple[int, ...]):
 
 
 class Polynomial(Record):
-    """Sparse polynomial: exponent tuple -> nonzero coefficient."""
+    """Sparse polynomial: exponent tuple -> nonzero coefficient.
 
-    __slots__ = ("table", "terms", "_hash")
+    The coefficient of exps is (a + b*w)/den for terms[exps] = (a, b), in
+    lowest terms over the whole polynomial (see the module docstring).
+    """
+
+    __slots__ = ("table", "den", "terms", "_hash")
 
     def __init__(self, table: VarTable, terms: Mapping[tuple[int, ...], Eisenstein]):
         clean = {}
         for exps, c in terms.items():
+            c = Eisenstein.of(c)
             if not c:
                 continue
             exps = tuple(exps)
@@ -169,9 +183,11 @@ class Polynomial(Record):
                 raise KrError("exponent tuple arity mismatch")
             _check_exponents(table, exps)
             clean[exps] = c
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+        # over the lcm of denominators in lowest terms the pairs are already
+        # in lowest terms, as in Eisenstein(re, om)
+        den = lcm(*[c._d for c in clean.values()])
+        super().__init__(table, den, {e: (c._a * (den // c._d), c._b * (den // c._d))
+                                      for e, c in clean.items()}, None)
 
     # -- basic queries -------------------------------------------------------
 
@@ -185,20 +201,22 @@ class Polynomial(Record):
         """The number of terms."""
         return len(self.terms)
 
-    def items(self):
+    def items(self) -> list[tuple[tuple[int, ...], Eisenstein]]:
         """The (exponent tuple, coefficient) pairs of the terms."""
-        return self.terms.items()
+        d = self.den
+        return [(e, _make(a, b, d)) for e, (a, b) in self.terms.items()]
 
     def coeff(self, exps: tuple[int, ...]) -> Eisenstein:
         """The coefficient of the monomial with exponent tuple exps; zero if absent."""
-        return self.terms.get(tuple(exps), ZERO)
+        pair = self.terms.get(tuple(exps))
+        return ZERO if pair is None else _make(*pair, self.den)
 
     def coefficient_in(self, name: str, k: int) -> "Polynomial":
         """The coefficient of name^k, a polynomial free of name: p is the sum
         over k of p.coefficient_in(name, k) * name^k."""
         i = self.table.index(name)
-        return _polynomial(self.table, {exps[:i] + (0,) + exps[i + 1:]: c
-                                        for exps, c in self.terms.items() if exps[i] == k})
+        return _lowest(self.table, self.den, {exps[:i] + (0,) + exps[i + 1:]: c
+                                              for exps, c in self.terms.items() if exps[i] == k})
 
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in exps) for exps in self.terms)
@@ -225,30 +243,32 @@ class Polynomial(Record):
         if not self.terms:
             raise KrError("zero polynomial has no leading term")
         exps = max(self.terms, key=key)
-        return exps, self.terms[exps]
+        return exps, _make(*self.terms[exps], self.den)
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
         other = self.table.coerce(other)
-        acc = dict(self.terms)
-        _add_into(acc, other.terms)
-        return _polynomial(self.table, acc)
+        return _lowest(self.table, *_sum([(self.den, self.terms, (1, 0)),
+                                          (other.den, other.terms, (1, 0))]))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-self.table.coerce(other))
+        other = self.table.coerce(other)
+        return _lowest(self.table, *_sum([(self.den, self.terms, (1, 0)),
+                                          (other.den, other.terms, (-1, 0))]))
 
     def __rsub__(self, other):
         return self.table.coerce(other) - self
 
     def __neg__(self):
-        return _polynomial(self.table, {e: -c for e, c in self.terms.items()})
+        return _polynomial(self.table, self.den,
+                           {e: (-a, -b) for e, (a, b) in self.terms.items()})
 
     def __mul__(self, other):
         other = self.table.coerce(other)
-        return _polynomial(self.table, _product(self.terms, other.terms))
+        return _lowest(self.table, self.den * other.den, _product(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -281,15 +301,23 @@ class Polynomial(Record):
             if len(self.terms) == 1:
                 _check_exponents(self.table, tuple(-e for e in next(iter(self.terms))))
             raise NonUnitError(f"not a unit monomial: {self}")
-        exps, c = next(iter(self.terms.items()))
+        (exps, c), = self.items()
         return Polynomial(self.table, {tuple(-e for e in exps): c.inverse()})
 
     def monic(self, key=grevlex_key) -> "Polynomial":
         if not self.terms:
             return self
-        _, lc = self.leading_term(key)
-        inv = lc.inverse()
-        return Polynomial(self.table, {e: c * inv for e, c in self.terms.items()})
+        a, b = self.terms[max(self.terms, key=key)]
+        if a == self.den and not b:
+            return self
+        # (T/den) / ((a + b*w)/den) = T/(a + b*w) = T*(a - b - b*w)/(a^2 - ab + b^2)
+        if b:
+            ca, cb, den = a - b, -b, a * a - a * b + b * b
+        else:
+            ca, cb, den = (1, 0, a) if a > 0 else (-1, 0, -a)
+        acc = {}
+        _add_into(acc, self.terms, ca, cb)
+        return _lowest(self.table, den, acc)
 
     # -- calculus ------------------------------------------------------------
 
@@ -297,20 +325,20 @@ class Polynomial(Record):
         """Formal partial derivative (Laurent exponents use the integer power rule)."""
         i = self.table.index(name)
         acc = {}
-        for exps, c in self.terms.items():
+        for exps, (a, b) in self.terms.items():
             e = exps[i]
             if e == 0:
                 continue
             ne = list(exps)
             ne[i] = e - 1
-            acc[tuple(ne)] = c * e
-        return Polynomial(self.table, acc)
+            acc[tuple(ne)] = (a * e, b * e)
+        return _lowest(self.table, self.den, acc)
 
     def antiderivative(self, name: str) -> "Polynomial":
         """Term-wise antiderivative with constant 0; rejects exponent -1."""
         i = self.table.index(name)
         acc = {}
-        for exps, c in self.terms.items():
+        for exps, c in self.items():
             e = exps[i]
             if e == -1:
                 raise KrError(f"cannot antidifferentiate exponent -1 in {name}")
@@ -321,18 +349,19 @@ class Polynomial(Record):
 
     # -- substitution and transport -----------------------------------------
 
-    def substitute(self, images: Mapping[str, "Polynomial | int | Fraction | Eisenstein"]) -> "Polynomial":
+    def substitute(self, images: Mapping[str, "Polynomial | int | Eisenstein"]) -> "Polynomial":
         """Simultaneous substitution; unassigned variables map to themselves.
 
         Each image goes through this polynomial's VarTable.coerce, as the
-        operands of + and * do: a scalar becomes a constant, and an image over
-        another table raises TableMismatchError.  The image of a
-        variable occurring with a negative exponent must be a unit monomial.
-        This is a ring homomorphism: substitution of a product is the product
-        of the substitutions.  Each term's image, its coefficient times powers
-        of the images (each power is computed once per call; a coefficient of
-        one is not multiplied in, and an unassigned variable's powers, of
-        coefficient one, only shift exponents), is added into one term dict.
+        operands of + and * do: a scalar (an int, Fraction or Eisenstein)
+        becomes a constant, and an image over another table raises
+        TableMismatchError.  The image of a variable occurring with a
+        negative exponent must be a unit monomial.  This is a ring
+        homomorphism: substitution of a product is the product of the
+        substitutions.  Each term's image is the product of powers of the
+        images (each power computed once per call, from the power below it;
+        an unassigned variable's powers only shift exponents), and the images
+        times their coefficients are summed over one common denominator.
         """
         table = self.table
         for v in images:
@@ -349,20 +378,32 @@ class Polynomial(Record):
                     raise NonUnitError(
                         f"image of {table.names[i]!r} must be a unit monomial "
                         f"to carry negative exponents")
-                got = base[i] ** e
+                if e < 0:
+                    got = base[i] ** e
+                else:
+                    # up by one from the largest power below e built so far
+                    k = e - 1
+                    while k and (i, k) not in pow_cache:
+                        k -= 1
+                    got = pow_cache[(i, k)] if k else base[i]
+                    for k in range(max(k, 1), e):
+                        pow_cache[(i, k)] = got
+                        got = got * base[i]
                 pow_cache[(i, e)] = got
             return got
 
-        one = (0,) * table.arity
-        acc: dict[tuple[int, ...], Eisenstein] = {}
+        one = {(0,) * table.arity: (1, 0)}
+        den = self.den
+        parts = []
         for exps, c in self.terms.items():
-            prod = None if c == ONE else {one: c}
+            prod, d = one, den
             for i, e in enumerate(exps):
                 if e:
-                    terms = power(i, e).terms
-                    prod = terms if prod is None else _product(prod, terms)
-            _add_into(acc, {one: c} if prod is None else prod)
-        return _polynomial(table, acc)
+                    p = power(i, e)
+                    prod = p.terms if prod is one else _product(prod, p.terms)
+                    d *= p.den
+            parts.append((d, prod, c))
+        return _lowest(table, *_sum(parts))
 
     def transport(self, table: VarTable) -> "Polynomial":
         """Reinterpret over another table, matching variables by name."""
@@ -384,8 +425,10 @@ class Polynomial(Record):
                     raise KrError(
                         f"variable {self.table.names[i]!r} does not exist in target table")
                 ne[pos[i]] = e
-            acc[tuple(ne)] = c
-        return Polynomial(table, acc)
+            ne = tuple(ne)
+            _check_exponents(table, ne)
+            acc[ne] = c
+        return _polynomial(table, self.den, acc)
 
     # -- grading -------------------------------------------------------------
 
@@ -402,28 +445,29 @@ class Polynomial(Record):
     # -- equality, hashing, printing ------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Eisenstein)):
-            other = self.table.constant(other)
         if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.table == other.table and self.terms == other.terms
+            c = _try(other)
+            if c is None:
+                return NotImplemented
+            other = self.table.constant(c)
+        return (self.den == other.den and self.terms == other.terms
+                and (self.table is other.table or self.table == other.table))
 
     def __hash__(self):
         """A constant hashes as its coefficient and zero as 0, since __eq__
         equates them with ints, Fractions and Eisensteins.  Any other
         polynomial hashes its table and exponent set only: equal polynomials
-        have equal term dicts, and no coefficient is hashed (hashing an
-        Eisenstein builds Fractions)."""
+        have equal term dicts, and no coefficient is hashed."""
         h = self._hash
         if h is None:
             terms = self.terms
             if not terms:
                 h = 0
             elif len(terms) == 1 and not any(next(iter(terms))):
-                h = hash(next(iter(terms.values())))
+                h = hash(_make(*next(iter(terms.values())), self.den))
             else:
                 h = hash((self.table, frozenset(terms)))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __repr__(self):
@@ -433,72 +477,114 @@ class Polynomial(Record):
         return render(self)
 
 
-def _polynomial(table: VarTable, terms: dict) -> Polynomial:
-    """Wrap a term dict that is already valid: nonzero coefficients and
-    exponent tuples of the table's arity that the table allows.  The dict is
-    taken over, not copied."""
+_set_table, _set_den, _set_terms, _set_hash = Polynomial._setters
+
+
+def _polynomial(table: VarTable, den: int, terms: dict) -> Polynomial:
+    """Wrap a term dict that is already valid and in lowest terms over den
+    (zero has den 1): nonzero int pairs, and exponent tuples of the table's
+    arity that the table allows.  The dict is taken over, not copied."""
     p = object.__new__(Polynomial)
-    object.__setattr__(p, "table", table)
-    object.__setattr__(p, "terms", terms)
-    object.__setattr__(p, "_hash", None)
+    _set_table(p, table)
+    _set_den(p, den)
+    _set_terms(p, terms)
+    _set_hash(p, None)
     return p
 
 
-def _add_into(acc: dict, terms: dict) -> None:
-    """Add a term dict into acc in place; a sum that cancels is dropped."""
-    for exps, c in terms.items():
-        s = acc.get(exps)
-        if s is None:
-            acc[exps] = c
+def _lowest(table: VarTable, den: int, terms: dict) -> Polynomial:
+    """As _polynomial, for a term dict over den > 0 that may share a factor
+    with it: one gcd over den and the parts, taken until it reaches one."""
+    if den != 1:
+        if not terms:
+            den = 1
         else:
-            s = s + c
-            if s:
-                acc[exps] = s
+            g = den
+            for a, b in terms.values():
+                g = gcd(g, a, b)
+                if g == 1:
+                    break
             else:
-                del acc[exps]
+                den //= g
+                terms = {e: (a // g, b // g) for e, (a, b) in terms.items()}
+    return _polynomial(table, den, terms)
+
+
+def _add_into(acc: dict, terms: dict, ca: int, cb: int) -> None:
+    """acc += (ca + cb*w) * terms in place, on int pairs; a sum that cancels
+    is dropped.  The scalar is not zero."""
+    get = acc.get
+    for e, (a, b) in terms.items():
+        if cb:
+            # (a + b*w)(ca + cb*w) = a*ca - b*cb + (a*cb + b*ca - b*cb)*w
+            bb = b * cb
+            a, b = a * ca - bb, a * cb + b * ca - bb
+        elif ca != 1:
+            a *= ca
+            b *= ca
+        got = get(e)
+        if got is not None:
+            a += got[0]
+            b += got[1]
+            if not (a or b):
+                del acc[e]
+                continue
+        acc[e] = (a, b)
+
+
+def _sum(parts) -> tuple[int, dict]:
+    """The sum of the parts (d, terms, (a, b)), each (a + b*w) * terms / d,
+    as a term dict over the lcm of the d, not yet in lowest terms."""
+    den = lcm(*[d for d, _, _ in parts])
+    acc = {}
+    for d, terms, (ca, cb) in parts:
+        m = den // d
+        ca *= m
+        cb *= m
+        if not acc and ca == 1 and not cb:
+            acc = dict(terms)  # acc is zero: the sum is a copy
+        else:
+            _add_into(acc, terms, ca, cb)
+    return den, acc
 
 
 def _product(t1: dict, t2: dict) -> dict:
-    """The term dict of the product of two term dicts.
+    """The int-pair term dict of the product of two int-pair term dicts; the
+    product's denominator is the product of the factors'.
 
     A one-term factor shifts and scales the other, and no two results share a
-    monomial; a factor of coefficient one (a variable or its power, an
-    S-polynomial multiplier) only shifts.  Otherwise each factor is put over
-    one common denominator and the term products are summed as plain ints,
-    (a1 + b1*w)(a2 + b2*w) = a1*a2 - b1*b2 + (a1*b2 + b1*a2 - b1*b2)*w; each
-    nonzero sum becomes one canonical coefficient.
+    monomial; a factor of coefficient pair (1, 0) (a variable or its power,
+    an S-polynomial multiplier) only shifts.  Otherwise the term products are
+    summed as plain ints, (a1 + b1*w)(a2 + b2*w) = a1*a2 - b1*b2 +
+    (a1*b2 + b1*a2 - b1*b2)*w, and sums that cancel are dropped.
     """
     if not (t1 and t2):
         return {}
     if len(t1) == 1:
         t1, t2 = t2, t1
     if len(t2) == 1:
-        (e, c), = t2.items()
-        if c._a == c._d == 1 and not c._b:
-            return {tuple(map(add, e1, e)): c1 for e1, c1 in t1.items()}
-        return {tuple(map(add, e1, e)): c1 * c for e1, c1 in t1.items()}
-    d1 = lcm(*[c._d for c in t1.values()])
-    d2 = lcm(*[c._d for c in t2.values()])
-    s1 = [(e, c._a * (d1 // c._d), c._b * (d1 // c._d)) for e, c in t1.items()]
-    s2 = [(e, c._a * (d2 // c._d), c._b * (d2 // c._d)) for e, c in t2.items()]
-    d = d1 * d2
+        (e, (ca, cb)), = t2.items()
+        if ca == 1 and not cb:
+            return {tuple(map(add, e1, e)): pair for e1, pair in t1.items()}
+        return {tuple(map(add, e1, e)): (a * ca - b * cb, a * cb + b * ca - b * cb)
+                for e1, (a, b) in t1.items()}
     re: dict[tuple[int, ...], int] = {}
     get = re.get
-    if not any(c._b for c in t1.values()) and not any(c._b for c in t2.values()):
-        for e1, a1, _ in s1:
-            for e2, a2, _ in s2:
+    if not any(b for _, b in t1.values()) and not any(b for _, b in t2.values()):
+        for e1, (a1, _) in t1.items():
+            for e2, (a2, _) in t2.items():
                 e = tuple(map(add, e1, e2))
                 re[e] = get(e, 0) + a1 * a2
-        return {e: _make(a, 0, d) for e, a in re.items() if a}
+        return {e: (a, 0) for e, a in re.items() if a}
     om: dict[tuple[int, ...], int] = {}
     oget = om.get
-    for e1, a1, b1 in s1:
-        for e2, a2, b2 in s2:
+    for e1, (a1, b1) in t1.items():
+        for e2, (a2, b2) in t2.items():
             e = tuple(map(add, e1, e2))
             bb = b1 * b2
             re[e] = get(e, 0) + a1 * a2 - bb
             om[e] = oget(e, 0) + a1 * b2 + b1 * a2 - bb
-    return {e: _make(a, om[e], d) for e, a in re.items() if a or om[e]}
+    return {e: (a, om[e]) for e, a in re.items() if a or om[e]}
 
 
 def _require_polynomial(f: Polynomial, what: str):
@@ -508,6 +594,31 @@ def _require_polynomial(f: Polynomial, what: str):
             f"{what} carries negative exponents; clear Laurent denominators first")
 
 
+def _triple(a: int, b: int, d: int) -> tuple[int, int, int]:
+    """(a + b*w)/d, d > 0, as the triple in lowest terms."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            return a // g, b // g, d // g
+    return a, b, d
+
+
+def _times(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The product of two triples (a, b, d), in lowest terms."""
+    a, b, d = x
+    c, e, f = y
+    be = b * e
+    return _triple(a * c - be, a * e + b * c - be, d * f)
+
+
+def _from_triples(table: VarTable, terms: dict) -> Polynomial:
+    # over the lcm of denominators in lowest terms the pairs are already in
+    # lowest terms, as in Polynomial()
+    den = lcm(*[d for _, _, d in terms.values()])
+    return _polynomial(table, den, {e: (a * (den // d), b * (den // d))
+                                    for e, (a, b, d) in terms.items()})
+
+
 def reduce(f: Polynomial, gens: list[Polynomial],
            order=grevlex_key) -> tuple[Polynomial, list[Polynomial]]:
     """Division with remainder under the monomial order `order` (a key
@@ -515,8 +626,10 @@ def reduce(f: Polynomial, gens: list[Polynomial],
 
     No remainder monomial is divisible by any generator's leading monomial.
     Inputs must carry no negative exponents (LaurentInputError otherwise;
-    see clear_laurent).  The representation identity is checked on every
-    call; PostconditionError reports a violation.
+    see clear_laurent).  The loop keeps each coefficient as its own triple
+    (a, b, d) in lowest terms, so a step that brings in a new denominator
+    touches only the terms it writes.  The representation identity is
+    checked on every call; PostconditionError reports a violation.
     """
     _require_polynomial(f, "dividend")
     table = f.table
@@ -527,10 +640,15 @@ def reduce(f: Polynomial, gens: list[Polynomial],
         if g.is_zero():
             raise ZeroDivisionError("zero divisor in reduce()")
         _require_polynomial(g, "divisor")
-        gm, gc = g.leading_term(order)
-        lead.append((gm, None if gc == ONE else gc.inverse()))
-        # the tail, negated: each step adds q times it into the dividend
-        tails.append([(e, -c._a, -c._b, c._d) for e, c in g.terms.items() if e != gm])
+        gm = max(g.terms, key=order)
+        a, b = g.terms[gm]
+        d = g.den
+        # the inverse of (a + b*w)/d is d*(a - b - b*w)/(a^2 - ab + b^2)
+        inv = None if a == d and not b else _triple(d * (a - b), -d * b, a * a - a * b + b * b)
+        lead.append((gm, inv))
+        # the tail over its denominator, negated: each step adds q times it
+        # into the dividend
+        tails.append(([(e, -a, -b) for e, (a, b) in g.terms.items() if e != gm], d))
 
     # Max-heap of the working dividend's monomials, as a min-heap of flat
     # tuples (negated order key, exponents).  A monomial that cancels keeps
@@ -538,52 +656,64 @@ def reduce(f: Polynomial, gens: list[Polynomial],
     # skipped.  Each step takes the largest monomial of work and only adds
     # smaller ones, so no monomial comes back once it has been taken.
     push = heapq.heappush
-    work = dict(f.terms)
+    den = f.den
+    work = {e: _triple(a, b, den) for e, (a, b) in f.terms.items()}
     heap = [(*[-k for k in order(e)], e) for e in work]
     heapq.heapify(heap)
     cof_terms: list[dict] = [{} for _ in gens]
     rem_terms: dict = {}
     while heap:
         lt_exps = heapq.heappop(heap)[-1]
-        lt_c = work.pop(lt_exps, None)
-        if lt_c is None:
+        lt = work.pop(lt_exps, None)
+        if lt is None:
             continue
-        for i, (gm, gc_inv) in enumerate(lead):
+        for i, (gm, inv) in enumerate(lead):
             if all(map(le, gm, lt_exps)):
                 q_exps = tuple(map(sub, lt_exps, gm))
-                q_c = lt_c if gc_inv is None else lt_c * gc_inv
-                cof_terms[i][q_exps] = q_c
-                qa, qb, qd = q_c._a, q_c._b, q_c._d
-                # work[e] += q * t in one _make: (qa + qb*w)(ta + tb*w)/(qd*td)
-                for ge, ta, tb, td in tails[i]:
+                q = lt if inv is None else _times(lt, inv)
+                cof_terms[i][q_exps] = q
+                qa, qb, qd = q
+                tail, td = tails[i]
+                td *= qd
+                # work[e] += q * t: (qa + qb*w)(ta + tb*w)/(qd*td), in lowest terms
+                for ge, ta, tb in tail:
                     e = tuple(map(add, q_exps, ge))
                     bb = qb * tb
                     pa = qa * ta - bb
                     pb = qa * tb + qb * ta - bb
-                    pd = qd * td
+                    pd = td
                     got = work.get(e)
                     if got is None:
-                        work[e] = _make(pa, pb, pd)
                         push(heap, (*[-k for k in order(e)], e))
-                        continue
-                    wd = got._d
-                    if wd == pd:
-                        na, nb = got._a + pa, got._b + pb
                     else:
-                        na, nb, pd = got._a * pd + pa * wd, got._b * pd + pb * wd, wd * pd
-                    if na or nb:
-                        work[e] = _make(na, nb, pd)
-                    else:
-                        del work[e]
+                        wa, wb, wd = got
+                        if wd == pd:
+                            pa += wa
+                            pb += wb
+                        else:
+                            pa, pb, pd = wa * pd + pa * wd, wb * pd + pb * wd, wd * pd
+                        if not (pa or pb):
+                            del work[e]
+                            continue
+                    if pd != 1:
+                        h = gcd(pa, pb, pd)
+                        if h != 1:
+                            pa //= h
+                            pb //= h
+                            pd //= h
+                    work[e] = (pa, pb, pd)
                 break
         else:
-            rem_terms[lt_exps] = lt_c
-    recombined = dict(rem_terms)
-    for t, g in zip(cof_terms, gens):
-        _add_into(recombined, _product(t, g.terms))
-    if recombined != f.terms:
+            rem_terms[lt_exps] = lt
+    rem = _from_triples(table, rem_terms)
+    cofactors = [_from_triples(table, t) for t in cof_terms]
+    # rem + sum of cofactor * generator, over one denominator
+    parts = [(rem.den, rem.terms, (1, 0))]
+    parts += [(c.den * g.den, _product(c.terms, g.terms), (1, 0))
+              for c, g in zip(cofactors, gens)]
+    if _lowest(table, *_sum(parts)) != f:
         raise PostconditionError("division identity violated")
-    return _polynomial(table, rem_terms), [_polynomial(table, t) for t in cof_terms]
+    return rem, cofactors
 
 
 def clear_laurent(f: Polynomial) -> tuple[Polynomial, tuple[int, ...]]:
@@ -599,8 +729,8 @@ def clear_laurent(f: Polynomial) -> tuple[Polynomial, tuple[int, ...]]:
                   for i, lau in enumerate(table.laurent))
     if not any(shift):
         return f, shift
-    return _polynomial(table, {tuple(map(sub, e, shift)): c
-                               for e, c in f.terms.items()}), shift
+    return _polynomial(table, f.den, {tuple(map(sub, e, shift)): c
+                                      for e, c in f.terms.items()}), shift
 
 
 def _render_monomial(table: VarTable, exps: tuple[int, ...]) -> str:
@@ -620,9 +750,11 @@ def render(p: Polynomial) -> str:
     if p.is_zero():
         return "0"
     pieces: list[tuple[bool, str]] = []  # (negative?, magnitude text)
-    for exps, c in sorted(p.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True):
+    d = p.den
+    for exps, (a, b) in sorted(p.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True):
         mono = _render_monomial(p.table, exps)
-        a, b, d = c._a, c._b, c._d
+        # a term's own (a, b, d) need not be in lowest terms: _part reduces,
+        # and a part is one exactly when it equals d
         if not mono:
             # split the constant into rational and w parts so no parens are needed
             if a:
@@ -641,7 +773,7 @@ def render(p: Polynomial) -> str:
             text = f"w*{mono}" if mag == d else f"{_part(mag, d)}*w*{mono}"
         else:
             neg = a < 0
-            text = f"({render_coeff(-c if neg else c)})*{mono}"
+            text = f"({render_coeff(_make(-a, -b, d) if neg else _make(a, b, d))})*{mono}"
         pieces.append((neg, text))
     out = []
     for i, (neg, text) in enumerate(pieces):

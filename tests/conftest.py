@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -49,6 +50,20 @@ def cubic_poly(table: VarTable) -> Polynomial:
 def companion_poly(table: VarTable) -> Polynomial:
     x, y, z, t = (table.var(n) for n in ("x", "y", "z", "t"))
     return x ** 2 * y + (1 + x) * (z ** 2 + x + t ** 3)
+
+
+def assert_lowest_terms(p: Polynomial):
+    """p's stored form is the canonical one: a positive denominator sharing
+    no factor with every part, no zero pair, den 1 for zero, and the public
+    constructor, fed p's own coefficients, builds an equal value."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(x) is int for pair in p.terms.values() for x in pair)
+    assert all(any(pair) for pair in p.terms.values())
+    assert gcd(p.den, *[x for pair in p.terms.values() for x in pair]) == 1
+    assert p or p.den == 1
+    again = Polynomial(p.table, dict(p.items()))
+    assert (again.den, again.terms) == (p.den, p.terms)
+    assert again == p and hash(again) == hash(p)
 
 
 def parse_value(text: str, table: VarTable) -> Polynomial:
@@ -121,9 +136,7 @@ def _monomials_up_to(arity: int, degree: int):
 
 def _total_degree(p: Polynomial) -> int:
     """Max plain exponent sum; -1 for the zero polynomial."""
-    if not p.terms:
-        return -1
-    return max(sum(e) for e in p.terms)
+    return max((sum(e) for e, _ in p.items()), default=-1)
 
 
 def member_oracle(f: Polynomial, gens: list[Polynomial]) -> bool:
@@ -144,7 +157,7 @@ def member_oracle(f: Polynomial, gens: list[Polynomial]) -> bool:
             continue
         for mono in _monomials_up_to(table.arity, room):
             col = {}
-            for ge, gc in g.terms.items():
+            for ge, gc in g.items():
                 key = tuple(a + b for a, b in zip(mono, ge))
                 got = col.get(key)
                 col[key] = gc if got is None else got + gc
@@ -174,5 +187,5 @@ def member_oracle(f: Polynomial, gens: list[Polynomial]) -> bool:
         if pivot is not None:
             inv = vec[pivot].inverse()
             basis[pivot] = {k: c * inv for k, c in vec.items()}
-    _, pivot = eliminate(dict(f.terms))
+    _, pivot = eliminate(dict(f.items()))
     return pivot is None

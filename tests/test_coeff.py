@@ -1,11 +1,12 @@
 """Field arithmetic in Q(w)."""
 
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from krcubic.coeff import Eisenstein, OMEGA, ONE, _make, render_coeff
 from krcubic.poly import Polynomial, VarTable, render
@@ -113,6 +114,22 @@ def test_hash_matches_rational_embedding():
     assert Eisenstein(3) != OMEGA
 
 
+# the hash modulus is prime: a denominator that it divides has no inverse
+MODULUS = sys.hash_info.modulus
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.fractions(), st.fractions())
+@example(Fraction(1, MODULUS), Fraction(-3, 2 * MODULUS))
+@example(Fraction(-1), Fraction(MODULUS + 1, MODULUS))
+@example(Fraction(-2 * MODULUS, 3), Fraction(1, MODULUS ** 2))
+def test_hash_is_the_fraction_hash(r, s):
+    # computed without Fraction, by its rule, so dict and set order is kept
+    assert hash(Eisenstein.of(r)) == hash(r)
+    if s:
+        assert hash(Eisenstein(r, s)) == hash((r, s))
+
+
 # -- the integer form against the Fraction-pair formulas it replaced ----------------
 
 def _ref_add(x, y):
@@ -201,7 +218,7 @@ def _ref_render(p):
     if p.is_zero():
         return "0"
     pieces = []
-    for exps, c in sorted(p.terms.items(), key=lambda t: (sum(t[0]), *[-e for e in t[0][::-1]]),
+    for exps, c in sorted(p.items(), key=lambda t: (sum(t[0]), *[-e for e in t[0][::-1]]),
                           reverse=True):
         mono = "*".join(name if e == 1 else f"{name}^{e}"
                         for name, e in zip(p.table.names, exps) if e)

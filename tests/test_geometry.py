@@ -161,7 +161,7 @@ def _two_substitution_cone(f, point):
     if g.is_zero():
         raise EmptyConeError("polynomial vanishes identically after translation")
     by_degree = {}
-    for exps, c in g.terms.items():
+    for exps, c in g.items():
         by_degree.setdefault(g.weighted_degree_of_term(exps), {})[exps] = c
     return Polynomial(table, by_degree[min(by_degree)])
 

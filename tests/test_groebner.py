@@ -205,23 +205,25 @@ def test_lex_order_also_works(ring3):
 
 
 def test_division_identity_violation_is_reported(ring3, monkeypatch):
-    # double the first coefficient that a division step builds: the loop then
-    # divides another dividend, and the identity check must notice
+    # double the first quotient coefficient that a division step builds (the
+    # leading coefficient 2 is not one, so the step divides by it): the loop
+    # then takes away the wrong multiple, and the identity check must notice
     built = []
-    real = poly._make
+    real = poly._times
 
-    def perturbed(a, b, d):
-        built.append((a, b, d))
-        return real(2 * a, 2 * b, d) if len(built) == 1 else real(a, b, d)
+    def perturbed(lt, inverse):
+        built.append((lt, inverse))
+        a, b, d = real(lt, inverse)
+        return (2 * a, 2 * b, d) if len(built) == 1 else (a, b, d)
 
-    monkeypatch.setattr(poly, "_make", perturbed)
+    monkeypatch.setattr(poly, "_times", perturbed)
     x, z, t = (ring3.var(v) for v in ("x", "z", "t"))
     with pytest.raises(PostconditionError, match="^division identity violated$"):
-        reduce(x ** 2 * t + z, [x + z, t - 1])
+        reduce(x ** 2 * t + z, [2 * x + z, t - 1])
     assert built
     monkeypatch.undo()
-    rem, cofs = reduce(x ** 2 * t + z, [x + z, t - 1])
-    assert rem + cofs[0] * (x + z) + cofs[1] * (t - 1) == x ** 2 * t + z
+    rem, cofs = reduce(x ** 2 * t + z, [2 * x + z, t - 1])
+    assert rem + cofs[0] * (2 * x + z) + cofs[1] * (t - 1) == x ** 2 * t + z
 
 
 def test_chain_criterion_skips_a_pair(monkeypatch):
@@ -328,7 +330,7 @@ def test_division_contract_on_random_inputs():
             recombined = recombined + c * g
         assert recombined == f
         lead_monos = [g.leading_term(order)[0] for g in gens]
-        for exps in rem.terms:
+        for exps, _ in rem.items():
             assert not any(all(a <= b for a, b in zip(m, exps)) for m in lead_monos)
 
 
@@ -345,7 +347,7 @@ def _sympy_converter(sympy, names):
     def conv(p):
         pos = [p.table.index(n) for n in names]
         terms = {tuple(exps[i] for i in pos):
-                 K.convert(c.re) + K.convert(c.om) * w for exps, c in p.terms.items()}
+                 K.convert(c.re) + K.convert(c.om) * w for exps, c in p.items()}
         return sympy.Poly.from_dict(terms, *gens, domain=K)
 
     return K, gens, conv
@@ -354,7 +356,7 @@ def _sympy_converter(sympy, names):
 def _several_terms(rng, table):
     while True:
         p = random_nonzero_poly(rng, table, max_terms=3, max_deg=2)
-        if len(p.terms) >= 2 and not p.is_constant():
+        if len(p) >= 2 and not p.is_constant():
             return p
 
 

@@ -90,13 +90,15 @@ def test_every_export_is_used_in_the_package():
     assert not unused, unused
 
 
-# Only the kernel reads a polynomial's term dict, a coefficient's int triple
-# or a table's name index; every other module goes through the accessors
+# Only the kernel reads a polynomial's denominator and term dict, a
+# coefficient's int triple or a table's name index; every other module goes
+# through the accessors
 KERNEL = {"coeff", "poly"}
-REPRESENTATION = {"terms", "_a", "_b", "_d", "_index"}
+REPRESENTATION = {"den", "terms", "_a", "_b", "_d", "_index"}
 # every private name that one package module imports from another
 PRIVATE_IMPORTS = {
-    ("poly", "coeff", "_make"), ("poly", "coeff", "_part"),
+    ("poly", "coeff", "_make"), ("poly", "coeff", "_part"), ("poly", "coeff", "_try"),
+    ("parser", "coeff", "_make"),  # a p/q literal, built from its ints
     ("groebner", "geometry", "_center"),  # singular_at stays in groebner
 }
 
@@ -151,14 +153,14 @@ def test_the_parser_only_parses():
             imported.add("." * node.level + node.module)
         elif isinstance(node, ast.Import):
             imported |= {alias.name for alias in node.names}
-    assert imported == {"__future__", "re", "fractions",
-                        ".coeff", ".errors", ".poly", ".geometry"}
+    assert imported == {"__future__", "re", ".coeff", ".errors", ".poly", ".geometry"}
 
 
 # dataclasses pulls in inspect, ast, dis and tokenize; typing and
-# importlib.resources are costly too, and the package needs none of them
-# to start
-SLOW_TO_IMPORT = ("dataclasses", "inspect", "typing", "importlib.resources")
+# importlib.resources are costly too, and so is fractions, which pulls in
+# decimal; the package needs none of them to start
+SLOW_TO_IMPORT = ("dataclasses", "inspect", "typing", "importlib.resources",
+                  "fractions", "decimal")
 
 PROBE = """
 import json, sys

@@ -126,14 +126,14 @@ def test_argument_over_another_table_raises(ring3, ring4, substitutions):
 def test_memo_mutates_neither_images_nor_arguments(ring4):
     fwd, bwd = fiber_maps(ring4)
     P, Q = cubic_poly(ring4), companion_poly(ring4)
-    images = {v: dict(im.terms) for v, im in fwd.images.items()}
-    arguments = dict(Q.terms), dict(P.terms)
+    images = {v: im.items() for v, im in fwd.images.items()}
+    arguments = Q.items(), P.items()
     for _ in range(2):
         assert fwd(Q) == (1 + ring4.var("x")) * P
         compose(fwd, bwd)
         assert fwd(P) == P.substitute(fiber_maps(ring4)[0].images)
-    assert {v: im.terms for v, im in fwd.images.items()} == images
-    assert (Q.terms, P.terms) == arguments
+    assert {v: im.items() for v, im in fwd.images.items()} == images
+    assert (Q.items(), P.items()) == arguments
     assert fwd.images == fiber_maps(ring4)[0].images
 
 
@@ -302,7 +302,7 @@ def rewrite_normal_form(f, rel):
     while True:
         keep = {}
         fire = []
-        for exps, c in work.terms.items():
+        for exps, c in work.items():
             if exps[ix] >= 2 and exps[iy] >= 1:
                 fire.append((exps, c))
             else:
@@ -493,7 +493,7 @@ def reduced_decomposition(phi, rel):
     tail, x, ix = rel.tail, rel.table.var("x"), rel.table.index("x")
     rem, (f, g) = reduce(phi(tail), [tail, x ** 2])
     assert rem.is_zero()
-    high = Polynomial(rel.table, {e: c for e, c in f.terms.items() if e[ix] >= 2})
+    high = Polynomial(rel.table, {e: c for e, c in f.items() if e[ix] >= 2})
     return f - high, g + tail * exact_divide(high, x ** 2)
 
 

@@ -35,7 +35,7 @@ def test_expansion_has_six_terms():
     unit = parse_unit("ring R = vars(x, y, z, t);\n"
                       "let u = (1 + x)*(z^2 + x + t^3);")
     value = elaborate(unit)["u"]
-    assert len(value.terms) == 6
+    assert len(value) == 6
 
 
 def test_negative_exponent_needs_laurent_flag():

@@ -14,9 +14,10 @@ from krcubic.geometry import tangent_cone
 from krcubic.groebner import buchberger, member, reduce, singular_at
 from krcubic.morphism import (QuotientRelation, RingMap, compose, exact_divide,
                               normal_form)
-from krcubic.poly import Polynomial, VarTable
+from krcubic.poly import Polynomial, VarTable, clear_laurent
 
-from conftest import cubic_poly, companion_poly, parse_value, random_poly, random_table
+from conftest import (assert_lowest_terms, cubic_poly, companion_poly, parse_value,
+                      random_poly, random_table)
 
 
 def vars_of(table, *names):
@@ -30,7 +31,7 @@ def test_product_expansion_matches_hand_computation(ring4):
     expected = (x ** 2 * y + x ** 3 * y + z ** 2 + x * z ** 2 + x + x ** 2
                 + t ** 3 + x * t ** 3)
     assert got == expected
-    assert len(got.terms) == 8
+    assert len(got) == 8
 
 
 def test_additive_identity(ring4):
@@ -141,9 +142,9 @@ def test_substitution_mutates_neither_images_nor_powers(ring3, k):
     # power after it was added into the result.
     x, z, t = vars_of(ring3, "x", "z", "t")
     p = z + 2 * t + 1
-    before = dict(p.terms)
+    before = p.items()
     got = (x ** k + x ** k * z + x ** k * t + 1).substitute({"x": p})
-    assert p.terms == before and p == z + 2 * t + 1
+    assert p.items() == before and p == z + 2 * t + 1
     power = p if k == 1 else (z + 2 * t + 1) * (z + 2 * t + 1)
     assert got == power + power * z + power * t + 1
     assert ring3.constant(3).substitute({"x": p}) == ring3.constant(3)
@@ -230,6 +231,36 @@ def test_monomial_coeff_and_len(cylinder_ring):
     assert f.coefficient_in("t", -2) == 3 * x and f.coefficient_in("t", 1).is_zero()
 
 
+# -- the stored form --------------------------------------------------------------
+
+CANON = VarTable(["x", "y", "t"], laurent=["t"])
+WIDER = VarTable(["s", "t", "y", "x"], laurent=["t"])
+canon_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+canon_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-1, 2)),
+    st.one_of(st.builds(Eisenstein, canon_fracs), st.builds(Eisenstein, canon_fracs, canon_fracs)),
+    max_size=4,
+).map(lambda terms: Polynomial(CANON, terms))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(canon_polys, canon_polys, canon_polys)
+def test_every_result_is_in_lowest_terms(p, q, r):
+    x, t = CANON.var("x"), CANON.var("t")
+    got = [p + q, p - q, p - p, (p + q) - q, p * q, p * Fraction(3, 2), p * OMEGA,
+           -p, p ** 2, q ** 3, p.monic(), q.monic(), p.transport(WIDER),
+           p.substitute({"x": q, "y": r}), p.substitute({"x": 2 * x, "t": Fraction(1, 2) * t ** -1}),
+           clear_laurent(p)[0]]
+    got += [p.diff(v) for v in CANON.names]
+    got += [p.coefficient_in(v, k) for v in CANON.names for k in (-1, 0, 1, 2)]
+    divisors = [g for g in (clear_laurent(q)[0], clear_laurent(r)[0]) if g]
+    if divisors:
+        rem, cofactors = reduce(clear_laurent(p)[0], divisors)
+        got += [rem, *cofactors]
+    for value in got:
+        assert_lowest_terms(value)
+
+
 # -- hashing --------------------------------------------------------------------
 
 def test_equal_polynomials_hash_equal(ring3, ring4):
@@ -248,8 +279,9 @@ def test_equal_polynomials_hash_equal(ring3, ring4):
         assert len({hash(p) for p in group}) == 1
 
 
-def _triples(p):
-    return {e: (c._a, c._b, c._d) for e, c in p.terms.items()}
+def _stored(p):
+    assert_lowest_terms(p)
+    return p.den, p.terms
 
 
 def test_cheap_constructors_build_the_validated_values(ring3):
@@ -258,12 +290,12 @@ def test_cheap_constructors_build_the_validated_values(ring3):
         exps = tuple(int(j == i) for j in range(ring3.arity))
         cheap, full = ring3.var(name), Polynomial(ring3, {exps: Eisenstein(1)})
         assert cheap == full and hash(cheap) == hash(full)
-        assert _triples(cheap) == _triples(full)
+        assert _stored(cheap) == _stored(full)
     for n in (0, 1, -7, True, Fraction(3, -6), OMEGA, 1 - OMEGA):
         value = n if isinstance(n, Eisenstein) else Eisenstein(Fraction(n))
         cheap, full = ring3.constant(n), Polynomial(ring3, {(0, 0, 0): value})
         assert cheap == full and hash(cheap) == hash(full)
-        assert _triples(cheap) == _triples(full)
+        assert _stored(cheap) == _stored(full)
     assert str(ring3.constant(True)) == "1" and ring3.one() == 1
 
 

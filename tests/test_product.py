@@ -3,21 +3,23 @@ multiply and substitute cross-checked against sympy over Q(sqrt(-3)) = Q(w)."""
 
 import random
 from fractions import Fraction
-from math import gcd
 from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from krcubic import coeff, poly
 from krcubic.coeff import OMEGA, Eisenstein
-from krcubic.poly import Polynomial, VarTable, _product
+from krcubic.poly import Polynomial, VarTable
 
+from conftest import assert_lowest_terms
 from test_groebner import _sympy_converter
 
 
 def _double_loop(t1, t2):
     """The product as Polynomial.__mul__ computed it term by term before
-    _product: one Eisenstein product and one sum per pair of terms."""
+    _product: one Eisenstein product and one sum per pair of terms, from the
+    coefficients as the public constructor takes them."""
     acc = {}
     for e1, c1 in t1.items():
         for e2, c2 in t2.items():
@@ -41,27 +43,64 @@ term_dicts = st.one_of(st.dictionaries(exps, rational, max_size=6),
                        st.dictionaries(exps, st.one_of(rational, eisenstein), max_size=6))
 
 
+# the second variable is Laurent, so that its exponent may be negative
+TL = VarTable(["x", "y"], laurent=["y"])
+
+
+def _times(t1, t2):
+    """The coefficients of the product of the polynomials of two term dicts."""
+    got = Polynomial(TL, t1) * Polynomial(TL, t2)
+    assert_lowest_terms(got)
+    return dict(got.items())
+
+
 @settings(max_examples=500, derandomize=True, deadline=None)
 @given(term_dicts, term_dicts)
 def test_product_matches_the_double_loop(t1, t2):
-    got = _product(t1, t2)
     # Eisenstein equality compares the stored triples, so this is term for term
-    assert got == _double_loop(t1, t2)
-    for c in got.values():
-        assert type(c) is Eisenstein and c
-        assert c._d > 0 and gcd(c._a, c._b, c._d) == 1
+    assert _times(t1, t2) == _double_loop(t1, t2)
 
 
 def test_product_edge_operands():
     x = {(1, 0): Eisenstein(1)}
     f = {(1, 0): Eisenstein(Fraction(1, 2)), (0, -1): OMEGA}
-    assert _product({}, f) == _product(f, {}) == {}
-    assert _product(x, f) == _product(f, x) == _double_loop(x, f)
+    assert _times({}, f) == _times(f, {}) == {}
+    assert _times(x, f) == _times(f, x) == _double_loop(x, f)
+    # a one-term factor that is not one scales, by a rational and by w
+    half, w = {(0, 0): Eisenstein(Fraction(1, 2))}, {(0, 1): OMEGA}
+    assert _times(half, f) == _double_loop(half, f)
+    assert _times(f, w) == _double_loop(f, w)
     # the conjugate pair (x - w)(x - w^2) = x^2 + x + 1 cancels its w terms
     g = {(1, 0): Eisenstein(1), (0, 0): -OMEGA}
     h = {(1, 0): Eisenstein(1), (0, 0): OMEGA + 1}
-    assert _product(g, h) == {(2, 0): Eisenstein(1), (1, 0): Eisenstein(1),
-                              (0, 0): Eisenstein(1)}
+    assert _times(g, h) == {(2, 0): Eisenstein(1), (1, 0): Eisenstein(1),
+                            (0, 0): Eisenstein(1)}
+    # (2x + 2)/3 * (3/2)x: the parts share the factor 3 with the denominator
+    assert _times({(1, 0): Eisenstein(Fraction(2, 3)), (0, 0): Eisenstein(Fraction(2, 3))},
+                  {(1, 0): Eisenstein(Fraction(3, 2))}) == {(2, 0): Eisenstein(1),
+                                                            (1, 0): Eisenstein(1)}
+
+
+def test_product_builds_no_coefficient(monkeypatch):
+    # multiplying two multi-term polynomials over Q(w) works on the int
+    # pairs: at most one coefficient is built, here by the final equality
+    built = []
+
+    def counting(a, b, d):
+        built.append((a, b, d))
+        return real(a, b, d)
+
+    real = coeff._make
+    f = Polynomial(TL, {(1, 0): Eisenstein(Fraction(1, 2), 3), (0, -1): OMEGA,
+                        (0, 0): Eisenstein(Fraction(-2, 3))})
+    g = Polynomial(TL, {(2, 0): Eisenstein(5, Fraction(1, 4)), (1, 1): Eisenstein(Fraction(3, 7)),
+                        (0, 0): OMEGA + 1})
+    expected = Polynomial(TL, _double_loop(dict(f.items()), dict(g.items())))
+    monkeypatch.setattr(coeff, "_make", counting)
+    monkeypatch.setattr(poly, "_make", counting)
+    got = f * g
+    assert len(built) <= 1
+    assert got == expected
 
 
 # -- differential check against sympy ------------------------------------------------
@@ -120,7 +159,7 @@ def test_products_agree_with_sympy(case):
 def _sympy_substitute(conv, f: Polynomial, images: dict, target: VarTable):
     """The substitution computed with sympy's products and powers."""
     total = conv(target.zero())
-    for exps, c in f.terms.items():
+    for exps, c in f.items():
         term = conv(target.constant(c))
         for name, e in zip(f.table.names, exps):
             image = images[name] if name in images else target.var(name)
