@@ -188,14 +188,18 @@ def test_import_loads_no_slow_modules():
     assert seen["added"] == []
 
 
+# autgroup.krv reaches substitute, reduce and exact_divide; embeddings.krv
+# reaches classify_quadric, whose Gram matrix multiplies Eisenstein
+# coefficients (autgroup.krv multiplies none)
 TRACE_PROBE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import tracer
 from krcubic import claims
 spans = tracer.install()
-report = claims.run_file("autgroup.krv")
-print(json.dumps({"all_pass": report.all_pass, "layers": tracer.layer_metrics(spans)}))
+reports = [claims.run_file(name) for name in ("autgroup.krv", "embeddings.krv")]
+print(json.dumps({"all_pass": all(r.all_pass for r in reports),
+                  "layers": tracer.layer_metrics(spans)}))
 """
 
 

@@ -194,23 +194,23 @@ def test_transport_by_name(ring3, ring4):
 
 # -- accessors ------------------------------------------------------------------
 
-LAURENT = VarTable(["x", "t", "c"], laurent=["t"], params=["c"])
+LAURENT_PARAM = VarTable(["x", "t", "c"], laurent=["t"], params=["c"])
 fracs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 laurent_polys = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(-2, 2), st.integers(0, 2)),
     st.builds(Eisenstein, fracs, fracs), max_size=6,
-).map(lambda terms: Polynomial(LAURENT, terms))
+).map(lambda terms: Polynomial(LAURENT_PARAM, terms))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(laurent_polys)
 def test_coefficients_in_a_variable_sum_back_to_the_polynomial(p):
-    for v in LAURENT.names:
-        total = LAURENT.zero()
+    for v in LAURENT_PARAM.names:
+        total = LAURENT_PARAM.zero()
         for k in range(p.min_exponent(v), p.degree_in(v) + 1):
             part = p.coefficient_in(v, k)
             assert v not in part.variables_used()
-            total = total + part * LAURENT.var(v) ** k
+            total = total + part * LAURENT_PARAM.var(v) ** k
         assert total == p
     assert len(p) == len(list(p.items()))
     assert all(p.coeff(exps) == c for exps, c in p.items())
@@ -259,6 +259,20 @@ def test_every_result_is_in_lowest_terms(p, q, r):
         got += [rem, *cofactors]
     for value in got:
         assert_lowest_terms(value)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(canon_polys)
+def test_antiderivative_is_undone_by_diff(p):
+    for v in CANON.names:
+        if p.coefficient_in(v, -1):
+            with pytest.raises(KrError, match="exponent -1"):
+                p.antiderivative(v)
+            continue
+        f = p.antiderivative(v)
+        assert_lowest_terms(f)
+        assert f.diff(v) == p
+        assert f.coefficient_in(v, 0).is_zero()
 
 
 # -- hashing --------------------------------------------------------------------

@@ -61,6 +61,61 @@ def test_product_matches_the_double_loop(t1, t2):
     assert _times(t1, t2) == _double_loop(t1, t2)
 
 
+# Operands on both sides of poly._KRONECKER_PAIRS over a table with a Laurent
+# y and a parameter c: small ones of up to 12 terms, large ones of at least
+# 24.  A small operand keeps a product below the gate; two large ones reach it.
+TLC = VarTable(["x", "y", "c"], laurent=["y"], params=["c"])
+wide_exps = st.tuples(st.integers(0, 3), st.integers(-3, 3), st.integers(0, 2))
+
+
+def _wide(coefficients, min_size, max_size):
+    return st.dictionaries(wide_exps, coefficients, min_size=min_size, max_size=max_size)
+
+
+mixed = st.one_of(rational, eisenstein)
+small_dicts = st.one_of(*[_wide(c, 2, 12) for c in (rational, eisenstein, mixed)])
+large_dicts = st.one_of(*[_wide(c, 24, 32) for c in (rational, eisenstein, mixed)])
+
+
+@st.composite
+def _cancelling(draw):
+    # (a + b)(a - b): every cross term a*b cancels
+    a = Polynomial(TLC, draw(_wide(eisenstein, 12, 20)))
+    b = Polynomial(TLC, draw(_wide(rational, 12, 20)))
+    return dict((a + b).items()), dict((a - b).items())
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.one_of(st.tuples(small_dicts, small_dicts), st.tuples(small_dicts, large_dicts),
+                 st.tuples(large_dicts, large_dicts), _cancelling()))
+def test_products_on_both_sides_of_the_gate_match_the_double_loop(operands):
+    t1, t2 = operands
+    got = Polynomial(TLC, t1) * Polynomial(TLC, t2)
+    assert_lowest_terms(got)
+    assert dict(got.items()) == _double_loop(t1, t2)
+
+
+def test_only_products_past_the_gate_run_on_keys(monkeypatch):
+    x, y, c = TLC.var("x"), TLC.var("y"), TLC.var("c")
+    f = ((1 + x + y ** -1) * (OMEGA + c)) ** 2 + x * y ** 3  # 19 terms
+    g = (x + y ** -2 + c + 1) ** 4  # 35 terms
+    small = x + y ** -1 + Fraction(1, 2)
+    assert len(f) * len(small) < poly._KRONECKER_PAIRS <= len(f) * len(g)
+    assert 12 * 32 < poly._KRONECKER_PAIRS <= 24 * 24  # the strategies above straddle it
+    calls = []
+
+    def spy(t1, t2, rational):
+        calls.append(len(t1) * len(t2))
+        return real(t1, t2, rational)
+
+    real = poly._kronecker_product
+    monkeypatch.setattr(poly, "_kronecker_product", spy)
+    assert f * small == Polynomial(TLC, _double_loop(dict(f.items()), dict(small.items())))
+    assert calls == []
+    assert f * g == Polynomial(TLC, _double_loop(dict(f.items()), dict(g.items())))
+    assert calls == [len(f) * len(g)]
+
+
 def test_product_edge_operands():
     x = {(1, 0): Eisenstein(1)}
     f = {(1, 0): Eisenstein(Fraction(1, 2)), (0, -1): OMEGA}
