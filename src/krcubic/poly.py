@@ -18,13 +18,14 @@ p.items(), p.coeff(exps), p.coefficient_in(name, k) and the other queries,
 and builds a monomial with VarTable.monomial.
 
 A product of two multi-term polynomials sums its term products on their
-monomials.  Below _KRONECKER_PAIRS (512) pairs of terms it builds the
-exponent tuple of every pair; from there on it sums on Kronecker keys, the
-int sum of e_i*m_i with m_i the product of the spans of the variables before
-i over the box of exponents the product can reach.  That map is linear and
-one-to-one on the box, Laurent exponents included, so a pair costs an int
-addition and a tuple is built once per result monomial (see _product and
-_kronecker_product for the proof and the measured crossover).
+monomials.  It builds the exponent tuple of every pair, except for a product
+of rational polynomials with at least _KRONECKER_PAIRS (512) pairs of terms,
+which it sums on Kronecker keys: the int sum of e_i*m_i, with m_i the
+product of the spans of the variables before i over the box of exponents the
+product can reach.  That map is linear and one-to-one on the box, Laurent
+exponents included, so a pair costs an int addition and a tuple is built
+once per result monomial (see _product and _kronecker_product for the proof
+and the measured crossover).
 
 Multivariate division with remainder (reduce) and the Laurent-content split
 (clear_laurent) live here too, the one division loop of the package; reduce
@@ -560,8 +561,11 @@ def _sum(parts) -> tuple[int, dict]:
     return den, acc
 
 
-# Products of at least this many pairs of terms are summed on Kronecker keys
-# (_kronecker_product); _product gives the measurements behind the value.
+# Rational products of at least this many pairs of terms are summed on
+# Kronecker keys (_kronecker_product); _product gives the measurements behind
+# the value.  Between 64 and 511 pairs the keys save 9-22% of a
+# product's time, and no workload spends much there, so the gate stays at 512
+# until one does.
 _KRONECKER_PAIRS = 512
 
 
@@ -574,13 +578,14 @@ def _product(t1: dict, t2: dict) -> dict:
     an S-polynomial multiplier) only shifts.  Otherwise the term products are
     summed as plain ints, (a1 + b1*w)(a2 + b2*w) = a1*a2 - b1*b2 +
     (a1*b2 + b1*a2 - b1*b2)*w, and sums that cancel are dropped: on exponent
-    tuples, one built per pair of terms, or, from _KRONECKER_PAIRS pairs on,
-    on int keys (_kronecker_product).  On the products of one pass of each
-    benchmark workload, the keyed sums took 1.1-1.2 times the tuple loops'
-    time below 64 pairs, 0.77-0.91 times from 64 to 511 pairs, and 0.46-0.50
-    times from 512 on, where 8.5 pairs collapse onto each result term; the
-    gate takes only that last group, autgroup.krv's power builds inside
-    substitute.
+    tuples, one built per pair of terms, or, for rational factors with
+    _KRONECKER_PAIRS pairs or more, on int keys (_kronecker_product).  On the
+    products of one pass of each benchmark workload, the keyed sums took 1.2
+    times the tuple loop's time below 64 pairs, 0.78-0.91 times from 64 to
+    511 pairs, and 0.46 times from 512 on, where 8.5 pairs collapse onto each
+    result term; the gate takes only that last group, autgroup.krv's power
+    builds inside substitute.  No Q(w) product of a workload reaches 512
+    pairs, so those keep the tuple loop.
     """
     if not (t1 and t2):
         return {}
@@ -593,8 +598,8 @@ def _product(t1: dict, t2: dict) -> dict:
         return {tuple(map(add, e1, e)): (a * ca - b * cb, a * cb + b * ca - b * cb)
                 for e1, (a, b) in t1.items()}
     rational = not any(b for _, b in t1.values()) and not any(b for _, b in t2.values())
-    if len(t1) * len(t2) >= _KRONECKER_PAIRS:
-        return _kronecker_product(t1, t2, rational)
+    if rational and len(t1) * len(t2) >= _KRONECKER_PAIRS:
+        return _kronecker_product(t1, t2)
     re: dict[tuple[int, ...], int] = {}
     get = re.get
     if rational:
@@ -614,9 +619,10 @@ def _product(t1: dict, t2: dict) -> dict:
     return {e: (a, om[e]) for e, a in re.items() if a or om[e]}
 
 
-def _kronecker_product(t1: dict, t2: dict, rational: bool) -> dict:
-    """_product of two multi-term dicts, summed on Kronecker keys: exponent
-    tuples packed into ints, as in Monagan & Pearce, CASC 2007.
+def _kronecker_product(t1: dict, t2: dict) -> dict:
+    """_product of two multi-term dicts with rational coefficients (no w
+    parts), summed on Kronecker keys: exponent tuples packed into ints, as in
+    Monagan & Pearce, CASC 2007.
 
     The key of an exponent tuple e is the int sum of e_i*m_i, where m_i is
     the product of the spans max_i(t1) + max_i(t2) - min_i(t1) - min_i(t2) + 1
@@ -627,46 +633,28 @@ def _kronecker_product(t1: dict, t2: dict, rational: bool) -> dict:
     such d has a lowest i with d_i != 0, where sum(d_j*m_j) is d_i*m_i
     modulo m_(i+1) = m_i*span_i, which is not 0.  So each pair costs an int
     addition, and the exponent tuple is built once per distinct result
-    monomial, from the first pair that reaches it.  rational says that no
-    coefficient has a w part.
+    monomial, from the first pair that reaches it.
     """
     m = []
     step = 1
     for c1, c2 in zip(zip(*t1), zip(*t2)):
         m.append(step)
         step *= max(c1) + max(c2) - min(c1) - min(c2) + 1
-    re: dict[int, int] = {}
+    acc: dict[int, int] = {}
     at: dict[int, tuple] = {}  # key -> the first pair of exponent tuples summed there
-    get = re.get
-    if rational:
-        rows = [(sum(map(mul, e2, m)), e2, a2) for e2, (a2, _) in t2.items()]
-        for e1, (a1, _) in t1.items():
-            k1 = sum(map(mul, e1, m))
-            for k2, e2, a2 in rows:
-                k = k1 + k2
-                got = get(k)
-                if got is None:
-                    re[k] = a1 * a2
-                    at[k] = e1, e2
-                else:
-                    re[k] = got + a1 * a2
-        return {tuple(map(add, *at[k])): (a, 0) for k, a in re.items() if a}
-    om: dict[int, int] = {}
-    rows = [(sum(map(mul, e2, m)), e2, a2, b2) for e2, (a2, b2) in t2.items()]
-    for e1, (a1, b1) in t1.items():
+    get = acc.get
+    rows = [(sum(map(mul, e2, m)), e2, a2) for e2, (a2, _) in t2.items()]
+    for e1, (a1, _) in t1.items():
         k1 = sum(map(mul, e1, m))
-        for k2, e2, a2, b2 in rows:
+        for k2, e2, a2 in rows:
             k = k1 + k2
-            bb = b1 * b2
             got = get(k)
             if got is None:
-                re[k] = a1 * a2 - bb
-                om[k] = a1 * b2 + b1 * a2 - bb
+                acc[k] = a1 * a2
                 at[k] = e1, e2
             else:
-                re[k] = got + a1 * a2 - bb
-                om[k] += a1 * b2 + b1 * a2 - bb
-    return {tuple(map(add, *at[k])): (a, om[k]) for k, a in re.items() if a or om[k]}
+                acc[k] = got + a1 * a2
+    return {tuple(map(add, *at[k])): (a, 0) for k, a in acc.items() if a}
 
 
 def _require_polynomial(f: Polynomial, what: str):

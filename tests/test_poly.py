@@ -237,7 +237,7 @@ CANON = VarTable(["x", "y", "t"], laurent=["t"])
 WIDER = VarTable(["s", "t", "y", "x"], laurent=["t"])
 canon_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 canon_polys = st.dictionaries(
-    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-1, 2)),
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-3, 2)),
     st.one_of(st.builds(Eisenstein, canon_fracs), st.builds(Eisenstein, canon_fracs, canon_fracs)),
     max_size=4,
 ).map(lambda terms: Polynomial(CANON, terms))
@@ -273,6 +273,14 @@ def test_antiderivative_is_undone_by_diff(p):
         assert_lowest_terms(f)
         assert f.diff(v) == p
         assert f.coefficient_in(v, 0).is_zero()
+
+
+def test_antiderivative_of_negative_powers():
+    x, t = CANON.var("x"), CANON.var("t")
+    assert (t ** -2).antiderivative("t") == -t ** -1
+    f = x * t ** -3 + Fraction(1, 2) * t ** -2 + OMEGA * t
+    assert f.antiderivative("t") == (-Fraction(1, 2) * x * t ** -2 - Fraction(1, 2) * t ** -1
+                                     + OMEGA / 2 * t ** 2)
 
 
 # -- hashing --------------------------------------------------------------------

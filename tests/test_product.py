@@ -63,7 +63,8 @@ def test_product_matches_the_double_loop(t1, t2):
 
 # Operands on both sides of poly._KRONECKER_PAIRS over a table with a Laurent
 # y and a parameter c: small ones of up to 12 terms, large ones of at least
-# 24.  A small operand keeps a product below the gate; two large ones reach it.
+# 24.  A small operand keeps a product below the gate; two large rational ones
+# reach it, and large Q(w) or mixed ones check the Q(w) tuple loop.
 TLC = VarTable(["x", "y", "c"], laurent=["y"], params=["c"])
 wide_exps = st.tuples(st.integers(0, 3), st.integers(-3, 3), st.integers(0, 2))
 
@@ -79,15 +80,17 @@ large_dicts = st.one_of(*[_wide(c, 24, 32) for c in (rational, eisenstein, mixed
 
 @st.composite
 def _cancelling(draw):
-    # (a + b)(a - b): every cross term a*b cancels
-    a = Polynomial(TLC, draw(_wide(eisenstein, 12, 20)))
+    # (a + b)(a - b): every cross term a*b cancels; a has at least 24 terms,
+    # so a rational product reaches the gate
+    a = Polynomial(TLC, draw(_wide(draw(st.sampled_from([rational, eisenstein])), 24, 28)))
     b = Polynomial(TLC, draw(_wide(rational, 12, 20)))
     return dict((a + b).items()), dict((a - b).items())
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(st.one_of(st.tuples(small_dicts, small_dicts), st.tuples(small_dicts, large_dicts),
-                 st.tuples(large_dicts, large_dicts), _cancelling()))
+                 st.tuples(large_dicts, large_dicts),
+                 st.tuples(_wide(rational, 24, 32), _wide(rational, 24, 32)), _cancelling()))
 def test_products_on_both_sides_of_the_gate_match_the_double_loop(operands):
     t1, t2 = operands
     got = Polynomial(TLC, t1) * Polynomial(TLC, t2)
@@ -95,24 +98,30 @@ def test_products_on_both_sides_of_the_gate_match_the_double_loop(operands):
     assert dict(got.items()) == _double_loop(t1, t2)
 
 
-def test_only_products_past_the_gate_run_on_keys(monkeypatch):
+def test_only_large_rational_products_run_on_keys(monkeypatch):
     x, y, c = TLC.var("x"), TLC.var("y"), TLC.var("c")
-    f = ((1 + x + y ** -1) * (OMEGA + c)) ** 2 + x * y ** 3  # 19 terms
+    f = ((1 + x + y ** -1) * (Fraction(2, 3) + c)) ** 2 + x * y ** 3  # 19 terms
+    f_w = ((1 + x + y ** -1) * (OMEGA + c)) ** 2 + x * y ** 3  # 19 terms, with w parts
     g = (x + y ** -2 + c + 1) ** 4  # 35 terms
     small = x + y ** -1 + Fraction(1, 2)
+    assert len(f) == len(f_w)
     assert len(f) * len(small) < poly._KRONECKER_PAIRS <= len(f) * len(g)
     assert 12 * 32 < poly._KRONECKER_PAIRS <= 24 * 24  # the strategies above straddle it
     calls = []
 
-    def spy(t1, t2, rational):
+    def spy(t1, t2):
         calls.append(len(t1) * len(t2))
-        return real(t1, t2, rational)
+        return real(t1, t2)
+
+    def double_loop(p, q):
+        return Polynomial(TLC, _double_loop(dict(p.items()), dict(q.items())))
 
     real = poly._kronecker_product
     monkeypatch.setattr(poly, "_kronecker_product", spy)
-    assert f * small == Polynomial(TLC, _double_loop(dict(f.items()), dict(small.items())))
+    assert f * small == double_loop(f, small)
+    assert f_w * g == double_loop(f_w, g)
     assert calls == []
-    assert f * g == Polynomial(TLC, _double_loop(dict(f.items()), dict(g.items())))
+    assert f * g == double_loop(f, g)
     assert calls == [len(f) * len(g)]
 
 
