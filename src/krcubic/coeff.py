@@ -1,14 +1,21 @@
 """Exact arithmetic in the Eisenstein rationals Q(w), w a primitive cube root of unity.
 
-An element is stored as three Python ints (a, b, d), meaning (a + b*w)/d,
-with gcd(a, b, d) = 1 and d > 0; products use the defining relation
-w^2 = -1 - w.  That form is unique, so structural equality is mathematical
-equality.  Every result is built by one private constructor, _make, which
-divides out the common factor.
+The one scalar form of the package is the triple of Python ints (a, b, d),
+meaning (a + b*w)/d, with gcd(a, b, d) = 1 and d > 0; products use the
+defining relation w^2 = -1 - w.  That form is unique, so structural equality
+is mathematical equality.  This module is the one home of the triple's
+formulas: _triple (the canonical form), _times (the product), _inverse (the
+conjugate over the norm) and _scaled (the text of a multiple of a unit).
+Every other site calls them.  Only the hot loops of poly.py, _add_into,
+_product and the division step in reduce, write the product formula (and
+reduce's step the canonical form) inline, because there a function call per
+pair of terms would cost more than the arithmetic.
 
-Eisenstein is the scalar at the kernel's edges: a polynomial (poly.py) keeps
-its coefficients as int pairs over one denominator and builds an Eisenstein
-only when one is read out.  Fraction appears only at the outer edge, and this
+An Eisenstein is an immutable Record over one triple, built by one private
+constructor, _make, which takes any triple to its canonical form.  It is the
+scalar at the kernel's edges: a polynomial (poly.py) keeps its coefficients
+as int pairs over one denominator and builds an Eisenstein only when one is
+read out.  Fraction appears only at the outer edge, and this
 module never imports it at start-up: Eisenstein(re, om) takes ints and
 Fractions, the parts read back as the Fractions re and om (imported when
 first read), and a value hashes as its Fraction or Fraction pair would.
@@ -18,6 +25,8 @@ from __future__ import annotations
 
 import sys
 from math import gcd
+
+from .errors import Record
 
 _MODULUS = sys.hash_info.modulus
 _HASH_INF = sys.hash_info.inf
@@ -50,7 +59,34 @@ def _fraction_hash(n: int, d: int) -> int:
     return -2 if h == -1 else h
 
 
-class Eisenstein:
+def _triple(a: int, b: int, d: int) -> tuple[int, int, int]:
+    """(a + b*w)/d, d > 0, as the triple in lowest terms."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            return a // g, b // g, d // g
+    return a, b, d
+
+
+def _times(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The product of two triples (a, b, d), in lowest terms:
+    (a + b*w)(c + e*w) = ac - be + (ae + bc - be)*w, since w^2 = -1 - w."""
+    a, b, d = x
+    c, e, f = y
+    be = b * e
+    return _triple(a * c - be, a * e + b * c - be, d * f)
+
+
+def _inverse(a: int, b: int, d: int) -> tuple[int, int, int]:
+    """The inverse of (a + b*w)/d in lowest terms: the conjugate
+    d*(a - b - b*w) over the norm a^2 - ab + b^2."""
+    norm = a * a - a * b + b * b  # positive definite, so 0 only at a = b = 0
+    if norm == 0:
+        raise ZeroDivisionError("inverse of zero in Q(w)")
+    return _triple(d * (a - b), -d * b, norm)
+
+
+class Eisenstein(Record):
     """An element (a + b*w)/d of Q(w), exact and immutable.
 
     The value lives in the private slots; re and om are read-only.
@@ -63,12 +99,7 @@ class Eisenstein:
         if r is None or o is None:
             raise TypeError(f"not a rational value: {(re if r is None else om)!r}")
         (ra, rd), (oa, od) = r, o
-        # Over the lcm of two reduced denominators no prime divides a, b and
-        # d at once, so the triple is already canonical.
-        d = rd * od // gcd(rd, od)
-        self._a = ra * (d // rd)
-        self._b = oa * (d // od)
-        self._d = d
+        super().__init__(*_triple(ra * od, oa * rd, rd * od))
 
     @property
     def re(self) -> "Fraction":
@@ -96,25 +127,19 @@ class Eisenstein:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        if type(other) is not Eisenstein:
-            other = _try(other)
-            if other is None:
-                return NotImplemented
+        other = _try(other)
+        if other is None:
+            return NotImplemented
         d1, d2 = self._d, other._d
-        if d1 == d2:
-            return _make(self._a + other._a, self._b + other._b, d1)
         return _make(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is not Eisenstein:
-            other = _try(other)
-            if other is None:
-                return NotImplemented
+        other = _try(other)
+        if other is None:
+            return NotImplemented
         d1, d2 = self._d, other._d
-        if d1 == d2:
-            return _make(self._a - other._a, self._b - other._b, d1)
         return _make(self._a * d2 - other._a * d1, self._b * d2 - other._b * d1, d1 * d2)
 
     def __rsub__(self, other):
@@ -127,26 +152,16 @@ class Eisenstein:
         return _make(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        # (a + b*w)(c + e*w) = ac + (ae + bc)w + be*w^2,  w^2 = -1 - w
-        if type(other) is not Eisenstein:
-            other = _try(other)
-            if other is None:
-                return NotImplemented
-        a, b, c, e = self._a, self._b, other._a, other._b
-        if not (b or e):
-            return _make(a * c, 0, self._d * other._d)
-        be = b * e
-        return _make(a * c - be, a * e + b * c - be, self._d * other._d)
+        other = _try(other)
+        if other is None:
+            return NotImplemented
+        return _make(*_times((self._a, self._b, self._d), (other._a, other._b, other._d)))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Eisenstein":
         """Multiplicative inverse via the conjugate a - b - b*w and norm a^2 - ab + b^2."""
-        a, b, d = self._a, self._b, self._d
-        norm = a * a - a * b + b * b  # positive definite, so 0 only at a = b = 0
-        if norm == 0:
-            raise ZeroDivisionError("inverse of zero in Q(w)")
-        return _make(d * (a - b), -d * b, norm)
+        return _make(*_inverse(self._a, self._b, self._d))
 
     def __truediv__(self, other):
         return self * Eisenstein.of(other).inverse()
@@ -157,10 +172,9 @@ class Eisenstein:
     # -- equality and display -----------------------------------------------
 
     def __eq__(self, other):
-        if type(other) is not Eisenstein:
-            other = _try(other)
-            if other is None:
-                return NotImplemented
+        other = _try(other)
+        if other is None:
+            return NotImplemented
         return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
@@ -179,20 +193,16 @@ class Eisenstein:
 
 
 _new = object.__new__
+_set_a, _set_b, _set_d = Eisenstein._setters
 
 
 def _make(a: int, b: int, d: int) -> Eisenstein:
     """The element (a + b*w)/d for ints with d > 0, in canonical form."""
-    if d != 1:
-        g = gcd(a, b, d)
-        if g != 1:
-            a //= g
-            b //= g
-            d //= g
+    a, b, d = _triple(a, b, d)
     e = _new(Eisenstein)
-    e._a = a
-    e._b = b
-    e._d = d
+    _set_a(e, a)
+    _set_b(e, b)
+    _set_d(e, d)
     return e
 
 
@@ -214,13 +224,19 @@ def _part(n: int, d: int) -> str:
     return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
+def _scaled(k: int, d: int, unit: str) -> str:
+    """k/d times the text unit, for k > 0: the unit alone when k/d is one,
+    else 'p/q*unit'."""
+    return unit if k == d else f"{_part(k, d)}*{unit}"
+
+
 def render_coeff(c: Eisenstein) -> str:
     """Human form: '5', '-1/2', 'w', '2*w', '(1 + w)' styles (no outer parens here)."""
     a, b, d = c._a, c._b, c._d
     if b == 0:
         return _part(a, d)
     mag = -b if b < 0 else b
-    wpart = "w" if mag == d else f"{_part(mag, d)}*w"
+    wpart = _scaled(mag, d, "w")
     if a == 0:
         return "-" + wpart if b < 0 else wpart
     return f"{_part(a, d)}{' - ' if b < 0 else ' + '}{wpart}"

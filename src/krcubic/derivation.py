@@ -36,9 +36,7 @@ class Derivation(Record):
                 im = normal_form(im, relation)
             if im:
                 imgs[v] = im
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "images", imgs)
-        object.__setattr__(self, "relation", relation)
+        super().__init__(table, imgs, relation)  # the descent check reads self.images
         if relation is not None:
             # descent condition: the derivation must preserve the ideal
             raw = self._derive_raw(table.coerce(relation.relation))

@@ -9,9 +9,11 @@ class Record:
     """A read-only record over the subclass's __slots__.
 
     Record(*values) fills the slots in order; assignment afterwards raises.
-    A subclass that validates its input keeps its own __init__ and writes
-    through object.__setattr__.  Equality, hashing and repr stay those of
-    object: records compare and hash by identity.
+    A subclass that validates its input keeps its own __init__ and passes
+    the slot values on to Record.__init__; a private constructor that skips
+    __init__ fills the slots through _setters.  Equality, hashing and repr
+    stay those of object, records comparing and hashing by identity, unless
+    the subclass defines its own.
     """
 
     __slots__ = ()

@@ -33,9 +33,7 @@ class RingMap(Record):
             if table.is_param(v):
                 raise KrError(f"parameters cannot be remapped (got image for {v!r})")
             table.index(v)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "images", imgs)
-        object.__setattr__(self, "_applied", {})
+        super().__init__(table, imgs, {})
 
     def apply(self, f: Polynomial) -> Polynomial:
         """The image of f, which goes through the map's VarTable.coerce: a
@@ -171,10 +169,7 @@ class QuotientRelation(Record):
         tail = relation - table.monomial(head)  # r + x*F
         if tail.degree_in("y") > 0:
             raise KrError("relation tail must not involve y")
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "tail", tail)
-        object.__setattr__(self, "order", lambda e: (e[iy], *e))
+        super().__init__(table, relation, tail, lambda e: (e[iy], *e))
 
     def __repr__(self):
         return f"QuotientRelation({self.relation})"

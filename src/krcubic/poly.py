@@ -31,6 +31,14 @@ Multivariate division with remainder (reduce) and the Laurent-content split
 (clear_laurent) live here too, the one division loop of the package; reduce
 keeps a lowest-terms triple (a, b, d) per term while it runs.
 
+The triple is the one scalar form, and its formulas live in coeff.py:
+_triple, _times, _inverse and _scaled are imported from there, and
+_from_triples, shared by Polynomial() and reduce, puts triples over their
+common denominator.  Three hot loops write _times's formula inline on
+purpose: _add_into, _product and the division step in reduce (which also
+inlines the canonical form), since they run it once per pair of terms, where
+a call would cost more than the arithmetic.
+
 A monomial order is a key function: it maps an exponent tuple to a flat
 tuple of ints, and a larger key is a larger monomial.  The canonical order,
 used for printing and as the default for leading terms and division, is
@@ -44,7 +52,8 @@ from collections.abc import Iterable, Mapping
 from math import gcd, lcm
 from operator import add, le, mul, sub
 
-from .coeff import ONE, ZERO, Eisenstein, _make, _part, _try, render_coeff
+from .coeff import (ONE, ZERO, Eisenstein, _inverse, _make, _part, _scaled, _times, _triple,
+                    _try, render_coeff)
 from .errors import (
     KrError,
     LaurentInputError,
@@ -80,11 +89,9 @@ class VarTable(Record):
         for v in laurent | params:
             if v not in names:
                 raise KrError(f"flagged variable {v!r} is not declared")
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "laurent", tuple(v in laurent for v in names))
-        object.__setattr__(self, "weights", tuple(0 if v in params else 1 for v in names))
-        object.__setattr__(self, "_index", {v: i for i, v in enumerate(names)})
-        object.__setattr__(self, "_bases", {})
+        super().__init__(names, tuple(v in laurent for v in names),
+                         tuple(0 if v in params else 1 for v in names),
+                         {v: i for i, v in enumerate(names)}, {})
 
     @property
     def arity(self) -> int:
@@ -192,12 +199,8 @@ class Polynomial(Record):
             if len(exps) != table.arity:
                 raise KrError("exponent tuple arity mismatch")
             _check_exponents(table, exps)
-            clean[exps] = c
-        # over the lcm of denominators in lowest terms the pairs are already
-        # in lowest terms, as in Eisenstein(re, om)
-        den = lcm(*[c._d for c in clean.values()])
-        super().__init__(table, den, {e: (c._a * (den // c._d), c._b * (den // c._d))
-                                      for e, c in clean.items()}, None)
+            clean[exps] = (c._a, c._b, c._d)
+        super().__init__(table, *_from_triples(clean), None)
 
     # -- basic queries -------------------------------------------------------
 
@@ -320,11 +323,8 @@ class Polynomial(Record):
         a, b = self.terms[max(self.terms, key=key)]
         if a == self.den and not b:
             return self
-        # (T/den) / ((a + b*w)/den) = T/(a + b*w) = T*(a - b - b*w)/(a^2 - ab + b^2)
-        if b:
-            ca, cb, den = a - b, -b, a * a - a * b + b * b
-        else:
-            ca, cb, den = (1, 0, a) if a > 0 else (-1, 0, -a)
+        # (T/den) / ((a + b*w)/den) = T times the inverse of a + b*w
+        ca, cb, den = _inverse(a, b, 1)
         acc = {}
         _add_into(acc, self.terms, ca, cb)
         return _lowest(self.table, den, acc)
@@ -523,6 +523,15 @@ def _lowest(table: VarTable, den: int, terms: dict) -> Polynomial:
     return _polynomial(table, den, terms)
 
 
+def _from_triples(terms: dict) -> tuple[int, dict]:
+    """A term dict of lowest-terms triples (a, b, d) as an int-pair term dict
+    over the lcm of the d, returned with that lcm.  The pairs are then in
+    lowest terms: a prime's highest power in the lcm divides some term's d
+    exactly, and that term's scaled pair is not a multiple of the prime."""
+    den = lcm(*[d for _, _, d in terms.values()])
+    return den, {e: (a * (den // d), b * (den // d)) for e, (a, b, d) in terms.items()}
+
+
 def _add_into(acc: dict, terms: dict, ca: int, cb: int) -> None:
     """acc += (ca + cb*w) * terms in place, on int pairs; a sum that cancels
     is dropped.  The scalar is not zero."""
@@ -664,31 +673,6 @@ def _require_polynomial(f: Polynomial, what: str):
             f"{what} carries negative exponents; clear Laurent denominators first")
 
 
-def _triple(a: int, b: int, d: int) -> tuple[int, int, int]:
-    """(a + b*w)/d, d > 0, as the triple in lowest terms."""
-    if d != 1:
-        g = gcd(a, b, d)
-        if g != 1:
-            return a // g, b // g, d // g
-    return a, b, d
-
-
-def _times(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
-    """The product of two triples (a, b, d), in lowest terms."""
-    a, b, d = x
-    c, e, f = y
-    be = b * e
-    return _triple(a * c - be, a * e + b * c - be, d * f)
-
-
-def _from_triples(table: VarTable, terms: dict) -> Polynomial:
-    # over the lcm of denominators in lowest terms the pairs are already in
-    # lowest terms, as in Polynomial()
-    den = lcm(*[d for _, _, d in terms.values()])
-    return _polynomial(table, den, {e: (a * (den // d), b * (den // d))
-                                    for e, (a, b, d) in terms.items()})
-
-
 def reduce(f: Polynomial, gens: list[Polynomial],
            order=grevlex_key) -> tuple[Polynomial, list[Polynomial]]:
     """Division with remainder under the monomial order `order` (a key
@@ -713,8 +697,7 @@ def reduce(f: Polynomial, gens: list[Polynomial],
         gm = max(g.terms, key=order)
         a, b = g.terms[gm]
         d = g.den
-        # the inverse of (a + b*w)/d is d*(a - b - b*w)/(a^2 - ab + b^2)
-        inv = None if a == d and not b else _triple(d * (a - b), -d * b, a * a - a * b + b * b)
+        inv = None if a == d and not b else _inverse(a, b, d)
         lead.append((gm, inv))
         # the tail over its denominator, negated: each step adds q times it
         # into the dividend
@@ -775,8 +758,8 @@ def reduce(f: Polynomial, gens: list[Polynomial],
                 break
         else:
             rem_terms[lt_exps] = lt
-    rem = _from_triples(table, rem_terms)
-    cofactors = [_from_triples(table, t) for t in cof_terms]
+    rem = _polynomial(table, *_from_triples(rem_terms))
+    cofactors = [_polynomial(table, *_from_triples(t)) for t in cof_terms]
     # rem + sum of cofactor * generator, over one denominator
     parts = [(rem.den, rem.terms, (1, 0))]
     parts += [(c.den * g.den, _product(c.terms, g.terms), (1, 0))
@@ -830,17 +813,14 @@ def render(p: Polynomial) -> str:
             if a:
                 pieces.append((a < 0, _part(abs(a), d)))
             if b:
-                mag = abs(b)
-                pieces.append((b < 0, "w" if mag == d else f"{_part(mag, d)}*w"))
+                pieces.append((b < 0, _scaled(abs(b), d, "w")))
             continue
         if not b:
             neg = a < 0
-            mag = abs(a)
-            text = mono if mag == d else f"{_part(mag, d)}*{mono}"
+            text = _scaled(abs(a), d, mono)
         elif not a:
             neg = b < 0
-            mag = abs(b)
-            text = f"w*{mono}" if mag == d else f"{_part(mag, d)}*w*{mono}"
+            text = _scaled(abs(b), d, f"w*{mono}")
         else:
             neg = a < 0
             text = f"({render_coeff(_make(-a, -b, d) if neg else _make(a, b, d))})*{mono}"

@@ -10,6 +10,7 @@ import pytest
 import krcubic
 from krcubic import groebner
 from krcubic.claims import ERROR, FAIL, PASS, manifest_path, run_file, run_text
+from krcubic.coeff import Eisenstein
 from krcubic.derivation import Derivation, nilpotency_certificate
 from krcubic.errors import KrError, Record
 from krcubic.geometry import classify_quadric
@@ -50,6 +51,7 @@ def test_value_records_are_read_only():
         classify_quadric(x ** 2),
         buchberger([x, z]),
         Lit(x),
+        Eisenstein(1, 2),  # its first slot is the private _a
     ]
     # items: Decl (ring), Decl (map), InverseDecl, ClaimDecl, NarrativeDecl
     unit = parse_unit("ring R = vars(x);\nmap m : R { x -> x; }\ninverse(m, m);\n"
@@ -65,7 +67,7 @@ def test_value_records_are_read_only():
     assert {type(r).__name__ for r in records} == {
         "ClaimResult", "NilpotencyCertificate", "ConeClass",
         "GroebnerBasis", "Lit", "BinOp", "Negate", "Apply", "Builtin", "Pow", "Decl",
-        "InverseDecl", "ClaimDecl", "NarrativeDecl", "Extension"}
+        "InverseDecl", "ClaimDecl", "NarrativeDecl", "Extension", "Eisenstein"}
     for record in records:
         assert not hasattr(record, "__dict__"), type(record).__name__
         name = type(record).__slots__[0]
@@ -78,7 +80,6 @@ NOT_RECORDS = {
     "Token": "built once per token, so the plain class, the fastest form, is kept",
     "Report": "run_unit fills its results list after construction",
     "SourceUnit": "the parser fills its lists and dicts while it reads",
-    "Eisenstein": "_make, the hottest constructor, assigns its private slots directly",
 }
 
 

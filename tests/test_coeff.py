@@ -1,5 +1,6 @@
 """Field arithmetic in Q(w)."""
 
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -8,7 +9,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from krcubic.coeff import Eisenstein, OMEGA, ONE, _make, render_coeff
+from krcubic.coeff import Eisenstein, OMEGA, ONE, _inverse, _make, _times, render_coeff
 from krcubic.poly import Polynomial, VarTable, render
 
 from conftest import random_coeff
@@ -88,6 +89,27 @@ def test_addition_is_exactly_invertible(a, b):
 def test_nonzero_elements_invert(a):
     if a:
         assert a * a.inverse() == ONE
+
+
+# nonzero triples in lowest terms, the canonical form, drawn without _triple
+canonical = st.tuples(st.integers(-60, 60), st.integers(-60, 60), st.integers(1, 60)).filter(
+    lambda t: (t[0] or t[1]) and gcd(*t) == 1)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(canonical)
+def test_triple_times_its_inverse_is_one(t):
+    inv = _inverse(*t)
+    assert inv[2] > 0 and gcd(*inv) == 1
+    assert _times(t, inv) == (1, 0, 1)
+
+
+def test_a_non_number_is_no_operand():
+    # _try alone decides what is a number
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(Eisenstein(1), "x")
+    assert (Eisenstein(1) == "x") is False
 
 
 def test_division():

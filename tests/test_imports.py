@@ -95,9 +95,12 @@ def test_every_export_is_used_in_the_package():
 # through the accessors
 KERNEL = {"coeff", "poly"}
 REPRESENTATION = {"den", "terms", "_a", "_b", "_d", "_index"}
-# every private name that one package module imports from another
+# every private name that one package module imports from another; poly
+# takes the triple's formulas from coeff, their one home
 PRIVATE_IMPORTS = {
     ("poly", "coeff", "_make"), ("poly", "coeff", "_part"), ("poly", "coeff", "_try"),
+    ("poly", "coeff", "_triple"), ("poly", "coeff", "_times"), ("poly", "coeff", "_inverse"),
+    ("poly", "coeff", "_scaled"),
     ("parser", "coeff", "_make"),  # a p/q literal, built from its ints
     ("groebner", "geometry", "_center"),  # singular_at stays in groebner
 }
@@ -189,8 +192,8 @@ def test_import_loads_no_slow_modules():
 
 
 # autgroup.krv reaches substitute, reduce and exact_divide; embeddings.krv
-# reaches classify_quadric, whose Gram matrix multiplies Eisenstein
-# coefficients (autgroup.krv multiplies none)
+# reaches classify_quadric, whose Gram matrix adds, multiplies and inverts
+# Eisenstein coefficients (autgroup.krv adds and multiplies none)
 TRACE_PROBE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
@@ -216,6 +219,6 @@ def test_bench_tracer_binds_every_traced_function():
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
     assert seen["all_pass"]
-    for layer in ("coeff.mul", "poly.substitute", "groebner.reduce",
-                  "morphism.exact_divide"):
+    for layer in ("coeff.mul", "coeff.add", "coeff.inverse", "poly.substitute",
+                  "groebner.reduce", "morphism.exact_divide"):
         assert seen["layers"][f"{layer}.calls"] > 0, layer
