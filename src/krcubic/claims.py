@@ -1,8 +1,8 @@
 """Evaluate parsed units, in order, into structured pass/fail reports.
 
-elaborate evaluates the declarations, then each claim's kind's entry in
-VERDICTS decides it; both evaluate syntax through eval_node and operands.  A
-failing declaration stops the unit with a positioned ParseError; a failing
+elaborate evaluates the declarations, a ring into its one VarTable, then each
+claim's kind's entry in VERDICTS decides it; both evaluate syntax, as written,
+through eval_node and operands.  A failing declaration stops the unit with a positioned ParseError; a failing
 claim is recorded as that claim's 'error' and the run goes on.  Narrative
 entries aggregate the statuses of the claims they cite: they mark conclusions
 that follow from the listed computations plus imported theory.
@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import time
 
+from .coeff import OMEGA, _make
 from .errors import KrError, ParseError, Record
 from .geometry import classify_quadric, graph_variable_check, tangent_cone
 from .groebner import member, singular_at, smooth_everywhere
@@ -23,7 +24,7 @@ from .morphism import (QuotientRelation, RingMap, compose, exact_divide,
 from .derivation import (Derivation, conjugate, nilpotency_certificate, substitute_parameter,
                          theta_extract)
 from .parser import (BUILTINS, CLAIMS, CONSTRUCTORS, INVERSE, Apply, BinOp, Builtin, ClaimDecl,
-                     Decl, InverseDecl, Lit, Negate, Pow, Ref, SourceUnit, combine, parse_unit)
+                     Decl, InverseDecl, Lit, Negate, Pow, Ref, SourceUnit, parse_unit)
 from .poly import Polynomial, VarTable, render
 
 PASS, FAIL, ERROR = "pass", "fail", "error"
@@ -86,15 +87,20 @@ class Report:
 
 
 def eval_node(node, env: dict, table: VarTable) -> Polynomial:
-    """Evaluate an expression node over table; env maps each name to its value."""
-    if isinstance(node, Lit):
-        return node.value
-    if isinstance(node, Ref):  # a let, read into table by variable name
+    """Evaluate an expression node over table, the ring it was read in; env
+    maps each name to its value."""
+    if isinstance(node, Lit):  # a number or w
+        num, _, den = node.text.partition("/")
+        return table.constant(OMEGA if num == "w" else _make(int(num), 0, int(den or 1)))
+    if isinstance(node, Ref):  # a ring variable, else a let read into table by variable name
+        if node.name in table.names:
+            return table.var(node.name)
         return env[node.name].transport(table)
     if isinstance(node, Negate):
         return -eval_node(node.arg, env, table)
     if isinstance(node, BinOp):
-        return combine(node.op, eval_node(node.left, env, table), eval_node(node.right, env, table))
+        a, b = eval_node(node.left, env, table), eval_node(node.right, env, table)
+        return a + b if node.op == "+" else a - b if node.op == "-" else a * b
     if isinstance(node, Pow):
         return eval_node(node.base, env, table) ** node.k
     if isinstance(node, Apply):
@@ -182,14 +188,17 @@ def _check_inverse(inv: InverseDecl, env: dict, table: VarTable):
 
 def elaborate(unit: SourceUnit) -> dict:
     """Evaluate the declarations in order, each over the ring current at it:
-    the value of each declared name.  A kernel error, or an inverse(...)
-    pair that is not inverse, raises a ParseError at the declaration."""
+    the value of each declared name, a ring's being its one VarTable.  A kernel
+    error, or an inverse(...) pair that is not inverse, raises a ParseError at
+    the declaration."""
     env = {}
     for item in unit.items:
         if isinstance(item, InverseDecl):
-            _at(item.tok, _check_inverse, item, env, unit.rings[item.ring])
-        elif isinstance(item, Decl) and item.kind != "ring":
-            env[item.name] = _declared(item, env, unit.rings[item.ring])
+            _at(item.tok, _check_inverse, item, env, env[item.ring])
+        elif isinstance(item, Decl) and item.kind == "ring":
+            env[item.name] = VarTable(item.body.names, item.body.laurent, item.body.params)
+        elif isinstance(item, Decl):
+            env[item.name] = _declared(item, env, env[item.ring])
     return env
 
 
@@ -264,7 +273,7 @@ def run_unit(unit: SourceUnit, source: str = "<unit>") -> Report:
     """Evaluate the declarations in order, then every claim, then the narratives."""
     env = elaborate(unit)
     report = Report(source)
-    results = [_run_one(c, env, unit.rings[c.ring]) for c in unit.claims]
+    results = [_run_one(c, env, env[c.ring]) for c in unit.claims]
     report.results.extend(results)
     by_label = {r.label: r for r in results}
     for narr in unit.narratives:

@@ -52,8 +52,8 @@ class GroebnerBasis(Record):
 def _spoly(f: Polynomial, g: Polynomial, order) -> Polynomial:
     """The S-polynomial of two monic polynomials: no coefficient is inverted,
     and each multiplier, a monomial with coefficient one, only shifts."""
-    fm = f.leading_term(order)[0]
-    gm = g.leading_term(order)[0]
+    fm = f.leading_monomial(order)
+    gm = g.leading_monomial(order)
     lcm = tuple(map(max, fm, gm))
     table = f.table
     return table.monomial(map(sub, lcm, fm)) * f - table.monomial(map(sub, lcm, gm)) * g
@@ -82,7 +82,7 @@ def buchberger(gens: list[Polynomial], order=grevlex_key) -> GroebnerBasis:
             raise LaurentInputError("generator carries negative exponents; "
                                     "clear Laurent denominators first")
         basis.append(g.monic(order))
-    lms = [g.leading_term(order)[0] for g in basis]
+    lms = [g.leading_monomial(order) for g in basis]
 
     heap: list = []
     counter = 0
@@ -117,7 +117,7 @@ def buchberger(gens: list[Polynomial], order=grevlex_key) -> GroebnerBasis:
         rem, _ = reduce(s, basis, order)
         if not rem.is_zero():
             basis.append(rem.monic(order))
-            lms.append(basis[-1].leading_term(order)[0])
+            lms.append(basis[-1].leading_monomial(order))
             push_pairs(len(basis) - 1)
 
     # minimalize: drop generators whose leading monomial another one divides

@@ -33,21 +33,19 @@ The argument shapes of each claim kind, constructor and built-in live once, as
 data, in CLAIMS, CONSTRUCTORS and BUILTINS; Parser.arguments reads them,
 _fmt_arguments prints them and claims.operands evaluates them.  Each declared
 name has one Decl record, and SourceUnit.env maps a name to its Decl (rings:
-SourceUnit.rings maps a name to its VarTable).  The parser only parses: it
-checks names where they are read, stops at the first syntax or binding error
-with a 1-based line/column diagnostic, and keeps every declaration and claim
-as syntax, which claims.run_unit evaluates in order.  Constant subtrees fold
-into literals as they are read, except a power that raises (a Pow node); a let
-read is a Ref node, read by variable name into the ring that evaluates it.
+SourceUnit.rings maps a name to its Ring, the three name lists it declares).
+The parser only parses: it checks names where they are read, stops at the
+first syntax or binding error with a 1-based line/column diagnostic, and keeps
+every declaration and claim as syntax, which claims.run_unit evaluates in
+order.  It builds no table and no polynomial: a number or w is a Lit of its
+text as written, and a ring variable or a let read is a Ref of its name.
 """
 
 from __future__ import annotations
 
 import re
 
-from .coeff import OMEGA, _make
-from .errors import KrError, ParseError, Record
-from .poly import Polynomial, VarTable, render
+from .errors import ParseError, Record
 from .geometry import CONE_TAGS
 
 # Argument shapes, in order.  A trailing '?' marks an optional group that
@@ -134,24 +132,21 @@ def tokenize(text: str) -> list[Token]:
 
 
 # ---------------------------------------------------------------------------
-# expression AST (constants fold as they are read; claims.eval_node does the rest)
+# expression AST, as written; claims.eval_node evaluates it.  render(prec)
+# prints a node with the fewest parentheses that parse back to the same tree;
+# prec is where it sits: 0 alone, 1 left of '+' or '-', 2 right of '+' or '-',
+# after a leading '-' or left of '*', 3 right of '*', 4 under '^'.
 
 class Lit(Record):
-    __slots__ = ("value",)
+    __slots__ = ("text",)  # a number ("3", "1/2") or "w", as written
 
     def render(self, prec: int = 0) -> str:
-        text = render(self.value)
-        # a top-level sum or a leading '-'; a one-term Q(w) coefficient has its own
-        needs = prec >= 1 and (len(self.value) > 1 or text.startswith("-") or (
-            self.value.is_constant() and (" + " in text or " - " in text)))
-        if prec >= 3 and len(self.value) == 1:
-            # single term that is itself a product still needs parens under ^
-            needs = needs or "*" in text or "^" in text
-        return f"({text})" if needs else text
+        # 3/2^2 would parse back the same, (3/2)^2, but read as 3/4
+        return f"({self.text})" if prec == 4 and "/" in self.text else self.text
 
 
 class Ref(Record):
-    __slots__ = ("name",)  # a let, read into the ring of whatever evaluates it
+    __slots__ = ("name",)  # a ring variable, else a let read into the ring that evaluates it
 
     def render(self, prec: int = 0) -> str:
         return self.name
@@ -176,8 +171,7 @@ class BinOp(Record):
 
     def render(self, prec: int = 0) -> str:
         own = 1 if self.op in "+-" else 2
-        lhs = self.left.render(own)
-        rhs = self.right.render(own + (1 if self.op == "-" else 0))
+        lhs, rhs = self.left.render(own), self.right.render(own + 1)
         text = f"{lhs} {self.op} {rhs}" if self.op in "+-" else f"{lhs}{self.op}{rhs}"
         return f"({text})" if prec > own else text
 
@@ -187,46 +181,27 @@ class Negate(Record):
 
     def render(self, prec: int = 0) -> str:
         text = f"-{self.arg.render(2)}"
-        return f"({text})" if prec >= 1 else text
+        return f"({text})" if prec >= 2 else text
 
 
 class Pow(Record):
     __slots__ = ("base", "k")
 
     def render(self, prec: int = 0) -> str:
-        text = f"{self.base.render(3)}^{self.k}"
-        return f"({text})" if prec >= 3 else text
-
-
-def combine(op: str, a: Polynomial, b: Polynomial) -> Polynomial:
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    return a * b
-
-
-def _fold(node):
-    """Collapse constant subtrees into Lit; leaves lazy nodes intact.  A power
-    that raises stays a node, so its error is raised where it is evaluated."""
-    if isinstance(node, Negate) and isinstance(node.arg, Lit):
-        return Lit(-node.arg.value)
-    if isinstance(node, BinOp) and isinstance(node.left, Lit) and isinstance(node.right, Lit):
-        return Lit(combine(node.op, node.left.value, node.right.value))
-    if isinstance(node, Pow) and isinstance(node.base, Lit):
-        try:
-            return Lit(node.base.value ** node.k)
-        except KrError:
-            return node
-    return node
+        text = f"{self.base.render(4)}^{self.k}"
+        return f"({text})" if prec == 4 else text
 
 
 # ---------------------------------------------------------------------------
 # declarations
 
+class Ring(Record):
+    __slots__ = ("names", "laurent", "params")  # tuples of variable names, as declared
+
+
 class Decl(Record):
     """A declared name, as syntax, over the ring current at it.  body is a
-    ring's VarTable (ring: None), a let's node, or a map's or derivation's
+    ring's Ring (ring: None), a let's node, or a map's or derivation's
     image block: ((variable token, node), ...) and the relation as (token,
     node) or None; ctor is a constructor's (fn, args, preserving), else None.
     A kernel error is reported at tok, or at its image's or relation's token."""
@@ -254,7 +229,7 @@ class SourceUnit:
     def __init__(self):
         self.items = []
         self.env = {}  # name -> Decl, for all but rings
-        self.rings = {}
+        self.rings = {}  # name -> Ring
         self.claims = []
         self.narratives = []
 
@@ -331,7 +306,7 @@ class Parser:
             self.error(f"{name!r} is a reserved word", name_tok)
         if name in self.unit.env or name in self.unit.rings:
             self.error(f"duplicate name {name!r}", name_tok)
-        if self.current_ring is not None and name in self.table().names:
+        if self.current_ring is not None and name in self.ring().names:
             self.error(f"{name!r} collides with a ring variable", name_tok)
         if kind == "ring":
             decl = Decl(kind, name, None, body, None, None)
@@ -340,7 +315,7 @@ class Parser:
             decl = self.unit.env[name] = Decl(kind, name, self.current_ring, body, ctor, tok)
         self.unit.items.append(decl)
 
-    def table(self) -> VarTable:
+    def ring(self) -> Ring:
         if self.current_ring is None:
             self.error("no ring declared yet")
         return self.unit.rings[self.current_ring]
@@ -362,7 +337,7 @@ class Parser:
 
     def variable(self) -> str:
         tok = self.ident("variable name")
-        if tok.text not in self.table().names:
+        if tok.text not in self.ring().names:
             self.error(f"unknown variable {tok.text!r}", tok)
         return tok.text
 
@@ -380,32 +355,32 @@ class Parser:
         negate = self.accept("-")
         node = self.parse_term()
         if negate:
-            node = _fold(Negate(node))
+            node = Negate(node)
         while True:
             if self.accept("+"):
-                node = _fold(BinOp("+", node, self.parse_term()))
+                node = BinOp("+", node, self.parse_term())
             elif self.accept("-"):
-                node = _fold(BinOp("-", node, self.parse_term()))
+                node = BinOp("-", node, self.parse_term())
             else:
                 return node
 
     def parse_term(self):
         node = self.parse_factor()
         while self.accept("*"):
-            node = _fold(BinOp("*", node, self.parse_factor()))
+            node = BinOp("*", node, self.parse_factor())
         return node
 
     def parse_factor(self):
         node = self.parse_base()
         if self.accept("^"):
-            return _fold(Pow(node, self.integer()))
+            return Pow(node, self.integer())
         return node
 
     def parse_base(self):
         tok = self.peek()
         if tok.kind == "int":
             self.next()
-            num = int(tok.text)
+            text = tok.text
             if self.accept("/"):
                 den_tok = self.peek()
                 if den_tok.kind != "int":
@@ -413,8 +388,9 @@ class Parser:
                 self.next()
                 if int(den_tok.text) == 0:
                     self.error("zero denominator", den_tok)
-                return Lit(self.table().constant(_make(num, 0, int(den_tok.text))))
-            return Lit(self.table().constant(num))
+                text += "/" + den_tok.text
+            self.ring()  # a number is a constant of the current ring
+            return Lit(text)
         if tok.kind == "punct" and tok.text == "(":
             self.next()
             node = self.parse_expr()
@@ -426,12 +402,12 @@ class Parser:
         name = tok.text
         self.next()
         if name == "w":
-            return Lit(self.table().constant(OMEGA))
+            self.ring()  # w, like a number, needs a ring
+            return Lit(name)
         if name in BUILTINS:
             return Builtin(name, self.arguments(name, BUILTINS[name]))
-        table = self.table()
-        if name in table.names:
-            return Lit(table.var(name))
+        if name in self.ring().names:
+            return Ref(name)
         decl = self.lookup(tok)
         if decl.kind == "poly":
             return Ref(name)
@@ -471,13 +447,13 @@ class Parser:
         self.expect("ring")
         name = self.ident("ring name")
         self.expect("=")
-        table = self.ring_spec()
+        ring = self.ring_spec()
         self.expect(";")
-        self.declare(name, "ring", table)
+        self.declare(name, "ring", ring)
         self.current_ring = name.text
 
-    def ring_spec(self) -> VarTable:
-        """Read 'vars(x, y ; laurent y ; param c)' into a table."""
+    def ring_spec(self) -> Ring:
+        """Read 'vars(x, y ; laurent y ; param c)'."""
         self.expect("vars")
         self.expect("(")
         var_toks = self._idlist()
@@ -504,8 +480,7 @@ class Parser:
         for flagged in laurent + params:
             if flagged.text not in names:
                 self.error(f"flagged variable {flagged.text!r} is not in vars(...)", flagged)
-        return VarTable(names, laurent=[t.text for t in laurent],
-                        params=[t.text for t in params])
+        return Ring(tuple(names), tuple(t.text for t in laurent), tuple(t.text for t in params))
 
     def parse_let(self):
         self.expect("let")
@@ -520,11 +495,11 @@ class Parser:
         """{ v -> poly; ... } as (variable token, node) pairs, as written."""
         self.expect("{")
         images: dict[str, tuple] = {}
-        table = self.table()
+        ring = self.ring()
         while not self.accept("}"):
             vtok = self.peek()
             self.fresh(images, "image for")
-            if table.is_param(vtok.text):
+            if vtok.text in ring.params:
                 self.error(f"{vtok.text!r} is a parameter and cannot be remapped", vtok)
             self.expect("->")
             images[vtok.text] = vtok, self.parse_expr()
@@ -624,7 +599,8 @@ class Parser:
             tok = self.expect("point")
             self.expect("(")
             coords = self.listed(self.parse_expr)  # one per non-parameter variable
-            targets = self.table().non_params()
+            ring = self.ring()
+            targets = [v for v in ring.names if v not in ring.params]
             if len(coords) != len(targets):
                 self.error(f"point needs {len(targets)} coordinates, got {len(coords)}", tok)
             self.expect(")")
@@ -652,7 +628,7 @@ class Parser:
             return tok.text
         if shape == "specialization":
             tok = self.ident("parameter name")
-            if tok.text not in self.table().params():
+            if tok.text not in self.ring().params:
                 self.error(f"{tok.text!r} is not a parameter", tok)
             self.expect("->")
             return tok.text, self.parse_expr()
@@ -772,13 +748,12 @@ def format_unit(unit: SourceUnit) -> str:
             reqs = ", ".join(f'"{r}"' for r in item.requires)
             out.append(f'narrative "{item.label}" requires({reqs});')
         elif item.kind == "ring":
-            t = item.body
-            sections = [", ".join(t.names)]
-            lau = [v for v, f in zip(t.names, t.laurent) if f]
-            if lau:
-                sections.append("laurent " + ", ".join(lau))
-            if t.params():
-                sections.append("param " + ", ".join(t.params()))
+            ring = item.body
+            sections = [", ".join(ring.names)]
+            if ring.laurent:
+                sections.append("laurent " + ", ".join(ring.laurent))
+            if ring.params:
+                sections.append("param " + ", ".join(ring.params))
             out.append(f"ring {item.name} = vars({' ; '.join(sections)});")
         elif item.kind == "poly":
             out.append(f"let {item.name} = {item.body.render()};")

@@ -10,9 +10,8 @@ coefficient of that monomial being (a + b*w)/den.  It is kept in lowest
 terms: gcd(den, every a, every b) = 1, and zero has den 1.  That form is
 unique, so equality of (den, terms) is equality of polynomials.  Arithmetic
 works on the ints, with at most one gcd per result; an Eisenstein (coeff.py)
-is built only at the edges: items(), coeff(), leading_term(), the public
-constructor Polynomial(table, {exps: coefficient}), a constant's hash and
-rendering.  `den` and `terms` belong to the kernel (this module and
+is built only at the edges: items(), coeff(), the public constructor
+Polynomial(table, {exps: coefficient}), a constant's hash and rendering.  `den` and `terms` belong to the kernel (this module and
 coeff.py): every other module reads a polynomial only through len(p),
 p.items(), p.coeff(exps), p.coefficient_in(name, k) and the other queries,
 and builds a monomial with VarTable.monomial.
@@ -252,11 +251,11 @@ class Polynomial(Record):
                     used.add(i)
         return tuple(self.table.names[i] for i in sorted(used))
 
-    def leading_term(self, key=grevlex_key) -> tuple[tuple[int, ...], Eisenstein]:
+    def leading_monomial(self, key=grevlex_key) -> tuple[int, ...]:
+        """The exponents of the largest monomial under key; no coefficient is built."""
         if not self.terms:
             raise KrError("zero polynomial has no leading term")
-        exps = max(self.terms, key=key)
-        return exps, _make(*self.terms[exps], self.den)
+        return max(self.terms, key=key)
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -50,23 +50,23 @@ def test_value_records_are_read_only():
         nilpotency_certificate(Derivation(table, {"x": z, "z": table.zero()})),
         classify_quadric(x ** 2),
         buchberger([x, z]),
-        Lit(x),
+        Lit("1"),
         Eisenstein(1, 2),  # its first slot is the private _a
     ]
-    # items: Decl (ring), Decl (map), InverseDecl, ClaimDecl, NarrativeDecl
+    # items: Decl (ring, with its Ring), Decl (map), InverseDecl, ClaimDecl, NarrativeDecl
     unit = parse_unit("ring R = vars(x);\nmap m : R { x -> x; }\ninverse(m, m);\n"
                       'claim "c" eq(-m(x) + quot(x^2, x), m(x)^2) expect true;\n'
                       'narrative "n" requires("c");')
     sum_node, power = unit.claims[0].args  # BinOp(Negate(Apply), Builtin), Pow(Apply)
     records += [sum_node, sum_node.left, sum_node.left.arg, sum_node.right, power,
-                *unit.items]
+                *unit.items, unit.rings["R"]]
     T4 = VarTable(["x", "y", "z", "t"])
     cubic = T4.var("x") ** 2 * T4.var("y") + T4.var("z") ** 2 + T4.var("x") + T4.var("t") ** 3
     records.append(extend_to_quotient_automorphism(
         RingMap(T4, {}), QuotientRelation(cubic), T4.one()))
     assert {type(r).__name__ for r in records} == {
         "ClaimResult", "NilpotencyCertificate", "ConeClass",
-        "GroebnerBasis", "Lit", "BinOp", "Negate", "Apply", "Builtin", "Pow", "Decl",
+        "GroebnerBasis", "Lit", "BinOp", "Negate", "Apply", "Builtin", "Pow", "Ring", "Decl",
         "InverseDecl", "ClaimDecl", "NarrativeDecl", "Extension", "Eisenstein"}
     for record in records:
         assert not hasattr(record, "__dict__"), type(record).__name__
@@ -96,7 +96,7 @@ def test_every_slotted_class_is_a_record():
         assert issubclass(cls, Record) == (name not in NOT_RECORDS), name
     plain = [cls for cls in slotted.values()
              if issubclass(cls, Record) and cls.__init__ is Record.__init__]
-    assert len(plain) == 16
+    assert len(plain) == 17
     for cls in plain:
         width = len(cls.__slots__)
         for count in (width - 1, width + 1):

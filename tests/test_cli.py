@@ -150,3 +150,15 @@ def test_non_decimal_digit_is_a_positioned_error(tmp_path, capsys):
     code, _, err = run_cli(["check", str(target)], capsys)
     assert code == 2
     assert "2:11: unexpected character '²'" in err
+
+
+# a number or w is a constant of the current ring, so it needs one; the error
+# sits at the token after it
+@pytest.mark.parametrize("command", ["check", "fmt"])
+@pytest.mark.parametrize("text, col", [("let a = 1;", 10), ("let a = 1/2;", 12),
+                                       ("let a = w;", 10),
+                                       ('claim "c" eq(1, 1) expect true;', 15)])
+def test_a_number_before_any_ring_exits_two(tmp_path, capsys, command, text, col):
+    target = tmp_path / "ringless.krv"
+    target.write_text(text + "\n", encoding="utf-8")
+    assert run_cli([command, str(target)], capsys) == (2, "", f"error: 1:{col}: no ring declared yet\n")

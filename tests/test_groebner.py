@@ -329,7 +329,7 @@ def test_division_contract_on_random_inputs():
         for c, g in zip(cofs, gens):
             recombined = recombined + c * g
         assert recombined == f
-        lead_monos = [g.leading_term(order)[0] for g in gens]
+        lead_monos = [g.leading_monomial(order) for g in gens]
         for exps, _ in rem.items():
             assert not any(all(a <= b for a, b in zip(m, exps)) for m in lead_monos)
 

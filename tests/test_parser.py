@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from krcubic import claims, derivation, morphism, parser
-from krcubic.claims import VERDICTS, elaborate, eval_node, manifest_path, run_text
+from krcubic.claims import VERDICTS, elaborate, manifest_path, run_text
 from krcubic.coeff import OMEGA
 from krcubic.derivation import Derivation
 from krcubic.errors import KrError, ParseError
 from krcubic.morphism import RingMap
-from krcubic.parser import (BUILTINS, CLAIMS, CONSTRUCTORS, KEYWORDS, BinOp,
-                            InverseDecl, Lit, Ref, format_unit, parse_unit, tokenize)
+from krcubic.parser import (BUILTINS, CLAIMS, CONSTRUCTORS, KEYWORDS, BinOp, InverseDecl,
+                            Lit, Negate, Pow, Ref, format_unit, parse_unit, tokenize)
 from krcubic.poly import Polynomial, VarTable, render
 
 from conftest import SHIPPED_MANIFESTS, parse_value, random_poly, random_table
@@ -26,9 +26,17 @@ def test_ring_and_binding():
                       "let P = x^2*y + z^2 + x + t^3;")
     decl = unit.env["P"]
     assert decl.kind == "poly" and decl.ring == "R"
-    T = unit.rings["R"]
-    x, y, z, t = (T.var(n) for n in "xyzt")
-    assert elaborate(unit)["P"] == x ** 2 * y + z ** 2 + x + t ** 3
+    env = elaborate(unit)
+    x, y, z, t = (env["R"].var(n) for n in "xyzt")
+    assert env["P"] == x ** 2 * y + z ** 2 + x + t ** 3
+
+
+def test_each_ring_is_one_table():
+    # the Groebner memo and the `table is other.table` fast paths rely on it
+    env = elaborate(parse_unit("ring R = vars(x, y);\nlet a = x + 1;\nring S = vars(z);\n"
+                               "let b = 2*z;\nmap M : R { y -> a; }\nlet c = M(y) + 1/2;"))
+    assert env["a"].table is env["R"] and env["c"].table is env["R"]
+    assert env["M"].images["y"].table is env["R"] and env["b"].table is env["S"]
 
 
 def test_expansion_has_six_terms():
@@ -76,9 +84,8 @@ def test_ring_variable_may_not_hide_a_declared_name():
 def test_w_is_reserved():
     with pytest.raises(ParseError):
         parse_unit("ring R = vars(w);")
-    unit = parse_unit("ring R = vars(t);\nlet a = (1 + w)*t;")
-    value = elaborate(unit)["a"]
-    assert value == (1 + OMEGA) * unit.rings["R"].var("t")
+    env = elaborate(parse_unit("ring R = vars(t);\nlet a = (1 + w)*t;"))
+    assert env["a"] == (1 + OMEGA) * env["R"].var("t")
 
 
 def test_diagnostics_carry_positions():
@@ -140,13 +147,15 @@ def test_report_survives_a_round_trip_through_fmt():
     before = masked(run_text(text))
     assert '"anchor": ""' in before and '"anchor": null' in before
     assert masked(run_text(format_unit(parse_unit(text)))) == before
+    # the negative controls too: their details print rendered polynomials
     for name in SHIPPED_MANIFESTS:
-        text = manifest_path(name).read_text(encoding="utf-8")
-        assert masked(run_text(format_unit(parse_unit(text)))) == masked(run_text(text)), name
+        for manifest in (name, name.replace(".krv", "_negative.krv")):
+            text = manifest_path(manifest).read_text(encoding="utf-8")
+            assert masked(run_text(format_unit(parse_unit(text)))) == masked(run_text(text)), manifest
 
 
 def test_ring_spec_parser():
-    T = parse_unit("ring R = vars(x, y, z, t, c0 ; laurent t ; param c0);").rings["R"]
+    T = elaborate(parse_unit("ring R = vars(x, y, z, t, c0 ; laurent t ; param c0);"))["R"]
     assert T.names == ("x", "y", "z", "t", "c0")
     assert T.is_laurent("t") and T.is_param("c0")
     with pytest.raises(ParseError):
@@ -273,7 +282,7 @@ inverse(fwd, bwd) mod {P}, {Q};
     assert (pair.first, pair.second, pair.ring) == ("fwd", "bwd", "R")
     # the ideals are held as syntax: a let name is read as a Ref node
     assert [[(type(n), n.name) for n in gens] for gens in pair.ideals] == [[(Ref, "P")], [(Ref, "Q")]]
-    assert set(elaborate(unit)) == {"P", "Q", "fwd", "bwd"}
+    assert set(elaborate(unit)) == {"R", "P", "Q", "fwd", "bwd"}
 
 
 def test_inverse_declaration_rejects_non_inverses():
@@ -335,11 +344,9 @@ def test_sum_and_difference_build_no_product(monkeypatch):
         raise RuntimeError("a product was computed for a sum or difference")
 
     monkeypatch.setattr(Polynomial, "__mul__", no_product)
-    parse_unit("ring R = vars(x);\nlet a = x + 1;")
-    T = VarTable(["x"])
-    x, one = T.var("x"), T.one()
-    assert eval_node(BinOp("+", Lit(x), Lit(one)), {}, T) == x + one
-    assert eval_node(BinOp("-", Lit(x), Lit(one)), {}, T) == x - one
+    env = elaborate(parse_unit("ring R = vars(x);\nlet a = x + 1;\nlet b = x - 1;"))
+    x, one = env["R"].var("x"), env["R"].one()
+    assert env["a"] == x + one and env["b"] == x - one
 
 
 R4 = "ring R = vars(x, y, z, t);\n"
@@ -428,13 +435,12 @@ def test_kernel_errors_are_positioned(site):
 
 R2 = "ring R = vars(x, y);\n"
 AB = "map A : R { y -> y + x; }\nmap B : R { y -> y - x; }\n"
-AB_FMT = "map A : R {\n  y -> x + y;\n}\nmap B : R {\n  y -> -x + y;\n}\n"
+AB_FMT = "map A : R {\n  y -> y + x;\n}\nmap B : R {\n  y -> y - x;\n}\n"
 S = "map S : R { y -> y + x; }\n"
-S_FMT = "map S : R {\n  y -> x + y;\n}\n"
+S_FMT = "map S : R {\n  y -> y + x;\n}\n"
 P4 = "ring R = vars(x, y, z, t);\nlet P = x^2*y + z^2 + x + t^3;\n"
-P4_FMT = "ring R = vars(x, y, z, t);\nlet P = x^2*y + t^3 + z^2 + x;\n"
 CP = "ring R = vars(x, y, c ; param c);\nmap M : R { y -> y + c*x; }\n"
-CP_FMT = "ring R = vars(x, y, c ; param c);\nmap M : R {\n  y -> x*c + y;\n}\n"
+CP_FMT = "ring R = vars(x, y, c ; param c);\nmap M : R {\n  y -> y + c*x;\n}\n"
 LT = "ring R = vars(x, t ; laurent t);\n"
 
 
@@ -447,7 +453,7 @@ def _claim(body: str, expect: str = "true") -> str:
 # both absent and present; every unit's claims pass.
 FMT_CASES = {
     "eq": (R2 + 'claim "c" eq((1 + x)^2, 1 + 2*x + x^2) expect true;',
-           R2 + _claim("eq(x^2 + 2*x + 1, x^2 + 2*x + 1)")),
+           R2 + _claim("eq((1 + x)^2, 1 + 2*x + x^2)")),
     "eq Q(w) literal product": (
         "ring R = vars(x, t);\nlet a = x + t;\nlet b = a + (1 + w)*t;\n"
         'claim "c" eq(b - a, (1 + w)*t) expect true;',
@@ -464,38 +470,38 @@ FMT_CASES = {
     "nilpotent relation": (
         P4 + 'derivation D : R { y -> 2*z; z -> -x^2; }\n'
         'claim "c" nilpotent(D, 8, P) expect true;',
-        P4_FMT + "derivation D : R {\n  y -> 2*z;\n  z -> -x^2;\n}\n"
+        P4 + "derivation D : R {\n  y -> 2*z;\n  z -> -x^2;\n}\n"
         + _claim("nilpotent(D, 8, P)")),
     "cone_class": (
         R2 + 'claim "c" cone_class(x^2 + y^3, point(0, 0), double_hyperplane) expect true;',
-        R2 + _claim("cone_class(y^3 + x^2, point(0, 0), double_hyperplane)")),
+        R2 + _claim("cone_class(x^2 + y^3, point(0, 0), double_hyperplane)")),
     "cone_class two specs": (
         "ring R = vars(x, y, a, b ; param a, b);\n"
         'claim "c" cone_class(a*x^2 + b*y^2, point(0, 0), two_distinct_hyperplanes, '
         "a -> 1, b -> -1) expect true;",
         "ring R = vars(x, y, a, b ; param a, b);\n"
-        + _claim("cone_class(x^2*a + y^2*b, point(0, 0), two_distinct_hyperplanes, "
+        + _claim("cone_class(a*x^2 + b*y^2, point(0, 0), two_distinct_hyperplanes, "
                  "a -> 1, b -> -1)")),
     "cone_class comma in a coordinate": (
         "ring R = vars(x, y, z, t, y0 ; param y0);\n"
         'claim "c" cone_class(x^2*y + z^2 + t^3, point(0, quot(y0, 1), 0, 0), '
         "two_distinct_hyperplanes, y0 -> -1) expect true;",
         "ring R = vars(x, y, z, t, y0 ; param y0);\n"
-        + _claim("cone_class(x^2*y + t^3 + z^2, point(0, quot(y0, 1), 0, 0), "
+        + _claim("cone_class(x^2*y + z^2 + t^3, point(0, quot(y0, 1), 0, 0), "
                  "two_distinct_hyperplanes, y0 -> -1)")),
     "smooth_at_all": (R2 + 'claim "c" smooth_at_all(x + y^2) expect true;',
-                      R2 + _claim("smooth_at_all(y^2 + x)")),
+                      R2 + _claim("smooth_at_all(x + y^2)")),
     "singular_at": (R2 + 'claim "c" singular_at(x^2 + y^3, point(0, 0)) expect true;',
-                    R2 + _claim("singular_at(y^3 + x^2, point(0, 0))")),
+                    R2 + _claim("singular_at(x^2 + y^3, point(0, 0))")),
     "inverse_pair": (R2 + AB + 'claim "c" inverse_pair(A, B) expect true;',
                      R2 + AB_FMT + _claim("inverse_pair(A, B)")),
     "inverse_pair ideals": (R2 + S + 'claim "c" inverse_pair(S, S, {x}, {x}) expect true;',
                             R2 + S_FMT + _claim("inverse_pair(S, S, {x}, {x})")),
     "quasi_homogeneous": (
         R2 + 'claim "c" quasi_homogeneous(x^2 + y^3, weights(x -> 3, y -> 2), 6) expect true;',
-        R2 + _claim("quasi_homogeneous(y^3 + x^2, weights(x -> 3, y -> 2), 6)")),
+        R2 + _claim("quasi_homogeneous(x^2 + y^3, weights(x -> 3, y -> 2), 6)")),
     "graph_variable": (R2 + 'claim "c" graph_variable(2*y + x^2, y) expect true;',
-                       R2 + _claim("graph_variable(x^2 + 2*y, y)")),
+                       R2 + _claim("graph_variable(2*y + x^2, y)")),
     "laurent_free map": (LT + 'map M : R { x -> x*t; }\nclaim "c" laurent_free(M, t) expect true;',
                          LT + "map M : R {\n  x -> x*t;\n}\n" + _claim("laurent_free(M, t)")),
     "laurent_free derivation": (
@@ -503,17 +509,17 @@ FMT_CASES = {
         LT + "derivation D : R {\n  x -> t^-1;\n}\n" + _claim("laurent_free(D, t)", "false")),
     "extend": (P4 + 'map M : R { z -> -z; }\nmap E = extend(M, P, 1);\n'
                'claim "c" eq(E(y), y) expect true;',
-               P4_FMT + "map M : R {\n  z -> -z;\n}\n"
+               P4 + "map M : R {\n  z -> -z;\n}\n"
                "map E = extend(M, P, 1);\n" + _claim("eq(E(y), y)")),
     "compose": (R2 + AB + 'map C = compose(A, A);\nclaim "c" eq(C(y), y + 2*x) expect true;',
-                R2 + AB_FMT + "map C = compose(A, A);\n" + _claim("eq(C(y), 2*x + y)")),
+                R2 + AB_FMT + "map C = compose(A, A);\n" + _claim("eq(C(y), y + 2*x)")),
     "subst_param": (CP + 'map N = subst_param(M, c, 2);\nclaim "c" eq(N(y), y + 2*x) expect true;',
-                    CP_FMT + "map N = subst_param(M, c, 2);\n" + _claim("eq(N(y), 2*x + y)")),
+                    CP_FMT + "map N = subst_param(M, c, 2);\n" + _claim("eq(N(y), y + 2*x)")),
     "subst_param preserving": (
         CP + 'map N = subst_param(M, c, 2) preserving {x};\n'
         'claim "c" eq(N(y), y + 2*x) expect true;',
         CP_FMT + "map N = subst_param(M, c, 2) preserving {x};\n"
-        + _claim("eq(N(y), 2*x + y)")),
+        + _claim("eq(N(y), y + 2*x)")),
     "conjugate": (R2 + AB + 'derivation D : R { x -> 1; }\n'
                   'derivation E = conjugate(D, A, B, {x}, {x});\n'
                   'claim "c" eq(E(y), -1) expect true;',
@@ -528,10 +534,10 @@ FMT_CASES = {
     "quot": (R2 + 'claim "c" eq(quot(x^2 - y^2, x + y), x - y) expect true;',
              R2 + _claim("eq(quot(x^2 - y^2, x + y), x - y)")),
     "nf": (P4 + 'claim "c" eq(nf(x^2*y, P), -z^2 - x - t^3) expect true;',
-           P4_FMT + _claim("eq(nf(x^2*y, P), -t^3 - z^2 - x)")),
+           P4 + _claim("eq(nf(x^2*y, P), -z^2 - x - t^3)")),
     "theta": ("ring R = vars(x, z, t);\nmap M : R { t -> t - x; }\n"
               'claim "c" eq(theta(M, z), 1) expect true;',
-              "ring R = vars(x, z, t);\nmap M : R {\n  t -> -x + t;\n}\n"
+              "ring R = vars(x, z, t);\nmap M : R {\n  t -> t - x;\n}\n"
               + _claim("eq(theta(M, z), 1)")),
     "jacdet": (R2 + AB + 'claim "c" eq(jacdet(A, x, y), 1) expect true;',
                R2 + AB_FMT + _claim("eq(jacdet(A, x, y), 1)")),
@@ -558,16 +564,65 @@ def test_fmt_cases_cover_every_form():
 
 def test_fmt_prints_declarations_as_written():
     # a let read stays its name, images keep their order (identity included),
-    # and a derivation's images and relation are printed as written
-    text = (P4 + "let Q = P + 1;\nmap M : R { z -> Q; y -> y; }\n"
+    # a derivation's images and relation are printed as written, and so is
+    # every expression: terms in written order, numbers and w as spelled
+    text = (P4 + "let Q = P + 1;\nlet S = - ( 1+x ) * t^3 + 2/4 - w^2*z + 03;\n"
+            "map M : R { z -> Q; y -> y; }\n"
             "derivation D : R { z -> -x^2; y -> 2*z; } mod {P}\n")
     assert format_unit(parse_unit(text)) == (
-        P4_FMT + "let Q = P + 1;\nmap M : R {\n  z -> Q;\n  y -> y;\n}\n"
+        P4 + "let Q = P + 1;\nlet S = -(1 + x)*t^3 + 2/4 - w^2*z + 03;\n"
+        "map M : R {\n  z -> Q;\n  y -> y;\n}\n"
         "derivation D : R {\n  z -> -x^2;\n  y -> 2*z;\n} mod {P}\n")
 
 
-# Every entry point of the kernel's evaluation that a declaration or claim reaches
-KERNEL = ((Polynomial, "substitute"), (RingMap, "__init__"), (Derivation, "__init__"),
+def _tree(node):
+    """A node as nested tuples, so that two parses compare by structure."""
+    if not hasattr(node, "render"):
+        return node  # a name, a text, an operator or an exponent
+    return (type(node).__name__, *(_tree(getattr(node, slot)) for slot in type(node).__slots__))
+
+
+def _random_node(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice([Lit("2"), Lit("1/2"), Lit("w"), Ref("x"), Ref("y")])
+    form = rng.randrange(5)
+    if form == 0:
+        return Negate(_random_node(rng, depth - 1))
+    if form == 1:
+        return Pow(_random_node(rng, depth - 1), rng.randint(-1, 3))
+    return BinOp("+-*"[form - 2], _random_node(rng, depth - 1), _random_node(rng, depth - 1))
+
+
+def test_fmt_prints_the_tree_with_the_fewest_parentheses():
+    # a printed expression parses back to the same tree, and dropping any one
+    # of its pairs of parentheses yields another tree or no parse, except
+    # around a fraction under '^', kept because 3/2^2 would read as 3/4
+    def reparse(text):
+        return parse_unit(f"ring R = vars(x, y);\nlet a = {text};").env["a"].body
+
+    rng = random.Random(26)
+    for _ in range(300):
+        node = _random_node(rng, 4)
+        text = node.render()
+        assert _tree(reparse(text)) == _tree(node), text
+        for m in re.finditer(r"\(", text):
+            depth, close = 0, m.start()
+            while depth or close == m.start():
+                depth += {"(": 1, ")": -1}.get(text[close], 0)
+                close += 1
+            inner = text[m.start() + 1:close - 1]
+            if inner == "1/2" and text[close:close + 1] == "^":
+                continue
+            try:
+                assert _tree(reparse(text[:m.start()] + inner + text[close:])) != _tree(node), text
+            except ParseError:
+                pass
+
+
+# Every entry point of the kernel's evaluation that a declaration or claim
+# reaches, and VarTable(), without which no table and so no polynomial is built
+KERNEL = ((VarTable, "__init__"), (Polynomial, "substitute"), (RingMap, "__init__"),
+          (Derivation, "__init__"),
           *((module, name) for module in (morphism, derivation, claims, parser)
             for name in ("verify_inverse_pair", "exact_divide", "normal_form",
                          "extend_to_quotient_automorphism", "compose", "conjugate",
