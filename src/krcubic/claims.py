@@ -170,14 +170,8 @@ def _declared(decl: Decl, env: dict, table: VarTable):
         return _at(decl.tok, eval_node, decl.body, env, table)
     if decl.ctor is not None:
         return _at(decl.tok, _construct, *decl.ctor, env, table)
-    block, relation = decl.body
-    images = {tok.text: _at(tok, eval_node, node, env, table) for tok, node in block}
-    if decl.kind == "map":
-        return _at(decl.tok, RingMap, table, images)
-    if relation is not None:
-        tok, node = relation
-        relation = _at(decl.tok, QuotientRelation, _at(tok, eval_node, node, env, table))
-    return _at(decl.tok, Derivation, table, images, relation)
+    images = {tok.text: _at(tok, eval_node, node, env, table) for tok, node in decl.body}
+    return _at(decl.tok, RingMap if decl.kind == "map" else Derivation, table, images)
 
 
 def _check_inverse(inv: InverseDecl, env: dict, table: VarTable):

@@ -89,10 +89,7 @@ def nilpotency_certificate(d: Derivation, bound: int = 64) -> NilpotencyCertific
     if bound < 1:
         raise DerivationError("bound must be at least 1")
     orders: dict[str, int] = {}
-    for v in d.table.names:
-        if d.table.is_param(v):
-            orders[v] = 1
-            continue
+    for v in d.table.names:  # a parameter's first iterate is zero
         g = d.table.var(v)
         k = 0
         while k < bound:

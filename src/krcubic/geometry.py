@@ -4,15 +4,16 @@ The inequivalence argument needs exactly one dichotomy: whether the degree-2
 part of a defining equation at a singular point is a double hyperplane
 (a scalar times the square of a linear form) or a pair of distinct
 hyperplanes (a rank-2 binary quadratic that is not a perfect square).
-Classification is by the rank of the symmetric Gram matrix, which avoids
-square roots outside Q(w).
+Classification asks whether the Gram matrix has rank one, that is, whether
+every 2x2 minor of the doubled Gram matrix vanishes; that needs no division
+and no square roots outside Q(w).
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from itertools import combinations
 
-from .coeff import Eisenstein
 from .errors import EmptyConeError, KrError, NonUnitError, Record
 from .poly import Polynomial, VarTable
 
@@ -79,46 +80,24 @@ def tangent_cone(f: Polynomial, point: Mapping[str, "Polynomial | int"]) -> Poly
     return Polynomial(table, {e: c for e, c in g.items() if degree[e] == low})
 
 
-def _gram_rank(form: Polynomial) -> tuple[int, int]:
-    """(rank, number of occurring non-parameter variables) of a quadratic form."""
+def _rank_one(form: Polynomial, names: tuple[str, ...]) -> bool:
+    """Whether a nonzero quadratic form in names has Gram rank one, that is,
+    every 2x2 minor of its doubled Gram matrix vanishes: twice the
+    coefficient of v^2 on the diagonal, the coefficient of u*v off it."""
     table = form.table
-    occurring = [i for i, v in enumerate(table.names)
-                 if not table.is_param(v) and form.degree_in(v) > 0]
-    n = len(occurring)
-    pos = {vi: k for k, vi in enumerate(occurring)}
-    gram = [[Eisenstein(0)] * n for _ in range(n)]
-    half = Eisenstein(1) / 2
-    for exps, c in form.items():
-        support = [(i, e) for i, e in enumerate(exps) if e and not table.is_param(table.names[i])]
-        if len(support) == 1 and support[0][1] == 2:
-            i = pos[support[0][0]]
-            gram[i][i] = gram[i][i] + c
-        elif len(support) == 2 and support[0][1] == 1 and support[1][1] == 1:
-            i, j = pos[support[0][0]], pos[support[1][0]]
-            gram[i][j] = gram[i][j] + c * half
-            gram[j][i] = gram[j][i] + c * half
-        else:
-            raise KrError("form is not quadratic in its non-parameter variables")
-    # exact Gaussian elimination
-    rank = 0
-    rows = [row[:] for row in gram]
-    for col in range(n):
-        pivot = None
-        for r in range(rank, n):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [val * inv for val in rows[rank]]
-        for r in range(n):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank, n
+
+    def entry(i: int, j: int):
+        exps = [0] * table.arity
+        exps[i] += 1
+        exps[j] += 1
+        c = form.coeff(tuple(exps))
+        return 2 * c if i == j else c
+
+    at = [table.index(v) for v in names]
+    gram = [[entry(i, j) for j in at] for i in at]
+    pairs = list(combinations(range(len(at)), 2))
+    return not any(gram[i][k] * gram[j][l] - gram[i][l] * gram[j][k]
+                   for i, j in pairs for k, l in pairs)
 
 
 def classify_quadric(form: Polynomial,
@@ -145,15 +124,18 @@ def classify_quadric(form: Polynomial,
         raise KrError("cannot classify the zero form")
     if not form.is_weighted_homogeneous(dict(zip(table.names, table.weights)), 2):
         raise KrError("form is not homogeneous of degree 2 in its variables")
-    for v in form.variables_used():
+    names = form.variables_used()
+    for v in names:
         if table.is_param(v):
             raise KrError(f"parameter {v!r} left unspecialized")
-    rank, nvars = _gram_rank(form)
-    if rank == 1:
+    if any(form.min_exponent(v) < 0 for v in names):
+        raise KrError("form is not quadratic in its non-parameter variables")
+    # homogeneous of degree 2, parameter-free and without negative exponents:
+    # every term is c*v^2 or c*u*v
+    if _rank_one(form, names):
         return ConeClass(DOUBLE_HYPERPLANE, form)
-    if rank == 2 and nvars == 2:
-        return ConeClass(TWO_DISTINCT_HYPERPLANES, form)
-    return ConeClass(OTHER, form)
+    # a nonzero 2x2 symmetric matrix that is not of rank one has rank two
+    return ConeClass(TWO_DISTINCT_HYPERPLANES if len(names) == 2 else OTHER, form)
 
 
 def graph_variable_check(f: Polynomial, v: str) -> bool:

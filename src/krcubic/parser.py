@@ -24,10 +24,14 @@ Declarations:
     map NAME = extend(BASE, relation, unit);
     map NAME = compose(OUTER, INNER);
     map NAME = subst_param(MAP, param, value) [preserving {g1, ...}];
-    derivation NAME : RING { id -> poly; ... } [mod {relation}]
+    derivation NAME : RING { id -> poly; ... }
     derivation NAME = conjugate(D, FWD, BWD, {g1, ...}, {g1, ...});
+    inverse(MAP, MAP) [mod {g1, ...}, {g1, ...}];
     claim "label" KIND(...) [anchor "text"] expect true|false;
     narrative "label" requires("label1", ...);
+
+A derivation is declared on its polynomial ring: nilpotent(D, k, rel) checks
+it on the quotient by rel, and nf(D(f), rel) is its image there.
 
 The argument shapes of each claim kind, constructor and built-in live once, as
 data, in CLAIMS, CONSTRUCTORS and BUILTINS; Parser.arguments reads them,
@@ -202,9 +206,9 @@ class Ring(Record):
 class Decl(Record):
     """A declared name, as syntax, over the ring current at it.  body is a
     ring's Ring (ring: None), a let's node, or a map's or derivation's
-    image block: ((variable token, node), ...) and the relation as (token,
-    node) or None; ctor is a constructor's (fn, args, preserving), else None.
-    A kernel error is reported at tok, or at its image's or relation's token."""
+    image block, ((variable token, node), ...); ctor is a constructor's
+    (fn, args, preserving), else None.  A kernel error is reported at tok,
+    or at its image's token."""
 
     __slots__ = ("kind", "name", "ring", "body", "ctor", "tok")
 
@@ -515,8 +519,8 @@ class Parser:
             self.current_ring = rtok.text
 
     def _parse_map_or_derivation(self):
-        """KIND NAME = CTOR(...); or KIND NAME [: RING] { images } [mod {rel}] [;]
-        for KIND map or derivation; only a derivation takes 'mod'."""
+        """KIND NAME = CTOR(...); or KIND NAME [: RING] { images } [;] for KIND
+        map or derivation."""
         kind = self.next().text
         name = self.ident(f"{kind} name")
         tok = self.peek()
@@ -525,13 +529,8 @@ class Parser:
             return
         self._ring_annotation()
         images = self._parse_image_block()
-        relation = None
-        if kind == "derivation" and self.accept("mod"):
-            self.expect("{")
-            relation = self.peek(), self.parse_expr()
-            self.expect("}")
         self.accept(";")
-        self.declare(name, kind, (images, relation), tok)
+        self.declare(name, kind, images, tok)
 
     def parse_constructor(self, name: Token, kind: str):
         """NAME = FN(...); a kernel error is reported at FN."""
@@ -763,9 +762,7 @@ def format_unit(unit: SourceUnit) -> str:
             out.append(f"{item.kind} {item.name} = {fn}"
                        f"{_fmt_arguments(CONSTRUCTORS[fn], args)}{tail};")
         else:
-            images, relation = item.body
-            lines = [f"  {tok.text} -> {node.render()};" for tok, node in images]
+            lines = [f"  {tok.text} -> {node.render()};" for tok, node in item.body]
             body = "{\n" + "\n".join(lines) + "\n}" if lines else "{ }"
-            tail = f" mod {{{relation[1].render()}}}" if relation else ""
-            out.append(f"{item.kind} {item.name} : {item.ring} {body}{tail}")
+            out.append(f"{item.kind} {item.name} : {item.ring} {body}")
     return "\n".join(out) + "\n"

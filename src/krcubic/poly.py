@@ -381,28 +381,22 @@ class Polynomial(Record):
         base = [table.coerce(images[name]) if name in images else table.var(name)
                 for name in table.names]
 
-        pow_cache: dict[tuple[int, int], Polynomial] = {}
+        # powers[i][k] is base[i]^(k + 1), inverses[i][k] its inverse; each
+        # list grows by one product at a time
+        powers = [[p] for p in base]
+        inverses: list = [None] * len(base)
 
         def power(i: int, e: int) -> Polynomial:
-            got = pow_cache.get((i, e))
-            if got is None:
-                if e < 0 and not base[i].is_unit_monomial():
+            chain = powers[i] if e > 0 else inverses[i]
+            if chain is None:
+                if not base[i].is_unit_monomial():
                     raise NonUnitError(
                         f"image of {table.names[i]!r} must be a unit monomial "
                         f"to carry negative exponents")
-                if e < 0:
-                    got = base[i] ** e
-                else:
-                    # up by one from the largest power below e built so far
-                    k = e - 1
-                    while k and (i, k) not in pow_cache:
-                        k -= 1
-                    got = pow_cache[(i, k)] if k else base[i]
-                    for k in range(max(k, 1), e):
-                        pow_cache[(i, k)] = got
-                        got = got * base[i]
-                pow_cache[(i, e)] = got
-            return got
+                chain = inverses[i] = [base[i].unit_inverse()]
+            while len(chain) < abs(e):
+                chain.append(chain[-1] * chain[0])
+            return chain[abs(e) - 1]
 
         one = {(0,) * table.arity: (1, 0)}
         den = self.den

@@ -159,6 +159,8 @@ BAD_CLAIM_ARGUMENTS = {
     "inverse_pair ideals": ("inverse_pair(A, B, {x}, {quot(x, x + 1)})",
                             "KrError: quot(): not exactly divisible"),
     "nf relation": ("eq(nf(x, z), x)", "KrError: relation must have x^2*y with coefficient 1"),
+    "relation expression": ("nilpotent(D, 1, quot(x, 0))",
+                            "ZeroDivisionError: division by the zero polynomial"),
     "divides dividend": ("divides(quot(x, x + 1), x)", "KrError: quot(): not exactly divisible"),
     "smooth_at_all polynomial": ("smooth_at_all(quot(x, x + 1))",
                                  "KrError: quot(): not exactly divisible"),

@@ -103,6 +103,17 @@ def test_bound_exceeded_is_an_outcome_not_an_exception():
         nilpotency_certificate(grow, 0)
 
 
+def test_a_parameter_has_order_one():
+    # a derivation kills parameters, so a parameter's first iterate is zero,
+    # with or without a quotient relation
+    T = VarTable(["x", "y", "z", "t", "c"], params=["c"])
+    x, z = T.var("x"), T.var("z")
+    d = Derivation(T, {"y": 2 * z, "z": -x ** 2})
+    for cert in (nilpotency_certificate(d, 8),
+                 nilpotency_certificate(d.modulo(QuotientRelation(cubic_poly(T))), 8)):
+        assert cert.complete and cert.orders["c"] == 1
+
+
 # -- conjugation along the cylinder isomorphism -------------------------------------
 
 def test_conjugated_derivation_moves_x(cylinder_ring):

@@ -3,7 +3,9 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from krcubic.coeff import Eisenstein
 from krcubic.errors import EmptyConeError, KrError, NonUnitError
 from krcubic.geometry import (DOUBLE_HYPERPLANE, OTHER,
                               TWO_DISTINCT_HYPERPLANES, classify_quadric,
@@ -241,6 +243,79 @@ def test_rank_two_in_three_variables_is_other():
     assert classify_quadric(x ** 2 + z ** 2 + t ** 2).tag == OTHER
 
 
+def _reference_tag(form):
+    """The tag by the rank of the Gram matrix, found by exact Gaussian
+    elimination: the reference that classify_quadric's 2x2 minors must agree
+    with."""
+    table = form.table
+    occurring = [i for i, v in enumerate(table.names) if form.degree_in(v) > 0]
+    n = len(occurring)
+    pos = {vi: k for k, vi in enumerate(occurring)}
+    gram = [[Eisenstein(0)] * n for _ in range(n)]
+    half = Eisenstein(1) / 2
+    for exps, c in form.items():
+        support = [(i, e) for i, e in enumerate(exps) if e]
+        if len(support) == 1:
+            i = pos[support[0][0]]
+            gram[i][i] = gram[i][i] + c
+        else:
+            i, j = pos[support[0][0]], pos[support[1][0]]
+            gram[i][j] = gram[i][j] + c * half
+            gram[j][i] = gram[j][i] + c * half
+    rank = 0
+    rows = [row[:] for row in gram]
+    for col in range(n):
+        pivot = next((r for r in range(rank, n) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = rows[rank][col].inverse()
+        rows[rank] = [val * inv for val in rows[rank]]
+        for r in range(n):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    if rank == 1:
+        return DOUBLE_HYPERPLANE
+    return TWO_DISTINCT_HYPERPLANES if rank == 2 and n == 2 else OTHER
+
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_q_w = st.builds(Eisenstein, _small, _small)
+
+
+@st.composite
+def quadratic_forms(draw):
+    """A nonzero quadratic form over Q(w) in 1 to 4 variables: a multiple of a
+    square, a product of two linear forms, a sum of two multiples of squares,
+    or any form, off-diagonal terms included."""
+    T = VarTable(["x", "z", "t", "u"][:draw(st.integers(1, 4))])
+    v = [T.var(name) for name in T.names]
+
+    def linear():
+        return sum((draw(_q_w) * x for x in v), T.zero())
+
+    shape = draw(st.sampled_from(["square", "product", "squares", "any"]))
+    if shape == "square":
+        form = draw(_q_w) * linear() ** 2
+    elif shape == "product":
+        form = linear() * linear()
+    elif shape == "squares":
+        form = draw(_q_w) * linear() ** 2 + draw(_q_w) * linear() ** 2
+    else:
+        form = sum((draw(_q_w) * v[i] * v[j] for i in range(len(v)) for j in range(i, len(v))),
+                   T.zero())
+    assume(not form.is_zero())
+    return form
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(quadratic_forms())
+def test_minors_agree_with_gaussian_elimination(form):
+    assert classify_quadric(form).tag == _reference_tag(form), form
+
+
 def test_non_quadratic_inputs_rejected():
     T = cone_ring()
     x, z = T.var("x"), T.var("z")
@@ -252,6 +327,9 @@ def test_non_quadratic_inputs_rejected():
         classify_quadric(T.zero())
     with pytest.raises(KrError):
         classify_quadric(z ** 2 + T.var("y0") * x ** 2)  # parameter left free
+    L = VarTable(["x", "t"], laurent=["t"])
+    with pytest.raises(KrError, match="not quadratic"):
+        classify_quadric(L.var("x") ** 3 * L.var("t") ** -1)  # weighted degree 2
 
 
 def test_cones_multiply():

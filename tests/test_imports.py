@@ -194,9 +194,10 @@ def test_import_loads_no_slow_modules():
     assert seen["added"] == []
 
 
-# autgroup.krv reaches substitute, reduce and exact_divide; embeddings.krv
-# reaches classify_quadric, whose Gram matrix adds, multiplies and inverts
-# Eisenstein coefficients (autgroup.krv adds and multiplies none)
+# autgroup.krv reaches substitute, reduce and exact_divide, and its extend
+# inverts an Eisenstein coefficient; embeddings.krv reaches classify_quadric,
+# whose Gram matrix minors multiply and subtract Eisenstein coefficients
+# (autgroup.krv adds and multiplies none)
 TRACE_PROBE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from krcubic import claims, derivation, morphism, parser
-from krcubic.claims import VERDICTS, elaborate, manifest_path, run_text
+from krcubic.claims import VERDICTS, elaborate, manifest_path, run_text, run_unit
 from krcubic.coeff import OMEGA
 from krcubic.derivation import Derivation
 from krcubic.errors import KrError, ParseError
 from krcubic.morphism import RingMap
-from krcubic.parser import (BUILTINS, CLAIMS, CONSTRUCTORS, KEYWORDS, BinOp, InverseDecl,
-                            Lit, Negate, Pow, Ref, format_unit, parse_unit, tokenize)
+from krcubic.parser import (BUILTINS, CLAIMS, CONSTRUCTORS, KEYWORDS, BinOp, Builtin, Decl,
+                            InverseDecl, Lit, Negate, Pow, Ref, format_unit, parse_unit,
+                            tokenize)
 from krcubic.poly import Polynomial, VarTable, render
 
 from conftest import SHIPPED_MANIFESTS, parse_value, random_poly, random_table
@@ -309,27 +310,40 @@ inverse(a, b);
 
 
 def test_derivation_with_relation_block():
+    # a derivation is declared on the polynomial ring; a claim names the
+    # quotient: nilpotent(d, k, P) iterates d modulo P, nf(d(f), P) is d(f) there
     unit = parse_unit("""
 ring R = vars(x, y, z, t);
 let P = x^2*y + z^2 + x + t^3;
-derivation d : R { y -> 2*z; z -> -x^2; } mod {P}
-claim "nilpotent on the quotient" nilpotent(d, 8) expect true;
+derivation d : R { y -> 2*z; z -> -x^2; }
+claim "nilpotent on the quotient" nilpotent(d, 8, P) expect true;
+claim "image in the quotient" eq(nf(d(x^2*y^2), P), -4*z^3 - 4*x*z - 4*z*t^3) expect true;
 """)
-    env = elaborate(unit)
-    d = env["d"]
-    assert d.relation is not None
-    assert d.relation.relation == env["P"]
+    assert elaborate(unit)["d"].relation is None
+    report = run_unit(unit)
+    assert report.all_pass, report.to_text()
+    assert report.results[0].detail == "orders x:1, y:3, z:2, t:1"
     once = format_unit(unit)
-    assert "mod {" in once
+    assert "mod" not in once
     assert format_unit(parse_unit(once)) == once
 
 
 def test_derivation_relation_must_descend():
-    with pytest.raises(ParseError):
-        run_text("""
+    report = run_text("""
 ring R = vars(x, y, z, t);
-derivation d : R { z -> 1; } mod {x^2*y + z^2 + x + t^3}
+derivation d : R { z -> 1; }
+claim "c" nilpotent(d, 1, x^2*y + z^2 + x + t^3) expect true;
 """)
+    assert [(r.status, r.detail) for r in report.results] == [
+        ("error", "DerivationError: derivation does not descend: "
+                  "image of the relation is not a multiple")]
+
+
+def test_mod_after_a_derivation_block_is_a_syntax_error():
+    with pytest.raises(ParseError) as info:
+        parse_unit("ring R = vars(x, y);\nderivation D : R { y -> x; } mod {x}\n")
+    assert (info.value.message, info.value.line, info.value.col) == (
+        "unknown declaration 'mod'", 2, 30)
 
 
 def test_point_arity_checked():
@@ -354,7 +368,7 @@ R4 = "ring R = vars(x, y, z, t);\n"
 # One unit per kernel call a declaration makes: the kernel's KrError, or the
 # ZeroDivisionError of a division by the zero polynomial, must come out of
 # run_unit as a ParseError with the kernel's message, at the declaration's
-# token (an image's: its variable; a relation's: its first token).
+# token (an image's: its variable).
 KERNEL_ERROR_SITES = {
     "power": ("ring R = vars(x, t);\nlet bad = t^-1;",
               "negative exponent on non-Laurent variable 't'", 2, 11),
@@ -390,13 +404,6 @@ KERNEL_ERROR_SITES = {
                   "map A : R { y -> y + x; }\n"
                   "derivation E = conjugate(D, A, A, {y}, {y});",
                   "maps are not a verified inverse pair", 4, 16),
-    "derivation relation": (R4 + "derivation D : R { z -> 1; } mod {z}",
-                            "relation must have x^2*y with coefficient 1", 2, 14),
-    "relation expression": (R4 + "derivation D : R { z -> 1; } mod {quot(x, 0)}",
-                            "division by the zero polynomial", 2, 35),
-    "derivation descent": (R4 + "derivation D : R { z -> 1; } mod {x^2*y + z^2 + x + t^3}",
-                           "derivation does not descend: image of the relation "
-                           "is not a multiple", 2, 14),
     "inverse": ("ring R = vars(x);\nmap A : R { x -> x; }\n"
                 "ring S = vars(x, y);\nmap B : S { x -> x; }\ninverse(A, B);",
                 "tables differ: VarTable(x) vs VarTable(x,y)", 5, 8),
@@ -562,17 +569,78 @@ def test_fmt_cases_cover_every_form():
     assert {verdict.__module__ for verdict in VERDICTS.values()} == {"krcubic.claims"}
 
 
+# Every declaration form of the language, by the name _forms_written gives it
+DECLARATION_FORMS = {"ring laurent", "ring param", "let", "map block", "derivation block",
+                     "constructor", ": RING", "inverse", "inverse mod", "preserving",
+                     "narrative", "anchor", "expect false"}
+
+
+def _syntax(obj):
+    """Every record in a piece of syntax, expression nodes included."""
+    if isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _syntax(item)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _syntax(item)
+    elif hasattr(obj, "__slots__"):
+        yield obj
+        for slot in type(obj).__slots__:
+            yield from _syntax(getattr(obj, slot))
+
+
+def _forms_written(text: str) -> set[str]:
+    """The claim kinds, constructors, built-ins and declaration forms a unit writes."""
+    unit = parse_unit(text)
+    decls = [item for item in unit.items if isinstance(item, Decl)]
+    inverses = [item for item in unit.items if isinstance(item, InverseDecl)]
+    seen = {
+        "ring laurent": any(ring.laurent for ring in unit.rings.values()),
+        "ring param": any(ring.params for ring in unit.rings.values()),
+        "let": any(d.kind == "poly" for d in decls),
+        "map block": any(d.kind == "map" and d.ctor is None for d in decls),
+        "derivation block": any(d.kind == "derivation" and d.ctor is None for d in decls),
+        "constructor": any(d.ctor is not None for d in decls),
+        ": RING": any(tok.text == ":" for tok in tokenize(text)),  # a ':' says nothing else
+        "inverse": any(inv.ideals is None for inv in inverses),
+        "inverse mod": any(inv.ideals is not None for inv in inverses),
+        "preserving": any(d.ctor is not None and d.ctor[2] is not None for d in decls),
+        "narrative": bool(unit.narratives),
+        "anchor": any(claim.anchor is not None for claim in unit.claims),
+        "expect false": any(not claim.expect for claim in unit.claims),
+    }
+    return ({form for form, written in seen.items() if written}
+            | {claim.kind for claim in unit.claims}
+            | {d.ctor[0] for d in decls if d.ctor is not None}
+            | {node.fn for node in _syntax(unit.items) if isinstance(node, Builtin)})
+
+
+def test_every_form_is_written_by_a_manifest(monkeypatch):
+    # the shipped manifests and the benchmark's generated tame-qw manifest are
+    # what the language is for; a form none of them writes is one no claim
+    # runs (only tame-qw writes an inverse without 'mod')
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parent.parent / "bench"))
+    from workloads import tame_qw
+
+    texts = [manifest_path(name).read_text(encoding="utf-8") for name in SHIPPED_MANIFESTS]
+    written = set().union(*map(_forms_written, texts + [tame_qw(7)[0]]))
+    every = set(CLAIMS) | set(CONSTRUCTORS) | set(BUILTINS) | DECLARATION_FORMS
+    assert every - written == set()
+    one = "ring R = vars(x, y);\nmap M : R { y -> x; }\ninverse(M, M) mod {x}, {x};"
+    assert _forms_written(one) == {"map block", ": RING", "inverse mod"}
+
+
 def test_fmt_prints_declarations_as_written():
     # a let read stays its name, images keep their order (identity included),
-    # a derivation's images and relation are printed as written, and so is
+    # a derivation's images are printed as written, and so is
     # every expression: terms in written order, numbers and w as spelled
     text = (P4 + "let Q = P + 1;\nlet S = - ( 1+x ) * t^3 + 2/4 - w^2*z + 03;\n"
             "map M : R { z -> Q; y -> y; }\n"
-            "derivation D : R { z -> -x^2; y -> 2*z; } mod {P}\n")
+            "derivation D : R { z -> -x^2; y -> 2*z; }\n")
     assert format_unit(parse_unit(text)) == (
         P4 + "let Q = P + 1;\nlet S = -(1 + x)*t^3 + 2/4 - w^2*z + 03;\n"
         "map M : R {\n  z -> Q;\n  y -> y;\n}\n"
-        "derivation D : R {\n  z -> -x^2;\n  y -> 2*z;\n} mod {P}\n")
+        "derivation D : R {\n  z -> -x^2;\n  y -> 2*z;\n}\n")
 
 
 def _tree(node):
