@@ -2,10 +2,13 @@
 
 elaborate evaluates the declarations, a ring into its one VarTable, then each
 claim's kind's entry in VERDICTS decides it; both evaluate syntax, as written,
-through eval_node and operands.  A failing declaration stops the unit with a positioned ParseError; a failing
-claim is recorded as that claim's 'error' and the run goes on.  Narrative
-entries aggregate the statuses of the claims they cite: they mark conclusions
-that follow from the listed computations plus imported theory.
+through eval_node and operands.  A declaration builds a value and a claim
+makes a check, with its own status; inverse(A, B), the one declaration that
+checks, is kept for generated manifests that write it.  A failing declaration
+stops the unit with a positioned ParseError; a failing claim is recorded as
+that claim's 'fail' or 'error' and the run goes on.  Narrative entries
+aggregate the statuses of the claims they cite: they mark conclusions that
+follow from the listed computations plus imported theory.
 
 Reports are deterministic across runs except for the timing fields.
 """
@@ -145,14 +148,14 @@ def operands(shapes: tuple, args: tuple, env: dict, table: VarTable) -> list:
     return [operand(shape, arg, env, table) for shape, arg in zip(shapes, args)]
 
 
-def _construct(fn: str, args: tuple, preserving, env: dict, table: VarTable):
+def _construct(fn: str, args: tuple, env: dict, table: VarTable):
     """Evaluate a constructor call (see CONSTRUCTORS) over table."""
     values = operands(CONSTRUCTORS[fn], args, env, table)
     if fn == "extend":
         base, relation, unit = values
         return extend_to_quotient_automorphism(base, QuotientRelation(relation), unit).map
     if fn == "subst_param":
-        return substitute_parameter(*values, check_ideal=operand("exprs", preserving, env, table))
+        return substitute_parameter(*values)
     return compose(*values) if fn == "compose" else conjugate(*values)
 
 
@@ -175,9 +178,8 @@ def _declared(decl: Decl, env: dict, table: VarTable):
 
 
 def _check_inverse(inv: InverseDecl, env: dict, table: VarTable):
-    maps = operands(INVERSE, (inv.first, inv.second), env, table)
-    if not verify_inverse_pair(*maps, *(operand("ideals", inv.ideals, env, table) or ())):
-        raise KrError(f"{inv.first!r} and {inv.second!r} are not inverse modulo the declared ideals")
+    if not verify_inverse_pair(*operands(INVERSE, (inv.first, inv.second), env, table)):
+        raise KrError(f"{inv.first!r} and {inv.second!r} are not inverse")
 
 
 def elaborate(unit: SourceUnit) -> dict:

@@ -71,13 +71,13 @@ def tangent_cone(f: Polynomial, point: Mapping[str, "Polynomial | int"]) -> Poly
         raise NonUnitError(f"image of {(stuck or negative)[0]!r} must be a unit "
                            f"monomial to carry negative exponents")
     g = f.substitute({v: table.var(v) + c for v, c in center.items()})
-    degree = {exps: g.weighted_degree_of_term(exps) for exps, _ in g.items()}
-    low = min(degree.values(), default=None)
+    terms = [(g.weighted_degree_of_term(exps), exps, c) for exps, c in g.items()]
+    low = min((degree for degree, _, _ in terms), default=None)
     if low == 0:
         raise KrError("polynomial does not vanish at the given point")
     if low is None:
         raise EmptyConeError("polynomial vanishes identically after translation")
-    return Polynomial(table, {e: c for e, c in g.items() if degree[e] == low})
+    return Polynomial(table, {exps: c for degree, exps, c in terms if degree == low})
 
 
 def _rank_one(form: Polynomial, names: tuple[str, ...]) -> bool:

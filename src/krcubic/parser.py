@@ -23,10 +23,10 @@ Declarations:
     map NAME : RING { id -> poly; ... }
     map NAME = extend(BASE, relation, unit);
     map NAME = compose(OUTER, INNER);
-    map NAME = subst_param(MAP, param, value) [preserving {g1, ...}];
+    map NAME = subst_param(MAP, param, value);
     derivation NAME : RING { id -> poly; ... }
     derivation NAME = conjugate(D, FWD, BWD, {g1, ...}, {g1, ...});
-    inverse(MAP, MAP) [mod {g1, ...}, {g1, ...}];
+    inverse(MAP, MAP);
     claim "label" KIND(...) [anchor "text"] expect true|false;
     narrative "label" requires("label1", ...);
 
@@ -86,13 +86,15 @@ BUILTINS = {
     "jacdet": ("map", "vars"),
 }
 
-# inverse(A, B) mod {...}, {...}; the ideals follow the parenthesis.
+# inverse(A, B); checks an exact inverse pair when the unit is evaluated.  It
+# is kept because generated manifests still write it; inverse_pair is the
+# claim that makes the same check, modulo ideals too, with its own status.
 INVERSE = ("map", "map")
 
 KEYWORDS = {
     "ring", "vars", "laurent", "param", "let", "map", "derivation", "claim",
-    "narrative", "requires", "anchor", "expect", "true", "false", "mod",
-    "inverse", "point", "weights", "preserving", "w",
+    "narrative", "requires", "anchor", "expect", "true", "false", "inverse",
+    "point", "weights", "w",
 } | CLAIMS.keys() | CONSTRUCTORS.keys() | BUILTINS.keys()
 
 
@@ -207,15 +209,14 @@ class Decl(Record):
     """A declared name, as syntax, over the ring current at it.  body is a
     ring's Ring (ring: None), a let's node, or a map's or derivation's
     image block, ((variable token, node), ...); ctor is a constructor's
-    (fn, args, preserving), else None.  A kernel error is reported at tok,
-    or at its image's token."""
+    (fn, args), else None.  A kernel error is reported at tok, or at its
+    image's token."""
 
     __slots__ = ("kind", "name", "ring", "body", "ctor", "tok")
 
 
 class InverseDecl(Record):
-    # ideals: None or two lists of nodes; a kernel error is reported at tok
-    __slots__ = ("first", "second", "ideals", "ring", "tok")
+    __slots__ = ("first", "second", "ring", "tok")  # a kernel error is reported at tok
 
 
 class ClaimDecl(Record):
@@ -540,21 +541,16 @@ class Parser:
             self.error(f"unknown {kind} constructor {fn.text!r}", fn,
                        expected=[c for c, s in CONSTRUCTORS.items() if s[0] == kind])
         args = self.arguments(fn.text, shapes)
-        preserving = None
-        if fn.text == "subst_param" and self.accept("preserving"):
-            preserving = self.argument(fn.text, "exprs")
         self.expect(";")
-        self.declare(name, kind, None, fn, ctor=(fn.text, args, preserving))
+        self.declare(name, kind, None, fn, ctor=(fn.text, args))
 
     def parse_inverse(self):
-        """inverse(A, B) mod {gens}, {gens}: compose(A, B) fixes every variable
-        modulo the first ideal and compose(B, A) modulo the second."""
+        """inverse(A, B): compose(A, B) and compose(B, A) fix every variable."""
         self.expect("inverse")
         start = self.peek()
         first, second = self.arguments("inverse", INVERSE)
-        ideals = self.argument("inverse", "ideals") if self.accept("mod") else None
         self.expect(";")
-        self.unit.items.append(InverseDecl(first, second, ideals, self.current_ring, start))
+        self.unit.items.append(InverseDecl(first, second, self.current_ring, start))
 
     # -- call arguments ----------------------------------------------------------
 
@@ -736,8 +732,7 @@ def format_unit(unit: SourceUnit) -> str:
     out = []
     for item in unit.items:
         if isinstance(item, InverseDecl):
-            tail = f" mod {_fmt_argument('ideals', item.ideals)}" if item.ideals else ""
-            out.append(f"inverse{_fmt_arguments(INVERSE, (item.first, item.second))}{tail};")
+            out.append(f"inverse{_fmt_arguments(INVERSE, (item.first, item.second))};")
         elif isinstance(item, ClaimDecl):
             anchor = f'\n  anchor "{item.anchor}"' if item.anchor is not None else ""
             out.append(f'claim "{item.label}"\n'
@@ -757,10 +752,8 @@ def format_unit(unit: SourceUnit) -> str:
         elif item.kind == "poly":
             out.append(f"let {item.name} = {item.body.render()};")
         elif item.ctor is not None:
-            fn, args, preserving = item.ctor
-            tail = f" preserving {_fmt_argument('exprs', preserving)}" if preserving else ""
-            out.append(f"{item.kind} {item.name} = {fn}"
-                       f"{_fmt_arguments(CONSTRUCTORS[fn], args)}{tail};")
+            fn, args = item.ctor
+            out.append(f"{item.kind} {item.name} = {fn}{_fmt_arguments(CONSTRUCTORS[fn], args)};")
         else:
             lines = [f"  {tok.text} -> {node.render()};" for tok, node in item.body]
             body = "{\n" + "\n".join(lines) + "\n}" if lines else "{ }"

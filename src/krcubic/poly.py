@@ -11,10 +11,11 @@ terms: gcd(den, every a, every b) = 1, and zero has den 1.  That form is
 unique, so equality of (den, terms) is equality of polynomials.  Arithmetic
 works on the ints, with at most one gcd per result; an Eisenstein (coeff.py)
 is built only at the edges: items(), coeff(), the public constructor
-Polynomial(table, {exps: coefficient}), a constant's hash and rendering.  `den` and `terms` belong to the kernel (this module and
-coeff.py): every other module reads a polynomial only through len(p),
-p.items(), p.coeff(exps), p.coefficient_in(name, k) and the other queries,
-and builds a monomial with VarTable.monomial.
+Polynomial(table, {exps: coefficient}), a constant's hash and rendering.
+`den` and `terms` belong to the kernel (this module and coeff.py): every
+other module reads a polynomial only through len(p), p.items(), p.coeff(exps),
+p.coefficient_in(name, k) and the other queries, and builds a monomial with
+VarTable.monomial.
 
 A product of two multi-term polynomials sums its term products on their
 monomials.  It builds the exponent tuple of every pair, except for a product

@@ -406,9 +406,11 @@ def test_no_map_substitutes_an_argument_twice(substitutions):
 
 def test_autgroup_substitutes_thirty_times(substitutions):
     # 35 before maps remembered their images: glued(cubic_c) was computed by
-    # the preserving check and by two claims, twist_lift(cubic) and
-    # family_lift(cubic_c + c) by extend's postcondition and by a claim, and
-    # twist_c(z^2 + t^3 + c) by theta and by a claim
+    # subst_param's preserving check (since retired) and by two claims,
+    # twist_lift(cubic) and family_lift(cubic_c + c) by extend's postcondition
+    # and by a claim, and twist_c(z^2 + t^3 + c) by theta and by a claim.
+    # Now the member claim computes glued(cubic_c) first, and the eq claim
+    # after it reads the remembered image
     assert run_file("autgroup.krv").all_pass
     assert len(substitutions) == 30
 

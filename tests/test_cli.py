@@ -1,5 +1,6 @@
 """Command-line front end: subcommands, exit codes, formatting."""
 
+import json
 import os
 import subprocess
 import sys
@@ -37,7 +38,6 @@ def test_check_negative_manifest_exits_one(capsys):
 def test_check_json_format(capsys):
     code, out, _ = run_cli(["check", "--format", "json", "stable.krv"], capsys)
     assert code == 0
-    import json
     payload = json.loads(out)
     assert payload["summary"]["all_pass"] is True
 
@@ -82,17 +82,26 @@ def test_fmt_takes_a_shipped_name(tmp_path, monkeypatch, capsys):
     assert run_cli(["fmt", "embeddings.krv"], capsys) == (0, by_path, "")
 
 
-NOT_INVERSE = "ring R = vars(x, y);\nmap A : R { y -> y + x; }\ninverse(A, A);\n"
-
-
 def test_fmt_does_not_evaluate_declarations(tmp_path, capsys):
     target = tmp_path / "unit.krv"
-    target.write_text(NOT_INVERSE)
+    target.write_text("ring R = vars(x);\nlet q = quot(x, x + 1);\n")
     code, out, _ = run_cli(["fmt", str(target)], capsys)
-    assert code == 0 and out.endswith("inverse(A, A);\n")
+    assert code == 0 and out.endswith("let q = quot(x, x + 1);\n")
     code, out, err = run_cli(["check", str(target)], capsys)
-    assert (code, out, err) == (
-        2, "", "error: 3:8: 'A' and 'A' are not inverse modulo the declared ideals\n")
+    assert (code, out, err) == (2, "", "error: 2:9: quot(): not exactly divisible\n")
+
+
+def test_a_failing_inverse_pair_is_that_claims_failure(tmp_path, capsys):
+    # the pair check is a claim: it fails alone and the claims after it still run
+    target = tmp_path / "unit.krv"
+    target.write_text("ring R = vars(x, y);\nmap A : R { y -> y + x; }\n"
+                      'claim "pair" inverse_pair(A, A) expect true;\n'
+                      'claim "after" eq(A(y), y + x) expect true;\n')
+    code, out, err = run_cli(["check", "--format", "json", str(target)], capsys)
+    assert (code, err) == (1, "")
+    claims = json.loads(out)["claims"]
+    assert [(c["label"], c["status"]) for c in claims] == [("pair", "fail"), ("after", "pass")]
+    assert claims[0]["detail"] == "evaluated false, expected true"
 
 
 def test_missing_file_exits_two(capsys):

@@ -271,19 +271,15 @@ def test_unterminated_string():
 
 def test_inverse_declaration_records_the_pair():
     unit = parse_unit("""
-ring R = vars(x, y, z, t);
-let P = x^2*y + z^2 + x + t^3;
-let Q = x^2*y + (1 + x)*(z^2 + x + t^3);
-map fwd : R { y -> (1 + x)*y; }
-map bwd : R { y -> (1 - x)*y - x - z^2 - t^3; }
-inverse(fwd, bwd) mod {P}, {Q};
+ring R = vars(x, y);
+map fwd : R { y -> y + x; }
+map bwd : R { y -> y - x; }
+inverse(fwd, bwd);
 """)
     pair = unit.items[-1]
     assert isinstance(pair, InverseDecl)
     assert (pair.first, pair.second, pair.ring) == ("fwd", "bwd", "R")
-    # the ideals are held as syntax: a let name is read as a Ref node
-    assert [[(type(n), n.name) for n in gens] for gens in pair.ideals] == [[(Ref, "P")], [(Ref, "Q")]]
-    assert set(elaborate(unit)) == {"R", "P", "Q", "fwd", "bwd"}
+    assert set(elaborate(unit)) == {"R", "fwd", "bwd"}
 
 
 def test_inverse_declaration_rejects_non_inverses():
@@ -420,15 +416,6 @@ KERNEL_ERROR_SITES = {
         "derivation D : R { y -> 1; }\nmap A : R { y -> y + x; }\nmap B : R { y -> y - x; }\n"
         "derivation E = conjugate(D, A, B, {jacdet(N, x, y)}, {x});",
         "tables differ: VarTable(x,y) vs VarTable(x,y,u)", 7, 16),
-    "inverse ideal over another ring": (
-        "ring S = vars(x, y, u);\nmap N : S { y -> y; }\nring R = vars(x, y);\n"
-        "map A : R { y -> y + x^2; }\nmap B : R { y -> y; }\n"
-        "inverse(A, B) mod {x, jacdet(N, x, y)}, {x};",
-        "tables differ: VarTable(x,y) vs VarTable(x,y,u)", 6, 8),
-    "inverse ideals after a ring switch": (
-        "ring S = vars(x, y, z, t, u);\nmap A : S { z -> z + x; }\nmap B : S { z -> z - x; }\n"
-        + R4 + "inverse(A, B) mod {x}, {x};",
-        "tables differ: VarTable(x,y,z,t,u) vs VarTable(x,y,z,t)", 5, 8),
 }
 
 
@@ -456,8 +443,8 @@ def _claim(body: str, expect: str = "true") -> str:
 
 
 # Case id (its first word names the form) -> (unit, exact `fmt` output).  Every
-# claim kind, constructor, built-in and inverse declaration, each optional group
-# both absent and present; every unit's claims pass.
+# claim kind, constructor, built-in and the inverse declaration, each optional
+# group both absent and present; every unit's claims pass.
 FMT_CASES = {
     "eq": (R2 + 'claim "c" eq((1 + x)^2, 1 + 2*x + x^2) expect true;',
            R2 + _claim("eq((1 + x)^2, 1 + 2*x + x^2)")),
@@ -522,11 +509,6 @@ FMT_CASES = {
                 R2 + AB_FMT + "map C = compose(A, A);\n" + _claim("eq(C(y), y + 2*x)")),
     "subst_param": (CP + 'map N = subst_param(M, c, 2);\nclaim "c" eq(N(y), y + 2*x) expect true;',
                     CP_FMT + "map N = subst_param(M, c, 2);\n" + _claim("eq(N(y), y + 2*x)")),
-    "subst_param preserving": (
-        CP + 'map N = subst_param(M, c, 2) preserving {x};\n'
-        'claim "c" eq(N(y), y + 2*x) expect true;',
-        CP_FMT + "map N = subst_param(M, c, 2) preserving {x};\n"
-        + _claim("eq(N(y), y + 2*x)")),
     "conjugate": (R2 + AB + 'derivation D : R { x -> 1; }\n'
                   'derivation E = conjugate(D, A, B, {x}, {x});\n'
                   'claim "c" eq(E(y), -1) expect true;',
@@ -534,10 +516,6 @@ FMT_CASES = {
                   "derivation E = conjugate(D, A, B, {x}, {x});\n" + _claim("eq(E(y), -1)")),
     "inverse": (R2 + AB + 'inverse(A, B);\nclaim "c" eq(A(B(y)), y) expect true;',
                 R2 + AB_FMT + "inverse(A, B);\n" + _claim("eq(A(B(y)), y)")),
-    "inverse mod": (R2 + S + 'inverse(S, S) mod {x}, {x};\n'
-                    'claim "c" member(S(S(y)) - y, {x}) expect true;',
-                    R2 + S_FMT + "inverse(S, S) mod {x}, {x};\n"
-                    + _claim("member(S(S(y)) - y, {x})")),
     "quot": (R2 + 'claim "c" eq(quot(x^2 - y^2, x + y), x - y) expect true;',
              R2 + _claim("eq(quot(x^2 - y^2, x + y), x - y)")),
     "nf": (P4 + 'claim "c" eq(nf(x^2*y, P), -z^2 - x - t^3) expect true;',
@@ -569,10 +547,29 @@ def test_fmt_cases_cover_every_form():
     assert {verdict.__module__ for verdict in VERDICTS.values()} == {"krcubic.claims"}
 
 
+# inverse(A, B) took a 'mod {...}, {...}' tail and subst_param a 'preserving
+# {...}' one; the claims inverse_pair and member make those checks, and a unit
+# that still writes a tail stops where it starts rather than pass without it
+RETIRED_TAILS = {
+    "inverse mod": (R2 + S + "inverse(S, S) mod {x}, {x};", "found 'mod'", 3, 15),
+    "subst_param preserving": (CP + "map N = subst_param(M, c, 2) preserving {x};",
+                               "found 'preserving'", 3, 30),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RETIRED_TAILS))
+def test_retired_tails_are_positioned_syntax_errors(case):
+    text, message, line, col = RETIRED_TAILS[case]
+    with pytest.raises(ParseError) as info:
+        parse_unit(text)
+    assert (info.value.message, info.value.line, info.value.col) == (message, line, col)
+    assert info.value.expected == (";",)
+
+
 # Every declaration form of the language, by the name _forms_written gives it
 DECLARATION_FORMS = {"ring laurent", "ring param", "let", "map block", "derivation block",
-                     "constructor", ": RING", "inverse", "inverse mod", "preserving",
-                     "narrative", "anchor", "expect false"}
+                     "constructor", ": RING", "inverse", "narrative", "anchor",
+                     "expect false"}
 
 
 def _syntax(obj):
@@ -593,7 +590,6 @@ def _forms_written(text: str) -> set[str]:
     """The claim kinds, constructors, built-ins and declaration forms a unit writes."""
     unit = parse_unit(text)
     decls = [item for item in unit.items if isinstance(item, Decl)]
-    inverses = [item for item in unit.items if isinstance(item, InverseDecl)]
     seen = {
         "ring laurent": any(ring.laurent for ring in unit.rings.values()),
         "ring param": any(ring.params for ring in unit.rings.values()),
@@ -602,9 +598,7 @@ def _forms_written(text: str) -> set[str]:
         "derivation block": any(d.kind == "derivation" and d.ctor is None for d in decls),
         "constructor": any(d.ctor is not None for d in decls),
         ": RING": any(tok.text == ":" for tok in tokenize(text)),  # a ':' says nothing else
-        "inverse": any(inv.ideals is None for inv in inverses),
-        "inverse mod": any(inv.ideals is not None for inv in inverses),
-        "preserving": any(d.ctor is not None and d.ctor[2] is not None for d in decls),
+        "inverse": any(isinstance(item, InverseDecl) for item in unit.items),
         "narrative": bool(unit.narratives),
         "anchor": any(claim.anchor is not None for claim in unit.claims),
         "expect false": any(not claim.expect for claim in unit.claims),
@@ -618,7 +612,7 @@ def _forms_written(text: str) -> set[str]:
 def test_every_form_is_written_by_a_manifest(monkeypatch):
     # the shipped manifests and the benchmark's generated tame-qw manifest are
     # what the language is for; a form none of them writes is one no claim
-    # runs (only tame-qw writes an inverse without 'mod')
+    # runs (only tame-qw writes an inverse declaration)
     monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parent.parent / "bench"))
     from workloads import tame_qw
 
@@ -626,8 +620,8 @@ def test_every_form_is_written_by_a_manifest(monkeypatch):
     written = set().union(*map(_forms_written, texts + [tame_qw(7)[0]]))
     every = set(CLAIMS) | set(CONSTRUCTORS) | set(BUILTINS) | DECLARATION_FORMS
     assert every - written == set()
-    one = "ring R = vars(x, y);\nmap M : R { y -> x; }\ninverse(M, M) mod {x}, {x};"
-    assert _forms_written(one) == {"map block", ": RING", "inverse mod"}
+    one = "ring R = vars(x, y);\nmap M : R { y -> x; }\ninverse(M, M);"
+    assert _forms_written(one) == {"map block", ": RING", "inverse"}
 
 
 def test_fmt_prints_declarations_as_written():
