@@ -416,6 +416,18 @@ KERNEL_ERROR_SITES = {
         "derivation D : R { y -> 1; }\nmap A : R { y -> y + x; }\nmap B : R { y -> y - x; }\n"
         "derivation E = conjugate(D, A, B, {jacdet(N, x, y)}, {x});",
         "tables differ: VarTable(x,y) vs VarTable(x,y,u)", 7, 16),
+    # conjugate verifies its maps as an inverse pair modulo the two ideals it is
+    # given: the second ideal, and both read after a ring switch, are checked too
+    "inverse ideal over another ring": (
+        "ring S = vars(x, y, u);\nmap N : S { y -> y; }\nring R = vars(x, y);\n"
+        "derivation D : R { y -> 1; }\nmap A : R { y -> y + x; }\nmap B : R { y -> y - x; }\n"
+        "derivation E = conjugate(D, A, B, {x}, {x, jacdet(N, x, y)});",
+        "tables differ: VarTable(x,y) vs VarTable(x,y,u)", 7, 16),
+    "inverse ideals after a ring switch": (
+        "ring S = vars(x, y, z, t, u);\nderivation D : S { z -> 1; }\n"
+        "map A : S { z -> z + x; }\nmap B : S { z -> z - x; }\n"
+        + R4 + "derivation E = conjugate(D, A, B, {x}, {x});",
+        "tables differ: VarTable(x,y,z,t,u) vs VarTable(x,y,z,t)", 6, 16),
 }
 
 
