@@ -189,7 +189,7 @@ class Eisenstein(Record):
         return f"Eisenstein({self.re!r}, {self.om!r})"
 
     def __str__(self):
-        return render_coeff(self)
+        return render_coeff(self._a, self._b, self._d)
 
 
 _new = object.__new__
@@ -230,9 +230,8 @@ def _scaled(k: int, d: int, unit: str) -> str:
     return unit if k == d else f"{_part(k, d)}*{unit}"
 
 
-def render_coeff(c: Eisenstein) -> str:
-    """Human form: '5', '-1/2', 'w', '2*w', '(1 + w)' styles (no outer parens here)."""
-    a, b, d = c._a, c._b, c._d
+def render_coeff(a: int, b: int, d: int) -> str:
+    """(a + b*w)/d for d > 0, in lowest terms or not, as '5', '-1/2', 'w', '2*w', '1 + w'."""
     if b == 0:
         return _part(a, d)
     mag = -b if b < 0 else b

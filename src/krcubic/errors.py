@@ -47,6 +47,10 @@ class NegativeExponentError(KrError):
     """Negative exponent on a variable that was not declared Laurent."""
 
 
+class ExponentOverflowError(KrError):
+    """An exponent would leave the range that a packed monomial key holds."""
+
+
 class NonUnitError(KrError):
     """Inversion requested for something that is not a unit monomial."""
 

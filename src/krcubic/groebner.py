@@ -8,9 +8,9 @@ poly.clear_laurent (member() does this for the tested polynomial and for
 each generator, which does not change the ideal in the Laurent ring, and
 saturates an ideal of several generators by the Laurent variables).
 
-A monomial order is a key function on exponent tuples.  The default is
-poly.grevlex_key; a caller may pass any other (QuotientRelation.order, a
-lex order with y first, is one).
+A monomial order is a key function on exponent tuples, such as
+QuotientRelation.order (lex with y first), or None, the default: grevlex,
+which poly runs on its packed monomial keys and VarTable.grevlex ranks here.
 
 Buchberger's algorithm skips the pairs that two criteria prove useless: the
 coprime-leading-monomial criterion and the chain criterion (Buchberger 1979;
@@ -26,7 +26,7 @@ from operator import itemgetter, le, sub
 
 from .errors import GroebnerBudgetError, KrError, LaurentInputError, Record
 from .geometry import _center
-from .poly import Polynomial, VarTable, clear_laurent, grevlex_key, reduce
+from .poly import Polynomial, VarTable, clear_laurent, reduce
 
 
 def _divides(m: tuple[int, ...], n: tuple[int, ...]) -> bool:
@@ -62,9 +62,9 @@ def _spoly(f: Polynomial, g: Polynomial, order) -> Polynomial:
 MAX_PAIRS = 50_000  # Buchberger's pair budget
 
 
-def buchberger(gens: list[Polynomial], order=grevlex_key) -> GroebnerBasis:
+def buchberger(gens: list[Polynomial], order=None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens under the
-    monomial order `order`, a key function.
+    monomial order `order`, a key function (None is grevlex).
 
     A pair is skipped when its leading monomials are coprime, or by the chain
     criterion: some third generator's leading monomial divides the pair's lcm
@@ -83,6 +83,7 @@ def buchberger(gens: list[Polynomial], order=grevlex_key) -> GroebnerBasis:
                                     "clear Laurent denominators first")
         basis.append(g.monic(order))
     lms = [g.leading_monomial(order) for g in basis]
+    rank = basis[0].table.grevlex if order is None else order
 
     heap: list = []
     counter = 0
@@ -91,7 +92,7 @@ def buchberger(gens: list[Polynomial], order=grevlex_key) -> GroebnerBasis:
         nonlocal counter
         for i in range(j):
             lcm = tuple(map(max, lms[i], lms[j]))
-            heapq.heappush(heap, (order(lcm), counter, i, j, lcm))
+            heapq.heappush(heap, (rank(lcm), counter, i, j, lcm))
             counter += 1
 
     for j in range(len(basis)):
@@ -132,7 +133,7 @@ def buchberger(gens: list[Polynomial], order=grevlex_key) -> GroebnerBasis:
     for i in minimal:
         others = [basis[j] for j in minimal if j != i]
         g = reduce(basis[i], others, order)[0] if others else basis[i]
-        reduced.append((order(lms[i]), g))
+        reduced.append((rank(lms[i]), g))
     reduced.sort(key=itemgetter(0))
     return GroebnerBasis(tuple(g for _, g in reduced), order)
 

@@ -5,44 +5,40 @@ Laurent flags (negative exponents allowed) and weights.  Weight 0 marks a
 parameter: a symbolic constant that counts for degree 0 in the weighted
 degree, by which geometry.tangent_cone takes the lowest homogeneous part.
 A polynomial is immutable.  It stores one positive denominator `den` and a
-dictionary `terms` from exponent tuples to nonzero int pairs (a, b), the
-coefficient of that monomial being (a + b*w)/den.  It is kept in lowest
-terms: gcd(den, every a, every b) = 1, and zero has den 1.  That form is
-unique, so equality of (den, terms) is equality of polynomials.  Arithmetic
-works on the ints, with at most one gcd per result; an Eisenstein (coeff.py)
-is built only at the edges: items(), coeff(), the public constructor
-Polynomial(table, {exps: coefficient}), a constant's hash and rendering.
-`den` and `terms` belong to the kernel (this module and coeff.py): every
-other module reads a polynomial only through len(p), p.items(), p.coeff(exps),
-p.coefficient_in(name, k) and the other queries, and builds a monomial with
+dictionary `terms` from monomial keys to nonzero int pairs (a, b), the
+coefficient of that monomial being (a + b*w)/den, in lowest terms: gcd(den,
+every a, every b) = 1, and zero has den 1.  That form is unique, so equality
+of (den, terms) is equality of polynomials.  `den` and `terms` belong to the
+kernel (this module and coeff.py); every other module goes through len(p),
+p.items(), p.coeff(exps), p.coefficient_in(name, k), the other queries and
 VarTable.monomial.
 
-A product of two multi-term polynomials sums its term products on their
-monomials.  It builds the exponent tuple of every pair, except for a product
-of rational polynomials with at least _KRONECKER_PAIRS (512) pairs of terms,
-which it sums on Kronecker keys: the int sum of e_i*m_i, with m_i the
-product of the spans of the variables before i over the box of exponents the
-product can reach.  That map is linear and one-to-one on the box, Laurent
-exponents included, so a pair costs an int addition and a tuple is built
-once per result monomial (see _product and _kronecker_product for the proof
-and the measured crossover).
+A monomial is one int key for the whole life of a polynomial (Bachmann &
+Schoenemann, ISSAC 1998; Monagan & Pearce, CASC 2007).  Variable i owns the
+WIDTH-bit field at bit WIDTH*i, holding _MID - e_i, and the total degree
+sits above all fields, so int order is grevlex.  The key is linear, origin +
+sum(e_i * unit_i), so a product monomial's key is k1 + k2 - origin: one int
+addition per pair of terms.  Exponent tuples and Eisensteins (coeff.py) are
+built only at the edges: items(), coeff(exps), leading_monomial(), the
+public constructor Polynomial(table, {exps: coefficient}), transport,
+substitute's per-term read and rendering.  Another monomial order is a key
+function on exponent tuples, applied to the unpacked monomial
+(QuotientRelation.order is one); order=None, the default, is grevlex on keys.
 
-Multivariate division with remainder (reduce) and the Laurent-content split
-(clear_laurent) live here too, the one division loop of the package; reduce
-keeps a lowest-terms triple (a, b, d) per term while it runs.
+Every exponent is at most EXPONENT_LIMIT in absolute value, so no field of a
+valid key sets its top bit, its guard.  A polynomial carries _reach, a bound
+on its absolute exponents; an operation that can move an exponent checks its
+result's bound once per call and raises ExponentOverflowError before any
+field could carry into its neighbour.  A sum's bound is the larger of its
+operands', so near the limit a result that would fit after cancellation may
+be refused.
 
-The triple is the one scalar form, and its formulas live in coeff.py:
-_triple, _times, _inverse and _scaled are imported from there, and
-_from_triples, shared by Polynomial() and reduce, puts triples over their
-common denominator.  Three hot loops write _times's formula inline on
-purpose: _add_into, _product and the division step in reduce (which also
-inlines the canonical form), since they run it once per pair of terms, where
-a call would cost more than the arithmetic.
-
-A monomial order is a key function: it maps an exponent tuple to a flat
-tuple of ints, and a larger key is a larger monomial.  The canonical order,
-used for printing and as the default for leading terms and division, is
-graded reverse lexicographic over the table order (grevlex_key).
+Division with remainder (reduce) and the Laurent-content split
+(clear_laurent) live here too.  The triple (a, b, d) is the one scalar form;
+its formulas (_triple, _times, _inverse, _scaled) live in coeff.py, but
+_add_into, _product and reduce's division step write _times inline: they
+run it once per pair of terms, where a call would cost more than the
+arithmetic.
 """
 
 from __future__ import annotations
@@ -50,34 +46,37 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterable, Mapping
 from math import gcd, lcm
-from operator import add, le, mul, sub
+from operator import mul
 
 from .coeff import (ONE, ZERO, Eisenstein, _inverse, _make, _part, _scaled, _times, _triple,
                     _try, render_coeff)
-from .errors import (
-    KrError,
-    LaurentInputError,
-    NegativeExponentError,
-    NonUnitError,
-    PostconditionError,
-    Record,
-    TableMismatchError,
-)
+from .errors import (ExponentOverflowError, KrError, LaurentInputError, NegativeExponentError,
+                     NonUnitError, PostconditionError, Record, TableMismatchError)
+
+# The key layout (see the module docstring): WIDTH bits per variable, a field
+# holding _MID - e, so that |e| <= EXPONENT_LIMIT keeps it in [1, _GUARD).
+WIDTH = 16
+_FIELD = (1 << WIDTH) - 1
+_GUARD = 1 << (WIDTH - 1)
+_MID = _GUARD >> 1
+EXPONENT_LIMIT = _MID - 1
 
 
-def grevlex_key(exps: tuple[int, ...]):
-    """Sort key, a flat tuple of ints: max() under it is the grevlex-largest monomial."""
-    return (sum(exps), *[-e for e in exps[::-1]])
+def _within(reach: int) -> int:
+    """reach, a bound on the absolute exponents of a result, once checked."""
+    if reach > EXPONENT_LIMIT:
+        raise ExponentOverflowError(f"exponent bound {reach} exceeds the limit {EXPONENT_LIMIT}")
+    return reach
 
 
 class VarTable(Record):
-    """Ordered variable universe for one polynomial ring.
+    """Ordered variable universe for one polynomial ring, and its key layout.
 
     _bases memoises Groebner bases of ideals over this table (see
     groebner._basis); like RingMap's image memo it is not part of the value.
     """
 
-    __slots__ = ("names", "laurent", "weights", "_index", "_bases")
+    __slots__ = ("names", "laurent", "weights", "_index", "_bases", "_origin", "_units")
 
     def __init__(self, names: Iterable[str], laurent: Iterable[str] = (),
                  params: Iterable[str] = ()):
@@ -89,9 +88,12 @@ class VarTable(Record):
         for v in laurent | params:
             if v not in names:
                 raise KrError(f"flagged variable {v!r} is not declared")
+        shifts = range(0, WIDTH * len(names), WIDTH)
         super().__init__(names, tuple(v in laurent for v in names),
                          tuple(0 if v in params else 1 for v in names),
-                         {v: i for i, v in enumerate(names)}, {})
+                         {v: i for i, v in enumerate(names)}, {},
+                         sum(_MID << s for s in shifts),
+                         tuple((1 << WIDTH * len(names)) - (1 << s) for s in shifts))
 
     @property
     def arity(self) -> int:
@@ -115,6 +117,16 @@ class VarTable(Record):
     def params(self) -> tuple[str, ...]:
         return tuple(v for v, w in zip(self.names, self.weights) if w == 0)
 
+    def grevlex(self, exps: Iterable[int]) -> int:
+        """The key of an exponent tuple within EXPONENT_LIMIT: a larger int is
+        a grevlex-larger monomial."""
+        return self._origin + sum(map(mul, exps, self._units))
+
+    def _exps(self, key: int) -> tuple[int, ...]:
+        """The exponent tuple of a key."""
+        return tuple([_MID - ((key >> s) & _FIELD)
+                      for s in range(0, WIDTH * len(self.names), WIDTH)])
+
     def __eq__(self, other):
         if not isinstance(other, VarTable):
             return NotImplemented
@@ -137,7 +149,7 @@ class VarTable(Record):
     # -- constructors over this table ---------------------------------------
 
     def zero(self) -> "Polynomial":
-        return _polynomial(self, 1, {})
+        return _polynomial(self, 1, {}, 0)
 
     def one(self) -> "Polynomial":
         return self.constant(1)
@@ -146,17 +158,15 @@ class VarTable(Record):
         c = Eisenstein.of(c)
         if not c:
             return self.zero()
-        return _polynomial(self, c._d, {(0,) * self.arity: (c._a, c._b)})
+        return _polynomial(self, c._d, {self._origin: (c._a, c._b)}, 0)
 
     def var(self, name: str) -> "Polynomial":
-        i = self.index(name)
-        e = [0] * self.arity
-        e[i] = 1
-        return _polynomial(self, 1, {tuple(e): (1, 0)})
+        return _polynomial(self, 1, {self._origin + self._units[self.index(name)]: (1, 0)}, 1)
 
     def monomial(self, exps: Iterable[int]) -> "Polynomial":
         """The monomial of coefficient one with this exponent tuple; the
-        arity and any negative exponent are checked as in Polynomial()."""
+        arity, any negative exponent and the limit are checked as in
+        Polynomial()."""
         return Polynomial(self, {tuple(exps): ONE})
 
     def coerce(self, value) -> "Polynomial":
@@ -173,24 +183,34 @@ class VarTable(Record):
         return self.constant(c)
 
 
-def _check_exponents(table: VarTable, exps: tuple[int, ...]):
+def _check_exponents(table: VarTable, exps: tuple[int, ...]) -> int:
+    """The largest absolute exponent of exps, which must fit the table."""
     for e, lau, name in zip(exps, table.laurent, table.names):
         if e < 0 and not lau:
             raise NegativeExponentError(
                 f"negative exponent on non-Laurent variable {name!r}")
+    return _within(max(map(abs, exps), default=0))
+
+
+def _column(terms: Iterable[int], i: int) -> list[int]:
+    """The exponents of variable i over the keys of terms."""
+    s = WIDTH * i
+    return [_MID - ((k >> s) & _FIELD) for k in terms]
 
 
 class Polynomial(Record):
-    """Sparse polynomial: exponent tuple -> nonzero coefficient.
+    """Sparse polynomial: monomial key -> nonzero coefficient.
 
-    The coefficient of exps is (a + b*w)/den for terms[exps] = (a, b), in
-    lowest terms over the whole polynomial (see the module docstring).
+    The coefficient of the monomial of key k is (a + b*w)/den for terms[k] =
+    (a, b), in lowest terms over the whole polynomial, and every exponent is
+    at most _reach in absolute value (see the module docstring).
     """
 
-    __slots__ = ("table", "den", "terms", "_hash")
+    __slots__ = ("table", "den", "terms", "_reach", "_hash")
 
     def __init__(self, table: VarTable, terms: Mapping[tuple[int, ...], Eisenstein]):
         clean = {}
+        reach = 0
         for exps, c in terms.items():
             c = Eisenstein.of(c)
             if not c:
@@ -198,9 +218,9 @@ class Polynomial(Record):
             exps = tuple(exps)
             if len(exps) != table.arity:
                 raise KrError("exponent tuple arity mismatch")
-            _check_exponents(table, exps)
-            clean[exps] = (c._a, c._b, c._d)
-        super().__init__(table, *_from_triples(clean), None)
+            reach = max(reach, _check_exponents(table, exps))
+            clean[table.grevlex(exps)] = (c._a, c._b, c._d)
+        super().__init__(table, *_from_triples(clean), reach, None)
 
     # -- basic queries -------------------------------------------------------
 
@@ -217,71 +237,69 @@ class Polynomial(Record):
     def items(self) -> list[tuple[tuple[int, ...], Eisenstein]]:
         """The (exponent tuple, coefficient) pairs of the terms."""
         d = self.den
-        return [(e, _make(a, b, d)) for e, (a, b) in self.terms.items()]
+        exps = self.table._exps
+        return [(exps(k), _make(a, b, d)) for k, (a, b) in self.terms.items()]
 
     def coeff(self, exps: tuple[int, ...]) -> Eisenstein:
         """The coefficient of the monomial with exponent tuple exps; zero if absent."""
-        pair = self.terms.get(tuple(exps))
+        exps = tuple(exps)
+        if len(exps) != self.table.arity or max(map(abs, exps), default=0) > EXPONENT_LIMIT:
+            return ZERO
+        pair = self.terms.get(self.table.grevlex(exps))
         return ZERO if pair is None else _make(*pair, self.den)
 
     def coefficient_in(self, name: str, k: int) -> "Polynomial":
         """The coefficient of name^k, a polynomial free of name: p is the sum
         over k of p.coefficient_in(name, k) * name^k."""
         i = self.table.index(name)
-        return _lowest(self.table, self.den, {exps[:i] + (0,) + exps[i + 1:]: c
-                                              for exps, c in self.terms.items() if exps[i] == k})
+        s, field, drop = WIDTH * i, _MID - k, k * self.table._units[i]
+        return _lowest(self.table, self.den, {key - drop: c for key, c in self.terms.items()
+                                              if (key >> s) & _FIELD == field}, self._reach)
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self.terms)
+        return all(k == self.table._origin for k in self.terms)
 
     def degree_in(self, name: str) -> int:
         """The largest exponent of name; -1 for the zero polynomial."""
-        i = self.table.index(name)
-        return max((e[i] for e in self.terms), default=-1)
+        return max(_column(self.terms, self.table.index(name)), default=-1)
 
     def min_exponent(self, name: str) -> int:
         """The smallest exponent of name; 0 for the zero polynomial."""
-        i = self.table.index(name)
-        return min((e[i] for e in self.terms), default=0)
+        return min(_column(self.terms, self.table.index(name)), default=0)
 
     def variables_used(self) -> tuple[str, ...]:
-        used = set()
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    used.add(i)
+        used = {i for exps in map(self.table._exps, self.terms) for i, e in enumerate(exps) if e}
         return tuple(self.table.names[i] for i in sorted(used))
 
-    def leading_monomial(self, key=grevlex_key) -> tuple[int, ...]:
-        """The exponents of the largest monomial under key; no coefficient is built."""
+    def leading_monomial(self, key=None) -> tuple[int, ...]:
+        """The exponents of the largest monomial under key (a key function on
+        exponent tuples; None is grevlex); no coefficient is built."""
         if not self.terms:
             raise KrError("zero polynomial has no leading term")
-        return max(self.terms, key=key)
+        return self.table._exps(_leading(self, key))
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        other = self.table.coerce(other)
-        return _lowest(self.table, *_sum([(self.den, self.terms, (1, 0)),
-                                          (other.den, other.terms, (1, 0))]))
+        return _plus(self, self.table.coerce(other), 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self.table.coerce(other)
-        return _lowest(self.table, *_sum([(self.den, self.terms, (1, 0)),
-                                          (other.den, other.terms, (-1, 0))]))
+        return _plus(self, self.table.coerce(other), -1)
 
     def __rsub__(self, other):
         return self.table.coerce(other) - self
 
     def __neg__(self):
         return _polynomial(self.table, self.den,
-                           {e: (-a, -b) for e, (a, b) in self.terms.items()})
+                           {k: (-a, -b) for k, (a, b) in self.terms.items()}, self._reach)
 
     def __mul__(self, other):
         other = self.table.coerce(other)
-        return _lowest(self.table, self.den * other.den, _product(self.terms, other.terms))
+        reach = _within(self._reach + other._reach)
+        return _lowest(self.table, self.den * other.den,
+                       _product(self.terms, other.terms, self.table._origin), reach)
 
     __rmul__ = __mul__
 
@@ -292,8 +310,8 @@ class Polynomial(Record):
             return self.unit_inverse() ** (-k)
         if k == 0:
             return self.table.one()
-        acc = None
-        base = self
+        _within(k * self._reach)
+        acc, base = None, self
         while True:
             if k & 1:
                 acc = base if acc is None else acc * base
@@ -304,45 +322,42 @@ class Polynomial(Record):
 
     def is_unit_monomial(self) -> bool:
         """One term whose variables are all Laurent (so the monomial is invertible)."""
-        if len(self.terms) != 1:
-            return False
-        exps = next(iter(self.terms))
-        return all(e == 0 or lau for e, lau in zip(exps, self.table.laurent))
+        return len(self.terms) == 1 and all(
+            e == 0 or lau for e, lau in zip(self.leading_monomial(), self.table.laurent))
 
     def unit_inverse(self) -> "Polynomial":
         if not self.is_unit_monomial():
             if len(self.terms) == 1:
-                _check_exponents(self.table, tuple(-e for e in next(iter(self.terms))))
+                _check_exponents(self.table, tuple(-e for e in self.leading_monomial()))
             raise NonUnitError(f"not a unit monomial: {self}")
         (exps, c), = self.items()
         return Polynomial(self.table, {tuple(-e for e in exps): c.inverse()})
 
-    def monic(self, key=grevlex_key) -> "Polynomial":
+    def monic(self, key=None) -> "Polynomial":
         if not self.terms:
             return self
-        a, b = self.terms[max(self.terms, key=key)]
+        a, b = self.terms[_leading(self, key)]
         if a == self.den and not b:
             return self
         # (T/den) / ((a + b*w)/den) = T times the inverse of a + b*w
         ca, cb, den = _inverse(a, b, 1)
         acc = {}
         _add_into(acc, self.terms, ca, cb)
-        return _lowest(self.table, den, acc)
+        return _lowest(self.table, den, acc, self._reach)
 
     # -- calculus ------------------------------------------------------------
 
     def diff(self, name: str) -> "Polynomial":
         """Formal partial derivative (Laurent exponents use the integer power rule)."""
-        i = self.table.index(name)
-        acc = {}
-        for exps, (a, b) in self.terms.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            ne = list(exps)
-            ne[i] = e - 1
-            acc[tuple(ne)] = (a * e, b * e)
-        return _lowest(self.table, self.den, acc)
+        table = self.table
+        i = table.index(name)
+        column = _column(self.terms, i)
+        # only an exponent below zero grows in absolute value
+        reach = _within(max(self._reach, 1 - min(column, default=0)))
+        unit = table._units[i]
+        acc = {k - unit: (a * e, b * e)
+               for k, e, (a, b) in zip(self.terms, column, self.terms.values()) if e}
+        return _lowest(table, self.den, acc, reach)
 
     def antiderivative(self, name: str) -> "Polynomial":
         """Term-wise antiderivative with constant 0; rejects exponent -1.
@@ -350,15 +365,19 @@ class Polynomial(Record):
         Every term goes over den*L, with L the lcm of the (e + 1) of name:
         (a + b*w)/den * name^e becomes (a + b*w)*(L/(e + 1))/(den*L) * name^(e + 1).
         """
-        i = self.table.index(name)
-        if any(exps[i] == -1 for exps in self.terms):
+        table = self.table
+        i = table.index(name)
+        column = _column(self.terms, i)
+        if -1 in column:
             raise KrError(f"cannot antidifferentiate exponent -1 in {name}")
-        scale = lcm(*[exps[i] + 1 for exps in self.terms])
+        reach = _within(max(self._reach, max(column, default=0) + 1))
+        unit = table._units[i]
+        scale = lcm(*[e + 1 for e in column])
         acc = {}
-        for exps, (a, b) in self.terms.items():
-            m = scale // (exps[i] + 1)
-            acc[exps[:i] + (exps[i] + 1,) + exps[i + 1:]] = (a * m, b * m)
-        return _lowest(self.table, self.den * scale, acc)
+        for k, e, (a, b) in zip(self.terms, column, self.terms.values()):
+            m = scale // (e + 1)
+            acc[k + unit] = (a * m, b * m)
+        return _lowest(table, self.den * scale, acc, reach)
 
     # -- substitution and transport -----------------------------------------
 
@@ -381,6 +400,7 @@ class Polynomial(Record):
             table.index(v)
         base = [table.coerce(images[name]) if name in images else table.var(name)
                 for name in table.names]
+        reaches = [p._reach for p in base]
 
         # powers[i][k] is base[i]^(k + 1), inverses[i][k] its inverse; each
         # list grows by one product at a time
@@ -399,43 +419,41 @@ class Polynomial(Record):
                 chain.append(chain[-1] * chain[0])
             return chain[abs(e) - 1]
 
-        one = {(0,) * table.arity: (1, 0)}
+        # a term's image is bounded by the sum of |e_i| times image i's bound
+        rows = [(table._exps(k), c) for k, c in self.terms.items()]
+        reach = _within(max([sum(map(mul, map(abs, exps), reaches)) for exps, _ in rows],
+                            default=0))
+        origin = table._origin
+        one = {origin: (1, 0)}
         den = self.den
         parts = []
-        for exps, c in self.terms.items():
+        for exps, c in rows:
             prod, d = one, den
             for i, e in enumerate(exps):
                 if e:
                     p = power(i, e)
-                    prod = p.terms if prod is one else _product(prod, p.terms)
+                    prod = p.terms if prod is one else _product(prod, p.terms, origin)
                     d *= p.den
             parts.append((d, prod, c))
-        return _lowest(table, *_sum(parts))
+        return _lowest(table, *_sum(parts), reach)
 
     def transport(self, table: VarTable) -> "Polynomial":
         """Reinterpret over another table, matching variables by name."""
         if table == self.table:
             return self
-        pos = []
-        for i, name in enumerate(self.table.names):
-            if name in table._index:
-                pos.append(table.index(name))
-            else:
-                pos.append(None)
+        pos = [table._index.get(name) for name in self.table.names]
         acc = {}
-        for exps, c in self.terms.items():
+        for exps, c in zip(map(self.table._exps, self.terms), self.terms.values()):
             ne = [0] * table.arity
             for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                if pos[i] is None:
+                if e and pos[i] is None:
                     raise KrError(
                         f"variable {self.table.names[i]!r} does not exist in target table")
-                ne[pos[i]] = e
-            ne = tuple(ne)
+                if e:
+                    ne[pos[i]] = e
             _check_exponents(table, ne)
-            acc[ne] = c
-        return _polynomial(table, self.den, acc)
+            acc[table.grevlex(ne)] = c
+        return _polynomial(table, self.den, acc, self._reach)
 
     # -- grading -------------------------------------------------------------
 
@@ -447,7 +465,8 @@ class Polynomial(Record):
     def is_weighted_homogeneous(self, weights: Mapping[str, int], degree: int) -> bool:
         """True iff every term has the given weighted degree (unlisted vars weigh 0)."""
         w = tuple(weights.get(v, 0) for v in self.table.names)
-        return all(self.weighted_degree_of_term(exps, w) == degree for exps in self.terms)
+        return all(self.weighted_degree_of_term(exps, w) == degree
+                   for exps in map(self.table._exps, self.terms))
 
     # -- equality, hashing, printing ------------------------------------------
 
@@ -463,15 +482,15 @@ class Polynomial(Record):
     def __hash__(self):
         """A constant hashes as its coefficient and zero as 0, since __eq__
         equates them with ints, Fractions and Eisensteins.  Any other
-        polynomial hashes its table and exponent set only: equal polynomials
+        polynomial hashes its table and key set only: equal polynomials
         have equal term dicts, and no coefficient is hashed."""
         h = self._hash
         if h is None:
             terms = self.terms
             if not terms:
                 h = 0
-            elif len(terms) == 1 and not any(next(iter(terms))):
-                h = hash(_make(*next(iter(terms.values())), self.den))
+            elif len(terms) == 1 and self.table._origin in terms:
+                h = hash(_make(*terms[self.table._origin], self.den))
             else:
                 h = hash((self.table, frozenset(terms)))
             _set_hash(self, h)
@@ -484,22 +503,23 @@ class Polynomial(Record):
         return render(self)
 
 
-_set_table, _set_den, _set_terms, _set_hash = Polynomial._setters
+_set_table, _set_den, _set_terms, _set_reach, _set_hash = Polynomial._setters
 
 
-def _polynomial(table: VarTable, den: int, terms: dict) -> Polynomial:
+def _polynomial(table: VarTable, den: int, terms: dict, reach: int) -> Polynomial:
     """Wrap a term dict that is already valid and in lowest terms over den
-    (zero has den 1): nonzero int pairs, and exponent tuples of the table's
-    arity that the table allows.  The dict is taken over, not copied."""
+    (zero has den 1): nonzero int pairs, keyed by monomials that the table
+    allows, of absolute exponents at most reach.  The dict is taken over."""
     p = object.__new__(Polynomial)
     _set_table(p, table)
     _set_den(p, den)
     _set_terms(p, terms)
+    _set_reach(p, reach)
     _set_hash(p, None)
     return p
 
 
-def _lowest(table: VarTable, den: int, terms: dict) -> Polynomial:
+def _lowest(table: VarTable, den: int, terms: dict, reach: int) -> Polynomial:
     """As _polynomial, for a term dict over den > 0 that may share a factor
     with it: one gcd over den and the parts, taken until it reaches one."""
     if den != 1:
@@ -514,7 +534,13 @@ def _lowest(table: VarTable, den: int, terms: dict) -> Polynomial:
             else:
                 den //= g
                 terms = {e: (a // g, b // g) for e, (a, b) in terms.items()}
-    return _polynomial(table, den, terms)
+    return _polynomial(table, den, terms, reach)
+
+
+def _plus(p: Polynomial, q: Polynomial, sign: int) -> Polynomial:
+    """p + sign*q over p's table."""
+    return _lowest(p.table, *_sum([(p.den, p.terms, (1, 0)), (q.den, q.terms, (sign, 0))]),
+                   max(p._reach, q._reach))
 
 
 def _from_triples(terms: dict) -> tuple[int, dict]:
@@ -564,174 +590,143 @@ def _sum(parts) -> tuple[int, dict]:
     return den, acc
 
 
-# Rational products of at least this many pairs of terms are summed on
-# Kronecker keys (_kronecker_product); _product gives the measurements behind
-# the value.  Between 64 and 511 pairs the keys save 9-22% of a
-# product's time, and no workload spends much there, so the gate stays at 512
-# until one does.
-_KRONECKER_PAIRS = 512
+def _product(t1: dict, t2: dict, origin: int) -> dict:
+    """The int-pair term dict of the product of two int-pair term dicts whose
+    table's keys have this origin; its denominator is the product of theirs.
+    The caller has checked the exponent bound.
 
-
-def _product(t1: dict, t2: dict) -> dict:
-    """The int-pair term dict of the product of two int-pair term dicts; the
-    product's denominator is the product of the factors'.
-
-    A one-term factor shifts and scales the other, and no two results share a
-    monomial; a factor of coefficient pair (1, 0) (a variable or its power,
-    an S-polynomial multiplier) only shifts.  Otherwise the term products are
-    summed as plain ints, (a1 + b1*w)(a2 + b2*w) = a1*a2 - b1*b2 +
-    (a1*b2 + b1*a2 - b1*b2)*w, and sums that cancel are dropped: on exponent
-    tuples, one built per pair of terms, or, for rational factors with
-    _KRONECKER_PAIRS pairs or more, on int keys (_kronecker_product).  On the
-    products of one pass of each benchmark workload, the keyed sums took 1.2
-    times the tuple loop's time below 64 pairs, 0.78-0.91 times from 64 to
-    511 pairs, and 0.46 times from 512 on, where 8.5 pairs collapse onto each
-    result term; the gate takes only that last group, autgroup.krv's power
-    builds inside substitute.  No Q(w) product of a workload reaches 512
-    pairs, so those keep the tuple loop.
+    A one-term factor shifts and scales the other; a factor of pair (1, 0)
+    (a variable or its power, an S-polynomial multiplier) only shifts.
+    Otherwise the term products, (a1 + b1*w)(a2 + b2*w) = a1*a2 - b1*b2 +
+    (a1*b2 + b1*a2 - b1*b2)*w, are summed on their keys and sums that cancel
+    are dropped; without w parts only the rational parts are summed.
     """
     if not (t1 and t2):
         return {}
     if len(t1) == 1:
         t1, t2 = t2, t1
     if len(t2) == 1:
-        (e, (ca, cb)), = t2.items()
+        (k, (ca, cb)), = t2.items()
+        k -= origin
         if ca == 1 and not cb:
-            return {tuple(map(add, e1, e)): pair for e1, pair in t1.items()}
-        return {tuple(map(add, e1, e)): (a * ca - b * cb, a * cb + b * ca - b * cb)
-                for e1, (a, b) in t1.items()}
-    rational = not any(b for _, b in t1.values()) and not any(b for _, b in t2.values())
-    if rational and len(t1) * len(t2) >= _KRONECKER_PAIRS:
-        return _kronecker_product(t1, t2)
-    re: dict[tuple[int, ...], int] = {}
+            return {k1 + k: pair for k1, pair in t1.items()}
+        return {k1 + k: (a * ca - b * cb, a * cb + b * ca - b * cb)
+                for k1, (a, b) in t1.items()}
+    re: dict[int, int] = {}
     get = re.get
-    if rational:
-        for e1, (a1, _) in t1.items():
-            for e2, (a2, _) in t2.items():
-                e = tuple(map(add, e1, e2))
-                re[e] = get(e, 0) + a1 * a2
-        return {e: (a, 0) for e, a in re.items() if a}
-    om: dict[tuple[int, ...], int] = {}
+    if not any(b for _, b in t1.values()) and not any(b for _, b in t2.values()):
+        rows = [(k2 - origin, a2) for k2, (a2, _) in t2.items()]
+        for k1, (a1, _) in t1.items():
+            for k2, a2 in rows:
+                k = k1 + k2
+                re[k] = get(k, 0) + a1 * a2
+        return {k: (a, 0) for k, a in re.items() if a}
+    om: dict[int, int] = {}
     oget = om.get
-    for e1, (a1, b1) in t1.items():
-        for e2, (a2, b2) in t2.items():
-            e = tuple(map(add, e1, e2))
-            bb = b1 * b2
-            re[e] = get(e, 0) + a1 * a2 - bb
-            om[e] = oget(e, 0) + a1 * b2 + b1 * a2 - bb
-    return {e: (a, om[e]) for e, a in re.items() if a or om[e]}
-
-
-def _kronecker_product(t1: dict, t2: dict) -> dict:
-    """_product of two multi-term dicts with rational coefficients (no w
-    parts), summed on Kronecker keys: exponent tuples packed into ints, as in
-    Monagan & Pearce, CASC 2007.
-
-    The key of an exponent tuple e is the int sum of e_i*m_i, where m_i is
-    the product of the spans max_i(t1) + max_i(t2) - min_i(t1) - min_i(t2) + 1
-    of the variables before i.  The map is linear, so key(e1) + key(e2) is
-    the key of the product monomial e1 + e2.  It is one-to-one on the box of
-    exponents the product can reach, negative Laurent exponents included:
-    two points of the box differ by d with |d_i| < span_i, and a nonzero
-    such d has a lowest i with d_i != 0, where sum(d_j*m_j) is d_i*m_i
-    modulo m_(i+1) = m_i*span_i, which is not 0.  So each pair costs an int
-    addition, and the exponent tuple is built once per distinct result
-    monomial, from the first pair that reaches it.
-    """
-    m = []
-    step = 1
-    for c1, c2 in zip(zip(*t1), zip(*t2)):
-        m.append(step)
-        step *= max(c1) + max(c2) - min(c1) - min(c2) + 1
-    acc: dict[int, int] = {}
-    at: dict[int, tuple] = {}  # key -> the first pair of exponent tuples summed there
-    get = acc.get
-    rows = [(sum(map(mul, e2, m)), e2, a2) for e2, (a2, _) in t2.items()]
-    for e1, (a1, _) in t1.items():
-        k1 = sum(map(mul, e1, m))
-        for k2, e2, a2 in rows:
+    rows = [(k2 - origin, a2, b2) for k2, (a2, b2) in t2.items()]
+    for k1, (a1, b1) in t1.items():
+        for k2, a2, b2 in rows:
             k = k1 + k2
-            got = get(k)
-            if got is None:
-                acc[k] = a1 * a2
-                at[k] = e1, e2
-            else:
-                acc[k] = got + a1 * a2
-    return {tuple(map(add, *at[k])): (a, 0) for k, a in acc.items() if a}
+            bb = b1 * b2
+            re[k] = get(k, 0) + a1 * a2 - bb
+            om[k] = oget(k, 0) + a1 * b2 + b1 * a2 - bb
+    return {k: (a, om[k]) for k, a in re.items() if a or om[k]}
+
+
+def _leading(p: Polynomial, order) -> int:
+    """The key of p's largest monomial under order (None is grevlex)."""
+    if order is None:
+        return max(p.terms)
+    exps = p.table._exps
+    return max(p.terms, key=lambda k: order(exps(k)))
 
 
 def _require_polynomial(f: Polynomial, what: str):
     # only a Laurent variable can carry a negative exponent
-    if any(f.table.laurent) and min(map(min, f.terms), default=0) < 0:
+    if any(lau and min(_column(f.terms, i), default=0) < 0
+           for i, lau in enumerate(f.table.laurent)):
         raise LaurentInputError(
             f"{what} carries negative exponents; clear Laurent denominators first")
 
 
 def reduce(f: Polynomial, gens: list[Polynomial],
-           order=grevlex_key) -> tuple[Polynomial, list[Polynomial]]:
+           order=None) -> tuple[Polynomial, list[Polynomial]]:
     """Division with remainder under the monomial order `order` (a key
-    function): f = sum(cofactor_i * gens_i) + remainder.
+    function on exponent tuples; None is grevlex, on the keys themselves):
+    f = sum(cofactor_i * gens_i) + remainder.
 
     No remainder monomial is divisible by any generator's leading monomial.
     Inputs must carry no negative exponents (LaurentInputError otherwise;
-    see clear_laurent).  The loop keeps each coefficient as its own triple
-    (a, b, d) in lowest terms, so a step that brings in a new denominator
+    see clear_laurent).  A leading monomial m divides k when every field of
+    k is at most m's, that is when every field of (m | guards) - k keeps its
+    guard bit.  A monomial the division creates past EXPONENT_LIMIT has a
+    field below 1, so subtracting one from every field sets a guard bit:
+    ExponentOverflowError.  Each coefficient is its own lowest-terms triple
+    (a, b, d) while the loop runs, so a step that brings in a new denominator
     touches only the terms it writes.  The representation identity is
     checked on every call; PostconditionError reports a violation.
     """
     _require_polynomial(f, "dividend")
     table = f.table
+    origin = table._origin
+    guards, ones = origin << 1, origin >> (WIDTH - 2)  # each field's guard bit, and a one
     gens = [table.coerce(g) for g in gens]
-    lead = []
-    tails = []
+    steps = []
     for g in gens:
         if g.is_zero():
             raise ZeroDivisionError("zero divisor in reduce()")
         _require_polynomial(g, "divisor")
-        gm = max(g.terms, key=order)
+        gm = _leading(g, order)
         a, b = g.terms[gm]
         d = g.den
         inv = None if a == d and not b else _inverse(a, b, d)
-        lead.append((gm, inv))
-        # the tail over its denominator, negated: each step adds q times it
-        # into the dividend
-        tails.append(([(e, -a, -b) for e, (a, b) in g.terms.items() if e != gm], d))
+        # with the tail over its denominator, negated: each step adds q times
+        # it into the dividend
+        steps.append((gm | guards, gm, inv,
+                      [(k, -a, -b) for k, (a, b) in g.terms.items() if k != gm], d))
 
-    # Max-heap of the working dividend's monomials, as a min-heap of flat
-    # tuples (negated order key, exponents).  A monomial that cancels keeps
-    # its entry (lazy deletion), so a popped monomial missing from work is
-    # skipped.  Each step takes the largest monomial of work and only adds
-    # smaller ones, so no monomial comes back once it has been taken.
-    push = heapq.heappush
+    # Max-heap of the working dividend's monomials: a min-heap of negated
+    # keys, or, under another order, of (negated order key, key).  A
+    # monomial that cancels keeps its entry (lazy deletion), so a popped
+    # monomial missing from work is skipped.  Each step takes the largest
+    # monomial of work and only adds smaller ones, so no monomial comes back
+    # once it has been taken.
+    exps = table._exps
+    entry = (lambda k: -k) if order is None else (
+        lambda k: (tuple([-x for x in order(exps(k))]), k))
+    push, pop = heapq.heappush, heapq.heappop
     den = f.den
-    work = {e: _triple(a, b, den) for e, (a, b) in f.terms.items()}
-    heap = [(*[-k for k in order(e)], e) for e in work]
+    work = {k: _triple(a, b, den) for k, (a, b) in f.terms.items()}
+    heap = [entry(k) for k in work]
     heapq.heapify(heap)
     cof_terms: list[dict] = [{} for _ in gens]
     rem_terms: dict = {}
     while heap:
-        lt_exps = heapq.heappop(heap)[-1]
-        lt = work.pop(lt_exps, None)
+        top = pop(heap)
+        lt_key = -top if order is None else top[1]
+        lt = work.pop(lt_key, None)
         if lt is None:
             continue
-        for i, (gm, inv) in enumerate(lead):
-            if all(map(le, gm, lt_exps)):
-                q_exps = tuple(map(sub, lt_exps, gm))
+        for i, (mg, gm, inv, tail, td) in enumerate(steps):
+            if (mg - lt_key) & guards == guards:
+                shift = lt_key - gm
                 q = lt if inv is None else _times(lt, inv)
-                cof_terms[i][q_exps] = q
+                cof_terms[i][shift + origin] = q
                 qa, qb, qd = q
-                tail, td = tails[i]
                 td *= qd
                 # work[e] += q * t: (qa + qb*w)(ta + tb*w)/(qd*td), in lowest terms
-                for ge, ta, tb in tail:
-                    e = tuple(map(add, q_exps, ge))
+                for e, ta, tb in tail:
+                    e += shift
                     bb = qb * tb
                     pa = qa * ta - bb
                     pb = qa * tb + qb * ta - bb
                     pd = td
                     got = work.get(e)
                     if got is None:
-                        push(heap, (*[-k for k in order(e)], e))
+                        if (e - ones) & guards:
+                            raise ExponentOverflowError(
+                                f"division reaches an exponent beyond the limit {EXPONENT_LIMIT}")
+                        push(heap, entry(e))
                     else:
                         wa, wb, wd = got
                         if wd == pd:
@@ -751,14 +746,17 @@ def reduce(f: Polynomial, gens: list[Polynomial],
                     work[e] = (pa, pb, pd)
                 break
         else:
-            rem_terms[lt_exps] = lt
-    rem = _polynomial(table, *_from_triples(rem_terms))
-    cofactors = [_polynomial(table, *_from_triples(t)) for t in cof_terms]
+            rem_terms[lt_key] = lt
+    # every exponent is at least 0, so none exceeds its term's total degree
+    degree = WIDTH * table.arity
+    rem, *cofactors = [_polynomial(table, *_from_triples(t),
+                                   min(max(t, default=0) >> degree, EXPONENT_LIMIT))
+                       for t in [rem_terms, *cof_terms]]
     # rem + sum of cofactor * generator, over one denominator
     parts = [(rem.den, rem.terms, (1, 0))]
-    parts += [(c.den * g.den, _product(c.terms, g.terms), (1, 0))
+    parts += [(c.den * g.den, _product(c.terms, g.terms, origin), (1, 0))
               for c, g in zip(cofactors, gens)]
-    if _lowest(table, *_sum(parts)) != f:
+    if _lowest(table, *_sum(parts), f._reach) != f:
         raise PostconditionError("division identity violated")
     return rem, cofactors
 
@@ -770,36 +768,39 @@ def clear_laurent(f: Polynomial) -> tuple[Polynomial, tuple[int, ...]]:
     Returns the stripped polynomial and the content's exponent tuple (the
     shift), so f == stripped * monomial(shift).  Laurent monomials are units,
     so stripping changes neither divisibility nor ideal membership there.
+    A stripped exponent is at most its variable's span, which is checked.
     """
     table = f.table
-    shift = tuple(min(e[i] for e in f.terms) if lau and f.terms else 0
-                  for i, lau in enumerate(table.laurent))
+    shift = [0] * table.arity
+    reach = f._reach
+    for i, lau in enumerate(table.laurent):
+        if lau and f.terms:
+            column = _column(f.terms, i)
+            shift[i] = low = min(column)
+            reach = max(reach, max(column) - low)
     if not any(shift):
-        return f, shift
-    return _polynomial(table, f.den, {tuple(map(sub, e, shift)): c
-                                      for e, c in f.terms.items()}), shift
+        return f, tuple(shift)
+    drop = sum(map(mul, shift, table._units))
+    return _polynomial(table, f.den, {k - drop: c for k, c in f.terms.items()},
+                       _within(reach)), tuple(shift)
 
 
 def _render_monomial(table: VarTable, exps: tuple[int, ...]) -> str:
-    parts = []
-    for name, e in zip(table.names, exps):
-        if e == 0:
-            continue
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts)
+    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(table.names, exps) if e)
 
 
 def render(p: Polynomial) -> str:
     """Canonical text: grevlex-descending terms, explicit '*', 'w' for the cube root.
 
     Read back as a .krv expression over an equal table, it gives p exactly.
+    No coefficient is built: each part is printed from its ints.
     """
     if p.is_zero():
         return "0"
     pieces: list[tuple[bool, str]] = []  # (negative?, magnitude text)
     d = p.den
-    for exps, (a, b) in sorted(p.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True):
-        mono = _render_monomial(p.table, exps)
+    for k, (a, b) in sorted(p.terms.items(), reverse=True):
+        mono = _render_monomial(p.table, p.table._exps(k))
         # a term's own (a, b, d) need not be in lowest terms: _part reduces,
         # and a part is one exactly when it equals d
         if not mono:
@@ -810,19 +811,13 @@ def render(p: Polynomial) -> str:
                 pieces.append((b < 0, _scaled(abs(b), d, "w")))
             continue
         if not b:
-            neg = a < 0
-            text = _scaled(abs(a), d, mono)
+            neg, text = a < 0, _scaled(abs(a), d, mono)
         elif not a:
-            neg = b < 0
-            text = _scaled(abs(b), d, f"w*{mono}")
+            neg, text = b < 0, _scaled(abs(b), d, f"w*{mono}")
         else:
             neg = a < 0
-            text = f"({render_coeff(_make(-a, -b, d) if neg else _make(a, b, d))})*{mono}"
+            text = f"({render_coeff(-a, -b, d) if neg else render_coeff(a, b, d)})*{mono}"
         pieces.append((neg, text))
-    out = []
-    for i, (neg, text) in enumerate(pieces):
-        if i == 0:
-            out.append(("-" if neg else "") + text)
-        else:
-            out.append((" - " if neg else " + ") + text)
-    return "".join(out)
+    # each piece after its sign; the first sign is only '-', with no spaces
+    out = "".join((" - " if neg else " + ") + text for neg, text in pieces)
+    return ("-" if pieces[0][0] else "") + out[3:]

@@ -52,6 +52,13 @@ def companion_poly(table: VarTable) -> Polynomial:
     return x ** 2 * y + (1 + x) * (z ** 2 + x + t ** 3)
 
 
+def grevlex_key(exps: tuple[int, ...]):
+    """The reference grevlex key on exponent tuples, a flat tuple of ints:
+    max() under it is the grevlex-largest monomial.  The kernel orders
+    packed monomial keys instead; the tests check the two orders agree."""
+    return (sum(exps), *[-e for e in exps[::-1]])
+
+
 def assert_lowest_terms(p: Polynomial):
     """p's stored form is the canonical one: a positive denominator sharing
     no factor with every part, no zero pair, den 1 for zero, and the public

@@ -12,6 +12,7 @@ import krcubic
 from krcubic.claims import manifest_path
 from krcubic.cli import main
 from krcubic.errors import PostconditionError
+from krcubic.poly import EXPONENT_LIMIT
 
 
 PACKAGE = Path(krcubic.__file__).resolve().parent
@@ -102,6 +103,22 @@ def test_a_failing_inverse_pair_is_that_claims_failure(tmp_path, capsys):
     claims = json.loads(out)["claims"]
     assert [(c["label"], c["status"]) for c in claims] == [("pair", "fail"), ("after", "pass")]
     assert claims[0]["detail"] == "evaluated false, expected true"
+
+
+def test_an_exponent_past_the_limit_is_that_claims_error(tmp_path, capsys):
+    # a monomial key holds exponents up to EXPONENT_LIMIT: one past it makes
+    # the claim read error, and the claims after it still run
+    e = EXPONENT_LIMIT
+    target = tmp_path / "unit.krv"
+    target.write_text("ring R = vars(x, y);\n"
+                      f'claim "past" eq(x^{e}*x, x^{e + 1}) expect true;\n'
+                      f'claim "at" eq(x^{e - 1}*x, x^{e}) expect true;\n')
+    code, out, err = run_cli(["check", "--format", "json", str(target)], capsys)
+    assert (code, err) == (1, "")
+    claims = json.loads(out)["claims"]
+    assert [(c["label"], c["status"]) for c in claims] == [("past", "error"), ("at", "pass")]
+    assert claims[0]["detail"] == (f"ExponentOverflowError: exponent bound {e + 1} "
+                                   f"exceeds the limit {e}")
 
 
 def test_missing_file_exits_two(capsys):

@@ -90,11 +90,12 @@ def test_every_export_is_used_in_the_package():
     assert not unused, unused
 
 
-# Only the kernel reads a polynomial's denominator and term dict, a
-# coefficient's int triple or a table's name index; every other module goes
-# through the accessors
+# Only the kernel reads a polynomial's denominator, term dict and exponent
+# bound, a coefficient's int triple, or a table's name index and monomial-key
+# layout; every other module goes through the accessors
 KERNEL = {"coeff", "poly"}
-REPRESENTATION = {"den", "terms", "_a", "_b", "_d", "_index"}
+REPRESENTATION = {"den", "terms", "_reach", "_a", "_b", "_d", "_index",
+                  "_origin", "_units", "_exps"}
 # every private name that one package module imports from another; poly
 # takes the triple's formulas from coeff, their one home
 PRIVATE_IMPORTS = {

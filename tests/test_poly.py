@@ -14,10 +14,10 @@ from krcubic.geometry import tangent_cone
 from krcubic.groebner import buchberger, member, reduce, singular_at
 from krcubic.morphism import (QuotientRelation, RingMap, compose, exact_divide,
                               normal_form)
-from krcubic.poly import Polynomial, VarTable, clear_laurent
+from krcubic.poly import EXPONENT_LIMIT, Polynomial, VarTable, clear_laurent, render
 
-from conftest import (assert_lowest_terms, cubic_poly, companion_poly, parse_value,
-                      random_poly, random_table)
+from conftest import (assert_lowest_terms, cubic_poly, companion_poly, grevlex_key,
+                      parse_value, random_poly, random_table)
 
 
 def vars_of(table, *names):
@@ -411,3 +411,32 @@ def test_random_tables_stay_consistent():
         g = random_poly(rng, T)
         assert f + g == g + f
         assert (f - g) + g == f
+
+
+# -- packed monomial keys against the tuple order -----------------------------------
+
+# four variables, two of them Laurent, so that total degrees can be negative
+TK = VarTable(["x", "y", "z", "t"], laurent=["y", "t"])
+_near_edges = st.one_of(st.integers(0, 3), st.integers(EXPONENT_LIMIT - 3, EXPONENT_LIMIT),
+                        st.integers(0, EXPONENT_LIMIT))
+_laurent_near_edges = st.one_of(_near_edges, _near_edges.map(lambda e: -e))
+key_exps = st.tuples(_near_edges, _laurent_near_edges, _near_edges, _laurent_near_edges)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(key_exps, key_exps)
+def test_packed_keys_order_monomials_as_grevlex_tuples(e1, e2):
+    k1, k2 = TK.grevlex(e1), TK.grevlex(e2)
+    assert TK._exps(k1) == e1 and TK._exps(k2) == e2
+    assert (k1 < k2) == (grevlex_key(e1) < grevlex_key(e2))
+    assert (k1 == k2) == (e1 == e2)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.dictionaries(key_exps, st.integers(1, 5).map(Eisenstein), min_size=1, max_size=6))
+def test_leading_monomials_and_rendering_follow_grevlex_tuples(terms):
+    p = Polynomial(TK, terms)
+    descending = sorted(terms, key=grevlex_key, reverse=True)
+    assert p.leading_monomial() == descending[0]
+    assert p.leading_monomial(grevlex_key) == descending[0]
+    assert render(p) == " + ".join(render(TK.monomial(e) * terms[e]) for e in descending)

@@ -6,11 +6,12 @@ from fractions import Fraction
 from operator import add
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, assume, example, given, settings, strategies as st
 
 from krcubic import coeff, poly
-from krcubic.coeff import OMEGA, Eisenstein
-from krcubic.poly import Polynomial, VarTable
+from krcubic.coeff import OMEGA, ONE, Eisenstein
+from krcubic.errors import ExponentOverflowError
+from krcubic.poly import EXPONENT_LIMIT, Polynomial, VarTable
 
 from conftest import assert_lowest_terms
 from test_groebner import _sympy_converter
@@ -61,10 +62,10 @@ def test_product_matches_the_double_loop(t1, t2):
     assert _times(t1, t2) == _double_loop(t1, t2)
 
 
-# Operands on both sides of poly._KRONECKER_PAIRS over a table with a Laurent
-# y and a parameter c: small ones of up to 12 terms, large ones of at least
-# 24.  A small operand keeps a product below the gate; two large rational ones
-# reach it, and large Q(w) or mixed ones check the Q(w) tuple loop.
+# Small operands of up to 12 terms and large ones of at least 24, over a
+# table with a Laurent y and a parameter c, with rational, Q(w) and mixed
+# coefficients: products from a few pairs of terms to about a thousand, all
+# summed on packed int keys.
 TLC = VarTable(["x", "y", "c"], laurent=["y"], params=["c"])
 wide_exps = st.tuples(st.integers(0, 3), st.integers(-3, 3), st.integers(0, 2))
 
@@ -80,11 +81,24 @@ large_dicts = st.one_of(*[_wide(c, 24, 32) for c in (rational, eisenstein, mixed
 
 @st.composite
 def _cancelling(draw):
-    # (a + b)(a - b): every cross term a*b cancels; a has at least 24 terms,
-    # so a rational product reaches the gate
+    # (a + b)(a - b): every cross term a*b cancels; a has at least 24 terms
     a = Polynomial(TLC, draw(_wide(draw(st.sampled_from([rational, eisenstein])), 24, 28)))
     b = Polynomial(TLC, draw(_wide(rational, 12, 20)))
     return dict((a + b).items()), dict((a - b).items())
+
+
+def _fixed_operands():
+    """Rational and Q(w) operands with Laurent exponents and a parameter, of
+    3 to 35 terms: products of 57 to 665 pairs of terms."""
+    x, y, c = TLC.var("x"), TLC.var("y"), TLC.var("c")
+    f = ((1 + x + y ** -1) * (Fraction(2, 3) + c)) ** 2 + x * y ** 3  # 19 terms
+    f_w = ((1 + x + y ** -1) * (OMEGA + c)) ** 2 + x * y ** 3  # 19 terms, with w parts
+    g = (x + y ** -2 + c + 1) ** 4  # 35 terms
+    small = x + y ** -1 + Fraction(1, 2)
+    return [(dict(p.items()), dict(q.items())) for p, q in ((f, small), (f_w, g), (f, g))]
+
+
+FIXED = _fixed_operands()
 
 
 # No shrinking: shrinking operands of 24-32 terms through _double_loop takes
@@ -95,38 +109,14 @@ def _cancelling(draw):
 @given(st.one_of(st.tuples(small_dicts, small_dicts), st.tuples(small_dicts, large_dicts),
                  st.tuples(large_dicts, large_dicts),
                  st.tuples(_wide(rational, 24, 32), _wide(rational, 24, 32)), _cancelling()))
-def test_products_on_both_sides_of_the_gate_match_the_double_loop(operands):
+@example(FIXED[0])
+@example(FIXED[1])
+@example(FIXED[2])
+def test_small_and_large_products_match_the_double_loop(operands):
     t1, t2 = operands
     got = Polynomial(TLC, t1) * Polynomial(TLC, t2)
     assert_lowest_terms(got)
     assert dict(got.items()) == _double_loop(t1, t2)
-
-
-def test_only_large_rational_products_run_on_keys(monkeypatch):
-    x, y, c = TLC.var("x"), TLC.var("y"), TLC.var("c")
-    f = ((1 + x + y ** -1) * (Fraction(2, 3) + c)) ** 2 + x * y ** 3  # 19 terms
-    f_w = ((1 + x + y ** -1) * (OMEGA + c)) ** 2 + x * y ** 3  # 19 terms, with w parts
-    g = (x + y ** -2 + c + 1) ** 4  # 35 terms
-    small = x + y ** -1 + Fraction(1, 2)
-    assert len(f) == len(f_w)
-    assert len(f) * len(small) < poly._KRONECKER_PAIRS <= len(f) * len(g)
-    assert 12 * 32 < poly._KRONECKER_PAIRS <= 24 * 24  # the strategies above straddle it
-    calls = []
-
-    def spy(t1, t2):
-        calls.append(len(t1) * len(t2))
-        return real(t1, t2)
-
-    def double_loop(p, q):
-        return Polynomial(TLC, _double_loop(dict(p.items()), dict(q.items())))
-
-    real = poly._kronecker_product
-    monkeypatch.setattr(poly, "_kronecker_product", spy)
-    assert f * small == double_loop(f, small)
-    assert f_w * g == double_loop(f_w, g)
-    assert calls == []
-    assert f * g == double_loop(f, g)
-    assert calls == [len(f) * len(g)]
 
 
 def test_product_edge_operands():
@@ -169,6 +159,106 @@ def test_product_builds_no_coefficient(monkeypatch):
     got = f * g
     assert len(built) <= 1
     assert got == expected
+
+
+# -- exponents at the edges of a key field ---------------------------------------
+
+# x is plain and y Laurent; exponents sit near 0 and near both limits
+TE = VarTable(["x", "y"], laurent=["y"])
+_low = st.integers(0, 2)
+_high = st.integers(EXPONENT_LIMIT - 2, EXPONENT_LIMIT)
+edge_exps = st.tuples(st.one_of(_low, _high),
+                      st.one_of(_low, _high, _low.map(lambda e: -e), _high.map(lambda e: -e)))
+edge_terms = st.dictionaries(edge_exps, st.one_of(rational, eisenstein), min_size=1, max_size=3)
+# images of x and y for substitute: monomials with coefficient +-1, y's a unit
+image_x = st.tuples(st.integers(0, 1), st.integers(-1, 1), st.sampled_from([1, -1]))
+image_y = st.tuples(st.sampled_from([1, -1]), st.sampled_from([1, -1]))
+
+
+def _reach(terms):
+    return max((abs(e) for exps in terms for e in exps), default=0)
+
+
+def _reference(op, t1, t2, k, ix, iy):
+    """The result of op as a dict of exponent tuples, and the bound on its
+    exponents that the kernel checks: each operand's largest |exponent|,
+    added as the operation adds exponents."""
+    if op == "product":
+        return _double_loop(t1, t2), _reach(t1) + _reach(t2)
+    if op == "shift":
+        m = {max(t2): ONE}
+        return _double_loop(t1, m), _reach(t1) + _reach(m)
+    if op == "power":
+        want = t1
+        for _ in range(k - 1):
+            want = _double_loop(want, t1)
+        return want, k * _reach(t1)
+    if op == "antiderivative":
+        return {(a, b + 1): c * Eisenstein(Fraction(1, b + 1)) for (a, b), c in t1.items()}, \
+            max(_reach(t1), max(b for _, b in t1) + 1)
+    # substitute x -> sx * x^a * y^b, y -> sy * y^j
+    (a, b, sx), (j, sy) = ix, iy
+    want = {}
+    for (ex, ey), c in t1.items():
+        e = (a * ex, b * ex + j * ey)
+        s = want.get(e, 0) + c * sx ** ex * sy ** (ey % 2)
+        if s:
+            want[e] = s
+        else:
+            want.pop(e, None)
+    return want, max(ex * max(a, abs(b)) + abs(ey) for ex, ey in t1)
+
+
+def _run(op, p, q, k, ix, iy):
+    x, y = TE.var("x"), TE.var("y")
+    if op == "product":
+        return p * q
+    if op == "shift":
+        return p * TE.monomial(max(dict(q.items())))
+    if op == "power":
+        return p ** k
+    if op == "antiderivative":
+        return p.antiderivative("y")
+    (a, b, sx), (j, sy) = ix, iy
+    return p.substitute({"x": sx * x ** a * y ** b, "y": sy * y ** j})
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.sampled_from(["product", "shift", "power", "antiderivative", "substitute"]),
+       edge_terms, edge_terms, st.integers(2, 3), image_x, image_y)
+def test_exponents_at_the_limit_give_the_exact_result_or_the_overflow_error(
+        op, t1, t2, k, ix, iy):
+    # never a carry: a result past the limit raises, and one the kernel
+    # returns is exact; the error comes only when the bound passes the limit
+    assume(op != "antiderivative" or all(b != -1 for _, b in t1))
+    want, bound = _reference(op, t1, t2, k, ix, iy)
+    p, q = Polynomial(TE, t1), Polynomial(TE, t2)
+    try:
+        got = _run(op, p, q, k, ix, iy)
+    except ExponentOverflowError:
+        assert bound > EXPONENT_LIMIT
+        return
+    assert _reach(want) <= bound <= EXPONENT_LIMIT
+    assert_lowest_terms(got)
+    assert dict(got.items()) == want
+
+
+def test_each_operation_reaches_both_edges_of_a_field():
+    x, y = TE.var("x"), TE.var("y")
+    top, bottom = x ** EXPONENT_LIMIT, y ** -EXPONENT_LIMIT
+    assert (x ** (EXPONENT_LIMIT - 1) * x).items() == [((EXPONENT_LIMIT, 0), ONE)]
+    assert (y ** (1 - EXPONENT_LIMIT) * y ** -1).items() == [((0, -EXPONENT_LIMIT), ONE)]
+    assert top.substitute({"x": y ** -1}) == bottom
+    assert bottom.antiderivative("y") == y ** (1 - EXPONENT_LIMIT) * Fraction(1, 1 - EXPONENT_LIMIT)
+    for past in (lambda: top * x, lambda: bottom * y ** -1, lambda: x ** (EXPONENT_LIMIT + 1),
+                 lambda: (x * y) ** (EXPONENT_LIMIT // 2 + 1), lambda: top.antiderivative("x"),
+                 lambda: bottom.diff("y"), lambda: top.substitute({"x": x * y ** -1 * y ** 2}),
+                 lambda: TE.monomial((EXPONENT_LIMIT + 1, 0)),
+                 lambda: Polynomial(TE, {(0, -EXPONENT_LIMIT - 1): ONE})):
+        with pytest.raises(ExponentOverflowError, match=f"exceeds the limit {EXPONENT_LIMIT}"):
+            past()
+    # no key holds an exponent past the limit, so no coefficient is read there
+    assert top.coeff((EXPONENT_LIMIT + 1, 0)) == 0 and top.coeff((EXPONENT_LIMIT, 0)) == 1
 
 
 # -- differential check against sympy ------------------------------------------------
