@@ -101,9 +101,16 @@ def eval_node(node, env: dict, table: VarTable) -> Polynomial:
         return env[node.name].transport(table)
     if isinstance(node, Negate):
         return -eval_node(node.arg, env, table)
-    if isinstance(node, BinOp):
-        a, b = eval_node(node.left, env, table), eval_node(node.right, env, table)
-        return a + b if node.op == "+" else a - b if node.op == "-" else a * b
+    if isinstance(node, BinOp):  # a long sum or product: fold its left spine in a loop
+        spine = []
+        while isinstance(node, BinOp):
+            spine.append(node)
+            node = node.left
+        acc = eval_node(node, env, table)
+        for node in reversed(spine):
+            b = eval_node(node.right, env, table)
+            acc = acc + b if node.op == "+" else acc - b if node.op == "-" else acc * b
+        return acc
     if isinstance(node, Pow):
         return eval_node(node.base, env, table) ** node.k
     if isinstance(node, Apply):

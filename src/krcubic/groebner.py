@@ -1,16 +1,13 @@
 """Buchberger's algorithm, Groebner bases and ideal membership.
 
 Everything runs over Q(w) with exact arithmetic, over one table per call
-(VarTable.coerce checks each generator).  Division itself is poly.reduce,
-bound here as groebner.reduce too.  Inputs must carry no negative
-exponents: Laurent callers divide out Laurent content first with
-poly.clear_laurent (member() does this for the tested polynomial and for
-each generator, which does not change the ideal in the Laurent ring, and
-saturates an ideal of several generators by the Laurent variables).
-
-A monomial order is a key function on exponent tuples, such as
-QuotientRelation.order (lex with y first), or None, the default: grevlex,
-which poly runs on its packed monomial keys and VarTable.grevlex ranks here.
+(VarTable.coerce checks each generator), under grevlex, the one monomial
+order.  Division itself is poly.reduce, bound here as groebner.reduce too.
+Inputs must carry no negative exponents: Laurent callers divide out Laurent
+content first with poly.clear_laurent (member() does this for the tested
+polynomial and for each generator, which does not change the ideal in the
+Laurent ring, and saturates an ideal of several generators by the Laurent
+variables).
 
 Buchberger's algorithm skips the pairs that two criteria prove useless: the
 coprime-leading-monomial criterion and the chain criterion (Buchberger 1979;
@@ -22,7 +19,7 @@ dict), so it lives as long as the unit whose ring declared the table.
 from __future__ import annotations
 
 import heapq
-from operator import itemgetter, le, sub
+from operator import le, sub
 
 from .errors import GroebnerBudgetError, KrError, LaurentInputError, Record
 from .geometry import _center
@@ -36,12 +33,12 @@ def _divides(m: tuple[int, ...], n: tuple[int, ...]) -> bool:
 class GroebnerBasis(Record):
     """Reduced monic Groebner basis; membership = zero remainder on reduce."""
 
-    __slots__ = ("generators", "order")  # generators: a tuple of Polynomial
+    __slots__ = ("generators",)  # a tuple of Polynomial
 
     def contains(self, f: Polynomial) -> bool:
         if f.is_zero():
             return True
-        rem, _ = reduce(f, list(self.generators), self.order)
+        rem, _ = reduce(f, list(self.generators))
         return rem.is_zero()
 
     def is_unit_ideal(self) -> bool:
@@ -49,11 +46,11 @@ class GroebnerBasis(Record):
             and not self.generators[0].is_zero()
 
 
-def _spoly(f: Polynomial, g: Polynomial, order) -> Polynomial:
+def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     """The S-polynomial of two monic polynomials: no coefficient is inverted,
     and each multiplier, a monomial with coefficient one, only shifts."""
-    fm = f.leading_monomial(order)
-    gm = g.leading_monomial(order)
+    fm = f.leading_monomial()
+    gm = g.leading_monomial()
     lcm = tuple(map(max, fm, gm))
     table = f.table
     return table.monomial(map(sub, lcm, fm)) * f - table.monomial(map(sub, lcm, gm)) * g
@@ -62,9 +59,8 @@ def _spoly(f: Polynomial, g: Polynomial, order) -> Polynomial:
 MAX_PAIRS = 50_000  # Buchberger's pair budget
 
 
-def buchberger(gens: list[Polynomial], order=None) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by gens under the
-    monomial order `order`, a key function (None is grevlex).
+def buchberger(gens: list[Polynomial]) -> GroebnerBasis:
+    """Reduced grevlex Groebner basis of the ideal generated by gens.
 
     A pair is skipped when its leading monomials are coprime, or by the chain
     criterion: some third generator's leading monomial divides the pair's lcm
@@ -81,9 +77,9 @@ def buchberger(gens: list[Polynomial], order=None) -> GroebnerBasis:
         if any(e < 0 for e in clear_laurent(g)[1]):
             raise LaurentInputError("generator carries negative exponents; "
                                     "clear Laurent denominators first")
-        basis.append(g.monic(order))
-    lms = [g.leading_monomial(order) for g in basis]
-    rank = basis[0].table.grevlex if order is None else order
+        basis.append(g.monic())
+    lms = [g.leading_monomial() for g in basis]
+    rank = basis[0].table.grevlex
 
     heap: list = []
     counter = 0
@@ -112,13 +108,13 @@ def buchberger(gens: list[Polynomial], order=None) -> GroebnerBasis:
         if any((i, k) in done and (j, k) in done and _divides(mk, lcm)
                for k, mk in enumerate(lms)):
             continue  # chain criterion: S(i, j) has a representation via k
-        s = _spoly(basis[i], basis[j], order)
+        s = _spoly(basis[i], basis[j])
         if s.is_zero():
             continue
-        rem, _ = reduce(s, basis, order)
+        rem, _ = reduce(s, basis)
         if not rem.is_zero():
-            basis.append(rem.monic(order))
-            lms.append(basis[-1].leading_monomial(order))
+            basis.append(rem.monic())
+            lms.append(basis[-1].leading_monomial())
             push_pairs(len(basis) - 1)
 
     # minimalize: drop generators whose leading monomial another one divides
@@ -129,13 +125,11 @@ def buchberger(gens: list[Polynomial], order=None) -> GroebnerBasis:
     # Fully reduce each survivor against the others.  No other leading
     # monomial divides its own, so that term is kept as it is: the remainder
     # is monic, nonzero, and has the same leading monomial.
-    reduced = []
+    reduced = {}  # by leading monomial, which no two survivors share
     for i in minimal:
         others = [basis[j] for j in minimal if j != i]
-        g = reduce(basis[i], others, order)[0] if others else basis[i]
-        reduced.append((rank(lms[i]), g))
-    reduced.sort(key=itemgetter(0))
-    return GroebnerBasis(tuple(g for _, g in reduced), order)
+        reduced[rank(lms[i])] = reduce(basis[i], others)[0] if others else basis[i]
+    return GroebnerBasis(tuple(reduced[k] for k in sorted(reduced)))
 
 
 def _basis(table: VarTable, gens: list[Polynomial]) -> GroebnerBasis:

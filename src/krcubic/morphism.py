@@ -4,7 +4,7 @@ A RingMap stores one image polynomial per non-parameter variable (parameters
 are symbolic constants and always map to themselves).  Composition, inverse
 pair verification modulo ideals, Jacobians, exact division, quotient-ring
 normal forms and the automorphism-extension construction all live here.
-Exact division and normal forms are both remainders of poly.reduce.
+Exact division is a remainder of poly.reduce; a normal form eliminates y.
 """
 
 from __future__ import annotations
@@ -146,20 +146,18 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial | None:
 
 
 class QuotientRelation(Record):
-    """A relation of the shape x^2*y + r(z, t) + x*F(x, z, t), leading monomial x^2*y.
+    """A relation of the shape x^2*y + tail, the tail r(z, t) + x*F(x, z, t).
 
     The coefficient of x^2*y must be 1, no other term may involve y, and
-    neither x nor y may be Laurent.  Under the lex order with y first
-    (`order`), x^2*y leads, so the remainder on division by the relation is
-    the unique normal form of the quotient ring.
+    neither x nor y may be Laurent.  Then each element of the quotient ring
+    has one representative with no term divisible by x^2*y (normal_form).
     """
 
-    __slots__ = ("table", "relation", "tail", "order")
+    __slots__ = ("table", "relation", "tail")
 
     def __init__(self, relation: Polynomial):
         table = relation.table
-        ix, iy = table.index("x"), table.index("y")
-        if table.laurent[ix] or table.laurent[iy]:
+        if table.is_laurent("x") or table.is_laurent("y"):
             # then distinct remainders can be congruent: under the cubic,
             # x*y and -x^-1*(z^2 + x + t^3) differ by x^-1 times the relation
             raise KrError("x and y must not be Laurent in a quotient relation")
@@ -169,7 +167,7 @@ class QuotientRelation(Record):
         tail = relation - table.monomial(head)  # r + x*F
         if tail.degree_in("y") > 0:
             raise KrError("relation tail must not involve y")
-        super().__init__(table, relation, tail, lambda e: (e[iy], *e))
+        super().__init__(table, relation, tail)
 
     def __repr__(self):
         return f"QuotientRelation({self.relation})"
@@ -178,14 +176,23 @@ class QuotientRelation(Record):
 def normal_form(f: Polynomial, rel: QuotientRelation) -> Polynomial:
     """Unique representative of f modulo the relation: no term divisible by x^2*y.
 
-    It is the remainder of reduce() by the relation under rel.order, where
-    x^2*y leads.  Laurent content (never in x or y) is cleared before the
-    division and restored after it: a unit monomial free of x and y commutes
-    with every division step.
+    y is eliminated from the top down: the coefficient of y^k, plus the carry
+    from above, is x^2*g plus the terms kept at y^k, and x^2*y = -tail carries
+    -tail*g down to y^(k-1), the tail being free of y.  As x and y are not
+    Laurent, the result is unique, Laurent t and tail included.
     """
-    f, shift = clear_laurent(f)
-    rem, _ = reduce(f, [rel.relation], rel.order)
-    return rem * f.table.monomial(shift) if any(shift) else rem
+    table = rel.table
+    f = table.coerce(f)
+    x, y = table.var("x"), table.var("y")
+    out = carry = table.zero()  # carry: tail*g from the degree above
+    for k in range(f.degree_in("y"), 0, -1):
+        c = f.coefficient_in("y", k) - carry
+        g = table.zero()
+        for j in range(c.degree_in("x"), 1, -1):
+            g = g * x + c.coefficient_in("x", j)
+        out = out * y + c - g * x ** 2
+        carry = rel.tail * g
+    return out * y + f.coefficient_in("y", 0) - carry
 
 
 class Extension(Record):

@@ -91,6 +91,8 @@ BUILTINS = {
 # claim that makes the same check, modulo ideals too, with its own status.
 INVERSE = ("map", "map")
 
+MAX_NESTING = 100  # expression depth; parsing and evaluation recurse once per level
+
 KEYWORDS = {
     "ring", "vars", "laurent", "param", "let", "map", "derivation", "claim",
     "narrative", "requires", "anchor", "expect", "true", "false", "inverse",
@@ -176,9 +178,16 @@ class BinOp(Record):
     __slots__ = ("op", "left", "right")
 
     def render(self, prec: int = 0) -> str:
-        own = 1 if self.op in "+-" else 2
-        lhs, rhs = self.left.render(own), self.right.render(own + 1)
-        text = f"{lhs} {self.op} {rhs}" if self.op in "+-" else f"{lhs}{self.op}{rhs}"
+        # a long sum or product: render its left spine in a loop, bottom up
+        spine = [self]
+        while isinstance(spine[-1].left, BinOp):
+            spine.append(spine[-1].left)
+        text = own = None  # the part rendered so far, and its level
+        for node in reversed(spine):
+            up = 1 if node.op in "+-" else 2
+            lhs = node.left.render(up) if text is None else f"({text})" if up > own else text
+            rhs = node.right.render(up + 1)
+            text, own = (f"{lhs} {node.op} {rhs}" if up == 1 else f"{lhs}{node.op}{rhs}"), up
         return f"({text})" if prec > own else text
 
 
@@ -245,6 +254,7 @@ class Parser:
         self.i = 0
         self.unit = SourceUnit()
         self.current_ring: str | None = None
+        self.depth = 0  # expressions open around the one being read
 
     # -- token helpers -------------------------------------------------------
 
@@ -357,17 +367,14 @@ class Parser:
     # -- expressions ----------------------------------------------------------
 
     def parse_expr(self):
-        negate = self.accept("-")
-        node = self.parse_term()
-        if negate:
-            node = Negate(node)
-        while True:
-            if self.accept("+"):
-                node = BinOp("+", node, self.parse_term())
-            elif self.accept("-"):
-                node = BinOp("-", node, self.parse_term())
-            else:
-                return node
+        if self.depth == MAX_NESTING:
+            self.error(f"expressions nest deeper than {MAX_NESTING}")
+        self.depth += 1
+        node = Negate(self.parse_term()) if self.accept("-") else self.parse_term()
+        while (op := self.peek().text) in ("+", "-") and self.accept(op):
+            node = BinOp(op, node, self.parse_term())
+        self.depth -= 1
+        return node
 
     def parse_term(self):
         node = self.parse_factor()

@@ -21,9 +21,7 @@ sum(e_i * unit_i), so a product monomial's key is k1 + k2 - origin: one int
 addition per pair of terms.  Exponent tuples and Eisensteins (coeff.py) are
 built only at the edges: items(), coeff(exps), leading_monomial(), the
 public constructor Polynomial(table, {exps: coefficient}), transport,
-substitute's per-term read and rendering.  Another monomial order is a key
-function on exponent tuples, applied to the unpacked monomial
-(QuotientRelation.order is one); order=None, the default, is grevlex on keys.
+substitute's per-term read and rendering.  Grevlex is the one monomial order.
 
 Every exponent is at most EXPONENT_LIMIT in absolute value, so no field of a
 valid key sets its top bit, its guard.  A polynomial carries _reach, a bound
@@ -271,12 +269,11 @@ class Polynomial(Record):
         used = {i for exps in map(self.table._exps, self.terms) for i, e in enumerate(exps) if e}
         return tuple(self.table.names[i] for i in sorted(used))
 
-    def leading_monomial(self, key=None) -> tuple[int, ...]:
-        """The exponents of the largest monomial under key (a key function on
-        exponent tuples; None is grevlex); no coefficient is built."""
+    def leading_monomial(self) -> tuple[int, ...]:
+        """The exponents of the grevlex-largest monomial; no coefficient is built."""
         if not self.terms:
             raise KrError("zero polynomial has no leading term")
-        return self.table._exps(_leading(self, key))
+        return self.table._exps(max(self.terms))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -333,10 +330,10 @@ class Polynomial(Record):
         (exps, c), = self.items()
         return Polynomial(self.table, {tuple(-e for e in exps): c.inverse()})
 
-    def monic(self, key=None) -> "Polynomial":
+    def monic(self) -> "Polynomial":
         if not self.terms:
             return self
-        a, b = self.terms[_leading(self, key)]
+        a, b = self.terms[max(self.terms)]
         if a == self.den and not b:
             return self
         # (T/den) / ((a + b*w)/den) = T times the inverse of a + b*w
@@ -633,14 +630,6 @@ def _product(t1: dict, t2: dict, origin: int) -> dict:
     return {k: (a, om[k]) for k, a in re.items() if a or om[k]}
 
 
-def _leading(p: Polynomial, order) -> int:
-    """The key of p's largest monomial under order (None is grevlex)."""
-    if order is None:
-        return max(p.terms)
-    exps = p.table._exps
-    return max(p.terms, key=lambda k: order(exps(k)))
-
-
 def _require_polynomial(f: Polynomial, what: str):
     # only a Laurent variable can carry a negative exponent
     if any(lau and min(_column(f.terms, i), default=0) < 0
@@ -649,10 +638,8 @@ def _require_polynomial(f: Polynomial, what: str):
             f"{what} carries negative exponents; clear Laurent denominators first")
 
 
-def reduce(f: Polynomial, gens: list[Polynomial],
-           order=None) -> tuple[Polynomial, list[Polynomial]]:
-    """Division with remainder under the monomial order `order` (a key
-    function on exponent tuples; None is grevlex, on the keys themselves):
+def reduce(f: Polynomial, gens: list[Polynomial]) -> tuple[Polynomial, list[Polynomial]]:
+    """Division with remainder under grevlex, on the keys themselves:
     f = sum(cofactor_i * gens_i) + remainder.
 
     No remainder monomial is divisible by any generator's leading monomial.
@@ -676,7 +663,7 @@ def reduce(f: Polynomial, gens: list[Polynomial],
         if g.is_zero():
             raise ZeroDivisionError("zero divisor in reduce()")
         _require_polynomial(g, "divisor")
-        gm = _leading(g, order)
+        gm = max(g.terms)
         a, b = g.terms[gm]
         d = g.den
         inv = None if a == d and not b else _inverse(a, b, d)
@@ -686,24 +673,19 @@ def reduce(f: Polynomial, gens: list[Polynomial],
                       [(k, -a, -b) for k, (a, b) in g.terms.items() if k != gm], d))
 
     # Max-heap of the working dividend's monomials: a min-heap of negated
-    # keys, or, under another order, of (negated order key, key).  A
-    # monomial that cancels keeps its entry (lazy deletion), so a popped
-    # monomial missing from work is skipped.  Each step takes the largest
-    # monomial of work and only adds smaller ones, so no monomial comes back
-    # once it has been taken.
-    exps = table._exps
-    entry = (lambda k: -k) if order is None else (
-        lambda k: (tuple([-x for x in order(exps(k))]), k))
+    # keys.  A monomial that cancels keeps its entry (lazy deletion), so a
+    # popped monomial missing from work is skipped.  Each step takes the
+    # largest monomial of work and only adds smaller ones, so no monomial
+    # comes back once it has been taken.
     push, pop = heapq.heappush, heapq.heappop
     den = f.den
     work = {k: _triple(a, b, den) for k, (a, b) in f.terms.items()}
-    heap = [entry(k) for k in work]
+    heap = [-k for k in work]
     heapq.heapify(heap)
     cof_terms: list[dict] = [{} for _ in gens]
     rem_terms: dict = {}
     while heap:
-        top = pop(heap)
-        lt_key = -top if order is None else top[1]
+        lt_key = -pop(heap)
         lt = work.pop(lt_key, None)
         if lt is None:
             continue
@@ -726,7 +708,7 @@ def reduce(f: Polynomial, gens: list[Polynomial],
                         if (e - ones) & guards:
                             raise ExponentOverflowError(
                                 f"division reaches an exponent beyond the limit {EXPONENT_LIMIT}")
-                        push(heap, entry(e))
+                        push(heap, -e)
                     else:
                         wa, wb, wd = got
                         if wd == pd:

@@ -12,6 +12,7 @@ import krcubic
 from krcubic.claims import manifest_path
 from krcubic.cli import main
 from krcubic.errors import PostconditionError
+from krcubic.parser import MAX_NESTING
 from krcubic.poly import EXPONENT_LIMIT
 
 
@@ -188,3 +189,36 @@ def test_a_number_before_any_ring_exits_two(tmp_path, capsys, command, text, col
     target = tmp_path / "ringless.krv"
     target.write_text(text + "\n", encoding="utf-8")
     assert run_cli([command, str(target)], capsys) == (2, "", f"error: 1:{col}: no ring declared yet\n")
+
+
+def test_a_long_sum_checks_and_round_trips_through_fmt(tmp_path, capsys):
+    # a sum or product of any length is one level of nesting: it is
+    # evaluated and printed in a loop, not by one call per term
+    n = 5000
+    total = " + ".join(f"{i}*x" for i in range(1, n + 1))
+    product = "*".join(["x"] * n)
+    target = tmp_path / "long.krv"
+    target.write_text("ring R = vars(x, y);\n"
+                      f'claim "sum" eq({total} - y, {n * (n + 1) // 2}*x - y) expect true;\n'
+                      f'claim "product" eq({product}, x^{n}) expect true;\n')
+    assert run_cli(["check", str(target)], capsys)[0] == 0
+    code, once, _ = run_cli(["fmt", str(target)], capsys)
+    assert code == 0 and f"eq({total} - y, " in once and f"eq({product}, " in once
+    again = tmp_path / "again.krv"
+    again.write_text(once)
+    assert run_cli(["fmt", str(again)], capsys) == (0, once, "")
+    assert run_cli(["check", str(again)], capsys)[0] == 0
+
+
+@pytest.mark.parametrize("command", ["check", "fmt"])
+def test_nesting_past_the_limit_is_a_positioned_parse_error(tmp_path, capsys, command):
+    # the deepest shape the limit allows, a quot() in each argument, still
+    # evaluates and prints; 300 parentheses stop at the first one too many
+    inner = "quot(" * (MAX_NESTING - 1) + "x" + ", 1)" * (MAX_NESTING - 1)
+    target = tmp_path / "deep.krv"
+    target.write_text(f'ring R = vars(x);\nclaim "c" eq({inner}, x) expect true;\n')
+    assert run_cli([command, str(target)], capsys)[0] == 0
+    target.write_text("ring R = vars(x);\nlet a = " + "(" * 300 + "x" + ")" * 300 + ";\n")
+    col = len("let a = (") + MAX_NESTING
+    assert run_cli([command, str(target)], capsys) == (
+        2, "", f"error: 2:{col}: expressions nest deeper than {MAX_NESTING}\n")
