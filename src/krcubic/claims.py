@@ -15,7 +15,6 @@ Reports are deterministic across runs except for the timing fields.
 
 from __future__ import annotations
 
-import json
 import time
 
 from .coeff import OMEGA, _make
@@ -77,6 +76,7 @@ class Report:
         return "\n".join(lines)
 
     def to_json(self) -> str:
+        import json  # only here: it costs start-up time
         payload = {
             "source": self.source,
             "claims": [

@@ -43,6 +43,9 @@ first syntax or binding error with a 1-based line/column diagnostic, and keeps
 every declaration and claim as syntax, which claims.run_unit evaluates in
 order.  It builds no table and no polynomial: a number or w is a Lit of its
 text as written, and a ring variable or a let read is a Ref of its name.
+tokenize gives (kind, text, offset) tuples, which the parser reads by index; a
+line and column are counted from an offset only for a diagnostic, or for a
+Token that a record keeps.  An integer literal has at most MAX_DIGITS digits.
 """
 
 from __future__ import annotations
@@ -92,6 +95,7 @@ BUILTINS = {
 INVERSE = ("map", "map")
 
 MAX_NESTING = 100  # expression depth; parsing and evaluation recurse once per level
+MAX_DIGITS = 640  # integer literal length; PYTHONINTMAXSTRDIGITS may make int() fail above it
 
 KEYWORDS = {
     "ring", "vars", "laurent", "param", "let", "map", "derivation", "claim",
@@ -100,43 +104,45 @@ KEYWORDS = {
 } | CLAIMS.keys() | CONSTRUCTORS.keys() | BUILTINS.keys()
 
 
-# One alternative per token kind, tried in order.  An identifier must start
-# with a character for which str.isalpha() holds, or '_'; no regex class says
-# that (\w and [^\W\d] also match '²'), so tokenize checks the first one.
-_TOKEN = re.compile(r'(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<comment>#[^\n]*)'
-                    r'|"(?P<string>[^"\n]*)"|(?P<unterminated>")|(?P<int>[0-9]+)'
-                    r'|(?P<ident>\w+)|(?P<punct>->|[(){},;:^*+\-/=])|(?P<bad>.)')
+# One match per token: the spaces, newlines and whole-line comments before
+# it, then one alternative per kind.  Some alternative always matches, so the
+# skip never backtracks; eof is at the end, or at the '#' of a final comment.
+# An identifier starts with an isalpha() character or '_', which no regex class
+# says (\w and [^\W\d] match '²'): tokenize checks a word not starting in ASCII.
+_TOKEN = re.compile(r'[ \t\r\n]*(?:#[^\n]*\n[ \t\r\n]*)*(?:(?P<ident>[A-Za-z_]\w*)'
+                    r'|(?P<punct>->|[(){},;:^*+\-/=])|(?P<long>[0-9]{%d})|(?P<int>[0-9]+)'
+                    r'|(?P<word>[^\W\d]\w*)|"(?P<string>[^"\n]*)"|(?P<unterminated>")'
+                    r'|(?P<eof>(?:#[^\n]*)?\Z)|(?P<bad>.))' % (MAX_DIGITS + 1))
+_PLAIN = frozenset(("ident", "punct", "int"))
+_LEXICAL = {"long": f"integer longer than {MAX_DIGITS} digits",
+            "unterminated": "unterminated string"}
 
 
-class Token:
-    """kind is ident, int, string, punct or eof; col counts from 1, pos from 0."""
-
-    __slots__ = ("kind", "text", "line", "col", "pos")
-
-    def __init__(self, kind: str, text: str, line: int, col: int, pos: int):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-        self.pos = pos
-
-
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str) -> list[tuple]:
+    """(kind, text, offset) per token, the last ('eof', '', offset); kind is
+    ident, int, string, punct or eof, and a string is its text between the
+    quotes, at the offset of the opening one."""
     tokens = []
-    line, line_start, end = 1, 0, 0
     for m in _TOKEN.finditer(text):
-        kind, pos = m.lastgroup, m.start()
-        end = pos if kind == "comment" else m.end()  # eof sits before a final comment
-        if kind == "newline":
-            line, line_start = line + 1, end
-        elif kind == "unterminated":
-            raise ParseError("unterminated string", line, pos - line_start + 1, pos)
-        elif kind == "bad" or kind == "ident" and not (text[pos].isalpha() or text[pos] == "_"):
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1, pos)
-        elif kind not in ("space", "comment"):
-            tokens.append(Token(kind, m[kind], line, pos - line_start + 1, pos))
-    tokens.append(Token("eof", "", line, end - line_start + 1, len(text)))
-    return tokens
+        kind = m.lastgroup
+        value, pos = m[kind], m.start(kind)
+        if kind not in _PLAIN:
+            if kind == "eof":
+                tokens.append((kind, "", pos))
+                return tokens
+            if kind == "string":
+                pos -= 1
+            elif kind == "word" and value[0].isalpha():
+                kind = "ident"
+            else:  # bad, or a word that starts with a character such as '²'
+                raise _error(text, pos, _LEXICAL.get(kind, f"unexpected character {text[pos]!r}"))
+        tokens.append((kind, value, pos))
+
+
+def _error(text: str, pos: int, message: str, expected=()) -> ParseError:
+    """A ParseError at offset pos of text, its line and column counted from 1."""
+    return ParseError(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos),
+                      pos, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +213,35 @@ class Pow(Record):
         return f"({text})" if prec == 4 else text
 
 
+# The parser builds its expression nodes through these, one per slot count:
+# each fills the slots through their setters, as poly._polynomial does,
+# without the count check of Record.__init__.
+_new = object.__new__
+
+
+def _node1(cls, a):
+    node = _new(cls)
+    cls._setters[0](node, a)
+    return node
+
+
+def _node2(cls, a, b):
+    node = _new(cls)
+    set_a, set_b = cls._setters
+    set_a(node, a)
+    set_b(node, b)
+    return node
+
+
+def _node3(cls, a, b, c):
+    node = _new(cls)
+    set_a, set_b, set_c = cls._setters
+    set_a(node, a)
+    set_b(node, b)
+    set_c(node, c)
+    return node
+
+
 # ---------------------------------------------------------------------------
 # declarations
 
@@ -214,12 +249,16 @@ class Ring(Record):
     __slots__ = ("names", "laurent", "params")  # tuples of variable names, as declared
 
 
+class Token(Record):
+    __slots__ = ("text", "line", "col", "pos")  # kept to report a kernel error at; line, col from 1
+
+
 class Decl(Record):
     """A declared name, as syntax, over the ring current at it.  body is a
     ring's Ring (ring: None), a let's node, or a map's or derivation's
-    image block, ((variable token, node), ...); ctor is a constructor's
+    image block, ((variable Token, node), ...); ctor is a constructor's
     (fn, args), else None.  A kernel error is reported at tok, or at its
-    image's token."""
+    image's Token."""
 
     __slots__ = ("kind", "name", "ring", "body", "ctor", "tok")
 
@@ -250,51 +289,56 @@ class SourceUnit:
 
 class Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = tokenize(text)
         self.i = 0
         self.unit = SourceUnit()
         self.current_ring: str | None = None
         self.depth = 0  # expressions open around the one being read
+        self.kept = 1, 0  # line and offset of the last kept token
+        self.labels: set[str] = set()  # of the claims and narratives read: one namespace
 
     # -- token helpers -------------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
-
-    def next(self) -> Token:
+    def next(self) -> tuple:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
-    def error(self, message: str, tok: Token | None = None, expected=()):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col, tok.pos, expected)
+    def error(self, message: str, tok: tuple | None = None, expected=()):
+        raise _error(self.text, (tok or self.tokens[self.i])[2], message, expected)
 
-    def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind in ("punct", "ident") and tok.text == text:
-            return self.next()
-        self.error(f"found {tok.text!r}" if tok.kind != "eof" else "unexpected end of input",
+    def keep(self, tok: tuple | None = None) -> Token:
+        """tok (default: the next one) as a record keeps it.  Kept tokens come
+        in text order: newlines are counted from the last one, never rescanned."""
+        _, value, pos = tok or self.tokens[self.i]
+        line, last = self.kept
+        self.kept = line, last = line + self.text.count("\n", last, pos), pos
+        return Token(value, line, pos - self.text.rfind("\n", 0, pos), pos)
+
+    def expect(self, text: str) -> tuple:
+        tok = self.tokens[self.i]
+        if self.accept(text):
+            return tok
+        self.error(f"found {tok[1]!r}" if tok[0] != "eof" else "unexpected end of input",
                    tok, expected=(text,))
 
     def accept(self, text: str) -> bool:
-        tok = self.peek()
-        if tok.kind in ("punct", "ident") and tok.text == text:
-            self.next()
+        tok = self.tokens[self.i]
+        if tok[1] == text and tok[0] != "string":  # a string may hold any text
+            self.i += 1
             return True
         return False
 
-    def ident(self, what="identifier") -> Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            self.error(f"expected {what}", tok)
-        return self.next()
+    def take(self, what: str, kind="ident", expected=()) -> tuple:
+        """The next token, which must be of kind: else 'expected what' at it."""
+        tok = self.next()
+        if tok[0] != kind:
+            self.error(f"expected {what}", tok, expected)
+        return tok
 
-    def string(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "string":
-            self.error("expected a string literal", tok, expected=("string",))
-        return self.next()
+    def string(self) -> tuple:
+        return self.take("a string literal", "string", ("string",))
 
     def listed(self, read) -> list:
         """One or more values read by read(), separated by commas."""
@@ -305,18 +349,14 @@ class Parser:
 
     def integer(self) -> int:
         neg = self.accept("-")
-        tok = self.peek()
-        if tok.kind != "int":
-            self.error("expected an integer", tok, expected=("integer",))
-        self.next()
-        val = int(tok.text)
-        return -val if neg else val
+        digits = self.take("an integer", "int", ("integer",))[1]
+        return -int(digits) if neg else int(digits)
 
     # -- name table ----------------------------------------------------------
 
-    def declare(self, name_tok: Token, kind: str, body, tok=None, ctor=None):
+    def declare(self, name_tok: tuple, kind: str, body, tok=None, ctor=None):
         """Check the name, then record its Decl in env (a ring: in rings) and items."""
-        name = name_tok.text
+        name = name_tok[1]
         if name in KEYWORDS:
             self.error(f"{name!r} is a reserved word", name_tok)
         if name in self.unit.env or name in self.unit.rings:
@@ -335,30 +375,30 @@ class Parser:
             self.error("no ring declared yet")
         return self.unit.rings[self.current_ring]
 
-    def lookup(self, tok: Token) -> Decl:
-        decl = self.unit.env.get(tok.text)
+    def lookup(self, tok: tuple) -> Decl:
+        decl = self.unit.env.get(tok[1])
         if decl is None:
-            self.error(f"use of undeclared name {tok.text!r}", tok)
+            self.error(f"use of undeclared name {tok[1]!r}", tok)
         return decl
 
-    def named(self, kind: str, fn: str) -> Token:
+    def named(self, kind: str, fn: str) -> str:
         """Read the name of a declared object of the kind ('a|b': either) fn() needs."""
         what = kind.replace("|", " or ")
-        tok = self.ident(f"{what} name")
+        tok = self.take(f"{what} name")
         got = self.lookup(tok).kind
         if got not in kind.split("|"):
-            self.error(f"{fn}() needs a {what}, {tok.text!r} is a {got}", tok)
-        return tok
+            self.error(f"{fn}() needs a {what}, {tok[1]!r} is a {got}", tok)
+        return tok[1]
 
     def variable(self) -> str:
-        tok = self.ident("variable name")
-        if tok.text not in self.ring().names:
-            self.error(f"unknown variable {tok.text!r}", tok)
-        return tok.text
+        tok = self.take("variable name")
+        if tok[1] not in self.ring().names:
+            self.error(f"unknown variable {tok[1]!r}", tok)
+        return tok[1]
 
     def fresh(self, seen, what: str) -> str:
         """Read a variable name not in seen; a repeat is an error at its token."""
-        tok = self.peek()
+        tok = self.tokens[self.i]
         v = self.variable()
         if v in seen:
             self.error(f"duplicate {what} {v!r}", tok)
@@ -370,191 +410,151 @@ class Parser:
         if self.depth == MAX_NESTING:
             self.error(f"expressions nest deeper than {MAX_NESTING}")
         self.depth += 1
-        node = Negate(self.parse_term()) if self.accept("-") else self.parse_term()
-        while (op := self.peek().text) in ("+", "-") and self.accept(op):
-            node = BinOp(op, node, self.parse_term())
+        node = _node1(Negate, self.parse_term()) if self.accept("-") else self.parse_term()
+        while (op := self.tokens[self.i][1]) in ("+", "-") and self.accept(op):
+            node = _node3(BinOp, op, node, self.parse_term())
         self.depth -= 1
         return node
 
     def parse_term(self):
         node = self.parse_factor()
         while self.accept("*"):
-            node = BinOp("*", node, self.parse_factor())
+            node = _node3(BinOp, "*", node, self.parse_factor())
         return node
 
     def parse_factor(self):
         node = self.parse_base()
-        if self.accept("^"):
-            return Pow(node, self.integer())
-        return node
+        return _node2(Pow, node, self.integer()) if self.accept("^") else node
 
     def parse_base(self):
-        tok = self.peek()
-        if tok.kind == "int":
-            self.next()
-            text = tok.text
+        kind, text, _ = tok = self.next()
+        if kind == "int":
             if self.accept("/"):
-                den_tok = self.peek()
-                if den_tok.kind != "int":
-                    self.error("expected a denominator", den_tok, expected=("integer",))
-                self.next()
-                if int(den_tok.text) == 0:
-                    self.error("zero denominator", den_tok)
-                text += "/" + den_tok.text
+                den = self.take("a denominator", "int", ("integer",))
+                if int(den[1]) == 0:
+                    self.error("zero denominator", den)
+                text += "/" + den[1]
             self.ring()  # a number is a constant of the current ring
-            return Lit(text)
-        if tok.kind == "punct" and tok.text == "(":
-            self.next()
+            return _node1(Lit, text)
+        if kind == "punct" and text == "(":
             node = self.parse_expr()
             self.expect(")")
             return node
-        if tok.kind != "ident":
-            self.error("expected a polynomial", tok,
-                       expected=("number", "identifier", "("))
-        name = tok.text
-        self.next()
-        if name == "w":
+        if kind != "ident":
+            self.error("expected a polynomial", tok, expected=("number", "identifier", "("))
+        if text == "w":
             self.ring()  # w, like a number, needs a ring
-            return Lit(name)
-        if name in BUILTINS:
-            return Builtin(name, self.arguments(name, BUILTINS[name]))
-        if name in self.ring().names:
-            return Ref(name)
+            return _node1(Lit, text)
+        if text in BUILTINS:
+            return _node2(Builtin, text, self.arguments(text, BUILTINS[text]))
+        if text in self.ring().names:
+            return _node1(Ref, text)
         decl = self.lookup(tok)
         if decl.kind == "poly":
-            return Ref(name)
+            return _node1(Ref, text)
         if not self.accept("("):
-            self.error(f"{name!r} is a {decl.kind}; apply it as {name}(...)", tok)
+            self.error(f"{text!r} is a {decl.kind}; apply it as {text}(...)", tok)
         arg = self.parse_expr()
         self.expect(")")
-        return Apply(name, arg)
+        return _node2(Apply, text, arg)
 
     # -- declarations ----------------------------------------------------------
 
     def parse_unit(self) -> SourceUnit:
-        while self.peek().kind != "eof":
-            tok = self.peek()
-            if tok.kind != "ident":
-                self.error("expected a declaration", tok,
+        while (tok := self.next())[0] != "eof":
+            read = self.DECLARATIONS.get(tok[1]) if tok[0] == "ident" else None
+            if read is None:
+                self.error(f"unknown declaration {tok[1]!r}" if tok[0] == "ident" else
+                           "expected a declaration", tok,
                            expected=("ring", "let", "map", "derivation", "claim"))
-            handler = {
-                "ring": self.parse_ring,
-                "let": self.parse_let,
-                "map": self._parse_map_or_derivation,
-                "derivation": self._parse_map_or_derivation,
-                "inverse": self.parse_inverse,
-                "claim": self.parse_claim,
-                "narrative": self.parse_narrative,
-            }.get(tok.text)
-            if handler is None:
-                self.error(f"unknown declaration {tok.text!r}", tok,
-                           expected=("ring", "let", "map", "derivation", "claim"))
-            handler()
+            read(self)  # the rest of the declaration, after its first word
         return self.unit
 
-    def _idlist(self) -> list[Token]:
-        return self.listed(lambda: self.ident("variable name"))
+    def _idlist(self) -> list[tuple]:
+        return self.listed(lambda: self.take("variable name"))
 
-    def parse_ring(self):
-        self.expect("ring")
-        name = self.ident("ring name")
+    def _parse_ring(self):
+        name = self.take("ring name")
         self.expect("=")
-        ring = self.ring_spec()
-        self.expect(";")
-        self.declare(name, "ring", ring)
-        self.current_ring = name.text
-
-    def ring_spec(self) -> Ring:
-        """Read 'vars(x, y ; laurent y ; param c)'."""
         self.expect("vars")
         self.expect("(")
         var_toks = self._idlist()
-        laurent: list[Token] = []
-        params: list[Token] = []
+        laurent: list[tuple] = []
+        params: list[tuple] = []
         while self.accept(";"):
-            section = self.ident("'laurent' or 'param'")
-            if section.text == "laurent":
+            section = self.take("'laurent' or 'param'")
+            if section[1] == "laurent":
                 laurent.extend(self._idlist())
-            elif section.text == "param":
+            elif section[1] == "param":
                 params.extend(self._idlist())
             else:
                 self.error("expected 'laurent' or 'param'", section)
         self.expect(")")
         names = []
         for tok in var_toks:
-            if tok.text == "w" or tok.text in KEYWORDS:
-                self.error(f"{tok.text!r} is reserved and cannot be a variable", tok)
-            if tok.text in names:
-                self.error(f"duplicate variable {tok.text!r}", tok)
-            if tok.text in self.unit.env or tok.text in self.unit.rings:
-                self.error(f"{tok.text!r} collides with a declared name", tok)
-            names.append(tok.text)
+            if tok[1] == "w" or tok[1] in KEYWORDS:
+                self.error(f"{tok[1]!r} is reserved and cannot be a variable", tok)
+            if tok[1] in names:
+                self.error(f"duplicate variable {tok[1]!r}", tok)
+            if tok[1] in self.unit.env or tok[1] in self.unit.rings:
+                self.error(f"{tok[1]!r} collides with a declared name", tok)
+            names.append(tok[1])
         for flagged in laurent + params:
-            if flagged.text not in names:
-                self.error(f"flagged variable {flagged.text!r} is not in vars(...)", flagged)
-        return Ring(tuple(names), tuple(t.text for t in laurent), tuple(t.text for t in params))
+            if flagged[1] not in names:
+                self.error(f"flagged variable {flagged[1]!r} is not in vars(...)", flagged)
+        self.expect(";")
+        self.declare(name, "ring", Ring(tuple(names), tuple(t[1] for t in laurent),
+                                        tuple(t[1] for t in params)))
+        self.current_ring = name[1]
 
-    def parse_let(self):
-        self.expect("let")
-        name = self.ident("name")
+    def _parse_let(self):
+        name = self.take("name")
         self.expect("=")
-        start = self.peek()
+        start = self.keep()
         node = self.parse_expr()
         self.expect(";")
         self.declare(name, "poly", node, start)
 
-    def _parse_image_block(self) -> tuple:
-        """{ v -> poly; ... } as (variable token, node) pairs, as written."""
+    def _parse_map_or_derivation(self):
+        """KIND NAME = FN(...); or KIND NAME [: RING] { v -> poly; ... } [;] for
+        KIND map or derivation.  A kernel error is reported at FN, else at the
+        block or at an image's variable."""
+        kind = self.tokens[self.i - 1][1]  # 'map' or 'derivation', read by parse_unit
+        name = self.take(f"{kind} name")
+        if self.accept("="):
+            fn = self.take("constructor")
+            shapes = CONSTRUCTORS.get(fn[1], (None,))
+            if shapes[0] != kind:
+                self.error(f"unknown {kind} constructor {fn[1]!r}", fn,
+                           expected=[c for c, s in CONSTRUCTORS.items() if s[0] == kind])
+            tok = self.keep(fn)
+            args = self.arguments(fn[1], shapes)
+            self.expect(";")
+            self.declare(name, kind, None, tok, ctor=(fn[1], args))
+            return
+        tok = self.keep()
+        if self.accept(":"):  # the ring switches to RING
+            rtok = self.take("ring name")
+            if rtok[1] not in self.unit.rings:
+                self.error(f"unknown ring {rtok[1]!r}", rtok)
+            self.current_ring = rtok[1]
         self.expect("{")
-        images: dict[str, tuple] = {}
+        images: dict[str, tuple] = {}  # variable -> (its Token, node), as written
         ring = self.ring()
         while not self.accept("}"):
-            vtok = self.peek()
+            vtok = self.tokens[self.i]
             self.fresh(images, "image for")
-            if vtok.text in ring.params:
-                self.error(f"{vtok.text!r} is a parameter and cannot be remapped", vtok)
+            if vtok[1] in ring.params:
+                self.error(f"{vtok[1]!r} is a parameter and cannot be remapped", vtok)
             self.expect("->")
-            images[vtok.text] = vtok, self.parse_expr()
+            images[vtok[1]] = self.keep(vtok), self.parse_expr()
             self.expect(";")
-        return tuple(images.values())
-
-    def _ring_annotation(self):
-        """Optional ': RINGNAME' switching the current ring."""
-        if self.accept(":"):
-            rtok = self.ident("ring name")
-            if rtok.text not in self.unit.rings:
-                self.error(f"unknown ring {rtok.text!r}", rtok)
-            self.current_ring = rtok.text
-
-    def _parse_map_or_derivation(self):
-        """KIND NAME = CTOR(...); or KIND NAME [: RING] { images } [;] for KIND
-        map or derivation."""
-        kind = self.next().text
-        name = self.ident(f"{kind} name")
-        tok = self.peek()
-        if self.accept("="):
-            self.parse_constructor(name, kind)
-            return
-        self._ring_annotation()
-        images = self._parse_image_block()
         self.accept(";")
-        self.declare(name, kind, images, tok)
+        self.declare(name, kind, tuple(images.values()), tok)
 
-    def parse_constructor(self, name: Token, kind: str):
-        """NAME = FN(...); a kernel error is reported at FN."""
-        fn = self.ident("constructor")
-        shapes = CONSTRUCTORS.get(fn.text, (None,))
-        if shapes[0] != kind:
-            self.error(f"unknown {kind} constructor {fn.text!r}", fn,
-                       expected=[c for c, s in CONSTRUCTORS.items() if s[0] == kind])
-        args = self.arguments(fn.text, shapes)
-        self.expect(";")
-        self.declare(name, kind, None, fn, ctor=(fn.text, args))
-
-    def parse_inverse(self):
+    def _parse_inverse(self):
         """inverse(A, B): compose(A, B) and compose(B, A) fix every variable."""
-        self.expect("inverse")
-        start = self.peek()
+        start = self.keep()
         first, second = self.arguments("inverse", INVERSE)
         self.expect(";")
         self.unit.items.append(InverseDecl(first, second, self.current_ring, start))
@@ -569,7 +569,7 @@ class Parser:
             if shape.endswith("*"):
                 items = {}
                 while self.accept(","):
-                    tok = self.peek()
+                    tok = self.tokens[self.i]
                     key, value = self.argument(fn, shape[:-1])
                     if key in items:
                         self.error(f"duplicate {shape[:-1]} for {key!r}", tok)
@@ -614,26 +614,26 @@ class Parser:
             self.listed(lambda: names.append(self.fresh(names, "variable")))
             return tuple(names)
         if shape == "param":
-            return self.ident("parameter name").text
+            return self.take("parameter name")[1]
         if shape == "integer":
             return self.integer()
         if shape == "bound":
-            tok = self.peek()
+            tok = self.tokens[self.i]
             bound = self.integer()
             if bound < 1:
                 self.error("bound must be positive", tok)
             return bound
         if shape == "tag":
-            tok = self.ident("cone tag")
-            if tok.text not in CONE_TAGS:
-                self.error(f"unknown cone tag {tok.text!r}", tok, expected=CONE_TAGS)
-            return tok.text
+            tok = self.take("cone tag")
+            if tok[1] not in CONE_TAGS:
+                self.error(f"unknown cone tag {tok[1]!r}", tok, expected=CONE_TAGS)
+            return tok[1]
         if shape == "specialization":
-            tok = self.ident("parameter name")
-            if tok.text not in self.ring().params:
-                self.error(f"{tok.text!r} is not a parameter", tok)
+            tok = self.take("parameter name")
+            if tok[1] not in self.ring().params:
+                self.error(f"{tok[1]!r} is not a parameter", tok)
             self.expect("->")
-            return tok.text, self.parse_expr()
+            return tok[1], self.parse_expr()
         if shape == "weights":
             self.expect("weights")
             self.expect("(")
@@ -647,44 +647,38 @@ class Parser:
             self.listed(weight)
             self.expect(")")
             return weights
-        return self.named(shape, fn).text
+        return self.named(shape, fn)
 
     # -- claims ----------------------------------------------------------------
-
-    def labels(self) -> set[str]:
-        return {item.label for item in self.unit.claims + self.unit.narratives}
 
     def label(self) -> str:
         """Read the label of a new claim or narrative; the two share one namespace."""
         tok = self.string()
-        if tok.text in self.labels():
-            self.error(f"duplicate label {tok.text!r}", tok)
-        return tok.text
+        if tok[1] in self.labels:
+            self.error(f"duplicate label {tok[1]!r}", tok)
+        return tok[1]
 
-    def parse_claim(self):
-        self.expect("claim")
+    def _parse_claim(self):
         label = self.label()
-        kind_tok = self.ident("claim kind")
-        kind = kind_tok.text
+        kind_tok = self.take("claim kind")
+        kind = kind_tok[1]
         if kind not in CLAIMS:
             self.error(f"unknown claim kind {kind!r}", kind_tok, expected=CLAIMS)
         args = self.arguments(kind, CLAIMS[kind])
-        anchor = None
-        if self.accept("anchor"):
-            anchor = self.string().text
+        anchor = self.string()[1] if self.accept("anchor") else None
         self.expect("expect")
-        exp_tok = self.ident("'true' or 'false'")
-        if exp_tok.text not in ("true", "false"):
+        exp_tok = self.take("'true' or 'false'")
+        if exp_tok[1] not in ("true", "false"):
             self.error("expectation must be true or false", exp_tok,
                        expected=("true", "false"))
         self.expect(";")
         decl = ClaimDecl(label, kind, self.current_ring, args,
-                         exp_tok.text == "true", anchor)
+                         exp_tok[1] == "true", anchor)
         self.unit.claims.append(decl)
         self.unit.items.append(decl)
+        self.labels.add(label)
 
-    def parse_narrative(self):
-        self.expect("narrative")
+    def _parse_narrative(self):
         label = self.label()
         self.expect("requires")
         self.expect("(")
@@ -692,11 +686,17 @@ class Parser:
         self.expect(")")
         self.expect(";")
         for req in requires:
-            if req.text not in self.labels():
-                self.error(f"narrative references unknown claim {req.text!r}", req)
-        decl = NarrativeDecl(label, tuple(req.text for req in requires))
+            if req[1] not in self.labels:
+                self.error(f"narrative references unknown claim {req[1]!r}", req)
+        decl = NarrativeDecl(label, tuple(req[1] for req in requires))
         self.unit.narratives.append(decl)
         self.unit.items.append(decl)
+        self.labels.add(label)
+
+    # the word that starts each declaration, and the method that reads it
+    DECLARATIONS = {"ring": _parse_ring, "let": _parse_let, "map": _parse_map_or_derivation,
+                    "derivation": _parse_map_or_derivation, "inverse": _parse_inverse,
+                    "claim": _parse_claim, "narrative": _parse_narrative}
 
 
 def parse_unit(text: str) -> SourceUnit:

@@ -77,7 +77,6 @@ def test_value_records_are_read_only():
 
 # Classes with __slots__ that assign their own slots instead of being a Record.
 NOT_RECORDS = {
-    "Token": "built once per token, so the plain class, the fastest form, is kept",
     "Report": "run_unit fills its results list after construction",
     "SourceUnit": "the parser fills its lists and dicts while it reads",
 }
@@ -96,7 +95,7 @@ def test_every_slotted_class_is_a_record():
         assert issubclass(cls, Record) == (name not in NOT_RECORDS), name
     plain = [cls for cls in slotted.values()
              if issubclass(cls, Record) and cls.__init__ is Record.__init__]
-    assert len(plain) == 17
+    assert len(plain) == 18
     for cls in plain:
         width = len(cls.__slots__)
         for count in (width - 1, width + 1):

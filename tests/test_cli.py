@@ -12,7 +12,7 @@ import krcubic
 from krcubic.claims import manifest_path
 from krcubic.cli import main
 from krcubic.errors import PostconditionError
-from krcubic.parser import MAX_NESTING
+from krcubic.parser import MAX_DIGITS, MAX_NESTING
 from krcubic.poly import EXPONENT_LIMIT
 
 
@@ -222,3 +222,35 @@ def test_nesting_past_the_limit_is_a_positioned_parse_error(tmp_path, capsys, co
     col = len("let a = (") + MAX_NESTING
     assert run_cli([command, str(target)], capsys) == (
         2, "", f"error: 2:{col}: expressions nest deeper than {MAX_NESTING}\n")
+
+
+# An integer literal longer than MAX_DIGITS is a parse error at its first
+# digit, in check and fmt alike; converting it could fail by CPython's int/str
+# limit, which PYTHONINTMAXSTRDIGITS may set as low as 640.
+@pytest.mark.parametrize("command", ["check", "fmt"])
+@pytest.mark.parametrize("template", ["let a = {}*x;", 'claim "c" eq({}, 1) expect true;',
+                                      "let a = x^{};"])
+def test_an_integer_past_the_digit_limit_is_a_positioned_parse_error(tmp_path, capsys,
+                                                                     command, template):
+    target = tmp_path / "digits.krv"
+    target.write_text("ring R = vars(x);\n" + template.format("7" * 5001) + "\n")
+    col = template.index("{}") + 1
+    assert run_cli([command, str(target)], capsys) == (
+        2, "", f"error: 2:{col}: integer longer than {MAX_DIGITS} digits\n")
+
+
+def test_the_digit_limit_holds_under_the_smallest_int_str_limit(tmp_path):
+    # no environment variable changes an outcome: under CPython's smallest
+    # int/str limit a literal of MAX_DIGITS digits checks, and a longer one is
+    # the same positioned parse error as without it
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="640")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    target = tmp_path / "digits.krv"
+    for digits, code, err in ((MAX_DIGITS, 0, ""), (700, 2, f"error: 2:9: integer longer "
+                                                            f"than {MAX_DIGITS} digits\n")):
+        target.write_text(f'ring R = vars(x);\nlet a = {"9" * digits}*x;\n'
+                          'claim "c" eq(a - a, 0) expect true;\n')
+        proc = subprocess.run([sys.executable, "-m", "krcubic.cli", "check", str(target)],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (code, err)

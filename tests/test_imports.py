@@ -165,15 +165,18 @@ def test_the_parser_only_parses():
 
 # dataclasses pulls in inspect, ast, dis and tokenize; typing and
 # importlib.resources are costly too, and so is fractions, which pulls in
-# decimal; the package needs none of them to start
+# decimal, and json, which only Report.to_json needs; the package needs none
+# of them to start
 SLOW_TO_IMPORT = ("dataclasses", "inspect", "typing", "importlib.resources",
-                  "fractions", "decimal")
+                  "fractions", "decimal", "json")
 
+# json, to print the result, is imported only after the comparison
 PROBE = """
-import json, sys
+import sys
 before = set(sys.modules)
 import krcubic
 added = set(sys.modules) - before
+import json
 print(json.dumps({"file": krcubic.__file__,
                   "before": sorted(before.intersection(SLOW)),
                   "added": sorted(added.intersection(SLOW))}))

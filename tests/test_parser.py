@@ -193,39 +193,53 @@ def test_unit_parser_is_total_on_arbitrary_text(text):
         pass
 
 
+def _corrupt(text, rng, ops=range(4)):
+    """text with one seeded corruption, of a kind drawn from ops: 0 a deleted
+    or 1 an inserted character (the alphabet holds a non-decimal digit and a
+    non-ASCII letter), 2 two adjacent words swapped, 3 a keyword put in, 4 the
+    text cut short, perhaps ending in a comment with no newline, 5 lines
+    unindented and broken after '=', so that declarations start lines."""
+    i = rng.randrange(len(text))
+    op = rng.choice(ops)
+    if op == 0:
+        return text[:i] + text[i + 1:]
+    if op == 1:
+        return text[:i] + rng.choice("xz19(){},;:^*+-/=\"#\n _²é") + text[i:]
+    if op == 2:
+        words = list(re.finditer(r"\S+", text))
+        k = rng.randrange(len(words) - 1)
+        a, b = words[k], words[k + 1]
+        return text[:a.start()] + b[0] + text[a.end():b.start()] + a[0] + text[b.end():]
+    if op == 3:
+        return text[:i] + f" {rng.choice(sorted(KEYWORDS))} " + text[i:]
+    if op == 4:
+        return text[:i] + rng.choice(("", " # cut"))
+    return re.sub(r"\n[ \t]+", "\n", text).replace("= ", "=\n")
+
+
 def test_unit_parser_is_total_on_corrupted_manifests():
-    # Corruptions that reach expressions, which arbitrary text rarely does: a
-    # deleted or inserted character (the alphabet holds a non-decimal digit
-    # and a non-ASCII letter), two adjacent words swapped, or a keyword put in.
+    # corruptions that reach expressions, which arbitrary text rarely does
     texts = [manifest_path(name).read_text(encoding="utf-8") for name in SHIPPED_MANIFESTS]
-    keywords = sorted(KEYWORDS)
     rng = random.Random(8)
     for _ in range(300):
-        text = rng.choice(texts)
-        i = rng.randrange(len(text))
-        op = rng.randrange(4)
-        if op == 0:
-            text = text[:i] + text[i + 1:]
-        elif op == 1:
-            text = text[:i] + rng.choice("xz19(){},;:^*+-/=\"#\n _²é") + text[i:]
-        elif op == 2:
-            words = list(re.finditer(r"\S+", text))
-            k = rng.randrange(len(words) - 1)
-            a, b = words[k], words[k + 1]
-            text = text[:a.start()] + b[0] + text[a.end():b.start()] + a[0] + text[b.end():]
-        else:
-            text = text[:i] + f" {rng.choice(keywords)} " + text[i:]
         try:
-            elaborate(parse_unit(text))
+            elaborate(parse_unit(_corrupt(rng.choice(texts), rng)))
         except KrError:
             pass
 
 
+def _where(text, offset):
+    """The line and column of offset in text, counted from 1."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
 def test_tokenize_pins_kinds_and_positions():
-    # (kind, text, line, col, pos); a tab and a '\r' take one column each, and
-    # eof after a final comment sits at the '#'
+    # (kind, text, offset), shown with the line and column counted from the
+    # offset; a tab and a '\r' take one column each, a string sits at its
+    # opening quote, and eof after a final comment sits at the '#'
     text = 'map m_2 :\tR { # note\r\n  y -> "s t" 12;\n} # end'
-    assert [(tok.kind, tok.text, tok.line, tok.col, tok.pos) for tok in tokenize(text)] == [
+    assert [(kind, value, *_where(text, offset), offset)
+            for kind, value, offset in tokenize(text)] == [
         ("ident", "map", 1, 1, 0),
         ("ident", "m_2", 1, 5, 4),
         ("punct", ":", 1, 9, 8),
@@ -237,7 +251,7 @@ def test_tokenize_pins_kinds_and_positions():
         ("int", "12", 2, 14, 35),
         ("punct", ";", 2, 16, 37),
         ("punct", "}", 3, 1, 39),
-        ("eof", "", 3, 3, 46),
+        ("eof", "", 3, 3, 41),
     ]
 
 
@@ -251,6 +265,40 @@ def test_tokenize_lexical_errors_are_positioned(text, message, col):
         tokenize("# line 1\n" + text)
     assert (info.value.message, info.value.line, info.value.col) == (message, 2, col)
     assert info.value.offset == 9 + col - 1
+
+
+def _kept_tokens(unit):
+    for item in unit.items:
+        if getattr(item, "tok", None) is not None:
+            yield item.tok
+        if isinstance(item, Decl) and item.kind in ("map", "derivation") and item.ctor is None:
+            yield from (tok for tok, _ in item.body)
+
+
+def test_every_position_is_counted_from_its_offset(monkeypatch):
+    # a diagnostic's line and column, and a kept Token's, are those of its
+    # offset, over seeded corruptions of the shipped manifests and a tame-qw
+    # unit; a keyword put in (_corrupt's op 3) adds no case of its own
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parent.parent / "bench"))
+    from workloads import tame_qw
+
+    texts = [manifest_path(name).read_text(encoding="utf-8") for name in SHIPPED_MANIFESTS]
+    texts.append(tame_qw(7)[0])
+    rng = random.Random(31)
+    seen = {"error": 0, "at eof": 0, "kept": 0}  # "at eof": at the '#' of a final comment
+    for _ in range(400):
+        text = _corrupt(rng.choice(texts), rng, (0, 1, 2, 4, 5))
+        try:
+            unit = parse_unit(text)
+        except ParseError as exc:
+            assert (exc.line, exc.col) == _where(text, exc.offset), (str(exc), exc.offset)
+            seen["error"] += 1
+            seen["at eof"] += text.endswith("# cut") and exc.message == "unexpected end of input"
+            continue
+        for tok in _kept_tokens(unit):
+            assert (tok.line, tok.col) == _where(text, tok.pos), (tok.text, tok.pos)
+            seen["kept"] += 1
+    assert seen["error"] > 100 and seen["at eof"] > 5 and seen["kept"] > 1000, seen
 
 
 def test_expected_name_is_printed_once():
@@ -609,7 +657,7 @@ def _forms_written(text: str) -> set[str]:
         "map block": any(d.kind == "map" and d.ctor is None for d in decls),
         "derivation block": any(d.kind == "derivation" and d.ctor is None for d in decls),
         "constructor": any(d.ctor is not None for d in decls),
-        ": RING": any(tok.text == ":" for tok in tokenize(text)),  # a ':' says nothing else
+        ": RING": any(tok[1] == ":" for tok in tokenize(text)),  # a ':' says nothing else
         "inverse": any(isinstance(item, InverseDecl) for item in unit.items),
         "narrative": bool(unit.narratives),
         "anchor": any(claim.anchor is not None for claim in unit.claims),
