@@ -216,6 +216,11 @@ def _divides(f, g) -> tuple[bool, str]:
                            f"dividend = {render(f)}\ndivisor = {render(g)}")
 
 
+def _member(f, gens) -> tuple[bool, str]:
+    ok = member(f, gens)
+    return ok, "" if ok else f"f = {render(f)}"
+
+
 def _nilpotent(d, bound, relation) -> tuple[bool, str]:
     if relation is not None:
         d = d.modulo(QuotientRelation(relation))
@@ -245,7 +250,7 @@ def _laurent_free(value, var) -> tuple[bool, str]:
 VERDICTS = {
     "eq": _eq,
     "divides": _divides,
-    "member": lambda f, gens: (member(f, gens), f"f = {render(f)}"),
+    "member": _member,
     "nilpotent": _nilpotent,
     "cone_class": _cone_class,
     "smooth_at_all": lambda f: (smooth_everywhere(f), ""),

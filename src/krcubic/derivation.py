@@ -3,8 +3,8 @@
 A Derivation maps each variable to its image polynomial (unlisted variables
 and all parameters go to zero) and extends by the Leibniz rule.  An optional
 quotient relation makes it a derivation of the quotient ring: images and all
-iterates are then kept in normal form (morphism.normal_form), so nilpotency
-means literal vanishing of the normal form.
+iterates are then kept in normal form (morphism.normal_form: no term divisible
+by x^2*y), so nilpotency means literal vanishing of the normal form.
 """
 
 from __future__ import annotations

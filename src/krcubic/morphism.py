@@ -4,7 +4,7 @@ A RingMap stores one image polynomial per non-parameter variable (parameters
 are symbolic constants and always map to themselves).  Composition, inverse
 pair verification modulo ideals, Jacobians, exact division, quotient-ring
 normal forms and the automorphism-extension construction all live here.
-Exact division is a remainder of poly.reduce; a normal form eliminates y.
+Exact division is a remainder of poly.reduce; normal_form splits off x^2*y.
 """
 
 from __future__ import annotations
@@ -150,10 +150,10 @@ class QuotientRelation(Record):
 
     The coefficient of x^2*y must be 1, no other term may involve y, and
     neither x nor y may be Laurent.  Then each element of the quotient ring
-    has one representative with no term divisible by x^2*y (normal_form).
+    has one representative with no term divisible by x^2*y, the head (normal_form).
     """
 
-    __slots__ = ("table", "relation", "tail")
+    __slots__ = ("table", "relation", "tail", "head")
 
     def __init__(self, relation: Polynomial):
         table = relation.table
@@ -167,7 +167,7 @@ class QuotientRelation(Record):
         tail = relation - table.monomial(head)  # r + x*F
         if tail.degree_in("y") > 0:
             raise KrError("relation tail must not involve y")
-        super().__init__(table, relation, tail)
+        super().__init__(table, relation, tail, head)
 
     def __repr__(self):
         return f"QuotientRelation({self.relation})"
@@ -176,23 +176,18 @@ class QuotientRelation(Record):
 def normal_form(f: Polynomial, rel: QuotientRelation) -> Polynomial:
     """Unique representative of f modulo the relation: no term divisible by x^2*y.
 
-    y is eliminated from the top down: the coefficient of y^k, plus the carry
-    from above, is x^2*g plus the terms kept at y^k, and x^2*y = -tail carries
-    -tail*g down to y^(k-1), the tail being free of y.  As x and y are not
+    Each round splits f as x^2*y*g + kept in one pass over its terms and
+    substitutes x^2*y = -tail, f = kept - tail*g, until g is zero.  The tail
+    is free of y, so each round lowers the top y-degree of the terms that
+    x^2*y divides, and at most deg_y(f) rounds run.  As x and y are not
     Laurent, the result is unique, Laurent t and tail included.
     """
-    table = rel.table
-    f = table.coerce(f)
-    x, y = table.var("x"), table.var("y")
-    out = carry = table.zero()  # carry: tail*g from the degree above
-    for k in range(f.degree_in("y"), 0, -1):
-        c = f.coefficient_in("y", k) - carry
-        g = table.zero()
-        for j in range(c.degree_in("x"), 1, -1):
-            g = g * x + c.coefficient_in("x", j)
-        out = out * y + c - g * x ** 2
-        carry = rel.tail * g
-    return out * y + f.coefficient_in("y", 0) - carry
+    f = rel.table.coerce(f)
+    while True:
+        g, kept = f.monomial_divmod(rel.head)
+        if not g:
+            return kept
+        f = kept - rel.tail * g
 
 
 class Extension(Record):

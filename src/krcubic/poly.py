@@ -254,6 +254,20 @@ class Polynomial(Record):
         return _lowest(self.table, self.den, {key - drop: c for key, c in self.terms.items()
                                               if (key >> s) & _FIELD == field}, self._reach)
 
+    def monomial_divmod(self, exps: tuple[int, ...]) -> tuple["Polynomial", "Polynomial"]:
+        """(q, r) with p == monomial(exps)*q + r, r the terms that the monomial does not
+        divide.  Only exps' positive entries are tested (reduce's guard-bit test, masked to
+        their fields), so a negative Laurent exponent elsewhere never blocks."""
+        table = self.table
+        if len(exps) != table.arity or not all(0 <= e <= EXPONENT_LIMIT for e in exps):
+            raise KrError(f"monomial_divmod takes {table.arity} exponents in 0..{EXPONENT_LIMIT}")
+        m = table.grevlex(exps)
+        mg, drop = m | table._origin << 1, m - table._origin  # every field guarded: none borrows
+        mask = sum(_GUARD << WIDTH * i for i, e in enumerate(exps) if e)
+        r = dict(self.terms)
+        q = {k - drop: r.pop(k) for k in self.terms if (mg - k) & mask == mask}
+        return _lowest(table, self.den, q, self._reach), _lowest(table, self.den, r, self._reach)
+
     def is_constant(self) -> bool:
         return all(k == self.table._origin for k in self.terms)
 
@@ -307,7 +321,7 @@ class Polynomial(Record):
             return self.unit_inverse() ** (-k)
         if k == 0:
             return self.table.one()
-        _within(k * self._reach)
+        _within(k * max(self._reach, 1))  # k too: a constant's reach is 0
         acc, base = None, self
         while True:
             if k & 1:

@@ -122,6 +122,36 @@ def test_an_exponent_past_the_limit_is_that_claims_error(tmp_path, capsys):
                                    f"exceeds the limit {e}")
 
 
+def test_a_power_past_the_limit_is_refused_for_every_base(tmp_path, capsys):
+    # the exponent is bounded even where the base's exponents are all zero:
+    # 2^(10^12) would otherwise be computed, with about 3*10^11 digits
+    big = 10 ** 12
+    target = tmp_path / "unit.krv"
+    target.write_text(f"ring R = vars(x);\nlet a = 2^{big};\n")
+    assert run_cli(["check", str(target)], capsys) == (
+        2, "", f"error: 2:9: exponent bound {big} exceeds the limit {EXPONENT_LIMIT}\n")
+    target.write_text("ring R = vars(x);\n"
+                      f'claim "huge" eq(2^{big}, 1) expect true;\n'
+                      f'claim "at" eq(1^{EXPONENT_LIMIT}, 1) expect true;\n'
+                      f'claim "past" eq(0^{EXPONENT_LIMIT + 1}, 0) expect true;\n')
+    code, out, err = run_cli(["check", "--format", "json", str(target)], capsys)
+    assert (code, err) == (1, "")
+    claims = json.loads(out)["claims"]
+    assert [c["status"] for c in claims] == ["error", "pass", "error"]
+    assert claims[0]["detail"] == (f"ExponentOverflowError: exponent bound {big} "
+                                   f"exceeds the limit {EXPONENT_LIMIT}")
+
+
+def test_a_holding_member_claim_renders_no_detail(tmp_path, capsys):
+    # f's coefficient, 4,817 digits, is past CPython's int/str limit, so
+    # rendering f on a pass made the whole check an internal error
+    target = tmp_path / "unit.krv"
+    target.write_text('ring R = vars(x);\nclaim "big" member(2^16000*x, {x}) expect true;\n')
+    code, out, err = run_cli(["check", "--format", "json", str(target)], capsys)
+    assert (code, err) == (0, "")
+    assert [(c["status"], c["detail"]) for c in json.loads(out)["claims"]] == [("pass", "")]
+
+
 def test_missing_file_exits_two(capsys):
     code, _, err = run_cli(["fmt", "no_such_file.krv"], capsys)
     assert code == 2

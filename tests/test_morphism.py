@@ -14,7 +14,7 @@ from krcubic.morphism import (QuotientRelation, RingMap, compose, determinant,
                               jacobian, normal_form, verify_inverse_pair)
 from krcubic.poly import Polynomial, VarTable, render
 
-from conftest import cubic_poly, companion_poly, random_poly
+from conftest import cubic_poly, companion_poly, random_nonzero_poly, random_poly
 from test_groebner import _sympy_converter
 
 # The x^2-normalized defect of the lifted triangular twist, frozen as a
@@ -320,7 +320,8 @@ def rewrite_normal_form(f, rel):
 def normal_form_cases(seed, count):
     """Seeded (f, relation) pairs over the cubic and its companion, over
     cubic + c with a parameter c, and over the cylinder ring, whose t is
-    Laurent."""
+    Laurent.  Every fourth f has y-degree 6 to 8 in a multiple of x^2*y, so
+    that its normal form takes several rounds."""
     rings = [VarTable(["x", "y", "z", "t"]),
              VarTable(["x", "y", "z", "t", "c"], params=["c"]),
              VarTable(["x", "y", "z", "t", "v"], laurent=["t"])]
@@ -330,16 +331,24 @@ def normal_form_cases(seed, count):
         P = (cubic_poly if i % 2 == 0 else companion_poly)(T)
         if T.params():
             P = P + T.var("c")
-        yield random_poly(rng, T, max_terms=5, max_deg=4), QuotientRelation(P)
+        f = random_poly(rng, T, max_terms=5, max_deg=4)
+        if i % 4 == 3:
+            x, y = T.var("x"), T.var("y")
+            f += (random_nonzero_poly(rng, T, max_terms=2, max_deg=2)
+                  * x ** rng.randint(2, 6) * y ** rng.randint(6, 8))
+            assert f.degree_in("y") >= 6
+        yield f, QuotientRelation(P)
 
 
 def test_normal_form_agrees_with_the_rewrite():
-    rewritten = 0
+    rewritten = deep = 0
     for f, rel in normal_form_cases(31, 120):
         want = rewrite_normal_form(f, rel)
         assert normal_form(f, rel) == want
         rewritten += want != f
+        deep += f.degree_in("y") >= 6
     assert rewritten >= 40  # most inputs need at least one rewrite
+    assert deep == 30
 
 
 def test_normal_form_agrees_with_sympy():

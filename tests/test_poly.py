@@ -439,3 +439,41 @@ def test_leading_monomials_and_rendering_follow_grevlex_tuples(terms):
     descending = sorted(terms, key=grevlex_key, reverse=True)
     assert p.leading_monomial() == descending[0]
     assert render(p) == " + ".join(render(TK.monomial(e) * terms[e]) for e in descending)
+
+
+# -- splitting off the multiples of a monomial ---------------------------------
+
+divisors = st.tuples(*[st.one_of(st.just(0), _near_edges)] * 4)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.dictionaries(key_exps, st.builds(Eisenstein, fracs, fracs), max_size=5), divisors,
+       st.lists(st.tuples(*[st.integers(-3, 3)] * 4), max_size=3))
+def test_monomial_divmod_splits_off_the_multiples_of_a_monomial(terms, m, shifts):
+    # the shifted terms are multiples of m by construction, up to the limit;
+    # a Laurent variable (y, t) that m leaves out may carry a negative exponent
+    multiples = [tuple(min(a + abs(s), EXPONENT_LIMIT) if a or not lau else s
+                       for a, s, lau in zip(m, shift, TK.laurent)) for shift in shifts]
+    p = Polynomial(TK, {**terms, **{e: Eisenstein(2, 1) for e in multiples}})
+    q, r = p.monomial_divmod(m)
+    assert_lowest_terms(q)
+    assert_lowest_terms(r)
+
+    def divides(exps):  # only the variables of m are tested
+        return all(e >= a for e, a in zip(exps, m) if a)
+
+    shifted = {tuple(e + a for e, a in zip(exps, m)): c for exps, c in q.items()}
+    rest = dict(r.items())
+    assert not shifted.keys() & rest.keys()
+    assert {**shifted, **rest} == dict(p.items())  # p == m*q + r, term by term
+    assert all(map(divides, shifted)) and not any(map(divides, rest))
+    assert set(multiples) <= shifted.keys()
+    if max(m) + max((abs(e) for exps, _ in p.items() for e in exps), default=0) <= EXPONENT_LIMIT:
+        assert TK.monomial(m) * q + r == p
+
+
+def test_monomial_divmod_rejects_bad_exponents(cylinder_ring):
+    p = cylinder_ring.var("x") * cylinder_ring.var("t") ** -1
+    for exps in [(0, 0, 0, -1, 0), (-1, 0, 0, 0, 0), (EXPONENT_LIMIT + 1, 0, 0, 0, 0), (1, 0)]:
+        with pytest.raises(KrError, match=f"takes 5 exponents in 0..{EXPONENT_LIMIT}"):
+            p.monomial_divmod(exps)
