@@ -336,7 +336,6 @@ def normal_form_cases(seed, count):
             x, y = T.var("x"), T.var("y")
             f += (random_nonzero_poly(rng, T, max_terms=2, max_deg=2)
                   * x ** rng.randint(2, 6) * y ** rng.randint(6, 8))
-            assert f.degree_in("y") >= 6
         yield f, QuotientRelation(P)
 
 
