@@ -218,10 +218,21 @@ ONE = Eisenstein(1)
 OMEGA = Eisenstein(0, 1)
 
 
+def _int(n: int) -> str:
+    """str(n), or '<k-digit integer>' for an n of more digits than the int/str
+    limit (sys.get_int_max_str_digits) lets str() print."""
+    limit, m = sys.get_int_max_str_digits(), abs(n)
+    if not limit or m.bit_length() <= 3 * limit:  # at most 0.91 * limit digits
+        return str(n)
+    k = int(m.bit_length() * 0.30103) + 1  # m's digit count, or one more
+    k -= 10 ** (k - 1) > m
+    return str(n) if k <= limit else f"{'-' * (n < 0)}<{k}-digit integer>"
+
+
 def _part(n: int, d: int) -> str:
     """n/d in lowest terms, printed as its Fraction prints: p, or p/q with q > 0."""
     g = gcd(n, d)
-    return str(n // g) if g == d else f"{n // g}/{d // g}"
+    return _int(n // g) if g == d else f"{_int(n // g)}/{_int(d // g)}"
 
 
 def _scaled(k: int, d: int, unit: str) -> str:

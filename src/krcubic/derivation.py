@@ -1,10 +1,11 @@
 """Derivations by generator images: nilpotency, conjugation, descent.
 
 A Derivation maps each variable to its image polynomial (unlisted variables
-and all parameters go to zero) and extends by the Leibniz rule.  An optional
-quotient relation makes it a derivation of the quotient ring: images and all
-iterates are then kept in normal form (morphism.normal_form: no term divisible
-by x^2*y), so nilpotency means literal vanishing of the normal form.
+and all parameters go to zero) and extends by the Leibniz rule, the sum of
+image_v * df/dv in one pass (poly.linear_combination).  A quotient relation
+makes it a derivation of the quotient ring: images and all iterates are then
+kept in normal form (morphism.normal_form: no term divisible by x^2*y), so
+nilpotency means literal vanishing of the normal form.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .errors import (DerivationError, KrError, PostconditionError, Record,
 from .groebner import member
 from .morphism import (QuotientRelation, RingMap, exact_divide, normal_form,
                        verify_inverse_pair)
-from .poly import Polynomial, VarTable, reduce
+from .poly import Polynomial, VarTable, linear_combination, reduce
 
 
 class Derivation(Record):
@@ -45,12 +46,8 @@ class Derivation(Record):
                     "derivation does not descend: image of the relation is not a multiple")
 
     def _derive_raw(self, f: Polynomial) -> Polynomial:
-        acc = self.table.zero()
-        for v, im in self.images.items():
-            df = f.diff(v)
-            if df:
-                acc = acc + im * df
-        return acc
+        return linear_combination(self.table.zero(), ((im, df, 1) for v, im in self.images.items()
+                                                      if (df := f.diff(v))))
 
     def apply(self, f: Polynomial) -> Polynomial:
         # f need not be in normal form: the derivation preserves the ideal

@@ -23,7 +23,7 @@ from operator import le, sub
 
 from .errors import GroebnerBudgetError, KrError, LaurentInputError, Record
 from .geometry import _center
-from .poly import Polynomial, VarTable, clear_laurent, reduce
+from .poly import Polynomial, VarTable, clear_laurent, linear_combination, reduce
 
 
 def _divides(m: tuple[int, ...], n: tuple[int, ...]) -> bool:
@@ -48,12 +48,14 @@ class GroebnerBasis(Record):
 
 def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     """The S-polynomial of two monic polynomials: no coefficient is inverted,
-    and each multiplier, a monomial with coefficient one, only shifts."""
+    each multiplier, a monomial with coefficient one, only shifts the keys of
+    its polynomial, and the difference is put in lowest terms once."""
     fm = f.leading_monomial()
     gm = g.leading_monomial()
     lcm = tuple(map(max, fm, gm))
     table = f.table
-    return table.monomial(map(sub, lcm, fm)) * f - table.monomial(map(sub, lcm, gm)) * g
+    return linear_combination(table.zero(), [(table.monomial(map(sub, lcm, fm)), f, 1),
+                                             (table.monomial(map(sub, lcm, gm)), g, -1)])
 
 
 MAX_PAIRS = 50_000  # Buchberger's pair budget

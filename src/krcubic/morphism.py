@@ -13,7 +13,7 @@ from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import ExtensionError, KrError, PostconditionError, Record
 from .groebner import member
-from .poly import Polynomial, VarTable, clear_laurent, reduce
+from .poly import Polynomial, VarTable, clear_laurent, linear_combination, reduce
 
 
 class RingMap(Record):
@@ -107,15 +107,10 @@ def determinant(matrix: list[list[Polynomial]], table: VarTable) -> Polynomial:
         return table.one()
     if n == 1:
         return matrix[0][0]
-    det = table.zero()
-    for j in range(n):
-        entry = matrix[0][j]
-        if entry.is_zero():
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in matrix[1:]]
-        cof = entry * determinant(minor, table)
-        det = det + cof if j % 2 == 0 else det - cof
-    return det
+    # the entries times their signed minors, summed over one denominator
+    return linear_combination(table.zero(), (
+        (entry, determinant([[row[k] for k in range(n) if k != j] for row in matrix[1:]], table),
+         (-1) ** j) for j, entry in enumerate(matrix[0]) if entry))
 
 
 def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial | None:
@@ -187,7 +182,7 @@ def normal_form(f: Polynomial, rel: QuotientRelation) -> Polynomial:
         g, kept = f.monomial_divmod(rel.head)
         if not g:
             return kept
-        f = kept - rel.tail * g
+        f = linear_combination(kept, [(rel.tail, g, -1)])
 
 
 class Extension(Record):

@@ -18,10 +18,13 @@ Schoenemann, ISSAC 1998; Monagan & Pearce, CASC 2007).  Variable i owns the
 WIDTH-bit field at bit WIDTH*i, holding _MID - e_i, and the total degree
 sits above all fields, so int order is grevlex.  The key is linear, origin +
 sum(e_i * unit_i), so a product monomial's key is k1 + k2 - origin: one int
-addition per pair of terms.  Exponent tuples and Eisensteins (coeff.py) are
-built only at the edges: items(), coeff(exps), leading_monomial(), the
-public constructor Polynomial(table, {exps: coefficient}), transport,
-substitute's per-term read and rendering.  Grevlex is the one monomial order.
+addition per pair of terms, and a product by a one-term factor shifts keys.
+Exponent tuples and Eisensteins (coeff.py) are built only at the edges:
+items(), coeff(exps), leading_monomial(), the public constructor
+Polynomial(table, {exps: coefficient}), transport and rendering.  Grevlex is
+the one monomial order.  A compound result (substitute, linear_combination,
+reduce's identity check) is summed from term dicts over one denominator by
+_sum and put in lowest terms once, with no polynomial built per step.
 
 Every exponent is at most EXPONENT_LIMIT in absolute value, so no field of a
 valid key sets its top bit, its guard.  A polynomial carries _reach, a bound
@@ -150,7 +153,7 @@ class VarTable(Record):
         return _polynomial(self, 1, {}, 0)
 
     def one(self) -> "Polynomial":
-        return self.constant(1)
+        return self.constant(ONE)
 
     def constant(self, c) -> "Polynomial":
         c = Eisenstein.of(c)
@@ -165,7 +168,10 @@ class VarTable(Record):
         """The monomial of coefficient one with this exponent tuple; the
         arity, any negative exponent and the limit are checked as in
         Polynomial()."""
-        return Polynomial(self, {tuple(exps): ONE})
+        exps = tuple(exps)
+        if len(exps) != self.arity:
+            raise KrError("exponent tuple arity mismatch")
+        return _polynomial(self, 1, {self.grevlex(exps): (1, 0)}, _check_exponents(self, exps))
 
     def coerce(self, value) -> "Polynomial":
         """value as a polynomial over this table: a scalar becomes a constant,
@@ -401,51 +407,61 @@ class Polynomial(Record):
         TableMismatchError.  The image of a variable occurring with a
         negative exponent must be a unit monomial.  This is a ring
         homomorphism: substitution of a product is the product of the
-        substitutions.  Each term's image is the product of powers of the
-        images (each power computed once per call, from the power below it;
-        an unassigned variable's powers only shift exponents), and the images
-        times their coefficients are summed over one common denominator.
+        substitutions.  A variable mapped to itself stays in the key; the
+        terms are grouped by the exponents of the other, moved, variables,
+        and each group's terms shift and scale one product of the moved
+        images' powers (each power computed once per call, from the power
+        below it).  The parts are summed over one common denominator.
         """
         table = self.table
         for v in images:
             table.index(v)
-        base = [table.coerce(images[name]) if name in images else table.var(name)
-                for name in table.names]
-        reaches = [p._reach for p in base]
+        origin, units, terms = table._origin, table._units, self.terms
+        moved = []  # (index, image) of each variable whose image is not itself
+        for i, name in enumerate(table.names):
+            p = table.coerce(images[name]) if name in images else table.var(name)
+            # it moves unless it maps to itself with no negative power (its inverse's)
+            if (p._reach, p.den, p.terms) != (1, 1, {origin + units[i]: (1, 0)}) or (
+                    table.laurent[i] and min(_column(terms, i), default=0) < 0):
+                moved.append((i, p))
+        groups: dict[tuple[int, ...], dict] = {}  # the terms by their moved exponents
+        for k, c in terms.items():
+            groups.setdefault(tuple([_MID - ((k >> WIDTH * i) & _FIELD) for i, _ in moved]),
+                              {})[k] = c
 
-        # powers[i][k] is base[i]^(k + 1), inverses[i][k] its inverse; each
-        # list grows by one product at a time
-        powers = [[p] for p in base]
-        inverses: list = [None] * len(base)
+        # a term's image is bounded by the sum of |e_i| times image i's bound;
+        # the fixed exponents, none negative, add the key's total degree less the moved ones
+        top = WIDTH * table.arity
+        reach = _within(max([sum([abs(e) * p._reach - e for e, (_, p) in zip(es, moved)])
+                             + (max(rest) >> top) for es, rest in groups.items()], default=0))
 
-        def power(i: int, e: int) -> Polynomial:
-            chain = powers[i] if e > 0 else inverses[i]
-            if chain is None:
-                if not base[i].is_unit_monomial():
-                    raise NonUnitError(
-                        f"image of {table.names[i]!r} must be a unit monomial "
-                        f"to carry negative exponents")
-                chain = inverses[i] = [base[i].unit_inverse()]
-            while len(chain) < abs(e):
-                chain.append(chain[-1] * chain[0])
-            return chain[abs(e) - 1]
-
-        # a term's image is bounded by the sum of |e_i| times image i's bound
-        rows = [(table._exps(k), c) for k, c in self.terms.items()]
-        reach = _within(max([sum(map(mul, map(abs, exps), reaches)) for exps, _ in rows],
-                            default=0))
-        origin = table._origin
-        one = {origin: (1, 0)}
-        den = self.den
+        # chains[j, e > 0] holds the (den, terms) of moved image j, or of its inverse
+        # for e < 0, to the powers 1, 2, ...; each grows by one product at a time
+        chains: dict[tuple[int, bool], list] = {}
         parts = []
-        for exps, c in rows:
-            prod, d = one, den
-            for i, e in enumerate(exps):
+        for es, rest in groups.items():
+            prod, d, drop = None, self.den, origin
+            for j, e in enumerate(es):
                 if e:
-                    p = power(i, e)
-                    prod = p.terms if prod is one else _product(prod, p.terms, origin)
-                    d *= p.den
-            parts.append((d, prod, c))
+                    i, p = moved[j]
+                    chain = chains.get((j, e > 0))
+                    if chain is None:
+                        if e < 0 and not p.is_unit_monomial():
+                            raise NonUnitError(f"image of {table.names[i]!r} must be a unit "
+                                               f"monomial to carry negative exponents")
+                        p = p if e > 0 else p.unit_inverse()
+                        chain = chains[j, e > 0] = [(p.den, p.terms)]
+                    (d1, t1), n = chain[0], abs(e)
+                    while len(chain) < n:
+                        chain.append((chain[-1][0] * d1, _product(chain[-1][1], t1, origin)))
+                    pd, pt = chain[n - 1]
+                    prod = pt if prod is None else _product(prod, pt, origin)
+                    d *= pd
+                    drop += e * units[i]
+            if prod is None:  # no moved variable occurs: the terms are their own image
+                parts.append((d, rest, (1, 0), 0))
+            else:  # each term shifts and scales the product by its fixed exponents
+                parts += [(d, prod, c, k - drop) for k, c in rest.items()]
         return _lowest(table, *_sum(parts), reach)
 
     def transport(self, table: VarTable) -> "Polynomial":
@@ -550,8 +566,31 @@ def _lowest(table: VarTable, den: int, terms: dict, reach: int) -> Polynomial:
 
 def _plus(p: Polynomial, q: Polynomial, sign: int) -> Polynomial:
     """p + sign*q over p's table."""
-    return _lowest(p.table, *_sum([(p.den, p.terms, (1, 0)), (q.den, q.terms, (sign, 0))]),
+    return _lowest(p.table, *_sum([(p.den, p.terms, (1, 0), 0), (q.den, q.terms, (sign, 0), 0)]),
                    max(p._reach, q._reach))
+
+
+def linear_combination(start: Polynomial,
+                       triples: Iterable[tuple[Polynomial, Polynomial, int]]) -> Polynomial:
+    """start plus sign*p*q for each (p, q, sign), sign 1 or -1, over start's
+    table (which coerces p and q), with the bound that chained + and * give,
+    summed over one denominator and put in lowest terms once."""
+    coerce, reach, parts = start.table.coerce, start._reach, [(start.den, start.terms, (1, 0), 0)]
+    for p, q, sign in triples:
+        p, q = coerce(p), coerce(q)
+        reach = max(reach, _within(p._reach + q._reach))
+        parts.append(_product_part(p, q, sign))
+    return _lowest(start.table, *_sum(parts), reach)
+
+
+def _product_part(p: Polynomial, q: Polynomial, sign: int) -> tuple:
+    """sign*p*q as a part for _sum; a one-term factor only shifts and scales the other."""
+    if len(p.terms) != 1:
+        p, q = q, p
+    if len(p.terms) != 1:
+        return p.den * q.den, _product(p.terms, q.terms, p.table._origin), (sign, 0), 0
+    (k, (a, b)), = p.terms.items()
+    return p.den * q.den, q.terms, (sign * a, sign * b), k - p.table._origin
 
 
 def _from_triples(terms: dict) -> tuple[int, dict]:
@@ -563,11 +602,12 @@ def _from_triples(terms: dict) -> tuple[int, dict]:
     return den, {e: (a * (den // d), b * (den // d)) for e, (a, b, d) in terms.items()}
 
 
-def _add_into(acc: dict, terms: dict, ca: int, cb: int) -> None:
-    """acc += (ca + cb*w) * terms in place, on int pairs; a sum that cancels
-    is dropped.  The scalar is not zero."""
+def _add_into(acc: dict, terms: dict, ca: int, cb: int, shift: int = 0) -> None:
+    """acc += (ca + cb*w) * terms in place, on int pairs, every key of terms
+    moved by shift; a sum that cancels is dropped.  The scalar is not zero."""
     get = acc.get
     for e, (a, b) in terms.items():
+        e += shift
         if cb:
             # (a + b*w)(ca + cb*w) = a*ca - b*cb + (a*cb + b*ca - b*cb)*w
             bb = b * cb
@@ -586,18 +626,19 @@ def _add_into(acc: dict, terms: dict, ca: int, cb: int) -> None:
 
 
 def _sum(parts) -> tuple[int, dict]:
-    """The sum of the parts (d, terms, (a, b)), each (a + b*w) * terms / d,
-    as a term dict over the lcm of the d, not yet in lowest terms."""
-    den = lcm(*[d for d, _, _ in parts])
+    """The sum of the parts (d, terms, (a, b), shift), each (a + b*w) * terms / d
+    times the monomial of key origin + shift, as a term dict over the lcm of the
+    d, not yet in lowest terms."""
+    den = lcm(*[d for d, _, _, _ in parts])
     acc = {}
-    for d, terms, (ca, cb) in parts:
+    for d, terms, (ca, cb), shift in parts:
         m = den // d
         ca *= m
         cb *= m
-        if not acc and ca == 1 and not cb:
+        if not acc and ca == 1 and not cb and not shift:
             acc = dict(terms)  # acc is zero: the sum is a copy
         else:
-            _add_into(acc, terms, ca, cb)
+            _add_into(acc, terms, ca, cb, shift)
     return den, acc
 
 
@@ -645,8 +686,8 @@ def _product(t1: dict, t2: dict, origin: int) -> dict:
 
 
 def _require_polynomial(f: Polynomial, what: str):
-    # only a Laurent variable can carry a negative exponent
-    if any(lau and min(_column(f.terms, i), default=0) < 0
+    # only a Laurent variable can carry a negative exponent: no scan without one
+    if any(f.table.laurent) and any(lau and min(_column(f.terms, i), default=0) < 0
            for i, lau in enumerate(f.table.laurent)):
         raise LaurentInputError(
             f"{what} carries negative exponents; clear Laurent denominators first")
@@ -745,13 +786,13 @@ def reduce(f: Polynomial, gens: list[Polynomial]) -> tuple[Polynomial, list[Poly
             rem_terms[lt_key] = lt
     # every exponent is at least 0, so none exceeds its term's total degree
     degree = WIDTH * table.arity
+    zero = table.zero()
     rem, *cofactors = [_polynomial(table, *_from_triples(t),
-                                   min(max(t, default=0) >> degree, EXPONENT_LIMIT))
+                                   min(max(t) >> degree, EXPONENT_LIMIT)) if t else zero
                        for t in [rem_terms, *cof_terms]]
     # rem + sum of cofactor * generator, over one denominator
-    parts = [(rem.den, rem.terms, (1, 0))]
-    parts += [(c.den * g.den, _product(c.terms, g.terms, origin), (1, 0))
-              for c, g in zip(cofactors, gens)]
+    parts = [(rem.den, rem.terms, (1, 0), 0)]
+    parts += [_product_part(c, g, 1) for c, g in zip(cofactors, gens) if c]
     if _lowest(table, *_sum(parts), f._reach) != f:
         raise PostconditionError("division identity violated")
     return rem, cofactors
@@ -788,8 +829,9 @@ def _render_monomial(table: VarTable, exps: tuple[int, ...]) -> str:
 def render(p: Polynomial) -> str:
     """Canonical text: grevlex-descending terms, explicit '*', 'w' for the cube root.
 
-    Read back as a .krv expression over an equal table, it gives p exactly.
-    No coefficient is built: each part is printed from its ints.
+    Read back as a .krv expression over an equal table, it gives p exactly,
+    unless an int has more digits than CPython's int/str limit: str() refuses
+    it, and it prints as '<k-digit integer>'.  No coefficient is built.
     """
     if p.is_zero():
         return "0"

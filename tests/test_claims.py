@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import krcubic
-from krcubic import groebner
+from krcubic import groebner, poly
 from krcubic.claims import ERROR, FAIL, PASS, manifest_path, run_file, run_text
 from krcubic.coeff import Eisenstein
 from krcubic.derivation import Derivation, nilpotency_certificate
@@ -412,6 +412,26 @@ def test_autgroup_substitutes_thirty_times(substitutions):
     # after it reads the remembered image
     assert run_file("autgroup.krv").all_pass
     assert len(substitutions) == 30
+
+
+BREADTH = ("embeddings.krv", "fibers.krv", "stable.krv", "cylinder.krv")
+
+
+def test_breadth_manifests_take_at_most_444_products(monkeypatch):
+    # A noise-free guard on the kernel's compound operations: one pass over
+    # these four manifests took 903 term-dict products while substitute,
+    # the Leibniz sum, S-polynomials and reduce's identity check each built
+    # a polynomial per step; summing the parts over one denominator takes 444
+    calls = []
+    product = poly._product
+
+    def counted_product(*args):
+        calls.append(1)
+        return product(*args)
+
+    monkeypatch.setattr(poly, "_product", counted_product)
+    assert all(run_file(name).all_pass for name in BREADTH)
+    assert len(calls) <= 444
 
 
 @pytest.mark.parametrize("before, after, flipped", [

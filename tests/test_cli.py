@@ -152,6 +152,27 @@ def test_a_holding_member_claim_renders_no_detail(tmp_path, capsys):
     assert [(c["status"], c["detail"]) for c in json.loads(out)["claims"]] == [("pass", "")]
 
 
+@pytest.mark.parametrize("claim, detail", [
+    ("eq(2^16000, 0)", "lhs = <4817-digit integer>\nrhs = 0"),
+    ("member(2^16000, {x})", "f = <4817-digit integer>"),
+    ("eq(-3^10000*quot(x, 2^15000 + 1), 0)",
+     "lhs = -<4772-digit integer>/<4516-digit integer>*x\nrhs = 0"),
+], ids=["eq", "member", "fraction"])
+def test_a_failing_claim_prints_an_integer_past_the_int_str_limit_by_its_length(
+        tmp_path, capsys, claim, detail):
+    # str() of such an integer raises ValueError, which once made the whole
+    # check an internal error (exit 3); the failing claim is now a plain fail
+    target = tmp_path / "unit.krv"
+    target.write_text(f'ring R = vars(x);\nclaim "big" {claim} expect true;\n'
+                      'claim "ok" eq(x, x) expect true;\n')
+    code, out, err = run_cli(["check", "--format", "json", str(target)], capsys)
+    assert (code, err) == (1, "")
+    assert [(c["status"], c["detail"]) for c in json.loads(out)["claims"]] == [
+        ("fail", detail), ("pass", "")]
+    code, out, err = run_cli(["check", str(target)], capsys)
+    assert (code, err) == (1, "") and out.endswith("1 passed, 1 failed, 0 errors\n")
+
+
 def test_missing_file_exits_two(capsys):
     code, _, err = run_cli(["fmt", "no_such_file.krv"], capsys)
     assert code == 2

@@ -8,13 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from krcubic.coeff import OMEGA, Eisenstein
 from krcubic.derivation import Derivation, substitute_parameter, theta_extract
-from krcubic.errors import (KrError, NegativeExponentError, NonUnitError,
-                            TableMismatchError)
+from krcubic.errors import (ExponentOverflowError, KrError, NegativeExponentError,
+                            NonUnitError, TableMismatchError)
 from krcubic.geometry import tangent_cone
-from krcubic.groebner import buchberger, member, reduce, singular_at
+from krcubic.groebner import _spoly, buchberger, member, reduce, singular_at
 from krcubic.morphism import (QuotientRelation, RingMap, compose, exact_divide,
                               normal_form)
-from krcubic.poly import EXPONENT_LIMIT, Polynomial, VarTable, clear_laurent, render
+from krcubic.poly import (EXPONENT_LIMIT, Polynomial, VarTable, clear_laurent,
+                          linear_combination, render)
 
 from conftest import (assert_lowest_terms, cubic_poly, companion_poly, grevlex_key,
                       parse_value, random_poly, random_table)
@@ -477,3 +478,147 @@ def test_monomial_divmod_rejects_bad_exponents(cylinder_ring):
     for exps in [(0, 0, 0, -1, 0), (-1, 0, 0, 0, 0), (EXPONENT_LIMIT + 1, 0, 0, 0, 0), (1, 0)]:
         with pytest.raises(KrError, match=f"takes 5 exponents in 0..{EXPONENT_LIMIT}"):
             p.monomial_divmod(exps)
+
+
+# -- substitution against a dict-of-exponent-tuples reference ------------------
+
+SUB = VarTable(["x", "y", "s", "t"], laurent=["s", "t"])
+_SUB_UNITS = [tuple(int(i == j) for j in range(SUB.arity)) for i in range(SUB.arity)]
+_sub_coeffs = st.builds(Eisenstein, canon_fracs, canon_fracs)
+# small exponents, and one in ten of them one whose small multiples straddle the limit
+_big = [EXPONENT_LIMIT // k + d for k in (2, 3) for d in (-1, 0, 1)] + [EXPONENT_LIMIT]
+_image_exps = st.sampled_from([0, 1, 2] * 21 + _big)
+_signed_exps = st.one_of(_image_exps, _image_exps.map(lambda e: -e))
+_moved_images = st.one_of(
+    _sub_coeffs.map(lambda c: {(0, 0, 0, 0): c}),  # a constant, zero included
+    st.dictionaries(st.tuples(_image_exps, _image_exps, _signed_exps, _signed_exps),
+                    _sub_coeffs, min_size=2, max_size=3),  # multi-term (or fewer, after zeros)
+    st.builds(lambda a, b, c: {(0, 0, a, b): c},
+              _signed_exps, _signed_exps, _sub_coeffs.filter(bool)),  # a unit monomial
+)
+# half of the variables are unassigned or written out as v -> v
+_sub_images = st.booleans().flatmap(
+    lambda fixed: st.sampled_from([None, "self"]) if fixed else _moved_images)
+# half of them carry no negative exponent, so that s and t can stay fixed
+_sub_polys = st.sampled_from([0, -2]).flatmap(lambda low: st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(low, 2), st.integers(low, 2)),
+    _sub_coeffs.filter(bool), min_size=1, max_size=8))
+
+
+def _ref_product(p: dict, q: dict) -> dict:
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, Eisenstein(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_substitute(f: dict, images: list[dict]) -> dict:
+    """f with variable i replaced by images[i], term by term: each term's image
+    is the product of the images' powers, and the images are summed.  Raises
+    as the kernel does: ExponentOverflowError when some term's sum of |e_i|
+    times image i's largest absolute exponent passes the limit, else
+    NonUnitError when a negative power falls on an image that is not one
+    term of Laurent variables."""
+    reach = [max((abs(e) for exps in im for e in exps), default=0) for im in images]
+    if max((sum(abs(e) * r for e, r in zip(exps, reach)) for exps in f), default=0) \
+            > EXPONENT_LIMIT:
+        raise ExponentOverflowError
+    out = {}
+    for exps, c in f.items():
+        term = {(0,) * SUB.arity: c}
+        for e, im in zip(exps, images):
+            if e < 0:
+                if len(im) != 1 or any(k and not lau for m in im for k, lau in zip(m, SUB.laurent)):
+                    raise NonUnitError
+                (m, a), = im.items()
+                im = {tuple(-k for k in m): a.inverse()}
+            for _ in range(abs(e)):
+                term = _ref_product(term, im)
+        for m, a in term.items():
+            out[m] = out.get(m, Eisenstein(0)) + a
+    return {e: c for e, c in out.items() if c}
+
+
+def test_substitute_matches_a_reference_on_exponent_tuples():
+    shared = []  # per example: some moved-exponent vector is shared by two terms
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(_sub_polys, st.tuples(*[_sub_images] * SUB.arity))
+    def check(f, drawn):
+        images = [{u: Eisenstein(1)} if im in (None, "self") else {e: c for e, c in im.items() if c}
+                  for im, u in zip(drawn, _SUB_UNITS)]
+        given_images = {v: SUB.var(v) if im == "self" else Polynomial(SUB, im)
+                        for v, im in zip(SUB.names, drawn) if im is not None}
+        # a variable moves unless it maps to itself and carries no negative exponent
+        moved = [i for i, im in enumerate(drawn) if im not in (None, "self")
+                 or any(exps[i] < 0 for exps in f)]
+        vectors = [tuple(exps[i] for i in moved) for exps in f]
+        shared.append(any(vectors.count(v) > 1 for v in vectors if any(v)))
+        try:
+            want = Polynomial(SUB, _ref_substitute(f, images))
+        except (ExponentOverflowError, NonUnitError) as exc:
+            with pytest.raises(type(exc)):
+                Polynomial(SUB, f).substitute(given_images)
+            return
+        got = Polynomial(SUB, f).substitute(given_images)
+        assert_lowest_terms(got)
+        assert got == want
+
+    check()
+    assert sum(shared) >= len(shared) // 10, (sum(shared), len(shared))
+
+
+# -- each fused operation against its chained formula --------------------------
+
+FUSED = VarTable(["x", "y", "z", "t"], laurent=["t"])
+_fused_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2), st.integers(-2, 2)),
+    st.builds(Eisenstein, canon_fracs, canon_fracs), max_size=4,
+).map(lambda terms: Polynomial(FUSED, terms))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_fused_polys, _fused_polys)
+def test_spoly_is_the_difference_of_the_shifted_polynomials(f, g):
+    if not (f and g):
+        return
+    f, g = f.monic(), g.monic()
+    fm, gm = f.leading_monomial(), g.leading_monomial()
+    lcm = tuple(map(max, fm, gm))
+    want = (FUSED.monomial([a - b for a, b in zip(lcm, fm)]) * f
+            - FUSED.monomial([a - b for a, b in zip(lcm, gm)]) * g)
+    got = _spoly(f, g)
+    assert (got.den, got.terms, got._reach) == (want.den, want.terms, want._reach)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_fused_polys, st.lists(st.tuples(_fused_polys, _fused_polys, st.sampled_from([1, -1])),
+                              max_size=4))
+def test_linear_combination_is_the_chained_sum_of_products(start, triples):
+    want = start
+    for p, q, sign in triples:
+        want = want + p * q if sign == 1 else want - p * q
+    got = linear_combination(start, triples)
+    assert_lowest_terms(got)
+    assert (got.den, got.terms, got._reach) == (want.den, want.terms, want._reach)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_fused_polys, _fused_polys, _fused_polys, _fused_polys)
+def test_derivation_apply_is_the_chained_leibniz_sum(f, a, b, c):
+    x, z = vars_of(FUSED, "x", "z")
+
+    def leibniz(d):
+        acc = FUSED.zero()
+        for v, im in d.images.items():
+            acc = acc + im * f.diff(v)
+        return acc
+
+    free = Derivation(FUSED, {"x": a, "z": b, "t": c})
+    assert free.apply(f) == leibniz(free)
+    # a times y -> 2z, z -> -x^2 kills the cubic, so it descends to the quotient
+    rel = QuotientRelation(cubic_poly(FUSED))
+    descends = Derivation(FUSED, {"y": 2 * a * z, "z": -a * x ** 2}, rel)
+    assert descends.apply(f) == normal_form(leibniz(descends), rel)
