@@ -418,10 +418,11 @@ BREADTH = ("embeddings.krv", "fibers.krv", "stable.krv", "cylinder.krv")
 
 
 def test_breadth_manifests_take_at_most_444_products(monkeypatch):
-    # A noise-free guard on the kernel's compound operations: one pass over
-    # these four manifests took 903 term-dict products while substitute,
-    # the Leibniz sum, S-polynomials and reduce's identity check each built
-    # a polynomial per step; summing the parts over one denominator takes 444
+    # A noise-free guard on the kernel's compound operations: substitute, the
+    # Leibniz sum, S-polynomials and reduce's identity check sum their parts
+    # over one denominator, and one pass over these four manifests (the
+    # benchmark's breadth workload) takes 444 term-dict products; a change
+    # that brings back a product per step fails here
     calls = []
     product = poly._product
 
