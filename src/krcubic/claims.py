@@ -18,7 +18,7 @@ from __future__ import annotations
 import time
 
 from .coeff import OMEGA, _make
-from .errors import KrError, ParseError, Record
+from .errors import KrError, Record, error_at
 from .geometry import classify_quadric, graph_variable_check, tangent_cone
 from .groebner import member, singular_at, smooth_everywhere
 from .morphism import (QuotientRelation, RingMap, compose, exact_divide,
@@ -166,22 +166,22 @@ def _construct(fn: str, args: tuple, env: dict, table: VarTable):
     return compose(*values) if fn == "compose" else conjugate(*values)
 
 
-def _at(tok, fn, *args):
-    """fn(*args), whose kernel error becomes a ParseError at tok."""
+def _at(text: str, pos: int, fn, *args):
+    """fn(*args), whose kernel error becomes a ParseError at offset pos of text."""
     try:
         return fn(*args)
     except (KrError, ZeroDivisionError) as exc:
-        raise ParseError(str(exc), tok.line, tok.col, tok.pos) from exc
+        raise error_at(text, pos, str(exc)) from exc
 
 
-def _declared(decl: Decl, env: dict, table: VarTable):
-    """The value of a let, map or derivation over table."""
+def _declared(decl: Decl, env: dict, table: VarTable, text: str):
+    """The value of a let, map or derivation over table, its errors positioned in text."""
     if decl.kind == "poly":
-        return _at(decl.tok, eval_node, decl.body, env, table)
+        return _at(text, decl.pos, eval_node, decl.body, env, table)
     if decl.ctor is not None:
-        return _at(decl.tok, _construct, *decl.ctor, env, table)
-    images = {tok.text: _at(tok, eval_node, node, env, table) for tok, node in decl.body}
-    return _at(decl.tok, RingMap if decl.kind == "map" else Derivation, table, images)
+        return _at(text, decl.pos, _construct, *decl.ctor, env, table)
+    images = {v: _at(text, pos, eval_node, node, env, table) for v, pos, node in decl.body}
+    return _at(text, decl.pos, RingMap if decl.kind == "map" else Derivation, table, images)
 
 
 def _check_inverse(inv: InverseDecl, env: dict, table: VarTable):
@@ -197,11 +197,11 @@ def elaborate(unit: SourceUnit) -> dict:
     env = {}
     for item in unit.items:
         if isinstance(item, InverseDecl):
-            _at(item.tok, _check_inverse, item, env, env[item.ring])
+            _at(unit.text, item.pos, _check_inverse, item, env, env[item.ring])
         elif isinstance(item, Decl) and item.kind == "ring":
             env[item.name] = VarTable(item.body.names, item.body.laurent, item.body.params)
         elif isinstance(item, Decl):
-            env[item.name] = _declared(item, env, env[item.ring])
+            env[item.name] = _declared(item, env, env[item.ring], unit.text)
     return env
 
 

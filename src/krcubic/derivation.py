@@ -17,7 +17,7 @@ from .errors import (DerivationError, KrError, PostconditionError, Record,
 from .groebner import member
 from .morphism import (QuotientRelation, RingMap, exact_divide, normal_form,
                        verify_inverse_pair)
-from .poly import Polynomial, VarTable, linear_combination, reduce
+from .poly import EXPONENT_LIMIT, Polynomial, VarTable, linear_combination, reduce
 
 
 class Derivation(Record):
@@ -81,10 +81,10 @@ def nilpotency_certificate(d: Derivation, bound: int = 64) -> NilpotencyCertific
     """Iterate the derivation on every variable until zero or the bound.
 
     Exceeding the bound is an explicit outcome naming the offending
-    generator, not an exception.
+    generator, not an exception.  The bound is at most EXPONENT_LIMIT.
     """
-    if bound < 1:
-        raise DerivationError("bound must be at least 1")
+    if not 1 <= bound <= EXPONENT_LIMIT:
+        raise DerivationError(f"bound must be between 1 and {EXPONENT_LIMIT}")
     orders: dict[str, int] = {}
     for v in d.table.names:  # a parameter's first iterate is zero
         g = d.table.var(v)

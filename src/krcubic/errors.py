@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and Record, the base of its
-read-only value records.
+"""Exception types shared across the package, error_at, which positions a
+ParseError, and Record, the base of its read-only value records.
 
 This is the leaf module every other module imports, so the base lives here.
 """
@@ -84,9 +84,9 @@ class PostconditionError(KrError):
 
 
 class ParseError(KrError):
-    """Positioned syntax or binding error in a source unit."""
+    """Positioned syntax or binding error in a source unit; error_at builds one."""
 
-    def __init__(self, message, line, col, offset=None, expected=()):
+    def __init__(self, message, line, col, offset, expected=()):
         super().__init__(message)
         self.message = message
         self.line = line
@@ -99,3 +99,9 @@ class ParseError(KrError):
         if self.expected:
             return f"{loc}: {self.message} (expected {', '.join(self.expected)})"
         return f"{loc}: {self.message}"
+
+
+def error_at(text: str, offset: int, message: str, expected=()) -> ParseError:
+    """A ParseError at offset of text, its line and column counted from 1."""
+    return ParseError(message, text.count("\n", 0, offset) + 1,
+                      offset - text.rfind("\n", 0, offset), offset, expected)

@@ -44,15 +44,16 @@ every declaration and claim as syntax, which claims.run_unit evaluates in
 order.  It builds no table and no polynomial: a number or w is a Lit of its
 text as written, and a ring variable or a let read is a Ref of its name.
 tokenize gives (kind, text, offset) tuples, which the parser reads by index; a
-line and column are counted from an offset only for a diagnostic, or for a
-Token that a record keeps.  An integer literal has at most MAX_DIGITS digits.
+record keeps the offset it is reported at, and errors.error_at counts a line
+and column from it only for a diagnostic.  An integer literal has at most
+MAX_DIGITS digits.
 """
 
 from __future__ import annotations
 
 import re
 
-from .errors import ParseError, Record
+from .errors import Record, error_at
 from .geometry import CONE_TAGS
 
 # Argument shapes, in order.  A trailing '?' marks an optional group that
@@ -135,14 +136,8 @@ def tokenize(text: str) -> list[tuple]:
             elif kind == "word" and value[0].isalpha():
                 kind = "ident"
             else:  # bad, or a word that starts with a character such as '²'
-                raise _error(text, pos, _LEXICAL.get(kind, f"unexpected character {text[pos]!r}"))
+                raise error_at(text, pos, _LEXICAL.get(kind, f"unexpected character {text[pos]!r}"))
         tokens.append((kind, value, pos))
-
-
-def _error(text: str, pos: int, message: str, expected=()) -> ParseError:
-    """A ParseError at offset pos of text, its line and column counted from 1."""
-    return ParseError(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos),
-                      pos, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -249,22 +244,18 @@ class Ring(Record):
     __slots__ = ("names", "laurent", "params")  # tuples of variable names, as declared
 
 
-class Token(Record):
-    __slots__ = ("text", "line", "col", "pos")  # kept to report a kernel error at; line, col from 1
-
-
 class Decl(Record):
     """A declared name, as syntax, over the ring current at it.  body is a
     ring's Ring (ring: None), a let's node, or a map's or derivation's
-    image block, ((variable Token, node), ...); ctor is a constructor's
-    (fn, args), else None.  A kernel error is reported at tok, or at its
-    image's Token."""
+    image block, ((variable, offset, node), ...); ctor is a constructor's
+    (fn, args), else None.  A kernel error is reported at offset pos of the
+    text (a ring: None), or at its image's offset."""
 
-    __slots__ = ("kind", "name", "ring", "body", "ctor", "tok")
+    __slots__ = ("kind", "name", "ring", "body", "ctor", "pos")
 
 
 class InverseDecl(Record):
-    __slots__ = ("first", "second", "ring", "tok")  # a kernel error is reported at tok
+    __slots__ = ("first", "second", "ring", "pos")  # a kernel error is reported at offset pos
 
 
 class ClaimDecl(Record):
@@ -277,9 +268,10 @@ class NarrativeDecl(Record):
 
 
 class SourceUnit:
-    __slots__ = ("items", "env", "rings", "claims", "narratives")
+    __slots__ = ("text", "items", "env", "rings", "claims", "narratives")
 
-    def __init__(self):
+    def __init__(self, text: str):
+        self.text = text  # the source, which each record's offset points into
         self.items = []
         self.env = {}  # name -> Decl, for all but rings
         self.rings = {}  # name -> Ring
@@ -289,13 +281,11 @@ class SourceUnit:
 
 class Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = tokenize(text)
         self.i = 0
-        self.unit = SourceUnit()
+        self.unit = SourceUnit(text)
         self.current_ring: str | None = None
         self.depth = 0  # expressions open around the one being read
-        self.kept = 1, 0  # line and offset of the last kept token
         self.labels: set[str] = set()  # of the claims and narratives read: one namespace
 
     # -- token helpers -------------------------------------------------------
@@ -306,15 +296,7 @@ class Parser:
         return tok
 
     def error(self, message: str, tok: tuple | None = None, expected=()):
-        raise _error(self.text, (tok or self.tokens[self.i])[2], message, expected)
-
-    def keep(self, tok: tuple | None = None) -> Token:
-        """tok (default: the next one) as a record keeps it.  Kept tokens come
-        in text order: newlines are counted from the last one, never rescanned."""
-        _, value, pos = tok or self.tokens[self.i]
-        line, last = self.kept
-        self.kept = line, last = line + self.text.count("\n", last, pos), pos
-        return Token(value, line, pos - self.text.rfind("\n", 0, pos), pos)
+        raise error_at(self.unit.text, (tok or self.tokens[self.i])[2], message, expected)
 
     def expect(self, text: str) -> tuple:
         tok = self.tokens[self.i]
@@ -354,7 +336,7 @@ class Parser:
 
     # -- name table ----------------------------------------------------------
 
-    def declare(self, name_tok: tuple, kind: str, body, tok=None, ctor=None):
+    def declare(self, name_tok: tuple, kind: str, body, pos=None, ctor=None):
         """Check the name, then record its Decl in env (a ring: in rings) and items."""
         name = name_tok[1]
         if name in KEYWORDS:
@@ -367,7 +349,7 @@ class Parser:
             decl = Decl(kind, name, None, body, None, None)
             self.unit.rings[name] = body
         else:
-            decl = self.unit.env[name] = Decl(kind, name, self.current_ring, body, ctor, tok)
+            decl = self.unit.env[name] = Decl(kind, name, self.current_ring, body, ctor, pos)
         self.unit.items.append(decl)
 
     def ring(self) -> Ring:
@@ -510,10 +492,10 @@ class Parser:
     def _parse_let(self):
         name = self.take("name")
         self.expect("=")
-        start = self.keep()
+        pos = self.tokens[self.i][2]
         node = self.parse_expr()
         self.expect(";")
-        self.declare(name, "poly", node, start)
+        self.declare(name, "poly", node, pos)
 
     def _parse_map_or_derivation(self):
         """KIND NAME = FN(...); or KIND NAME [: RING] { v -> poly; ... } [;] for
@@ -527,19 +509,18 @@ class Parser:
             if shapes[0] != kind:
                 self.error(f"unknown {kind} constructor {fn[1]!r}", fn,
                            expected=[c for c, s in CONSTRUCTORS.items() if s[0] == kind])
-            tok = self.keep(fn)
             args = self.arguments(fn[1], shapes)
             self.expect(";")
-            self.declare(name, kind, None, tok, ctor=(fn[1], args))
+            self.declare(name, kind, None, fn[2], ctor=(fn[1], args))
             return
-        tok = self.keep()
+        pos = self.tokens[self.i][2]
         if self.accept(":"):  # the ring switches to RING
             rtok = self.take("ring name")
             if rtok[1] not in self.unit.rings:
                 self.error(f"unknown ring {rtok[1]!r}", rtok)
             self.current_ring = rtok[1]
         self.expect("{")
-        images: dict[str, tuple] = {}  # variable -> (its Token, node), as written
+        images: dict[str, tuple] = {}  # variable -> (variable, its offset, node), as written
         ring = self.ring()
         while not self.accept("}"):
             vtok = self.tokens[self.i]
@@ -547,17 +528,17 @@ class Parser:
             if vtok[1] in ring.params:
                 self.error(f"{vtok[1]!r} is a parameter and cannot be remapped", vtok)
             self.expect("->")
-            images[vtok[1]] = self.keep(vtok), self.parse_expr()
+            images[vtok[1]] = vtok[1], vtok[2], self.parse_expr()
             self.expect(";")
         self.accept(";")
-        self.declare(name, kind, tuple(images.values()), tok)
+        self.declare(name, kind, tuple(images.values()), pos)
 
     def _parse_inverse(self):
         """inverse(A, B): compose(A, B) and compose(B, A) fix every variable."""
-        start = self.keep()
+        pos = self.tokens[self.i][2]
         first, second = self.arguments("inverse", INVERSE)
         self.expect(";")
-        self.unit.items.append(InverseDecl(first, second, self.current_ring, start))
+        self.unit.items.append(InverseDecl(first, second, self.current_ring, pos))
 
     # -- call arguments ----------------------------------------------------------
 
@@ -762,7 +743,7 @@ def format_unit(unit: SourceUnit) -> str:
             fn, args = item.ctor
             out.append(f"{item.kind} {item.name} = {fn}{_fmt_arguments(CONSTRUCTORS[fn], args)};")
         else:
-            lines = [f"  {tok.text} -> {node.render()};" for tok, node in item.body]
+            lines = [f"  {v} -> {node.render()};" for v, _, node in item.body]
             body = "{\n" + "\n".join(lines) + "\n}" if lines else "{ }"
             out.append(f"{item.kind} {item.name} : {item.ring} {body}")
     return "\n".join(out) + "\n"

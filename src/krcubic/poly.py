@@ -30,9 +30,10 @@ Every exponent is at most EXPONENT_LIMIT in absolute value, so no field of a
 valid key sets its top bit, its guard.  A polynomial carries _reach, a bound
 on its absolute exponents; an operation that can move an exponent checks its
 result's bound once per call and raises ExponentOverflowError before any
-field could carry into its neighbour.  A sum's bound is the larger of its
-operands', so near the limit a result that would fit after cancellation may
-be refused.
+field could carry into its neighbour, so a result that would fit after
+cancellation may be refused.  Over a table without a Laurent variable
+_tight cuts a bound to its value's total degree, so bounds do not drift
+under iteration; over one with a Laurent variable they may.
 
 Division with remainder (reduce) and the Laurent-content split
 (clear_laurent) live here too.  The triple (a, b, d) is the one scalar form;
@@ -257,8 +258,8 @@ class Polynomial(Record):
         over k of p.coefficient_in(name, k) * name^k."""
         i = self.table.index(name)
         s, field, drop = WIDTH * i, _MID - k, k * self.table._units[i]
-        return _lowest(self.table, self.den, {key - drop: c for key, c in self.terms.items()
-                                              if (key >> s) & _FIELD == field}, self._reach)
+        return _tight(self.table, self.den, {key - drop: c for key, c in self.terms.items()
+                                             if (key >> s) & _FIELD == field}, self._reach)
 
     def monomial_divmod(self, exps: tuple[int, ...]) -> tuple["Polynomial", "Polynomial"]:
         """(q, r) with p == monomial(exps)*q + r, r the terms that the monomial does not
@@ -272,7 +273,7 @@ class Polynomial(Record):
         mask = sum(_GUARD << WIDTH * i for i, e in enumerate(exps) if e)
         r = dict(self.terms)
         q = {k - drop: r.pop(k) for k in self.terms if (mg - k) & mask == mask}
-        return _lowest(table, self.den, q, self._reach), _lowest(table, self.den, r, self._reach)
+        return _tight(table, self.den, q, self._reach), _tight(table, self.den, r, self._reach)
 
     def is_constant(self) -> bool:
         return all(k == self.table._origin for k in self.terms)
@@ -374,7 +375,7 @@ class Polynomial(Record):
         unit = table._units[i]
         acc = {k - unit: (a * e, b * e)
                for k, e, (a, b) in zip(self.terms, column, self.terms.values()) if e}
-        return _lowest(table, self.den, acc, reach)
+        return _tight(table, self.den, acc, reach)
 
     def antiderivative(self, name: str) -> "Polynomial":
         """Term-wise antiderivative with constant 0; rejects exponent -1.
@@ -462,7 +463,7 @@ class Polynomial(Record):
                 parts.append((d, rest, (1, 0), 0))
             else:  # each term shifts and scales the product by its fixed exponents
                 parts += [(d, prod, c, k - drop) for k, c in rest.items()]
-        return _lowest(table, *_sum(parts), reach)
+        return _tight(table, *_sum(parts), reach)
 
     def transport(self, table: VarTable) -> "Polynomial":
         """Reinterpret over another table, matching variables by name."""
@@ -564,10 +565,20 @@ def _lowest(table: VarTable, den: int, terms: dict, reach: int) -> Polynomial:
     return _polynomial(table, den, terms, reach)
 
 
+def _tight(table: VarTable, den: int, terms: dict, reach: int) -> Polynomial:
+    """As _lowest, for a result whose degree can fall below its operands'
+    bound.  Over a table without a Laurent variable reach is cut to the
+    largest total degree (zero: 0), which no exponent exceeds, so every bound
+    is at most its value's degree, and a product's, the sum of two, needs no cut."""
+    if True not in table.laurent:
+        reach = min(reach, max(terms, default=0) >> WIDTH * len(table.names))
+    return _lowest(table, den, terms, reach)
+
+
 def _plus(p: Polynomial, q: Polynomial, sign: int) -> Polynomial:
     """p + sign*q over p's table."""
-    return _lowest(p.table, *_sum([(p.den, p.terms, (1, 0), 0), (q.den, q.terms, (sign, 0), 0)]),
-                   max(p._reach, q._reach))
+    return _tight(p.table, *_sum([(p.den, p.terms, (1, 0), 0), (q.den, q.terms, (sign, 0), 0)]),
+                  max(p._reach, q._reach))
 
 
 def linear_combination(start: Polynomial,
@@ -580,7 +591,7 @@ def linear_combination(start: Polynomial,
         p, q = coerce(p), coerce(q)
         reach = max(reach, _within(p._reach + q._reach))
         parts.append(_product_part(p, q, sign))
-    return _lowest(start.table, *_sum(parts), reach)
+    return _tight(start.table, *_sum(parts), reach)
 
 
 def _product_part(p: Polynomial, q: Polynomial, sign: int) -> tuple:

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import pkgutil
+import time
 from pathlib import Path
 
 import pytest
@@ -95,7 +96,7 @@ def test_every_slotted_class_is_a_record():
         assert issubclass(cls, Record) == (name not in NOT_RECORDS), name
     plain = [cls for cls in slotted.values()
              if issubclass(cls, Record) and cls.__init__ is Record.__init__]
-    assert len(plain) == 18
+    assert len(plain) == 17
     for cls in plain:
         width = len(cls.__slots__)
         for count in (width - 1, width + 1):
@@ -192,6 +193,28 @@ def test_a_failing_claim_argument_is_that_claims_error(position, tmp_path, capsy
     path.write_text(text, encoding="utf-8")
     assert main(["check", str(path)]) == 1
     assert capsys.readouterr().err == ""
+
+
+SWAP = "ring R = vars(x, y);\nderivation D : R { x -> y; y -> x; }\n"
+
+
+def test_a_nilpotent_bound_runs_up_to_the_exponent_limit():
+    # the swap is not nilpotent: its iterates cycle through x and y, so their
+    # exponent bounds stay 1 however long the iteration runs
+    (result,) = run_text(SWAP + f'claim "s" nilpotent(D, {poly.EXPONENT_LIMIT}) '
+                                'expect false;\n').results
+    assert (result.status, result.detail) == (PASS, "bound exceeded at generator 'x'")
+
+
+@pytest.mark.parametrize("bound", [poly.EXPONENT_LIMIT + 1, 10 ** 12])
+def test_a_nilpotent_bound_past_the_exponent_limit_is_that_claims_error(bound):
+    start = time.perf_counter()
+    report = run_text(SWAP + f'claim "s" nilpotent(D, {bound}) expect false;\n'
+                             'claim "after" nilpotent(D, 2) expect false;\n')
+    assert time.perf_counter() - start < 1
+    assert [(r.status, r.detail) for r in report.results] == [
+        (ERROR, f"DerivationError: bound must be between 1 and {poly.EXPONENT_LIMIT}"),
+        (PASS, "bound exceeded at generator 'x'")]
 
 
 SYNTAX = (str, int, type(None), Lit, Ref, Apply, Builtin, BinOp, Negate, Pow)

@@ -267,38 +267,61 @@ def test_tokenize_lexical_errors_are_positioned(text, message, col):
     assert info.value.offset == 9 + col - 1
 
 
-def _kept_tokens(unit):
-    for item in unit.items:
-        if getattr(item, "tok", None) is not None:
-            yield item.tok
-        if isinstance(item, Decl) and item.kind in ("map", "derivation") and item.ctor is None:
-            yield from (tok for tok, _ in item.body)
+_BLOCK = re.compile(r"\b(?:map|derivation)\s+\w+\s*(?::\s*\w+\s*)?\{([^}]*)\}")
+_IMAGE = re.compile(r"(\w+)\s*->\s*([^;]*);")
+
+
+def _break_declaration(text, rng):
+    """text with one declaration made to fail in the kernel, the kind of
+    break, and the offset the failure must be reported at: a let's body made
+    quot(x, x + 1), at the body; an image made t^-1, at its variable; or an
+    extend's unit made 0, at 'extend'.  A text with a Laurent t, over which
+    t^-1 is a value, has no image to break."""
+    sites = [("let", m.start(1), m.span(1), "quot(x, x + 1)")
+             for m in re.finditer(r"\blet\s+\w+\s*=\s*([^;]*);", text)]
+    if not re.search(r"laurent[^;)]*\bt\b", text):
+        sites += [("image", m.start(1), m.span(2), "t^-1")
+                  for block in _BLOCK.finditer(text)
+                  for m in _IMAGE.finditer(text, block.start(1), block.end(1))]
+    sites += [("extend", m.start(), m.span(1), "0")
+              for m in re.finditer(r"\bextend\(.*, ([^,]*)\);", text)]
+    kind, at, (i, j), body = rng.choice(sites)
+    return text[:i] + body + text[j:], kind, at
 
 
 def test_every_position_is_counted_from_its_offset(monkeypatch):
-    # a diagnostic's line and column, and a kept Token's, are those of its
-    # offset, over seeded corruptions of the shipped manifests and a tame-qw
-    # unit; a keyword put in (_corrupt's op 3) adds no case of its own
+    # a diagnostic's line and column are those of its offset, over seeded
+    # corruptions of the shipped manifests and a tame-qw unit: syntax breaks
+    # (a keyword put in, _corrupt's op 3, adds no case of its own), then
+    # declarations that parse but fail in the kernel, which must be reported
+    # at the declaration's expression, the image's variable or the
+    # constructor's name
     monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parent.parent / "bench"))
     from workloads import tame_qw
 
     texts = [manifest_path(name).read_text(encoding="utf-8") for name in SHIPPED_MANIFESTS]
     texts.append(tame_qw(7)[0])
     rng = random.Random(31)
-    seen = {"error": 0, "at eof": 0, "kept": 0}  # "at eof": at the '#' of a final comment
+    seen = {"error": 0, "at eof": 0}  # "at eof": at the '#' of a final comment
     for _ in range(400):
         text = _corrupt(rng.choice(texts), rng, (0, 1, 2, 4, 5))
         try:
-            unit = parse_unit(text)
+            parse_unit(text)
         except ParseError as exc:
             assert (exc.line, exc.col) == _where(text, exc.offset), (str(exc), exc.offset)
             seen["error"] += 1
             seen["at eof"] += text.endswith("# cut") and exc.message == "unexpected end of input"
-            continue
-        for tok in _kept_tokens(unit):
-            assert (tok.line, tok.col) == _where(text, tok.pos), (tok.text, tok.pos)
-            seen["kept"] += 1
-    assert seen["error"] > 100 and seen["at eof"] > 5 and seen["kept"] > 1000, seen
+    assert seen["error"] > 100 and seen["at eof"] > 5, seen
+    broken = {"let": 0, "image": 0, "extend": 0}
+    for _ in range(150):
+        text, kind, at = _break_declaration(rng.choice(texts), rng)
+        with pytest.raises(ParseError) as info:
+            run_text(text)
+        exc = info.value
+        assert exc.__cause__ is not None, str(exc)  # a kernel error, not a syntax one
+        assert (exc.line, exc.col, exc.offset) == (*_where(text, at), at), (kind, str(exc))
+        broken[kind] += 1
+    assert broken["let"] > 30 and broken["image"] > 30 and broken["extend"] > 0, broken
 
 
 def test_expected_name_is_printed_once():

@@ -151,6 +151,19 @@ def test_substitution_mutates_neither_images_nor_powers(ring3, k):
     assert ring3.constant(3).substitute({"x": p}) == ring3.constant(3)
 
 
+def test_exponent_bounds_do_not_drift_under_iteration():
+    # x times the constant d(x)/dx, 20,000 times over: every product is x, so
+    # the bound stays 1 (a bound that summed its operands' would pass
+    # EXPONENT_LIMIT at the 16,383rd product)
+    T = VarTable(["x", "y"])
+    x = T.var("x")
+    one = x.diff("x")
+    p = x
+    for _ in range(20000):
+        p = p * one
+    assert p == x
+
+
 def test_partial_derivatives(ring4):
     x, y, z, t = vars_of(ring4, "x", "y", "z", "t")
     P = cubic_poly(ring4)
