@@ -2,13 +2,16 @@
 
 elaborate evaluates the declarations, a ring into its one VarTable, then each
 claim's kind's entry in VERDICTS decides it; both evaluate syntax, as written,
-through eval_node and operands.  A declaration builds a value and a claim
-makes a check, with its own status; inverse(A, B), the one declaration that
-checks, is kept for generated manifests that write it.  A failing declaration
-stops the unit with a positioned ParseError; a failing claim is recorded as
-that claim's 'fail' or 'error' and the run goes on.  Narrative entries
-aggregate the statuses of the claims they cite: they mark conclusions that
-follow from the listed computations plus imported theory.
+through eval_node and operands.  Only the parser knows argument shapes:
+operands evaluates an argument by its structure, and a built-in or
+constructor call is one Call node, whose value its entry in CALLS gives.  A
+declaration builds a value and a claim makes a check, with its own status;
+inverse(A, B), the one declaration that checks, is kept for generated
+manifests that write it.  A failing declaration stops the unit with a
+positioned ParseError; a failing claim is recorded as that claim's 'fail' or
+'error' and the run goes on.  Narrative entries aggregate the statuses of the
+claims they cite: they mark conclusions that follow from the listed
+computations plus imported theory.
 
 Reports are deterministic across runs except for the timing fields.
 """
@@ -25,8 +28,8 @@ from .morphism import (QuotientRelation, RingMap, compose, exact_divide,
                        extend_to_quotient_automorphism, jacobian, normal_form, verify_inverse_pair)
 from .derivation import (Derivation, conjugate, nilpotency_certificate, substitute_parameter,
                          theta_extract)
-from .parser import (BUILTINS, CLAIMS, CONSTRUCTORS, INVERSE, Apply, BinOp, Builtin, ClaimDecl,
-                     Decl, InverseDecl, Lit, Negate, Pow, Ref, SourceUnit, parse_unit)
+from .parser import (Apply, BinOp, Call, ClaimDecl, Decl, InverseDecl, Lit, Negate, Pow, Ref,
+                     SourceUnit, parse_unit)
 from .poly import Polynomial, VarTable, render
 
 PASS, FAIL, ERROR = "pass", "fail", "error"
@@ -89,16 +92,17 @@ class Report:
         return json.dumps(payload, indent=2, sort_keys=False)
 
 
-def eval_node(node, env: dict, table: VarTable) -> Polynomial:
-    """Evaluate an expression node over table, the ring it was read in; env
-    maps each name to its value."""
+def eval_node(node, env: dict, table: VarTable):
+    """Evaluate an expression node over table, the ring it was read in; env maps
+    each name to its value.  A name or constructor call may give a map or derivation."""
     if isinstance(node, Lit):  # a number or w
         num, _, den = node.text.partition("/")
         return table.constant(OMEGA if num == "w" else _make(int(num), 0, int(den or 1)))
-    if isinstance(node, Ref):  # a ring variable, else a let read into table by variable name
+    if isinstance(node, Ref):  # a variable, a let (transported into table), a map or derivation
         if node.name in table.names:
             return table.var(node.name)
-        return env[node.name].transport(table)
+        value = env[node.name]
+        return value.transport(table) if isinstance(value, Polynomial) else value
     if isinstance(node, Negate):
         return -eval_node(node.arg, env, table)
     if isinstance(node, BinOp):  # a long sum or product: fold its left spine in a loop
@@ -115,55 +119,27 @@ def eval_node(node, env: dict, table: VarTable) -> Polynomial:
         return eval_node(node.base, env, table) ** node.k
     if isinstance(node, Apply):
         return env[node.name].apply(eval_node(node.arg, env, table))
-    if isinstance(node, Builtin):
-        a, b = operands(BUILTINS[node.fn], node.args, env, table)
-        if node.fn == "theta":
-            return theta_extract(a, b)
-        if node.fn == "jacdet":
-            return jacobian(a, b)[1]
-        if node.fn == "nf":
-            return normal_form(a, QuotientRelation(b))
-        q = exact_divide(a, b)
-        if q is None:
-            raise KrError("quot(): not exactly divisible")
-        return q
+    if isinstance(node, Call):
+        return CALLS[node.fn](*operands(node.args, env, table))
     raise KrError(f"cannot evaluate node {node!r}")
 
 
-def operand(shape: str, arg, env: dict, table: VarTable):
-    """The value of an argument Parser.argument read for shape: expressions
-    are evaluated over table (another ring's value raises TableMismatchError),
-    a map or derivation name gives its value, and the rest is its own value."""
-    if arg is None:
-        return None
-    shape = shape.rstrip("?")
-    if shape == "expr":
-        return table.coerce(eval_node(arg, env, table))
-    if shape == "exprs":
-        return [operand("expr", node, env, table) for node in arg]
-    if shape == "ideals":
-        return [operand("exprs", nodes, env, table) for nodes in arg]
-    if shape in ("point", "specialization*"):
-        return {key: operand("expr", node, env, table) for key, node in arg.items()}
-    if shape in ("map", "derivation", "derivation|map"):
-        return env[arg]
-    return arg
-
-
-def operands(shapes: tuple, args: tuple, env: dict, table: VarTable) -> list:
-    """The value of each argument of a call, one per shape, in order."""
-    return [operand(shape, arg, env, table) for shape, arg in zip(shapes, args)]
-
-
-def _construct(fn: str, args: tuple, env: dict, table: VarTable):
-    """Evaluate a constructor call (see CONSTRUCTORS) over table."""
-    values = operands(CONSTRUCTORS[fn], args, env, table)
-    if fn == "extend":
-        base, relation, unit = values
-        return extend_to_quotient_automorphism(base, QuotientRelation(relation), unit).map
-    if fn == "subst_param":
-        return substitute_parameter(*values)
-    return compose(*values) if fn == "compose" else conjugate(*values)
+def operands(args, env: dict, table: VarTable) -> list:
+    """The value of each argument, by its structure: a node is evaluated over
+    table (a polynomial over another ring raises TableMismatchError), a list,
+    tuple or dict gives its items' values, and the rest is its own value."""
+    values = []
+    for arg in args:
+        if isinstance(arg, (list, tuple)):
+            arg = operands(arg, env, table)
+        elif isinstance(arg, dict):
+            arg = dict(zip(arg, operands(arg.values(), env, table)))
+        elif arg is not None and not isinstance(arg, (str, int)):
+            arg = eval_node(arg, env, table)
+            if isinstance(arg, Polynomial):
+                arg = table.coerce(arg)
+        values.append(arg)
+    return values
 
 
 def _at(text: str, pos: int, fn, *args):
@@ -176,17 +152,15 @@ def _at(text: str, pos: int, fn, *args):
 
 def _declared(decl: Decl, env: dict, table: VarTable, text: str):
     """The value of a let, map or derivation over table, its errors positioned in text."""
-    if decl.kind == "poly":
+    if not isinstance(decl.body, tuple):  # a let's node or a constructor's Call
         return _at(text, decl.pos, eval_node, decl.body, env, table)
-    if decl.ctor is not None:
-        return _at(text, decl.pos, _construct, *decl.ctor, env, table)
     images = {v: _at(text, pos, eval_node, node, env, table) for v, pos, node in decl.body}
     return _at(text, decl.pos, RingMap if decl.kind == "map" else Derivation, table, images)
 
 
 def _check_inverse(inv: InverseDecl, env: dict, table: VarTable):
-    if not verify_inverse_pair(*operands(INVERSE, (inv.first, inv.second), env, table)):
-        raise KrError(f"{inv.first!r} and {inv.second!r} are not inverse")
+    if not verify_inverse_pair(*operands((inv.first, inv.second), env, table)):
+        raise KrError(f"{inv.first.name!r} and {inv.second.name!r} are not inverse")
 
 
 def elaborate(unit: SourceUnit) -> dict:
@@ -243,10 +217,30 @@ def _laurent_free(value, var) -> tuple[bool, str]:
                      f"negative {var}-exponents in images of {', '.join(bad)}")
 
 
-# Each kind's verdict: a function of its operand values, one per shape in
-# parser.CLAIMS[kind], returning (holds, detail).  Every entry calls the
-# kernel through this module's globals instead of holding a kernel function,
-# so that a wrapper installed on those globals (bench/tracer.py) sees the call.
+def _quot(f, g):
+    q = exact_divide(f, g)
+    if q is None:
+        raise KrError("quot(): not exactly divisible")
+    return q
+
+
+# Each built-in's and constructor's value (CALLS), and each claim kind's verdict
+# (VERDICTS): a function of the call's or claim's operand values, a verdict
+# returning (holds, detail).  Every entry calls the kernel through this
+# module's globals instead of holding a kernel function, so that a wrapper
+# installed on those globals (bench/tracer.py) sees the call.
+CALLS = {
+    "quot": _quot,
+    "nf": lambda f, relation: normal_form(f, QuotientRelation(relation)),
+    "theta": lambda m, r: theta_extract(m, r),
+    "jacdet": lambda m, names: jacobian(m, names)[1],
+    "extend": lambda m, rel, unit: extend_to_quotient_automorphism(m, QuotientRelation(rel),
+                                                                   unit).map,
+    "compose": lambda outer, inner: compose(outer, inner),
+    "subst_param": lambda m, param, value: substitute_parameter(m, param, value),
+    "conjugate": lambda d, fwd, bwd, first, second: conjugate(d, fwd, bwd, first, second),
+}
+
 VERDICTS = {
     "eq": _eq,
     "divides": _divides,
@@ -266,8 +260,7 @@ def _run_one(claim: ClaimDecl, env: dict, table: VarTable) -> ClaimResult:
     """The kind's verdict on the claim's operands, evaluated once each."""
     started = time.perf_counter()
     try:
-        holds, detail = VERDICTS[claim.kind](*operands(CLAIMS[claim.kind], claim.args,
-                                                       env, table))
+        holds, detail = VERDICTS[claim.kind](*operands(claim.args, env, table))
         status = PASS if holds == claim.expect else FAIL
         if status == FAIL and not detail:
             detail = f"evaluated {str(holds).lower()}, expected {str(claim.expect).lower()}"

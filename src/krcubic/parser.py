@@ -34,15 +34,17 @@ A derivation is declared on its polynomial ring: nilpotent(D, k, rel) checks
 it on the quotient by rel, and nf(D(f), rel) is its image there.
 
 The argument shapes of each claim kind, constructor and built-in live once, as
-data, in CLAIMS, CONSTRUCTORS and BUILTINS; Parser.arguments reads them,
-_fmt_arguments prints them and claims.operands evaluates them.  Each declared
-name has one Decl record, and SourceUnit.env maps a name to its Decl (rings:
-SourceUnit.rings maps a name to its Ring, the three name lists it declares).
-The parser only parses: it checks names where they are read, stops at the
-first syntax or binding error with a 1-based line/column diagnostic, and keeps
-every declaration and claim as syntax, which claims.run_unit evaluates in
-order.  It builds no table and no polynomial: a number or w is a Lit of its
-text as written, and a ring variable or a let read is a Ref of its name.
+data, in CLAIMS, CONSTRUCTORS and BUILTINS, and only this module reads them:
+Parser.arguments reads them and _fmt_arguments prints them, while
+claims.operands evaluates arguments by their structure.  A built-in or
+constructor call is a Call node.  Each declared name has one Decl record, and
+SourceUnit.env maps a name to its Decl (rings: SourceUnit.rings maps a name to
+its Ring, the three name lists it declares).  The parser only parses: it
+checks names where they are read, stops at the first syntax or binding error
+with a 1-based line/column diagnostic, and keeps every declaration and claim
+as syntax, which claims.run_unit evaluates in order.  It builds no table and
+no polynomial: a number or w is a Lit of its text as written, and a ring
+variable or a let, map or derivation name is a Ref of its name.
 tokenize gives (kind, text, offset) tuples, which the parser reads by index; a
 record keeps the offset it is reported at, and errors.error_at counts a line
 and column from it only for a diagnostic.  An integer literal has at most
@@ -155,7 +157,7 @@ class Lit(Record):
 
 
 class Ref(Record):
-    __slots__ = ("name",)  # a ring variable, else a let read into the ring that evaluates it
+    __slots__ = ("name",)  # a ring variable, or a let, map or derivation by its name
 
     def render(self, prec: int = 0) -> str:
         return self.name
@@ -168,11 +170,11 @@ class Apply(Record):
         return f"{self.name}({self.arg.render(0)})"
 
 
-class Builtin(Record):
-    __slots__ = ("fn", "args")  # args: one piece of syntax per shape in BUILTINS[fn]
+class Call(Record):
+    __slots__ = ("fn", "args")  # a built-in or constructor; args: syntax, one per shape
 
     def render(self, prec: int = 0) -> str:
-        return self.fn + _fmt_arguments(BUILTINS[self.fn], self.args)
+        return self.fn + _fmt_arguments(BUILTINS.get(self.fn) or CONSTRUCTORS[self.fn], self.args)
 
 
 class BinOp(Record):
@@ -246,12 +248,12 @@ class Ring(Record):
 
 class Decl(Record):
     """A declared name, as syntax, over the ring current at it.  body is a
-    ring's Ring (ring: None), a let's node, or a map's or derivation's
-    image block, ((variable, offset, node), ...); ctor is a constructor's
-    (fn, args), else None.  A kernel error is reported at offset pos of the
-    text (a ring: None), or at its image's offset."""
+    ring's Ring (ring: None), a let's node, a constructor's Call, or a map's
+    or derivation's image block, ((variable, offset, node), ...).  A kernel
+    error is reported at offset pos of the text (a ring: None), or at its
+    image's offset."""
 
-    __slots__ = ("kind", "name", "ring", "body", "ctor", "pos")
+    __slots__ = ("kind", "name", "ring", "body", "pos")
 
 
 class InverseDecl(Record):
@@ -336,7 +338,7 @@ class Parser:
 
     # -- name table ----------------------------------------------------------
 
-    def declare(self, name_tok: tuple, kind: str, body, pos=None, ctor=None):
+    def declare(self, name_tok: tuple, kind: str, body, pos=None):
         """Check the name, then record its Decl in env (a ring: in rings) and items."""
         name = name_tok[1]
         if name in KEYWORDS:
@@ -346,10 +348,10 @@ class Parser:
         if self.current_ring is not None and name in self.ring().names:
             self.error(f"{name!r} collides with a ring variable", name_tok)
         if kind == "ring":
-            decl = Decl(kind, name, None, body, None, None)
+            decl = Decl(kind, name, None, body, None)
             self.unit.rings[name] = body
         else:
-            decl = self.unit.env[name] = Decl(kind, name, self.current_ring, body, ctor, pos)
+            decl = self.unit.env[name] = Decl(kind, name, self.current_ring, body, pos)
         self.unit.items.append(decl)
 
     def ring(self) -> Ring:
@@ -363,14 +365,14 @@ class Parser:
             self.error(f"use of undeclared name {tok[1]!r}", tok)
         return decl
 
-    def named(self, kind: str, fn: str) -> str:
+    def named(self, kind: str, fn: str) -> Ref:
         """Read the name of a declared object of the kind ('a|b': either) fn() needs."""
         what = kind.replace("|", " or ")
         tok = self.take(f"{what} name")
         got = self.lookup(tok).kind
         if got not in kind.split("|"):
             self.error(f"{fn}() needs a {what}, {tok[1]!r} is a {got}", tok)
-        return tok[1]
+        return _node1(Ref, tok[1])
 
     def variable(self) -> str:
         tok = self.take("variable name")
@@ -428,7 +430,7 @@ class Parser:
             self.ring()  # w, like a number, needs a ring
             return _node1(Lit, text)
         if text in BUILTINS:
-            return _node2(Builtin, text, self.arguments(text, BUILTINS[text]))
+            return _node2(Call, text, self.arguments(text, BUILTINS[text]))
         if text in self.ring().names:
             return _node1(Ref, text)
         decl = self.lookup(tok)
@@ -509,9 +511,9 @@ class Parser:
             if shapes[0] != kind:
                 self.error(f"unknown {kind} constructor {fn[1]!r}", fn,
                            expected=[c for c, s in CONSTRUCTORS.items() if s[0] == kind])
-            args = self.arguments(fn[1], shapes)
+            call = _node2(Call, fn[1], self.arguments(fn[1], shapes))
             self.expect(";")
-            self.declare(name, kind, None, fn[2], ctor=(fn[1], args))
+            self.declare(name, kind, call, fn[2])
             return
         pos = self.tokens[self.i][2]
         if self.accept(":"):  # the ring switches to RING
@@ -688,8 +690,6 @@ def parse_unit(text: str) -> SourceUnit:
 # canonical formatting (the `fmt` subcommand); idempotent by construction
 
 def _fmt_argument(shape: str, arg) -> str:
-    if shape == "expr":
-        return arg.render()
     if shape == "exprs":
         return "{" + ", ".join(node.render() for node in arg) + "}"
     if shape == "ideals":
@@ -702,7 +702,7 @@ def _fmt_argument(shape: str, arg) -> str:
         return "weights(" + ", ".join(f"{v} -> {k}" for v, k in arg.items()) + ")"
     if shape == "vars":
         return ", ".join(arg)
-    return str(arg)
+    return str(arg) if isinstance(arg, (str, int)) else arg.render()  # else a node
 
 
 def _fmt_arguments(shapes: tuple, args: tuple) -> str:
@@ -737,11 +737,9 @@ def format_unit(unit: SourceUnit) -> str:
             if ring.params:
                 sections.append("param " + ", ".join(ring.params))
             out.append(f"ring {item.name} = vars({' ; '.join(sections)});")
-        elif item.kind == "poly":
-            out.append(f"let {item.name} = {item.body.render()};")
-        elif item.ctor is not None:
-            fn, args = item.ctor
-            out.append(f"{item.kind} {item.name} = {fn}{_fmt_arguments(CONSTRUCTORS[fn], args)};")
+        elif not isinstance(item.body, tuple):  # a let's node or a constructor's Call
+            kind = "let" if item.kind == "poly" else item.kind
+            out.append(f"{kind} {item.name} = {item.body.render()};")
         else:
             lines = [f"  {v} -> {node.render()};" for v, _, node in item.body]
             body = "{\n" + "\n".join(lines) + "\n}" if lines else "{ }"

@@ -32,8 +32,9 @@ on its absolute exponents; an operation that can move an exponent checks its
 result's bound once per call and raises ExponentOverflowError before any
 field could carry into its neighbour, so a result that would fit after
 cancellation may be refused.  Over a table without a Laurent variable
-_tight cuts a bound to its value's total degree, so bounds do not drift
-under iteration; over one with a Laurent variable they may.
+_tight cuts a bound to its value's total degree, and _lowest cuts one past
+half the limit to its value's largest |exponent|, so bounds do not drift
+under iteration.
 
 Division with remainder (reduce) and the Laurent-content split
 (clear_laurent) live here too.  The triple (a, b, d) is the one scalar form;
@@ -549,7 +550,10 @@ def _polynomial(table: VarTable, den: int, terms: dict, reach: int) -> Polynomia
 
 def _lowest(table: VarTable, den: int, terms: dict, reach: int) -> Polynomial:
     """As _polynomial, for a term dict over den > 0 that may share a factor
-    with it: one gcd over den and the parts, taken until it reaches one."""
+    with it: one gcd over den and the parts, taken until it reaches one.  A
+    bound past EXPONENT_LIMIT // 2 is cut to the largest |exponent| of the keys."""
+    if reach > EXPONENT_LIMIT // 2:
+        reach = max((abs(e) for key in terms for e in table._exps(key)), default=0)
     if den != 1:
         if not terms:
             den = 1

@@ -18,7 +18,7 @@ from krcubic.geometry import classify_quadric
 from krcubic.groebner import buchberger
 from krcubic.morphism import QuotientRelation, RingMap, extend_to_quotient_automorphism
 from krcubic.cli import main
-from krcubic.parser import Apply, BinOp, Builtin, Lit, Negate, Pow, Ref, parse_unit
+from krcubic.parser import Apply, BinOp, Call, Lit, Negate, Pow, Ref, parse_unit
 from krcubic.poly import Polynomial, VarTable
 
 from conftest import SHIPPED_MANIFESTS
@@ -58,7 +58,7 @@ def test_value_records_are_read_only():
     unit = parse_unit("ring R = vars(x);\nmap m : R { x -> x; }\ninverse(m, m);\n"
                       'claim "c" eq(-m(x) + quot(x^2, x), m(x)^2) expect true;\n'
                       'narrative "n" requires("c");')
-    sum_node, power = unit.claims[0].args  # BinOp(Negate(Apply), Builtin), Pow(Apply)
+    sum_node, power = unit.claims[0].args  # BinOp(Negate(Apply), Call), Pow(Apply)
     records += [sum_node, sum_node.left, sum_node.left.arg, sum_node.right, power,
                 *unit.items, unit.rings["R"]]
     T4 = VarTable(["x", "y", "z", "t"])
@@ -67,7 +67,7 @@ def test_value_records_are_read_only():
         RingMap(T4, {}), QuotientRelation(cubic), T4.one()))
     assert {type(r).__name__ for r in records} == {
         "ClaimResult", "NilpotencyCertificate", "ConeClass",
-        "GroebnerBasis", "Lit", "BinOp", "Negate", "Apply", "Builtin", "Pow", "Ring", "Decl",
+        "GroebnerBasis", "Lit", "BinOp", "Negate", "Apply", "Call", "Pow", "Ring", "Decl",
         "InverseDecl", "ClaimDecl", "NarrativeDecl", "Extension", "Eisenstein"}
     for record in records:
         assert not hasattr(record, "__dict__"), type(record).__name__
@@ -198,11 +198,14 @@ def test_a_failing_claim_argument_is_that_claims_error(position, tmp_path, capsy
 SWAP = "ring R = vars(x, y);\nderivation D : R { x -> y; y -> x; }\n"
 
 
-def test_a_nilpotent_bound_runs_up_to_the_exponent_limit():
+@pytest.mark.parametrize("ring", ["vars(x, y)", "vars(x, y, t ; laurent t)"],
+                         ids=["polynomial", "laurent"])
+def test_a_nilpotent_bound_runs_up_to_the_exponent_limit(ring):
     # the swap is not nilpotent: its iterates cycle through x and y, so their
-    # exponent bounds stay 1 however long the iteration runs
-    (result,) = run_text(SWAP + f'claim "s" nilpotent(D, {poly.EXPONENT_LIMIT}) '
-                                'expect false;\n').results
+    # exponent bounds stay small however long the iteration runs (over a
+    # Laurent ring a bound is cut back once it passes half the limit)
+    claim = f'claim "s" nilpotent(D, {poly.EXPONENT_LIMIT}) expect false;\n'
+    (result,) = run_text(SWAP.replace("vars(x, y)", ring) + claim).results
     assert (result.status, result.detail) == (PASS, "bound exceeded at generator 'x'")
 
 
@@ -217,7 +220,7 @@ def test_a_nilpotent_bound_past_the_exponent_limit_is_that_claims_error(bound):
         (PASS, "bound exceeded at generator 'x'")]
 
 
-SYNTAX = (str, int, type(None), Lit, Ref, Apply, Builtin, BinOp, Negate, Pow)
+SYNTAX = (str, int, type(None), Lit, Ref, Apply, Call, BinOp, Negate, Pow)
 
 
 def _held(arg):
@@ -243,7 +246,7 @@ def test_shipped_claims_hold_only_syntax():
                     assert isinstance(leaf, SYNTAX), (manifest, claim.label, leaf)
                     assert not isinstance(leaf, (Polynomial, QuotientRelation))
                     kinds.add(type(leaf))
-    assert {Lit, Apply, Builtin, BinOp} <= kinds
+    assert {Lit, Apply, Call, BinOp} <= kinds
 
 
 def test_singular_at_rejects_an_image_from_another_ring():

@@ -1,18 +1,25 @@
 """Command-line front end: subcommands, exit codes, formatting."""
 
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import krcubic
 from krcubic.claims import manifest_path
 from krcubic.cli import main
 from krcubic.errors import PostconditionError
-from krcubic.parser import MAX_DIGITS, MAX_NESTING
+from krcubic.geometry import CONE_TAGS
+from krcubic.parser import (BUILTINS, CLAIMS, CONSTRUCTORS, MAX_DIGITS, MAX_NESTING,
+                            format_unit, parse_unit)
 from krcubic.poly import EXPONENT_LIMIT
 
 
@@ -305,3 +312,181 @@ def test_the_digit_limit_holds_under_the_smallest_int_str_limit(tmp_path):
         proc = subprocess.run([sys.executable, "-m", "krcubic.cli", "check", str(target)],
                               capture_output=True, text=True, env=env)
         assert (proc.returncode, proc.stderr) == (code, err)
+
+
+# -- generated units -----------------------------------------------------------
+# Hypothesis writes whole units from the shape tables: each argument of a claim
+# kind, constructor or built-in is drawn for its shape, so every shape is read
+# by the parser, printed by fmt and evaluated by claims.operands.  Numbers and
+# exponents stay small, so that a unit runs in milliseconds.
+
+class _Scope:
+    """What a generated unit has declared so far."""
+
+    def __init__(self, laurent: bool, param: bool):
+        self.variables = ["x", "y", "z", "t"] + (["c"] if param else [])
+        self.params = ["c"] if param else []
+        self.laurent = laurent
+        self.names = {"poly": ["P"], "map": [], "derivation": []}
+
+    def named(self, shape: str) -> list:
+        return [n for kind in shape.split("|") for n in self.names[kind]]
+
+
+@st.composite
+def _expr(draw, scope: _Scope, depth: int = 2, calls: bool = True) -> str:
+    """An expression of the unit's ring, with every parenthesis written; a
+    built-in, which most random operands make fail, only where calls is set."""
+    choice = draw(st.integers(0, (6 + calls) if depth else 2))
+    if choice == 0:
+        return draw(st.sampled_from(["0", "1", "2", "1/2", "w"]))
+    if choice == 1:
+        return draw(st.sampled_from(scope.variables))
+    if choice == 2:
+        return draw(st.sampled_from(scope.names["poly"]))
+    sub = _expr(scope, depth - 1, calls)
+    if choice == 3:
+        return f"({draw(sub)} {draw(st.sampled_from('+-*'))} {draw(sub)})"
+    if choice == 4:
+        return f"(-{draw(sub)})"
+    if choice == 5:
+        if scope.laurent and draw(st.booleans()):
+            return f"t^{draw(st.sampled_from([-2, -1]))}"
+        return f"({draw(sub)})^{draw(st.integers(0, 2))}"
+    applied = scope.named("derivation|map")
+    if choice == 6 and applied:
+        return f"{draw(st.sampled_from(applied))}({draw(sub)})"
+    if not calls:
+        return draw(sub)
+    fn = draw(st.sampled_from(list(BUILTINS)))
+    return draw(_call(fn, BUILTINS[fn], scope, depth - 1))
+
+
+@st.composite
+def _argument(draw, shape: str, scope: _Scope, depth: int) -> str:
+    """One argument written for shape, as Parser.argument reads it."""
+    free = [v for v in scope.variables if v not in scope.params]
+    if shape == "expr":
+        return draw(_expr(scope, depth))
+    if shape == "exprs":
+        return "{" + ", ".join(draw(st.lists(_expr(scope, depth), min_size=1, max_size=2))) + "}"
+    if shape == "ideals":
+        return ", ".join(draw(_argument("exprs", scope, depth)) for _ in range(2))
+    if shape == "point":  # constant or parametric coordinates
+        coords = st.sampled_from(["0", "1", "-1", "w"] + scope.params)
+        return "point(" + ", ".join(draw(coords) for _ in free) + ")"
+    if shape in ("var", "param"):
+        return draw(st.sampled_from(scope.params if shape == "param" and scope.params
+                                    else scope.variables))
+    if shape == "vars":
+        return ", ".join(draw(st.lists(st.sampled_from(scope.variables), min_size=1,
+                                       max_size=3, unique=True)))
+    if shape in ("integer", "bound"):
+        return str(draw(st.integers(1 if shape == "bound" else -1, 5)))
+    if shape == "tag":
+        return draw(st.sampled_from(CONE_TAGS))
+    if shape == "weights":
+        chosen = draw(st.lists(st.sampled_from(scope.variables), min_size=1, unique=True))
+        return "weights(" + ", ".join(f"{v} -> {draw(st.integers(0, 3))}" for v in chosen) + ")"
+    return draw(st.sampled_from(scope.named(shape)))
+
+
+@st.composite
+def _call(draw, fn: str, shapes: tuple, scope: _Scope, depth: int = 1) -> str:
+    """fn applied to one argument per shape: an optional group drawn present or
+    absent, a repeated one (specializations) once per drawn parameter."""
+    parts = []
+    for shape in shapes:
+        if shape == "specialization*":
+            for param in draw(st.lists(st.sampled_from(scope.params), unique=True)
+                              if scope.params else st.just([])):
+                parts.append(f"{param} -> {draw(_expr(scope, 0))}")
+        elif not shape.endswith("?") or draw(st.booleans()):
+            parts.append(draw(_argument(shape.rstrip("?"), scope, depth)))
+    return f"{fn}({', '.join(parts)})"
+
+
+@st.composite
+def _unit(draw) -> tuple[list[str], list[str]]:
+    """(declarations, claims) of a unit of one ring, as lines of text."""
+    laurent, param = draw(st.booleans()), draw(st.booleans())
+    scope = _Scope(laurent, param)
+    sections = ["x, y, z, t" + (", c" if param else "")]
+    sections += ["laurent t"] if laurent else []
+    sections += ["param c"] if param else []
+    decls = [f"ring R = vars({' ; '.join(sections)});", "let P = x^2*y + z^2 + x + t^3;"]
+    # a map and a derivation first, so that every call has the names it reads
+    drawn = st.sampled_from(["poly", "map", "derivation", "constructor"])
+    for i, kind in enumerate(["map", "derivation"] + draw(st.lists(drawn, min_size=1,
+                                                                   max_size=3))):
+        name = f"n{i}"
+        if kind == "poly":
+            decls.append(f"let {name} = {draw(_expr(scope, calls=False))};")
+        elif kind == "constructor":
+            fn = draw(st.sampled_from(list(CONSTRUCTORS)))
+            kind = CONSTRUCTORS[fn][0]
+            decls.append(f"{kind} {name} = {draw(_call(fn, CONSTRUCTORS[fn], scope))};")
+        else:
+            # a map takes a Laurent t only to a unit monomial: leave t fixed
+            fixed = scope.params + (["t"] if kind == "map" and laurent else [])
+            moved = draw(st.lists(st.sampled_from([v for v in scope.variables
+                                                   if v not in fixed]), unique=True))
+            images = " ".join(f"{v} -> {draw(_expr(scope, 1, False))};" for v in moved)
+            decls.append(f"{kind} {name} : R {{ {images} }}")
+        scope.names[kind].append(name)
+    claims = []
+    for i in range(draw(st.integers(2, 4))):
+        kind = draw(st.sampled_from(list(CLAIMS)))
+        anchor = ' anchor "a"' if draw(st.booleans()) else ""
+        claims.append(f'claim "c{i}" {draw(_call(kind, CLAIMS[kind], scope))}{anchor} '
+                      f'expect {draw(st.sampled_from(["true", "false"]))};')
+    cited = draw(st.lists(st.sampled_from([f"c{i}" for i in range(len(claims))]),
+                          unique=True, max_size=2))
+    if cited:
+        claims.append("narrative \"n\" requires(" + ", ".join(f'"{c}"' for c in cited) + ");")
+    return decls, claims
+
+
+def _check(path) -> tuple[int, object]:
+    """krv check's exit code and each entry's (label, kind, status, detail),
+    or, for exit 2, its message without the position."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["check", "--format", "json", str(path)])
+    if code == 2:
+        return code, re.sub(r"^error: \d+:\d+: ", "", err.getvalue())
+    return code, [(e["label"], e["kind"], e["status"], e["detail"])
+                  for e in json.loads(out.getvalue())["claims"]]
+
+
+# a claim that reads error wherever it stands: division by the zero polynomial
+ERROR_CLAIM = 'claim "inserted" eq(quot(1, 0), 0) expect true;'
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_unit(), st.data())
+def test_generated_units_exit_cleanly_round_trip_and_keep_errors_local(unit, data):
+    decls, claims = unit
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "unit.krv"
+        path.write_text("\n".join(decls + claims) + "\n")
+        code, outcome = _check(path)
+        assert code in (0, 1, 2), outcome
+        # fmt only parses, so it prints every generated unit; what it prints
+        # parses back to itself and checks the same
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["fmt", str(path)]) == 0
+        formatted = out.getvalue()
+        assert format_unit(parse_unit(formatted)) == formatted
+        path.write_text(formatted)
+        assert _check(path) == (code, outcome)
+        if code == 2:  # a declaration failed: no claim ran
+            return
+        # a claim that reads error, put between two claims, moves no other status
+        at = data.draw(st.integers(1, sum(line.startswith("claim") for line in claims) - 1))
+        path.write_text("\n".join(decls + claims[:at] + [ERROR_CLAIM] + claims[at:]) + "\n")
+        code_with, entries = _check(path)
+        assert code_with == 1
+        assert entries.pop(at)[:3] == ("inserted", "eq", "error")
+        assert entries == outcome

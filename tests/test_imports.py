@@ -163,6 +163,17 @@ def test_the_parser_only_parses():
     assert names[".geometry"] == {"CONE_TAGS"}
 
 
+def test_only_the_parser_reads_argument_shapes():
+    # claims.py evaluates an argument by its structure, not by the shape the
+    # parser read it for
+    tree = ast.parse((PACKAGE / "claims.py").read_text(encoding="utf-8"))
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    named |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert named & {"CLAIMS", "BUILTINS", "CONSTRUCTORS", "INVERSE"} == set()
+
+
 # dataclasses pulls in inspect, ast, dis and tokenize; typing and
 # importlib.resources are costly too, and so is fractions, which pulls in
 # decimal, and json, which only Report.to_json needs; the package needs none

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from krcubic import claims, derivation, morphism, parser
-from krcubic.claims import VERDICTS, elaborate, manifest_path, run_text, run_unit
+from krcubic.claims import CALLS, VERDICTS, elaborate, manifest_path, run_text, run_unit
 from krcubic.coeff import OMEGA
 from krcubic.derivation import Derivation
 from krcubic.errors import KrError, ParseError
 from krcubic.morphism import RingMap
-from krcubic.parser import (BUILTINS, CLAIMS, CONSTRUCTORS, KEYWORDS, BinOp, Builtin, Decl,
+from krcubic.parser import (BUILTINS, CLAIMS, CONSTRUCTORS, KEYWORDS, BinOp, Call, Decl,
                             InverseDecl, Lit, Negate, Pow, Ref, format_unit, parse_unit,
                             tokenize)
 from krcubic.poly import Polynomial, VarTable, render
@@ -349,7 +349,8 @@ inverse(fwd, bwd);
 """)
     pair = unit.items[-1]
     assert isinstance(pair, InverseDecl)
-    assert (pair.first, pair.second, pair.ring) == ("fwd", "bwd", "R")
+    assert isinstance(pair.first, Ref) and isinstance(pair.second, Ref)
+    assert (pair.first.name, pair.second.name, pair.ring) == ("fwd", "bwd", "R")
     assert set(elaborate(unit)) == {"R", "fwd", "bwd"}
 
 
@@ -626,8 +627,10 @@ def test_fmt_cases_cover_every_form():
     assert forms - set(CONSTRUCTORS) - set(BUILTINS) - {"inverse"} == set(CLAIMS)
     assert set(CONSTRUCTORS) <= forms and set(BUILTINS) <= forms and "inverse" in forms
     assert set(VERDICTS) == set(CLAIMS)
+    assert set(CALLS) == set(BUILTINS) | set(CONSTRUCTORS)
     # a stored kernel function would escape the tracer, which wraps module globals
     assert {verdict.__module__ for verdict in VERDICTS.values()} == {"krcubic.claims"}
+    assert {call.__module__ for call in CALLS.values()} == {"krcubic.claims"}
 
 
 # inverse(A, B) took a 'mod {...}, {...}' tail and subst_param a 'preserving
@@ -677,9 +680,10 @@ def _forms_written(text: str) -> set[str]:
         "ring laurent": any(ring.laurent for ring in unit.rings.values()),
         "ring param": any(ring.params for ring in unit.rings.values()),
         "let": any(d.kind == "poly" for d in decls),
-        "map block": any(d.kind == "map" and d.ctor is None for d in decls),
-        "derivation block": any(d.kind == "derivation" and d.ctor is None for d in decls),
-        "constructor": any(d.ctor is not None for d in decls),
+        "map block": any(d.kind == "map" and isinstance(d.body, tuple) for d in decls),
+        "derivation block": any(d.kind == "derivation" and isinstance(d.body, tuple)
+                                for d in decls),
+        "constructor": any(d.kind != "poly" and isinstance(d.body, Call) for d in decls),
         ": RING": any(tok[1] == ":" for tok in tokenize(text)),  # a ':' says nothing else
         "inverse": any(isinstance(item, InverseDecl) for item in unit.items),
         "narrative": bool(unit.narratives),
@@ -688,8 +692,7 @@ def _forms_written(text: str) -> set[str]:
     }
     return ({form for form, written in seen.items() if written}
             | {claim.kind for claim in unit.claims}
-            | {d.ctor[0] for d in decls if d.ctor is not None}
-            | {node.fn for node in _syntax(unit.items) if isinstance(node, Builtin)})
+            | {node.fn for node in _syntax(unit.items) if isinstance(node, Call)})
 
 
 def test_every_form_is_written_by_a_manifest(monkeypatch):

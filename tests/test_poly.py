@@ -151,11 +151,12 @@ def test_substitution_mutates_neither_images_nor_powers(ring3, k):
     assert ring3.constant(3).substitute({"x": p}) == ring3.constant(3)
 
 
-def test_exponent_bounds_do_not_drift_under_iteration():
+@pytest.mark.parametrize("laurent", [(), ("y",)], ids=["polynomial", "laurent"])
+def test_exponent_bounds_do_not_drift_under_iteration(laurent):
     # x times the constant d(x)/dx, 20,000 times over: every product is x, so
-    # the bound stays 1 (a bound that summed its operands' would pass
-    # EXPONENT_LIMIT at the 16,383rd product)
-    T = VarTable(["x", "y"])
+    # the bound stays small (a bound that summed its operands' would pass
+    # EXPONENT_LIMIT at the 16,383rd product), over a Laurent ring too
+    T = VarTable(["x", "y"], laurent=laurent)
     x = T.var("x")
     one = x.diff("x")
     p = x
