@@ -2,7 +2,11 @@
 
 elaborate evaluates the declarations, a ring into its one VarTable, then each
 claim's kind's entry in VERDICTS decides it; both evaluate syntax, as written,
-through eval_node and operands.  Only the parser knows argument shapes:
+through eval_node and operands.  The parser makes equal subexpressions of a
+unit one node, and eval_node keeps each node's value in the _values of the
+table it is evaluated over, next to its Groebner bases (_bases), so each is
+computed once per ring; a node whose evaluation fails keeps nothing, and
+fails again in each claim that reads it.  Only the parser knows argument shapes:
 operands evaluates an argument by its structure, and a built-in or
 constructor call is one Call node, whose value its entry in CALLS gives.  A
 declaration builds a value and a claim makes a check, with its own status;
@@ -94,34 +98,45 @@ class Report:
 
 def eval_node(node, env: dict, table: VarTable):
     """Evaluate an expression node over table, the ring it was read in; env maps
-    each name to its value.  A name or constructor call may give a map or derivation."""
-    if isinstance(node, Lit):  # a number or w
-        num, _, den = node.text.partition("/")
-        return table.constant(OMEGA if num == "w" else _make(int(num), 0, int(den or 1)))
+    each name to its value.  A name or constructor call may give a map or
+    derivation.  Each node's value is computed once per table and kept in its
+    _values; a node whose evaluation raises keeps nothing, so each claim that
+    reads it raises again."""
     if isinstance(node, Ref):  # a variable, a let (transported into table), a map or derivation
         if node.name in table.names:
             return table.var(node.name)
         value = env[node.name]
         return value.transport(table) if isinstance(value, Polynomial) else value
-    if isinstance(node, Negate):
-        return -eval_node(node.arg, env, table)
-    if isinstance(node, BinOp):  # a long sum or product: fold its left spine in a loop
+    values = table._values
+    value = values.get(node)
+    if value is not None:
+        return value
+    if isinstance(node, Lit):  # a number or w
+        num, _, den = node.text.partition("/")
+        value = table.constant(OMEGA if num == "w" else _make(int(num), 0, int(den or 1)))
+    elif isinstance(node, Negate):
+        value = -eval_node(node.arg, env, table)
+    elif isinstance(node, BinOp):  # a long sum or product: fold its left spine in a loop,
+        # up from the first node down it that has a value, keeping each partial value
         spine = []
-        while isinstance(node, BinOp):
+        while isinstance(node, BinOp) and node not in values:
             spine.append(node)
             node = node.left
-        acc = eval_node(node, env, table)
+        value = eval_node(node, env, table)
         for node in reversed(spine):
             b = eval_node(node.right, env, table)
-            acc = acc + b if node.op == "+" else acc - b if node.op == "-" else acc * b
-        return acc
-    if isinstance(node, Pow):
-        return eval_node(node.base, env, table) ** node.k
-    if isinstance(node, Apply):
-        return env[node.name].apply(eval_node(node.arg, env, table))
-    if isinstance(node, Call):
-        return CALLS[node.fn](*operands(node.args, env, table))
-    raise KrError(f"cannot evaluate node {node!r}")
+            value = values[node] = (value + b if node.op == "+" else value - b
+                                    if node.op == "-" else value * b)
+    elif isinstance(node, Pow):
+        value = eval_node(node.base, env, table) ** node.k
+    elif isinstance(node, Apply):
+        value = env[node.name].apply(eval_node(node.arg, env, table))
+    elif isinstance(node, Call):
+        value = CALLS[node.fn](*operands(node.args, env, table))
+    else:
+        raise KrError(f"cannot evaluate node {node!r}")
+    values[node] = value
+    return value
 
 
 def operands(args, env: dict, table: VarTable) -> list:

@@ -2,7 +2,8 @@
 reprints one canonically; every computation is a claim kind of a manifest.
 
 Exit codes: 0 success / all claims pass; 1 at least one claim failed;
-2 usage or parse error; 3 internal invariant violation.  No environment
+2 usage or parse error; 3 internal invariant violation.  `check` runs every
+file it is given and exits with the largest of their codes.  No environment
 variables affect semantics; reports are reproducible from the flags alone.
 """
 
@@ -31,6 +32,33 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _exit_code(prefix: str, work, *args) -> int:
+    """work(*args)'s exit code, or 2 or 3 for an error it raises, printed to
+    stderr after prefix."""
+    try:
+        return work(*args)
+    except PostconditionError as exc:
+        print(f"internal error: {prefix}{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    except (KrError, OSError, ZeroDivisionError) as exc:
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # pragma: no cover - invariant violations
+        print(f"internal error: {prefix}{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+
+
+def _check(name: str, fmt: str) -> int:
+    report = claims_mod.run_file(name)
+    print(report.to_json() if fmt == "json" else report.to_text())
+    return 0 if report.all_pass else 1
+
+
+def _fmt(name: str) -> int:
+    print(format_unit(parse_unit(claims_mod.read_manifest(name))), end="")
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     try:
@@ -38,26 +66,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
-    try:
-        if args.command == "check":
-            all_pass = True
-            for name in args.files:
-                report = claims_mod.run_file(name)
-                print(report.to_json() if args.format == "json" else report.to_text())
-                all_pass = all_pass and report.all_pass
-            return 0 if all_pass else 1
-
-        print(format_unit(parse_unit(claims_mod.read_manifest(args.file))), end="")
-        return 0
-    except PostconditionError as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except (KrError, OSError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # pragma: no cover - invariant violations
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+    if args.command == "check":  # every file, each error naming its file when there are more
+        prefix = "{}: " if len(args.files) > 1 else ""
+        return max([_exit_code(prefix.format(name), _check, name, args.format)
+                    for name in args.files])
+    return _exit_code("", _fmt, args.file)
 
 
 def main_entry() -> None:

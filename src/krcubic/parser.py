@@ -143,7 +143,9 @@ def tokenize(text: str) -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# expression AST, as written; claims.eval_node evaluates it.  render(prec)
+# expression AST, as written; claims.eval_node evaluates it.  Parser.node
+# builds one node per distinct subexpression of a unit; a Call, whose args
+# hold lists and dicts, is built per occurrence.  render(prec)
 # prints a node with the fewest parentheses that parse back to the same tree;
 # prec is where it sits: 0 alone, 1 left of '+' or '-', 2 right of '+' or '-',
 # after a leading '-' or left of '*', 3 right of '*', 4 under '^'.
@@ -210,35 +212,6 @@ class Pow(Record):
         return f"({text})" if prec == 4 else text
 
 
-# The parser builds its expression nodes through these, one per slot count:
-# each fills the slots through their setters, as poly._polynomial does,
-# without the count check of Record.__init__.
-_new = object.__new__
-
-
-def _node1(cls, a):
-    node = _new(cls)
-    cls._setters[0](node, a)
-    return node
-
-
-def _node2(cls, a, b):
-    node = _new(cls)
-    set_a, set_b = cls._setters
-    set_a(node, a)
-    set_b(node, b)
-    return node
-
-
-def _node3(cls, a, b, c):
-    node = _new(cls)
-    set_a, set_b, set_c = cls._setters
-    set_a(node, a)
-    set_b(node, b)
-    set_c(node, c)
-    return node
-
-
 # ---------------------------------------------------------------------------
 # declarations
 
@@ -289,6 +262,7 @@ class Parser:
         self.current_ring: str | None = None
         self.depth = 0  # expressions open around the one being read
         self.labels: set[str] = set()  # of the claims and narratives read: one namespace
+        self.nodes: dict[tuple, Record] = {}  # (class, a, b, c) -> the unit's one such node
 
     # -- token helpers -------------------------------------------------------
 
@@ -372,7 +346,7 @@ class Parser:
         got = self.lookup(tok).kind
         if got not in kind.split("|"):
             self.error(f"{fn}() needs a {what}, {tok[1]!r} is a {got}", tok)
-        return _node1(Ref, tok[1])
+        return self.node(Ref, tok[1])
 
     def variable(self) -> str:
         tok = self.take("variable name")
@@ -390,25 +364,43 @@ class Parser:
 
     # -- expressions ----------------------------------------------------------
 
+    def node(self, cls, a, b=None, c=None):
+        """The unit's one node of cls with the fields a (, b (, c)), built on
+        first use, so that equal subexpressions are one object; its children
+        are already one each, so the key hashes them by identity.  The slots
+        are filled through their setters, as poly._polynomial does, without
+        the count check of Record.__init__."""
+        key = cls, a, b, c
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = object.__new__(cls)
+            setters = cls._setters
+            setters[0](node, a)
+            if len(setters) > 1:
+                setters[1](node, b)
+                if len(setters) > 2:
+                    setters[2](node, c)
+        return node
+
     def parse_expr(self):
         if self.depth == MAX_NESTING:
             self.error(f"expressions nest deeper than {MAX_NESTING}")
         self.depth += 1
-        node = _node1(Negate, self.parse_term()) if self.accept("-") else self.parse_term()
+        node = self.node(Negate, self.parse_term()) if self.accept("-") else self.parse_term()
         while (op := self.tokens[self.i][1]) in ("+", "-") and self.accept(op):
-            node = _node3(BinOp, op, node, self.parse_term())
+            node = self.node(BinOp, op, node, self.parse_term())
         self.depth -= 1
         return node
 
     def parse_term(self):
         node = self.parse_factor()
         while self.accept("*"):
-            node = _node3(BinOp, "*", node, self.parse_factor())
+            node = self.node(BinOp, "*", node, self.parse_factor())
         return node
 
     def parse_factor(self):
         node = self.parse_base()
-        return _node2(Pow, node, self.integer()) if self.accept("^") else node
+        return self.node(Pow, node, self.integer()) if self.accept("^") else node
 
     def parse_base(self):
         kind, text, _ = tok = self.next()
@@ -419,7 +411,7 @@ class Parser:
                     self.error("zero denominator", den)
                 text += "/" + den[1]
             self.ring()  # a number is a constant of the current ring
-            return _node1(Lit, text)
+            return self.node(Lit, text)
         if kind == "punct" and text == "(":
             node = self.parse_expr()
             self.expect(")")
@@ -428,19 +420,19 @@ class Parser:
             self.error("expected a polynomial", tok, expected=("number", "identifier", "("))
         if text == "w":
             self.ring()  # w, like a number, needs a ring
-            return _node1(Lit, text)
+            return self.node(Lit, text)
         if text in BUILTINS:
-            return _node2(Call, text, self.arguments(text, BUILTINS[text]))
+            return Call(text, self.arguments(text, BUILTINS[text]))
         if text in self.ring().names:
-            return _node1(Ref, text)
+            return self.node(Ref, text)
         decl = self.lookup(tok)
         if decl.kind == "poly":
-            return _node1(Ref, text)
+            return self.node(Ref, text)
         if not self.accept("("):
             self.error(f"{text!r} is a {decl.kind}; apply it as {text}(...)", tok)
         arg = self.parse_expr()
         self.expect(")")
-        return _node2(Apply, text, arg)
+        return self.node(Apply, text, arg)
 
     # -- declarations ----------------------------------------------------------
 
@@ -511,7 +503,7 @@ class Parser:
             if shapes[0] != kind:
                 self.error(f"unknown {kind} constructor {fn[1]!r}", fn,
                            expected=[c for c, s in CONSTRUCTORS.items() if s[0] == kind])
-            call = _node2(Call, fn[1], self.arguments(fn[1], shapes))
+            call = Call(fn[1], self.arguments(fn[1], shapes))
             self.expect(";")
             self.declare(name, kind, call, fn[2])
             return

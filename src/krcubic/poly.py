@@ -76,10 +76,13 @@ class VarTable(Record):
     """Ordered variable universe for one polynomial ring, and its key layout.
 
     _bases memoises Groebner bases of ideals over this table (see
-    groebner._basis); like RingMap's image memo it is not part of the value.
+    groebner._basis), and _values the value of each expression node
+    evaluated over it (see claims.eval_node); like RingMap's image memo they
+    are not part of the value, and they live as long as the table: a unit.
     """
 
-    __slots__ = ("names", "laurent", "weights", "_index", "_bases", "_origin", "_units")
+    __slots__ = ("names", "laurent", "weights", "_index", "_bases", "_values", "_origin",
+                 "_units")
 
     def __init__(self, names: Iterable[str], laurent: Iterable[str] = (),
                  params: Iterable[str] = ()):
@@ -94,7 +97,7 @@ class VarTable(Record):
         shifts = range(0, WIDTH * len(names), WIDTH)
         super().__init__(names, tuple(v in laurent for v in names),
                          tuple(0 if v in params else 1 for v in names),
-                         {v: i for i, v in enumerate(names)}, {},
+                         {v: i for i, v in enumerate(names)}, {}, {},
                          sum(_MID << s for s in shifts),
                          tuple((1 << WIDTH * len(names)) - (1 << s) for s in shifts))
 
@@ -413,7 +416,10 @@ class Polynomial(Record):
         terms are grouped by the exponents of the other, moved, variables,
         and each group's terms shift and scale one product of the moved
         images' powers (each power computed once per call, from the power
-        below it).  The parts are summed over one common denominator.
+        below it).  The parts are summed over one common denominator.  A
+        bare variable (one term, coefficient 1, exponent 1), once every
+        image is checked, gives its coerced image as it is, or itself when
+        it maps to itself.
         """
         table = self.table
         for v in images:
@@ -426,6 +432,11 @@ class Polynomial(Record):
             if (p._reach, p.den, p.terms) != (1, 1, {origin + units[i]: (1, 0)}) or (
                     table.laurent[i] and min(_column(terms, i), default=0) < 0):
                 moved.append((i, p))
+        if self.den == 1 and len(terms) == 1:  # a bare variable's image is in hand
+            (k, c), = terms.items()
+            if c == (1, 0) and k - origin in units:
+                i = units.index(k - origin)
+                return next((p for j, p in moved if j == i), self)
         groups: dict[tuple[int, ...], dict] = {}  # the terms by their moved exponents
         for k, c in terms.items():
             groups.setdefault(tuple([_MID - ((k >> WIDTH * i) & _FIELD) for i, _ in moved]),
@@ -720,8 +731,10 @@ def reduce(f: Polynomial, gens: list[Polynomial]) -> tuple[Polynomial, list[Poly
     field below 1, so subtracting one from every field sets a guard bit:
     ExponentOverflowError.  Each coefficient is its own lowest-terms triple
     (a, b, d) while the loop runs, so a step that brings in a new denominator
-    touches only the terms it writes.  The representation identity is
-    checked on every call; PostconditionError reports a violation.
+    touches only the terms it writes.  When no leading monomial divides any
+    term of f, the result is f itself and zero cofactors.  The
+    representation identity is checked on every call, that one too;
+    PostconditionError reports a violation.
     """
     _require_polynomial(f, "dividend")
     table = f.table
@@ -741,6 +754,12 @@ def reduce(f: Polynomial, gens: list[Polynomial]) -> tuple[Polynomial, list[Poly
         # it into the dividend
         steps.append((gm | guards, gm, inv,
                       [(k, -a, -b) for k, (a, b) in g.terms.items() if k != gm], d))
+    zero = table.zero()
+    if not any((step[0] - k) & guards == guards for k in f.terms for step in steps):
+        # nothing to divide: f is its own remainder, the identity still checked
+        if _lowest(table, *_sum([(f.den, f.terms, (1, 0), 0)]), f._reach) != f:
+            raise PostconditionError("division identity violated")
+        return f, [zero] * len(gens)
 
     # Max-heap of the working dividend's monomials: a min-heap of negated
     # keys.  A monomial that cancels keeps its entry (lazy deletion), so a
@@ -801,7 +820,6 @@ def reduce(f: Polynomial, gens: list[Polynomial]) -> tuple[Polynomial, list[Poly
             rem_terms[lt_key] = lt
     # every exponent is at least 0, so none exceeds its term's total degree
     degree = WIDTH * table.arity
-    zero = table.zero()
     rem, *cofactors = [_polynomial(table, *_from_triples(t),
                                    min(max(t) >> degree, EXPONENT_LIMIT)) if t else zero
                        for t in [rem_terms, *cof_terms]]

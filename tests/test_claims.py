@@ -10,10 +10,11 @@ import pytest
 
 import krcubic
 from krcubic import groebner, poly
-from krcubic.claims import ERROR, FAIL, PASS, manifest_path, run_file, run_text
+from krcubic.claims import (ERROR, FAIL, PASS, elaborate, eval_node, manifest_path, run_file,
+                            run_text)
 from krcubic.coeff import Eisenstein
 from krcubic.derivation import Derivation, nilpotency_certificate
-from krcubic.errors import KrError, Record
+from krcubic.errors import KrError, Record, TableMismatchError
 from krcubic.geometry import classify_quadric
 from krcubic.groebner import buchberger
 from krcubic.morphism import QuotientRelation, RingMap, extend_to_quotient_automorphism
@@ -524,3 +525,71 @@ def test_a_failed_basis_is_not_remembered(monkeypatch):
     assert {r.detail for r in report.results if r.status == ERROR} == {
         "GroebnerBudgetError: pair budget 0 exhausted"}
     assert len(calls) == 5
+
+
+# -- each value once per ring within a unit -------------------------------------
+
+def _count_products(monkeypatch):
+    calls = []
+    product = poly._product
+    monkeypatch.setattr(poly, "_product", lambda *args: calls.append(1) or product(*args))
+    return calls
+
+
+def test_a_repeated_product_is_computed_once(monkeypatch):
+    unit = "ring R = vars(x, y);\n"
+    once = unit + 'claim "once" eq((x + 1)*(y + 1), x*y + x + y + 1) expect true;\n'
+    twice = once + 'claim "twice" eq((x + 1)*(y + 1) + x*y, 1) expect false;\n'
+    calls = _count_products(monkeypatch)
+    assert run_text(once).all_pass
+    alone = len(calls)
+    calls.clear()
+    assert run_text(twice).all_pass
+    # the second claim reads both products and computes only the sum
+    assert alone == 2 and len(calls) == alone
+
+
+@pytest.mark.parametrize("failing", ["quot(x, x + 1) + 1", "x^-1 + 1", "M(x) + 1"])
+def test_a_repeated_failing_subexpression_is_each_claims_error(failing):
+    text = ("ring S = vars(x ; laurent x);\nmap M : S { x -> x^-1; }\n"
+            "ring R = vars(x, y);\n"
+            f'claim "first" eq({failing}, y) expect true;\n'
+            'claim "between" eq(x + 1, 1 + x) expect true;\n'
+            f'claim "second" member({failing} + y, {{x}}) expect false;\n')
+    results = run_text(text).results
+    assert [r.status for r in results] == [ERROR, PASS, ERROR]
+    assert results[0].detail == results[2].detail
+    # nothing is kept for the failing node, so each evaluation raises afresh
+    unit = parse_unit(text)
+    env = elaborate(unit)
+    node = unit.claims[0].args[0]
+    for _ in range(2):
+        with pytest.raises(KrError) as info:
+            eval_node(node, env, env["R"])
+        assert f"{type(info.value).__name__}: {info.value}" == results[0].detail
+    assert node not in env["R"]._values
+
+
+def test_a_let_read_into_two_rings_keeps_one_value_per_ring():
+    text = """
+ring R = vars(x, y);
+let p = x + y;
+map M : R { x -> x + y; }
+claim "over R" eq((p + 1)^2, p^2 + 2*p + 1) expect true;
+claim "map over R" eq(M(x) + 1, x + y + 1) expect true;
+ring S = vars(x, y, z);
+claim "over S" eq((p + 1)^2, x^2 + 2*x*y + y^2 + 2*x + 2*y + 1) expect true;
+claim "map over S" eq(M(x) + 1, x + y + 1) expect true;
+"""
+    results = run_text(text).results
+    assert [r.status for r in results] == [PASS, PASS, PASS, ERROR]
+    assert results[3].detail.startswith("TableMismatchError: ")
+    unit = parse_unit(text)
+    env = elaborate(unit)
+    square = unit.claims[0].args[0]
+    assert unit.claims[2].args[0] is square
+    values = [eval_node(square, env, env[ring]) for ring in "RS"]
+    assert [v.table for v in values] == [env["R"], env["S"]]
+    assert [env[ring]._values[square] for ring in "RS"] == values
+    with pytest.raises(TableMismatchError):
+        eval_node(unit.claims[3].args[0], env, env["S"])

@@ -64,6 +64,36 @@ def test_check_names_a_missing_path(tmp_path, capsys):
     assert (code, out, err) == (2, "", f"error: no such file or shipped manifest: {path!r}\n")
 
 
+def test_check_runs_every_file_and_exits_with_the_largest_code(tmp_path, capsys,
+                                                               monkeypatch):
+    bad = tmp_path / "bad.krv"
+    bad.write_text("ring R = vars(x);\nlet p = quot(x, x + 1);\n")
+    message = "2:9: quot(): not exactly divisible"
+    assert run_cli(["check", str(bad)], capsys) == (2, "", f"error: {message}\n")
+    # a failing file before and after a passing one: each is checked, and an
+    # error names its file
+    code, out, err = run_cli(["check", str(bad), "embeddings.krv", "fibers_negative.krv",
+                              str(bad)], capsys)
+    assert code == 2
+    assert re.findall(r"^# (.*)$", out, re.M) == ["embeddings.krv", "fibers_negative.krv"]
+    assert err == f"error: {bad}: {message}\n" * 2
+    code, out, err = run_cli(["check", "fibers_negative.krv", "embeddings.krv"], capsys)
+    assert (code, err) == (1, "") and out.count("\n# ") == 1
+    from krcubic import cli as cli_mod
+    run_file = cli_mod.claims_mod.run_file
+
+    def sabotaged(name):
+        if name == "whatever.krv":
+            raise PostconditionError("division identity violated")
+        return run_file(name)
+
+    monkeypatch.setattr(cli_mod.claims_mod, "run_file", sabotaged)
+    code, _, err = run_cli(["check", str(bad), "whatever.krv", "fibers_negative.krv"], capsys)
+    assert code == 3
+    assert err.splitlines()[1] == ("internal error: whatever.krv: "
+                                   "PostconditionError: division identity violated")
+
+
 def test_check_parallel_flag(capsys):
     # claims run on one serial path; --parallel is not an option
     code, _, err = run_cli(["check", "--parallel", "cylinder.krv"], capsys)

@@ -354,6 +354,45 @@ inverse(fwd, bwd);
     assert set(elaborate(unit)) == {"R", "fwd", "bwd"}
 
 
+SHARED = """
+ring R = vars(x, y, z, t);
+map c : R { z -> z + x; t -> t + x^2; }
+claim "product" eq(c(z)*c(t), (z + x)*(t + x^2)) expect true;
+claim "in a sum" eq(c(z)*c(t) + 1, 1) expect false;
+claim "in an ideal" member(x*y, {c(z)*c(t), x}) expect true;
+"""
+
+
+def _subexpressions(value):
+    """Every node in a piece of syntax, each once per occurrence."""
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _subexpressions(item)
+    elif isinstance(value, dict):
+        yield from _subexpressions(list(value.values()))
+    elif isinstance(value, Call):
+        yield value
+        yield from _subexpressions(value.args)
+    elif value is not None and not isinstance(value, (str, int)):
+        yield value
+        for slot in type(value).__slots__:
+            yield from _subexpressions(getattr(value, slot))
+
+
+def test_equal_subexpressions_of_a_unit_are_one_node():
+    first, second = parse_unit(SHARED), parse_unit(SHARED)
+    eq, in_sum, in_ideal = (claim.args for claim in first.claims)
+    assert isinstance(eq[0], BinOp) and eq[0].op == "*"
+    assert in_sum[0].left is eq[0] and in_ideal[1][0] is eq[0]
+    assert eq[0].left.arg is eq[1].left.left  # z, in c(z) and in z + x
+    nodes = list(_subexpressions([c.args for c in first.claims]))
+    assert len({id(n) for n in nodes}) < len(nodes)
+    # two parses share no node: each unit's nodes, and their values, are its own
+    others = {id(n) for n in _subexpressions([c.args for c in second.claims])}
+    assert not others & {id(n) for n in nodes}
+    assert run_unit(first).all_pass and run_unit(second).all_pass
+
+
 def test_inverse_declaration_rejects_non_inverses():
     with pytest.raises(ParseError) as info:
         run_text("""

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from krcubic import poly
 from krcubic.coeff import OMEGA, Eisenstein
 from krcubic.derivation import Derivation, substitute_parameter, theta_extract
 from krcubic.errors import (ExponentOverflowError, KrError, NegativeExponentError,
-                            NonUnitError, TableMismatchError)
+                            NonUnitError, PostconditionError, TableMismatchError)
 from krcubic.geometry import tangent_cone
 from krcubic.groebner import _spoly, buchberger, member, reduce, singular_at
 from krcubic.morphism import (QuotientRelation, RingMap, compose, exact_divide,
@@ -384,6 +385,57 @@ def test_constants_hash_like_the_numbers_they_equal(ring3, ring4):
     assert Fraction(1, 2) not in by_constant and x + 3 not in by_constant
 
 
+# -- results already in hand -------------------------------------------------------
+
+def test_a_bare_variable_substitutes_to_its_image(cylinder_ring):
+    x, y, z, t, v = vars_of(cylinder_ring, "x", "y", "z", "t", "v")
+    images = {"x": y * t ** -1 + 3, "t": OMEGA * t ** -1, "z": z, "v": 2}
+    for name, bare in zip(cylinder_ring.names, (x, y, z, t, v)):
+        got = bare.substitute(images)
+        # the general path, through a term that is not bare, gives the same value
+        assert got == (2 * bare).substitute(images) * Fraction(1, 2)
+        assert got == cylinder_ring.coerce(images.get(name, bare))
+        if name in ("x", "t"):  # moved: the image itself
+            assert got is images[name]
+        elif name != "v":  # unassigned, or written z -> z: the variable itself
+            assert got is bare
+    # t^-1 and t^2 are not bare: t^-1 takes the inverse of t's image
+    assert (t ** -1).substitute(images) == OMEGA * OMEGA * t
+    assert (t ** 2).substitute(images) == OMEGA * OMEGA * t ** -2
+    assert (x * 1).substitute({}) == x and (-x).substitute(images) == -images["x"]
+
+
+def test_a_bare_variable_still_checks_every_image(ring4, ring3):
+    x = ring4.var("x")
+    with pytest.raises(TableMismatchError):
+        x.substitute({"x": ring4.var("y"), "z": ring3.var("z")})
+    with pytest.raises(KrError, match="unknown variable 'w'"):
+        x.substitute({"w": 1})
+    with pytest.raises(TypeError):
+        x.substitute({"y": "not a polynomial"})
+
+
+def test_reduce_with_nothing_to_divide_returns_the_dividend(ring4, monkeypatch):
+    x, y, z, t = vars_of(ring4, "x", "y", "z", "t")
+    f = x ** 2 + 3 * z * t - y
+    gens = [x * y * z, t ** 2, z ** 2 - x]
+    rem, cofactors = reduce(f, gens)
+    assert rem is f and cofactors == [ring4.zero()] * 3
+    zero, cofactors = reduce(ring4.zero(), gens)
+    assert zero.is_zero() and cofactors == [ring4.zero()] * 3
+    # a divisible term anywhere, by any generator, is divided
+    for f, gens, want in [(x ** 2 + y, [y], x ** 2),
+                          (x ** 3 + z * t + y, [t ** 2, y * z, y], x ** 3 + z * t),
+                          (x ** 2 + z, [y, z - t], x ** 2 + t)]:
+        rem, cofactors = reduce(f, gens)
+        assert rem == want and any(cofactors)
+    # that call still checks the division identity
+    real = poly._sum
+    monkeypatch.setattr(poly, "_sum", lambda parts: real(parts + parts))
+    with pytest.raises(PostconditionError, match="^division identity violated$"):
+        reduce(x ** 2 + 3 * z * t - y, [x * y * z])
+
+
 # -- structural properties on random data -------------------------------------
 
 def test_substitution_is_a_ring_homomorphism():
@@ -513,10 +565,12 @@ _moved_images = st.one_of(
 # half of the variables are unassigned or written out as v -> v
 _sub_images = st.booleans().flatmap(
     lambda fixed: st.sampled_from([None, "self"]) if fixed else _moved_images)
-# half of them carry no negative exponent, so that s and t can stay fixed
-_sub_polys = st.sampled_from([0, -2]).flatmap(lambda low: st.dictionaries(
+# half of them carry no negative exponent, so that s and t can stay fixed, and
+# one in eight is a bare variable, whose image substitute gives as it is
+_sub_polys = st.sampled_from([0, -2] * 4 + [None]).flatmap(lambda low: st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(low, 2), st.integers(low, 2)),
-    _sub_coeffs.filter(bool), min_size=1, max_size=8))
+    _sub_coeffs.filter(bool), min_size=1, max_size=8) if low is not None else
+    st.sampled_from(_SUB_UNITS).map(lambda unit: {unit: Eisenstein(1)}))
 
 
 def _ref_product(p: dict, q: dict) -> dict:
@@ -557,6 +611,7 @@ def _ref_substitute(f: dict, images: list[dict]) -> dict:
 
 def test_substitute_matches_a_reference_on_exponent_tuples():
     shared = []  # per example: some moved-exponent vector is shared by two terms
+    bare = []  # per example: f is a bare variable
 
     @settings(max_examples=400, derandomize=True, deadline=None)
     @given(_sub_polys, st.tuples(*[_sub_images] * SUB.arity))
@@ -570,6 +625,7 @@ def test_substitute_matches_a_reference_on_exponent_tuples():
                  or any(exps[i] < 0 for exps in f)]
         vectors = [tuple(exps[i] for i in moved) for exps in f]
         shared.append(any(vectors.count(v) > 1 for v in vectors if any(v)))
+        bare.append(list(f.items()) in [[(unit, 1)] for unit in _SUB_UNITS])
         try:
             want = Polynomial(SUB, _ref_substitute(f, images))
         except (ExponentOverflowError, NonUnitError) as exc:
@@ -582,6 +638,7 @@ def test_substitute_matches_a_reference_on_exponent_tuples():
 
     check()
     assert sum(shared) >= len(shared) // 10, (sum(shared), len(shared))
+    assert sum(bare) >= len(bare) // 20, (sum(bare), len(bare))
 
 
 # -- each fused operation against its chained formula --------------------------
