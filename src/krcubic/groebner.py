@@ -9,11 +9,15 @@ polynomial and for each generator, which does not change the ideal in the
 Laurent ring, and saturates an ideal of several generators by the Laurent
 variables).
 
-Buchberger's algorithm skips the pairs that two criteria prove useless: the
-coprime-leading-monomial criterion and the chain criterion (Buchberger 1979;
-Gebauer & Moeller 1988).  member() and smooth_everywhere() compute each
-grevlex basis once per ideal: the memo is the caller's VarTable (its _bases
-dict), so it lives as long as the unit whose ring declared the table.
+Buchberger's algorithm installs its pairs as Gebauer & Moeller do
+(J. Symb. Comput. 6, 1988): when an element joins the basis, criteria M and
+F, the coprime-leading-monomial criterion and the chain criterion drop the
+pairs they prove useless before any is taken, and the elements the newcomer
+makes redundant take no part in later reductions.  A remainder that is a
+nonzero constant ends the run at the unit ideal.  member() and
+smooth_everywhere() compute each grevlex basis once per ideal: the memo is
+the caller's VarTable (its _bases dict), so it lives as long as the unit
+whose ring declared the table.
 """
 
 from __future__ import annotations
@@ -58,18 +62,27 @@ def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
                                              (table.monomial(map(sub, lcm, gm)), g, -1)])
 
 
-MAX_PAIRS = 50_000  # Buchberger's pair budget
+MAX_PAIRS = 50_000  # Buchberger's pair budget: pairs taken from the queue
 
 
 def buchberger(gens: list[Polynomial]) -> GroebnerBasis:
     """Reduced grevlex Groebner basis of the ideal generated by gens.
 
-    A pair is skipped when its leading monomials are coprime, or by the chain
-    criterion: some third generator's leading monomial divides the pair's lcm
-    and both of its pairs with the two have been taken already (Cox, Little
-    & O'Shea, Ideals, Varieties, and Algorithms, ch. 2).  Raises
-    GroebnerBudgetError once more than MAX_PAIRS pairs have been taken,
-    skipped ones included.
+    Pairs are installed as Gebauer & Moeller do (Becker & Weispfenning,
+    Groebner Bases, 5.5, procedure UPDATE).  When an element h joins:
+    - a new pair (g, h) is dropped when the lcm of another new pair divides
+      its lcm (criteria M and F: of equal lcms one is kept, a coprime one if
+      any), and then when LM(g) and LM(h) are coprime;
+    - a queued pair (i, j) is dropped when LM(h) divides its lcm and that lcm
+      differs from lcm(i, h) and from lcm(j, h) (criterion B_k, the chain
+      criterion);
+    - the elements whose leading monomial LM(h) divides are no longer needed:
+      S-polynomials are reduced by the needed elements only, and the pairs
+      already queued with them stay.
+    When a remainder is a nonzero constant the ideal is the whole ring, and
+    (1) is returned at once.  Raises GroebnerBudgetError once more than
+    MAX_PAIRS pairs have been taken from the queue; a pair dropped at
+    installation is never taken, so it is not counted.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -81,48 +94,56 @@ def buchberger(gens: list[Polynomial]) -> GroebnerBasis:
                                     "clear Laurent denominators first")
         basis.append(g.monic())
     lms = [g.leading_monomial() for g in basis]
-    rank = basis[0].table.grevlex
+    table = basis[0].table
+    rank = table.grevlex
 
-    heap: list = []
-    counter = 0
+    heap: list = []  # (rank of the lcm, j, i, lcm) for the pair i < j: taken in push order
+    needed: list[int] = []  # in ascending order, the elements that no later one made redundant
 
-    def push_pairs(j):
-        nonlocal counter
-        for i in range(j):
-            lcm = tuple(map(max, lms[i], lms[j]))
-            heapq.heappush(heap, (rank(lcm), counter, i, j, lcm))
-            counter += 1
+    def update(h):
+        hm = lms[h]
+        # (lcm, g, coprime) for each new pair (g, h)
+        new = [(tuple(map(max, lms[g], hm)), g, not any(map(min, lms[g], hm))) for g in needed]
+        kept = []  # criteria M and F: a coprime pair still drops those its lcm divides
+        for n, p in enumerate(new):
+            if p[2] or not any(_divides(q[0], p[0]) for q in new[n + 1:] + kept):
+                kept.append(p)
+        if heap:  # criterion B_k
+            size = len(heap)
+            heap[:] = [p for p in heap if not (_divides(hm, p[3])
+                                               and tuple(map(max, lms[p[1]], hm)) != p[3]
+                                               and tuple(map(max, lms[p[2]], hm)) != p[3])]
+            if len(heap) < size:
+                heapq.heapify(heap)
+        for lcm, g, coprime in kept:
+            if not coprime:
+                heapq.heappush(heap, (rank(lcm), h, g, lcm))
+        needed[:] = [g for g in needed if not _divides(hm, lms[g])] + [h]
 
-    for j in range(len(basis)):
-        push_pairs(j)
-
-    done = set()  # pairs already taken, in both orders
-    processed = 0
+    for h in range(len(basis)):
+        update(h)
+    taken = 0
     while heap:
-        _, _, i, j, lcm = heapq.heappop(heap)
-        processed += 1
-        if processed > MAX_PAIRS:
+        _, j, i, _ = heapq.heappop(heap)
+        taken += 1
+        if taken > MAX_PAIRS:
             raise GroebnerBudgetError(f"pair budget {MAX_PAIRS} exhausted")
-        done |= {(i, j), (j, i)}
-        if all(a == 0 or b == 0 for a, b in zip(lms[i], lms[j])):
-            continue  # coprime leading monomials: S-polynomial reduces to zero
-        # done holds no (k, k), so k is neither i nor j
-        if any((i, k) in done and (j, k) in done and _divides(mk, lcm)
-               for k, mk in enumerate(lms)):
-            continue  # chain criterion: S(i, j) has a representation via k
         s = _spoly(basis[i], basis[j])
         if s.is_zero():
             continue
-        rem, _ = reduce(s, basis)
-        if not rem.is_zero():
-            basis.append(rem.monic())
-            lms.append(basis[-1].leading_monomial())
-            push_pairs(len(basis) - 1)
+        rem, _ = reduce(s, [basis[k] for k in needed])
+        if rem.is_zero():
+            continue
+        if rem.is_constant():
+            return GroebnerBasis((table.one(),))
+        basis.append(rem.monic())
+        lms.append(basis[-1].leading_monomial())
+        update(len(basis) - 1)
 
-    # minimalize: drop generators whose leading monomial another one divides
-    minimal = [i for i, gm in enumerate(lms)
-               if not any(j != i and _divides(hm, gm) and (hm != gm or j < i)
-                          for j, hm in enumerate(lms))]
+    # minimalize: drop the needed elements whose leading monomial another one
+    # divides (no two share one: each new element drops its equals)
+    minimal = [i for i in needed
+               if not any(j != i and _divides(lms[j], lms[i]) for j in needed)]
 
     # Fully reduce each survivor against the others.  No other leading
     # monomial divides its own, so that term is kept as it is: the remainder

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from krcubic import groebner, poly
+from krcubic.claims import PASS, run_text
 from krcubic.errors import (GroebnerBudgetError, LaurentInputError, PostconditionError,
                             TableMismatchError)
 from krcubic.groebner import (buchberger, clear_laurent, member, reduce,
@@ -225,6 +226,47 @@ def test_chain_criterion_skips_a_pair(monkeypatch):
     assert set(basis.generators) == {x * z, x * t, z * t}
 
 
+def _count_spolys(monkeypatch):
+    spolys = []
+    real = groebner._spoly
+    monkeypatch.setattr(groebner, "_spoly", lambda f, g: spolys.append((f, g)) or real(f, g))
+    return spolys
+
+
+def test_installation_drops_pairs_at_insertion(monkeypatch):
+    T = VarTable(["x", "y", "z"])
+    x, y, z = (T.var(n) for n in "xyz")
+    spolys = _count_spolys(monkeypatch)
+    # x - z makes x*y^2 redundant, so the remainder y^2*z pairs with x - z
+    # alone, a coprime pair: one S-polynomial
+    assert set(buchberger([x * y ** 2, x - z]).generators) == {x - z, y ** 2 * z}
+    assert len(spolys) == 1
+    # criterion B_k: x*y divides the lcm x^2*y^2 of the queued pair (f, g)
+    # and differs from the lcms x^2*y and x*y^2 of its pairs with f and g, so
+    # (f, g) leaves the queue when x*y joins, and its S-polynomial is never built
+    spolys.clear()
+    f, g = x ** 2 * y + z ** 2, x * y ** 2 + z ** 2
+    assert set(buchberger([f, g, x * y]).generators) == {x * y, z ** 2}
+    assert len(spolys) == 2 and (f, g) not in spolys
+
+
+def test_a_constant_remainder_ends_at_the_unit_ideal(monkeypatch):
+    T = VarTable(["x", "y", "z"])
+    x, y, z = (T.var(n) for n in "xyz")
+    spolys = _count_spolys(monkeypatch)
+    assert buchberger([x * y + 1, x]).generators == (T.one(),)
+    assert len(spolys) == 1
+    # S(z - 2, z^2 + 1) reduces to -5 while the pair of z - 2 with
+    # x*y^2*z^2 + 2*x^2 is still queued; it is not taken
+    spolys.clear()
+    assert buchberger([2 - z, x * y ** 2 * z ** 2 + 2 * x ** 2, z ** 2 + 1]).generators == (T.one(),)
+    assert len(spolys) == 1
+    # the verdicts built on it: the cubic is smooth, the cusp z^2 + t^3 is not
+    R = param_ring()
+    assert smooth_everywhere(cubic_poly(R))
+    assert not smooth_everywhere(R.var("z") ** 2 + R.var("t") ** 3)
+
+
 def test_budget_is_reported(monkeypatch):
     T = VarTable(["x", "z", "t"])
     x, z, t = (T.var(n) for n in ["x", "z", "t"])
@@ -232,6 +274,59 @@ def test_budget_is_reported(monkeypatch):
     monkeypatch.setattr(groebner, "MAX_PAIRS", 1)
     with pytest.raises(GroebnerBudgetError, match="pair budget 1 exhausted"):
         buchberger(gens)
+
+
+def _plain_buchberger(gens):
+    """Buchberger's algorithm with no criterion: every pair is taken and
+    reduced by every element; then the basis is minimalized and inter-reduced."""
+    T = gens[0].table
+    basis = [g.monic() for g in gens]
+    pairs = list(itertools.combinations(range(len(basis)), 2))
+    while pairs:
+        f, g = (basis[k] for k in pairs.pop(0))
+        fm, gm = f.leading_monomial(), g.leading_monomial()
+        lcm = [max(a, b) for a, b in zip(fm, gm)]
+        s = (T.monomial([a - b for a, b in zip(lcm, fm)]) * f
+             - T.monomial([a - b for a, b in zip(lcm, gm)]) * g)
+        rem, _ = reduce(s, basis)
+        if not rem.is_zero():
+            pairs += [(k, len(basis)) for k in range(len(basis))]
+            basis.append(rem.monic())
+    lms = [g.leading_monomial() for g in basis]
+    keep = [i for i, m in enumerate(lms)
+            if not any(j != i and all(a <= b for a, b in zip(n, m)) and (n != m or j < i)
+                       for j, n in enumerate(lms))]
+    return {reduce(basis[i], [basis[j] for j in keep if j != i])[0] for i in keep}
+
+
+def test_installation_agrees_with_all_pairs():
+    rng = random.Random(49)
+    units, sizes = 0, set()
+    for i in range(200):
+        T = (TABLES["grevlex"], TABLES["perm"])[i % 2]
+        gens = [random_nonzero_poly(rng, T, max_terms=3, max_deg=2)
+                for _ in range(rng.randint(3, 5))]
+        basis = buchberger(gens)
+        assert set(basis.generators) == _plain_buchberger(gens)
+        units += basis.is_unit_ideal()
+        sizes.add(len(basis.generators))
+    assert 20 <= units <= 100 and max(sizes) >= 5  # proper ideals too, some with large bases
+
+
+def test_laurent_membership_through_a_unit(monkeypatch):
+    # t = (t + x) - x is a unit, so {t + x, x} is the whole ring; {x, z} is
+    # not, though t is a unit.  Both ideals are saturated by t first.
+    tables = []
+    real = groebner.buchberger
+    monkeypatch.setattr(groebner, "buchberger",
+                        lambda gens: tables.append(gens[0].table.names) or real(gens))
+    report = run_text("""ring L = vars(x, z, t ; laurent t);
+claim "t is a unit" member(1, {t + x, x}) expect true;
+claim "a proper ideal" member(1, {x, z}) expect false;
+""")
+    assert [(r.label, r.status) for r in report.results] == [
+        ("t is a unit", PASS), ("a proper ideal", PASS)]
+    assert tables == [("x", "z", "t", "<t>^-1")] * 2
 
 
 # -- singularity certificates ---------------------------------------------------
@@ -352,8 +447,7 @@ def test_normal_forms_agree_with_sympy(name):
 
     rng = random.Random(45)
     nonzero = 0
-    # two generators never meet the chain criterion, which needs a third
-    for size in (2,) * 8 + (3,) * 6:
+    for size in (2,) * 8 + (3,) * 6 + (4,) * 4 + (5,) * 4:
         ideal = [_several_terms(rng, T) for _ in range(size)]
         basis = buchberger(ideal)
         G = sympy.groebner([conv(g) for g in ideal], *gens, order="grevlex", domain=K)
